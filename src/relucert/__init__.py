@@ -52,14 +52,6 @@ from .nnmodel import (
     network_hash,
     save_network,
 )
-from .oracle import (
-    OracleResult,
-    RobustnessSpec,
-    SampleBound,
-    TrustSpec,
-    pattern_enumerate_opt,
-    sample_bound,
-)
 from .simplex import SimplexOptions, solve_lp
 from .trainer import (
     Dataset,
@@ -87,6 +79,21 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle needs scipy and the solver does not, so the oracle is imported
+# on first use of one of its names rather than with the package.
+_ORACLE_NAMES = frozenset(
+    ("OracleResult", "RobustnessSpec", "SampleBound", "TrustSpec", "pattern_enumerate_opt", "sample_bound")
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AffineLayer",

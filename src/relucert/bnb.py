@@ -1,17 +1,24 @@
 """Exact MILP solver: best-first branch and bound over ReLU phase binaries.
 
 Every node solves the LP relaxation with its branching fixings applied to a
-shared prepared tableau skeleton. Feasible incumbents come from rounding the
-LP input point through the actual network, which is feasible by construction,
-so the certified bracket [incumbent, bound] is always sound.
+shared prepared tableau skeleton. The root solves cold; each child starts
+from its parent's optimal basis, which stays dual feasible when one binary's
+bounds change, so a few dual simplex pivots reach the child's optimum. A
+warm solve that cannot certify an optimum falls back to the cold two-phase
+solve inside the LP engine, so infeasible children are still decided by
+phase 1. Heap entries keep only the basis index and flag vectors. Feasible
+incumbents come from rounding the LP input point through the actual
+network, which is feasible by construction, so the certified bracket
+[incumbent, bound] is always sound.
 """
 
 from __future__ import annotations
 
 import csv
 import heapq
+import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -19,8 +26,9 @@ import numpy as np
 from .errors import InvalidArg, NumericalBreakdown
 from .milp import MilpProblem
 from .nnmodel import forward_layers
-from .simplex import LpStatus, SimplexOptions, prepare, relaxed_bounds
+from .simplex import LpStatus, SimplexOptions, SolveStats, prepare, relaxed_bounds
 
+_log = logging.getLogger(__name__)
 _INT_TOL = 1e-6
 _TARGET_TOL = 1e-9
 
@@ -67,6 +75,7 @@ class MilpResult:
     gap: float
     nodes: int
     wall_time: float
+    stats: SolveStats = field(default_factory=SolveStats)
 
     @property
     def found(self) -> bool:
@@ -116,15 +125,18 @@ def _forward_candidate(p: MilpProblem, x_lp) -> tuple[float, np.ndarray] | None:
     return delta, _assemble_point(p, z, pre, post, out, delta=delta)
 
 
-def _select_branch_var(p: MilpProblem, rule: str, x_lp, free) -> int | None:
-    frac = [j for j in free if min(x_lp[j], 1.0 - x_lp[j]) > _INT_TOL]
-    if not frac:
+def _select_branch_var(rule: str, x_lp, bin_idx, bin_layer, free) -> int | None:
+    """Position in `bin_idx` of the free fractional binary to branch on, or
+    None when every free binary is integral."""
+    pos = np.flatnonzero(free)
+    xs = x_lp[bin_idx[pos]]
+    pos = pos[np.minimum(xs, 1.0 - xs) > _INT_TOL]
+    if pos.size == 0:
         return None
     if rule == "earliest-layer-most-fractional":
-        layer_of = {j: r[1] for r, j in p.var_roles.items() if r[0] == "bin"}
-        first = min(layer_of.get(j, 0) for j in frac)
-        frac = [j for j in frac if layer_of.get(j, 0) == first]
-    return min(frac, key=lambda j: (abs(x_lp[j] - 0.5), j))
+        pos = pos[bin_layer[pos] == bin_layer[pos].min()]
+    # bin_idx is ascending, so ties on fractionality go to the lowest variable
+    return int(min(pos, key=lambda k: (abs(x_lp[bin_idx[k]] - 0.5), k)))
 
 
 def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
@@ -133,6 +145,9 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
     mult = 1.0 if p.obj_sense == "max" else -1.0
     eng = prepare(p, opts.lp_options)
     bin_idx = np.flatnonzero(p.binary)
+    layer_of = {j: r[1] for r, j in p.var_roles.items() if r[0] == "bin"}
+    bin_layer = np.array([layer_of.get(j, 0) for j in bin_idx], dtype=int)
+    stats = SolveStats()
     trace: list[list] = []
 
     inc_score = -np.inf
@@ -154,24 +169,26 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
         if score > inc_score:
             inc_score, inc_value, inc_point = score, float(value), point
 
-    def solve_node(fixings, seq, depth):
+    def solve_node(fixings, seq, depth, start=None):
         lo, hi = relaxed_bounds(p, fixings)
         try:
-            return eng.solve(lo, hi)
+            sol = eng.solve(lo, hi, start=start)
         except NumericalBreakdown as e:
             raise NumericalBreakdown(
                 f"node {seq} at depth {depth} (fixings {fixings}): {e}"
             ) from e
+        stats.add(sol)
+        return sol
 
-    def process(sol, fixings):
-        """Returns (score, x, is_integral) for a solved feasible node and
+    def process(sol, free):
+        """Returns (score, is_integral) for a solved feasible node and
         registers any incumbent candidates it yields."""
         score = mult * (sol.objective + p.obj_offset)
         cand = _forward_candidate(p, sol.x)
         if cand is not None:
             try_candidate(mult * cand[0], cand[0], cand[1])
-        free = [j for j in bin_idx if j not in fixings]
-        integral = all(min(sol.x[j], 1.0 - sol.x[j]) <= _INT_TOL for j in free)
+        xs = sol.x[bin_idx[free]]
+        integral = bool(np.all(np.minimum(xs, 1.0 - xs) <= _INT_TOL))
         if integral:
             try_candidate(score, own(score), sol.x.copy())
         return score, integral
@@ -183,7 +200,7 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
                 w.writerow(["node", "depth", "bound", "incumbent", "action"])
                 w.writerows(trace)
         gap = float(bound_score - inc_score) if inc_value is not None else np.inf
-        return MilpResult(
+        res = MilpResult(
             status=status,
             incumbent_value=inc_value,
             incumbent_point=inc_point,
@@ -191,7 +208,10 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
             gap=max(gap, 0.0),
             nodes=nodes,
             wall_time=time.perf_counter() - t0,
+            stats=stats,
         )
+        _log.debug("solve_milp %s: %d nodes in %.3f s, %s", status.value, nodes, res.wall_time, stats)
+        return res
 
     def tol() -> float:
         return max(opts.abs_gap, opts.rel_gap * abs(inc_score)) if inc_value is not None else opts.abs_gap
@@ -201,13 +221,15 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
     if root.status is not LpStatus.OPTIMAL:
         note(0, 0, None, "infeasible")
         return result(BnbStatus.INFEASIBLE, -np.inf, nodes)
-    root_score, root_integral = process(root, {})
+    root_free = np.ones(bin_idx.size, dtype=bool)
+    root_score, root_integral = process(root, root_free)
     note(0, 0, root_score, "integral" if root_integral else "root")
     if root_integral or root_score - inc_score <= tol():
         return result(BnbStatus.CERTIFIED, max(root_score, inc_score), nodes)
 
-    # heap of (-bound score, -depth, seq): best bound first, deeper first
-    heap = [(-root_score, 0, 0, {}, root.x)]
+    # heap of (-bound score, -depth, seq, fixings, free mask, LP point, start
+    # basis): best bound first, deeper first
+    heap = [(-root_score, 0, 0, {}, root_free, root.x, (root.basis, root.at_upper))]
     seq = 0
     while heap:
         ub_score = max(-heap[0][0], inc_score)
@@ -221,29 +243,35 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
         ):
             return result(BnbStatus.GAP_LIMIT if inc_value is not None else BnbStatus.LIMIT, ub_score, nodes)
 
-        neg_score, neg_depth, _, fixings, x_lp = heapq.heappop(heap)
+        neg_score, neg_depth, _, fixings, free, x_lp, start = heapq.heappop(heap)
         depth = -neg_depth
         if -neg_score <= inc_score + opts.abs_gap:
             note(None, depth, -neg_score, "pruned")
             continue
-        j = _select_branch_var(p, opts.branch_rule, x_lp, [k for k in bin_idx if k not in fixings])
-        if j is None:  # stale: integrality was already handled at creation
+        k = _select_branch_var(opts.branch_rule, x_lp, bin_idx, bin_layer, free)
+        if k is None:  # stale: integrality was already handled at creation
             continue
+        j = int(bin_idx[k])
+        child_free = free.copy()
+        child_free[k] = False
         for v in (0.0, 1.0):
             child_fix = dict(fixings)
             child_fix[j] = v
             seq += 1
             nodes += 1
-            sol = solve_node(child_fix, seq, depth + 1)
+            sol = solve_node(child_fix, seq, depth + 1, start)
             if sol.status is not LpStatus.OPTIMAL:
                 note(seq, depth + 1, None, "infeasible")
                 continue
-            score, integral = process(sol, child_fix)
+            score, integral = process(sol, child_free)
             score = min(score, -neg_score)  # child bound cannot beat parent
             if integral:
                 note(seq, depth + 1, score, "integral")
             elif score > inc_score + opts.abs_gap:
-                heapq.heappush(heap, (-score, -(depth + 1), seq, child_fix, sol.x))
+                heapq.heappush(
+                    heap,
+                    (-score, -(depth + 1), seq, child_fix, child_free, sol.x, (sol.basis, sol.at_upper)),
+                )
                 note(seq, depth + 1, score, "branch")
             else:
                 note(seq, depth + 1, score, "pruned")

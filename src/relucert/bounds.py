@@ -272,7 +272,9 @@ def lp_tighten(
     """Tighten each interval by maximizing/minimizing the pre-activation over
     the relaxed prefix network. Results are clipped into the incoming
     intervals, so they are subsets and stay sound; a failed solve keeps the
-    incoming interval for that side.
+    incoming interval for that side. The solves on one prefix share bounds
+    and differ only in objective, so each starts from the last optimal
+    basis, which is still primal feasible.
     """
     opts = options or SimplexOptions()
     if box.dim != net.input_dim:
@@ -289,17 +291,19 @@ def lp_tighten(
         is_out = k == len(net.layers) - 1
         tgt_lo = out_lo if is_out else work_lo[k]
         tgt_hi = out_hi if is_out else work_hi[k]
+        start = None
         for t in range(layer.width):
             c = np.zeros(lo.shape[0])
             c[src] = layer.A[t]
             const = float(layer.c[t])
             for maximize in (True, False):
                 try:
-                    sol = eng.solve(lo, hi, c_override=c, maximize=maximize)
+                    sol = eng.solve(lo, hi, c_override=c, maximize=maximize, start=start)
                 except NumericalBreakdown:
                     continue
                 if sol.status is not LpStatus.OPTIMAL:
                     continue
+                start = (sol.basis, sol.at_upper)
                 v = sol.objective + const
                 if maximize:
                     tgt_hi[t] = min(tgt_hi[t], v + _TIGHTEN_SLACK)

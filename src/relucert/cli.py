@@ -28,7 +28,6 @@ from .errors import (
     SolverFailure,
 )
 from .nnmodel import fold_bn, forward, load_network, network_hash, save_network
-from .oracle import RobustnessSpec, TrustSpec, pattern_enumerate_opt, sample_bound
 from .trainer import TrainConfig, evaluate, gen_synthetic, load_dataset, save_dataset, train
 from .verify import (
     VerificationQuery,
@@ -305,6 +304,8 @@ def cmd_verify_trust(args) -> int:
 
 
 def _check_robustness_entry(net, entry, max_unstable, samples) -> float:
+    from .oracle import RobustnessSpec, pattern_enumerate_opt, sample_bound
+
     q = _query_from_dict(entry["query"], 0)
     x_ref = np.asarray(q.x_ref)
     box = InputBox.ball(q.z_ref, q.alpha, clip=q.clip_to_domain)
@@ -331,6 +332,8 @@ def _check_robustness_entry(net, entry, max_unstable, samples) -> float:
 
 
 def _check_trust_entry(net, entry, max_unstable, samples) -> float:
+    from .oracle import TrustSpec, pattern_enumerate_opt, sample_bound
+
     q = _query_from_dict(entry["query"], 0)
     x_ref = np.asarray(q.x_ref)
     scale = q.effective_scale()

@@ -90,8 +90,9 @@ def encode_network(
     """Constraint system whose feasible points are exactly the network's
     input/activation/output tuples over the box, given the stability fixing.
 
-    Unstable neurons get four rows tied to a binary indicator; the neuron's
-    own interval supplies the big-M constants. Active neurons collapse to an
+    Unstable neurons get three rows tied to a binary indicator, plus the
+    post variable's lower bound of 0; the neuron's own interval supplies the
+    big-M constants. Active neurons collapse to an
     equality, dead neurons to a zero-fixed variable.
     """
     if box.dim != net.input_dim:
@@ -189,9 +190,7 @@ def encode_network(
                 rows.append(LinearRow(idx=np.array([h_i, r_i]),
                                       coef=np.array([1.0, -hmax]),
                                       sense="<=", rhs=0.0, tag=tag))
-                # h >= 0
-                rows.append(LinearRow(idx=np.array([h_i]), coef=np.array([1.0]),
-                                      sense=">=", rhs=0.0, tag=tag))
+                # h >= 0 needs no row: the post variable's lower bound is 0
     return MilpProblem(
         lo=np.array(lo_l),
         hi=np.array(hi_l),

@@ -1,17 +1,29 @@
-"""Bounded-variable primal simplex with two-phase initialization.
+"""Bounded-variable simplex: a cold two-phase primal solve and a
+warm-started dual path.
 
 Variables carry individual lower/upper bounds and nonbasic variables rest
 at one of them, so the ReLU encodings' many bound constraints never become
-rows. Phase 1 drives signed artificial variables to zero; phase 2 optimizes
-the real objective. The tableau is dense and is refactorized from the
-original data every `refactor_every` pivots to shed accumulated error.
-Bland's rule takes over entering/leaving selection after a run of
-degenerate pivots, which bounds the total pivot count.
+rows. The cold solve's phase 1 drives signed artificial variables to zero;
+phase 2 optimizes the real objective. The tableau is dense and is
+refactorized from the original data every `refactor_every` pivots to shed
+accumulated error. Bland's rule takes over entering/leaving selection after
+a run of degenerate pivots, which bounds the total pivot count.
+
+A solve may start from an earlier solution's basis and nonbasic-at-upper
+flags. The basis is refactorized under the new bounds and objective. If it
+is still primal feasible (the next objective of a bound-tightening sweep),
+phase 2 runs from it directly. If it is dual feasible instead (a
+branch-and-bound child, whose bounds differ from its parent's in one
+binary), a bounded dual simplex restores primal feasibility and one primal
+phase-2 pass cleans up. Any other outcome of the warm path, including an
+infeasible verdict, an iteration limit or a numerical breakdown, falls back
+to the cold solve, so infeasibility is always decided by phase 1 at
+`feas_tol`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -27,6 +39,13 @@ class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
+
+
+class WarmStart(Enum):
+    NONE = "none"              # no start basis given: cold two-phase solve
+    USED = "used"              # the warm path reached the optimum
+    FELL_BACK = "fell_back"    # the warm path did not; the cold solve decided
+    BROKE_DOWN = "broke_down"  # the warm path raised NumericalBreakdown; the cold solve decided
 
 
 @dataclass(frozen=True)
@@ -50,12 +69,56 @@ class SimplexOptions:
 
 @dataclass
 class LpSolution:
+    """One solve's outcome. Pivot counts are pricing passes (basis changes,
+    bound flips and one final pass per loop), counted over every path the
+    solve took, a warm attempt that fell back included."""
+
     status: LpStatus
     x: np.ndarray | None = None          # structural variable values
     objective: float | None = None
     basis: np.ndarray | None = None
+    at_upper: np.ndarray | None = None   # nonbasic-at-upper flag per column; with `basis`, a warm start
     infeasibility: float = 0.0           # phase-1 residual when Infeasible
-    iterations: int = 0
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
+    dual_pivots: int = 0
+    warm: WarmStart = WarmStart.NONE
+
+    @property
+    def iterations(self) -> int:
+        return self.phase1_pivots + self.phase2_pivots + self.dual_pivots
+
+
+@dataclass
+class SolveStats:
+    """LP work summed over many solves."""
+
+    lp_solves: int = 0
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
+    dual_pivots: int = 0
+    warm_starts: int = 0     # solves given a start basis
+    warm_fallbacks: int = 0  # of those, solves the cold path decided after all
+    breakdowns: int = 0      # of those fallbacks, warm paths that raised NumericalBreakdown
+
+    def add(self, sol: LpSolution) -> None:
+        self.lp_solves += 1
+        self.phase1_pivots += sol.phase1_pivots
+        self.phase2_pivots += sol.phase2_pivots
+        self.dual_pivots += sol.dual_pivots
+        self.warm_starts += sol.warm is not WarmStart.NONE
+        self.warm_fallbacks += sol.warm in (WarmStart.FELL_BACK, WarmStart.BROKE_DOWN)
+        self.breakdowns += sol.warm is WarmStart.BROKE_DOWN
+
+    def merge(self, other: SolveStats) -> None:
+        for k, v in asdict(other).items():
+            setattr(self, k, getattr(self, k) + v)
+
+    def as_dict(self) -> dict:
+        d = asdict(self)
+        total = self.phase1_pivots + self.phase2_pivots + self.dual_pivots
+        d["phase1_share"] = self.phase1_pivots / total if total else 0.0
+        return d
 
 
 _DEGEN_TOL = 1e-10
@@ -65,8 +128,9 @@ class PreparedLp:
     """One LP skeleton solved many times under changing variable bounds.
 
     Rows and objective stay fixed; `solve` takes the structural bounds for
-    this call (branch-and-bound fixes binaries that way) and an optional
-    objective override (bound tightening sweeps one).
+    this call (branch-and-bound fixes binaries that way), an optional
+    objective override (bound tightening sweeps one) and an optional start
+    basis from an earlier solve of the same skeleton.
     """
 
     def __init__(
@@ -118,7 +182,11 @@ class PreparedLp:
         hi: np.ndarray,
         c_override: np.ndarray | None = None,
         maximize: bool | None = None,
+        start: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> LpSolution:
+        """Solve under structural bounds `lo`/`hi`. `start` is an earlier
+        solution's `(basis, at_upper)` on this skeleton; the solve then tries
+        the warm path first and falls back to the cold one."""
         opts = self.opts
         m, n, ncols = self.m, self.n, self.ncols
         lo_s = np.asarray(lo, dtype=float)
@@ -141,19 +209,62 @@ class PreparedLp:
                 x=x,
                 objective=val if mx else -val,
                 basis=np.zeros(0, dtype=int),
-                iterations=0,
+                at_upper=c2[:n] > 0,
             )
 
         full_lo = np.zeros(ncols)
-        full_hi = np.zeros(ncols)
+        full_hi = np.zeros(ncols)  # artificials stay fixed at zero outside phase 1
         full_lo[:n] = lo_s
         full_hi[:n] = hi_s
         full_hi[n : self.art0] = np.inf  # slacks in [0, inf)
+        max_iter = opts.max_iter or (10_000 + 40 * (m + ncols))
+        counts = {"phase1": 0, "phase2": 0, "dual": 0}
+
+        warm = WarmStart.NONE
+        solved = None
+        if start is not None:
+            try:
+                solved = self._solve_warm(full_lo, full_hi, c2, start, max_iter, counts)
+                warm = WarmStart.USED if solved is not None else WarmStart.FELL_BACK
+            except NumericalBreakdown:
+                warm = WarmStart.BROKE_DOWN
+        status, infeasibility = LpStatus.OPTIMAL, 0.0
+        if solved is None:
+            status, solved, infeasibility = self._solve_cold(full_lo, full_hi, c2, max_iter, counts)
+        stats = dict(
+            phase1_pivots=counts["phase1"], phase2_pivots=counts["phase2"], dual_pivots=counts["dual"], warm=warm
+        )
+        if status is not LpStatus.OPTIMAL:
+            return LpSolution(status=status, infeasibility=infeasibility, **stats)
+        state, A_full = solved
+
+        # clean basic values from the original data, then read the point off
+        # the basis; the tableau is not needed again
+        self._refactor(state, A_full, full_lo, full_hi, tableau=False)
+        x_full = np.where(state.at_upper, np.minimum(full_hi, np.finfo(float).max), full_lo)
+        x_full[state.basis] = state.xB
+        x = x_full[:n].copy()
+        np.clip(x, lo_s, hi_s, out=x)
+        val = float(c2[:n] @ x)
+        return LpSolution(
+            status=LpStatus.OPTIMAL,
+            x=x,
+            objective=val if mx else -val,
+            basis=state.basis,
+            at_upper=state.at_upper,
+            **stats,
+        )
+
+    def _solve_cold(self, full_lo, full_hi, c2, max_iter, counts):
+        """Two-phase solve from a slack/artificial basis. Returns the status,
+        the optimal `(state, A_full)` or None, and the phase-1 residual."""
+        opts = self.opts
+        m, n, ncols = self.m, self.n, self.ncols
+        full_hi = full_hi.copy()  # phase 1 frees the artificials
 
         # starting point: structurals at lower bound, slacks absorb what they can
         A_full = self.A_full.copy()
-        act = A_full[:, :n] @ lo_s
-        resid = self.b - act
+        resid = self.b - A_full[:, :n] @ full_lo[:n]
         basis = np.empty(m, dtype=int)
         xB = np.empty(m)
         art_rows = []
@@ -180,61 +291,84 @@ class PreparedLp:
             s = A_full[i, basis[i]]
             if s == -1.0:  # >= slack enters with -1; normalize the row
                 T[i] = -T[i]
-        state = _State(T=T, basis=basis, xB=xB, at_upper=at_upper, in_basis=in_basis)
-
-        max_iter = opts.max_iter or (10_000 + 40 * (m + ncols))
-        total_iters = 0
+        state = _State(T=T, basis=basis, xB=xB, at_upper=at_upper, in_basis=in_basis, counts=counts)
 
         if art_rows:
             c1 = np.zeros(ncols)
             c1[self.art0 :] = -1.0
-            status, iters = self._iterate(state, A_full, full_lo, full_hi, c1, max_iter)
-            total_iters += iters
+            status, iters = self._iterate(state, A_full, full_lo, full_hi, c1, max_iter, "phase1")
+            max_iter -= iters
             if status is LpStatus.UNBOUNDED:  # cannot happen: phase-1 objective <= 0
                 raise NumericalBreakdown("phase 1 reported unbounded")
             basic_art = state.basis >= self.art0
             art_sum = float(np.maximum(state.xB[basic_art], 0.0).sum())
             if art_sum > opts.feas_tol:
-                return LpSolution(
-                    status=LpStatus.INFEASIBLE, infeasibility=art_sum, iterations=total_iters
-                )
+                return LpStatus.INFEASIBLE, None, art_sum
             self._expel_artificials(state, full_lo, full_hi, opts)
             full_hi[self.art0 :] = 0.0  # artificials frozen at zero for phase 2
 
-        status, iters = self._iterate(state, A_full, full_lo, full_hi, c2, max_iter - total_iters)
-        total_iters += iters
-        if status is LpStatus.UNBOUNDED:
-            return LpSolution(status=LpStatus.UNBOUNDED, iterations=total_iters)
+        status, _ = self._iterate(state, A_full, full_lo, full_hi, c2, max_iter, "phase2")
+        if status is not LpStatus.OPTIMAL:
+            return status, None, 0.0
+        return status, (state, A_full), 0.0
 
-        # final clean refactorization, then read the point off the basis
+    def _solve_warm(self, full_lo, full_hi, c2, start, max_iter, counts):
+        """Re-solve from a start basis. Returns the optimal `(state, A_full)`,
+        or None when the warm path cannot certify an optimum."""
+        opts = self.opts
+        m, ncols = self.m, self.ncols
+        basis = np.array(start[0], dtype=int)
+        at_upper = np.array(start[1], dtype=bool)
+        if (
+            basis.shape != (m,)
+            or at_upper.shape != (ncols,)
+            or basis.min() < 0
+            or basis.max() >= ncols
+            or np.unique(basis).size != m
+        ):
+            raise InvalidArg("start basis does not fit this LP")
+        # a basic artificial sits at zero on a redundant row; its sign is immaterial
+        A_full = self.A_full.copy()
+        arts = basis[basis >= self.art0]
+        A_full[arts - self.art0, arts] = 1.0
+        in_basis = np.zeros(ncols, dtype=bool)
+        in_basis[basis] = True
+        at_upper &= ~in_basis & np.isfinite(full_hi)
+        state = _State(T=None, basis=basis, xB=None, at_upper=at_upper, in_basis=in_basis, counts=counts)
         self._refactor(state, A_full, full_lo, full_hi)
-        x_full = np.where(state.at_upper, np.minimum(full_hi, np.finfo(float).max), full_lo)
-        x_full[state.basis] = state.xB
-        x = x_full[:n].copy()
-        np.clip(x, lo_s, hi_s, out=x)
-        val = float(c2[:n] @ x)
-        return LpSolution(
-            status=LpStatus.OPTIMAL,
-            x=x,
-            objective=val if mx else -val,
-            basis=state.basis.copy(),
-            iterations=total_iters,
-        )
+
+        lo_B, hi_B = full_lo[basis], full_hi[basis]
+        if np.any(state.xB < lo_B - opts.feas_tol) or np.any(state.xB > hi_B + opts.feas_tol):
+            d = c2 - c2[basis] @ state.T
+            movable = full_hi > full_lo
+            dual_infeasible = ~in_basis & movable & np.where(at_upper, d < -opts.opt_tol, d > opts.opt_tol)
+            if dual_infeasible.any():
+                return None
+            status, iters = self._dual(state, A_full, full_lo, full_hi, c2, max_iter)
+            if status is not LpStatus.OPTIMAL:
+                return None
+            max_iter -= iters
+        status, _ = self._iterate(state, A_full, full_lo, full_hi, c2, max_iter, "phase2")
+        if status is not LpStatus.OPTIMAL:
+            return None
+        return state, A_full
 
     # ------------------------------------------------------------------
-    def _refactor(self, state: _State, A_full, full_lo, full_hi) -> None:
-        B = A_full[:, state.basis]
-        try:
-            state.T = np.linalg.solve(B, A_full)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdown("singular basis during refactorization") from exc
+    def _refactor(self, state: _State, A_full, full_lo, full_hi, tableau: bool = True) -> None:
+        """Recompute the basic values, and the tableau unless `tableau` is
+        False, from the original data."""
         x_nb = np.where(state.at_upper, np.where(np.isfinite(full_hi), full_hi, 0.0), full_lo)
         x_nb[state.basis] = 0.0
         rhs = self.b - A_full @ x_nb
-        try:
-            state.xB = np.linalg.solve(B, rhs)
+        try:  # one factorization of B serves the tableau and the basic values
+            sol = np.linalg.solve(A_full[:, state.basis], np.column_stack((A_full, rhs)) if tableau else rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown("singular basis during refactorization") from exc
+        if tableau:
+            state.T = sol[:, :-1]
+            state.xB = sol[:, -1].copy()
+        else:
+            state.xB = sol
 
     def _expel_artificials(self, state: _State, full_lo, full_hi, opts) -> None:
         # swap zero-valued basic artificials for real columns where a pivot
@@ -266,7 +400,9 @@ class PreparedLp:
         T -= np.outer(col, T[r])
 
     # ------------------------------------------------------------------
-    def _iterate(self, state, A_full, full_lo, full_hi, c_int, max_iter) -> tuple[LpStatus, int]:
+    def _iterate(self, state, A_full, full_lo, full_hi, c_int, max_iter, kind) -> tuple[LpStatus, int]:
+        """Primal simplex from a primal feasible basis; `kind` names the
+        phase its pricing passes are counted under."""
         opts = self.opts
         pivot_tol = opts.pivot_tol
         span = full_hi - full_lo
@@ -279,6 +415,7 @@ class PreparedLp:
             if iters >= max_iter:
                 raise NumericalBreakdown(f"iteration limit {max_iter} exceeded")
             iters += 1
+            state.counts[kind] += 1
             d = c_int - c_int[state.basis] @ state.T
             lower_ok = (~state.in_basis) & (~state.at_upper) & movable & (d > opts.opt_tol)
             upper_ok = (~state.in_basis) & state.at_upper & movable & (d < -opts.opt_tol)
@@ -347,14 +484,84 @@ class PreparedLp:
                 self._refactor(state, A_full, full_lo, full_hi)
                 pivots_since_refactor = 0
 
+    def _dual(self, state, A_full, full_lo, full_hi, c_int, max_iter) -> tuple[LpStatus, int]:
+        """Bounded dual simplex from a dual feasible basis. Each pass takes
+        the basic variable furthest outside its bounds out to the violated
+        bound, and brings in the nonbasic variable the dual ratio test picks,
+        which keeps every reduced cost on its optimal side. INFEASIBLE means
+        the leaving row had no entering candidate (the dual is unbounded)."""
+        opts = self.opts
+        movable = full_hi > full_lo
+        iters = 0
+        pivots_since_refactor = 0
+        degen_streak = 0
+        bland = False
+        while True:
+            if iters >= max_iter:
+                raise NumericalBreakdown(f"dual iteration limit {max_iter} exceeded")
+            iters += 1
+            state.counts["dual"] += 1
+            lo_B = full_lo[state.basis]
+            hi_B = full_hi[state.basis]
+            below = lo_B - state.xB
+            viol = np.maximum(below, state.xB - hi_B)
+            bad = viol > opts.feas_tol
+            if not bad.any():
+                return LpStatus.OPTIMAL, iters
+            if bland:
+                rows = np.flatnonzero(bad)
+                r = int(rows[np.argmin(state.basis[rows])])
+            else:
+                r = int(np.argmax(viol))
+            up = below[r] > 0  # the leaving variable rises to its lower bound
+            alpha = state.T[r]
+            sigma = np.where(state.at_upper, -1.0, 1.0)  # direction each nonbasic can move
+            # how fast moving each nonbasic off its bound pushes x_Br toward the violated bound
+            push = -alpha * sigma if up else alpha * sigma
+            cand = np.flatnonzero(~state.in_basis & movable & (push > opts.pivot_tol))
+            if cand.size == 0:
+                return LpStatus.INFEASIBLE, iters
+            d = c_int - c_int[state.basis] @ state.T
+            slack = np.maximum(-sigma[cand] * d[cand], 0.0)  # dual slack: room before d_j changes sign
+            rate = push[cand]
+            ratio = slack / rate
+            if bland:
+                k = int(np.flatnonzero(ratio <= ratio.min() + 1e-12)[0])
+            else:
+                # Harris: the longest dual step that keeps each slack above
+                # -opt_tol, then the largest pivot element within it
+                within = np.flatnonzero(ratio <= np.min((slack + opts.opt_tol) / rate))
+                k = int(within[np.argmax(rate[within])])
+            j = int(cand[k])
+            target = lo_B[r] if up else hi_B[r]
+            dx = (state.xB[r] - target) / alpha[j]
+            new_val = (full_hi[j] if state.at_upper[j] else full_lo[j]) + dx
+            leaving = state.basis[r]
+            state.xB = state.xB - state.T[:, j] * dx
+            self._pivot(state, r, j, new_val)
+            state.at_upper[leaving] = not up
+
+            if ratio[k] <= _DEGEN_TOL:
+                degen_streak += 1
+                if degen_streak >= opts.bland_after:
+                    bland = True
+            else:
+                degen_streak = 0
+                bland = False
+            pivots_since_refactor += 1
+            if pivots_since_refactor >= opts.refactor_every:
+                self._refactor(state, A_full, full_lo, full_hi)
+                pivots_since_refactor = 0
+
 
 @dataclass
 class _State:
-    T: np.ndarray
+    T: np.ndarray | None
     basis: np.ndarray
-    xB: np.ndarray
+    xB: np.ndarray | None
     at_upper: np.ndarray
     in_basis: np.ndarray
+    counts: dict  # pricing passes per loop kind, shared by a solve's attempts
 
 
 def solve_dense(

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -22,8 +24,9 @@ from .bounds import (
 from .errors import DimensionMismatch, InvalidArg, InvalidValue, SolverFailure
 from .milp import default_delta_cap, encode_network, set_robustness_objective, set_trust_problem
 from .nnmodel import FoldedNetwork, forward
-from .simplex import SimplexOptions
+from .simplex import SimplexOptions, SolveStats
 
+_log = logging.getLogger(__name__)
 # automatic LP tightening kicks in above this many unstable neurons
 _TIGHTEN_AUTO_THRESHOLD = 32
 
@@ -121,7 +124,8 @@ class RobustnessResult:
     certified: bool
     certified_fixing: bool
     stability_counts: dict
-    wall_time: float
+    wall_time: float  # the whole call: bounds, tightening, encoding and B&B
+    stats: dict = field(default_factory=dict)  # see _solve_stats
 
     @property
     def R(self) -> np.ndarray:
@@ -148,7 +152,8 @@ class TrustResult:
     certified: bool
     certified_fixing: bool
     stability_counts: dict
-    wall_time: float
+    wall_time: float  # the whole call: bounds, tightening, encoding and B&B
+    stats: dict = field(default_factory=dict)  # see _solve_stats
 
 
 def _prepare_base(net, box, opts):
@@ -183,6 +188,15 @@ def _dispatch(problems, opts) -> list[MilpResult | Exception]:
     return [run(p) for p in problems]
 
 
+def _solve_stats(results) -> dict:
+    """B&B work summed over a query's subproblems that returned a result."""
+    done = [r for r in results if isinstance(r, MilpResult)]
+    lp = SolveStats()
+    for r in done:
+        lp.merge(r.stats)
+    return {"subproblems": len(done), "nodes": sum(r.nodes for r in done), **lp.as_dict()}
+
+
 def _extract_z(p, point) -> np.ndarray:
     n0 = p.network.input_dim
     return np.array([point[p.var_roles[("input", j)]] for j in range(n0)])
@@ -212,6 +226,7 @@ def robustness(
     """Certified worst-case deviation of each output over the perturbation
     ball around the reference input, via one max and one min problem per
     output."""
+    t0 = time.perf_counter()
     opts = opts or VerifyOptions()
     if q.alpha is None:
         raise InvalidArg("robustness needs alpha")
@@ -231,15 +246,11 @@ def robustness(
 
     names = _output_names(net)
     per_output = []
-    wall = 0.0
     for i in range(net.num_outputs):
         plus, minus = results[2 * i], results[2 * i + 1]
         status, gap = _status_of(plus, minus)
         dev_plus = dev_minus = R = None
         witness = None
-        for r in (plus, minus):
-            if isinstance(r, MilpResult):
-                wall += r.wall_time
         if status != "uncertified" and plus.found and minus.found:
             dev_plus = plus.incumbent_value
             dev_minus = -minus.incumbent_value
@@ -259,15 +270,18 @@ def robustness(
                 gap=gap,
             )
         )
-    return RobustnessResult(
+    res = RobustnessResult(
         query=q,
         box=box,
         per_output=per_output,
         certified=certified_fixing and all(o.status == "certified" for o in per_output),
         certified_fixing=certified_fixing,
         stability_counts=sm.counts(),
-        wall_time=wall,
+        wall_time=time.perf_counter() - t0,
+        stats=_solve_stats(results),
     )
+    _log.debug("robustness %r: %.3f s, %s", q.query_id, res.wall_time, res.stats)
+    return res
 
 
 def trustworthiness(
@@ -275,6 +289,7 @@ def trustworthiness(
 ) -> TrustResult:
     """Smallest scaled perturbation radius that moves each output at least
     beta away from its reference, searched over the full unit box."""
+    t0 = time.perf_counter()
     opts = opts or VerifyOptions()
     if q.beta is None:
         raise InvalidArg("trustworthiness needs beta")
@@ -298,12 +313,8 @@ def trustworthiness(
 
     names = _output_names(net)
     per_output = []
-    wall = 0.0
     for i in range(net.num_outputs):
         pair = results[2 * i : 2 * i + 2]
-        for r in pair:
-            if isinstance(r, MilpResult):
-                wall += r.wall_time
         if any(isinstance(r, Exception) for r in pair):
             per_output.append(
                 OutputTrust(names[i], False, None, None, None, cap, "uncertified", float("inf"))
@@ -344,15 +355,18 @@ def trustworthiness(
             )
         )
     found_vals = [o.delta_min for o in per_output if o.found]
-    return TrustResult(
+    res = TrustResult(
         query=q,
         per_output=per_output,
         delta_min=min(found_vals) if found_vals else None,
         certified=certified_fixing and all(o.status == "certified" for o in per_output),
         certified_fixing=certified_fixing,
         stability_counts=sm.counts(),
-        wall_time=wall,
+        wall_time=time.perf_counter() - t0,
+        stats=_solve_stats(results),
     )
+    _log.debug("trustworthiness %r: %.3f s, %s", q.query_id, res.wall_time, res.stats)
+    return res
 
 
 @dataclass
@@ -552,10 +566,14 @@ def batch_report(
 
 
 def timing_sidecar(results) -> dict:
-    """Wall-clock times kept apart from the reports so byte-for-byte report
-    comparisons stay meaningful across runs."""
+    """Wall-clock times and solver statistics, kept apart from the reports so
+    byte-for-byte report comparisons stay meaningful across runs."""
     times = [float(r.wall_time) for r in results]
-    return {"per_result_seconds": times, "total_seconds": float(sum(times))}
+    return {
+        "per_result_seconds": times,
+        "total_seconds": float(sum(times)),
+        "per_result_stats": [r.stats for r in results],
+    }
 
 
 def delta_percent(

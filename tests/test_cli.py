@@ -251,3 +251,14 @@ def test_module_entry_point(workdir, tmp_path):
     )
     assert proc.returncode == 0
     assert "wrote 20 samples" in proc.stdout
+
+
+def test_start_up_leaves_scipy_unimported():
+    code = (
+        "import sys, relucert, relucert.cli\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy imported'\n"
+        "from relucert import pattern_enumerate_opt\n"
+        "assert callable(pattern_enumerate_opt) and 'scipy.optimize' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

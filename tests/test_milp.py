@@ -45,7 +45,7 @@ def test_linear_row_validation():
 def test_e1_encoding_counts(e1):
     p, _ = encode_on_box(e1, InputBox.unit(2))
     assert p.num_binaries == 2
-    assert len(p.rows_tagged("relu:")) == 8
+    assert len(p.rows_tagged("relu:")) == 6  # three rows per unstable neuron; h >= 0 is a bound
     assert len(p.rows_tagged("affine-pre")) == 2
     assert len(p.rows_tagged("affine-out")) == 1
     # every role present: 2 inputs, 2 pre, 2 post, 2 bins, 1 output

@@ -279,3 +279,28 @@ def test_delta_percent_and_tables(e1):
     hist = histogram_csv(np.array([0.0, 0.5, 1.0]), np.array([3, 4]))
     assert hist.splitlines()[0] == "bin_lo,bin_hi,count"
     assert len(hist.strip().splitlines()) == 3
+
+
+def test_wall_time_and_stats_cover_the_whole_call(e1, monkeypatch):
+    import time
+
+    from relucert import verify
+
+    inner = verify.lp_tighten
+
+    def slow_tighten(*args, **kwargs):
+        time.sleep(0.05)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "lp_tighten", slow_tighten)
+    q = VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], alpha=0.1, beta=0.15)
+    opts = VerifyOptions(tighten=True)
+    results = [robustness(e1, q, opts), trustworthiness(e1, q, opts)]
+    for r in results:
+        assert r.wall_time >= 0.05  # tightening is part of the query's time
+        assert r.stats["subproblems"] == 2
+        assert r.stats["lp_solves"] == r.stats["nodes"] >= 2
+        assert 0.0 <= r.stats["phase1_share"] <= 1.0
+    side = timing_sidecar(results)
+    assert side["per_result_stats"] == [r.stats for r in results]
+    json.dumps(side)

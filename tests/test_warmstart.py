@@ -1,0 +1,166 @@
+"""Warm-started solves: a start basis must never change a verdict.
+
+Every warm solve is compared with a cold solve of the same LP: same status,
+infeasible included, and the same objective within 1e-9.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relucert.bnb import solve_milp
+from relucert.bounds import InputBox, classify_neurons, lp_tighten, propagate_bounds
+from relucert.errors import NumericalBreakdown
+from relucert.milp import encode_network, set_robustness_objective
+from relucert.nnmodel import fold_bn
+from relucert.simplex import LpStatus, PreparedLp, SimplexOptions, WarmStart
+
+from conftest import random_spec
+
+
+def _random_lp(rng, n, m):
+    """Bounded LP with a known feasible point at the original bounds."""
+    lo = rng.uniform(-3, 0, size=n)
+    hi = lo + rng.uniform(0.5, 4, size=n)
+    x0 = rng.uniform(lo, hi)
+    A = rng.normal(size=(m, n))
+    senses, b = [], []
+    for i in range(m):
+        kind = int(rng.integers(0, 3))
+        v = float(A[i] @ x0)
+        room = float(rng.uniform(0, 2)) if rng.uniform() > 0.2 else 0.0
+        senses.append(("<=", ">=", "=")[kind])
+        b.append(v + room if kind == 0 else v - room if kind == 1 else v)
+    return rng.normal(size=n), A, senses, np.array(b), lo, hi
+
+
+def _assert_same(warm, cold):
+    assert warm.status is cold.status
+    if cold.status is LpStatus.OPTIMAL:
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 10),
+    m=st.integers(1, 12),
+    maximize=st.booleans(),
+    new_objective=st.booleans(),
+)
+def test_warm_solve_matches_cold_after_bound_changes(seed, n, m, maximize, new_objective):
+    rng = np.random.default_rng(seed)
+    c, A, senses, b, lo, hi = _random_lp(rng, n, m)
+    eng = PreparedLp(c=c, maximize=maximize, A=A, senses=senses, b=b)
+    first = eng.solve(lo, hi)
+    assert first.status is LpStatus.OPTIMAL
+    start = (first.basis, first.at_upper)
+    lo2, hi2 = lo.copy(), hi.copy()
+    for j in np.flatnonzero(rng.uniform(size=n) < 0.4):
+        a, z = sorted(rng.uniform(lo[j], hi[j], size=2))
+        if rng.uniform() < 0.5:  # fix, as branching fixes a binary
+            lo2[j] = hi2[j] = a
+        else:
+            lo2[j], hi2[j] = a, z
+    c2 = rng.normal(size=n) if new_objective else None
+    warm = eng.solve(lo2, hi2, c_override=c2, start=start)
+    cold = eng.solve(lo2, hi2, c_override=c2)
+    assert warm.warm is not WarmStart.NONE and cold.warm is WarmStart.NONE
+    _assert_same(warm, cold)
+
+
+def test_bound_change_is_reoptimized_by_dual_pivots():
+    # x + y <= 1.5 with max x + y: fixing the basic variable leaves the basis
+    # dual feasible, so the dual path finishes without phase 1
+    eng = PreparedLp(c=np.array([1.0, 2.0]), maximize=True, A=[[1.0, 1.0]], senses=["<="], b=np.array([1.5]))
+    root = eng.solve(np.zeros(2), np.ones(2))
+    assert root.objective == pytest.approx(2.5)
+    child = eng.solve(np.zeros(2), np.array([0.25, 1.0]), start=(root.basis, root.at_upper))
+    assert child.warm is WarmStart.USED
+    assert child.phase1_pivots == 0 and child.dual_pivots >= 1
+    assert child.objective == pytest.approx(2.25, abs=1e-12)
+
+
+def test_infeasible_child_is_decided_by_the_cold_solve():
+    eng = PreparedLp(c=np.array([1.0, 1.0]), maximize=True, A=[[1.0, 1.0]], senses=[">="], b=np.array([1.5]))
+    root = eng.solve(np.zeros(2), np.ones(2))
+    child = eng.solve(np.zeros(2), np.array([0.25, 1.0]), start=(root.basis, root.at_upper))
+    assert child.status is LpStatus.INFEASIBLE
+    assert child.warm is WarmStart.FELL_BACK
+    assert child.infeasibility == pytest.approx(0.25)
+
+
+def test_dual_degenerate_instance_terminates():
+    # zero objective: every reduced cost is zero, so every dual pivot is
+    # degenerate and Bland's rule takes over after the first
+    rng = np.random.default_rng(5)
+    bland_runs = 0
+    for _ in range(20):
+        c, A, senses, b, lo, hi = _random_lp(rng, 8, 10)
+        eng = PreparedLp(c=np.zeros(8), maximize=True, A=A, senses=senses, b=b,
+                         options=SimplexOptions(bland_after=1))
+        root = eng.solve(lo, hi)
+        lo2 = lo.copy()
+        lo2[:4] = hi[:4] - 0.1 * (hi[:4] - lo[:4])
+        warm = eng.solve(lo2, hi, start=(root.basis, root.at_upper))
+        _assert_same(warm, eng.solve(lo2, hi))
+        bland_runs += warm.dual_pivots > 2  # pivots after the first ran under Bland's rule
+    assert bland_runs > 0
+
+
+def test_breakdown_on_the_warm_path_returns_the_cold_result(monkeypatch):
+    rng = np.random.default_rng(11)
+    c, A, senses, b, lo, hi = _random_lp(rng, 6, 8)
+    eng = PreparedLp(c=c, maximize=True, A=A, senses=senses, b=b)
+    root = eng.solve(lo, hi)
+    lo2 = lo.copy()
+    lo2[0] = hi[0]
+    cold = eng.solve(lo2, hi)
+
+    def broken(*args, **kwargs):
+        raise NumericalBreakdown("forced")
+
+    monkeypatch.setattr(PreparedLp, "_solve_warm", broken)
+    warm = eng.solve(lo2, hi, start=(root.basis, root.at_upper))
+    assert warm.warm is WarmStart.BROKE_DOWN
+    _assert_same(warm, cold)
+    assert np.array_equal(warm.x, cold.x)
+
+
+def test_lp_tighten_warm_sweep_matches_cold(monkeypatch):
+    solve = PreparedLp.solve
+    used = []
+
+    def recording_solve(self, *args, **kwargs):
+        sol = solve(self, *args, **kwargs)
+        used.append(sol.warm)
+        return sol
+
+    def cold_solve(self, lo, hi, c_override=None, maximize=None, start=None):
+        return solve(self, lo, hi, c_override=c_override, maximize=maximize)
+
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
+        box = InputBox.unit(3)
+        lb = propagate_bounds(net, box)
+        monkeypatch.setattr(PreparedLp, "solve", recording_solve)
+        warm = lp_tighten(net, box, lb)
+        monkeypatch.setattr(PreparedLp, "solve", cold_solve)
+        cold = lp_tighten(net, box, lb)
+        for a, b in zip(warm.pre_lo + warm.pre_hi + (warm.out_lo, warm.out_hi),
+                        cold.pre_lo + cold.pre_hi + (cold.out_lo, cold.out_hi)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
+    assert used.count(WarmStart.USED) > len(used) // 2
+
+
+def test_milp_stats_count_every_node(e1):
+    box = InputBox.unit(2)
+    lb = propagate_bounds(e1, box)
+    p = set_robustness_objective(encode_network(e1, lb, classify_neurons(lb), box), 0, 1, 0.25)
+    res = solve_milp(p)
+    s = res.stats
+    assert s.lp_solves == res.nodes
+    assert s.warm_starts == res.nodes - 1  # every node but the root
+    assert s.breakdowns <= s.warm_fallbacks <= s.warm_starts
