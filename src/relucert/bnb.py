@@ -3,13 +3,15 @@
 Every node solves the LP relaxation with its branching fixings applied to a
 shared prepared tableau skeleton. The root solves cold; each child starts
 from its parent's optimal basis, which stays dual feasible when one binary's
-bounds change, so a few dual simplex pivots reach the child's optimum. A
-warm solve that cannot certify an optimum falls back to the cold two-phase
-solve inside the LP engine, so infeasible children are still decided by
-phase 1. Heap entries keep only the basis index and flag vectors. Feasible
-incumbents come from rounding the LP input point through the actual
-network, which is feasible by construction, so the certified bracket
-[incumbent, bound] is always sound.
+bounds change, so a few dual simplex pivots reach the child's optimum or
+a dual ray that proves it infeasible. A warm solve that can do neither
+falls back to the cold two-phase solve inside the LP engine. Heap entries
+keep only the basis index and flag vectors. Feasible incumbents come from
+rounding the LP input point through the actual network, which is feasible
+by construction, so the certified bracket [incumbent, bound] is always
+sound. A child whose solve breaks down numerically keeps its parent's bound
+as an open bound in that bracket, so the search ends with an honest gap
+instead of losing the subproblem; only a breakdown at the root raises.
 """
 
 from __future__ import annotations
@@ -153,6 +155,7 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
     inc_score = -np.inf
     inc_value: float | None = None
     inc_point: np.ndarray | None = None
+    open_score = -np.inf  # best parent bound over children whose solve broke down
 
     def own(score: float) -> float:
         return mult * score
@@ -232,7 +235,7 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
     heap = [(-root_score, 0, 0, {}, root_free, root.x, (root.basis, root.at_upper))]
     seq = 0
     while heap:
-        ub_score = max(-heap[0][0], inc_score)
+        ub_score = max(-heap[0][0], inc_score, open_score)
         if inc_value is not None and ub_score - inc_score <= tol():
             return result(BnbStatus.CERTIFIED, ub_score, nodes)
         if opts.node_limit is not None and nodes >= opts.node_limit:
@@ -259,7 +262,15 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
             child_fix[j] = v
             seq += 1
             nodes += 1
-            sol = solve_node(child_fix, seq, depth + 1, start)
+            try:
+                sol = solve_node(child_fix, seq, depth + 1, start)
+            except NumericalBreakdown as e:
+                # the parent's bound still holds over this child: keep it open
+                stats.node_breakdowns += 1
+                open_score = max(open_score, -neg_score)
+                _log.debug("%s; left open at its parent's bound", e)
+                note(seq, depth + 1, -neg_score, "breakdown")
+                continue
             if sol.status is not LpStatus.OPTIMAL:
                 note(seq, depth + 1, None, "infeasible")
                 continue
@@ -276,6 +287,7 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
             else:
                 note(seq, depth + 1, score, "pruned")
 
+    ub_score = max(inc_score, open_score)
     if inc_value is None:
-        return result(BnbStatus.INFEASIBLE, -np.inf, nodes)
-    return result(BnbStatus.CERTIFIED, inc_score, nodes)
+        return result(BnbStatus.INFEASIBLE if open_score == -np.inf else BnbStatus.LIMIT, ub_score, nodes)
+    return result(BnbStatus.CERTIFIED if ub_score - inc_score <= tol() else BnbStatus.GAP_LIMIT, ub_score, nodes)

@@ -15,10 +15,13 @@ is still primal feasible (the next objective of a bound-tightening sweep),
 phase 2 runs from it directly. If it is dual feasible instead (a
 branch-and-bound child, whose bounds differ from its parent's in one
 binary), a bounded dual simplex restores primal feasibility and one primal
-phase-2 pass cleans up. Any other outcome of the warm path, including an
-infeasible verdict, an iteration limit or a numerical breakdown, falls back
-to the cold solve, so infeasibility is always decided by phase 1 at
-`feas_tol`.
+phase-2 pass cleans up. When the dual simplex finds a violated row with no
+entering column, that row's dual ray is re-derived from the original data
+and bounded over the variables' box. It decides the solve infeasible only
+if it proves an L1 row residual above `feas_tol`, the level phase 1 would
+need to see to reject the LP. Any other outcome of the warm path, a weaker
+ray, an iteration limit or a numerical breakdown, falls back to the cold
+solve.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class LpStatus(Enum):
 
 class WarmStart(Enum):
     NONE = "none"              # no start basis given: cold two-phase solve
-    USED = "used"              # the warm path reached the optimum
+    USED = "used"              # the warm path reached the optimum or proved infeasibility
     FELL_BACK = "fell_back"    # the warm path did not; the cold solve decided
     BROKE_DOWN = "broke_down"  # the warm path raised NumericalBreakdown; the cold solve decided
 
@@ -78,7 +81,7 @@ class LpSolution:
     objective: float | None = None
     basis: np.ndarray | None = None
     at_upper: np.ndarray | None = None   # nonbasic-at-upper flag per column; with `basis`, a warm start
-    infeasibility: float = 0.0           # phase-1 residual when Infeasible
+    infeasibility: float = 0.0           # when Infeasible: phase 1's L1 residual, or the one a dual ray proves
     phase1_pivots: int = 0
     phase2_pivots: int = 0
     dual_pivots: int = 0
@@ -91,7 +94,8 @@ class LpSolution:
 
 @dataclass
 class SolveStats:
-    """LP work summed over many solves."""
+    """LP work summed over many solves, and the B&B nodes whose solve broke
+    down."""
 
     lp_solves: int = 0
     phase1_pivots: int = 0
@@ -100,6 +104,8 @@ class SolveStats:
     warm_starts: int = 0     # solves given a start basis
     warm_fallbacks: int = 0  # of those, solves the cold path decided after all
     breakdowns: int = 0      # of those fallbacks, warm paths that raised NumericalBreakdown
+    ray_infeasible: int = 0  # infeasible verdicts the warm path proved with a dual ray
+    node_breakdowns: int = 0  # B&B nodes whose solve raised NumericalBreakdown, left open
 
     def add(self, sol: LpSolution) -> None:
         self.lp_solves += 1
@@ -109,6 +115,7 @@ class SolveStats:
         self.warm_starts += sol.warm is not WarmStart.NONE
         self.warm_fallbacks += sol.warm in (WarmStart.FELL_BACK, WarmStart.BROKE_DOWN)
         self.breakdowns += sol.warm is WarmStart.BROKE_DOWN
+        self.ray_infeasible += sol.warm is WarmStart.USED and sol.status is LpStatus.INFEASIBLE
 
     def merge(self, other: SolveStats) -> None:
         for k, v in asdict(other).items():
@@ -221,16 +228,16 @@ class PreparedLp:
         counts = {"phase1": 0, "phase2": 0, "dual": 0}
 
         warm = WarmStart.NONE
-        solved = None
+        outcome = None
         if start is not None:
             try:
-                solved = self._solve_warm(full_lo, full_hi, c2, start, max_iter, counts)
-                warm = WarmStart.USED if solved is not None else WarmStart.FELL_BACK
+                outcome = self._solve_warm(full_lo, full_hi, c2, start, max_iter, counts)
+                warm = WarmStart.USED if outcome is not None else WarmStart.FELL_BACK
             except NumericalBreakdown:
                 warm = WarmStart.BROKE_DOWN
-        status, infeasibility = LpStatus.OPTIMAL, 0.0
-        if solved is None:
-            status, solved, infeasibility = self._solve_cold(full_lo, full_hi, c2, max_iter, counts)
+        if outcome is None:
+            outcome = self._solve_cold(full_lo, full_hi, c2, max_iter, counts)
+        status, solved, infeasibility = outcome
         stats = dict(
             phase1_pivots=counts["phase1"], phase2_pivots=counts["phase2"], dual_pivots=counts["dual"], warm=warm
         )
@@ -313,8 +320,9 @@ class PreparedLp:
         return status, (state, A_full), 0.0
 
     def _solve_warm(self, full_lo, full_hi, c2, start, max_iter, counts):
-        """Re-solve from a start basis. Returns the optimal `(state, A_full)`,
-        or None when the warm path cannot certify an optimum."""
+        """Re-solve from a start basis. Returns what `_solve_cold` returns
+        when the warm path reaches an optimum or proves infeasibility, or
+        None when it can do neither."""
         opts = self.opts
         m, ncols = self.m, self.ncols
         basis = np.array(start[0], dtype=int)
@@ -344,14 +352,53 @@ class PreparedLp:
             dual_infeasible = ~in_basis & movable & np.where(at_upper, d < -opts.opt_tol, d > opts.opt_tol)
             if dual_infeasible.any():
                 return None
-            status, iters = self._dual(state, A_full, full_lo, full_hi, c2, max_iter)
-            if status is not LpStatus.OPTIMAL:
-                return None
+            status, iters, residual = self._dual(state, A_full, full_lo, full_hi, c2, max_iter)
+            if status is LpStatus.INFEASIBLE:
+                return (status, None, residual) if residual > opts.feas_tol else None
             max_iter -= iters
         status, _ = self._iterate(state, A_full, full_lo, full_hi, c2, max_iter, "phase2")
         if status is not LpStatus.OPTIMAL:
             return None
-        return state, A_full
+        return status, (state, A_full), 0.0
+
+    def _ray_residual(self, state, r, A_full, full_lo, full_hi) -> float:
+        """Phase-1 residual proven by the dual ray of basic row `r`, which
+        the dual simplex found with no entering column; 0.0 proves nothing.
+
+        The ray is re-derived from the original data: `y` solves
+        `B^T y = e_r`, so every solution of the rows has
+        `x_Br = y.b - sum_N a_j x_j` with `a = y A`. If the range of the
+        right side over the nonbasic columns' box misses `[lo_r, hi_r]` by
+        `g`, then `|y.(b - A x)| >= g` at every point of the box, and the L1
+        row residual that phase 1 minimizes is at least `g / ||y||_inf`.
+        A slack's infinite upper bound is replaced by the most its row's
+        activity over the structural box allows; phase 1 gains nothing from
+        a slack beyond that, so the bound stays a bound on its residual.
+        """
+        m, n = self.m, self.n
+        basis = state.basis
+        e_r = np.zeros(m)
+        e_r[r] = 1.0
+        try:
+            y = np.linalg.solve(A_full[:, basis].T, e_r)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBreakdown("singular basis while checking a dual ray") from exc
+        a = y @ A_full
+        a[basis] = 0.0
+        lo, hi = full_lo, full_hi.copy()
+        rows = np.flatnonzero(self.slack_of_row >= 0)
+        cols = self.slack_of_row[rows]
+        A_s = self.A_full[rows, :n]
+        mid = A_s @ ((lo[:n] + hi[:n]) / 2)
+        rad = np.abs(A_s) @ ((hi[:n] - lo[:n]) / 2)
+        # slack = sign * (b - activity), sign the slack's own coefficient
+        hi[cols] = np.maximum(self.A_full[rows, cols] * (self.b[rows] - mid) + rad, 0.0)
+        yb = float(y @ self.b)
+        x_lo = yb - float(np.maximum(a * lo, a * hi).sum())
+        x_hi = yb - float(np.minimum(a * lo, a * hi).sum())
+        j = basis[r]
+        g = max(lo[j] - x_hi, x_lo - hi[j])
+        return float(max(g, 0.0) / np.abs(y).max())
 
     # ------------------------------------------------------------------
     def _refactor(self, state: _State, A_full, full_lo, full_hi, tableau: bool = True) -> None:
@@ -484,12 +531,14 @@ class PreparedLp:
                 self._refactor(state, A_full, full_lo, full_hi)
                 pivots_since_refactor = 0
 
-    def _dual(self, state, A_full, full_lo, full_hi, c_int, max_iter) -> tuple[LpStatus, int]:
+    def _dual(self, state, A_full, full_lo, full_hi, c_int, max_iter) -> tuple[LpStatus, int, float]:
         """Bounded dual simplex from a dual feasible basis. Each pass takes
         the basic variable furthest outside its bounds out to the violated
         bound, and brings in the nonbasic variable the dual ratio test picks,
         which keeps every reduced cost on its optimal side. INFEASIBLE means
-        the leaving row had no entering candidate (the dual is unbounded)."""
+        the leaving row had no entering candidate (the dual is unbounded);
+        it comes with the residual that row's ray proves. Returns the
+        status, the passes made and that residual."""
         opts = self.opts
         movable = full_hi > full_lo
         iters = 0
@@ -507,7 +556,7 @@ class PreparedLp:
             viol = np.maximum(below, state.xB - hi_B)
             bad = viol > opts.feas_tol
             if not bad.any():
-                return LpStatus.OPTIMAL, iters
+                return LpStatus.OPTIMAL, iters, 0.0
             if bland:
                 rows = np.flatnonzero(bad)
                 r = int(rows[np.argmin(state.basis[rows])])
@@ -520,7 +569,7 @@ class PreparedLp:
             push = -alpha * sigma if up else alpha * sigma
             cand = np.flatnonzero(~state.in_basis & movable & (push > opts.pivot_tol))
             if cand.size == 0:
-                return LpStatus.INFEASIBLE, iters
+                return LpStatus.INFEASIBLE, iters, self._ray_residual(state, r, A_full, full_lo, full_hi)
             d = c_int - c_int[state.basis] @ state.T
             slack = np.maximum(-sigma[cand] * d[cand], 0.0)  # dual slack: room before d_j changes sign
             rate = push[cand]

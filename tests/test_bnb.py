@@ -5,7 +5,7 @@ import pytest
 
 from relucert.bnb import BnbOptions, BnbStatus, MilpResult, solve_milp
 from relucert.bounds import InputBox, classify_neurons, propagate_bounds
-from relucert.errors import InvalidArg
+from relucert.errors import InvalidArg, NumericalBreakdown
 from relucert.milp import (
     LinearRow,
     MilpProblem,
@@ -14,7 +14,7 @@ from relucert.milp import (
     set_trust_problem,
 )
 from relucert.nnmodel import fold_bn
-from relucert.simplex import LpStatus, solve_lp
+from relucert.simplex import LpStatus, PreparedLp, solve_lp
 
 from conftest import random_spec
 from test_milp import encode_on_box, identity_net
@@ -129,6 +129,56 @@ def test_node_limit_gives_honest_bracket():
         assert capped.gap > 0
 
 
+def _break_solve(monkeypatch, which):
+    """Make the `which`-th LP solve of each later `solve_milp` raise."""
+    solve = PreparedLp.solve
+    calls = []
+
+    def breaking(self, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == which:
+            raise NumericalBreakdown("forced")
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(PreparedLp, "solve", breaking)
+    return calls
+
+
+def _e1_problems(e1):
+    p, _ = encode_on_box(e1, InputBox.unit(2))
+    return [
+        set_robustness_objective(p, 0, 1, 0.25),  # max, 3 nodes
+        set_trust_problem(p, 0, 1, 0.15, 0.25, np.full(2, 0.5), np.ones(2), 0.5),  # min, 5 nodes
+    ]
+
+
+def test_child_breakdown_leaves_an_honest_bracket(e1, monkeypatch):
+    for q in _e1_problems(e1):
+        full = solve_milp(q)
+        opt = full.incumbent_value
+        for child in range(2, full.nodes + 1):
+            calls = _break_solve(monkeypatch, child)
+            res = solve_milp(q)
+            monkeypatch.undo()
+            assert len(calls) >= child
+            assert res.stats.node_breakdowns == 1
+            assert res.stats.lp_solves == res.nodes - 1
+            assert res.status in (BnbStatus.GAP_LIMIT, BnbStatus.CERTIFIED)
+            lo, hi = (res.incumbent_value, res.best_bound) if q.obj_sense == "max" else (
+                res.best_bound, res.incumbent_value)
+            assert lo - 1e-9 <= opt <= hi + 1e-9
+            assert res.gap == pytest.approx(abs(res.best_bound - res.incumbent_value), abs=1e-12)
+            if res.status is BnbStatus.CERTIFIED:
+                assert res.incumbent_value == pytest.approx(opt, abs=1e-6)
+
+
+def test_root_breakdown_raises(e1, monkeypatch):
+    q = _e1_problems(e1)[0]
+    _break_solve(monkeypatch, 1)
+    with pytest.raises(NumericalBreakdown, match="node 0 at depth 0"):
+        solve_milp(q)
+
+
 def test_bound_monotone_incumbent_improving():
     rng = np.random.default_rng(41)
     net = fold_bn(random_spec(rng, n0=3, widths=(5, 4), m=1, unit_norm=True))
@@ -147,7 +197,7 @@ def test_bound_monotone_incumbent_improving():
     assert all(i2 >= i1 - 1e-9 for i1, i2 in zip(incs, incs[1:]))
 
 
-def test_generic_problem_without_network_meta():
+def test_generic_problem_without_network_meta(monkeypatch):
     # max r subject to r <= 0.5 with r binary: LP is fractional, only r=0 feasible
     p = MilpProblem(
         lo=np.zeros(1),
@@ -164,6 +214,14 @@ def test_generic_problem_without_network_meta():
     full = solve_milp(p)
     assert full.status is BnbStatus.CERTIFIED
     assert full.incumbent_value == pytest.approx(0.0, abs=1e-12)
+    # a breakdown on the r=0 child loses the only incumbent; on the r=1 child
+    # it leaves the bracket [0, 0.5] open
+    for child, status in ((2, BnbStatus.LIMIT), (3, BnbStatus.GAP_LIMIT)):
+        _break_solve(monkeypatch, child)
+        res = solve_milp(p)
+        monkeypatch.undo()
+        assert res.status is status
+        assert res.best_bound == pytest.approx(0.5, abs=1e-12)
 
 
 def test_trace_csv(tmp_path, e1):

@@ -304,3 +304,29 @@ def test_wall_time_and_stats_cover_the_whole_call(e1, monkeypatch):
     side = timing_sidecar(results)
     assert side["per_result_stats"] == [r.stats for r in results]
     json.dumps(side)
+
+
+def test_child_breakdown_leaves_the_query_at_gap_limit(e1, monkeypatch):
+    from relucert.errors import NumericalBreakdown
+    from relucert.simplex import PreparedLp
+
+    solve = PreparedLp.solve
+    broken = []
+
+    def breaking(self, *args, start=None, **kwargs):
+        if start is not None and not broken:  # the first warm-started child
+            broken.append(start)
+            raise NumericalBreakdown("forced")
+        return solve(self, *args, start=start, **kwargs)
+
+    q = VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], alpha=0.5)
+    opts = VerifyOptions(tighten=False)
+    clean = robustness(e1, q, opts).per_output[0]
+    monkeypatch.setattr(PreparedLp, "solve", breaking)
+    res = robustness(e1, q, opts)
+    out = res.per_output[0]
+    assert broken and res.stats["node_breakdowns"] == 1
+    assert out.status == "gap_limit" and not res.certified
+    # the incumbent still stands, and the open bound covers the true value
+    assert out.dev_plus <= clean.dev_plus + 1e-9 <= out.dev_plus + out.gap + 2e-9
+    assert timing_sidecar([res])["per_result_stats"][0]["node_breakdowns"] == 1

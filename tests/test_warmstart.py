@@ -14,7 +14,7 @@ from relucert.bounds import InputBox, classify_neurons, lp_tighten, propagate_bo
 from relucert.errors import NumericalBreakdown
 from relucert.milp import encode_network, set_robustness_objective
 from relucert.nnmodel import fold_bn
-from relucert.simplex import LpStatus, PreparedLp, SimplexOptions, WarmStart
+from relucert.simplex import LpStatus, PreparedLp, SimplexOptions, WarmStart, prepare, relaxed_bounds
 
 from conftest import random_spec
 
@@ -82,13 +82,55 @@ def test_bound_change_is_reoptimized_by_dual_pivots():
     assert child.objective == pytest.approx(2.25, abs=1e-12)
 
 
-def test_infeasible_child_is_decided_by_the_cold_solve():
+def test_infeasible_child_is_decided_by_the_dual_ray():
     eng = PreparedLp(c=np.array([1.0, 1.0]), maximize=True, A=[[1.0, 1.0]], senses=[">="], b=np.array([1.5]))
     root = eng.solve(np.zeros(2), np.ones(2))
     child = eng.solve(np.zeros(2), np.array([0.25, 1.0]), start=(root.basis, root.at_upper))
     assert child.status is LpStatus.INFEASIBLE
-    assert child.warm is WarmStart.FELL_BACK
-    assert child.infeasibility == pytest.approx(0.25)
+    assert child.warm is WarmStart.USED
+    assert child.phase1_pivots == 0
+    assert child.infeasibility == pytest.approx(0.25)  # the residual phase 1 reports
+
+
+def test_weak_ray_leaves_the_verdict_to_the_cold_solve():
+    # 0.01 x + y = 0.5 with x basic: the ray is y = 100, so a child that
+    # misses x's bound by 1e-6 proves a row residual of only 1e-8, inside
+    # feas_tol, where phase 1 accepts the child
+    eng = PreparedLp(c=np.array([-1.0, 0.0]), maximize=True, A=[[0.01, 1.0]], senses=["="], b=np.array([0.5]))
+    root = eng.solve(np.zeros(2), np.array([20.0, 0.4]))
+    assert root.objective == pytest.approx(-10.0) and list(root.basis) == [0]
+    hi = np.array([10.0 - 1e-6, 0.4])
+    warm = eng.solve(np.zeros(2), hi, start=(root.basis, root.at_upper))
+    cold = eng.solve(np.zeros(2), hi)
+    assert cold.status is LpStatus.OPTIMAL
+    assert warm.warm is WarmStart.FELL_BACK and warm.dual_pivots >= 1
+    _assert_same(warm, cold)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10), m=st.integers(1, 12), maximize=st.booleans())
+def test_ray_verdicts_agree_with_phase_1(seed, n, m, maximize):
+    # fix variables, largest reach first, until a >= row cannot be met
+    rng = np.random.default_rng(seed)
+    c, A, senses, b, lo, hi = _random_lp(rng, n, m)
+    i = int(rng.integers(0, m))
+    if senses[i] == "<=":  # the same row, written as >=
+        A[i], b[i] = -A[i], -b[i]
+    senses[i] = ">="
+    eng = PreparedLp(c=c, maximize=maximize, A=A, senses=senses, b=b)
+    root = eng.solve(lo, hi)
+    lo2, hi2 = lo.copy(), hi.copy()
+    for j in np.argsort(-np.abs(A[i]) * (hi - lo)):
+        if np.maximum(A[i] * lo2, A[i] * hi2).sum() < b[i] - 1e-3:
+            break
+        lo2[j] = hi2[j] = lo[j] if A[i, j] > 0 else hi[j]
+    warm = eng.solve(lo2, hi2, start=(root.basis, root.at_upper))
+    cold = eng.solve(lo2, hi2)
+    _assert_same(warm, cold)
+    if warm.status is LpStatus.INFEASIBLE and warm.warm is WarmStart.USED:
+        assert warm.phase1_pivots == 0
+        # the ray's residual is a lower bound on the one phase 1 minimizes
+        assert eng.opts.feas_tol < warm.infeasibility <= cold.infeasibility + 1e-9
 
 
 def test_dual_degenerate_instance_terminates():
@@ -164,3 +206,6 @@ def test_milp_stats_count_every_node(e1):
     assert s.lp_solves == res.nodes
     assert s.warm_starts == res.nodes - 1  # every node but the root
     assert s.breakdowns <= s.warm_fallbacks <= s.warm_starts
+    # no child needs phase 1: infeasible ones are decided by their dual ray
+    root = prepare(p).solve(*relaxed_bounds(p))
+    assert s.phase1_pivots == root.phase1_pivots
