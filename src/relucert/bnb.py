@@ -1,4 +1,5 @@
-"""Exact MILP solver: best-first branch and bound over ReLU phase binaries.
+"""Exact MILP solver: best-first branch and bound over ReLU phase binaries,
+branching on the most fractional free binary.
 
 Every node solves the LP relaxation with its branching fixings applied to a
 shared prepared tableau skeleton. The root solves cold; each child starts
@@ -48,15 +49,12 @@ class BnbOptions:
     rel_gap: float = 1e-6
     node_limit: int | None = None
     time_limit_seconds: float | None = None
-    branch_rule: str = "earliest-layer-most-fractional"
     trace_path: str | None = None
     lp_options: SimplexOptions | None = None
 
     def __post_init__(self):
         if self.abs_gap < 0 or self.rel_gap < 0:
             raise InvalidArg("gap tolerances must be nonnegative")
-        if self.branch_rule not in ("earliest-layer-most-fractional", "most-fractional"):
-            raise InvalidArg(f"unknown branch rule {self.branch_rule!r}")
 
     def as_dict(self) -> dict:
         return {
@@ -64,7 +62,6 @@ class BnbOptions:
             "rel_gap": self.rel_gap,
             "node_limit": self.node_limit,
             "time_limit_seconds": self.time_limit_seconds,
-            "branch_rule": self.branch_rule,
         }
 
 
@@ -127,18 +124,17 @@ def _forward_candidate(p: MilpProblem, x_lp) -> tuple[float, np.ndarray] | None:
     return delta, _assemble_point(p, z, pre, post, out, delta=delta)
 
 
-def _select_branch_var(rule: str, x_lp, bin_idx, bin_layer, free) -> int | None:
-    """Position in `bin_idx` of the free fractional binary to branch on, or
-    None when every free binary is integral."""
+def _select_branch_var(x_lp, bin_idx, free) -> int | None:
+    """Position in `bin_idx` of the most fractional free binary, or None when
+    every free binary is integral."""
     pos = np.flatnonzero(free)
     xs = x_lp[bin_idx[pos]]
-    pos = pos[np.minimum(xs, 1.0 - xs) > _INT_TOL]
-    if pos.size == 0:
+    keep = np.minimum(xs, 1.0 - xs) > _INT_TOL
+    if not keep.any():
         return None
-    if rule == "earliest-layer-most-fractional":
-        pos = pos[bin_layer[pos] == bin_layer[pos].min()]
-    # bin_idx is ascending, so ties on fractionality go to the lowest variable
-    return int(min(pos, key=lambda k: (abs(x_lp[bin_idx[k]] - 0.5), k)))
+    # argmin takes the first minimum and bin_idx is ascending, so ties on
+    # fractionality go to the lowest variable
+    return int(pos[keep][np.argmin(np.abs(xs[keep] - 0.5))])
 
 
 def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
@@ -147,8 +143,6 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
     mult = 1.0 if p.obj_sense == "max" else -1.0
     eng = prepare(p, opts.lp_options)
     bin_idx = np.flatnonzero(p.binary)
-    layer_of = {j: r[1] for r, j in p.var_roles.items() if r[0] == "bin"}
-    bin_layer = np.array([layer_of.get(j, 0) for j in bin_idx], dtype=int)
     stats = SolveStats()
     trace: list[list] = []
 
@@ -251,7 +245,7 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
         if -neg_score <= inc_score + opts.abs_gap:
             note(None, depth, -neg_score, "pruned")
             continue
-        k = _select_branch_var(opts.branch_rule, x_lp, bin_idx, bin_layer, free)
+        k = _select_branch_var(x_lp, bin_idx, free)
         if k is None:  # stale: integrality was already handled at creation
             continue
         j = int(bin_idx[k])

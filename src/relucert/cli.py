@@ -90,14 +90,12 @@ def _bnb_options(args, cfg: dict) -> BnbOptions:
         rel_gap=rel_gap,
         node_limit=solver.get("node_limit"),
         time_limit_seconds=time_limit,
-        branch_rule=solver.get("branch_rule", "earliest-layer-most-fractional"),
     )
 
 
 def _verify_options(args, cfg: dict) -> VerifyOptions:
-    jobs = args.jobs if getattr(args, "jobs", None) is not None else cfg.get("jobs", 1)
-    tighten = args.tighten if getattr(args, "tighten", None) is not None else cfg.get("tighten")
-    return VerifyOptions(bnb=_bnb_options(args, cfg), jobs=jobs, tighten=tighten)
+    tighten = args.tighten if args.tighten is not None else cfg.get("tighten", True)
+    return VerifyOptions(bnb=_bnb_options(args, cfg), tighten=tighten)
 
 
 def _load_net(path: str):
@@ -450,7 +448,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--queries", required=True)
         sp.add_argument("--out")
         sp.add_argument("--config")
-        sp.add_argument("--jobs", type=int)
         sp.add_argument("--gap", type=float, help="relative MILP gap")
         sp.add_argument("--time-limit", type=float, dest="time_limit")
         sp.add_argument("--tighten", action=argparse.BooleanOptionalAction, default=None)

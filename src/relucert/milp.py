@@ -8,7 +8,6 @@ the activation-bound analysis, which double as big-M constants.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +76,7 @@ class MilpProblem:
             var_roles=dict(self.var_roles),
             var_names=list(self.var_names),
             network=self.network,
-            query=copy.deepcopy(self.query),
+            query=dict(self.query),
         )
 
     def rows_tagged(self, prefix: str) -> list[LinearRow]:

@@ -58,7 +58,6 @@ class SimplexOptions:
     pivot_tol: float = 1e-9
     bland_after: int = 50      # consecutive degenerate pivots before Bland's rule
     refactor_every: int = 100  # pivots between refactorizations
-    max_iter: int | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -194,7 +193,6 @@ class PreparedLp:
         """Solve under structural bounds `lo`/`hi`. `start` is an earlier
         solution's `(basis, at_upper)` on this skeleton; the solve then tries
         the warm path first and falls back to the cold one."""
-        opts = self.opts
         m, n, ncols = self.m, self.n, self.ncols
         lo_s = np.asarray(lo, dtype=float)
         hi_s = np.asarray(hi, dtype=float)
@@ -224,7 +222,7 @@ class PreparedLp:
         full_lo[:n] = lo_s
         full_hi[:n] = hi_s
         full_hi[n : self.art0] = np.inf  # slacks in [0, inf)
-        max_iter = opts.max_iter or (10_000 + 40 * (m + ncols))
+        max_iter = 10_000 + 40 * (m + ncols)
         counts = {"phase1": 0, "phase2": 0, "dual": 0}
 
         warm = WarmStart.NONE

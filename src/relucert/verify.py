@@ -8,7 +8,6 @@ import hashlib
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +26,6 @@ from .nnmodel import FoldedNetwork, forward
 from .simplex import SimplexOptions, SolveStats
 
 _log = logging.getLogger(__name__)
-# automatic LP tightening kicks in above this many unstable neurons
-_TIGHTEN_AUTO_THRESHOLD = 32
 
 
 @dataclass(frozen=True)
@@ -93,16 +90,11 @@ def query_hash(q: VerificationQuery) -> str:
 @dataclass(frozen=True)
 class VerifyOptions:
     bnb: BnbOptions = field(default_factory=BnbOptions)
-    jobs: int = 1
-    tighten: bool | None = None  # None = only when many neurons are unstable
+    tighten: bool = True  # LP-tighten propagated bounds (unless fixing empirically)
     use_model_reference: bool = False
     # Empirically observed stability fixing. Fixing from samples is NOT a
     # certificate: results computed with it are marked uncertified.
     unsafe_empirical_fix_samples: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise InvalidArg("jobs must be >= 1")
 
 
 @dataclass
@@ -162,15 +154,9 @@ def _prepare_base(net, box, opts):
         sm = empirical_stability(net, opts.unsafe_empirical_fix_samples)
         certified_fixing = False
     else:
-        sm = classify_neurons(lb)
-        do_tighten = (
-            opts.tighten
-            if opts.tighten is not None
-            else sm.num_unstable > _TIGHTEN_AUTO_THRESHOLD
-        )
-        if do_tighten:
+        if opts.tighten:
             lb = lp_tighten(net, box, lb, opts.bnb.lp_options)
-            sm = classify_neurons(lb)
+        sm = classify_neurons(lb)
         certified_fixing = True
     return encode_network(net, lb, sm, box), sm, certified_fixing
 
@@ -182,9 +168,6 @@ def _dispatch(problems, opts) -> list[MilpResult | Exception]:
         except SolverFailure as e:  # numerical breakdown included
             return e
 
-    if opts.jobs > 1:
-        with ThreadPoolExecutor(max_workers=opts.jobs) as ex:
-            return list(ex.map(run, problems))
     return [run(p) for p in problems]
 
 
@@ -422,9 +405,12 @@ class Comparison:
 def compare_robustness_vs_test(
     batch: BatchRobustness, net: FoldedNetwork, inputs, targets, bins: int = 10
 ) -> Comparison:
-    """Certified-vs-observed comparison: T_i is the max test error over
-    samples matched to a query ball; samples inside no ball are flagged and
-    excluded from the guarantee."""
+    """Certified-vs-observed comparison. Each test sample is matched to the
+    query whose ball holds it most centrally; T_i is the largest deviation
+    |out_i(sample) - x_ref_i| of the model output at a matched sample from
+    that query's reference output. It is not an error
+    against the samples' targets: `targets` is only shape-checked. Samples
+    inside no ball are flagged and excluded from the guarantee."""
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != net.input_dim:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from relucert.bnb import BnbOptions, BnbStatus, MilpResult, solve_milp
+from relucert.bnb import BnbOptions, BnbStatus, MilpResult, _select_branch_var, solve_milp
 from relucert.bounds import InputBox, classify_neurons, propagate_bounds
 from relucert.errors import InvalidArg, NumericalBreakdown
 from relucert.milp import (
@@ -104,12 +104,29 @@ def test_random_instances_match_enumeration():
         done += 1
 
 
-def test_branch_rules_agree(e1):
-    p, _ = encode_on_box(e1, InputBox.unit(2))
-    q = set_robustness_objective(p, 0, 1, 0.25)
-    a = solve_milp(q, BnbOptions(branch_rule="earliest-layer-most-fractional"))
-    b = solve_milp(q, BnbOptions(branch_rule="most-fractional"))
-    assert a.incumbent_value == pytest.approx(b.incumbent_value, abs=1e-9)
+def test_branching_takes_the_most_fractional_binary():
+    rng = np.random.default_rng(40)
+    net = fold_bn(random_spec(rng, n0=3, widths=(5, 4), m=1, unit_norm=True))
+    box = InputBox.unit(3)
+    lb = propagate_bounds(net, box)
+    p = encode_network(net, lb, classify_neurons(lb), box)
+    bin_idx = np.flatnonzero(p.binary)
+    # roles are ("bin", layer, neuron): two binaries in layer 0, then one in layer 1
+    assert bin_idx.tolist() == [p.var_roles[r] for r in (("bin", 0, 0), ("bin", 0, 2), ("bin", 1, 3))]
+    free = np.ones(3, dtype=bool)
+    x = np.zeros(p.num_vars)
+
+    # the deeper binary at 0.5 wins over an earlier-layer one at 0.9
+    x[bin_idx] = [0.9, 0.0, 0.5]
+    assert _select_branch_var(x, bin_idx, free) == 2
+    assert _select_branch_var(x, bin_idx, np.array([True, True, False])) == 0
+    # equally fractional binaries go to the lowest index
+    x[bin_idx] = [0.25, 0.75, 1.0]
+    assert _select_branch_var(x, bin_idx, free) == 0
+    x[bin_idx] = [1.0, 0.75, 0.25]
+    assert _select_branch_var(x, bin_idx, free) == 1
+    x[bin_idx] = [0.0, 1.0, 1.0 - 1e-9]
+    assert _select_branch_var(x, bin_idx, free) is None
 
 
 def test_node_limit_gives_honest_bracket():
@@ -239,9 +256,6 @@ def test_trace_csv(tmp_path, e1):
 def test_options_validation():
     with pytest.raises(InvalidArg):
         BnbOptions(abs_gap=-1.0)
-    with pytest.raises(InvalidArg):
-        BnbOptions(branch_rule="deepest")
-    assert BnbOptions().as_dict()["branch_rule"] == "earliest-layer-most-fractional"
 
 
 def test_result_invariants_random():

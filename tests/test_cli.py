@@ -1,12 +1,15 @@
 """End-to-end checks of the command line pipeline."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relucert
 from relucert.cli import main
 from relucert.nnmodel import fold_bn, forward, load_network
 
@@ -158,9 +161,9 @@ def test_reports_are_byte_identical_across_runs(workdir):
     ])
     a, b = workdir / "det_a.json", workdir / "det_b.json"
     assert main(["verify-robust", "--network", str(workdir / "net.json"),
-                 "--queries", qpath, "--out", str(a), "--jobs", "4"]) == 0
+                 "--queries", qpath, "--out", str(a)]) == 0
     assert main(["verify-robust", "--network", str(workdir / "net.json"),
-                 "--queries", qpath, "--out", str(b), "--jobs", "1"]) == 0
+                 "--queries", qpath, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -223,7 +226,7 @@ def test_oracle_check_rejects_wrong_network(workdir, tmp_path):
 
 def test_config_file_and_env(workdir, monkeypatch, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"solver": {"rel_gap": 1e-4}, "jobs": 2}))
+    cfg.write_text(json.dumps({"solver": {"rel_gap": 1e-4}}))
     qpath = _write_queries(workdir, "cfg_q.json", [
         {"query_id": "c1", "z_ref": [0.5, 0.5], "x_ref": [0.4, 0.6], "alpha": 0.02},
     ])
@@ -243,12 +246,16 @@ def test_config_file_and_env(workdir, monkeypatch, tmp_path):
     assert json.loads(out.read_text())["queries"][0]["provenance"]["solver"]["rel_gap"] == 1e-3
 
 
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run a child interpreter that imports relucert from where this one did."""
+    paths = [str(Path(relucert.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_module_entry_point(workdir, tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "relucert.cli", "gen-data", "--inputs", "2",
-         "--outputs", "1", "--samples", "20", "--out", str(tmp_path / "d.csv")],
-        capture_output=True, text=True,
-    )
+    proc = _python("-m", "relucert.cli", "gen-data", "--inputs", "2",
+                   "--outputs", "1", "--samples", "20", "--out", str(tmp_path / "d.csv"))
     assert proc.returncode == 0
     assert "wrote 20 samples" in proc.stdout
 
@@ -260,5 +267,5 @@ def test_start_up_leaves_scipy_unimported():
         "from relucert import pattern_enumerate_opt\n"
         "assert callable(pattern_enumerate_opt) and 'scipy.optimize' in sys.modules\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr

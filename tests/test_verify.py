@@ -158,12 +158,27 @@ def test_unsafe_empirical_fixing_is_uncertified(e1):
     assert certified.certified
 
 
-def test_jobs_deterministic(e1):
-    q = VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], alpha=0.1)
-    a = robustness(e1, q, VerifyOptions(jobs=1))
-    b = robustness(e1, q, VerifyOptions(jobs=4))
-    assert a.per_output[0].R == b.per_output[0].R
-    assert np.array_equal(a.per_output[0].witness, b.per_output[0].witness)
+def test_default_options_tighten_unless_fixing_empirically(e1, monkeypatch):
+    from relucert import verify
+
+    calls = []
+    inner = verify.lp_tighten
+
+    def counting_tighten(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "lp_tighten", counting_tighten)
+    q = VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], alpha=0.1, beta=0.15)
+    robustness(e1, q, VerifyOptions())
+    trustworthiness(e1, q, VerifyOptions())
+    assert len(calls) == 2
+    samples = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.1]])
+    empirical = VerifyOptions(unsafe_empirical_fix_samples=samples)
+    robustness(e1, q, empirical)
+    trustworthiness(e1, q, empirical)
+    robustness(e1, q, VerifyOptions(tighten=False))
+    assert len(calls) == 2
 
 
 def test_missing_parameter_errors(e1):
