@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import heapq
 import logging
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import InvalidArg, NumericalBreakdown
 from .milp import MilpProblem
 from .nnmodel import forward_layers
-from .simplex import LpStatus, SimplexOptions, SolveStats, prepare, relaxed_bounds
+from .simplex import LpStatus, SolveStats, prepare, relaxed_bounds
 
 _log = logging.getLogger(__name__)
 _INT_TOL = 1e-6
@@ -43,6 +44,10 @@ class BnbStatus(Enum):
     LIMIT = "limit"
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class BnbOptions:
     abs_gap: float = 1e-8
@@ -50,11 +55,16 @@ class BnbOptions:
     node_limit: int | None = None
     time_limit_seconds: float | None = None
     trace_path: str | None = None
-    lp_options: SimplexOptions | None = None
 
     def __post_init__(self):
-        if self.abs_gap < 0 or self.rel_gap < 0:
-            raise InvalidArg("gap tolerances must be nonnegative")
+        if not all(_is_real(g) and g >= 0 for g in (self.abs_gap, self.rel_gap)):
+            raise InvalidArg("gap tolerances must be nonnegative numbers")
+        nl = self.node_limit
+        if nl is not None and not (_is_real(nl) and isinstance(nl, numbers.Integral) and nl > 0):
+            raise InvalidArg("node_limit must be a positive integer")
+        tl = self.time_limit_seconds
+        if tl is not None and not (_is_real(tl) and tl > 0):
+            raise InvalidArg("time_limit_seconds must be a positive number")
 
     def as_dict(self) -> dict:
         return {
@@ -141,7 +151,7 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
     opts = opts or BnbOptions()
     t0 = time.perf_counter()
     mult = 1.0 if p.obj_sense == "max" else -1.0
-    eng = prepare(p, opts.lp_options)
+    eng = prepare(p)
     bin_idx = np.flatnonzero(p.binary)
     stats = SolveStats()
     trace: list[list] = []

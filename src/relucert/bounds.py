@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidValue, NumericalBreakdown
 from .nnmodel import FoldedNetwork, forward_layers
-from .simplex import LpStatus, PreparedLp, SimplexOptions
+from .simplex import LpStatus, PreparedLp
 
 # keep a whisker of slack when adopting LP values so tightened bounds can
 # never clip a true activation through solver roundoff
@@ -193,7 +193,7 @@ def empirical_stability(net: FoldedNetwork, samples) -> StabilityMap:
 # ---------------------------------------------------------------------------
 # LP tightening
 
-def _prefix_engine(net, k, work_lo, work_hi, box, opts):
+def _prefix_engine(net, k, work_lo, work_hi, box):
     """LP over layers < k: variables z, pre_0..pre_{k-1}, post_0..post_{k-1},
     with the triangle relaxation standing in for each unstable ReLU."""
     n0 = net.input_dim
@@ -258,7 +258,6 @@ def _prefix_engine(net, k, work_lo, work_hi, box, opts):
         A=np.array(rows_a).reshape(len(rhs), n),
         senses=senses,
         b=np.array(rhs),
-        options=opts,
     )
     return eng, lo, hi, post_off
 
@@ -267,7 +266,6 @@ def lp_tighten(
     net: FoldedNetwork,
     box: InputBox,
     lb: LayerBounds,
-    options: SimplexOptions | None = None,
 ) -> LayerBounds:
     """Tighten each interval by maximizing/minimizing the pre-activation over
     the relaxed prefix network. Results are clipped into the incoming
@@ -276,7 +274,6 @@ def lp_tighten(
     and differ only in objective, so each starts from the last optimal
     basis, which is still primal feasible.
     """
-    opts = options or SimplexOptions()
     if box.dim != net.input_dim:
         raise DimensionMismatch("box dimension != network input dimension")
     work_lo = [a.copy() for a in lb.pre_lo]
@@ -286,7 +283,7 @@ def lp_tighten(
 
     for k in range(1, len(net.layers)):
         layer = net.layers[k]
-        eng, lo, hi, post_off = _prefix_engine(net, k, work_lo, work_hi, box, opts)
+        eng, lo, hi, post_off = _prefix_engine(net, k, work_lo, work_hi, box)
         src = np.arange(post_off[k - 1], post_off[k - 1] + net.layers[k - 1].width)
         is_out = k == len(net.layers) - 1
         tgt_lo = out_lo if is_out else work_lo[k]

@@ -74,6 +74,10 @@ def _load_config(explicit: str | None) -> dict:
     cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise ParseError(f"config {path} must be a JSON object")
+    if not isinstance(cfg.get("tighten", False), bool):
+        raise InvalidArg(f"config {path}: tighten must be true or false")
+    if not isinstance(cfg.get("solver", {}), dict):
+        raise InvalidArg(f"config {path}: solver must be a JSON object")
     return cfg
 
 
@@ -363,15 +367,18 @@ def _check_trust_entry(net, entry, max_unstable, samples) -> float:
                 disc = max(disc, abs(best - o["delta_min"]))
             elif o["found"] != (best is not None):
                 disc = max(disc, float("inf"))
-        elif o["found"]:
+        else:
             for sign, seed in ((1, 0), (-1, 1)):
                 sb = sample_bound(
                     net, box,
                     TrustSpec(i, sign, q.beta, float(x_ref[i]), tuple(q.z_ref), tuple(scale), cap),
                     samples, seed=seed,
                 )
-                if sb.value is not None:
-                    disc = max(disc, o["delta_min"] - sb.value)  # claimed min must not exceed any sampled radius
+                if sb.value is None:
+                    continue
+                # a sampled input reaches beta within the cap: a claimed min
+                # must not exceed its radius, and a claimed not-found is false
+                disc = max(disc, o["delta_min"] - sb.value if o["found"] else float("inf"))
     return float(disc)
 
 

@@ -3,11 +3,19 @@ warm-started dual path.
 
 Variables carry individual lower/upper bounds and nonbasic variables rest
 at one of them, so the ReLU encodings' many bound constraints never become
-rows. The cold solve's phase 1 drives signed artificial variables to zero;
-phase 2 optimizes the real objective. The tableau is dense and is
-refactorized from the original data every `refactor_every` pivots to shed
-accumulated error. Bland's rule takes over entering/leaving selection after
-a run of degenerate pivots, which bounds the total pivot count.
+rows. Every row is written as `a x + s = b` with one logical `s` per row
+(Koberstein's bounded computational form): a `>=` row is negated once, a
+logical is bounded `[0, inf)` on an inequality row and `[0, 0]` on an
+equality row, and bases index only the structural and logical columns.
+The cold solve starts from the logical basis. Every equality row, and
+every inequality row whose logical would start negative, gets a signed
+artificial column in a matrix local to phase 1, which drives the
+artificials to zero; they are then expelled from the basis and dropped,
+and phase 2 optimizes the real objective on the skeleton alone. The
+tableau is dense and is refactorized from the original data every
+`refactor_every` pivots to shed accumulated error. Bland's rule takes over
+entering/leaving selection after a run of degenerate pivots, which bounds
+the total pivot count.
 
 A solve may start from an earlier solution's basis and nonbasic-at-upper
 flags. The basis is refactorized under the new bounds and objective. If it
@@ -79,7 +87,8 @@ class LpSolution:
     x: np.ndarray | None = None          # structural variable values
     objective: float | None = None
     basis: np.ndarray | None = None
-    at_upper: np.ndarray | None = None   # nonbasic-at-upper flag per column; with `basis`, a warm start
+    at_upper: np.ndarray | None = None   # nonbasic-at-upper flag per structural and per logical
+                                         # column; with `basis`, a warm start
     infeasibility: float = 0.0           # when Infeasible: phase 1's L1 residual, or the one a dual ray proves
     phase1_pivots: int = 0
     phase2_pivots: int = 0
@@ -133,6 +142,13 @@ _DEGEN_TOL = 1e-10
 class PreparedLp:
     """One LP skeleton solved many times under changing variable bounds.
 
+    The constructor writes every row as `a x + s = b` with one logical `s`
+    per row: a `>=` row is negated once, and the identity is appended after
+    the n structural columns. A logical is bounded `[0, inf)` on an
+    inequality row and `[0, 0]` on an equality row, so nothing after the
+    constructor needs the row senses. Bases and at-upper flags index these
+    n + m columns only; artificials live inside a cold solve's phase 1.
+
     Rows and objective stay fixed; `solve` takes the structural bounds for
     this call (branch-and-bound fixes binaries that way), an optional
     objective override (bound tightening sweeps one) and an optional start
@@ -153,33 +169,19 @@ class PreparedLp:
         if A.ndim != 2:
             raise InvalidArg("A must be a matrix")
         self.m, self.n = A.shape
-        self.b = np.asarray(b, dtype=float).copy()
+        b = np.asarray(b, dtype=float)
         self.c = np.asarray(c, dtype=float).copy()
         self.maximize = maximize
-        senses = list(senses)
-        if len(senses) != self.m or self.b.shape != (self.m,) or self.c.shape != (self.n,):
+        senses = np.asarray(list(senses), dtype=str)
+        if senses.shape != (self.m,) or b.shape != (self.m,) or self.c.shape != (self.n,):
             raise InvalidArg("row/objective shapes inconsistent")
-        if not all(s in ("<=", "=", ">=") for s in senses):
+        if not np.isin(senses, ("<=", "=", ">=")).all():
             raise InvalidArg("row sense must be <=, = or >=")
-        self.senses = senses
-        # column layout: structurals | slacks | artificials
-        self.slack_of_row = np.full(self.m, -1, dtype=int)
-        slack_cols = []
-        for i, s in enumerate(senses):
-            if s != "=":
-                self.slack_of_row[i] = self.n + len(slack_cols)
-                col = np.zeros(self.m)
-                col[i] = 1.0 if s == "<=" else -1.0
-                slack_cols.append(col)
-        self.n_slack = len(slack_cols)
-        self.art0 = self.n + self.n_slack
-        ncols = self.art0 + self.m
-        self.A_full = np.zeros((self.m, ncols))
-        self.A_full[:, : self.n] = A
-        if slack_cols:
-            self.A_full[:, self.n : self.art0] = np.array(slack_cols).T
-        # artificial columns are +-identity; signs set per solve
-        self.ncols = ncols
+        sign = np.where(senses == ">=", -1.0, 1.0)
+        self.A = np.hstack((A * sign[:, None], np.eye(self.m)))  # structurals | logicals
+        self.b = b * sign
+        self.logical_hi = np.where(senses == "=", 0.0, np.inf)
+        self.ncols = self.n + self.m
 
     # ------------------------------------------------------------------
     def solve(
@@ -205,23 +207,8 @@ class PreparedLp:
         mx = self.maximize if maximize is None else maximize
         c2 = np.zeros(ncols)
         c2[:n] = c_user if mx else -c_user
-
-        if m == 0:
-            x = np.where(c2[:n] > 0, hi_s, lo_s)
-            val = float(c2[:n] @ x)
-            return LpSolution(
-                status=LpStatus.OPTIMAL,
-                x=x,
-                objective=val if mx else -val,
-                basis=np.zeros(0, dtype=int),
-                at_upper=c2[:n] > 0,
-            )
-
-        full_lo = np.zeros(ncols)
-        full_hi = np.zeros(ncols)  # artificials stay fixed at zero outside phase 1
-        full_lo[:n] = lo_s
-        full_hi[:n] = hi_s
-        full_hi[n : self.art0] = np.inf  # slacks in [0, inf)
+        full_lo = np.concatenate((lo_s, np.zeros(m)))
+        full_hi = np.concatenate((hi_s, self.logical_hi))
         max_iter = 10_000 + 40 * (m + ncols)
         counts = {"phase1": 0, "phase2": 0, "dual": 0}
 
@@ -235,17 +222,16 @@ class PreparedLp:
                 warm = WarmStart.BROKE_DOWN
         if outcome is None:
             outcome = self._solve_cold(full_lo, full_hi, c2, max_iter, counts)
-        status, solved, infeasibility = outcome
+        status, state, infeasibility = outcome
         stats = dict(
             phase1_pivots=counts["phase1"], phase2_pivots=counts["phase2"], dual_pivots=counts["dual"], warm=warm
         )
         if status is not LpStatus.OPTIMAL:
             return LpSolution(status=status, infeasibility=infeasibility, **stats)
-        state, A_full = solved
 
         # clean basic values from the original data, then read the point off
         # the basis; the tableau is not needed again
-        self._refactor(state, A_full, full_lo, full_hi, tableau=False)
+        self._refactor(state, self.A, full_lo, full_hi, tableau=False)
         x_full = np.where(state.at_upper, np.minimum(full_hi, np.finfo(float).max), full_lo)
         x_full[state.basis] = state.xB
         x = x_full[:n].copy()
@@ -261,61 +247,60 @@ class PreparedLp:
         )
 
     def _solve_cold(self, full_lo, full_hi, c2, max_iter, counts):
-        """Two-phase solve from a slack/artificial basis. Returns the status,
-        the optimal `(state, A_full)` or None, and the phase-1 residual."""
+        """Two-phase solve from the logical basis, structurals at their lower
+        bounds. Every equality row, and every inequality row whose logical
+        would start negative, gets a signed artificial column in a
+        phase-1-local matrix. Phase 1 drives the artificials to zero, they
+        are expelled from the basis and dropped, and phase 2 runs on the
+        skeleton. Returns the status, the optimal state or None, and the
+        phase-1 residual."""
         opts = self.opts
         m, n, ncols = self.m, self.n, self.ncols
-        full_hi = full_hi.copy()  # phase 1 frees the artificials
-
-        # starting point: structurals at lower bound, slacks absorb what they can
-        A_full = self.A_full.copy()
-        resid = self.b - A_full[:, :n] @ full_lo[:n]
-        basis = np.empty(m, dtype=int)
-        xB = np.empty(m)
-        art_rows = []
-        for i in range(m):
-            sl = self.slack_of_row[i]
-            v = resid[i] * (1.0 if self.senses[i] == "<=" else -1.0) if sl >= 0 else -1.0
-            if sl >= 0 and v >= 0.0:
-                basis[i] = sl
-                xB[i] = v
-            else:
-                a = self.art0 + i
-                sigma = 1.0 if resid[i] >= 0 else -1.0
-                A_full[i, a] = sigma
-                full_hi[a] = np.inf
-                basis[i] = a
-                xB[i] = abs(resid[i])
-                art_rows.append(i)
-
-        at_upper = np.zeros(ncols, dtype=bool)
-        in_basis = np.zeros(ncols, dtype=bool)
+        resid = self.b - self.A[:, :n] @ full_lo[:n]
+        # a logical fixed at zero marks an equality row
+        art = np.flatnonzero((full_hi[n:] == 0.0) | (resid < 0.0))
+        k = art.size
+        sigma = np.where(resid[art] >= 0.0, 1.0, -1.0)
+        A1 = np.zeros((m, ncols + k))
+        A1[:, :ncols] = self.A
+        A1[art, ncols + np.arange(k)] = sigma
+        basis = np.arange(n, ncols)
+        basis[art] = ncols + np.arange(k)
+        xB = np.abs(resid)  # resid itself on every row a logical holds
+        row_sign = np.ones(m)
+        row_sign[art] = sigma
+        in_basis = np.zeros(ncols + k, dtype=bool)
         in_basis[basis] = True
-        T = A_full.copy()  # basis is identity-like: slack (+1) and signed artificials
-        for i in range(m):
-            s = A_full[i, basis[i]]
-            if s == -1.0:  # >= slack enters with -1; normalize the row
-                T[i] = -T[i]
-        state = _State(T=T, basis=basis, xB=xB, at_upper=at_upper, in_basis=in_basis, counts=counts)
+        state = _State(
+            T=A1 * row_sign[:, None],  # B^-1 A1 for this basis of signed unit columns
+            basis=basis,
+            xB=xB,
+            at_upper=np.zeros(ncols + k, dtype=bool),
+            in_basis=in_basis,
+            counts=counts,
+        )
 
-        if art_rows:
-            c1 = np.zeros(ncols)
-            c1[self.art0 :] = -1.0
-            status, iters = self._iterate(state, A_full, full_lo, full_hi, c1, max_iter, "phase1")
+        if k:
+            lo1 = np.concatenate((full_lo, np.zeros(k)))
+            hi1 = np.concatenate((full_hi, np.full(k, np.inf)))
+            c1 = np.concatenate((np.zeros(ncols), np.full(k, -1.0)))
+            status, iters = self._iterate(state, A1, lo1, hi1, c1, max_iter, "phase1")
             max_iter -= iters
             if status is LpStatus.UNBOUNDED:  # cannot happen: phase-1 objective <= 0
                 raise NumericalBreakdown("phase 1 reported unbounded")
-            basic_art = state.basis >= self.art0
-            art_sum = float(np.maximum(state.xB[basic_art], 0.0).sum())
+            art_sum = float(np.maximum(state.xB[state.basis >= ncols], 0.0).sum())
             if art_sum > opts.feas_tol:
                 return LpStatus.INFEASIBLE, None, art_sum
-            self._expel_artificials(state, full_lo, full_hi, opts)
-            full_hi[self.art0 :] = 0.0  # artificials frozen at zero for phase 2
+            self._expel_artificials(state, full_lo, full_hi)
+            # every artificial is nonbasic at zero now; drop their columns
+            state.T = np.ascontiguousarray(state.T[:, :ncols])
+            state.at_upper = state.at_upper[:ncols]
+            state.in_basis = state.in_basis[:ncols]
 
-        status, _ = self._iterate(state, A_full, full_lo, full_hi, c2, max_iter, "phase2")
+        status, _ = self._iterate(state, self.A, full_lo, full_hi, c2, max_iter, "phase2")
         if status is not LpStatus.OPTIMAL:
             return status, None, 0.0
-        return status, (state, A_full), 0.0
+        return status, state, 0.0
 
     def _solve_warm(self, full_lo, full_hi, c2, start, max_iter, counts):
         """Re-solve from a start basis. Returns what `_solve_cold` returns
@@ -328,20 +313,16 @@ class PreparedLp:
         if (
             basis.shape != (m,)
             or at_upper.shape != (ncols,)
-            or basis.min() < 0
-            or basis.max() >= ncols
+            or np.any(basis < 0)
+            or np.any(basis >= ncols)
             or np.unique(basis).size != m
         ):
             raise InvalidArg("start basis does not fit this LP")
-        # a basic artificial sits at zero on a redundant row; its sign is immaterial
-        A_full = self.A_full.copy()
-        arts = basis[basis >= self.art0]
-        A_full[arts - self.art0, arts] = 1.0
         in_basis = np.zeros(ncols, dtype=bool)
         in_basis[basis] = True
         at_upper &= ~in_basis & np.isfinite(full_hi)
         state = _State(T=None, basis=basis, xB=None, at_upper=at_upper, in_basis=in_basis, counts=counts)
-        self._refactor(state, A_full, full_lo, full_hi)
+        self._refactor(state, self.A, full_lo, full_hi)
 
         lo_B, hi_B = full_lo[basis], full_hi[basis]
         if np.any(state.xB < lo_B - opts.feas_tol) or np.any(state.xB > hi_B + opts.feas_tol):
@@ -350,16 +331,16 @@ class PreparedLp:
             dual_infeasible = ~in_basis & movable & np.where(at_upper, d < -opts.opt_tol, d > opts.opt_tol)
             if dual_infeasible.any():
                 return None
-            status, iters, residual = self._dual(state, A_full, full_lo, full_hi, c2, max_iter)
+            status, iters, residual = self._dual(state, full_lo, full_hi, c2, max_iter)
             if status is LpStatus.INFEASIBLE:
                 return (status, None, residual) if residual > opts.feas_tol else None
             max_iter -= iters
-        status, _ = self._iterate(state, A_full, full_lo, full_hi, c2, max_iter, "phase2")
+        status, _ = self._iterate(state, self.A, full_lo, full_hi, c2, max_iter, "phase2")
         if status is not LpStatus.OPTIMAL:
             return None
-        return status, (state, A_full), 0.0
+        return status, state, 0.0
 
-    def _ray_residual(self, state, r, A_full, full_lo, full_hi) -> float:
+    def _ray_residual(self, state, r, full_lo, full_hi) -> float:
         """Phase-1 residual proven by the dual ray of basic row `r`, which
         the dual simplex found with no entering column; 0.0 proves nothing.
 
@@ -369,28 +350,25 @@ class PreparedLp:
         right side over the nonbasic columns' box misses `[lo_r, hi_r]` by
         `g`, then `|y.(b - A x)| >= g` at every point of the box, and the L1
         row residual that phase 1 minimizes is at least `g / ||y||_inf`.
-        A slack's infinite upper bound is replaced by the most its row's
-        activity over the structural box allows; phase 1 gains nothing from
-        a slack beyond that, so the bound stays a bound on its residual.
+        A logical `s = b_i - a_i x` is capped at the most its row's activity
+        over the structural box allows; phase 1 gains nothing from a logical
+        beyond that, so the bound stays a bound on its residual.
         """
-        m, n = self.m, self.n
+        n = self.n
         basis = state.basis
-        e_r = np.zeros(m)
+        e_r = np.zeros(self.m)
         e_r[r] = 1.0
         try:
-            y = np.linalg.solve(A_full[:, basis].T, e_r)
+            y = np.linalg.solve(self.A[:, basis].T, e_r)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown("singular basis while checking a dual ray") from exc
-        a = y @ A_full
+        a = y @ self.A
         a[basis] = 0.0
         lo, hi = full_lo, full_hi.copy()
-        rows = np.flatnonzero(self.slack_of_row >= 0)
-        cols = self.slack_of_row[rows]
-        A_s = self.A_full[rows, :n]
+        A_s = self.A[:, :n]
         mid = A_s @ ((lo[:n] + hi[:n]) / 2)
         rad = np.abs(A_s) @ ((hi[:n] - lo[:n]) / 2)
-        # slack = sign * (b - activity), sign the slack's own coefficient
-        hi[cols] = np.maximum(self.A_full[rows, cols] * (self.b[rows] - mid) + rad, 0.0)
+        hi[n:] = np.minimum(hi[n:], np.maximum(self.b - mid + rad, 0.0))
         yb = float(y @ self.b)
         x_lo = yb - float(np.maximum(a * lo, a * hi).sum())
         x_hi = yb - float(np.minimum(a * lo, a * hi).sum())
@@ -399,14 +377,15 @@ class PreparedLp:
         return float(max(g, 0.0) / np.abs(y).max())
 
     # ------------------------------------------------------------------
-    def _refactor(self, state: _State, A_full, full_lo, full_hi, tableau: bool = True) -> None:
+    def _refactor(self, state: _State, A, full_lo, full_hi, tableau: bool = True) -> None:
         """Recompute the basic values, and the tableau unless `tableau` is
-        False, from the original data."""
+        False, from the original data; `A` is the skeleton, or phase 1's
+        matrix with its artificial columns."""
         x_nb = np.where(state.at_upper, np.where(np.isfinite(full_hi), full_hi, 0.0), full_lo)
         x_nb[state.basis] = 0.0
-        rhs = self.b - A_full @ x_nb
+        rhs = self.b - A @ x_nb
         try:  # one factorization of B serves the tableau and the basic values
-            sol = np.linalg.solve(A_full[:, state.basis], np.column_stack((A_full, rhs)) if tableau else rhs)
+            sol = np.linalg.solve(A[:, state.basis], np.column_stack((A, rhs)) if tableau else rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown("singular basis during refactorization") from exc
         if tableau:
@@ -415,20 +394,21 @@ class PreparedLp:
         else:
             state.xB = sol
 
-    def _expel_artificials(self, state: _State, full_lo, full_hi, opts) -> None:
-        # swap zero-valued basic artificials for real columns where a pivot
-        # element exists; the primal point is unchanged, so the entering
-        # variable keeps its current resting value
-        for r in range(self.m):
-            if state.basis[r] < self.art0:
-                continue
-            row = state.T[r, : self.art0]
-            cand = np.flatnonzero((np.abs(row) > opts.pivot_tol) & ~state.in_basis[: self.art0])
-            if cand.size:
-                j = int(cand[0])
-                val = full_hi[j] if state.at_upper[j] else full_lo[j]
-                self._pivot(state, r, j, val)
-        # rows whose artificial cannot leave are redundant; it stays basic at 0
+    def _expel_artificials(self, state: _State, full_lo, full_hi) -> None:
+        """Swap each basic artificial, at zero after phase 1, for the first
+        nonbasic structural or logical column with a pivot element in its
+        row. The primal point is unchanged, so the entering variable keeps
+        its resting value. The tableau's logical block is B^-1, whose row
+        at an artificial is nonzero and vanishes at every basic logical, so
+        some nonbasic logical has an entry there; a row without one above
+        `pivot_tol` is a numerical breakdown."""
+        ncols = self.ncols
+        for r in np.flatnonzero(state.basis >= ncols):
+            cand = np.flatnonzero((np.abs(state.T[r, :ncols]) > self.opts.pivot_tol) & ~state.in_basis[:ncols])
+            if cand.size == 0:
+                raise NumericalBreakdown("no pivot element to expel an artificial")
+            j = int(cand[0])
+            self._pivot(state, r, j, full_hi[j] if state.at_upper[j] else full_lo[j])
 
     def _pivot(self, state: _State, r: int, j: int, new_val: float) -> None:
         T = state.T
@@ -445,9 +425,9 @@ class PreparedLp:
         T -= np.outer(col, T[r])
 
     # ------------------------------------------------------------------
-    def _iterate(self, state, A_full, full_lo, full_hi, c_int, max_iter, kind) -> tuple[LpStatus, int]:
-        """Primal simplex from a primal feasible basis; `kind` names the
-        phase its pricing passes are counted under."""
+    def _iterate(self, state, A, full_lo, full_hi, c_int, max_iter, kind) -> tuple[LpStatus, int]:
+        """Primal simplex from a primal feasible basis over the columns of
+        `A`; `kind` names the phase its pricing passes are counted under."""
         opts = self.opts
         pivot_tol = opts.pivot_tol
         span = full_hi - full_lo
@@ -526,10 +506,10 @@ class PreparedLp:
                 bland = False
             pivots_since_refactor += 1
             if pivots_since_refactor >= opts.refactor_every:
-                self._refactor(state, A_full, full_lo, full_hi)
+                self._refactor(state, A, full_lo, full_hi)
                 pivots_since_refactor = 0
 
-    def _dual(self, state, A_full, full_lo, full_hi, c_int, max_iter) -> tuple[LpStatus, int, float]:
+    def _dual(self, state, full_lo, full_hi, c_int, max_iter) -> tuple[LpStatus, int, float]:
         """Bounded dual simplex from a dual feasible basis. Each pass takes
         the basic variable furthest outside its bounds out to the violated
         bound, and brings in the nonbasic variable the dual ratio test picks,
@@ -567,7 +547,7 @@ class PreparedLp:
             push = -alpha * sigma if up else alpha * sigma
             cand = np.flatnonzero(~state.in_basis & movable & (push > opts.pivot_tol))
             if cand.size == 0:
-                return LpStatus.INFEASIBLE, iters, self._ray_residual(state, r, A_full, full_lo, full_hi)
+                return LpStatus.INFEASIBLE, iters, self._ray_residual(state, r, full_lo, full_hi)
             d = c_int - c_int[state.basis] @ state.T
             slack = np.maximum(-sigma[cand] * d[cand], 0.0)  # dual slack: room before d_j changes sign
             rate = push[cand]
@@ -597,7 +577,7 @@ class PreparedLp:
                 bland = False
             pivots_since_refactor += 1
             if pivots_since_refactor >= opts.refactor_every:
-                self._refactor(state, A_full, full_lo, full_hi)
+                self._refactor(state, self.A, full_lo, full_hi)
                 pivots_since_refactor = 0
 
 
@@ -641,12 +621,12 @@ def _dense_rows(p) -> tuple[np.ndarray, list, np.ndarray]:
     return A, senses, b
 
 
-def prepare(p: MilpProblem, options: SimplexOptions | None = None) -> PreparedLp:
+def prepare(p: MilpProblem) -> PreparedLp:
     """Build the reusable solver skeleton for a problem's rows and objective."""
     A, senses, b = _dense_rows(p)
     c = np.zeros(p.num_vars)
     c[p.obj_idx] = p.obj_coef
-    return PreparedLp(c=c, maximize=p.obj_sense == "max", A=A, senses=senses, b=b, options=options)
+    return PreparedLp(c=c, maximize=p.obj_sense == "max", A=A, senses=senses, b=b)
 
 
 def relaxed_bounds(p: MilpProblem, relax: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -666,15 +646,13 @@ def relaxed_bounds(p: MilpProblem, relax: dict | None = None) -> tuple[np.ndarra
     return lo, hi
 
 
-def solve_lp(
-    p: MilpProblem, relax: dict | None = None, options: SimplexOptions | None = None
-) -> LpSolution:
+def solve_lp(p: MilpProblem, relax: dict | None = None) -> LpSolution:
     """Solve the LP relaxation of `p` with binaries relaxed or fixed.
 
     The reported objective includes the problem's constant offset and is in
     the problem's own sense.
     """
-    eng = prepare(p, options)
+    eng = prepare(p)
     lo, hi = relaxed_bounds(p, relax)
     sol = eng.solve(lo, hi)
     if sol.status is LpStatus.OPTIMAL:

@@ -91,7 +91,6 @@ def query_hash(q: VerificationQuery) -> str:
 class VerifyOptions:
     bnb: BnbOptions = field(default_factory=BnbOptions)
     tighten: bool = True  # LP-tighten propagated bounds (unless fixing empirically)
-    use_model_reference: bool = False
     # Empirically observed stability fixing. Fixing from samples is NOT a
     # certificate: results computed with it are marked uncertified.
     unsafe_empirical_fix_samples: np.ndarray | None = None
@@ -155,7 +154,7 @@ def _prepare_base(net, box, opts):
         certified_fixing = False
     else:
         if opts.tighten:
-            lb = lp_tighten(net, box, lb, opts.bnb.lp_options)
+            lb = lp_tighten(net, box, lb)
         sm = classify_neurons(lb)
         certified_fixing = True
     return encode_network(net, lb, sm, box), sm, certified_fixing
@@ -217,14 +216,13 @@ def robustness(
         raise DimensionMismatch("z_ref length != network input dimension")
     if q.x_ref.shape[0] != net.num_outputs:
         raise DimensionMismatch("x_ref length != network output count")
-    x_ref = forward(net, q.z_ref) if opts.use_model_reference else q.x_ref
     box = InputBox.ball(q.z_ref, q.alpha, clip=q.clip_to_domain)
     base, sm, certified_fixing = _prepare_base(net, box, opts)
 
     problems = []
     for i in range(net.num_outputs):
         for sign in (1, -1):
-            problems.append(set_robustness_objective(base, i, sign, float(x_ref[i])))
+            problems.append(set_robustness_objective(base, i, sign, float(q.x_ref[i])))
     results = _dispatch(problems, opts)
 
     names = _output_names(net)
@@ -280,7 +278,6 @@ def trustworthiness(
         raise DimensionMismatch("z_ref length != network input dimension")
     if q.x_ref.shape[0] != net.num_outputs:
         raise DimensionMismatch("x_ref length != network output count")
-    x_ref = forward(net, q.z_ref) if opts.use_model_reference else q.x_ref
     scale = q.effective_scale()
     cap = q.delta_cap if q.delta_cap is not None else default_delta_cap(q.z_ref, scale)
     box = InputBox.unit(net.input_dim)
@@ -290,7 +287,7 @@ def trustworthiness(
     for i in range(net.num_outputs):
         for sign in (1, -1):
             problems.append(
-                set_trust_problem(base, i, sign, q.beta, float(x_ref[i]), q.z_ref, scale, cap)
+                set_trust_problem(base, i, sign, q.beta, float(q.x_ref[i]), q.z_ref, scale, cap)
             )
     results = _dispatch(problems, opts)
 
@@ -463,11 +460,10 @@ def compare_robustness_vs_test(
 # report assembly
 
 def _provenance(network_hash: str, q: VerificationQuery | None, opts: VerifyOptions) -> dict:
-    lp_opts = opts.bnb.lp_options or SimplexOptions()
     return {
         "network_sha256": network_hash,
         "query_sha256": query_hash(q) if q is not None else None,
-        "tolerances": lp_opts.as_dict(),
+        "tolerances": SimplexOptions().as_dict(),
         "solver": opts.bnb.as_dict(),
     }
 

@@ -254,8 +254,23 @@ def test_trace_csv(tmp_path, e1):
 
 
 def test_options_validation():
-    with pytest.raises(InvalidArg):
-        BnbOptions(abs_gap=-1.0)
+    for kw in (
+        dict(abs_gap=-1.0),
+        dict(abs_gap="1e-8"),
+        dict(rel_gap=float("nan")),
+        dict(rel_gap=None),
+        dict(node_limit="x"),
+        dict(node_limit=-1),
+        dict(node_limit=0),
+        dict(node_limit=True),
+        dict(node_limit=2.0),
+        dict(time_limit_seconds="1"),
+        dict(time_limit_seconds=0.0),
+        dict(time_limit_seconds=-1),
+    ):
+        with pytest.raises(InvalidArg):
+            BnbOptions(**kw)
+    BnbOptions(abs_gap=0, rel_gap=0.0, node_limit=np.int64(1), time_limit_seconds=1)
 
 
 def test_result_invariants_random():

@@ -214,6 +214,56 @@ def test_tampered_report_fails_oracle_check(workdir, capsys):
     capsys.readouterr()
 
 
+def test_oracle_check_samples_a_certified_not_found_above_the_cap(workdir, capsys):
+    """A trust output claimed not found, though its target is reachable at
+    delta = 0, must fail the sampling check as it fails enumeration."""
+    z = [0.4, 0.5]
+    x_ref = (forward(_net(workdir), np.array(z)) + 0.3).tolist()
+    qpath = _write_queries(workdir, "reach_q.json", [
+        {"query_id": "r0", "z_ref": z, "x_ref": x_ref, "beta": 0.2},
+    ])
+    out = workdir / "reach_rep.json"
+    assert main(["verify-trust", "--network", str(workdir / "net.json"),
+                 "--queries", qpath, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    entry = rep["queries"][0]["per_output"][0]
+    assert entry["found"] and entry["status"] == "certified"
+    entry["found"] = False
+    tampered = workdir / "reach_tampered.json"
+    tampered.write_text(json.dumps(rep))
+    for extra in ([], ["--max-unstable", "0"]):
+        assert main(["oracle-check", "--network", str(workdir / "net.json"),
+                     "--report", str(tampered), *extra]) == 3
+    capsys.readouterr()
+
+
+_BAD_CONFIGS = [{"tighten": "no"}, {"solver": []}]  # read by every verb
+_BAD_SOLVER_CONFIGS = [  # read by the verify verbs only
+    {"solver": {"node_limit": "x"}},
+    {"solver": {"node_limit": -1}},
+    {"solver": {"time_limit_seconds": "1"}},
+    {"solver": {"abs_gap": "1e-8"}},
+]
+
+
+@pytest.mark.parametrize(
+    "verb,cfg",
+    [(v, c) for v in ("bounds", "verify-robust", "verify-trust") for c in _BAD_CONFIGS]
+    + [(v, c) for v in ("verify-robust", "verify-trust") for c in _BAD_SOLVER_CONFIGS],
+    ids=lambda x: x if isinstance(x, str) else json.dumps(x),
+)
+def test_bad_config_values_are_input_errors(workdir, tmp_path, capsys, verb, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = [verb, "--network", str(workdir / "net.json"), "--config", str(path)]
+    if verb != "bounds":
+        target = {"alpha": 0.02} if verb == "verify-robust" else {"beta": 0.2}
+        q = {"z_ref": [0.5, 0.5], "x_ref": [0.4, 0.6], **target}
+        argv += ["--queries", _write_queries(tmp_path, "q.json", [q])]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_oracle_check_rejects_wrong_network(workdir, tmp_path):
     assert main(["gen-data", "--inputs", "2", "--outputs", "2", "--samples", "40",
                  "--seed", "9", "--out", str(tmp_path / "ds2.csv")]) == 0

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from relucert.simplex import LpStatus, SimplexOptions, solve_dense
+from relucert.errors import InvalidArg, NumericalBreakdown
+from relucert.simplex import LpStatus, PreparedLp, SimplexOptions, WarmStart, solve_dense
 
 
 def scipy_solve(c, maximize, A, senses, b, lo, hi):
@@ -205,3 +206,61 @@ def test_larger_instance_against_reference():
     ref = scipy_solve(c, True, A, senses, b, lo, hi)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(-ref.fun, abs=5e-6)
+
+
+# x0 - x1 >= 0.5, x2 <= 1.5, and x0 + x1 + x2 = 2 twice (rank deficient)
+_RD_A = [[1.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+_RD_SENSES = [">=", "<=", "=", "="]
+_RD_B = [0.5, 1.5, 2.0, 2.0]
+_RD_C = [0.0, 1.0, 2.0]
+
+
+def test_rank_deficient_lp_bases_index_only_structurals_and_logicals():
+    n, m = 3, 4
+    eng = PreparedLp(c=np.array(_RD_C), maximize=True, A=_RD_A, senses=_RD_SENSES, b=np.array(_RD_B))
+    lo, hi = np.zeros(n), np.full(n, 2.0)
+    cold = eng.solve(lo, hi)
+    assert cold.status is LpStatus.OPTIMAL
+    assert cold.basis.shape == (m,) and cold.basis.max() < n + m
+    assert cold.at_upper.shape == (n + m,)
+    assert cold.objective == pytest.approx(3.0, abs=1e-9)
+    np.testing.assert_allclose(cold.x, [0.5, 0.0, 1.5], atol=1e-9)
+
+    # a bound change, re-solved from the redundant row's basis
+    hi[2] = 1.0
+    warm = eng.solve(lo, hi, start=(cold.basis, cold.at_upper))
+    again = eng.solve(lo, hi)
+    ref = scipy_solve(_RD_C, True, _RD_A, _RD_SENSES, _RD_B, lo, hi)
+    assert warm.status is LpStatus.OPTIMAL and warm.warm is WarmStart.USED
+    assert warm.basis.max() < n + m and warm.at_upper.shape == (n + m,)
+    assert warm.objective == pytest.approx(-ref.fun, abs=1e-9)
+    assert warm.objective == pytest.approx(again.objective, abs=1e-9)
+    np.testing.assert_allclose(warm.x, ref.x, atol=1e-9)
+    np.testing.assert_allclose(warm.x, again.x, atol=1e-9)
+
+    # a start must index only the structural and logical columns
+    outside = cold.basis.copy()
+    outside[0] = n + m
+    for start in ((outside, cold.at_upper), (cold.basis, np.zeros(n + m + 1, dtype=bool))):
+        with pytest.raises(InvalidArg):
+            eng.solve(lo, hi, start=start)
+
+
+def test_ge_rows_equal_their_negated_le_rows():
+    lo, hi = [0.0] * 3, [2.0] * 3
+    ge = solve_dense(_RD_C, True, _RD_A, _RD_SENSES, _RD_B, lo, hi)
+    A_le = [list(r) for r in _RD_A]
+    A_le[0] = [-v for v in A_le[0]]
+    b_le = list(_RD_B)
+    b_le[0] = -b_le[0]
+    le = solve_dense(_RD_C, True, A_le, ["<=", "<=", "=", "="], b_le, lo, hi)
+    assert le.objective == ge.objective
+    np.testing.assert_array_equal(le.x, ge.x)
+
+
+def test_artificial_without_pivot_element_is_a_breakdown():
+    # phase 1 ends at once with the artificial basic at zero; no tableau
+    # entry of its row passes the (absurd) pivot tolerance, so it cannot leave
+    with pytest.raises(NumericalBreakdown):
+        solve_dense([1.0, 0.0], True, [[1.0, 1.0]], ["="], [0.0], [0.0, 0.0], [0.0, 0.0],
+                    options=SimplexOptions(pivot_tol=2.0))

@@ -141,13 +141,6 @@ def test_robustness_trust_duality(e1):
     assert below.found and below.delta_min <= 0.1 + 1e-9
 
 
-def test_model_reference_flag():
-    net = identity_net()
-    q = VerificationQuery(z_ref=[0.5], x_ref=[0.3], alpha=0.1)
-    res = robustness(net, q, VerifyOptions(use_model_reference=True))
-    assert res.per_output[0].R == pytest.approx(0.1, abs=1e-9)  # ignores 0.3
-
-
 def test_unsafe_empirical_fixing_is_uncertified(e1):
     samples = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.1]])
     q = VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], alpha=0.1)
