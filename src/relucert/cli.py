@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,8 @@ def _load_config(explicit: str | None) -> dict:
         raise InvalidArg(f"config {path}: tighten must be true or false")
     if not isinstance(cfg.get("solver", {}), dict):
         raise InvalidArg(f"config {path}: solver must be a JSON object")
+    if not isinstance(cfg.get("train", {}), dict):
+        raise InvalidArg(f"config {path}: train must be a JSON object")
     return cfg
 
 
@@ -160,6 +163,9 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     ds = load_dataset(Path(args.dataset).read_text())
     kwargs = dict(cfg.get("train", {}))
+    unknown = sorted(set(kwargs) - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise InvalidArg(f"config: unknown train keys {', '.join(unknown)}")
     if args.widths is not None:
         kwargs["widths"] = tuple(int(v) for v in args.widths.split(","))
     for name in ("epochs", "batch_size", "learning_rate", "eta", "bn_eps", "seed"):

@@ -23,13 +23,17 @@ is still primal feasible (the next objective of a bound-tightening sweep),
 phase 2 runs from it directly. If it is dual feasible instead (a
 branch-and-bound child, whose bounds differ from its parent's in one
 binary), a bounded dual simplex restores primal feasibility and one primal
-phase-2 pass cleans up. When the dual simplex finds a violated row with no
-entering column, that row's dual ray is re-derived from the original data
-and bounded over the variables' box. It decides the solve infeasible only
-if it proves an L1 row residual above `feas_tol`, the level phase 1 would
-need to see to reject the LP. Any other outcome of the warm path, a weaker
-ray, an iteration limit or a numerical breakdown, falls back to the cold
-solve.
+phase-2 pass cleans up. The dual simplex prices by dual steepest edge
+(Forrest & Goldfarb 1992): the leaving row maximizes its squared bound
+violation over the squared norm of its row of B^-1. The skeleton's tableau
+is B^-1 [A | I], so those exact weights are read off its logical columns
+and need no update formula. When the dual simplex finds a violated row
+with no entering column, that row's dual ray is re-derived from the
+original data and bounded over the variables' box. It decides the solve
+infeasible only if it proves an L1 row residual above `feas_tol`, the level
+phase 1 would need to see to reject the LP. Any other outcome of the warm
+path, a weaker ray, an iteration limit or a numerical breakdown, falls back
+to the cold solve.
 """
 
 from __future__ import annotations
@@ -133,6 +137,7 @@ class SolveStats:
         d = asdict(self)
         total = self.phase1_pivots + self.phase2_pivots + self.dual_pivots
         d["phase1_share"] = self.phase1_pivots / total if total else 0.0
+        d["dual_per_warm"] = self.dual_pivots / self.warm_starts if self.warm_starts else 0.0
         return d
 
 
@@ -511,12 +516,14 @@ class PreparedLp:
 
     def _dual(self, state, full_lo, full_hi, c_int, max_iter) -> tuple[LpStatus, int, float]:
         """Bounded dual simplex from a dual feasible basis. Each pass takes
-        the basic variable furthest outside its bounds out to the violated
-        bound, and brings in the nonbasic variable the dual ratio test picks,
-        which keeps every reduced cost on its optimal side. INFEASIBLE means
-        the leaving row had no entering candidate (the dual is unbounded);
-        it comes with the residual that row's ray proves. Returns the
-        status, the passes made and that residual."""
+        a basic variable outside its bounds out to the violated bound, the
+        dual steepest-edge choice: the largest `viol^2 / ||e_r B^-1||^2`,
+        with B^-1 read off the tableau's logical columns. It brings in the
+        nonbasic variable the dual ratio test picks, which keeps every
+        reduced cost on its optimal side. INFEASIBLE means the leaving row
+        had no entering candidate (the dual is unbounded); it comes with the
+        residual that row's ray proves. Returns the status, the passes made
+        and that residual."""
         opts = self.opts
         movable = full_hi > full_lo
         iters = 0
@@ -532,14 +539,16 @@ class PreparedLp:
             hi_B = full_hi[state.basis]
             below = lo_B - state.xB
             viol = np.maximum(below, state.xB - hi_B)
-            bad = viol > opts.feas_tol
-            if not bad.any():
+            rows = np.flatnonzero(viol > opts.feas_tol)
+            if rows.size == 0:
                 return LpStatus.OPTIMAL, iters, 0.0
             if bland:
-                rows = np.flatnonzero(bad)
                 r = int(rows[np.argmin(state.basis[rows])])
             else:
-                r = int(np.argmax(viol))
+                # dual steepest edge: T[:, n:] is B^-1 on the skeleton, so a
+                # row's exact weight is the squared norm of its B^-1 row
+                B_inv = state.T[rows, self.n:]
+                r = int(rows[np.argmax(viol[rows] ** 2 / np.einsum("ij,ij->i", B_inv, B_inv))])
             up = below[r] > 0  # the leaving variable rises to its lower bound
             alpha = state.T[r]
             sigma = np.where(state.at_upper, -1.0, 1.0)  # direction each nonbasic can move

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,10 @@ class Dataset:
         return self.targets.shape[1]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     widths: tuple[int, ...] = (8, 8)
@@ -68,9 +73,17 @@ class TrainConfig:
     bn_eps: float = 1e-5
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if not self.widths or any(w < 1 for w in self.widths):
-            raise InvalidArg("widths must be positive")
+        widths = self.widths if isinstance(self.widths, (list, tuple)) else ()
+        if not widths or not all(_is_int(w) and w >= 1 for w in widths):
+            raise InvalidArg("widths must be a nonempty list of positive integers")
+        object.__setattr__(self, "widths", tuple(int(w) for w in widths))
+        for name in ("epochs", "batch_size", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidArg(f"{name} must be an integer")
+        for name in ("learning_rate", "eta", "noise", "bn_eps"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)):
+                raise InvalidArg(f"{name} must be a number")
         if self.epochs < 0:
             raise InvalidArg("epochs must be >= 0")
         if self.batch_size < 2:

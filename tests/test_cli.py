@@ -244,19 +244,33 @@ _BAD_SOLVER_CONFIGS = [  # read by the verify verbs only
     {"solver": {"time_limit_seconds": "1"}},
     {"solver": {"abs_gap": "1e-8"}},
 ]
+_BAD_TRAIN_CONFIGS = [  # read by train only
+    {"train": []},
+    {"train": {"epoch": 3}},
+    {"train": {"epochs": "3"}},
+    {"train": {"epochs": True}},
+    {"train": {"learning_rate": "0.1"}},
+    {"train": {"widths": "44"}},
+    {"train": {"widths": 4}},
+]
 
 
 @pytest.mark.parametrize(
     "verb,cfg",
     [(v, c) for v in ("bounds", "verify-robust", "verify-trust") for c in _BAD_CONFIGS]
-    + [(v, c) for v in ("verify-robust", "verify-trust") for c in _BAD_SOLVER_CONFIGS],
+    + [(v, c) for v in ("verify-robust", "verify-trust") for c in _BAD_SOLVER_CONFIGS]
+    + [("train", c) for c in _BAD_TRAIN_CONFIGS],
     ids=lambda x: x if isinstance(x, str) else json.dumps(x),
 )
 def test_bad_config_values_are_input_errors(workdir, tmp_path, capsys, verb, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    argv = [verb, "--network", str(workdir / "net.json"), "--config", str(path)]
-    if verb != "bounds":
+    if verb == "train":
+        argv = [verb, "--dataset", str(workdir / "ds.csv"), "--out", str(tmp_path / "net.json")]
+    else:
+        argv = [verb, "--network", str(workdir / "net.json")]
+    argv += ["--config", str(path)]
+    if verb not in ("bounds", "train"):
         target = {"alpha": 0.02} if verb == "verify-robust" else {"beta": 0.2}
         q = {"z_ref": [0.5, 0.5], "x_ref": [0.4, 0.6], **target}
         argv += ["--queries", _write_queries(tmp_path, "q.json", [q])]

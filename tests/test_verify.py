@@ -289,7 +289,8 @@ def test_delta_percent_and_tables(e1):
     assert len(hist.strip().splitlines()) == 3
 
 
-def test_wall_time_and_stats_cover_the_whole_call(e1, monkeypatch):
+def test_wall_time_and_stats_cover_the_whole_call(e1, monkeypatch, caplog):
+    import logging
     import time
 
     from relucert import verify
@@ -303,15 +304,21 @@ def test_wall_time_and_stats_cover_the_whole_call(e1, monkeypatch):
     monkeypatch.setattr(verify, "lp_tighten", slow_tighten)
     q = VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], alpha=0.1, beta=0.15)
     opts = VerifyOptions(tighten=True)
-    results = [robustness(e1, q, opts), trustworthiness(e1, q, opts)]
+    with caplog.at_level(logging.DEBUG, logger="relucert.verify"):
+        results = [robustness(e1, q, opts), trustworthiness(e1, q, opts)]
     for r in results:
         assert r.wall_time >= 0.05  # tightening is part of the query's time
         assert r.stats["subproblems"] == 2
         assert r.stats["lp_solves"] == r.stats["nodes"] >= 2
         assert 0.0 <= r.stats["phase1_share"] <= 1.0
+        assert r.stats["warm_starts"] >= 1
+        assert 0.0 <= r.stats["dual_per_warm"] == r.stats["dual_pivots"] / r.stats["warm_starts"]
+    assert sum("'dual_per_warm'" in rec.getMessage() for rec in caplog.records) == 2
     side = timing_sidecar(results)
     assert side["per_result_stats"] == [r.stats for r in results]
     json.dumps(side)
+    reports = [robustness_report(results[0]), trust_report(results[1])]
+    assert "dual_per_warm" not in json.dumps(reports)  # stats stay out of the byte-identical report
 
 
 def test_child_breakdown_leaves_the_query_at_gap_limit(e1, monkeypatch):

@@ -6,7 +6,7 @@ infeasible included, and the same objective within 1e-9.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relucert.bnb import solve_milp
@@ -14,7 +14,7 @@ from relucert.bounds import InputBox, classify_neurons, lp_tighten, propagate_bo
 from relucert.errors import NumericalBreakdown
 from relucert.milp import encode_network, set_robustness_objective
 from relucert.nnmodel import fold_bn
-from relucert.simplex import LpStatus, PreparedLp, SimplexOptions, WarmStart, prepare, relaxed_bounds
+from relucert.simplex import LpStatus, PreparedLp, SimplexOptions, SolveStats, WarmStart, prepare, relaxed_bounds
 
 from conftest import random_spec
 
@@ -44,8 +44,8 @@ def _assert_same(warm, cold):
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 10),
-    m=st.integers(1, 12),
+    n=st.integers(1, 20),
+    m=st.integers(1, 30),  # long dual runs too
     maximize=st.booleans(),
     new_objective=st.booleans(),
 )
@@ -80,6 +80,78 @@ def test_bound_change_is_reoptimized_by_dual_pivots():
     assert child.warm is WarmStart.USED
     assert child.phase1_pivots == 0 and child.dual_pivots >= 1
     assert child.objective == pytest.approx(2.25, abs=1e-12)
+
+
+def test_dual_leaves_the_steepest_edge_row(monkeypatch):
+    # 0.1 x0 + x2 = 0.05 and 10 x1 + x3 = 5 with x0, x1 basic at 0.5: the
+    # inverse basis rows are (10, 0) and (0, 0.1), weights 100 and 0.01.
+    # Capping x0 at 0.2 and x1 at 0.45 makes x0's row the most violated
+    # (0.3 against 0.05), but x1's the steepest edge (0.05^2/0.01 = 0.25
+    # against 0.3^2/100 = 9e-4)
+    eng = PreparedLp(c=np.array([0.0, 0.0, -1.0, -1.0]), maximize=True,
+                     A=[[0.1, 0.0, 1.0, 0.0], [0.0, 10.0, 0.0, 1.0]], senses=["=", "="], b=np.array([0.05, 5.0]))
+    lo, hi = np.zeros(4), np.full(4, 10.0)
+    root = eng.solve(lo, hi)
+    assert sorted(root.basis) == [0, 1]
+    left = []
+    pivot = PreparedLp._pivot
+
+    def spy(self, state, r, j, new_val):
+        left.append(int(state.basis[r]))
+        pivot(self, state, r, j, new_val)
+
+    monkeypatch.setattr(PreparedLp, "_pivot", spy)
+    hi2 = hi.copy()
+    hi2[:2] = 0.2, 0.45
+    child = eng.solve(lo, hi2, start=(root.basis, root.at_upper))
+    assert child.warm is WarmStart.USED and child.dual_pivots >= 2
+    assert left[0] == 1
+    _assert_same(child, eng.solve(lo, hi2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), m=st.integers(2, 30), maximize=st.booleans())
+def test_dual_tableau_logical_block_is_the_inverse_basis(seed, n, m, maximize):
+    # the leaving-row weights read B^-1 off the tableau's logical columns;
+    # check that block at every dual pass, after plain pivot updates and
+    # after refactorizations (every second pivot here)
+    rng = np.random.default_rng(seed)
+    c, A, senses, b, lo, hi = _random_lp(rng, n, m)
+    senses = ["<=" if s == "=" else s for s in senses]  # equality rows would leave most children infeasible
+    eng = PreparedLp(c=c, maximize=maximize, A=A, senses=senses, b=b, options=SimplexOptions(refactor_every=2))
+    root = eng.solve(lo, hi)
+    lo2, hi2 = lo.copy(), hi.copy()
+    for j in np.flatnonzero(rng.uniform(size=n) < 0.5):  # cut half the way to the root point's far bound
+        x = root.x[j]
+        if x - lo[j] > hi[j] - x:
+            hi2[j] = (lo[j] + x) / 2
+        else:
+            lo2[j] = (hi[j] + x) / 2
+    checked = []
+
+    def check(state):
+        inv = np.linalg.inv(eng.A[:, state.basis])
+        np.testing.assert_allclose(state.T[:, n:], inv, rtol=0, atol=1e-9 * max(1.0, np.abs(inv).max()))
+        checked.append(True)
+
+    pivot, dual = PreparedLp._pivot, PreparedLp._dual
+
+    def checked_pivot(self, state, r, j, new_val):
+        check(state)
+        pivot(self, state, r, j, new_val)
+
+    def checked_dual(self, state, *args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PreparedLp, "_pivot", checked_pivot)
+            out = dual(self, state, *args)
+        check(state)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PreparedLp, "_dual", checked_dual)
+        warm = eng.solve(lo2, hi2, start=(root.basis, root.at_upper))
+    assume(len(checked) >= 3)  # two pivots: one plain update, then a refactorization
+    _assert_same(warm, eng.solve(lo2, hi2))
 
 
 def test_infeasible_child_is_decided_by_the_dual_ray():
@@ -204,6 +276,8 @@ def test_milp_stats_count_every_node(e1):
     res = solve_milp(p)
     s = res.stats
     assert s.lp_solves == res.nodes
+    assert s.as_dict()["dual_per_warm"] == s.dual_pivots / s.warm_starts
+    assert SolveStats().as_dict()["dual_per_warm"] == 0.0
     assert s.warm_starts == res.nodes - 1  # every node but the root
     assert s.breakdowns <= s.warm_fallbacks <= s.warm_starts
     # no child needs phase 1: infeasible ones are decided by their dual ray
