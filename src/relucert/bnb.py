@@ -1,23 +1,27 @@
 """Exact MILP solver: best-first branch and bound over ReLU phase binaries,
-branching on the most fractional free binary.
+branching on the most fractional binary.
 
-Every node solves the LP relaxation with its branching fixings applied to a
-shared prepared tableau skeleton. The root solves cold; each child starts
-from its parent's optimal basis, which stays dual feasible when one binary's
-bounds change, so a few dual simplex pivots reach the child's optimum or
-a dual ray that proves it infeasible. A warm solve that can do neither
-falls back to the cold two-phase solve inside the LP engine. Heap entries
-keep only the basis index and flag vectors. Feasible incumbents come from
-rounding the LP input point through the actual network, which is feasible
-by construction, so the certified bracket [incumbent, bound] is always
-sound. A child whose solve breaks down numerically keeps its parent's bound
-as an open bound in that bracket, so the search ends with an honest gap
-instead of losing the subproblem; only a breakdown at the root raises.
+A node is its structural bounds `lo`/`hi`: the root's are the problem's
+bounds with binaries relaxed to [0, 1], and a child copies its parent's and
+sets lo = hi = 0 or 1 on the binary it branches on. Every node, the root
+included, takes the same step: solve the LP relaxation on a shared prepared
+tableau skeleton, register incumbent candidates, clamp its bound to its
+parent's, then record it as integral, branched, pruned or infeasible. The
+root solves cold; each child starts from its parent's optimal basis, which
+stays dual feasible when one binary's bounds change, so a few dual simplex
+pivots reach the child's optimum or a dual ray that proves it infeasible. A
+warm solve that can do neither falls back to the cold two-phase solve
+inside the LP engine. Feasible incumbents come from rounding the LP input
+point through the actual network, which is feasible by construction, so
+the certified bracket [incumbent, bound] is always sound. A child whose
+solve breaks down numerically keeps its parent's bound as an open bound in
+that bracket, so the search ends with an honest gap instead of losing the
+subproblem; only a breakdown at the root raises. Each node's decision is
+one DEBUG record on the `relucert.bnb` logger.
 """
 
 from __future__ import annotations
 
-import csv
 import heapq
 import logging
 import numbers
@@ -54,7 +58,6 @@ class BnbOptions:
     rel_gap: float = 1e-6
     node_limit: int | None = None
     time_limit_seconds: float | None = None
-    trace_path: str | None = None
 
     def __post_init__(self):
         if not all(_is_real(g) and g >= 0 for g in (self.abs_gap, self.rel_gap)):
@@ -134,17 +137,17 @@ def _forward_candidate(p: MilpProblem, x_lp) -> tuple[float, np.ndarray] | None:
     return delta, _assemble_point(p, z, pre, post, out, delta=delta)
 
 
-def _select_branch_var(x_lp, bin_idx, free) -> int | None:
-    """Position in `bin_idx` of the most fractional free binary, or None when
-    every free binary is integral."""
-    pos = np.flatnonzero(free)
-    xs = x_lp[bin_idx[pos]]
-    keep = np.minimum(xs, 1.0 - xs) > _INT_TOL
-    if not keep.any():
+def _select_branch_var(x_lp, bin_idx) -> int | None:
+    """Position in `bin_idx` of the most fractional binary, or None when every
+    binary is integral. A branched binary has lo == hi, so the LP point sits
+    exactly on it and it is never chosen."""
+    xs = x_lp[bin_idx]
+    pos = np.flatnonzero(np.minimum(xs, 1.0 - xs) > _INT_TOL)
+    if pos.size == 0:
         return None
     # argmin takes the first minimum and bin_idx is ascending, so ties on
     # fractionality go to the lowest variable
-    return int(pos[keep][np.argmin(np.abs(xs[keep] - 0.5))])
+    return int(pos[np.argmin(np.abs(xs[pos] - 0.5))])
 
 
 def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
@@ -154,58 +157,55 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
     eng = prepare(p)
     bin_idx = np.flatnonzero(p.binary)
     stats = SolveStats()
-    trace: list[list] = []
 
     inc_score = -np.inf
     inc_value: float | None = None
     inc_point: np.ndarray | None = None
     open_score = -np.inf  # best parent bound over children whose solve broke down
+    # heap of (-bound score, -depth, node number, lo, hi, branch position,
+    # start basis): best bound first, deeper first
+    heap: list[tuple] = []
 
     def own(score: float) -> float:
         return mult * score
 
-    def note(node, depth, bound_score, action):
-        if opts.trace_path is not None:
-            trace.append(
-                [node, depth, "" if bound_score is None else repr(own(bound_score)),
-                 "" if inc_value is None else repr(inc_value), action]
-            )
+    def note(seq, depth, bound_score, action):
+        _log.debug(
+            "node %d depth %d bound %r incumbent %r: %s",
+            seq, depth, None if bound_score is None else own(bound_score), inc_value, action,
+        )
 
     def try_candidate(score, value, point):
         nonlocal inc_score, inc_value, inc_point
         if score > inc_score:
             inc_score, inc_value, inc_point = score, float(value), point
 
-    def solve_node(fixings, seq, depth, start=None):
-        lo, hi = relaxed_bounds(p, fixings)
-        try:
-            sol = eng.solve(lo, hi, start=start)
-        except NumericalBreakdown as e:
-            raise NumericalBreakdown(
-                f"node {seq} at depth {depth} (fixings {fixings}): {e}"
-            ) from e
+    def node(lo, hi, seq, depth, start, parent_score):
+        """Solve one node, register its incumbent candidates, and decide it:
+        integral, branch (pushed on the heap), pruned or infeasible. A
+        numerical breakdown propagates to the caller."""
+        sol = eng.solve(lo, hi, start=start)
         stats.add(sol)
-        return sol
-
-    def process(sol, free):
-        """Returns (score, is_integral) for a solved feasible node and
-        registers any incumbent candidates it yields."""
+        if sol.status is not LpStatus.OPTIMAL:
+            note(seq, depth, None, "infeasible")
+            return
         score = mult * (sol.objective + p.obj_offset)
         cand = _forward_candidate(p, sol.x)
         if cand is not None:
             try_candidate(mult * cand[0], cand[0], cand[1])
-        xs = sol.x[bin_idx[free]]
-        integral = bool(np.all(np.minimum(xs, 1.0 - xs) <= _INT_TOL))
-        if integral:
+        k = _select_branch_var(sol.x, bin_idx)
+        if k is None:
             try_candidate(score, own(score), sol.x.copy())
-        return score, integral
+        score = min(score, parent_score)  # a node's bound cannot beat its parent's
+        if k is None:
+            note(seq, depth, score, "integral")
+        elif score > inc_score + opts.abs_gap:
+            heapq.heappush(heap, (-score, -depth, seq, lo, hi, k, (sol.basis, sol.at_upper)))
+            note(seq, depth, score, "branch")
+        else:
+            note(seq, depth, score, "pruned")
 
     def result(status, bound_score, nodes):
-        if opts.trace_path is not None:
-            with open(opts.trace_path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["node", "depth", "bound", "incumbent", "action"])
-                w.writerows(trace)
         gap = float(bound_score - inc_score) if inc_value is not None else np.inf
         res = MilpResult(
             status=status,
@@ -223,21 +223,12 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
     def tol() -> float:
         return max(opts.abs_gap, opts.rel_gap * abs(inc_score)) if inc_value is not None else opts.abs_gap
 
-    nodes = 1
-    root = solve_node({}, 0, 0)
-    if root.status is not LpStatus.OPTIMAL:
-        note(0, 0, None, "infeasible")
-        return result(BnbStatus.INFEASIBLE, -np.inf, nodes)
-    root_free = np.ones(bin_idx.size, dtype=bool)
-    root_score, root_integral = process(root, root_free)
-    note(0, 0, root_score, "integral" if root_integral else "root")
-    if root_integral or root_score - inc_score <= tol():
-        return result(BnbStatus.CERTIFIED, max(root_score, inc_score), nodes)
-
-    # heap of (-bound score, -depth, seq, fixings, free mask, LP point, start
-    # basis): best bound first, deeper first
-    heap = [(-root_score, 0, 0, {}, root_free, root.x, (root.basis, root.at_upper))]
-    seq = 0
+    lo, hi = relaxed_bounds(p)
+    try:
+        node(lo, hi, 0, 0, None, np.inf)
+    except NumericalBreakdown as e:
+        raise NumericalBreakdown(f"node 0 at depth 0: {e}") from e
+    nodes = 1  # also the next node's number
     while heap:
         ub_score = max(-heap[0][0], inc_score, open_score)
         if inc_value is not None and ub_score - inc_score <= tol():
@@ -250,46 +241,22 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
         ):
             return result(BnbStatus.GAP_LIMIT if inc_value is not None else BnbStatus.LIMIT, ub_score, nodes)
 
-        neg_score, neg_depth, _, fixings, free, x_lp, start = heapq.heappop(heap)
-        depth = -neg_depth
+        neg_score, neg_depth, _, lo, hi, k, start = heapq.heappop(heap)
         if -neg_score <= inc_score + opts.abs_gap:
-            note(None, depth, -neg_score, "pruned")
             continue
-        k = _select_branch_var(x_lp, bin_idx, free)
-        if k is None:  # stale: integrality was already handled at creation
-            continue
-        j = int(bin_idx[k])
-        child_free = free.copy()
-        child_free[k] = False
+        depth = 1 - neg_depth  # the children's
+        j = bin_idx[k]
         for v in (0.0, 1.0):
-            child_fix = dict(fixings)
-            child_fix[j] = v
-            seq += 1
-            nodes += 1
+            child_lo, child_hi = lo.copy(), hi.copy()
+            child_lo[j] = child_hi[j] = v
             try:
-                sol = solve_node(child_fix, seq, depth + 1, start)
+                node(child_lo, child_hi, nodes, depth, start, -neg_score)
             except NumericalBreakdown as e:
                 # the parent's bound still holds over this child: keep it open
                 stats.node_breakdowns += 1
                 open_score = max(open_score, -neg_score)
-                _log.debug("%s; left open at its parent's bound", e)
-                note(seq, depth + 1, -neg_score, "breakdown")
-                continue
-            if sol.status is not LpStatus.OPTIMAL:
-                note(seq, depth + 1, None, "infeasible")
-                continue
-            score, integral = process(sol, child_free)
-            score = min(score, -neg_score)  # child bound cannot beat parent
-            if integral:
-                note(seq, depth + 1, score, "integral")
-            elif score > inc_score + opts.abs_gap:
-                heapq.heappush(
-                    heap,
-                    (-score, -(depth + 1), seq, child_fix, child_free, sol.x, (sol.basis, sol.at_upper)),
-                )
-                note(seq, depth + 1, score, "branch")
-            else:
-                note(seq, depth + 1, score, "pruned")
+                note(nodes, depth, -neg_score, f"breakdown ({e}), left open at its parent's bound")
+            nodes += 1
 
     ub_score = max(inc_score, open_score)
     if inc_value is None:

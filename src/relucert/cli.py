@@ -396,9 +396,7 @@ def cmd_oracle_check(args) -> int:
         raise InvalidValue(
             f"report was produced for network {stated[:12]}..., got {nh[:12]}..."
         )
-    if rep.get("kind") == "robustness_batch":
-        entries = [e for e in rep["queries"] if "error" not in e]
-    elif rep.get("kind") == "trust_batch":
+    if rep.get("kind") in ("robustness_batch", "trust_batch"):
         entries = [e for e in rep["queries"] if "error" not in e]
     elif rep.get("kind") in ("robustness", "trust"):
         entries = [rep]

@@ -69,7 +69,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     eta: float = 0.99          # running-stats momentum
     seed: int = 0
-    noise: float = 0.0         # input perturbation used at data synthesis time
     bn_eps: float = 1e-5
 
     def __post_init__(self):
@@ -80,7 +79,7 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "seed"):
             if not _is_int(getattr(self, name)):
                 raise InvalidArg(f"{name} must be an integer")
-        for name in ("learning_rate", "eta", "noise", "bn_eps"):
+        for name in ("learning_rate", "eta", "bn_eps"):
             v = getattr(self, name)
             if not (isinstance(v, numbers.Real) and not isinstance(v, bool)):
                 raise InvalidArg(f"{name} must be a number")
@@ -92,8 +91,6 @@ class TrainConfig:
             raise InvalidArg("eta must satisfy 0 <= eta < 1")
         if self.learning_rate <= 0:
             raise InvalidArg("learning_rate must be positive")
-        if self.noise < 0:
-            raise InvalidArg("noise must be >= 0")
         if self.bn_eps <= 0:
             raise InvalidArg("bn_eps must be positive")
 

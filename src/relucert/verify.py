@@ -7,6 +7,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -28,6 +30,33 @@ from .simplex import SimplexOptions, SolveStats
 _log = logging.getLogger(__name__)
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _vector(v, name: str) -> np.ndarray:
+    try:
+        a = np.atleast_1d(np.asarray(v))
+    except ValueError as e:  # a ragged nested list
+        raise DimensionMismatch(f"{name} must be a number or a flat list") from e
+    if a.dtype.kind not in "iuf":
+        raise InvalidValue(f"{name} must be a number or a list of numbers")
+    a = a.astype(float)
+    if a.ndim != 1:
+        raise DimensionMismatch(f"{name} must be a number or a flat list")
+    if not np.all(np.isfinite(a)):
+        raise InvalidValue(f"{name} must be finite")
+    return a
+
+
+def _per_input(v, name: str, n: int) -> np.ndarray:
+    """A scalar broadcast to, or a vector of, one entry per input."""
+    a = _vector(v, name)
+    if a.size not in (1, n):
+        raise DimensionMismatch(f"{name} has {a.size} entries, z_ref has {n}")
+    return np.broadcast_to(a, (n,)).copy()
+
+
 @dataclass(frozen=True)
 class VerificationQuery:
     """One operating condition: reference input, reference output, and the
@@ -43,28 +72,26 @@ class VerificationQuery:
     query_id: str = ""
 
     def __post_init__(self):
-        z_ref = np.atleast_1d(np.asarray(self.z_ref, dtype=float))
-        x_ref = np.atleast_1d(np.asarray(self.x_ref, dtype=float))
+        z_ref = _vector(self.z_ref, "z_ref")
+        x_ref = _vector(self.x_ref, "x_ref")
         if np.any(z_ref < -1e-12) or np.any(z_ref > 1.0 + 1e-12):
             raise InvalidValue("z_ref must lie in the unit box")
         object.__setattr__(self, "z_ref", z_ref)
         object.__setattr__(self, "x_ref", x_ref)
         if self.alpha is not None:
-            alpha = np.broadcast_to(
-                np.asarray(self.alpha, dtype=float), z_ref.shape
-            ).copy()
+            alpha = _per_input(self.alpha, "alpha", z_ref.size)
             if np.any(alpha < 0):
                 raise InvalidValue("alpha must be nonnegative")
             object.__setattr__(self, "alpha", alpha)
-        if self.beta is not None and not self.beta > 0:
-            raise InvalidValue("beta must be positive")
+        if self.beta is not None and not (_is_real(self.beta) and self.beta > 0):
+            raise InvalidValue("beta must be a positive number")
         if self.scale is not None:
-            scale = np.broadcast_to(np.asarray(self.scale, dtype=float), z_ref.shape).copy()
+            scale = _per_input(self.scale, "scale", z_ref.size)
             if np.any(scale <= 0):
                 raise InvalidValue("scale must be positive")
             object.__setattr__(self, "scale", scale)
-        if self.delta_cap is not None and not self.delta_cap > 0:
-            raise InvalidValue("delta_cap must be positive")
+        if self.delta_cap is not None and not (_is_real(self.delta_cap) and self.delta_cap > 0):
+            raise InvalidValue("delta_cap must be a positive number")
 
     def effective_scale(self) -> np.ndarray:
         return self.scale if self.scale is not None else np.ones_like(self.z_ref)
@@ -198,8 +225,11 @@ def _status_of(*results) -> tuple[str, float]:
     return status, gap
 
 
-def _output_names(net: FoldedNetwork) -> list[str]:
-    return list(net.output_names)
+def _check_dims(net: FoldedNetwork, q: VerificationQuery):
+    if q.z_ref.shape[0] != net.input_dim:
+        raise DimensionMismatch("z_ref length != network input dimension")
+    if q.x_ref.shape[0] != net.num_outputs:
+        raise DimensionMismatch("x_ref length != network output count")
 
 
 def robustness(
@@ -212,10 +242,7 @@ def robustness(
     opts = opts or VerifyOptions()
     if q.alpha is None:
         raise InvalidArg("robustness needs alpha")
-    if q.z_ref.shape[0] != net.input_dim:
-        raise DimensionMismatch("z_ref length != network input dimension")
-    if q.x_ref.shape[0] != net.num_outputs:
-        raise DimensionMismatch("x_ref length != network output count")
+    _check_dims(net, q)
     box = InputBox.ball(q.z_ref, q.alpha, clip=q.clip_to_domain)
     base, sm, certified_fixing = _prepare_base(net, box, opts)
 
@@ -225,7 +252,7 @@ def robustness(
             problems.append(set_robustness_objective(base, i, sign, float(q.x_ref[i])))
     results = _dispatch(problems, opts)
 
-    names = _output_names(net)
+    names = net.output_names
     per_output = []
     for i in range(net.num_outputs):
         plus, minus = results[2 * i], results[2 * i + 1]
@@ -274,10 +301,7 @@ def trustworthiness(
     opts = opts or VerifyOptions()
     if q.beta is None:
         raise InvalidArg("trustworthiness needs beta")
-    if q.z_ref.shape[0] != net.input_dim:
-        raise DimensionMismatch("z_ref length != network input dimension")
-    if q.x_ref.shape[0] != net.num_outputs:
-        raise DimensionMismatch("x_ref length != network output count")
+    _check_dims(net, q)
     scale = q.effective_scale()
     cap = q.delta_cap if q.delta_cap is not None else default_delta_cap(q.z_ref, scale)
     box = InputBox.unit(net.input_dim)
@@ -291,7 +315,7 @@ def trustworthiness(
             )
     results = _dispatch(problems, opts)
 
-    names = _output_names(net)
+    names = net.output_names
     per_output = []
     for i in range(net.num_outputs):
         pair = results[2 * i : 2 * i + 2]
@@ -383,7 +407,7 @@ def robustness_batch(
         per_query=per_query,
         errors=errors,
         aggregate_R=agg,
-        output_names=_output_names(net),
+        output_names=list(net.output_names),
     )
 
 

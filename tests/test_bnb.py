@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -113,20 +114,21 @@ def test_branching_takes_the_most_fractional_binary():
     bin_idx = np.flatnonzero(p.binary)
     # roles are ("bin", layer, neuron): two binaries in layer 0, then one in layer 1
     assert bin_idx.tolist() == [p.var_roles[r] for r in (("bin", 0, 0), ("bin", 0, 2), ("bin", 1, 3))]
-    free = np.ones(3, dtype=bool)
     x = np.zeros(p.num_vars)
 
     # the deeper binary at 0.5 wins over an earlier-layer one at 0.9
     x[bin_idx] = [0.9, 0.0, 0.5]
-    assert _select_branch_var(x, bin_idx, free) == 2
-    assert _select_branch_var(x, bin_idx, np.array([True, True, False])) == 0
+    assert _select_branch_var(x, bin_idx) == 2
     # equally fractional binaries go to the lowest index
     x[bin_idx] = [0.25, 0.75, 1.0]
-    assert _select_branch_var(x, bin_idx, free) == 0
+    assert _select_branch_var(x, bin_idx) == 0
     x[bin_idx] = [1.0, 0.75, 0.25]
-    assert _select_branch_var(x, bin_idx, free) == 1
+    assert _select_branch_var(x, bin_idx) == 1
     x[bin_idx] = [0.0, 1.0, 1.0 - 1e-9]
-    assert _select_branch_var(x, bin_idx, free) is None
+    assert _select_branch_var(x, bin_idx) is None
+    # a branched binary sits exactly at 0.0 or 1.0 and is never chosen
+    x[bin_idx] = [0.0, 0.9, 1.0]
+    assert _select_branch_var(x, bin_idx) == 1
 
 
 def test_node_limit_gives_honest_bracket():
@@ -167,6 +169,10 @@ def _e1_problems(e1):
         set_robustness_objective(p, 0, 1, 0.25),  # max, 3 nodes
         set_trust_problem(p, 0, 1, 0.15, 0.25, np.full(2, 0.5), np.ones(2), 0.5),  # min, 5 nodes
     ]
+
+
+def test_e1_node_counts(e1):
+    assert [solve_milp(q).nodes for q in _e1_problems(e1)] == [3, 5]
 
 
 def test_child_breakdown_leaves_an_honest_bracket(e1, monkeypatch):
@@ -241,16 +247,17 @@ def test_generic_problem_without_network_meta(monkeypatch):
         assert res.best_bound == pytest.approx(0.5, abs=1e-12)
 
 
-def test_trace_csv(tmp_path, e1):
-    path = tmp_path / "trace.csv"
-    p, _ = encode_on_box(e1, InputBox.unit(2))
-    q = set_robustness_objective(p, 0, 1, 0.25)
-    solve_milp(q, BnbOptions(trace_path=str(path)))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "node,depth,bound,incumbent,action"
-    assert len(lines) >= 2
-    actions = {ln.split(",")[-1] for ln in lines[1:]}
-    assert actions & {"root", "branch", "integral", "pruned", "infeasible"}
+def test_one_debug_record_per_node(e1, caplog):
+    for q in _e1_problems(e1):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="relucert.bnb"):
+            res = solve_milp(q)
+        records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("node ")]
+        assert len(records) == res.nodes
+        assert [int(m.split()[1]) for m in records] == list(range(res.nodes))
+        actions = [m.rsplit(": ", 1)[1] for m in records]
+        assert set(actions) <= {"branch", "integral", "pruned", "infeasible"}
+        assert actions[0] == "branch"  # the root takes the children's path
 
 
 def test_options_validation():

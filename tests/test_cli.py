@@ -252,6 +252,7 @@ _BAD_TRAIN_CONFIGS = [  # read by train only
     {"train": {"learning_rate": "0.1"}},
     {"train": {"widths": "44"}},
     {"train": {"widths": 4}},
+    {"train": {"noise": 0.5}},
 ]
 
 
@@ -274,6 +275,22 @@ def test_bad_config_values_are_input_errors(workdir, tmp_path, capsys, verb, cfg
         target = {"alpha": 0.02} if verb == "verify-robust" else {"beta": 0.2}
         q = {"z_ref": [0.5, 0.5], "x_ref": [0.4, 0.6], **target}
         argv += ["--queries", _write_queries(tmp_path, "q.json", [q])]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "verb,q",
+    [
+        ("verify-robust", {"z_ref": [0.1, 0.2], "x_ref": [0.0], "alpha": [0.1, 0.2, 0.3]}),
+        ("verify-robust", {"z_ref": [0.1, 0.2], "x_ref": [0.0], "alpha": 0.1, "scale": [1, 2, 3]}),
+        ("verify-robust", {"z_ref": [0.1, "a"], "x_ref": [0.0, 0.0], "alpha": 0.1}),
+        ("verify-trust", {"z_ref": [0.1, 0.2], "x_ref": [0.0, 0.0], "beta": "x"}),
+    ],
+    ids=lambda x: x if isinstance(x, str) else json.dumps(x),
+)
+def test_malformed_query_is_input_error(workdir, tmp_path, capsys, verb, q):
+    argv = [verb, "--network", str(workdir / "net.json"), "--queries", _write_queries(tmp_path, "q.json", q)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
 

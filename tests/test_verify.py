@@ -35,6 +35,21 @@ def test_query_validation():
         VerificationQuery(z_ref=[0.5], x_ref=[0.0], beta=0.0)
     with pytest.raises(InvalidValue):
         VerificationQuery(z_ref=[0.5], x_ref=[0.0], scale=[0.0])
+    for kw in (dict(alpha=[0.1, 0.2, 0.3]), dict(scale=[1.0, 2.0, 3.0]), dict(alpha=[[0.1, 0.2]])):
+        with pytest.raises(DimensionMismatch):
+            VerificationQuery(z_ref=[0.1, 0.2], x_ref=[0.0], **kw)
+    for kw in (
+        dict(z_ref=["a", 0.2]),
+        dict(z_ref=[None, 0.2]),
+        dict(x_ref="x"),
+        dict(alpha={"r": 0.1}),
+        dict(beta="x"),
+        dict(beta=float("inf")),
+        dict(scale=[1.0, "2"]),
+        dict(delta_cap=[0.5]),
+    ):
+        with pytest.raises(InvalidValue):
+            VerificationQuery(**{"z_ref": [0.1, 0.2], "x_ref": [0.0], **kw})
     q = VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.0], alpha=0.1)
     assert q.alpha.shape == (2,)  # scalar broadcasts
     assert np.allclose(q.effective_scale(), 1.0)
