@@ -7,13 +7,14 @@ sets lo = hi = 0 or 1 on the binary it branches on. Every node, the root
 included, takes the same step: solve the LP relaxation on a shared prepared
 tableau skeleton, register incumbent candidates, clamp its bound to its
 parent's, then record it as integral, branched, pruned or infeasible. The
-root solves cold; each child starts from its parent's optimal basis, which
-stays dual feasible when one binary's bounds change, so a few dual simplex
-pivots reach the child's optimum or a dual ray that proves it infeasible. A
-warm solve that can do neither falls back to the cold two-phase solve
-inside the LP engine. Feasible incumbents come from rounding the LP input
-point through the actual network, which is feasible by construction, so
-the certified bracket [incumbent, bound] is always sound. A child whose
+root solves cold, unless the caller passes a `root_start` basis; each child
+starts from its parent's optimal basis, which stays dual feasible when one
+binary's bounds change, so a few dual simplex pivots reach the child's
+optimum or a dual ray that proves it infeasible. A warm solve that can do
+neither falls back to the cold two-phase solve inside the LP engine.
+Feasible incumbents come from rounding the LP input point through the
+actual network, which is feasible by construction, so the certified
+bracket [incumbent, bound] is always sound. A child whose
 solve breaks down numerically keeps its parent's bound as an open bound in
 that bracket, so the search ends with an honest gap instead of losing the
 subproblem; only a breakdown at the root raises. Each node's decision is
@@ -150,7 +151,19 @@ def _select_branch_var(x_lp, bin_idx) -> int | None:
     return int(pos[np.argmin(np.abs(xs[pos] - 0.5))])
 
 
-def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
+def solve_milp(
+    p: MilpProblem,
+    opts: BnbOptions | None = None,
+    root_start: tuple[np.ndarray, np.ndarray] | None = None,
+) -> MilpResult:
+    """Branch and bound to a certified bracket, or to a node or time limit.
+
+    `root_start` is an LP solution's `(basis, at_upper)` on the same rows
+    and variables as `p`, given to the root's solve as its start. A
+    primal feasible one, such as the phase-1 basis that all of a
+    robustness query's subproblems share, lets the root skip phase 1; a
+    start that does not help falls back to the cold solve.
+    """
     opts = opts or BnbOptions()
     t0 = time.perf_counter()
     mult = 1.0 if p.obj_sense == "max" else -1.0
@@ -225,7 +238,7 @@ def solve_milp(p: MilpProblem, opts: BnbOptions | None = None) -> MilpResult:
 
     lo, hi = relaxed_bounds(p)
     try:
-        node(lo, hi, 0, 0, None, np.inf)
+        node(lo, hi, 0, 0, root_start, np.inf)
     except NumericalBreakdown as e:
         raise NumericalBreakdown(f"node 0 at depth 0: {e}") from e
     nodes = 1  # also the next node's number

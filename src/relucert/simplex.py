@@ -19,7 +19,8 @@ the total pivot count.
 
 A solve may start from an earlier solution's basis and nonbasic-at-upper
 flags. The basis is refactorized under the new bounds and objective. If it
-is still primal feasible (the next objective of a bound-tightening sweep),
+is still primal feasible (the next objective of a bound-tightening sweep,
+or a robustness root started from its query's shared phase-1 basis),
 phase 2 runs from it directly. If it is dual feasible instead (a
 branch-and-bound child, whose bounds differ from its parent's in one
 binary), a bounded dual simplex restores primal feasibility and one primal

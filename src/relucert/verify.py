@@ -22,10 +22,10 @@ from .bounds import (
     lp_tighten,
     propagate_bounds,
 )
-from .errors import DimensionMismatch, InvalidArg, InvalidValue, SolverFailure
+from .errors import DimensionMismatch, InvalidArg, InvalidValue, NumericalBreakdown, SolverFailure
 from .milp import default_delta_cap, encode_network, set_robustness_objective, set_trust_problem
 from .nnmodel import FoldedNetwork, forward
-from .simplex import SimplexOptions, SolveStats
+from .simplex import LpStatus, SimplexOptions, SolveStats, prepare, relaxed_bounds
 
 _log = logging.getLogger(__name__)
 
@@ -92,6 +92,10 @@ class VerificationQuery:
             object.__setattr__(self, "scale", scale)
         if self.delta_cap is not None and not (_is_real(self.delta_cap) and self.delta_cap > 0):
             raise InvalidValue("delta_cap must be a positive number")
+        if not isinstance(self.clip_to_domain, bool):
+            raise InvalidValue("clip_to_domain must be true or false")
+        if not isinstance(self.query_id, str):
+            raise InvalidValue("query_id must be a string")
 
     def effective_scale(self) -> np.ndarray:
         return self.scale if self.scale is not None else np.ones_like(self.z_ref)
@@ -187,20 +191,38 @@ def _prepare_base(net, box, opts):
     return encode_network(net, lb, sm, box), sm, certified_fixing
 
 
-def _dispatch(problems, opts) -> list[MilpResult | Exception]:
+def _shared_root_start(base, stats: SolveStats):
+    """The `(basis, at_upper)` every robustness root starts from, or None.
+
+    Phase 1 and the expulsion of artificials never read the objective, so a
+    cold root reaches the same basis before phase 2 in each of a query's
+    subproblems, which differ from the base encoding only in objective.
+    Solving the base, whose objective is empty, finds that basis once, and
+    each root then runs phase 2 alone. The solve's work goes to `stats`.
+    When it is not optimal or breaks down, every root solves cold."""
+    try:
+        sol = prepare(base).solve(*relaxed_bounds(base))
+    except NumericalBreakdown:
+        return None
+    stats.add(sol)
+    return (sol.basis, sol.at_upper) if sol.status is LpStatus.OPTIMAL else None
+
+
+def _dispatch(problems, opts, root_start=None) -> list[MilpResult | Exception]:
     def run(p):
         try:
-            return solve_milp(p, opts.bnb)
+            return solve_milp(p, opts.bnb, root_start)
         except SolverFailure as e:  # numerical breakdown included
             return e
 
     return [run(p) for p in problems]
 
 
-def _solve_stats(results) -> dict:
-    """B&B work summed over a query's subproblems that returned a result."""
+def _solve_stats(results, lp: SolveStats | None = None) -> dict:
+    """B&B work summed over a query's subproblems that returned a result,
+    added to `lp`, the query's LP work outside them."""
     done = [r for r in results if isinstance(r, MilpResult)]
-    lp = SolveStats()
+    lp = SolveStats() if lp is None else lp
     for r in done:
         lp.merge(r.stats)
     return {"subproblems": len(done), "nodes": sum(r.nodes for r in done), **lp.as_dict()}
@@ -245,12 +267,14 @@ def robustness(
     _check_dims(net, q)
     box = InputBox.ball(q.z_ref, q.alpha, clip=q.clip_to_domain)
     base, sm, certified_fixing = _prepare_base(net, box, opts)
+    shared = SolveStats()
+    root_start = _shared_root_start(base, shared)
 
     problems = []
     for i in range(net.num_outputs):
         for sign in (1, -1):
             problems.append(set_robustness_objective(base, i, sign, float(q.x_ref[i])))
-    results = _dispatch(problems, opts)
+    results = _dispatch(problems, opts, root_start)
 
     names = net.output_names
     per_output = []
@@ -286,7 +310,7 @@ def robustness(
         certified_fixing=certified_fixing,
         stability_counts=sm.counts(),
         wall_time=time.perf_counter() - t0,
-        stats=_solve_stats(results),
+        stats=_solve_stats(results, shared),
     )
     _log.debug("robustness %r: %.3f s, %s", q.query_id, res.wall_time, res.stats)
     return res

@@ -286,6 +286,8 @@ def test_bad_config_values_are_input_errors(workdir, tmp_path, capsys, verb, cfg
         ("verify-robust", {"z_ref": [0.1, 0.2], "x_ref": [0.0], "alpha": 0.1, "scale": [1, 2, 3]}),
         ("verify-robust", {"z_ref": [0.1, "a"], "x_ref": [0.0, 0.0], "alpha": 0.1}),
         ("verify-trust", {"z_ref": [0.1, 0.2], "x_ref": [0.0, 0.0], "beta": "x"}),
+        ("verify-robust", {"z_ref": [0.1, 0.2], "x_ref": [0.0, 0.0], "alpha": 0.1, "clip_to_domain": "no"}),
+        ("verify-trust", {"z_ref": [0.1, 0.2], "x_ref": [0.0, 0.0], "beta": 0.1, "query_id": 5}),
     ],
     ids=lambda x: x if isinstance(x, str) else json.dumps(x),
 )

@@ -47,6 +47,9 @@ def test_query_validation():
         dict(beta=float("inf")),
         dict(scale=[1.0, "2"]),
         dict(delta_cap=[0.5]),
+        dict(clip_to_domain="no"),
+        dict(clip_to_domain=0),
+        dict(query_id=5),
     ):
         with pytest.raises(InvalidValue):
             VerificationQuery(**{"z_ref": [0.1, 0.2], "x_ref": [0.0], **kw})
@@ -321,10 +324,13 @@ def test_wall_time_and_stats_cover_the_whole_call(e1, monkeypatch, caplog):
     opts = VerifyOptions(tighten=True)
     with caplog.at_level(logging.DEBUG, logger="relucert.verify"):
         results = [robustness(e1, q, opts), trustworthiness(e1, q, opts)]
+    # a robustness query also solves its base encoding once, for the roots' start
+    assert results[0].stats["lp_solves"] == results[0].stats["nodes"] + 1
+    assert results[1].stats["lp_solves"] == results[1].stats["nodes"]
     for r in results:
         assert r.wall_time >= 0.05  # tightening is part of the query's time
         assert r.stats["subproblems"] == 2
-        assert r.stats["lp_solves"] == r.stats["nodes"] >= 2
+        assert r.stats["nodes"] >= 2
         assert 0.0 <= r.stats["phase1_share"] <= 1.0
         assert r.stats["warm_starts"] >= 1
         assert 0.0 <= r.stats["dual_per_warm"] == r.stats["dual_pivots"] / r.stats["warm_starts"]
@@ -341,10 +347,14 @@ def test_child_breakdown_leaves_the_query_at_gap_limit(e1, monkeypatch):
     from relucert.simplex import PreparedLp
 
     solve = PreparedLp.solve
+    shared = []  # the query's one cold solve, whose basis every root starts from
     broken = []
 
     def breaking(self, *args, start=None, **kwargs):
-        if start is not None and not broken:  # the first warm-started child
+        if start is None:
+            shared.append(solve(self, *args, **kwargs))
+            return shared[-1]
+        if start[0] is not shared[-1].basis and not broken:  # the first warm-started child
             broken.append(start)
             raise NumericalBreakdown("forced")
         return solve(self, *args, start=start, **kwargs)

@@ -9,12 +9,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from relucert import verify
 from relucert.bnb import solve_milp
 from relucert.bounds import InputBox, classify_neurons, lp_tighten, propagate_bounds
 from relucert.errors import NumericalBreakdown
 from relucert.milp import encode_network, set_robustness_objective
-from relucert.nnmodel import fold_bn
-from relucert.simplex import LpStatus, PreparedLp, SimplexOptions, SolveStats, WarmStart, prepare, relaxed_bounds
+from relucert.nnmodel import fold_bn, forward
+from relucert.simplex import (
+    LpSolution,
+    LpStatus,
+    PreparedLp,
+    SimplexOptions,
+    SolveStats,
+    WarmStart,
+    prepare,
+    relaxed_bounds,
+)
 
 from conftest import random_spec
 
@@ -283,3 +293,94 @@ def test_milp_stats_count_every_node(e1):
     # no child needs phase 1: infeasible ones are decided by their dual ray
     root = prepare(p).solve(*relaxed_bounds(p))
     assert s.phase1_pivots == root.phase1_pivots
+
+
+def _robustness_problems(net, z_ref, alpha):
+    box = InputBox.ball(z_ref, alpha)
+    lb = propagate_bounds(net, box)
+    base = encode_network(net, lb, classify_neurons(lb), box)
+    x_ref = forward(net, np.asarray(z_ref))
+    problems = [
+        set_robustness_objective(base, i, sign, float(x_ref[i]))
+        for i in range(net.num_outputs)
+        for sign in (1, -1)
+    ]
+    return base, problems
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.5))
+def test_shared_root_start_keeps_every_search(seed, alpha):
+    rng = np.random.default_rng(seed)
+    net = fold_bn(random_spec(rng, unit_norm=True))
+    base, problems = _robustness_problems(net, rng.uniform(0, 1, net.input_dim), alpha)
+    shared = prepare(base).solve(*relaxed_bounds(base))
+    assert shared.status is LpStatus.OPTIMAL
+    for p in problems:
+        warm = solve_milp(p, root_start=(shared.basis, shared.at_upper))
+        cold = solve_milp(p)
+        assert warm.status is cold.status and warm.nodes == cold.nodes
+        assert warm.incumbent_value == pytest.approx(cold.incumbent_value, abs=1e-9)
+        assert warm.best_bound == pytest.approx(cold.best_bound, abs=1e-9)
+        assert warm.stats.warm_starts == warm.nodes  # the root too
+
+
+def _spy_robustness(monkeypatch, net, q):
+    """Run `robustness`, recording every solve of the LP engine and each
+    subproblem's `solve_milp` call: (start, solution) and (root_start, result)."""
+    solve, milp = PreparedLp.solve, verify.solve_milp
+    solves, subproblems = [], []
+
+    def spy_solve(self, *args, start=None, **kwargs):
+        sol = solve(self, *args, start=start, **kwargs)
+        solves.append((start, sol))
+        return sol
+
+    def spy_milp(p, opts=None, root_start=None):
+        res = milp(p, opts, root_start)
+        subproblems.append((root_start, res))
+        return res
+
+    monkeypatch.setattr(PreparedLp, "solve", spy_solve)
+    monkeypatch.setattr(verify, "solve_milp", spy_milp)
+    res = verify.robustness(net, q)
+    monkeypatch.undo()
+    return res, solves, subproblems
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_robustness_roots_skip_phase_1(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
+    q = verify.VerificationQuery(z_ref=[0.5, 0.5, 0.5], x_ref=[0.0, 0.0], alpha=0.3)
+    res, solves, subproblems = _spy_robustness(monkeypatch, net, q)
+    root_start = subproblems[0][0]
+    shared = [sol for start, sol in solves if sol.basis is root_start[0]]
+    assert len(shared) == 1 and shared[0].warm is WarmStart.NONE
+    assert all(start is root_start for start, _ in subproblems)
+    assert all(r.stats.phase1_pivots == 0 for _, r in subproblems)
+    assert res.stats["phase1_pivots"] == shared[0].phase1_pivots > 0
+    assert res.stats["lp_solves"] == res.stats["nodes"] + 1
+    assert res.stats["warm_starts"] == res.stats["nodes"]
+
+
+@pytest.mark.parametrize("failure", ["infeasible", "breakdown"])
+def test_failed_shared_solve_leaves_every_root_cold(monkeypatch, e1, failure):
+    class FailingLp:
+        def solve(self, lo, hi):
+            if failure == "breakdown":
+                raise NumericalBreakdown("forced")
+            return LpSolution(status=LpStatus.INFEASIBLE, infeasibility=1.0)
+
+    q = verify.VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], alpha=0.5)
+    clean = verify.robustness(e1, q)
+    monkeypatch.setattr(verify, "prepare", lambda p: FailingLp())
+    res, _, subproblems = _spy_robustness(monkeypatch, e1, q)
+    assert all(start is None for start, _ in subproblems)
+    assert all(r.stats.warm_starts == r.nodes - 1 for _, r in subproblems)  # cold roots
+    assert res.stats["lp_solves"] == res.stats["nodes"] + (failure == "infeasible")
+    assert res.stats["nodes"] == clean.stats["nodes"] and res.certified == clean.certified
+    for a, b in zip(res.per_output, clean.per_output):
+        assert a.status == b.status
+        assert a.dev_plus == pytest.approx(b.dev_plus, abs=1e-9)
+        assert a.dev_minus == pytest.approx(b.dev_minus, abs=1e-9)
