@@ -8,9 +8,11 @@ included, takes the same step: solve the LP relaxation on a shared prepared
 tableau skeleton, register incumbent candidates, clamp its bound to its
 parent's, then record it as integral, branched, pruned or infeasible. The
 root solves cold, unless the caller passes a `root_start` basis; each child
-starts from its parent's optimal basis, which stays dual feasible when one
-binary's bounds change, so a few dual simplex pivots reach the child's
-optimum or a dual ray that proves it infeasible. A warm solve that can do
+starts from its parent's optimal basis and tableau. The basis stays dual
+feasible when one binary's bounds change, so a few dual simplex pivots
+reach the child's optimum or a dual ray that proves it infeasible; the
+branched binary is basic, so the tableau and its basic values hold as they
+are and the child skips refactorizing. A warm solve that can do
 neither falls back to the cold two-phase solve inside the LP engine.
 Feasible incumbents come from rounding the LP input point through the
 actual network, which is feasible by construction, so the certified
@@ -176,7 +178,7 @@ def solve_milp(
     inc_point: np.ndarray | None = None
     open_score = -np.inf  # best parent bound over children whose solve broke down
     # heap of (-bound score, -depth, node number, lo, hi, branch position,
-    # start basis): best bound first, deeper first
+    # start basis and tableau): best bound first, deeper first
     heap: list[tuple] = []
 
     def own(score: float) -> float:
@@ -213,7 +215,7 @@ def solve_milp(
         if k is None:
             note(seq, depth, score, "integral")
         elif score > inc_score + opts.abs_gap:
-            heapq.heappush(heap, (-score, -depth, seq, lo, hi, k, (sol.basis, sol.at_upper)))
+            heapq.heappush(heap, (-score, -depth, seq, lo, hi, k, (sol.basis, sol.at_upper, sol.tableau)))
             note(seq, depth, score, "branch")
         else:
             note(seq, depth, score, "pruned")

@@ -272,7 +272,7 @@ def lp_tighten(
     intervals, so they are subsets and stay sound; a failed solve keeps the
     incoming interval for that side. The solves on one prefix share bounds
     and differ only in objective, so each starts from the last optimal
-    basis, which is still primal feasible.
+    basis, which is still primal feasible, and adopts its tableau.
     """
     if box.dim != net.input_dim:
         raise DimensionMismatch("box dimension != network input dimension")
@@ -300,7 +300,7 @@ def lp_tighten(
                     continue
                 if sol.status is not LpStatus.OPTIMAL:
                     continue
-                start = (sol.basis, sol.at_upper)
+                start = (sol.basis, sol.at_upper, sol.tableau)
                 v = sol.objective + const
                 if maximize:
                     tgt_hi[t] = min(tgt_hi[t], v + _TIGHTEN_SLACK)

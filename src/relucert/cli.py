@@ -111,6 +111,11 @@ def _load_net(path: str):
 
 
 def _query_from_dict(item: dict, n: int) -> VerificationQuery:
+    if not isinstance(item, dict):
+        raise ParseError(f"query {n}: must be a JSON object")
+    unknown = sorted(set(item) - {f.name for f in fields(VerificationQuery)})
+    if unknown:
+        raise ParseError(f"query {n}: unknown keys {', '.join(unknown)}")
     if "z_ref" not in item or "x_ref" not in item:
         raise ParseError(f"query {n}: z_ref and x_ref are required")
     return VerificationQuery(
@@ -129,6 +134,8 @@ def _load_queries(path: str) -> tuple[list[VerificationQuery], bool]:
     doc = _read_json(path)
     single = isinstance(doc, dict)
     items = [doc] if single else doc
+    if not isinstance(items, list):
+        raise ParseError(f"{path} must hold a query object or a list of them")
     if not items:
         raise ParseError(f"{path} contains no queries")
     return [_query_from_dict(it, n) for n, it in enumerate(items)], single

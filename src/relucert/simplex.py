@@ -13,12 +13,19 @@ artificial column in a matrix local to phase 1, which drives the
 artificials to zero; they are then expelled from the basis and dropped,
 and phase 2 optimizes the real objective on the skeleton alone. The
 tableau is dense and is refactorized from the original data every
-`refactor_every` pivots to shed accumulated error. Bland's rule takes over
+`refactor_every` pivots to shed accumulated error; the pivots are counted
+since the tableau's last refactorization, across every solve that inherits
+it. Bland's rule takes over
 entering/leaving selection after a run of degenerate pivots, which bounds
 the total pivot count.
 
 A solve may start from an earlier solution's basis and nonbasic-at-upper
-flags. The basis is refactorized under the new bounds and objective. If it
+flags. An optimal solution also carries its final tableau; a start that
+passes it along adopts a copy in place of a refactorization when it came
+from the same engine and every nonbasic variable rests where it rested when
+the basic values were last computed (a branched binary is basic, and a
+bound-tightening sweep changes only the objective). Otherwise the basis is
+refactorized under the new bounds and objective. If it
 is still primal feasible (the next objective of a bound-tightening sweep,
 or a robustness root started from its query's shared phase-1 basis),
 phase 2 runs from it directly. If it is dual feasible instead (a
@@ -39,7 +46,7 @@ to the cold solve.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -70,7 +77,7 @@ class SimplexOptions:
     opt_tol: float = 1e-7
     pivot_tol: float = 1e-9
     bland_after: int = 50      # consecutive degenerate pivots before Bland's rule
-    refactor_every: int = 100  # pivots between refactorizations
+    refactor_every: int = 100  # pivots since the tableau's last refactorization, across inheriting solves
 
     def as_dict(self) -> dict:
         return {
@@ -82,11 +89,28 @@ class SimplexOptions:
         }
 
 
+@dataclass(eq=False)
+class Tableau:
+    """An optimal solve's final tableau, which a later solve of the same
+    engine from the same basis may adopt: `T` is B^-1 [A | I] after `age`
+    pivots since its last refactorization, and `xB` holds the basic values
+    the closing refactorization computed with the nonbasic values `x_nb`."""
+
+    engine: PreparedLp
+    basis: np.ndarray
+    T: np.ndarray
+    xB: np.ndarray
+    x_nb: np.ndarray
+    age: int
+
+
 @dataclass
 class LpSolution:
     """One solve's outcome. Pivot counts are pricing passes (basis changes,
     bound flips and one final pass per loop), counted over every path the
-    solve took, a warm attempt that fell back included."""
+    solve took, a warm attempt that fell back included. `refactors` counts
+    the tableau refactorizations of a warm start or of every
+    `refactor_every` pivots, not the closing one that computes the point."""
 
     status: LpStatus
     x: np.ndarray | None = None          # structural variable values
@@ -99,6 +123,9 @@ class LpSolution:
     phase2_pivots: int = 0
     dual_pivots: int = 0
     warm: WarmStart = WarmStart.NONE
+    refactors: int = 0
+    inherited: bool = False               # the warm start adopted its start's tableau
+    tableau: Tableau | None = field(default=None, repr=False)  # when Optimal; `start`'s third item
 
     @property
     def iterations(self) -> int:
@@ -119,6 +146,8 @@ class SolveStats:
     breakdowns: int = 0      # of those fallbacks, warm paths that raised NumericalBreakdown
     ray_infeasible: int = 0  # infeasible verdicts the warm path proved with a dual ray
     node_breakdowns: int = 0  # B&B nodes whose solve raised NumericalBreakdown, left open
+    refactors: int = 0       # tableau refactorizations, warm starts' and pivot-age ones
+    inherited: int = 0       # warm starts that adopted their start's tableau
 
     def add(self, sol: LpSolution) -> None:
         self.lp_solves += 1
@@ -129,6 +158,8 @@ class SolveStats:
         self.warm_fallbacks += sol.warm in (WarmStart.FELL_BACK, WarmStart.BROKE_DOWN)
         self.breakdowns += sol.warm is WarmStart.BROKE_DOWN
         self.ray_infeasible += sol.warm is WarmStart.USED and sol.status is LpStatus.INFEASIBLE
+        self.refactors += sol.refactors
+        self.inherited += sol.inherited
 
     def merge(self, other: SolveStats) -> None:
         for k, v in asdict(other).items():
@@ -158,7 +189,8 @@ class PreparedLp:
     Rows and objective stay fixed; `solve` takes the structural bounds for
     this call (branch-and-bound fixes binaries that way), an optional
     objective override (bound tightening sweeps one) and an optional start
-    basis from an earlier solve of the same skeleton.
+    basis from an earlier solve of the same skeleton, with that solve's
+    tableau if it was optimal.
     """
 
     def __init__(
@@ -196,11 +228,12 @@ class PreparedLp:
         hi: np.ndarray,
         c_override: np.ndarray | None = None,
         maximize: bool | None = None,
-        start: tuple[np.ndarray, np.ndarray] | None = None,
+        start: tuple | None = None,
     ) -> LpSolution:
         """Solve under structural bounds `lo`/`hi`. `start` is an earlier
-        solution's `(basis, at_upper)` on this skeleton; the solve then tries
-        the warm path first and falls back to the cold one."""
+        solution's `(basis, at_upper)` or `(basis, at_upper, tableau)` on
+        this skeleton; the solve then tries the warm path first and falls
+        back to the cold one."""
         m, n, ncols = self.m, self.n, self.ncols
         lo_s = np.asarray(lo, dtype=float)
         hi_s = np.asarray(hi, dtype=float)
@@ -216,7 +249,7 @@ class PreparedLp:
         full_lo = np.concatenate((lo_s, np.zeros(m)))
         full_hi = np.concatenate((hi_s, self.logical_hi))
         max_iter = 10_000 + 40 * (m + ncols)
-        counts = {"phase1": 0, "phase2": 0, "dual": 0}
+        counts = {"phase1": 0, "phase2": 0, "dual": 0, "refactors": 0, "inherited": 0}
 
         warm = WarmStart.NONE
         outcome = None
@@ -230,14 +263,19 @@ class PreparedLp:
             outcome = self._solve_cold(full_lo, full_hi, c2, max_iter, counts)
         status, state, infeasibility = outcome
         stats = dict(
-            phase1_pivots=counts["phase1"], phase2_pivots=counts["phase2"], dual_pivots=counts["dual"], warm=warm
+            phase1_pivots=counts["phase1"],
+            phase2_pivots=counts["phase2"],
+            dual_pivots=counts["dual"],
+            warm=warm,
+            refactors=counts["refactors"],
+            inherited=bool(counts["inherited"]),
         )
         if status is not LpStatus.OPTIMAL:
             return LpSolution(status=status, infeasibility=infeasibility, **stats)
 
         # clean basic values from the original data, then read the point off
-        # the basis; the tableau is not needed again
-        self._refactor(state, self.A, full_lo, full_hi, tableau=False)
+        # the basis; the tableau goes with the solution as it is
+        x_nb = self._refactor(state, self.A, full_lo, full_hi, tableau=False)
         x_full = np.where(state.at_upper, np.minimum(full_hi, np.finfo(float).max), full_lo)
         x_full[state.basis] = state.xB
         x = x_full[:n].copy()
@@ -249,6 +287,7 @@ class PreparedLp:
             objective=val if mx else -val,
             basis=state.basis,
             at_upper=state.at_upper,
+            tableau=Tableau(self, state.basis, state.T, state.xB, x_nb, state.age),
             **stats,
         )
 
@@ -311,24 +350,41 @@ class PreparedLp:
     def _solve_warm(self, full_lo, full_hi, c2, start, max_iter, counts):
         """Re-solve from a start basis. Returns what `_solve_cold` returns
         when the warm path reaches an optimum or proves infeasibility, or
-        None when it can do neither."""
+        None when it can do neither. A tableau carried with the start is
+        adopted in place of a refactorization when it came from this engine,
+        fits the basis, is younger than `refactor_every` pivots and its
+        basic values were computed with the nonbasic values these bounds
+        give, so that they are what a refactorization would compute."""
         opts = self.opts
         m, ncols = self.m, self.ncols
         basis = np.array(start[0], dtype=int)
         at_upper = np.array(start[1], dtype=bool)
+        tab = start[2] if len(start) > 2 else None
         if (
-            basis.shape != (m,)
+            len(start) > 3
+            or basis.shape != (m,)
             or at_upper.shape != (ncols,)
             or np.any(basis < 0)
             or np.any(basis >= ncols)
             or np.unique(basis).size != m
+            or not (tab is None or (isinstance(tab, Tableau) and tab.T.shape == (m, ncols) and tab.xB.shape == (m,)))
         ):
-            raise InvalidArg("start basis does not fit this LP")
+            raise InvalidArg("start does not fit this LP")
         in_basis = np.zeros(ncols, dtype=bool)
         in_basis[basis] = True
         at_upper &= ~in_basis & np.isfinite(full_hi)
         state = _State(T=None, basis=basis, xB=None, at_upper=at_upper, in_basis=in_basis, counts=counts)
-        self._refactor(state, self.A, full_lo, full_hi)
+        if (
+            tab is not None
+            and tab.engine is self
+            and tab.age < opts.refactor_every
+            and np.array_equal(tab.basis, basis)
+            and np.array_equal(tab.x_nb, _resting(state, full_lo, full_hi))
+        ):
+            state.T, state.xB, state.age = tab.T.copy(), tab.xB.copy(), tab.age
+            counts["inherited"] = 1
+        else:
+            self._refactor(state, self.A, full_lo, full_hi)
 
         lo_B, hi_B = full_lo[basis], full_hi[basis]
         if np.any(state.xB < lo_B - opts.feas_tol) or np.any(state.xB > hi_B + opts.feas_tol):
@@ -383,12 +439,12 @@ class PreparedLp:
         return float(max(g, 0.0) / np.abs(y).max())
 
     # ------------------------------------------------------------------
-    def _refactor(self, state: _State, A, full_lo, full_hi, tableau: bool = True) -> None:
+    def _refactor(self, state: _State, A, full_lo, full_hi, tableau: bool = True) -> np.ndarray:
         """Recompute the basic values, and the tableau unless `tableau` is
         False, from the original data; `A` is the skeleton, or phase 1's
-        matrix with its artificial columns."""
-        x_nb = np.where(state.at_upper, np.where(np.isfinite(full_hi), full_hi, 0.0), full_lo)
-        x_nb[state.basis] = 0.0
+        matrix with its artificial columns. Returns the nonbasic values the
+        basic values were computed with."""
+        x_nb = _resting(state, full_lo, full_hi)
         rhs = self.b - A @ x_nb
         try:  # one factorization of B serves the tableau and the basic values
             sol = np.linalg.solve(A[:, state.basis], np.column_stack((A, rhs)) if tableau else rhs)
@@ -397,8 +453,11 @@ class PreparedLp:
         if tableau:
             state.T = sol[:, :-1]
             state.xB = sol[:, -1].copy()
+            state.age = 0
+            state.counts["refactors"] += 1
         else:
             state.xB = sol
+        return x_nb
 
     def _expel_artificials(self, state: _State, full_lo, full_hi) -> None:
         """Swap each basic artificial, at zero after phase 1, for the first
@@ -439,7 +498,6 @@ class PreparedLp:
         span = full_hi - full_lo
         movable = span > 0
         iters = 0
-        pivots_since_refactor = 0
         degen_streak = 0
         bland = False
         while True:
@@ -510,10 +568,9 @@ class PreparedLp:
             else:
                 degen_streak = 0
                 bland = False
-            pivots_since_refactor += 1
-            if pivots_since_refactor >= opts.refactor_every:
+            state.age += 1
+            if state.age >= opts.refactor_every:
                 self._refactor(state, A, full_lo, full_hi)
-                pivots_since_refactor = 0
 
     def _dual(self, state, full_lo, full_hi, c_int, max_iter) -> tuple[LpStatus, int, float]:
         """Bounded dual simplex from a dual feasible basis. Each pass takes
@@ -528,7 +585,6 @@ class PreparedLp:
         opts = self.opts
         movable = full_hi > full_lo
         iters = 0
-        pivots_since_refactor = 0
         degen_streak = 0
         bland = False
         while True:
@@ -585,10 +641,9 @@ class PreparedLp:
             else:
                 degen_streak = 0
                 bland = False
-            pivots_since_refactor += 1
-            if pivots_since_refactor >= opts.refactor_every:
+            state.age += 1
+            if state.age >= opts.refactor_every:
                 self._refactor(state, self.A, full_lo, full_hi)
-                pivots_since_refactor = 0
 
 
 @dataclass
@@ -598,7 +653,16 @@ class _State:
     xB: np.ndarray | None
     at_upper: np.ndarray
     in_basis: np.ndarray
-    counts: dict  # pricing passes per loop kind, shared by a solve's attempts
+    counts: dict  # pricing passes per loop kind and refactorizations, shared by a solve's attempts
+    age: int = 0  # pivots since the tableau's last refactorization
+
+
+def _resting(state: _State, full_lo, full_hi) -> np.ndarray:
+    """Every column's nonbasic value at the state's at-upper flags, zero at
+    the basic ones."""
+    x_nb = np.where(state.at_upper, np.where(np.isfinite(full_hi), full_hi, 0.0), full_lo)
+    x_nb[state.basis] = 0.0
+    return x_nb
 
 
 def solve_dense(

@@ -288,6 +288,9 @@ def test_bad_config_values_are_input_errors(workdir, tmp_path, capsys, verb, cfg
         ("verify-trust", {"z_ref": [0.1, 0.2], "x_ref": [0.0, 0.0], "beta": "x"}),
         ("verify-robust", {"z_ref": [0.1, 0.2], "x_ref": [0.0, 0.0], "alpha": 0.1, "clip_to_domain": "no"}),
         ("verify-trust", {"z_ref": [0.1, 0.2], "x_ref": [0.0, 0.0], "beta": 0.1, "query_id": 5}),
+        ("verify-trust", {"z_ref": [0.1, 0.2], "x_ref": [0.0, 0.0], "beta": 0.1, "delta_capp": 0.3}),
+        ("verify-robust", [1, 2]),
+        ("verify-robust", 5),
     ],
     ids=lambda x: x if isinstance(x, str) else json.dumps(x),
 )

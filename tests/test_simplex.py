@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -238,10 +240,17 @@ def test_rank_deficient_lp_bases_index_only_structurals_and_logicals():
     np.testing.assert_allclose(warm.x, ref.x, atol=1e-9)
     np.testing.assert_allclose(warm.x, again.x, atol=1e-9)
 
-    # a start must index only the structural and logical columns
+    # a start must index only the structural and logical columns, and a
+    # tableau carried with it must have this LP's shape
     outside = cold.basis.copy()
     outside[0] = n + m
-    for start in ((outside, cold.at_upper), (cold.basis, np.zeros(n + m + 1, dtype=bool))):
+    narrow = replace(cold.tableau, T=cold.tableau.T[:, :-1])
+    for start in (
+        (outside, cold.at_upper),
+        (cold.basis, np.zeros(n + m + 1, dtype=bool)),
+        (cold.basis, cold.at_upper, narrow),
+        (cold.basis, cold.at_upper, cold.tableau.T),
+    ):
         with pytest.raises(InvalidArg):
             eng.solve(lo, hi, start=start)
 

@@ -4,6 +4,8 @@ Every warm solve is compared with a cold solve of the same LP: same status,
 infeasible included, and the same objective within 1e-9.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -289,6 +291,7 @@ def test_milp_stats_count_every_node(e1):
     assert s.as_dict()["dual_per_warm"] == s.dual_pivots / s.warm_starts
     assert SolveStats().as_dict()["dual_per_warm"] == 0.0
     assert s.warm_starts == res.nodes - 1  # every node but the root
+    assert s.inherited == res.nodes - 1  # each child adopts its parent's tableau
     assert s.breakdowns <= s.warm_fallbacks <= s.warm_starts
     # no child needs phase 1: infeasible ones are decided by their dual ray
     root = prepare(p).solve(*relaxed_bounds(p))
@@ -384,3 +387,82 @@ def test_failed_shared_solve_leaves_every_root_cold(monkeypatch, e1, failure):
         assert a.status == b.status
         assert a.dev_plus == pytest.approx(b.dev_plus, abs=1e-9)
         assert a.dev_minus == pytest.approx(b.dev_minus, abs=1e-9)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.5))
+def test_inherited_tableaus_keep_every_answer(seed, alpha):
+    rng = np.random.default_rng(seed)
+    net = fold_bn(random_spec(rng, unit_norm=True))
+    _, problems = _robustness_problems(net, rng.uniform(0, 1, net.input_dim), alpha)
+    solve = PreparedLp.solve
+
+    def stripped(self, *args, start=None, **kwargs):
+        return solve(self, *args, start=None if start is None else start[:2], **kwargs)
+
+    for p in problems:
+        inheriting = solve_milp(p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PreparedLp, "solve", stripped)
+            refactoring = solve_milp(p)
+        assert inheriting.status is refactoring.status
+        assert inheriting.incumbent_value == pytest.approx(refactoring.incumbent_value, abs=1e-9)
+        assert inheriting.best_bound == pytest.approx(refactoring.best_bound, abs=1e-9)
+        assert inheriting.stats.inherited == inheriting.nodes - 1
+        assert refactoring.stats.inherited == 0
+        assert refactoring.stats.refactors >= refactoring.nodes - 1
+
+
+def _child_lp():
+    """A random LP's optimum, with a basic and a movable nonbasic structural."""
+    rng = np.random.default_rng(5)
+    c, A, senses, b, lo, hi = _random_lp(rng, 8, 4)
+    lp = dict(c=c, maximize=True, A=A, senses=senses, b=b)
+    eng = PreparedLp(**lp)
+    root = eng.solve(lo, hi)
+    assert root.status is LpStatus.OPTIMAL
+    basic = [j for j in root.basis if j < 8 and lo[j] < root.x[j] < hi[j]]
+    nonbasic = [j for j in range(8) if j not in root.basis]
+    assert basic and nonbasic
+    return lp, eng, root, lo, hi, basic[0], nonbasic[0]
+
+
+def _fix(lo, hi, j, v):
+    lo, hi = lo.copy(), hi.copy()
+    lo[j] = hi[j] = v
+    return lo, hi
+
+
+def test_child_adopts_its_parents_tableau():
+    _, eng, root, lo, hi, j, _ = _child_lp()
+    lo2, hi2 = _fix(lo, hi, j, lo[j])
+    child = eng.solve(lo2, hi2, start=(root.basis, root.at_upper, root.tableau))
+    assert child.inherited and child.refactors == 0 and child.warm is WarmStart.USED
+    _assert_same(child, eng.solve(lo2, hi2))
+    # the parent's tableau is copied, not updated in place
+    again = eng.solve(lo2, hi2, start=(root.basis, root.at_upper, root.tableau))
+    assert again.inherited and again.objective == child.objective
+
+
+@pytest.mark.parametrize("case", ["nonbasic bound", "other engine", "age"])
+def test_tableau_failing_adoption_is_refactorized(case):
+    lp, eng, root, lo, hi, j, k = _child_lp()
+    lo2, hi2 = _fix(lo, hi, j, lo[j])
+    tableau = root.tableau
+    if case == "nonbasic bound":
+        # the nonbasic structural moves with the bound it rests at
+        if root.at_upper[k]:
+            hi2[k] += 0.5
+        else:
+            lo2[k] -= 0.5
+    elif case == "other engine":
+        tableau = PreparedLp(**lp).solve(lo, hi).tableau
+    else:
+        eng = PreparedLp(**lp, options=SimplexOptions(refactor_every=1))
+        root = eng.solve(lo, hi)
+        young = eng.solve(lo2, hi2, start=(root.basis, root.at_upper, root.tableau))
+        assert root.tableau.age == 0 and young.inherited
+        tableau = replace(root.tableau, age=1)
+    child = eng.solve(lo2, hi2, start=(root.basis, root.at_upper, tableau))
+    assert not child.inherited and child.refactors >= 1
+    _assert_same(child, eng.solve(lo2, hi2))
