@@ -1,5 +1,8 @@
 """Activation bounds: interval propagation, stability classification, and
-optional per-neuron LP tightening over the relaxed prefix network."""
+optional LP tightening over the relaxed prefix network of the deeper hidden
+neurons whose phase the intervals leave open. The encoding reads bounds only
+to find the unstable neurons and to set their big-M, so every other interval
+is left as propagated (see `lp_tighten`)."""
 
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidValue, NumericalBreakdown
 from .nnmodel import FoldedNetwork, forward_layers
-from .simplex import LpStatus, PreparedLp
+from .simplex import LpStatus, PreparedLp, SolveStats
 
 # keep a whisker of slack when adopting LP values so tightened bounds can
 # never clip a true activation through solver roundoff
@@ -266,38 +269,52 @@ def lp_tighten(
     net: FoldedNetwork,
     box: InputBox,
     lb: LayerBounds,
+    stats: SolveStats | None = None,
 ) -> LayerBounds:
-    """Tighten each interval by maximizing/minimizing the pre-activation over
-    the relaxed prefix network. Results are clipped into the incoming
-    intervals, so they are subsets and stay sound; a failed solve keeps the
-    incoming interval for that side. The solves on one prefix share bounds
-    and differ only in objective, so each starts from the last optimal
-    basis, which is still primal feasible, and adopts its tableau.
+    """Tighten the deeper hidden layers' open intervals by maximizing and
+    minimizing each pre-activation over the relaxed prefix network.
+
+    Only an interval with `lo < 0 < hi` gets an LP, checked before each of
+    its two solves, so a neuron the intervals already decide gets none and a
+    neuron the max solve proves dead skips its min solve. The encoding needs
+    bounds only to tell unstable neurons apart and to set their big-M, so a
+    decided neuron's interval, the first layer's (already exact over a box)
+    and the outputs' come back as they came in: each is implied by the LP
+    relaxation of every B&B node, whose big-M rows for an unstable ReLU
+    form the same triangle as the prefix LP.
+
+    Results are clipped into the incoming intervals, so they are subsets and
+    stay sound; a failed solve keeps the incoming interval for that side.
+    The solves on one prefix share bounds and differ only in objective, so
+    each starts from the last optimal basis, which is still primal
+    feasible, and adopts its tableau. Each solve's work goes to `stats`.
     """
     if box.dim != net.input_dim:
         raise DimensionMismatch("box dimension != network input dimension")
     work_lo = [a.copy() for a in lb.pre_lo]
     work_hi = [a.copy() for a in lb.pre_hi]
-    out_lo = lb.out_lo.copy()
-    out_hi = lb.out_hi.copy()
 
-    for k in range(1, len(net.layers)):
+    for k in range(1, len(net.layers) - 1):
         layer = net.layers[k]
+        tgt_lo, tgt_hi = work_lo[k], work_hi[k]
+        if not np.any((tgt_lo < 0.0) & (tgt_hi > 0.0)):
+            continue
         eng, lo, hi, post_off = _prefix_engine(net, k, work_lo, work_hi, box)
         src = np.arange(post_off[k - 1], post_off[k - 1] + net.layers[k - 1].width)
-        is_out = k == len(net.layers) - 1
-        tgt_lo = out_lo if is_out else work_lo[k]
-        tgt_hi = out_hi if is_out else work_hi[k]
         start = None
         for t in range(layer.width):
             c = np.zeros(lo.shape[0])
             c[src] = layer.A[t]
             const = float(layer.c[t])
             for maximize in (True, False):
+                if not tgt_lo[t] < 0.0 < tgt_hi[t]:
+                    break
                 try:
                     sol = eng.solve(lo, hi, c_override=c, maximize=maximize, start=start)
                 except NumericalBreakdown:
                     continue
+                if stats is not None:
+                    stats.add(sol)
                 if sol.status is not LpStatus.OPTIMAL:
                     continue
                 start = (sol.basis, sol.at_upper, sol.tableau)
@@ -310,5 +327,5 @@ def lp_tighten(
                 mid = 0.5 * (tgt_lo[t] + tgt_hi[t])
                 tgt_lo[t] = tgt_hi[t] = mid
     return LayerBounds(
-        pre_lo=tuple(work_lo), pre_hi=tuple(work_hi), out_lo=out_lo, out_hi=out_hi
+        pre_lo=tuple(work_lo), pre_hi=tuple(work_hi), out_lo=lb.out_lo, out_hi=lb.out_hi
     )

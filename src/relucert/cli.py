@@ -395,20 +395,40 @@ def _check_trust_entry(net, entry, max_unstable, samples) -> float:
     return float(disc)
 
 
-def cmd_oracle_check(args) -> int:
-    spec, net, nh = _load_net(args.network)
-    rep = _read_json(args.report)
-    stated = rep.get("provenance", {}).get("network_sha256", "")
-    if stated and stated != nh:
-        raise InvalidValue(
-            f"report was produced for network {stated[:12]}..., got {nh[:12]}..."
-        )
+def _report_entries(rep, path: str) -> tuple[list[dict], str]:
+    """The per-query entries of a report and the network hash it states."""
+    if not isinstance(rep, dict):
+        raise ParseError(f"{path} must hold a report object")
+    prov = rep.get("provenance", {})
+    if not (isinstance(prov, dict) and isinstance(prov.get("network_sha256", ""), str)):
+        raise ParseError(f"{path}: provenance must be an object with a string network_sha256")
     if rep.get("kind") in ("robustness_batch", "trust_batch"):
-        entries = [e for e in rep["queries"] if "error" not in e]
+        queries = rep.get("queries")
+        if not (isinstance(queries, list) and all(isinstance(e, dict) for e in queries)):
+            raise ParseError(f"{path}: queries must be a list of objects")
+        entries = [e for e in queries if "error" not in e]
     elif rep.get("kind") in ("robustness", "trust"):
         entries = [rep]
     else:
         raise ParseError("report kind missing or unknown")
+    for n, e in enumerate(entries):
+        missing = [k for k in ("kind", "query", "per_output") if k not in e]
+        if missing:
+            raise ParseError(f"{path}: entry {n} lacks {', '.join(missing)}")
+        if e["kind"] not in ("robustness", "trust"):
+            raise ParseError(f"{path}: entry {n} has unknown kind {e['kind']!r}")
+        if not (isinstance(e["per_output"], list) and all(isinstance(o, dict) for o in e["per_output"])):
+            raise ParseError(f"{path}: entry {n}: per_output must be a list of objects")
+    return entries, prov.get("network_sha256", "")
+
+
+def cmd_oracle_check(args) -> int:
+    spec, net, nh = _load_net(args.network)
+    entries, stated = _report_entries(_read_json(args.report), args.report)
+    if stated and stated != nh:
+        raise InvalidValue(
+            f"report was produced for network {stated[:12]}..., got {nh[:12]}..."
+        )
     disc = 0.0
     for entry in entries:
         if entry["kind"] == "robustness":

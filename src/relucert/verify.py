@@ -178,14 +178,15 @@ class TrustResult:
     stats: dict = field(default_factory=dict)  # see _solve_stats
 
 
-def _prepare_base(net, box, opts):
+def _prepare_base(net, box, opts, stats: SolveStats):
+    """The query's base encoding; the tightening LPs' work goes to `stats`."""
     lb = propagate_bounds(net, box)
     if opts.unsafe_empirical_fix_samples is not None:
         sm = empirical_stability(net, opts.unsafe_empirical_fix_samples)
         certified_fixing = False
     else:
         if opts.tighten:
-            lb = lp_tighten(net, box, lb)
+            lb = lp_tighten(net, box, lb, stats)
         sm = classify_neurons(lb)
         certified_fixing = True
     return encode_network(net, lb, sm, box), sm, certified_fixing
@@ -218,14 +219,21 @@ def _dispatch(problems, opts, root_start=None) -> list[MilpResult | Exception]:
     return [run(p) for p in problems]
 
 
-def _solve_stats(results, lp: SolveStats | None = None) -> dict:
+def _solve_stats(results, tighten: SolveStats, lp: SolveStats | None = None) -> dict:
     """B&B work summed over a query's subproblems that returned a result,
-    added to `lp`, the query's LP work outside them."""
+    added to `lp`, the query's other LP work outside them. The bound
+    tightening's LPs stay apart under "tighten", so the top-level counts
+    keep relating to the B&B nodes."""
     done = [r for r in results if isinstance(r, MilpResult)]
     lp = SolveStats() if lp is None else lp
     for r in done:
         lp.merge(r.stats)
-    return {"subproblems": len(done), "nodes": sum(r.nodes for r in done), **lp.as_dict()}
+    return {
+        "subproblems": len(done),
+        "nodes": sum(r.nodes for r in done),
+        **lp.as_dict(),
+        "tighten": tighten.as_dict(),
+    }
 
 
 def _extract_z(p, point) -> np.ndarray:
@@ -266,7 +274,8 @@ def robustness(
         raise InvalidArg("robustness needs alpha")
     _check_dims(net, q)
     box = InputBox.ball(q.z_ref, q.alpha, clip=q.clip_to_domain)
-    base, sm, certified_fixing = _prepare_base(net, box, opts)
+    tighten = SolveStats()
+    base, sm, certified_fixing = _prepare_base(net, box, opts, tighten)
     shared = SolveStats()
     root_start = _shared_root_start(base, shared)
 
@@ -310,7 +319,7 @@ def robustness(
         certified_fixing=certified_fixing,
         stability_counts=sm.counts(),
         wall_time=time.perf_counter() - t0,
-        stats=_solve_stats(results, shared),
+        stats=_solve_stats(results, tighten, shared),
     )
     _log.debug("robustness %r: %.3f s, %s", q.query_id, res.wall_time, res.stats)
     return res
@@ -329,7 +338,8 @@ def trustworthiness(
     scale = q.effective_scale()
     cap = q.delta_cap if q.delta_cap is not None else default_delta_cap(q.z_ref, scale)
     box = InputBox.unit(net.input_dim)
-    base, sm, certified_fixing = _prepare_base(net, box, opts)
+    tighten = SolveStats()
+    base, sm, certified_fixing = _prepare_base(net, box, opts, tighten)
 
     problems = []
     for i in range(net.num_outputs):
@@ -391,7 +401,7 @@ def trustworthiness(
         certified_fixing=certified_fixing,
         stability_counts=sm.counts(),
         wall_time=time.perf_counter() - t0,
-        stats=_solve_stats(results),
+        stats=_solve_stats(results, tighten),
     )
     _log.debug("trustworthiness %r: %.3f s, %s", q.query_id, res.wall_time, res.stats)
     return res

@@ -13,8 +13,11 @@ from relucert.bounds import (
     lp_tighten,
     propagate_bounds,
 )
+from relucert import bounds
 from relucert.errors import DimensionMismatch, InvalidValue
-from relucert.nnmodel import fold_bn, forward, forward_layers
+from relucert.milp import encode_network, set_robustness_objective
+from relucert.nnmodel import AffineLayer, FoldedNetwork, fold_bn, forward, forward_layers
+from relucert.simplex import LpStatus, PreparedLp, SolveStats, solve_lp
 
 from conftest import random_spec
 
@@ -138,14 +141,99 @@ def test_empirical_stability_is_observation_only(e1):
 
 def test_lp_tighten_output_worked_example(e1):
     # relaxed-network max of x over the unit box: 0.875 z1 - 0.125 z2 + 0.5
-    # peaks at (1,0) giving 1.375, well under the interval bound 1.75
-    lb = propagate_bounds(e1, InputBox.unit(2))
-    tl = lp_tighten(e1, InputBox.unit(2), lb)
-    assert tl.out_hi[0] == pytest.approx(1.375, abs=1e-7)
-    assert tl.out_lo[0] == pytest.approx(0.0, abs=1e-7)
+    # peaks at (1,0) giving 1.375, well under the interval bound 1.75. The
+    # root LP finds it; lp_tighten leaves the outputs as propagated.
+    box = InputBox.unit(2)
+    lb = propagate_bounds(e1, box)
+    tl = lp_tighten(e1, box, lb)
+    base = encode_network(e1, tl, classify_neurons(tl), box)
+    top = solve_lp(set_robustness_objective(base, 0, 1, 0.0))
+    bottom = solve_lp(set_robustness_objective(base, 0, -1, 0.0))
+    assert top.status is bottom.status is LpStatus.OPTIMAL
+    assert top.objective == pytest.approx(1.375, abs=1e-7)
+    assert -bottom.objective == pytest.approx(0.0, abs=1e-7)
+    assert np.array_equal(tl.out_lo, lb.out_lo) and np.array_equal(tl.out_hi, lb.out_hi)
     # hidden bounds untouched: with one hidden layer they are already exact
     assert np.allclose(tl.pre_lo[0], lb.pre_lo[0])
     assert np.allclose(tl.pre_hi[0], lb.pre_hi[0])
+
+
+def _decided_net() -> FoldedNetwork:
+    """Over the unit box: layer 2 holds one open neuron, one the intervals
+    prove active and one they prove dead; layer 3 has no open neuron."""
+    layers = [
+        ([[1.0, -1.0], [0.5, 0.5]], [0.0, -0.25]),
+        ([[1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]], [0.0, 0.5, -0.1]),
+        ([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]], [0.1, -0.1]),
+        ([[1.0, -1.0]], [0.0]),
+    ]
+    return FoldedNetwork(
+        layers=tuple(AffineLayer(A=np.array(A), c=np.array(c)) for A, c in layers),
+        input_dim=2,
+    )
+
+
+def test_lp_tighten_solves_only_open_neurons(monkeypatch):
+    net, box = _decided_net(), InputBox.unit(2)
+    lb = propagate_bounds(net, box)
+    assert [list(s) for s in classify_neurons(lb).layers[1:]] == [
+        [Stability.UNSTABLE, Stability.ACTIVE, Stability.DEAD],
+        [Stability.ACTIVE, Stability.DEAD],
+    ]
+    built, objectives = [], []
+    engine, solve = bounds._prefix_engine, PreparedLp.solve
+
+    def spy_engine(net, k, *args):
+        built.append(k)
+        return engine(net, k, *args)
+
+    def spy_solve(self, lo, hi, c_override=None, **kwargs):
+        objectives.append(c_override[c_override != 0.0])
+        return solve(self, lo, hi, c_override=c_override, **kwargs)
+
+    monkeypatch.setattr(bounds, "_prefix_engine", spy_engine)
+    monkeypatch.setattr(PreparedLp, "solve", spy_solve)
+    stats = SolveStats()
+    tl = lp_tighten(net, box, lb, stats)
+    assert built == [1]  # no engine for the layer without open neurons
+    # the open neuron's max and min, and nothing for decided neurons or outputs
+    assert len(objectives) == stats.lp_solves == 2
+    assert all(np.array_equal(c, net.layers[1].A[0]) for c in objectives)
+    assert tl.pre_hi[1][0] == pytest.approx(0.75 + 1e-9, abs=1e-12)  # interval: 1.0
+    for k in (0, 2):
+        assert np.array_equal(tl.pre_lo[k], lb.pre_lo[k])
+        assert np.array_equal(tl.pre_hi[k], lb.pre_hi[k])
+    assert np.array_equal(tl.pre_lo[1][1:], lb.pre_lo[1][1:])
+    assert np.array_equal(tl.pre_hi[1][1:], lb.pre_hi[1][1:])
+    assert np.array_equal(tl.out_lo, lb.out_lo) and np.array_equal(tl.out_hi, lb.out_hi)
+
+
+def test_lp_tighten_skips_the_min_of_a_neuron_proved_dead(monkeypatch):
+    # layer 2's neuron is open by intervals ([-0.85, 0.15]) but dead over the
+    # relaxation: post_1 - post_2 - 0.1 <= 0 on the unit box
+    net = FoldedNetwork(
+        layers=(
+            AffineLayer(A=np.array([[1.0, 0.0], [1.0, 0.0]]), c=np.zeros(2)),
+            AffineLayer(A=np.array([[1.0, -1.0]]), c=np.array([-0.1])),
+            AffineLayer(A=np.array([[1.0]]), c=np.zeros(1)),
+        ),
+        input_dim=2,
+    )
+    box = InputBox.unit(2)
+    lb = propagate_bounds(net, box)
+    assert lb.pre_lo[1][0] < 0.0 < lb.pre_hi[1][0]
+    senses = []
+    solve = PreparedLp.solve
+
+    def spy_solve(self, *args, maximize=None, **kwargs):
+        senses.append(maximize)
+        return solve(self, *args, maximize=maximize, **kwargs)
+
+    monkeypatch.setattr(PreparedLp, "solve", spy_solve)
+    tl = lp_tighten(net, box, lb)
+    assert senses == [True]
+    assert tl.pre_hi[1][0] <= 0.0 and tl.pre_lo[1][0] == lb.pre_lo[1][0]
+    assert classify_neurons(tl).layers[1][0] == Stability.DEAD
 
 
 def test_lp_tighten_subset_and_sound():

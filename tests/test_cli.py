@@ -355,3 +355,31 @@ def test_start_up_leaves_scipy_unimported():
     )
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+_Q = {"z_ref": [0.5, 0.5], "x_ref": [0.4, 0.6], "alpha": 0.1, "beta": 0.2}
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        [1],
+        {"provenance": []},
+        {"kind": "robustness", "query": _Q, "per_output": [], "provenance": {"network_sha256": 5}},
+        {"kind": "robustness"},
+        {"kind": "robustness", "query": _Q},
+        {"kind": "trust", "per_output": []},
+        {"kind": "robustness_batch", "queries": [5]},
+        {"kind": "robustness_batch", "queries": {}},
+        {"kind": "robustness_batch"},
+        {"kind": "robustness_batch", "queries": [{"query": {}, "per_output": []}]},
+        {"kind": "trust_batch", "queries": [{"kind": "bogus", "query": _Q, "per_output": []}]},
+        {"kind": "robustness", "query": _Q, "per_output": [3]},
+    ],
+    ids=json.dumps,
+)
+def test_malformed_report_is_input_error(workdir, tmp_path, capsys, rep):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    assert main(["oracle-check", "--network", str(workdir / "net.json"), "--report", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relucert.bounds import LayerBounds, _prefix_engine
 from relucert.errors import DimensionMismatch, InvalidArg, InvalidValue
-from relucert.nnmodel import forward
+from relucert.nnmodel import fold_bn, forward
+from relucert.simplex import LpStatus
 from relucert.verify import (
     BatchRobustness,
     VerificationQuery,
@@ -23,6 +27,7 @@ from relucert.verify import (
     trustworthiness,
 )
 
+from conftest import random_spec
 from test_milp import identity_net
 
 
@@ -370,3 +375,93 @@ def test_child_breakdown_leaves_the_query_at_gap_limit(e1, monkeypatch):
     # the incumbent still stands, and the open bound covers the true value
     assert out.dev_plus <= clean.dev_plus + 1e-9 <= out.dev_plus + out.gap + 2e-9
     assert timing_sidecar([res])["per_result_stats"][0]["node_breakdowns"] == 1
+
+
+def _tighten_everything(net, box, lb, stats=None):
+    """Reference tightening: both LPs for every deeper hidden neuron and every
+    output, decided or not, each solved cold."""
+    work_lo = [a.copy() for a in lb.pre_lo] + [lb.out_lo.copy()]
+    work_hi = [a.copy() for a in lb.pre_hi] + [lb.out_hi.copy()]
+    for k in range(1, len(net.layers)):
+        eng, lo, hi, post_off = _prefix_engine(net, k, work_lo, work_hi, box)
+        src = slice(post_off[k - 1], post_off[k - 1] + net.layers[k - 1].width)
+        for t, (a, const) in enumerate(zip(net.layers[k].A, net.layers[k].c)):
+            c = np.zeros(lo.shape[0])
+            c[src] = a
+            top = eng.solve(lo, hi, c_override=c, maximize=True)
+            bottom = eng.solve(lo, hi, c_override=c, maximize=False)
+            if top.status is LpStatus.OPTIMAL:
+                work_hi[k][t] = min(work_hi[k][t], top.objective + const + 1e-9)
+            if bottom.status is LpStatus.OPTIMAL:
+                work_lo[k][t] = max(work_lo[k][t], bottom.objective + const - 1e-9)
+            if work_lo[k][t] > work_hi[k][t]:
+                work_lo[k][t] = work_hi[k][t] = 0.5 * (work_lo[k][t] + work_hi[k][t])
+    return LayerBounds(
+        pre_lo=tuple(work_lo[:-1]), pre_hi=tuple(work_hi[:-1]),
+        out_lo=work_lo[-1], out_hi=work_hi[-1],
+    )
+
+
+def _same_answer(a, b, value_fields):
+    assert a.certified == b.certified and a.stability_counts == b.stability_counts
+    for x, y in zip(a.per_output, b.per_output):
+        assert x.status == y.status
+        for name in value_fields:
+            u, v = getattr(x, name), getattr(y, name)
+            assert (u is None) == (v is None)
+            if u is not None:
+                assert u == pytest.approx(v, abs=1e-9)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.4), beta=st.floats(0.05, 0.5))
+def test_open_neuron_tightening_keeps_every_answer(seed, alpha, beta):
+    from relucert import verify
+
+    rng = np.random.default_rng(seed)
+    net = fold_bn(random_spec(rng, n0=int(rng.integers(2, 4)), widths=(5, 5), unit_norm=True))
+    z_ref = rng.uniform(0, 1, net.input_dim)
+    x_ref = forward(net, z_ref)
+    rq = VerificationQuery(z_ref=z_ref, x_ref=x_ref, alpha=alpha)
+    tq = VerificationQuery(z_ref=z_ref, x_ref=x_ref, beta=beta)
+    shipped = robustness(net, rq), trustworthiness(net, tq)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "lp_tighten", _tighten_everything)
+        reference = robustness(net, rq), trustworthiness(net, tq)
+    _same_answer(shipped[0], reference[0], ("dev_plus", "dev_minus", "R"))
+    _same_answer(shipped[1], reference[1], ("delta_min",))
+
+
+def test_tighten_stats_count_the_tightening_solves(monkeypatch):
+    from relucert import verify
+    from relucert.simplex import PreparedLp
+
+    rng = np.random.default_rng(4)
+    net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
+    q = VerificationQuery(z_ref=[0.5, 0.5, 0.5], x_ref=[0.0, 0.0], alpha=0.3, beta=0.2)
+    inside, made = [], []  # made: one entry per solve inside lp_tighten
+    tighten, solve = verify.lp_tighten, PreparedLp.solve
+
+    def counting_tighten(*args):
+        inside.append(True)
+        try:
+            return tighten(*args)
+        finally:
+            inside.pop()
+
+    def counting_solve(self, *args, **kwargs):
+        made.extend(inside)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "lp_tighten", counting_tighten)
+    monkeypatch.setattr(PreparedLp, "solve", counting_solve)
+    for run in (robustness, trustworthiness):
+        made.clear()
+        res = run(net, q)
+        assert res.stats["tighten"]["lp_solves"] == len(made) > 0
+        # B&B's own accounting is unchanged by the tightening entry
+        assert res.stats["lp_solves"] == res.stats["nodes"] + (run is robustness)
+    samples = rng.uniform(0, 1, (20, 3))
+    for opts in (VerifyOptions(tighten=False), VerifyOptions(unsafe_empirical_fix_samples=samples)):
+        for run in (robustness, trustworthiness):
+            assert run(net, q, opts).stats["tighten"]["lp_solves"] == 0
