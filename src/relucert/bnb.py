@@ -19,8 +19,17 @@ actual network, which is feasible by construction, so the certified
 bracket [incumbent, bound] is always sound. A child whose
 solve breaks down numerically keeps its parent's bound as an open bound in
 that bracket, so the search ends with an honest gap instead of losing the
-subproblem; only a breakdown at the root raises. Each node's decision is
-one DEBUG record on the `relucert.bnb` logger.
+subproblem; only a breakdown at a root raises.
+
+One search may cover several problems of one sense whose best value is
+wanted, such as the two signs of a trust output: a primary problem and its
+`rivals`. Each keeps its own prepared tableau skeleton, but their nodes
+share one best-first heap, one incumbent and one gap test, so a node that
+cannot beat the best value found in any of them is pruned, and the
+search ends when no open node of any of them can. The result names the
+problem its incumbent came from; of equal values, the earlier problem's
+holds. Each node's decision is one DEBUG record on the `relucert.bnb`
+logger, naming the node's problem.
 """
 
 from __future__ import annotations
@@ -57,6 +66,11 @@ def _is_real(v) -> bool:
 
 @dataclass(frozen=True)
 class BnbOptions:
+    """Gap tolerances and limits of one `solve_milp` call. The node and time
+    limits bound the whole call, so when it searches a problem together
+    with its rivals (a trust output's two signs) they bound the joint
+    search, not each problem."""
+
     abs_gap: float = 1e-8
     rel_gap: float = 1e-6
     node_limit: int | None = None
@@ -91,6 +105,8 @@ class MilpResult:
     nodes: int
     wall_time: float
     stats: SolveStats = field(default_factory=SolveStats)
+    source: int | None = None  # the problem the incumbent came from: 0 the primary, k the k-th rival
+    problems: int = 1  # problems searched: the primary and its rivals
 
     @property
     def found(self) -> bool:
@@ -157,6 +173,8 @@ def solve_milp(
     p: MilpProblem,
     opts: BnbOptions | None = None,
     root_start: tuple[np.ndarray, np.ndarray] | None = None,
+    *,
+    rivals: tuple[MilpProblem, ...] = (),
 ) -> MilpResult:
     """Branch and bound to a certified bracket, or to a node or time limit.
 
@@ -165,60 +183,77 @@ def solve_milp(
     primal feasible one, such as the phase-1 basis that all of a
     robustness query's subproblems share, lets the root skip phase 1; a
     start that does not help falls back to the cold solve.
+
+    `rivals` are problems with `p`'s sense whose best value competes with
+    `p`'s: the call answers the best over all of them. Their nodes share
+    one best-first heap, one incumbent and one gap test, so a node whose
+    bound cannot beat the best value found in any of the problems is
+    pruned. `MilpResult.source` names the problem the incumbent came from
+    (0 for `p`, k for `rivals[k - 1]`); of two candidates of equal value,
+    the one from the earlier problem holds the incumbent. Every problem's
+    root is solved before the first branch, `root_start` applies to `p`'s
+    root only, and the options' node and time limits bound the whole call.
     """
     opts = opts or BnbOptions()
     t0 = time.perf_counter()
+    problems = (p, *rivals)
+    if any(r.obj_sense != p.obj_sense for r in rivals):
+        raise InvalidArg("rivals must have the primary problem's objective sense")
     mult = 1.0 if p.obj_sense == "max" else -1.0
-    eng = prepare(p)
-    bin_idx = np.flatnonzero(p.binary)
+    engines = [prepare(q) for q in problems]
+    bin_idx = [np.flatnonzero(q.binary) for q in problems]
     stats = SolveStats()
 
     inc_score = -np.inf
     inc_value: float | None = None
     inc_point: np.ndarray | None = None
+    inc_src: int | None = None
     open_score = -np.inf  # best parent bound over children whose solve broke down
-    # heap of (-bound score, -depth, node number, lo, hi, branch position,
-    # start basis and tableau): best bound first, deeper first
+    # heap of (-bound score, -depth, node number, problem, lo, hi, branch
+    # position, start basis and tableau): best bound first, deeper first
     heap: list[tuple] = []
 
     def own(score: float) -> float:
         return mult * score
 
-    def note(seq, depth, bound_score, action):
+    def note(seq, src, depth, bound_score, action):
         _log.debug(
-            "node %d depth %d bound %r incumbent %r: %s",
-            seq, depth, None if bound_score is None else own(bound_score), inc_value, action,
+            "node %d problem %d depth %d bound %r incumbent %r: %s",
+            seq, src, depth, None if bound_score is None else own(bound_score), inc_value, action,
         )
 
-    def try_candidate(score, value, point):
-        nonlocal inc_score, inc_value, inc_point
-        if score > inc_score:
-            inc_score, inc_value, inc_point = score, float(value), point
+    def try_candidate(score, value, point, src):
+        nonlocal inc_score, inc_value, inc_point, inc_src
+        if score > inc_score or (score == inc_score and src < inc_src):
+            inc_score, inc_value, inc_point, inc_src = score, float(value), point, src
 
-    def node(lo, hi, seq, depth, start, parent_score):
-        """Solve one node, register its incumbent candidates, and decide it:
-        integral, branch (pushed on the heap), pruned or infeasible. A
-        numerical breakdown propagates to the caller."""
-        sol = eng.solve(lo, hi, start=start)
+    def node(src, lo, hi, seq, depth, start, parent_score):
+        """Solve one node of problem `src`, register its incumbent
+        candidates, and decide it: integral, branch (pushed on the heap),
+        pruned or infeasible. A numerical breakdown propagates to the
+        caller."""
+        q = problems[src]
+        sol = engines[src].solve(lo, hi, start=start)
         stats.add(sol)
         if sol.status is not LpStatus.OPTIMAL:
-            note(seq, depth, None, "infeasible")
+            note(seq, src, depth, None, "infeasible")
             return
-        score = mult * (sol.objective + p.obj_offset)
-        cand = _forward_candidate(p, sol.x)
+        score = mult * (sol.objective + q.obj_offset)
+        cand = _forward_candidate(q, sol.x)
         if cand is not None:
-            try_candidate(mult * cand[0], cand[0], cand[1])
-        k = _select_branch_var(sol.x, bin_idx)
+            try_candidate(mult * cand[0], cand[0], cand[1], src)
+        k = _select_branch_var(sol.x, bin_idx[src])
         if k is None:
-            try_candidate(score, own(score), sol.x.copy())
+            try_candidate(score, own(score), sol.x.copy(), src)
         score = min(score, parent_score)  # a node's bound cannot beat its parent's
         if k is None:
-            note(seq, depth, score, "integral")
+            note(seq, src, depth, score, "integral")
         elif score > inc_score + opts.abs_gap:
-            heapq.heappush(heap, (-score, -depth, seq, lo, hi, k, (sol.basis, sol.at_upper, sol.tableau)))
-            note(seq, depth, score, "branch")
+            entry = (-score, -depth, seq, src, lo, hi, k, (sol.basis, sol.at_upper, sol.tableau))
+            heapq.heappush(heap, entry)
+            note(seq, src, depth, score, "branch")
         else:
-            note(seq, depth, score, "pruned")
+            note(seq, src, depth, score, "pruned")
 
     def result(status, bound_score, nodes):
         gap = float(bound_score - inc_score) if inc_value is not None else np.inf
@@ -231,19 +266,24 @@ def solve_milp(
             nodes=nodes,
             wall_time=time.perf_counter() - t0,
             stats=stats,
+            source=inc_src,
+            problems=len(problems),
         )
-        _log.debug("solve_milp %s: %d nodes in %.3f s, %s", status.value, nodes, res.wall_time, stats)
+        _log.debug(
+            "solve_milp %s over %d problems: %d nodes in %.3f s, %s",
+            status.value, len(problems), nodes, res.wall_time, stats,
+        )
         return res
 
     def tol() -> float:
         return max(opts.abs_gap, opts.rel_gap * abs(inc_score)) if inc_value is not None else opts.abs_gap
 
-    lo, hi = relaxed_bounds(p)
-    try:
-        node(lo, hi, 0, 0, root_start, np.inf)
-    except NumericalBreakdown as e:
-        raise NumericalBreakdown(f"node 0 at depth 0: {e}") from e
-    nodes = 1  # also the next node's number
+    for src, q in enumerate(problems):  # the roots are nodes 0 .. len(problems) - 1
+        try:
+            node(src, *relaxed_bounds(q), src, 0, root_start if src == 0 else None, np.inf)
+        except NumericalBreakdown as e:
+            raise NumericalBreakdown(f"problem {src} node {src} at depth 0: {e}") from e
+    nodes = len(problems)  # also the next node's number
     while heap:
         ub_score = max(-heap[0][0], inc_score, open_score)
         if inc_value is not None and ub_score - inc_score <= tol():
@@ -256,21 +296,21 @@ def solve_milp(
         ):
             return result(BnbStatus.GAP_LIMIT if inc_value is not None else BnbStatus.LIMIT, ub_score, nodes)
 
-        neg_score, neg_depth, _, lo, hi, k, start = heapq.heappop(heap)
+        neg_score, neg_depth, _, src, lo, hi, k, start = heapq.heappop(heap)
         if -neg_score <= inc_score + opts.abs_gap:
             continue
         depth = 1 - neg_depth  # the children's
-        j = bin_idx[k]
+        j = bin_idx[src][k]
         for v in (0.0, 1.0):
             child_lo, child_hi = lo.copy(), hi.copy()
             child_lo[j] = child_hi[j] = v
             try:
-                node(child_lo, child_hi, nodes, depth, start, -neg_score)
+                node(src, child_lo, child_hi, nodes, depth, start, -neg_score)
             except NumericalBreakdown as e:
                 # the parent's bound still holds over this child: keep it open
                 stats.node_breakdowns += 1
                 open_score = max(open_score, -neg_score)
-                note(nodes, depth, -neg_score, f"breakdown ({e}), left open at its parent's bound")
+                note(nodes, src, depth, -neg_score, f"breakdown ({e}), left open at its parent's bound")
             nodes += 1
 
     ub_score = max(inc_score, open_score)

@@ -318,10 +318,27 @@ def cmd_verify_trust(args) -> int:
     return EXIT_OK
 
 
+def _entry_query(net, entry) -> VerificationQuery:
+    """A report entry's query, checked against the entry's kind and the
+    network the entry is checked on."""
+    q = _query_from_dict(entry["query"], 0)
+    need = "alpha" if entry["kind"] == "robustness" else "beta"
+    if getattr(q, need) is None:
+        raise ParseError(f"a {entry['kind']} entry's query needs {need}")
+    sizes = (q.z_ref.size, q.x_ref.size, len(entry["per_output"]))
+    if sizes != (net.input_dim, net.num_outputs, net.num_outputs):
+        raise DimensionMismatch(
+            f"report entry has {sizes[0]} inputs, {sizes[1]} reference outputs and "
+            f"{sizes[2]} per_output entries; the network has {net.input_dim} inputs "
+            f"and {net.num_outputs} outputs"
+        )
+    return q
+
+
 def _check_robustness_entry(net, entry, max_unstable, samples) -> float:
     from .oracle import RobustnessSpec, pattern_enumerate_opt, sample_bound
 
-    q = _query_from_dict(entry["query"], 0)
+    q = _entry_query(net, entry)
     x_ref = np.asarray(q.x_ref)
     box = InputBox.ball(q.z_ref, q.alpha, clip=q.clip_to_domain)
     n_unstable = classify_neurons(propagate_bounds(net, box)).num_unstable
@@ -349,7 +366,7 @@ def _check_robustness_entry(net, entry, max_unstable, samples) -> float:
 def _check_trust_entry(net, entry, max_unstable, samples) -> float:
     from .oracle import TrustSpec, pattern_enumerate_opt, sample_bound
 
-    q = _query_from_dict(entry["query"], 0)
+    q = _entry_query(net, entry)
     x_ref = np.asarray(q.x_ref)
     scale = q.effective_scale()
     box = InputBox.unit(net.input_dim)
@@ -395,6 +412,50 @@ def _check_trust_entry(net, entry, max_unstable, samples) -> float:
     return float(disc)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_vector(v) -> bool:
+    return isinstance(v, list) and all(_is_number(x) for x in v)
+
+
+def _or_null(ok):
+    return lambda v: v is None or ok(v)
+
+
+# the per_output fields the oracle check reads, each with the values it accepts
+_OUTPUT_FIELDS = {
+    "robustness": {
+        "R": _or_null(_is_number),
+        "witness": _or_null(_is_vector),
+        "status": lambda v: isinstance(v, str),
+    },
+    "trust": {
+        "found": lambda v: isinstance(v, bool),
+        "delta_min": _or_null(_is_number),
+        "witness": _or_null(_is_vector),
+        "delta_cap": _is_number,
+        "status": lambda v: isinstance(v, str),
+    },
+}
+
+
+def _check_outputs(e: dict, where: str):
+    if not (isinstance(e["per_output"], list) and all(isinstance(o, dict) for o in e["per_output"])):
+        raise ParseError(f"{where}: per_output must be a list of objects")
+    fields = _OUTPUT_FIELDS[e["kind"]]
+    for i, o in enumerate(e["per_output"]):
+        missing = [k for k in fields if k not in o]
+        if missing:
+            raise ParseError(f"{where}: output {i} lacks {', '.join(missing)}")
+        bad = [k for k, ok in fields.items() if not ok(o[k])]
+        if e["kind"] == "trust" and o["found"]:
+            bad += [k for k in ("delta_min", "witness") if o[k] is None]
+        if bad:
+            raise ParseError(f"{where}: output {i} has a malformed {', '.join(bad)}")
+
+
 def _report_entries(rep, path: str) -> tuple[list[dict], str]:
     """The per-query entries of a report and the network hash it states."""
     if not isinstance(rep, dict):
@@ -417,8 +478,7 @@ def _report_entries(rep, path: str) -> tuple[list[dict], str]:
             raise ParseError(f"{path}: entry {n} lacks {', '.join(missing)}")
         if e["kind"] not in ("robustness", "trust"):
             raise ParseError(f"{path}: entry {n} has unknown kind {e['kind']!r}")
-        if not (isinstance(e["per_output"], list) and all(isinstance(o, dict) for o in e["per_output"])):
-            raise ParseError(f"{path}: entry {n}: per_output must be a list of objects")
+        _check_outputs(e, f"{path}: entry {n}")
     return entries, prov.get("network_sha256", "")
 
 

@@ -209,18 +209,17 @@ def _shared_root_start(base, stats: SolveStats):
     return (sol.basis, sol.at_upper) if sol.status is LpStatus.OPTIMAL else None
 
 
-def _dispatch(problems, opts, root_start=None) -> list[MilpResult | Exception]:
-    def run(p):
-        try:
-            return solve_milp(p, opts.bnb, root_start)
-        except SolverFailure as e:  # numerical breakdown included
-            return e
-
-    return [run(p) for p in problems]
+def _search(p, opts, **kwargs) -> MilpResult | SolverFailure:
+    """`solve_milp`'s result, or the solver failure it raised (numerical
+    breakdown included)."""
+    try:
+        return solve_milp(p, opts.bnb, **kwargs)
+    except SolverFailure as e:
+        return e
 
 
 def _solve_stats(results, tighten: SolveStats, lp: SolveStats | None = None) -> dict:
-    """B&B work summed over a query's subproblems that returned a result,
+    """B&B work summed over a query's searches that returned a result,
     added to `lp`, the query's other LP work outside them. The bound
     tightening's LPs stay apart under "tighten", so the top-level counts
     keep relating to the B&B nodes."""
@@ -229,7 +228,7 @@ def _solve_stats(results, tighten: SolveStats, lp: SolveStats | None = None) -> 
     for r in done:
         lp.merge(r.stats)
     return {
-        "subproblems": len(done),
+        "subproblems": sum(r.problems for r in done),
         "nodes": sum(r.nodes for r in done),
         **lp.as_dict(),
         "tighten": tighten.as_dict(),
@@ -283,7 +282,7 @@ def robustness(
     for i in range(net.num_outputs):
         for sign in (1, -1):
             problems.append(set_robustness_objective(base, i, sign, float(q.x_ref[i])))
-    results = _dispatch(problems, opts, root_start)
+    results = [_search(p, opts, root_start=root_start) for p in problems]
 
     names = net.output_names
     per_output = []
@@ -329,7 +328,10 @@ def trustworthiness(
     net: FoldedNetwork, q: VerificationQuery, opts: VerifyOptions | None = None
 ) -> TrustResult:
     """Smallest scaled perturbation radius that moves each output at least
-    beta away from its reference, searched over the full unit box."""
+    beta away from its reference, searched over the full unit box. An
+    output's `+` and `-` problems are searched as one tree, the `-` one as
+    the rival of the `+` one, so the output's answer is the smaller radius
+    and its sign; on a tie it is `+`."""
     t0 = time.perf_counter()
     opts = opts or VerifyOptions()
     if q.beta is None:
@@ -341,57 +343,34 @@ def trustworthiness(
     tighten = SolveStats()
     base, sm, certified_fixing = _prepare_base(net, box, opts, tighten)
 
-    problems = []
-    for i in range(net.num_outputs):
-        for sign in (1, -1):
-            problems.append(
-                set_trust_problem(base, i, sign, q.beta, float(q.x_ref[i]), q.z_ref, scale, cap)
-            )
-    results = _dispatch(problems, opts)
-
     names = net.output_names
     per_output = []
+    results = []
     for i in range(net.num_outputs):
-        pair = results[2 * i : 2 * i + 2]
-        if any(isinstance(r, Exception) for r in pair):
-            per_output.append(
-                OutputTrust(names[i], False, None, None, None, cap, "uncertified", float("inf"))
-            )
-            continue
-        found = [
-            (r, s)
-            for r, s in zip(pair, (1, -1))
-            if r.found and r.status in (BnbStatus.CERTIFIED, BnbStatus.GAP_LIMIT)
-        ]
-        if not found:
-            if all(r.status is BnbStatus.INFEASIBLE for r in pair):
-                # certified: no input within delta_cap moves this output by beta
-                per_output.append(
-                    OutputTrust(names[i], False, None, None, None, cap, "certified", 0.0)
-                )
-            else:
-                per_output.append(
-                    OutputTrust(names[i], False, None, None, None, cap, "uncertified", float("inf"))
-                )
-            continue
-        best, best_sign = min(found, key=lambda rs: rs[0].incumbent_value)
-        idx = 2 * i + (0 if best_sign == 1 else 1)
-        status = "certified" if all(
-            r.status in (BnbStatus.CERTIFIED, BnbStatus.INFEASIBLE) for r in pair
-        ) else "gap_limit"
-        gap = max((r.gap for r in pair if r.status is BnbStatus.GAP_LIMIT), default=0.0)
-        per_output.append(
-            OutputTrust(
+        plus, minus = (
+            set_trust_problem(base, i, sign, q.beta, float(q.x_ref[i]), q.z_ref, scale, cap)
+            for sign in (1, -1)
+        )
+        r = _search(plus, opts, rivals=(minus,))
+        results.append(r)
+        if isinstance(r, Exception) or r.status is BnbStatus.LIMIT:
+            out = OutputTrust(names[i], False, None, None, None, cap, "uncertified", float("inf"))
+        elif not r.found:
+            # INFEASIBLE, certified: no input within delta_cap moves this output by beta
+            out = OutputTrust(names[i], False, None, None, None, cap, "certified", 0.0)
+        else:
+            certified = r.status is BnbStatus.CERTIFIED
+            out = OutputTrust(
                 name=names[i],
                 found=True,
-                delta_min=float(best.incumbent_value),
-                sign=best_sign,
-                witness=_extract_z(problems[idx], best.incumbent_point),
+                delta_min=r.incumbent_value,
+                sign=(1, -1)[r.source],
+                witness=_extract_z((plus, minus)[r.source], r.incumbent_point),
                 delta_cap=cap,
-                status=status,
-                gap=gap,
+                status="certified" if certified else "gap_limit",
+                gap=0.0 if certified else r.gap,
             )
-        )
+        per_output.append(out)
     found_vals = [o.delta_min for o in per_output if o.found]
     res = TrustResult(
         query=q,

@@ -3,6 +3,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relucert.bnb import BnbOptions, BnbStatus, MilpResult, _select_branch_var, solve_milp
 from relucert.bounds import InputBox, classify_neurons, propagate_bounds
@@ -10,14 +12,15 @@ from relucert.errors import InvalidArg, NumericalBreakdown
 from relucert.milp import (
     LinearRow,
     MilpProblem,
+    default_delta_cap,
     encode_network,
     set_robustness_objective,
     set_trust_problem,
 )
-from relucert.nnmodel import fold_bn
+from relucert.nnmodel import HiddenLayer, NetworkSpec, OutputLayer, fold_bn, forward
 from relucert.simplex import LpStatus, PreparedLp, solve_lp
 
-from conftest import random_spec
+from conftest import identity_bn, random_spec
 from test_milp import encode_on_box, identity_net
 
 
@@ -293,3 +296,117 @@ def test_result_invariants_random():
         assert res.status is BnbStatus.CERTIFIED
         assert res.best_bound >= res.incumbent_value - 1e-12
         assert res.gap >= 0 and res.nodes >= 1 and res.wall_time >= 0
+
+
+# ---------------------------------------------------------------------------
+# a primary problem searched together with its rivals
+
+
+def _trust_pair(net, i, beta, z_ref, x_ref_i):
+    """The `+` and `-` trust problems of output `i` over the unit box."""
+    p, _ = encode_on_box(net, InputBox.unit(net.input_dim))
+    z_ref, scale = np.asarray(z_ref, dtype=float), np.ones(net.input_dim)
+    cap = default_delta_cap(z_ref, scale)
+    return tuple(set_trust_problem(p, i, s, beta, x_ref_i, z_ref, scale, cap) for s in (1, -1))
+
+
+def _random_trust_pair(seed, beta):
+    rng = np.random.default_rng(seed)
+    net = fold_bn(random_spec(rng, n0=int(rng.integers(2, 4)), widths=(5, 5), unit_norm=True))
+    z_ref = rng.uniform(0, 1, net.input_dim)
+    i = int(rng.integers(net.num_outputs))
+    return _trust_pair(net, i, beta, z_ref, float(forward(net, z_ref)[i]))
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), beta=st.floats(0.05, 0.5))
+def test_joint_pair_matches_separate_searches(seed, beta):
+    plus, minus = _random_trust_pair(seed, beta)
+    joint = solve_milp(plus, rivals=(minus,))
+    apart = [solve_milp(plus), solve_milp(minus)]
+    certified = (BnbStatus.CERTIFIED, BnbStatus.INFEASIBLE)
+    assert joint.status in certified and all(r.status in certified for r in apart)
+    found = [(r.incumbent_value, k) for k, r in enumerate(apart) if r.found]
+    assert joint.found == bool(found) and joint.problems == 2
+    if found:
+        value, source = min(found)  # as `trustworthiness` picked: ties go to the `+` sign
+        assert joint.incumbent_value == pytest.approx(value, abs=1e-9)
+        assert joint.source == source
+        assert joint.best_bound <= joint.incumbent_value + 1e-9  # min sense
+    else:
+        assert joint.status is BnbStatus.INFEASIBLE and joint.source is None
+
+
+def test_joint_pair_both_infeasible_is_certified_absence():
+    net = identity_net()
+    plus, minus = _trust_pair(net, 0, 2.0, [0.5], 0.5)  # needs z >= 2.5 or z <= -1.5
+    res = solve_milp(plus, rivals=(minus,))
+    assert res.status is BnbStatus.INFEASIBLE
+    assert not res.found and res.source is None
+    assert res.nodes == 2 and res.problems == 2  # both roots, nothing else
+
+
+def _symmetric_net():
+    """1-2-1 network computing x = relu(z - 0.5) - relu(0.5 - z) = z - 0.5 on [0, 1]."""
+    spec = NetworkSpec(
+        input_dim=1,
+        hidden=(HiddenLayer(W=np.array([[1.0], [-1.0]]), b=np.array([-0.5, 0.5]), bn=identity_bn(2)),),
+        output=OutputLayer(W=np.array([[1.0, -1.0]]), b=np.zeros(1)),
+        input_norm_lo=np.zeros(1),
+        input_norm_hi=np.ones(1),
+        output_names=("y1",),
+    )
+    return fold_bn(spec)
+
+
+def test_joint_pair_tie_goes_to_the_primary():
+    net = _symmetric_net()
+    plus, minus = _trust_pair(net, 0, 0.25, [0.5], 0.0)  # z = 0.75 or z = 0.25
+    assert solve_milp(plus).incumbent_value == solve_milp(minus).incumbent_value == 0.25
+    for first, second in ((plus, minus), (minus, plus)):
+        res = solve_milp(first, rivals=(second,))
+        assert res.status is BnbStatus.CERTIFIED and res.incumbent_value == 0.25
+        assert res.source == 0
+        z = res.incumbent_point[first.var_roles[("input", 0)]]
+        assert z == (0.75 if first is plus else 0.25)
+
+
+def test_joint_pair_node_limit_gives_honest_bracket():
+    plus, minus = _random_trust_pair(3, 0.3)
+    opt = min(r.incumbent_value for r in (solve_milp(plus), solve_milp(minus)) if r.found)
+    full = solve_milp(plus, rivals=(minus,))
+    assert full.status is BnbStatus.CERTIFIED and full.nodes > 8
+    for nl in (1, 2, 4, 8):
+        res = solve_milp(plus, BnbOptions(node_limit=nl), rivals=(minus,))
+        assert res.nodes == max(nl, 2)  # both roots are always solved
+        assert res.status in (BnbStatus.GAP_LIMIT, BnbStatus.LIMIT)
+        assert res.best_bound <= opt + 1e-9  # min sense: the bound is below every value
+        if res.found:
+            assert res.incumbent_value >= opt - 1e-9
+            assert res.gap == pytest.approx(res.incumbent_value - res.best_bound, abs=1e-12)
+        else:
+            assert res.gap == np.inf
+
+
+def test_joint_pair_records_name_the_problem(e1, caplog):
+    plus, minus = _trust_pair(e1, 0, 0.15, [0.5, 0.5], 0.25)
+    with caplog.at_level(logging.DEBUG, logger="relucert.bnb"):
+        res = solve_milp(plus, rivals=(minus,))
+    records = [r.getMessage().split() for r in caplog.records if r.getMessage().startswith("node ")]
+    assert [int(m[1]) for m in records] == list(range(res.nodes))
+    assert [m[2:4] for m in records[:2]] == [["problem", "0"], ["problem", "1"]]  # the roots
+    assert {m[3] for m in records} == {"0", "1"}
+    assert res.incumbent_value == pytest.approx(0.075, abs=1e-9) and res.source == 0
+
+
+def test_rivals_must_share_the_sense(e1):
+    rob, trust = _e1_problems(e1)
+    with pytest.raises(InvalidArg, match="sense"):
+        solve_milp(trust, rivals=(rob,))
+
+
+def test_rival_root_breakdown_raises(e1, monkeypatch):
+    plus, minus = _trust_pair(e1, 0, 0.15, [0.5, 0.5], 0.25)
+    _break_solve(monkeypatch, 2)
+    with pytest.raises(NumericalBreakdown, match="problem 1 node 1 at depth 0"):
+        solve_milp(plus, rivals=(minus,))

@@ -358,6 +358,8 @@ def test_start_up_leaves_scipy_unimported():
 
 
 _Q = {"z_ref": [0.5, 0.5], "x_ref": [0.4, 0.6], "alpha": 0.1, "beta": 0.2}
+_ROB_OUT = {"R": 0.1, "witness": [0.5, 0.5], "status": "certified"}
+_TRUST_OUT = {"found": True, "delta_min": 0.1, "witness": [0.5, 0.5], "delta_cap": 0.5, "status": "certified"}
 
 
 @pytest.mark.parametrize(
@@ -374,7 +376,22 @@ _Q = {"z_ref": [0.5, 0.5], "x_ref": [0.4, 0.6], "alpha": 0.1, "beta": 0.2}
         {"kind": "robustness_batch"},
         {"kind": "robustness_batch", "queries": [{"query": {}, "per_output": []}]},
         {"kind": "trust_batch", "queries": [{"kind": "bogus", "query": _Q, "per_output": []}]},
+        {"kind": "trust_batch", "queries": [{"kind": ["trust"], "query": _Q, "per_output": []}]},
         {"kind": "robustness", "query": _Q, "per_output": [3]},
+        {"kind": "robustness", "query": _Q, "per_output": [{}, {}]},
+        {"kind": "trust", "query": _Q, "per_output": [{}, {}]},
+        {"kind": "robustness", "query": _Q, "per_output": [{**_ROB_OUT, "R": "0.1"}, _ROB_OUT]},
+        {"kind": "robustness", "query": _Q, "per_output": [{**_ROB_OUT, "witness": [0.5, "a"]}, _ROB_OUT]},
+        {"kind": "robustness", "query": {**_Q, "alpha": None}, "per_output": [_ROB_OUT] * 2},
+        {"kind": "robustness", "query": _Q, "per_output": [_ROB_OUT]},
+        {"kind": "trust", "query": _Q, "per_output": [{**_TRUST_OUT, "found": 1}, _TRUST_OUT]},
+        {"kind": "trust", "query": _Q, "per_output": [{**_TRUST_OUT, "delta_min": None}, _TRUST_OUT]},
+        {"kind": "trust", "query": _Q, "per_output": [{**_TRUST_OUT, "witness": 5}, _TRUST_OUT]},
+        {"kind": "trust", "query": _Q, "per_output": [{**_TRUST_OUT, "delta_cap": None}, _TRUST_OUT]},
+        {"kind": "trust", "query": _Q, "per_output": [{**_TRUST_OUT, "status": None}, _TRUST_OUT]},
+        {"kind": "trust", "query": {**_Q, "beta": None}, "per_output": [_TRUST_OUT] * 2},
+        {"kind": "trust", "query": {**_Q, "x_ref": [0.4]}, "per_output": [_TRUST_OUT] * 2},
+        {"kind": "trust", "query": _Q, "per_output": [_TRUST_OUT] * 3},
     ],
     ids=json.dumps,
 )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relucert.bnb import BnbOptions
 from relucert.bounds import LayerBounds, _prefix_engine
 from relucert.errors import DimensionMismatch, InvalidArg, InvalidValue
 from relucert.nnmodel import fold_bn, forward
@@ -375,6 +376,23 @@ def test_child_breakdown_leaves_the_query_at_gap_limit(e1, monkeypatch):
     # the incumbent still stands, and the open bound covers the true value
     assert out.dev_plus <= clean.dev_plus + 1e-9 <= out.dev_plus + out.gap + 2e-9
     assert timing_sidecar([res])["per_result_stats"][0]["node_breakdowns"] == 1
+
+
+def test_trust_node_limit_bounds_each_outputs_pair():
+    rng = np.random.default_rng(4)
+    net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
+    z_ref = np.full(3, 0.5)
+    q = VerificationQuery(z_ref=z_ref, x_ref=forward(net, z_ref), beta=0.2)
+    full = trustworthiness(net, q)
+    capped = trustworthiness(net, q, VerifyOptions(bnb=BnbOptions(node_limit=4)))
+    assert full.certified and not capped.certified
+    assert capped.stats["subproblems"] == 4
+    assert capped.stats["nodes"] == 8  # 4 for each output's pair, not for each sign
+    hit, missed = capped.per_output
+    assert hit.found and hit.status == "gap_limit"
+    # the pair's bracket [delta_min - gap, delta_min] holds the certified answer
+    assert hit.delta_min - hit.gap - 1e-9 <= full.per_output[0].delta_min <= hit.delta_min + 1e-9
+    assert not missed.found and missed.status == "uncertified" and missed.gap == float("inf")
 
 
 def _tighten_everything(net, box, lb, stats=None):
