@@ -4,26 +4,30 @@ branching on the most fractional binary.
 A node is its structural bounds `lo`/`hi`: the root's are the problem's
 bounds with binaries relaxed to [0, 1], and a child copies its parent's and
 sets lo = hi = 0 or 1 on the binary it branches on. Every node, the root
-included, takes the same step: solve the LP relaxation on a shared prepared
-tableau skeleton, register incumbent candidates, clamp its bound to its
-parent's, then record it as integral, branched, pruned or infeasible. The
-root solves cold, unless the caller passes a `root_start` basis; each child
-starts from its parent's optimal basis and tableau. The basis stays dual
-feasible when one binary's bounds change, so a few dual simplex pivots
-reach the child's optimum or a dual ray that proves it infeasible; the
-branched binary is basic, so the tableau and its basic values hold as they
-are and the child skips refactorizing. A warm solve that can do
-neither falls back to the cold two-phase solve inside the LP engine.
-Feasible incumbents come from rounding the LP input point through the
-actual network, which is feasible by construction, so the certified
-bracket [incumbent, bound] is always sound. A child whose
-solve breaks down numerically keeps its parent's bound as an open bound in
-that bracket, so the search ends with an honest gap instead of losing the
-subproblem; only a breakdown at a root raises.
+included, takes the same step: solve the LP relaxation with the problem's
+objective on one prepared engine, register incumbent candidates, clamp its
+bound to its parent's, then record it as integral, branched, pruned or
+infeasible. The engine is the problem's own, or, when the caller passes a
+`root_start` solution, that solution's engine: a robustness query builds
+one engine for its base encoding and every subproblem searches on it. The
+root solves cold, unless it has a `root_start`, whose basis it starts from
+and whose tableau it adopts; each child starts from its parent's optimal
+basis and tableau. The basis stays dual feasible when one binary's bounds
+change, so a few dual simplex pivots reach the child's optimum or a dual
+ray that proves it infeasible; the branched binary is basic, so the
+tableau and its basic values hold as they are and the child skips
+refactorizing. A warm solve that can do neither falls back to the cold
+two-phase solve inside the LP engine. Feasible incumbents come from
+rounding the LP input point through the actual network, which is feasible
+by construction, so the certified bracket [incumbent, bound] is always
+sound; the result keeps the incumbent's input point, the witness. A child
+whose solve breaks down numerically keeps its parent's bound as an open
+bound in that bracket, so the search ends with an honest gap instead of
+losing the subproblem; only a breakdown at a root raises.
 
 One search may cover several problems of one sense whose best value is
 wanted, such as the two signs of a trust output: a primary problem and its
-`rivals`. Each keeps its own prepared tableau skeleton, but their nodes
+`rivals`. Each keeps its own prepared engine, but their nodes
 share one best-first heap, one incumbent and one gap test, so a node that
 cannot beat the best value found in any of them is pruned, and the
 search ends when no open node of any of them can. The result names the
@@ -46,7 +50,7 @@ import numpy as np
 from .errors import InvalidArg, NumericalBreakdown
 from .milp import MilpProblem
 from .nnmodel import forward_layers
-from .simplex import LpStatus, SolveStats, prepare, relaxed_bounds
+from .simplex import LpSolution, LpStatus, SolveStats, prepare, relaxed_bounds
 
 _log = logging.getLogger(__name__)
 _INT_TOL = 1e-6
@@ -99,7 +103,7 @@ class BnbOptions:
 class MilpResult:
     status: BnbStatus
     incumbent_value: float | None
-    incumbent_point: np.ndarray | None
+    z: np.ndarray | None  # the incumbent's input point
     best_bound: float
     gap: float
     nodes: int
@@ -113,47 +117,27 @@ class MilpResult:
         return self.incumbent_value is not None
 
 
-def _assemble_point(p: MilpProblem, z, pre, post, out, delta=None) -> np.ndarray:
-    x = np.zeros(p.num_vars)
-    for role, j in p.var_roles.items():
-        if role[0] == "input":
-            x[j] = z[role[1]]
-        elif role[0] == "pre":
-            x[j] = pre[role[1]][role[2]]
-        elif role[0] == "post":
-            x[j] = post[role[1]][role[2]]
-        elif role[0] == "bin":
-            x[j] = 1.0 if pre[role[1]][role[2]] > 0 else 0.0
-        elif role[0] == "output":
-            x[j] = out[role[1]]
-        elif role[0] == "delta":
-            x[j] = 0.0 if delta is None else delta
-    return x
+def _input_idx(p: MilpProblem) -> np.ndarray:
+    """The input variables' columns, in input order."""
+    n0 = sum(role[0] == "input" for role in p.var_roles)
+    return np.array([p.var_roles[("input", j)] for j in range(n0)], dtype=np.intp)
 
 
-def _forward_candidate(p: MilpProblem, x_lp) -> tuple[float, np.ndarray] | None:
-    """Feasible objective value obtained by running the LP's input point
+def _forward_candidate(p: MilpProblem, z) -> float | None:
+    """Feasible objective value obtained by running the LP's input point `z`
     through the network. Trust candidates must actually reach the target
     deviation; their radius is recomputed from the input point."""
     q = p.query
     if p.network is None or "kind" not in q:
         return None
-    n0 = p.network.input_dim
-    z = np.array([x_lp[p.var_roles[("input", j)]] for j in range(n0)])
-    pre_b, post_b, out_b = forward_layers(p.network, z[None, :])
-    pre = [a[0] for a in pre_b]
-    post = [a[0] for a in post_b]
-    out = out_b[0]
-    i = q["output"]
-    dev = q["sign"] * (out[i] - q["x_ref"])
+    out = forward_layers(p.network, z[None, :])[2][0]
+    dev = q["sign"] * (out[q["output"]] - q["x_ref"])
     if q["kind"] == "robustness":
-        return float(dev), _assemble_point(p, z, pre, post, out)
+        return float(dev)
     if dev < q["beta"] - _TARGET_TOL:
         return None
     delta = float(np.max(np.abs(z - np.asarray(q["z_ref"])) / np.asarray(q["scale"])))
-    if delta > q["delta_cap"] + 1e-12:
-        return None
-    return delta, _assemble_point(p, z, pre, post, out, delta=delta)
+    return None if delta > q["delta_cap"] + 1e-12 else delta
 
 
 def _select_branch_var(x_lp, bin_idx) -> int | None:
@@ -172,17 +156,19 @@ def _select_branch_var(x_lp, bin_idx) -> int | None:
 def solve_milp(
     p: MilpProblem,
     opts: BnbOptions | None = None,
-    root_start: tuple[np.ndarray, np.ndarray] | None = None,
+    root_start: LpSolution | None = None,
     *,
     rivals: tuple[MilpProblem, ...] = (),
 ) -> MilpResult:
     """Branch and bound to a certified bracket, or to a node or time limit.
 
-    `root_start` is an LP solution's `(basis, at_upper)` on the same rows
-    and variables as `p`, given to the root's solve as its start. A
-    primal feasible one, such as the phase-1 basis that all of a
-    robustness query's subproblems share, lets the root skip phase 1; a
-    start that does not help falls back to the cold solve.
+    `root_start` is an optimal LP solution over `p`'s rows and variables,
+    such as the phase-1 solve that all of a robustness query's subproblems
+    share. The search then solves `p` on that solution's engine, and the
+    root starts from its basis and adopts its tableau, so a primal feasible
+    one lets the root skip phase 1 and its refactorization; a start that
+    does not help falls back to the cold solve. A `root_start` without a
+    tableau, or whose engine's shape does not fit `p`, is `InvalidArg`.
 
     `rivals` are problems with `p`'s sense whose best value competes with
     `p`'s: the call answers the best over all of them. Their nodes share
@@ -199,14 +185,25 @@ def solve_milp(
     problems = (p, *rivals)
     if any(r.obj_sense != p.obj_sense for r in rivals):
         raise InvalidArg("rivals must have the primary problem's objective sense")
-    mult = 1.0 if p.obj_sense == "max" else -1.0
-    engines = [prepare(q) for q in problems]
+    maximize = p.obj_sense == "max"
+    mult = 1.0 if maximize else -1.0
+    first = None  # the start of `p`'s root
+    if root_start is None:
+        engines = [prepare(q) for q in problems]
+    else:
+        tab = root_start.tableau
+        if tab is None or (tab.engine.m, tab.engine.n) != (len(p.rows), p.num_vars):
+            raise InvalidArg("root_start must be an optimal solution over the problem's rows")
+        engines = [tab.engine, *(prepare(q) for q in rivals)]
+        first = (root_start.basis, root_start.at_upper, tab)
+    objectives = [q.objective_vector() for q in problems]
     bin_idx = [np.flatnonzero(q.binary) for q in problems]
+    in_idx = [_input_idx(q) for q in problems]
     stats = SolveStats()
 
     inc_score = -np.inf
     inc_value: float | None = None
-    inc_point: np.ndarray | None = None
+    inc_z: np.ndarray | None = None
     inc_src: int | None = None
     open_score = -np.inf  # best parent bound over children whose solve broke down
     # heap of (-bound score, -depth, node number, problem, lo, hi, branch
@@ -222,10 +219,10 @@ def solve_milp(
             seq, src, depth, None if bound_score is None else own(bound_score), inc_value, action,
         )
 
-    def try_candidate(score, value, point, src):
-        nonlocal inc_score, inc_value, inc_point, inc_src
+    def try_candidate(score, value, z, src):
+        nonlocal inc_score, inc_value, inc_z, inc_src
         if score > inc_score or (score == inc_score and src < inc_src):
-            inc_score, inc_value, inc_point, inc_src = score, float(value), point, src
+            inc_score, inc_value, inc_z, inc_src = score, float(value), z, src
 
     def node(src, lo, hi, seq, depth, start, parent_score):
         """Solve one node of problem `src`, register its incumbent
@@ -233,18 +230,19 @@ def solve_milp(
         pruned or infeasible. A numerical breakdown propagates to the
         caller."""
         q = problems[src]
-        sol = engines[src].solve(lo, hi, start=start)
+        sol = engines[src].solve(lo, hi, objectives[src], maximize, start=start)
         stats.add(sol)
         if sol.status is not LpStatus.OPTIMAL:
             note(seq, src, depth, None, "infeasible")
             return
         score = mult * (sol.objective + q.obj_offset)
-        cand = _forward_candidate(q, sol.x)
+        z = sol.x[in_idx[src]]
+        cand = _forward_candidate(q, z)
         if cand is not None:
-            try_candidate(mult * cand[0], cand[0], cand[1], src)
+            try_candidate(mult * cand, cand, z, src)
         k = _select_branch_var(sol.x, bin_idx[src])
         if k is None:
-            try_candidate(score, own(score), sol.x.copy(), src)
+            try_candidate(score, own(score), z, src)
         score = min(score, parent_score)  # a node's bound cannot beat its parent's
         if k is None:
             note(seq, src, depth, score, "integral")
@@ -260,7 +258,7 @@ def solve_milp(
         res = MilpResult(
             status=status,
             incumbent_value=inc_value,
-            incumbent_point=inc_point,
+            z=inc_z,
             best_bound=own(bound_score),
             gap=max(gap, 0.0),
             nodes=nodes,
@@ -280,7 +278,7 @@ def solve_milp(
 
     for src, q in enumerate(problems):  # the roots are nodes 0 .. len(problems) - 1
         try:
-            node(src, *relaxed_bounds(q), src, 0, root_start if src == 0 else None, np.inf)
+            node(src, *relaxed_bounds(q), src, 0, first if src == 0 else None, np.inf)
         except NumericalBreakdown as e:
             raise NumericalBreakdown(f"problem {src} node {src} at depth 0: {e}") from e
     nodes = len(problems)  # also the next node's number

@@ -255,13 +255,7 @@ def _prefix_engine(net, k, work_lo, work_hi, box):
                     "<=",
                     float(-lhi[t] * llo[t]),
                 )
-    eng = PreparedLp(
-        c=np.zeros(n),
-        maximize=True,
-        A=np.array(rows_a).reshape(len(rhs), n),
-        senses=senses,
-        b=np.array(rhs),
-    )
+    eng = PreparedLp(np.array(rows_a).reshape(len(rhs), n), senses, np.array(rhs))
     return eng, lo, hi, post_off
 
 
@@ -310,7 +304,7 @@ def lp_tighten(
                 if not tgt_lo[t] < 0.0 < tgt_hi[t]:
                     break
                 try:
-                    sol = eng.solve(lo, hi, c_override=c, maximize=maximize, start=start)
+                    sol = eng.solve(lo, hi, c, maximize, start=start)
                 except NumericalBreakdown:
                     continue
                 if stats is not None:

@@ -63,6 +63,12 @@ class MilpProblem:
     def num_binaries(self) -> int:
         return int(self.binary.sum())
 
+    def objective_vector(self) -> np.ndarray:
+        """The objective's coefficients, dense over the variables."""
+        c = np.zeros(self.num_vars)
+        c[self.obj_idx] = self.obj_coef
+        return c
+
     def copy(self) -> "MilpProblem":
         return MilpProblem(
             lo=self.lo.copy(),

@@ -11,24 +11,27 @@ The cold solve starts from the logical basis. Every equality row, and
 every inequality row whose logical would start negative, gets a signed
 artificial column in a matrix local to phase 1, which drives the
 artificials to zero; they are then expelled from the basis and dropped,
-and phase 2 optimizes the real objective on the skeleton alone. The
-tableau is dense and is refactorized from the original data every
-`refactor_every` pivots to shed accumulated error; the pivots are counted
-since the tableau's last refactorization, across every solve that inherits
-it. Bland's rule takes over
-entering/leaving selection after a run of degenerate pivots, which bounds
-the total pivot count.
+and phase 2 optimizes the real objective on the skeleton alone, from basic
+values recomputed from the original data. The tableau is dense and is
+refactorized from the original data every `refactor_every` pivots to shed
+accumulated error; the pivots are counted since the tableau's last
+refactorization, across every solve that inherits it. Bland's rule takes
+over entering/leaving selection after a run of degenerate pivots, which
+bounds the total pivot count.
 
-A solve may start from an earlier solution's basis and nonbasic-at-upper
-flags. An optimal solution also carries its final tableau; a start that
-passes it along adopts a copy in place of a refactorization when it came
-from the same engine and every nonbasic variable rests where it rested when
-the basic values were last computed (a branched binary is basic, and a
-bound-tightening sweep changes only the objective). Otherwise the basis is
-refactorized under the new bounds and objective. If it
-is still primal feasible (the next objective of a bound-tightening sweep,
-or a robustness root started from its query's shared phase-1 basis),
-phase 2 runs from it directly. If it is dual feasible instead (a
+The engine holds the rows alone and every solve brings its objective, so
+one engine serves every objective over its rows: a bound-tightening sweep's
+and all of a robustness query's subproblems. A solve may start from an
+earlier solution's basis and nonbasic-at-upper flags. An optimal solution
+also carries its final tableau; a start that passes it along adopts a copy
+in place of a refactorization when it came from the same engine and every
+nonbasic variable rests where it rested when the basic values were last
+computed (a branched binary is basic, and a bound-tightening sweep or a
+robustness root changes only the objective). Otherwise the basis is
+refactorized under the new bounds. If the start's basic values are
+primal feasible (the next objective of a bound-tightening sweep, or a
+robustness root started from its query's shared phase-1 solve), phase 2
+runs from them directly. If the basis is dual feasible instead (a
 branch-and-bound child, whose bounds differ from its parent's in one
 binary), a bounded dual simplex restores primal feasibility and one primal
 phase-2 pass cleans up. The dual simplex prices by dual steepest edge
@@ -177,7 +180,7 @@ _DEGEN_TOL = 1e-10
 
 
 class PreparedLp:
-    """One LP skeleton solved many times under changing variable bounds.
+    """One LP skeleton solved many times under changing bounds and objectives.
 
     The constructor writes every row as `a x + s = b` with one logical `s`
     per row: a `>=` row is negated once, and the identity is appended after
@@ -186,33 +189,23 @@ class PreparedLp:
     constructor needs the row senses. Bases and at-upper flags index these
     n + m columns only; artificials live inside a cold solve's phase 1.
 
-    Rows and objective stay fixed; `solve` takes the structural bounds for
-    this call (branch-and-bound fixes binaries that way), an optional
-    objective override (bound tightening sweeps one) and an optional start
-    basis from an earlier solve of the same skeleton, with that solve's
-    tableau if it was optimal.
+    The rows stay fixed; `solve` takes the structural bounds for this call
+    (branch-and-bound fixes binaries that way), the objective (bound
+    tightening sweeps one, and a robustness query's subproblems each bring
+    their own) and an optional start basis from an earlier solve of the
+    same skeleton, with that solve's tableau if it was optimal.
     """
 
-    def __init__(
-        self,
-        c: np.ndarray,
-        maximize: bool,
-        A: np.ndarray,
-        senses,
-        b: np.ndarray,
-        options: SimplexOptions | None = None,
-    ):
+    def __init__(self, A: np.ndarray, senses, b: np.ndarray, options: SimplexOptions | None = None):
         self.opts = options or SimplexOptions()
         A = np.asarray(A, dtype=float)
         if A.ndim != 2:
             raise InvalidArg("A must be a matrix")
         self.m, self.n = A.shape
         b = np.asarray(b, dtype=float)
-        self.c = np.asarray(c, dtype=float).copy()
-        self.maximize = maximize
         senses = np.asarray(list(senses), dtype=str)
-        if senses.shape != (self.m,) or b.shape != (self.m,) or self.c.shape != (self.n,):
-            raise InvalidArg("row/objective shapes inconsistent")
+        if senses.shape != (self.m,) or b.shape != (self.m,):
+            raise InvalidArg("row shapes inconsistent")
         if not np.isin(senses, ("<=", "=", ">=")).all():
             raise InvalidArg("row sense must be <=, = or >=")
         sign = np.where(senses == ">=", -1.0, 1.0)
@@ -226,14 +219,15 @@ class PreparedLp:
         self,
         lo: np.ndarray,
         hi: np.ndarray,
-        c_override: np.ndarray | None = None,
-        maximize: bool | None = None,
+        c: np.ndarray,
+        maximize: bool,
         start: tuple | None = None,
     ) -> LpSolution:
-        """Solve under structural bounds `lo`/`hi`. `start` is an earlier
-        solution's `(basis, at_upper)` or `(basis, at_upper, tableau)` on
-        this skeleton; the solve then tries the warm path first and falls
-        back to the cold one."""
+        """Maximize `c x` (or minimize it, `maximize` False) under
+        structural bounds `lo`/`hi`. `start` is an earlier solution's
+        `(basis, at_upper)` or `(basis, at_upper, tableau)` on this
+        skeleton; the solve then tries the warm path first and falls back
+        to the cold one."""
         m, n, ncols = self.m, self.n, self.ncols
         lo_s = np.asarray(lo, dtype=float)
         hi_s = np.asarray(hi, dtype=float)
@@ -241,11 +235,12 @@ class PreparedLp:
             raise InvalidArg("bound vectors must cover the structural variables")
         if np.any(lo_s > hi_s + 1e-12) or not (np.all(np.isfinite(lo_s)) and np.all(np.isfinite(hi_s))):
             raise InvalidArg("structural bounds must be finite with lo <= hi")
+        c = np.asarray(c, dtype=float)
+        if c.shape != (n,):
+            raise InvalidArg("objective must cover the structural variables")
 
-        c_user = self.c if c_override is None else np.asarray(c_override, dtype=float)
-        mx = self.maximize if maximize is None else maximize
         c2 = np.zeros(ncols)
-        c2[:n] = c_user if mx else -c_user
+        c2[:n] = c if maximize else -c
         full_lo = np.concatenate((lo_s, np.zeros(m)))
         full_hi = np.concatenate((hi_s, self.logical_hi))
         max_iter = 10_000 + 40 * (m + ncols)
@@ -284,7 +279,7 @@ class PreparedLp:
         return LpSolution(
             status=LpStatus.OPTIMAL,
             x=x,
-            objective=val if mx else -val,
+            objective=val if maximize else -val,
             basis=state.basis,
             at_upper=state.at_upper,
             tableau=Tableau(self, state.basis, state.T, state.xB, x_nb, state.age),
@@ -297,7 +292,8 @@ class PreparedLp:
         would start negative, gets a signed artificial column in a
         phase-1-local matrix. Phase 1 drives the artificials to zero, they
         are expelled from the basis and dropped, and phase 2 runs on the
-        skeleton. Returns the status, the optimal state or None, and the
+        skeleton from the basic values a warm start from that basis would
+        adopt. Returns the status, the optimal state or None, and the
         phase-1 residual."""
         opts = self.opts
         m, n, ncols = self.m, self.n, self.ncols
@@ -341,6 +337,11 @@ class PreparedLp:
             state.T = np.ascontiguousarray(state.T[:, :ncols])
             state.at_upper = state.at_upper[:ncols]
             state.in_basis = state.in_basis[:ncols]
+            # phase 2 starts from basic values computed from the original
+            # data, the ones a warm start adopting this tableau reads, so a
+            # robustness root started from the shared phase-1 solve runs
+            # this very phase 2
+            self._refactor(state, self.A, full_lo, full_hi, tableau=False)
 
         status, _ = self._iterate(state, self.A, full_lo, full_hi, c2, max_iter, "phase2")
         if status is not LpStatus.OPTIMAL:
@@ -676,31 +677,18 @@ def solve_dense(
     options: SimplexOptions | None = None,
 ) -> LpSolution:
     """One-shot solve of a dense LP with bounded variables."""
-    eng = PreparedLp(c=np.asarray(c, dtype=float), maximize=maximize, A=A, senses=senses, b=b, options=options)
-    return eng.solve(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    return PreparedLp(A, senses, b, options).solve(lo, hi, c, maximize)
 
 
 # ---------------------------------------------------------------------------
 # problem-level entry points
 
-def _dense_rows(p) -> tuple[np.ndarray, list, np.ndarray]:
-    n = p.num_vars
-    m = len(p.rows)
-    A = np.zeros((m, n))
-    senses, b = [], np.zeros(m)
+def prepare(p: MilpProblem) -> PreparedLp:
+    """Build the reusable solver skeleton for a problem's rows."""
+    A = np.zeros((len(p.rows), p.num_vars))
     for i, row in enumerate(p.rows):
         A[i, row.idx] = row.coef
-        senses.append(row.sense)
-        b[i] = row.rhs
-    return A, senses, b
-
-
-def prepare(p: MilpProblem) -> PreparedLp:
-    """Build the reusable solver skeleton for a problem's rows and objective."""
-    A, senses, b = _dense_rows(p)
-    c = np.zeros(p.num_vars)
-    c[p.obj_idx] = p.obj_coef
-    return PreparedLp(c=c, maximize=p.obj_sense == "max", A=A, senses=senses, b=b)
+    return PreparedLp(A, [row.sense for row in p.rows], np.array([row.rhs for row in p.rows]))
 
 
 def relaxed_bounds(p: MilpProblem, relax: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -726,9 +714,7 @@ def solve_lp(p: MilpProblem, relax: dict | None = None) -> LpSolution:
     The reported objective includes the problem's constant offset and is in
     the problem's own sense.
     """
-    eng = prepare(p)
-    lo, hi = relaxed_bounds(p, relax)
-    sol = eng.solve(lo, hi)
+    sol = prepare(p).solve(*relaxed_bounds(p, relax), p.objective_vector(), p.obj_sense == "max")
     if sol.status is LpStatus.OPTIMAL:
         sol.objective = float(sol.objective + p.obj_offset)
     return sol

@@ -193,20 +193,21 @@ def _prepare_base(net, box, opts, stats: SolveStats):
 
 
 def _shared_root_start(base, stats: SolveStats):
-    """The `(basis, at_upper)` every robustness root starts from, or None.
+    """The optimal solution every robustness root starts from, or None.
 
     Phase 1 and the expulsion of artificials never read the objective, so a
     cold root reaches the same basis before phase 2 in each of a query's
     subproblems, which differ from the base encoding only in objective.
-    Solving the base, whose objective is empty, finds that basis once, and
-    each root then runs phase 2 alone. The solve's work goes to `stats`.
+    Solving the base under a zero objective finds that basis once, on the
+    one engine every subproblem then searches on; each root adopts its
+    tableau and runs phase 2 alone. The solve's work goes to `stats`.
     When it is not optimal or breaks down, every root solves cold."""
     try:
-        sol = prepare(base).solve(*relaxed_bounds(base))
+        sol = prepare(base).solve(*relaxed_bounds(base), np.zeros(base.num_vars), True)
     except NumericalBreakdown:
         return None
     stats.add(sol)
-    return (sol.basis, sol.at_upper) if sol.status is LpStatus.OPTIMAL else None
+    return sol if sol.status is LpStatus.OPTIMAL else None
 
 
 def _search(p, opts, **kwargs) -> MilpResult | SolverFailure:
@@ -233,11 +234,6 @@ def _solve_stats(results, tighten: SolveStats, lp: SolveStats | None = None) -> 
         **lp.as_dict(),
         "tighten": tighten.as_dict(),
     }
-
-
-def _extract_z(p, point) -> np.ndarray:
-    n0 = p.network.input_dim
-    return np.array([point[p.var_roles[("input", j)]] for j in range(n0)])
 
 
 def _status_of(*results) -> tuple[str, float]:
@@ -278,11 +274,11 @@ def robustness(
     shared = SolveStats()
     root_start = _shared_root_start(base, shared)
 
-    problems = []
-    for i in range(net.num_outputs):
-        for sign in (1, -1):
-            problems.append(set_robustness_objective(base, i, sign, float(q.x_ref[i])))
-    results = [_search(p, opts, root_start=root_start) for p in problems]
+    results = [
+        _search(set_robustness_objective(base, i, sign, float(q.x_ref[i])), opts, root_start=root_start)
+        for i in range(net.num_outputs)
+        for sign in (1, -1)
+    ]
 
     names = net.output_names
     per_output = []
@@ -295,8 +291,7 @@ def robustness(
             dev_plus = plus.incumbent_value
             dev_minus = -minus.incumbent_value
             R = max(dev_plus, abs(dev_minus))
-            src = plus if dev_plus >= abs(dev_minus) else minus
-            witness = _extract_z(problems[2 * i], src.incumbent_point)
+            witness = (plus if dev_plus >= abs(dev_minus) else minus).z
         elif status != "uncertified":
             status = "uncertified"  # limit hit before any feasible point
         per_output.append(
@@ -365,7 +360,7 @@ def trustworthiness(
                 found=True,
                 delta_min=r.incumbent_value,
                 sign=(1, -1)[r.source],
-                witness=_extract_z((plus, minus)[r.source], r.incumbent_point),
+                witness=r.z,
                 delta_cap=cap,
                 status="certified" if certified else "gap_limit",
                 gap=0.0 if certified else r.gap,

@@ -59,10 +59,7 @@ def test_e1_robustness_certified_values(e1):
     assert minus.status is BnbStatus.CERTIFIED
     assert minus.incumbent_value == pytest.approx(0.1, abs=1e-9)
     # witness reproduces the claimed deviation
-    z = np.array([plus.incumbent_point[p.var_roles[("input", j)]] for j in range(2)])
-    from relucert.nnmodel import forward
-
-    assert forward(e1, z)[0] - 0.25 == pytest.approx(plus.incumbent_value, abs=1e-9)
+    assert forward(e1, plus.z)[0] - 0.25 == pytest.approx(plus.incumbent_value, abs=1e-9)
 
 
 def test_e1_trust_certified_values(e1):
@@ -74,8 +71,8 @@ def test_e1_trust_certified_values(e1):
         assert res.status is BnbStatus.CERTIFIED
         assert res.incumbent_value == pytest.approx(want, abs=1e-9)
         assert res.best_bound <= res.incumbent_value + 1e-9  # min sense
-        d = res.incumbent_point[q.var_roles[("delta",)]]
-        assert d == pytest.approx(want, abs=1e-9)
+        # the witness lies on the ball of the certified radius
+        assert np.max(np.abs(res.z - z_ref) / scale) == pytest.approx(res.incumbent_value, abs=1e-9)
 
 
 def test_trust_unattainable_is_infeasible():
@@ -367,8 +364,7 @@ def test_joint_pair_tie_goes_to_the_primary():
         res = solve_milp(first, rivals=(second,))
         assert res.status is BnbStatus.CERTIFIED and res.incumbent_value == 0.25
         assert res.source == 0
-        z = res.incumbent_point[first.var_roles[("input", 0)]]
-        assert z == (0.75 if first is plus else 0.25)
+        assert res.z.tolist() == [0.75 if first is plus else 0.25]
 
 
 def test_joint_pair_node_limit_gives_honest_bracket():

@@ -187,9 +187,9 @@ def test_lp_tighten_solves_only_open_neurons(monkeypatch):
         built.append(k)
         return engine(net, k, *args)
 
-    def spy_solve(self, lo, hi, c_override=None, **kwargs):
-        objectives.append(c_override[c_override != 0.0])
-        return solve(self, lo, hi, c_override=c_override, **kwargs)
+    def spy_solve(self, lo, hi, c, maximize, **kwargs):
+        objectives.append(c[c != 0.0])
+        return solve(self, lo, hi, c, maximize, **kwargs)
 
     monkeypatch.setattr(bounds, "_prefix_engine", spy_engine)
     monkeypatch.setattr(PreparedLp, "solve", spy_solve)
@@ -225,9 +225,9 @@ def test_lp_tighten_skips_the_min_of_a_neuron_proved_dead(monkeypatch):
     senses = []
     solve = PreparedLp.solve
 
-    def spy_solve(self, *args, maximize=None, **kwargs):
+    def spy_solve(self, lo, hi, c, maximize, **kwargs):
         senses.append(maximize)
-        return solve(self, *args, maximize=maximize, **kwargs)
+        return solve(self, lo, hi, c, maximize, **kwargs)
 
     monkeypatch.setattr(PreparedLp, "solve", spy_solve)
     tl = lp_tighten(net, box, lb)

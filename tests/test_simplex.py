@@ -219,9 +219,10 @@ _RD_C = [0.0, 1.0, 2.0]
 
 def test_rank_deficient_lp_bases_index_only_structurals_and_logicals():
     n, m = 3, 4
-    eng = PreparedLp(c=np.array(_RD_C), maximize=True, A=_RD_A, senses=_RD_SENSES, b=np.array(_RD_B))
+    eng = PreparedLp(_RD_A, _RD_SENSES, np.array(_RD_B))
+    c = np.array(_RD_C)
     lo, hi = np.zeros(n), np.full(n, 2.0)
-    cold = eng.solve(lo, hi)
+    cold = eng.solve(lo, hi, c, True)
     assert cold.status is LpStatus.OPTIMAL
     assert cold.basis.shape == (m,) and cold.basis.max() < n + m
     assert cold.at_upper.shape == (n + m,)
@@ -230,8 +231,8 @@ def test_rank_deficient_lp_bases_index_only_structurals_and_logicals():
 
     # a bound change, re-solved from the redundant row's basis
     hi[2] = 1.0
-    warm = eng.solve(lo, hi, start=(cold.basis, cold.at_upper))
-    again = eng.solve(lo, hi)
+    warm = eng.solve(lo, hi, c, True, start=(cold.basis, cold.at_upper))
+    again = eng.solve(lo, hi, c, True)
     ref = scipy_solve(_RD_C, True, _RD_A, _RD_SENSES, _RD_B, lo, hi)
     assert warm.status is LpStatus.OPTIMAL and warm.warm is WarmStart.USED
     assert warm.basis.max() < n + m and warm.at_upper.shape == (n + m,)
@@ -252,7 +253,9 @@ def test_rank_deficient_lp_bases_index_only_structurals_and_logicals():
         (cold.basis, cold.at_upper, cold.tableau.T),
     ):
         with pytest.raises(InvalidArg):
-            eng.solve(lo, hi, start=start)
+            eng.solve(lo, hi, c, True, start=start)
+    with pytest.raises(InvalidArg):  # so must the objective
+        eng.solve(lo, hi, c[:-1], True)
 
 
 def test_ge_rows_equal_their_negated_le_rows():

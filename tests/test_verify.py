@@ -406,8 +406,8 @@ def _tighten_everything(net, box, lb, stats=None):
         for t, (a, const) in enumerate(zip(net.layers[k].A, net.layers[k].c)):
             c = np.zeros(lo.shape[0])
             c[src] = a
-            top = eng.solve(lo, hi, c_override=c, maximize=True)
-            bottom = eng.solve(lo, hi, c_override=c, maximize=False)
+            top = eng.solve(lo, hi, c, True)
+            bottom = eng.solve(lo, hi, c, False)
             if top.status is LpStatus.OPTIMAL:
                 work_hi[k][t] = min(work_hi[k][t], top.objective + const + 1e-9)
             if bottom.status is LpStatus.OPTIMAL:

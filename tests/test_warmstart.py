@@ -8,13 +8,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from relucert import verify
+from relucert import bnb, verify
 from relucert.bnb import solve_milp
 from relucert.bounds import InputBox, classify_neurons, lp_tighten, propagate_bounds
-from relucert.errors import NumericalBreakdown
+from relucert.errors import InvalidArg, NumericalBreakdown
 from relucert.milp import encode_network, set_robustness_objective
 from relucert.nnmodel import fold_bn, forward
 from relucert.simplex import (
@@ -26,6 +26,7 @@ from relucert.simplex import (
     WarmStart,
     prepare,
     relaxed_bounds,
+    solve_lp,
 )
 
 from conftest import random_spec
@@ -64,8 +65,8 @@ def _assert_same(warm, cold):
 def test_warm_solve_matches_cold_after_bound_changes(seed, n, m, maximize, new_objective):
     rng = np.random.default_rng(seed)
     c, A, senses, b, lo, hi = _random_lp(rng, n, m)
-    eng = PreparedLp(c=c, maximize=maximize, A=A, senses=senses, b=b)
-    first = eng.solve(lo, hi)
+    eng = PreparedLp(A, senses, b)
+    first = eng.solve(lo, hi, c, maximize)
     assert first.status is LpStatus.OPTIMAL
     start = (first.basis, first.at_upper)
     lo2, hi2 = lo.copy(), hi.copy()
@@ -75,9 +76,9 @@ def test_warm_solve_matches_cold_after_bound_changes(seed, n, m, maximize, new_o
             lo2[j] = hi2[j] = a
         else:
             lo2[j], hi2[j] = a, z
-    c2 = rng.normal(size=n) if new_objective else None
-    warm = eng.solve(lo2, hi2, c_override=c2, start=start)
-    cold = eng.solve(lo2, hi2, c_override=c2)
+    c2 = rng.normal(size=n) if new_objective else c
+    warm = eng.solve(lo2, hi2, c2, maximize, start=start)
+    cold = eng.solve(lo2, hi2, c2, maximize)
     assert warm.warm is not WarmStart.NONE and cold.warm is WarmStart.NONE
     _assert_same(warm, cold)
 
@@ -85,10 +86,11 @@ def test_warm_solve_matches_cold_after_bound_changes(seed, n, m, maximize, new_o
 def test_bound_change_is_reoptimized_by_dual_pivots():
     # x + y <= 1.5 with max x + y: fixing the basic variable leaves the basis
     # dual feasible, so the dual path finishes without phase 1
-    eng = PreparedLp(c=np.array([1.0, 2.0]), maximize=True, A=[[1.0, 1.0]], senses=["<="], b=np.array([1.5]))
-    root = eng.solve(np.zeros(2), np.ones(2))
+    eng = PreparedLp([[1.0, 1.0]], ["<="], np.array([1.5]))
+    c = np.array([1.0, 2.0])
+    root = eng.solve(np.zeros(2), np.ones(2), c, True)
     assert root.objective == pytest.approx(2.5)
-    child = eng.solve(np.zeros(2), np.array([0.25, 1.0]), start=(root.basis, root.at_upper))
+    child = eng.solve(np.zeros(2), np.array([0.25, 1.0]), c, True, start=(root.basis, root.at_upper))
     assert child.warm is WarmStart.USED
     assert child.phase1_pivots == 0 and child.dual_pivots >= 1
     assert child.objective == pytest.approx(2.25, abs=1e-12)
@@ -100,10 +102,10 @@ def test_dual_leaves_the_steepest_edge_row(monkeypatch):
     # Capping x0 at 0.2 and x1 at 0.45 makes x0's row the most violated
     # (0.3 against 0.05), but x1's the steepest edge (0.05^2/0.01 = 0.25
     # against 0.3^2/100 = 9e-4)
-    eng = PreparedLp(c=np.array([0.0, 0.0, -1.0, -1.0]), maximize=True,
-                     A=[[0.1, 0.0, 1.0, 0.0], [0.0, 10.0, 0.0, 1.0]], senses=["=", "="], b=np.array([0.05, 5.0]))
+    eng = PreparedLp([[0.1, 0.0, 1.0, 0.0], [0.0, 10.0, 0.0, 1.0]], ["=", "="], np.array([0.05, 5.0]))
+    c = np.array([0.0, 0.0, -1.0, -1.0])
     lo, hi = np.zeros(4), np.full(4, 10.0)
-    root = eng.solve(lo, hi)
+    root = eng.solve(lo, hi, c, True)
     assert sorted(root.basis) == [0, 1]
     left = []
     pivot = PreparedLp._pivot
@@ -115,10 +117,10 @@ def test_dual_leaves_the_steepest_edge_row(monkeypatch):
     monkeypatch.setattr(PreparedLp, "_pivot", spy)
     hi2 = hi.copy()
     hi2[:2] = 0.2, 0.45
-    child = eng.solve(lo, hi2, start=(root.basis, root.at_upper))
+    child = eng.solve(lo, hi2, c, True, start=(root.basis, root.at_upper))
     assert child.warm is WarmStart.USED and child.dual_pivots >= 2
     assert left[0] == 1
-    _assert_same(child, eng.solve(lo, hi2))
+    _assert_same(child, eng.solve(lo, hi2, c, True))
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,8 +132,8 @@ def test_dual_tableau_logical_block_is_the_inverse_basis(seed, n, m, maximize):
     rng = np.random.default_rng(seed)
     c, A, senses, b, lo, hi = _random_lp(rng, n, m)
     senses = ["<=" if s == "=" else s for s in senses]  # equality rows would leave most children infeasible
-    eng = PreparedLp(c=c, maximize=maximize, A=A, senses=senses, b=b, options=SimplexOptions(refactor_every=2))
-    root = eng.solve(lo, hi)
+    eng = PreparedLp(A, senses, b, SimplexOptions(refactor_every=2))
+    root = eng.solve(lo, hi, c, maximize)
     lo2, hi2 = lo.copy(), hi.copy()
     for j in np.flatnonzero(rng.uniform(size=n) < 0.5):  # cut half the way to the root point's far bound
         x = root.x[j]
@@ -161,15 +163,16 @@ def test_dual_tableau_logical_block_is_the_inverse_basis(seed, n, m, maximize):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PreparedLp, "_dual", checked_dual)
-        warm = eng.solve(lo2, hi2, start=(root.basis, root.at_upper))
+        warm = eng.solve(lo2, hi2, c, maximize, start=(root.basis, root.at_upper))
     assume(len(checked) >= 3)  # two pivots: one plain update, then a refactorization
-    _assert_same(warm, eng.solve(lo2, hi2))
+    _assert_same(warm, eng.solve(lo2, hi2, c, maximize))
 
 
 def test_infeasible_child_is_decided_by_the_dual_ray():
-    eng = PreparedLp(c=np.array([1.0, 1.0]), maximize=True, A=[[1.0, 1.0]], senses=[">="], b=np.array([1.5]))
-    root = eng.solve(np.zeros(2), np.ones(2))
-    child = eng.solve(np.zeros(2), np.array([0.25, 1.0]), start=(root.basis, root.at_upper))
+    eng = PreparedLp([[1.0, 1.0]], [">="], np.array([1.5]))
+    c = np.array([1.0, 1.0])
+    root = eng.solve(np.zeros(2), np.ones(2), c, True)
+    child = eng.solve(np.zeros(2), np.array([0.25, 1.0]), c, True, start=(root.basis, root.at_upper))
     assert child.status is LpStatus.INFEASIBLE
     assert child.warm is WarmStart.USED
     assert child.phase1_pivots == 0
@@ -180,12 +183,13 @@ def test_weak_ray_leaves_the_verdict_to_the_cold_solve():
     # 0.01 x + y = 0.5 with x basic: the ray is y = 100, so a child that
     # misses x's bound by 1e-6 proves a row residual of only 1e-8, inside
     # feas_tol, where phase 1 accepts the child
-    eng = PreparedLp(c=np.array([-1.0, 0.0]), maximize=True, A=[[0.01, 1.0]], senses=["="], b=np.array([0.5]))
-    root = eng.solve(np.zeros(2), np.array([20.0, 0.4]))
+    eng = PreparedLp([[0.01, 1.0]], ["="], np.array([0.5]))
+    c = np.array([-1.0, 0.0])
+    root = eng.solve(np.zeros(2), np.array([20.0, 0.4]), c, True)
     assert root.objective == pytest.approx(-10.0) and list(root.basis) == [0]
     hi = np.array([10.0 - 1e-6, 0.4])
-    warm = eng.solve(np.zeros(2), hi, start=(root.basis, root.at_upper))
-    cold = eng.solve(np.zeros(2), hi)
+    warm = eng.solve(np.zeros(2), hi, c, True, start=(root.basis, root.at_upper))
+    cold = eng.solve(np.zeros(2), hi, c, True)
     assert cold.status is LpStatus.OPTIMAL
     assert warm.warm is WarmStart.FELL_BACK and warm.dual_pivots >= 1
     _assert_same(warm, cold)
@@ -201,15 +205,15 @@ def test_ray_verdicts_agree_with_phase_1(seed, n, m, maximize):
     if senses[i] == "<=":  # the same row, written as >=
         A[i], b[i] = -A[i], -b[i]
     senses[i] = ">="
-    eng = PreparedLp(c=c, maximize=maximize, A=A, senses=senses, b=b)
-    root = eng.solve(lo, hi)
+    eng = PreparedLp(A, senses, b)
+    root = eng.solve(lo, hi, c, maximize)
     lo2, hi2 = lo.copy(), hi.copy()
     for j in np.argsort(-np.abs(A[i]) * (hi - lo)):
         if np.maximum(A[i] * lo2, A[i] * hi2).sum() < b[i] - 1e-3:
             break
         lo2[j] = hi2[j] = lo[j] if A[i, j] > 0 else hi[j]
-    warm = eng.solve(lo2, hi2, start=(root.basis, root.at_upper))
-    cold = eng.solve(lo2, hi2)
+    warm = eng.solve(lo2, hi2, c, maximize, start=(root.basis, root.at_upper))
+    cold = eng.solve(lo2, hi2, c, maximize)
     _assert_same(warm, cold)
     if warm.status is LpStatus.INFEASIBLE and warm.warm is WarmStart.USED:
         assert warm.phase1_pivots == 0
@@ -223,14 +227,14 @@ def test_dual_degenerate_instance_terminates():
     rng = np.random.default_rng(5)
     bland_runs = 0
     for _ in range(20):
-        c, A, senses, b, lo, hi = _random_lp(rng, 8, 10)
-        eng = PreparedLp(c=np.zeros(8), maximize=True, A=A, senses=senses, b=b,
-                         options=SimplexOptions(bland_after=1))
-        root = eng.solve(lo, hi)
+        _, A, senses, b, lo, hi = _random_lp(rng, 8, 10)
+        eng = PreparedLp(A, senses, b, SimplexOptions(bland_after=1))
+        c = np.zeros(8)
+        root = eng.solve(lo, hi, c, True)
         lo2 = lo.copy()
         lo2[:4] = hi[:4] - 0.1 * (hi[:4] - lo[:4])
-        warm = eng.solve(lo2, hi, start=(root.basis, root.at_upper))
-        _assert_same(warm, eng.solve(lo2, hi))
+        warm = eng.solve(lo2, hi, c, True, start=(root.basis, root.at_upper))
+        _assert_same(warm, eng.solve(lo2, hi, c, True))
         bland_runs += warm.dual_pivots > 2  # pivots after the first ran under Bland's rule
     assert bland_runs > 0
 
@@ -238,17 +242,17 @@ def test_dual_degenerate_instance_terminates():
 def test_breakdown_on_the_warm_path_returns_the_cold_result(monkeypatch):
     rng = np.random.default_rng(11)
     c, A, senses, b, lo, hi = _random_lp(rng, 6, 8)
-    eng = PreparedLp(c=c, maximize=True, A=A, senses=senses, b=b)
-    root = eng.solve(lo, hi)
+    eng = PreparedLp(A, senses, b)
+    root = eng.solve(lo, hi, c, True)
     lo2 = lo.copy()
     lo2[0] = hi[0]
-    cold = eng.solve(lo2, hi)
+    cold = eng.solve(lo2, hi, c, True)
 
     def broken(*args, **kwargs):
         raise NumericalBreakdown("forced")
 
     monkeypatch.setattr(PreparedLp, "_solve_warm", broken)
-    warm = eng.solve(lo2, hi, start=(root.basis, root.at_upper))
+    warm = eng.solve(lo2, hi, c, True, start=(root.basis, root.at_upper))
     assert warm.warm is WarmStart.BROKE_DOWN
     _assert_same(warm, cold)
     assert np.array_equal(warm.x, cold.x)
@@ -263,8 +267,8 @@ def test_lp_tighten_warm_sweep_matches_cold(monkeypatch):
         used.append(sol.warm)
         return sol
 
-    def cold_solve(self, lo, hi, c_override=None, maximize=None, start=None):
-        return solve(self, lo, hi, c_override=c_override, maximize=maximize)
+    def cold_solve(self, lo, hi, c, maximize, start=None):
+        return solve(self, lo, hi, c, maximize)
 
     rng = np.random.default_rng(3)
     for _ in range(4):
@@ -294,8 +298,7 @@ def test_milp_stats_count_every_node(e1):
     assert s.inherited == res.nodes - 1  # each child adopts its parent's tableau
     assert s.breakdowns <= s.warm_fallbacks <= s.warm_starts
     # no child needs phase 1: infeasible ones are decided by their dual ray
-    root = prepare(p).solve(*relaxed_bounds(p))
-    assert s.phase1_pivots == root.phase1_pivots
+    assert s.phase1_pivots == solve_lp(p).phase1_pivots
 
 
 def _robustness_problems(net, z_ref, alpha):
@@ -311,28 +314,55 @@ def _robustness_problems(net, z_ref, alpha):
     return base, problems
 
 
+def _shared_solve(base):
+    """The base encoding's zero-objective solve, which robustness roots share."""
+    return prepare(base).solve(*relaxed_bounds(base), np.zeros(base.num_vars), True)
+
+
 @settings(max_examples=12, deadline=None)
+@example(seed=130, alpha=0.5)  # a root that refactorized the shared basis took 3 nodes, against 5 cold
 @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.5))
 def test_shared_root_start_keeps_every_search(seed, alpha):
     rng = np.random.default_rng(seed)
     net = fold_bn(random_spec(rng, unit_norm=True))
     base, problems = _robustness_problems(net, rng.uniform(0, 1, net.input_dim), alpha)
-    shared = prepare(base).solve(*relaxed_bounds(base))
+    shared = _shared_solve(base)
     assert shared.status is LpStatus.OPTIMAL
     for p in problems:
-        warm = solve_milp(p, root_start=(shared.basis, shared.at_upper))
+        warm = solve_milp(p, root_start=shared)
         cold = solve_milp(p)
         assert warm.status is cold.status and warm.nodes == cold.nodes
         assert warm.incumbent_value == pytest.approx(cold.incumbent_value, abs=1e-9)
         assert warm.best_bound == pytest.approx(cold.best_bound, abs=1e-9)
         assert warm.stats.warm_starts == warm.nodes  # the root too
+        assert warm.stats.inherited == warm.nodes  # the root adopts the shared tableau
+
+
+def test_root_start_must_fit_the_problem(e1):
+    _, (p, _) = _robustness_problems(e1, [0.5, 0.5], 0.5)
+    other, _ = _robustness_problems(e1, [0.5, 0.5], 0.1)  # fewer unstable neurons, fewer rows
+    assert len(other.rows) != len(p.rows)
+    for start in (_shared_solve(other), LpSolution(status=LpStatus.INFEASIBLE)):
+        with pytest.raises(InvalidArg):
+            solve_milp(p, root_start=start)
 
 
 def _spy_robustness(monkeypatch, net, q):
-    """Run `robustness`, recording every solve of the LP engine and each
-    subproblem's `solve_milp` call: (start, solution) and (root_start, result)."""
+    """Run `robustness`, recording every solve of the LP engine, each
+    subproblem's `solve_milp` call, (start, solution) and (root_start,
+    result), and every engine `verify` and `bnb` prepare."""
     solve, milp = PreparedLp.solve, verify.solve_milp
     solves, subproblems = [], []
+    prepared = {"verify": 0, "bnb": 0}
+
+    def spying_prepare(module, name):
+        prepare = module.prepare
+
+        def spy(p):
+            prepared[name] += 1
+            return prepare(p)
+
+        monkeypatch.setattr(module, "prepare", spy)
 
     def spy_solve(self, *args, start=None, **kwargs):
         sol = solve(self, *args, start=start, **kwargs)
@@ -346,9 +376,11 @@ def _spy_robustness(monkeypatch, net, q):
 
     monkeypatch.setattr(PreparedLp, "solve", spy_solve)
     monkeypatch.setattr(verify, "solve_milp", spy_milp)
+    spying_prepare(verify, "verify")
+    spying_prepare(bnb, "bnb")
     res = verify.robustness(net, q)
     monkeypatch.undo()
-    return res, solves, subproblems
+    return res, solves, subproblems, prepared
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -356,21 +388,23 @@ def test_robustness_roots_skip_phase_1(monkeypatch, seed):
     rng = np.random.default_rng(seed)
     net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
     q = verify.VerificationQuery(z_ref=[0.5, 0.5, 0.5], x_ref=[0.0, 0.0], alpha=0.3)
-    res, solves, subproblems = _spy_robustness(monkeypatch, net, q)
+    res, solves, subproblems, prepared = _spy_robustness(monkeypatch, net, q)
     root_start = subproblems[0][0]
-    shared = [sol for start, sol in solves if sol.basis is root_start[0]]
+    shared = [sol for start, sol in solves if sol is root_start]
     assert len(shared) == 1 and shared[0].warm is WarmStart.NONE
     assert all(start is root_start for start, _ in subproblems)
+    assert prepared == {"verify": 1, "bnb": 0}  # one engine for the whole query
     assert all(r.stats.phase1_pivots == 0 for _, r in subproblems)
     assert res.stats["phase1_pivots"] == shared[0].phase1_pivots > 0
     assert res.stats["lp_solves"] == res.stats["nodes"] + 1
     assert res.stats["warm_starts"] == res.stats["nodes"]
+    assert res.stats["inherited"] == res.stats["nodes"]  # every root adopts the shared tableau
 
 
 @pytest.mark.parametrize("failure", ["infeasible", "breakdown"])
 def test_failed_shared_solve_leaves_every_root_cold(monkeypatch, e1, failure):
     class FailingLp:
-        def solve(self, lo, hi):
+        def solve(self, lo, hi, c, maximize, start=None):
             if failure == "breakdown":
                 raise NumericalBreakdown("forced")
             return LpSolution(status=LpStatus.INFEASIBLE, infeasibility=1.0)
@@ -378,8 +412,9 @@ def test_failed_shared_solve_leaves_every_root_cold(monkeypatch, e1, failure):
     q = verify.VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], alpha=0.5)
     clean = verify.robustness(e1, q)
     monkeypatch.setattr(verify, "prepare", lambda p: FailingLp())
-    res, _, subproblems = _spy_robustness(monkeypatch, e1, q)
+    res, _, subproblems, prepared = _spy_robustness(monkeypatch, e1, q)
     assert all(start is None for start, _ in subproblems)
+    assert prepared["bnb"] == len(subproblems)  # each cold search builds its own engine
     assert all(r.stats.warm_starts == r.nodes - 1 for _, r in subproblems)  # cold roots
     assert res.stats["lp_solves"] == res.stats["nodes"] + (failure == "infeasible")
     assert res.stats["nodes"] == clean.stats["nodes"] and res.certified == clean.certified
@@ -417,14 +452,14 @@ def _child_lp():
     """A random LP's optimum, with a basic and a movable nonbasic structural."""
     rng = np.random.default_rng(5)
     c, A, senses, b, lo, hi = _random_lp(rng, 8, 4)
-    lp = dict(c=c, maximize=True, A=A, senses=senses, b=b)
+    lp = dict(A=A, senses=senses, b=b)
     eng = PreparedLp(**lp)
-    root = eng.solve(lo, hi)
+    root = eng.solve(lo, hi, c, True)
     assert root.status is LpStatus.OPTIMAL
     basic = [j for j in root.basis if j < 8 and lo[j] < root.x[j] < hi[j]]
     nonbasic = [j for j in range(8) if j not in root.basis]
     assert basic and nonbasic
-    return lp, eng, root, lo, hi, basic[0], nonbasic[0]
+    return lp, eng, root, c, lo, hi, basic[0], nonbasic[0]
 
 
 def _fix(lo, hi, j, v):
@@ -434,19 +469,19 @@ def _fix(lo, hi, j, v):
 
 
 def test_child_adopts_its_parents_tableau():
-    _, eng, root, lo, hi, j, _ = _child_lp()
+    _, eng, root, c, lo, hi, j, _ = _child_lp()
     lo2, hi2 = _fix(lo, hi, j, lo[j])
-    child = eng.solve(lo2, hi2, start=(root.basis, root.at_upper, root.tableau))
+    child = eng.solve(lo2, hi2, c, True, start=(root.basis, root.at_upper, root.tableau))
     assert child.inherited and child.refactors == 0 and child.warm is WarmStart.USED
-    _assert_same(child, eng.solve(lo2, hi2))
+    _assert_same(child, eng.solve(lo2, hi2, c, True))
     # the parent's tableau is copied, not updated in place
-    again = eng.solve(lo2, hi2, start=(root.basis, root.at_upper, root.tableau))
+    again = eng.solve(lo2, hi2, c, True, start=(root.basis, root.at_upper, root.tableau))
     assert again.inherited and again.objective == child.objective
 
 
 @pytest.mark.parametrize("case", ["nonbasic bound", "other engine", "age"])
 def test_tableau_failing_adoption_is_refactorized(case):
-    lp, eng, root, lo, hi, j, k = _child_lp()
+    lp, eng, root, c, lo, hi, j, k = _child_lp()
     lo2, hi2 = _fix(lo, hi, j, lo[j])
     tableau = root.tableau
     if case == "nonbasic bound":
@@ -456,13 +491,13 @@ def test_tableau_failing_adoption_is_refactorized(case):
         else:
             lo2[k] -= 0.5
     elif case == "other engine":
-        tableau = PreparedLp(**lp).solve(lo, hi).tableau
+        tableau = PreparedLp(**lp).solve(lo, hi, c, True).tableau
     else:
         eng = PreparedLp(**lp, options=SimplexOptions(refactor_every=1))
-        root = eng.solve(lo, hi)
-        young = eng.solve(lo2, hi2, start=(root.basis, root.at_upper, root.tableau))
+        root = eng.solve(lo, hi, c, True)
+        young = eng.solve(lo2, hi2, c, True, start=(root.basis, root.at_upper, root.tableau))
         assert root.tableau.age == 0 and young.inherited
         tableau = replace(root.tableau, age=1)
-    child = eng.solve(lo2, hi2, start=(root.basis, root.at_upper, tableau))
+    child = eng.solve(lo2, hi2, c, True, start=(root.basis, root.at_upper, tableau))
     assert not child.inherited and child.refactors >= 1
-    _assert_same(child, eng.solve(lo2, hi2))
+    _assert_same(child, eng.solve(lo2, hi2, c, True))
