@@ -10,13 +10,13 @@ bound to its parent's, then record it as integral, branched, pruned or
 infeasible. The engine is the problem's own, or, when the caller passes a
 `root_start` solution, that solution's engine: a robustness query builds
 one engine for its base encoding and every subproblem searches on it. The
-root solves cold, unless it has a `root_start`, whose basis it starts from
-and whose tableau it adopts; each child starts from its parent's optimal
-basis and tableau. The basis stays dual feasible when one binary's bounds
-change, so a few dual simplex pivots reach the child's optimum or a dual
-ray that proves it infeasible; the branched binary is basic, so the
-tableau and its basic values hold as they are and the child skips
-refactorizing. A warm solve that can do neither falls back to the cold
+root solves cold, unless it has a `root_start`, which it starts from and
+whose tableau it adopts; each child starts from its parent's optimal
+solution, its basis and tableau. The basis stays dual feasible when one
+binary's bounds change, so a few dual simplex pivots reach the child's
+optimum or a dual ray that proves it infeasible; the branched binary is
+basic, so the tableau and its basic values hold as they are and the child
+skips refactorizing. A warm solve that can do neither falls back to the cold
 two-phase solve inside the LP engine. Feasible incumbents come from
 rounding the LP input point through the actual network, which is feasible
 by construction, so the certified bracket [incumbent, bound] is always
@@ -187,7 +187,6 @@ def solve_milp(
         raise InvalidArg("rivals must have the primary problem's objective sense")
     maximize = p.obj_sense == "max"
     mult = 1.0 if maximize else -1.0
-    first = None  # the start of `p`'s root
     if root_start is None:
         engines = [prepare(q) for q in problems]
     else:
@@ -195,7 +194,6 @@ def solve_milp(
         if tab is None or (tab.engine.m, tab.engine.n) != (len(p.rows), p.num_vars):
             raise InvalidArg("root_start must be an optimal solution over the problem's rows")
         engines = [tab.engine, *(prepare(q) for q in rivals)]
-        first = (root_start.basis, root_start.at_upper, tab)
     objectives = [q.objective_vector() for q in problems]
     bin_idx = [np.flatnonzero(q.binary) for q in problems]
     in_idx = [_input_idx(q) for q in problems]
@@ -207,7 +205,8 @@ def solve_milp(
     inc_src: int | None = None
     open_score = -np.inf  # best parent bound over children whose solve broke down
     # heap of (-bound score, -depth, node number, problem, lo, hi, branch
-    # position, start basis and tableau): best bound first, deeper first
+    # position, the node's solution as its children's start): best bound
+    # first, deeper first
     heap: list[tuple] = []
 
     def own(score: float) -> float:
@@ -247,8 +246,7 @@ def solve_milp(
         if k is None:
             note(seq, src, depth, score, "integral")
         elif score > inc_score + opts.abs_gap:
-            entry = (-score, -depth, seq, src, lo, hi, k, (sol.basis, sol.at_upper, sol.tableau))
-            heapq.heappush(heap, entry)
+            heapq.heappush(heap, (-score, -depth, seq, src, lo, hi, k, sol))
             note(seq, src, depth, score, "branch")
         else:
             note(seq, src, depth, score, "pruned")
@@ -278,7 +276,7 @@ def solve_milp(
 
     for src, q in enumerate(problems):  # the roots are nodes 0 .. len(problems) - 1
         try:
-            node(src, *relaxed_bounds(q), src, 0, first if src == 0 else None, np.inf)
+            node(src, *relaxed_bounds(q), src, 0, root_start if src == 0 else None, np.inf)
         except NumericalBreakdown as e:
             raise NumericalBreakdown(f"problem {src} node {src} at depth 0: {e}") from e
     nodes = len(problems)  # also the next node's number

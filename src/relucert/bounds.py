@@ -311,7 +311,7 @@ def lp_tighten(
                     stats.add(sol)
                 if sol.status is not LpStatus.OPTIMAL:
                     continue
-                start = (sol.basis, sol.at_upper, sol.tableau)
+                start = sol
                 v = sol.objective + const
                 if maximize:
                     tgt_hi[t] = min(tgt_hi[t], v + _TIGHTEN_SLACK)

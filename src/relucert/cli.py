@@ -59,11 +59,19 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidArg(message)
 
 
-def _read_json(path: str):
+def _read_text(path: str) -> str:
+    """An input file's text; a file that cannot be read as UTF-8 text is an
+    input error."""
     try:
-        return json.loads(Path(path).read_text())
-    except OSError as e:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from e
+
+
+def _read_json(path: str):
+    text = _read_text(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
 
@@ -106,7 +114,7 @@ def _verify_options(args, cfg: dict) -> VerifyOptions:
 
 
 def _load_net(path: str):
-    spec = load_network(Path(path).read_text())
+    spec = load_network(_read_text(path))
     return spec, fold_bn(spec), network_hash(spec)
 
 
@@ -168,13 +176,16 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    ds = load_dataset(Path(args.dataset).read_text())
+    ds = load_dataset(_read_text(args.dataset))
     kwargs = dict(cfg.get("train", {}))
     unknown = sorted(set(kwargs) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise InvalidArg(f"config: unknown train keys {', '.join(unknown)}")
     if args.widths is not None:
-        kwargs["widths"] = tuple(int(v) for v in args.widths.split(","))
+        try:
+            kwargs["widths"] = tuple(int(v) for v in args.widths.split(","))
+        except ValueError as e:
+            raise InvalidArg(f"bad --widths {args.widths!r}: {e}") from e
     for name in ("epochs", "batch_size", "learning_rate", "eta", "bn_eps", "seed"):
         v = getattr(args, name)
         if v is not None:
@@ -235,7 +246,7 @@ def cmd_verify_robust(args) -> int:
         if not results:
             raise InvalidArg("; ".join(e for e in batch.errors if e))
     if args.dataset is not None:
-        ds = load_dataset(Path(args.dataset).read_text())
+        ds = load_dataset(_read_text(args.dataset))
         if batch is None:
             from .verify import BatchRobustness
 

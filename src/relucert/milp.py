@@ -4,11 +4,16 @@ Variables: inputs z, per hidden layer pre-activations and post-activations,
 outputs x, one binary per unstable neuron, and optionally a perturbation
 radius for trust queries. Every variable carries finite bounds taken from
 the activation-bound analysis, which double as big-M constants.
+
+The base encoding is immutable (read-only arrays, tuple rows and names, a
+read-only role map), so the subproblems built on it share it uncopied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,13 +50,13 @@ class MilpProblem:
     lo: np.ndarray
     hi: np.ndarray
     binary: np.ndarray
-    rows: list[LinearRow]
+    rows: tuple[LinearRow, ...]
     obj_sense: str = "max"
     obj_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     obj_coef: np.ndarray = field(default_factory=lambda: np.zeros(0))
     obj_offset: float = 0.0
-    var_roles: dict = field(default_factory=dict)
-    var_names: list[str] = field(default_factory=list)
+    var_roles: Mapping = field(default_factory=dict)
+    var_names: tuple[str, ...] = ()
     network: FoldedNetwork | None = None
     query: dict = field(default_factory=dict)
 
@@ -68,22 +73,6 @@ class MilpProblem:
         c = np.zeros(self.num_vars)
         c[self.obj_idx] = self.obj_coef
         return c
-
-    def copy(self) -> "MilpProblem":
-        return MilpProblem(
-            lo=self.lo.copy(),
-            hi=self.hi.copy(),
-            binary=self.binary.copy(),
-            rows=list(self.rows),
-            obj_sense=self.obj_sense,
-            obj_idx=self.obj_idx.copy(),
-            obj_coef=self.obj_coef.copy(),
-            obj_offset=self.obj_offset,
-            var_roles=dict(self.var_roles),
-            var_names=list(self.var_names),
-            network=self.network,
-            query=dict(self.query),
-        )
 
     def rows_tagged(self, prefix: str) -> list[LinearRow]:
         return [r for r in self.rows if r.tag.startswith(prefix)]
@@ -196,13 +185,16 @@ def encode_network(
                                       coef=np.array([1.0, -hmax]),
                                       sense="<=", rhs=0.0, tag=tag))
                 # h >= 0 needs no row: the post variable's lower bound is 0
+    lo, hi, binary = np.array(lo_l), np.array(hi_l), np.array(binary_l, dtype=bool)
+    for a in (lo, hi, binary):
+        a.setflags(write=False)
     return MilpProblem(
-        lo=np.array(lo_l),
-        hi=np.array(hi_l),
-        binary=np.array(binary_l, dtype=bool),
-        rows=rows,
-        var_roles=roles,
-        var_names=names,
+        lo=lo,
+        hi=hi,
+        binary=binary,
+        rows=tuple(rows),
+        var_roles=MappingProxyType(roles),
+        var_names=tuple(names),
         network=net,
     )
 
@@ -211,18 +203,20 @@ def set_robustness_objective(
     p: MilpProblem, i: int, sign: int, x_ref_i: float
 ) -> MilpProblem:
     """Objective maximize sign*(x_i - x_ref_i); the reference enters only as
-    a constant offset on the reported value."""
+    a constant offset on the reported value. Everything else is `p`'s own,
+    shared, not copied."""
     if sign not in (1, -1):
         raise InvalidArg("sign must be +1 or -1")
     if ("output", i) not in p.var_roles:
         raise IndexError(f"no output {i}")
-    q = p.copy()
-    q.obj_sense = "max"
-    q.obj_idx = np.array([q.var_roles[("output", i)]], dtype=np.intp)
-    q.obj_coef = np.array([float(sign)])
-    q.obj_offset = -float(sign) * float(x_ref_i)
-    q.query = {"kind": "robustness", "output": i, "sign": sign, "x_ref": float(x_ref_i)}
-    return q
+    return replace(
+        p,
+        obj_sense="max",
+        obj_idx=np.array([p.var_roles[("output", i)]], dtype=np.intp),
+        obj_coef=np.array([float(sign)]),
+        obj_offset=-float(sign) * float(x_ref_i),
+        query={"kind": "robustness", "output": i, "sign": sign, "x_ref": float(x_ref_i)},
+    )
 
 
 def default_delta_cap(z_ref, scale) -> float:
@@ -244,7 +238,8 @@ def set_trust_problem(
 ) -> MilpProblem:
     """Minimize the scaled perturbation radius subject to the output deviating
     by at least beta in the given direction. Inputs stay inside the unit box
-    regardless of the radius."""
+    regardless of the radius. `p` is left as it is: the problem shares its
+    rows and extends copies of its bounds by the radius column."""
     if sign not in (1, -1):
         raise InvalidArg("sign must be +1 or -1")
     if ("output", i) not in p.var_roles:
@@ -263,41 +258,39 @@ def set_trust_problem(
     if np.any(z_ref < -1e-12) or np.any(z_ref > 1.0 + 1e-12):
         raise InvalidArg("z_ref must lie in the unit box")
 
-    q = p.copy()
-    d_i = q.num_vars
-    q.lo = np.append(q.lo, 0.0)
-    q.hi = np.append(q.hi, float(delta_cap))
-    q.binary = np.append(q.binary, False)
-    q.var_roles[("delta",)] = d_i
-    q.var_names.append("delta")
-    for j in range(n0):
-        z_j = q.var_roles[("input", j)]
-        # z_j - z_ref_j <= delta scale_j   and   z_ref_j - z_j <= delta scale_j
-        q.rows.append(LinearRow(idx=np.array([z_j, d_i]),
-                                coef=np.array([1.0, -float(scale[j])]),
-                                sense="<=", rhs=float(z_ref[j]), tag=f"ball:{j}"))
-        q.rows.append(LinearRow(idx=np.array([z_j, d_i]),
-                                coef=np.array([-1.0, -float(scale[j])]),
-                                sense="<=", rhs=float(-z_ref[j]), tag=f"ball:{j}"))
-    x_i = q.var_roles[("output", i)]
-    q.rows.append(LinearRow(idx=np.array([x_i]), coef=np.array([float(sign)]),
-                            sense=">=", rhs=float(beta) + float(sign) * float(x_ref_i),
-                            tag="target"))
-    q.obj_sense = "min"
-    q.obj_idx = np.array([d_i], dtype=np.intp)
-    q.obj_coef = np.array([1.0])
-    q.obj_offset = 0.0
-    q.query = {
-        "kind": "trust",
-        "output": i,
-        "sign": sign,
-        "beta": float(beta),
-        "x_ref": float(x_ref_i),
-        "z_ref": z_ref.tolist(),
-        "scale": scale.tolist(),
-        "delta_cap": float(delta_cap),
-    }
-    return q
+    d_i = p.num_vars
+    # z_j - z_ref_j <= delta scale_j   and   z_ref_j - z_j <= delta scale_j
+    ball = [
+        LinearRow(idx=np.array([p.var_roles[("input", j)], d_i]), coef=np.array([s, -float(scale[j])]),
+                  sense="<=", rhs=s * float(z_ref[j]), tag=f"ball:{j}")
+        for j in range(n0)
+        for s in (1.0, -1.0)
+    ]
+    target = LinearRow(idx=np.array([p.var_roles[("output", i)]]), coef=np.array([float(sign)]),
+                       sense=">=", rhs=float(beta) + float(sign) * float(x_ref_i), tag="target")
+    return replace(
+        p,
+        lo=np.append(p.lo, 0.0),
+        hi=np.append(p.hi, float(delta_cap)),
+        binary=np.append(p.binary, False),
+        rows=(*p.rows, *ball, target),
+        obj_sense="min",
+        obj_idx=np.array([d_i], dtype=np.intp),
+        obj_coef=np.array([1.0]),
+        obj_offset=0.0,
+        var_roles=MappingProxyType({**p.var_roles, ("delta",): d_i}),
+        var_names=(*p.var_names, "delta"),
+        query={
+            "kind": "trust",
+            "output": i,
+            "sign": sign,
+            "beta": float(beta),
+            "x_ref": float(x_ref_i),
+            "z_ref": z_ref.tolist(),
+            "scale": scale.tolist(),
+            "delta_cap": float(delta_cap),
+        },
+    )
 
 
 def _lp_num(v: float) -> str:

@@ -22,13 +22,13 @@ bounds the total pivot count.
 The engine holds the rows alone and every solve brings its objective, so
 one engine serves every objective over its rows: a bound-tightening sweep's
 and all of a robustness query's subproblems. A solve may start from an
-earlier solution's basis and nonbasic-at-upper flags. An optimal solution
-also carries its final tableau; a start that passes it along adopts a copy
-in place of a refactorization when it came from the same engine and every
-nonbasic variable rests where it rested when the basic values were last
-computed (a branched binary is basic, and a bound-tightening sweep or a
-robustness root changes only the objective). Otherwise the basis is
-refactorized under the new bounds. If the start's basic values are
+earlier optimal solution: its basis, its nonbasic-at-upper flags and its
+final tableau. The solve adopts a copy of that tableau in place of a
+refactorization when it came from the same engine and every nonbasic
+variable rests where it rested when the basic values were last computed (a
+branched binary is basic, and a bound-tightening sweep or a robustness root
+changes only the objective). Otherwise the basis is refactorized under the
+new bounds. If the start's basic values are
 primal feasible (the next objective of a bound-tightening sweep, or a
 robustness root started from its query's shared phase-1 solve), phase 2
 runs from them directly. If the basis is dual feasible instead (a
@@ -68,7 +68,7 @@ class LpStatus(Enum):
 
 
 class WarmStart(Enum):
-    NONE = "none"              # no start basis given: cold two-phase solve
+    NONE = "none"              # no start given: cold two-phase solve
     USED = "used"              # the warm path reached the optimum or proved infeasibility
     FELL_BACK = "fell_back"    # the warm path did not; the cold solve decided
     BROKE_DOWN = "broke_down"  # the warm path raised NumericalBreakdown; the cold solve decided
@@ -94,13 +94,13 @@ class SimplexOptions:
 
 @dataclass(eq=False)
 class Tableau:
-    """An optimal solve's final tableau, which a later solve of the same
-    engine from the same basis may adopt: `T` is B^-1 [A | I] after `age`
-    pivots since its last refactorization, and `xB` holds the basic values
-    the closing refactorization computed with the nonbasic values `x_nb`."""
+    """An optimal solve's final tableau, over the basis of the solution that
+    carries it, which a later solve of the same engine started from that
+    solution may adopt: `T` is B^-1 [A | I] after `age` pivots since its
+    last refactorization, and `xB` holds the basic values the closing
+    refactorization computed with the nonbasic values `x_nb`."""
 
     engine: PreparedLp
-    basis: np.ndarray
     T: np.ndarray
     xB: np.ndarray
     x_nb: np.ndarray
@@ -113,14 +113,14 @@ class LpSolution:
     bound flips and one final pass per loop), counted over every path the
     solve took, a warm attempt that fell back included. `refactors` counts
     the tableau refactorizations of a warm start or of every
-    `refactor_every` pivots, not the closing one that computes the point."""
+    `refactor_every` pivots, not the closing one that computes the point.
+    An optimal solution serves as the `start` of a later solve."""
 
     status: LpStatus
     x: np.ndarray | None = None          # structural variable values
     objective: float | None = None
     basis: np.ndarray | None = None
-    at_upper: np.ndarray | None = None   # nonbasic-at-upper flag per structural and per logical
-                                         # column; with `basis`, a warm start
+    at_upper: np.ndarray | None = None   # nonbasic-at-upper flag per structural and per logical column
     infeasibility: float = 0.0           # when Infeasible: phase 1's L1 residual, or the one a dual ray proves
     phase1_pivots: int = 0
     phase2_pivots: int = 0
@@ -128,7 +128,7 @@ class LpSolution:
     warm: WarmStart = WarmStart.NONE
     refactors: int = 0
     inherited: bool = False               # the warm start adopted its start's tableau
-    tableau: Tableau | None = field(default=None, repr=False)  # when Optimal; `start`'s third item
+    tableau: Tableau | None = field(default=None, repr=False)  # when Optimal; over `basis`
 
     @property
     def iterations(self) -> int:
@@ -144,7 +144,7 @@ class SolveStats:
     phase1_pivots: int = 0
     phase2_pivots: int = 0
     dual_pivots: int = 0
-    warm_starts: int = 0     # solves given a start basis
+    warm_starts: int = 0     # solves given a start
     warm_fallbacks: int = 0  # of those, solves the cold path decided after all
     breakdowns: int = 0      # of those fallbacks, warm paths that raised NumericalBreakdown
     ray_infeasible: int = 0  # infeasible verdicts the warm path proved with a dual ray
@@ -192,8 +192,8 @@ class PreparedLp:
     The rows stay fixed; `solve` takes the structural bounds for this call
     (branch-and-bound fixes binaries that way), the objective (bound
     tightening sweeps one, and a robustness query's subproblems each bring
-    their own) and an optional start basis from an earlier solve of the
-    same skeleton, with that solve's tableau if it was optimal.
+    their own) and an optional start, an earlier optimal solution of the
+    same skeleton.
     """
 
     def __init__(self, A: np.ndarray, senses, b: np.ndarray, options: SimplexOptions | None = None):
@@ -221,13 +221,12 @@ class PreparedLp:
         hi: np.ndarray,
         c: np.ndarray,
         maximize: bool,
-        start: tuple | None = None,
+        start: LpSolution | None = None,
     ) -> LpSolution:
         """Maximize `c x` (or minimize it, `maximize` False) under
-        structural bounds `lo`/`hi`. `start` is an earlier solution's
-        `(basis, at_upper)` or `(basis, at_upper, tableau)` on this
-        skeleton; the solve then tries the warm path first and falls back
-        to the cold one."""
+        structural bounds `lo`/`hi`. `start` is an earlier optimal solution
+        on this skeleton; the solve then tries the warm path from its basis,
+        at-upper flags and tableau first and falls back to the cold one."""
         m, n, ncols = self.m, self.n, self.ncols
         lo_s = np.asarray(lo, dtype=float)
         hi_s = np.asarray(hi, dtype=float)
@@ -282,7 +281,7 @@ class PreparedLp:
             objective=val if maximize else -val,
             basis=state.basis,
             at_upper=state.at_upper,
-            tableau=Tableau(self, state.basis, state.T, state.xB, x_nb, state.age),
+            tableau=Tableau(self, state.T, state.xB, x_nb, state.age),
             **stats,
         )
 
@@ -349,26 +348,25 @@ class PreparedLp:
         return status, state, 0.0
 
     def _solve_warm(self, full_lo, full_hi, c2, start, max_iter, counts):
-        """Re-solve from a start basis. Returns what `_solve_cold` returns
-        when the warm path reaches an optimum or proves infeasibility, or
-        None when it can do neither. A tableau carried with the start is
-        adopted in place of a refactorization when it came from this engine,
-        fits the basis, is younger than `refactor_every` pivots and its
-        basic values were computed with the nonbasic values these bounds
-        give, so that they are what a refactorization would compute."""
+        """Re-solve from a start solution. Returns what `_solve_cold`
+        returns when the warm path reaches an optimum or proves
+        infeasibility, or None when it can do neither. The start's tableau
+        is adopted in place of a refactorization when it came from this
+        engine, is younger than `refactor_every` pivots and its basic values
+        were computed with the nonbasic values these bounds give, so that
+        they are what a refactorization would compute."""
         opts = self.opts
         m, ncols = self.m, self.ncols
-        basis = np.array(start[0], dtype=int)
-        at_upper = np.array(start[1], dtype=bool)
-        tab = start[2] if len(start) > 2 else None
+        basis = np.array(start.basis)
+        at_upper = np.array(start.at_upper, dtype=bool)
+        tab = start.tableau
         if (
-            len(start) > 3
-            or basis.shape != (m,)
+            basis.shape != (m,)
             or at_upper.shape != (ncols,)
             or np.any(basis < 0)
             or np.any(basis >= ncols)
             or np.unique(basis).size != m
-            or not (tab is None or (isinstance(tab, Tableau) and tab.T.shape == (m, ncols) and tab.xB.shape == (m,)))
+            or not (tab is None or (tab.T.shape == (m, ncols) and tab.xB.shape == (m,)))
         ):
             raise InvalidArg("start does not fit this LP")
         in_basis = np.zeros(ncols, dtype=bool)
@@ -379,7 +377,6 @@ class PreparedLp:
             tab is not None
             and tab.engine is self
             and tab.age < opts.refactor_every
-            and np.array_equal(tab.basis, basis)
             and np.array_equal(tab.x_nb, _resting(state, full_lo, full_hi))
         ):
             state.T, state.xB, state.age = tab.T.copy(), tab.xB.copy(), tab.age

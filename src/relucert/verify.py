@@ -450,29 +450,24 @@ def compare_robustness_vs_test(
     if not queries:
         raise InvalidArg("no completed queries to compare against")
 
-    S = inputs.shape[0]
-    sample_query = np.zeros(S, dtype=int)
-    flagged = np.zeros(S, dtype=bool)
-    for s in range(S):
-        best_d, best_q = np.inf, 0
-        for qi, q in enumerate(queries):
-            dz = np.abs(inputs[s] - q.z_ref)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(q.alpha > 0, dz / q.alpha, np.where(dz <= 1e-12, 0.0, np.inf))
-            d = float(np.max(ratio))
-            if d < best_d:
-                best_d, best_q = d, qi
-        sample_query[s] = best_q
-        flagged[s] = best_d > 1.0 + 1e-9
-    out = forward(net, inputs)
-    T = np.zeros(net.num_outputs)
-    used = 0
-    for s in range(S):
-        if flagged[s]:
-            continue
-        used += 1
-        err = np.abs(out[s] - queries[sample_query[s]].x_ref)
-        T = np.maximum(T, err)
+    # each sample's scaled distance to the nearest query's centre; a strict
+    # improvement is needed to move on, so ties go to the first query
+    best_d = np.full(inputs.shape[0], np.inf)
+    sample_query = np.zeros(inputs.shape[0], dtype=int)
+    for qi, q in enumerate(queries):
+        dz = np.abs(inputs - q.z_ref)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(q.alpha > 0, dz / q.alpha, np.where(dz <= 1e-12, 0.0, np.inf))
+        d = ratio.max(axis=1)
+        closer = d < best_d
+        best_d[closer] = d[closer]
+        sample_query[closer] = qi
+    flagged = best_d > 1.0 + 1e-9
+    inside = ~flagged
+    x_ref = np.array([q.x_ref for q in queries])
+    err = np.abs(forward(net, inputs)[inside] - x_ref[sample_query[inside]])
+    T = err.max(axis=0, initial=0.0)
+    used = int(inside.sum())
     diff = batch.aggregate_R - T
     finite = diff[np.isfinite(diff)]
     counts, edges = np.histogram(finite, bins=bins) if finite.size else (np.zeros(bins, dtype=int), np.linspace(0, 1, bins + 1))

@@ -196,6 +196,28 @@ def test_input_error_exit_codes(workdir, capsys):
     assert main(["verify-robust", "--network", str(workdir / "net.json"),
                  "--queries", q]) == 1
     capsys.readouterr()
+    # a directory or a file that is not UTF-8 text, wherever an input file is
+    # read, and a malformed --widths
+    net, ds = str(workdir / "net.json"), str(workdir / "ds.csv")
+    q = _write_queries(workdir, "readable.json", [
+        {"query_id": "u1", "z_ref": [0.3, 0.6], "x_ref": [0.5, 0.4], "alpha": 0.05},
+    ])
+    binary = workdir / "binary.bin"
+    binary.write_bytes(b"\xff\xfe\x80 not text")
+    out = str(workdir / "never.json")
+    for argv in (
+        ["verify-robust", "--network", str(workdir), "--queries", q],
+        ["verify-robust", "--network", net, "--queries", q, "--dataset", str(workdir)],
+        ["train", "--dataset", str(workdir), "--out", out],
+        ["verify-robust", "--network", str(binary), "--queries", q],
+        ["verify-robust", "--network", net, "--queries", str(binary)],
+        ["verify-robust", "--network", net, "--queries", q, "--dataset", str(binary)],
+        ["train", "--dataset", str(binary), "--out", out],
+        ["train", "--dataset", ds, "--out", out, "--widths", "4,x"],
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+    assert not (workdir / "never.json").exists()
 
 
 def test_tampered_report_fails_oracle_check(workdir, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -84,8 +86,9 @@ def test_indicator_semantics_on_minus1_2_neuron():
 
     def at(z_val, r_val, sign):
         q = set_robustness_objective(p, 0, sign, 0.0)
-        q.lo[z] = q.hi[z] = z_val
-        return solve_lp(q, relax={r: r_val})
+        lo, hi = q.lo.copy(), q.hi.copy()
+        lo[z] = hi[z] = z_val
+        return solve_lp(replace(q, lo=lo, hi=hi), relax={r: r_val})
 
     # z=0.8 (pre=1.4): r=1 pins h to 1.4; r=0 is contradictory
     assert at(0.8, 1.0, 1).objective == pytest.approx(1.4, abs=1e-9)
@@ -172,6 +175,29 @@ def test_objective_ops_do_not_mutate_base(e1):
     assert len(t.rows) == n_rows + 5  # 2 ball rows per input + target row
     assert t.num_vars == p.num_vars + 1
     assert q.query["kind"] == "robustness" and t.query["kind"] == "trust"
+
+
+def test_subproblems_share_the_read_only_base(e1):
+    p, _ = encode_on_box(e1, InputBox.unit(2))
+    rows, roles, names, num_vars = p.rows, dict(p.var_roles), p.var_names, p.num_vars
+    q = set_robustness_objective(p, 0, 1, 0.25)
+    # a robustness subproblem differs from its base in objective alone
+    for a in ("lo", "hi", "binary", "rows", "var_roles", "var_names", "network"):
+        assert getattr(q, a) is getattr(p, a)
+    # so a write through it, which would reach its siblings, raises
+    for a in (q.lo, q.hi, q.binary):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+    with pytest.raises(TypeError):
+        q.var_roles[("delta",)] = p.num_vars
+    assert not hasattr(q.rows, "append") and not hasattr(q.var_names, "append")
+    # a trust subproblem extends its base without touching it
+    t = set_trust_problem(p, 0, 1, 0.15, 0.25, np.full(2, 0.5), np.ones(2), 0.5)
+    assert p.num_vars == num_vars and p.rows is rows and p.var_names is names
+    assert dict(p.var_roles) == roles and ("delta",) not in p.var_roles
+    assert all(a is b for a, b in zip(t.rows, rows)) and len(t.rows) == len(rows) + 5
+    assert t.var_roles[("delta",)] == num_vars
+    assert np.array_equal(t.lo[:num_vars], p.lo) and np.array_equal(t.hi[:num_vars], p.hi)
 
 
 def test_validation_errors(e1):

@@ -231,7 +231,7 @@ def test_rank_deficient_lp_bases_index_only_structurals_and_logicals():
 
     # a bound change, re-solved from the redundant row's basis
     hi[2] = 1.0
-    warm = eng.solve(lo, hi, c, True, start=(cold.basis, cold.at_upper))
+    warm = eng.solve(lo, hi, c, True, start=cold)
     again = eng.solve(lo, hi, c, True)
     ref = scipy_solve(_RD_C, True, _RD_A, _RD_SENSES, _RD_B, lo, hi)
     assert warm.status is LpStatus.OPTIMAL and warm.warm is WarmStart.USED
@@ -247,10 +247,9 @@ def test_rank_deficient_lp_bases_index_only_structurals_and_logicals():
     outside[0] = n + m
     narrow = replace(cold.tableau, T=cold.tableau.T[:, :-1])
     for start in (
-        (outside, cold.at_upper),
-        (cold.basis, np.zeros(n + m + 1, dtype=bool)),
-        (cold.basis, cold.at_upper, narrow),
-        (cold.basis, cold.at_upper, cold.tableau.T),
+        replace(cold, basis=outside),
+        replace(cold, at_upper=np.zeros(n + m + 1, dtype=bool)),
+        replace(cold, tableau=narrow),
     ):
         with pytest.raises(InvalidArg):
             eng.solve(lo, hi, c, True, start=start)

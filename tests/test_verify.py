@@ -260,6 +260,55 @@ def test_compare_flags_out_of_ball_samples(e1):
         compare_robustness_vs_test(batch, e1, inputs[:, :1], targets)
 
 
+def _match_one_by_one(queries, z):
+    """Reference for the comparison's matching, one sample and one query at
+    a time: the nearest query by scaled distance, the first on a tie, and
+    whether the sample lies outside every ball."""
+    best_d, best_q = np.inf, 0
+    for qi, q in enumerate(queries):
+        dz = np.abs(z - q.z_ref)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(q.alpha > 0, dz / q.alpha, np.where(dz <= 1e-12, 0.0, np.inf))
+        d = float(np.max(ratio))
+        if d < best_d:
+            best_d, best_q = d, qi
+    return best_q, best_d > 1.0 + 1e-9
+
+
+def test_compare_matches_samples_across_queries(e1):
+    # the balls overlap, and the first has a zero radius on input 1
+    q0 = VerificationQuery(z_ref=[0.4, 0.5], x_ref=[0.1], alpha=[0.2, 0.0])
+    q1 = VerificationQuery(z_ref=[0.6, 0.5], x_ref=[0.3], alpha=0.2)
+    q2 = VerificationQuery(z_ref=[0.3, 0.3], x_ref=[0.2], alpha=0.1)  # far from the samples below
+    queries = (q0, q1, q2)
+    batch = robustness_batch(e1, list(queries))
+    inputs = np.array([
+        [0.5, 0.5],                      # 0.5 from both centres: the tie goes to q0
+        [0.45, 0.55],                    # off q0's zero-radius input, so q1's
+        [0.4, 0.5 + 1e-13],              # within 1e-12 of it, so q0's
+        [0.9, 0.9],                      # in no ball
+        [0.6 + 0.2 * (1 + 1e-10), 0.5],  # on q1's boundary, within 1e-9
+        [0.6 + 0.2 * (1 + 1e-8), 0.5],   # past it
+    ])
+    cmp_res = compare_robustness_vs_test(batch, e1, inputs, np.zeros((6, 1)))
+    assert list(cmp_res.sample_query) == [0, 1, 0, 1, 1, 1]
+    assert list(cmp_res.flagged) == [False, False, False, True, False, True]
+    assert cmp_res.samples_used == 4
+    x_ref = (0.1, 0.3, 0.1, None, 0.3, None)
+    devs = [abs(y - x) for y, x in zip(forward(e1, inputs)[:, 0], x_ref) if x is not None]
+    assert cmp_res.T[0] == max(devs)
+    # random samples, half of them on q0's zero-radius input, match as the
+    # reference does
+    inputs = np.random.default_rng(0).uniform(0.2, 0.8, size=(200, 2))
+    inputs[::2, 1] = 0.5
+    cmp_res = compare_robustness_vs_test(batch, e1, inputs, np.zeros((200, 1)))
+    ref = [_match_one_by_one(queries, z) for z in inputs]
+    assert [(int(a), bool(b)) for a, b in zip(cmp_res.sample_query, cmp_res.flagged)] == ref
+    assert {qi for qi, out in ref if not out} == {0, 1, 2}
+    devs = [abs(y - queries[qi].x_ref[0]) for y, (qi, out) in zip(forward(e1, inputs)[:, 0], ref) if not out]
+    assert cmp_res.samples_used == len(devs) and cmp_res.T[0] == max(devs)
+
+
 def test_reports_and_hashes(e1):
     q = VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], alpha=0.1, query_id="op1")
     res = robustness(e1, q)
@@ -360,7 +409,7 @@ def test_child_breakdown_leaves_the_query_at_gap_limit(e1, monkeypatch):
         if start is None:
             shared.append(solve(self, *args, **kwargs))
             return shared[-1]
-        if start[0] is not shared[-1].basis and not broken:  # the first warm-started child
+        if start is not shared[-1] and not broken:  # the first warm-started child
             broken.append(start)
             raise NumericalBreakdown("forced")
         return solve(self, *args, start=start, **kwargs)

@@ -68,7 +68,6 @@ def test_warm_solve_matches_cold_after_bound_changes(seed, n, m, maximize, new_o
     eng = PreparedLp(A, senses, b)
     first = eng.solve(lo, hi, c, maximize)
     assert first.status is LpStatus.OPTIMAL
-    start = (first.basis, first.at_upper)
     lo2, hi2 = lo.copy(), hi.copy()
     for j in np.flatnonzero(rng.uniform(size=n) < 0.4):
         a, z = sorted(rng.uniform(lo[j], hi[j], size=2))
@@ -77,7 +76,7 @@ def test_warm_solve_matches_cold_after_bound_changes(seed, n, m, maximize, new_o
         else:
             lo2[j], hi2[j] = a, z
     c2 = rng.normal(size=n) if new_objective else c
-    warm = eng.solve(lo2, hi2, c2, maximize, start=start)
+    warm = eng.solve(lo2, hi2, c2, maximize, start=first)
     cold = eng.solve(lo2, hi2, c2, maximize)
     assert warm.warm is not WarmStart.NONE and cold.warm is WarmStart.NONE
     _assert_same(warm, cold)
@@ -90,7 +89,7 @@ def test_bound_change_is_reoptimized_by_dual_pivots():
     c = np.array([1.0, 2.0])
     root = eng.solve(np.zeros(2), np.ones(2), c, True)
     assert root.objective == pytest.approx(2.5)
-    child = eng.solve(np.zeros(2), np.array([0.25, 1.0]), c, True, start=(root.basis, root.at_upper))
+    child = eng.solve(np.zeros(2), np.array([0.25, 1.0]), c, True, start=root)
     assert child.warm is WarmStart.USED
     assert child.phase1_pivots == 0 and child.dual_pivots >= 1
     assert child.objective == pytest.approx(2.25, abs=1e-12)
@@ -117,7 +116,7 @@ def test_dual_leaves_the_steepest_edge_row(monkeypatch):
     monkeypatch.setattr(PreparedLp, "_pivot", spy)
     hi2 = hi.copy()
     hi2[:2] = 0.2, 0.45
-    child = eng.solve(lo, hi2, c, True, start=(root.basis, root.at_upper))
+    child = eng.solve(lo, hi2, c, True, start=root)
     assert child.warm is WarmStart.USED and child.dual_pivots >= 2
     assert left[0] == 1
     _assert_same(child, eng.solve(lo, hi2, c, True))
@@ -163,7 +162,7 @@ def test_dual_tableau_logical_block_is_the_inverse_basis(seed, n, m, maximize):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PreparedLp, "_dual", checked_dual)
-        warm = eng.solve(lo2, hi2, c, maximize, start=(root.basis, root.at_upper))
+        warm = eng.solve(lo2, hi2, c, maximize, start=root)
     assume(len(checked) >= 3)  # two pivots: one plain update, then a refactorization
     _assert_same(warm, eng.solve(lo2, hi2, c, maximize))
 
@@ -172,7 +171,7 @@ def test_infeasible_child_is_decided_by_the_dual_ray():
     eng = PreparedLp([[1.0, 1.0]], [">="], np.array([1.5]))
     c = np.array([1.0, 1.0])
     root = eng.solve(np.zeros(2), np.ones(2), c, True)
-    child = eng.solve(np.zeros(2), np.array([0.25, 1.0]), c, True, start=(root.basis, root.at_upper))
+    child = eng.solve(np.zeros(2), np.array([0.25, 1.0]), c, True, start=root)
     assert child.status is LpStatus.INFEASIBLE
     assert child.warm is WarmStart.USED
     assert child.phase1_pivots == 0
@@ -188,7 +187,7 @@ def test_weak_ray_leaves_the_verdict_to_the_cold_solve():
     root = eng.solve(np.zeros(2), np.array([20.0, 0.4]), c, True)
     assert root.objective == pytest.approx(-10.0) and list(root.basis) == [0]
     hi = np.array([10.0 - 1e-6, 0.4])
-    warm = eng.solve(np.zeros(2), hi, c, True, start=(root.basis, root.at_upper))
+    warm = eng.solve(np.zeros(2), hi, c, True, start=root)
     cold = eng.solve(np.zeros(2), hi, c, True)
     assert cold.status is LpStatus.OPTIMAL
     assert warm.warm is WarmStart.FELL_BACK and warm.dual_pivots >= 1
@@ -212,7 +211,7 @@ def test_ray_verdicts_agree_with_phase_1(seed, n, m, maximize):
         if np.maximum(A[i] * lo2, A[i] * hi2).sum() < b[i] - 1e-3:
             break
         lo2[j] = hi2[j] = lo[j] if A[i, j] > 0 else hi[j]
-    warm = eng.solve(lo2, hi2, c, maximize, start=(root.basis, root.at_upper))
+    warm = eng.solve(lo2, hi2, c, maximize, start=root)
     cold = eng.solve(lo2, hi2, c, maximize)
     _assert_same(warm, cold)
     if warm.status is LpStatus.INFEASIBLE and warm.warm is WarmStart.USED:
@@ -233,7 +232,7 @@ def test_dual_degenerate_instance_terminates():
         root = eng.solve(lo, hi, c, True)
         lo2 = lo.copy()
         lo2[:4] = hi[:4] - 0.1 * (hi[:4] - lo[:4])
-        warm = eng.solve(lo2, hi, c, True, start=(root.basis, root.at_upper))
+        warm = eng.solve(lo2, hi, c, True, start=root)
         _assert_same(warm, eng.solve(lo2, hi, c, True))
         bland_runs += warm.dual_pivots > 2  # pivots after the first ran under Bland's rule
     assert bland_runs > 0
@@ -252,7 +251,7 @@ def test_breakdown_on_the_warm_path_returns_the_cold_result(monkeypatch):
         raise NumericalBreakdown("forced")
 
     monkeypatch.setattr(PreparedLp, "_solve_warm", broken)
-    warm = eng.solve(lo2, hi, c, True, start=(root.basis, root.at_upper))
+    warm = eng.solve(lo2, hi, c, True, start=root)
     assert warm.warm is WarmStart.BROKE_DOWN
     _assert_same(warm, cold)
     assert np.array_equal(warm.x, cold.x)
@@ -433,7 +432,7 @@ def test_inherited_tableaus_keep_every_answer(seed, alpha):
     solve = PreparedLp.solve
 
     def stripped(self, *args, start=None, **kwargs):
-        return solve(self, *args, start=None if start is None else start[:2], **kwargs)
+        return solve(self, *args, start=None if start is None else replace(start, tableau=None), **kwargs)
 
     for p in problems:
         inheriting = solve_milp(p)
@@ -471,11 +470,11 @@ def _fix(lo, hi, j, v):
 def test_child_adopts_its_parents_tableau():
     _, eng, root, c, lo, hi, j, _ = _child_lp()
     lo2, hi2 = _fix(lo, hi, j, lo[j])
-    child = eng.solve(lo2, hi2, c, True, start=(root.basis, root.at_upper, root.tableau))
+    child = eng.solve(lo2, hi2, c, True, start=root)
     assert child.inherited and child.refactors == 0 and child.warm is WarmStart.USED
     _assert_same(child, eng.solve(lo2, hi2, c, True))
     # the parent's tableau is copied, not updated in place
-    again = eng.solve(lo2, hi2, c, True, start=(root.basis, root.at_upper, root.tableau))
+    again = eng.solve(lo2, hi2, c, True, start=root)
     assert again.inherited and again.objective == child.objective
 
 
@@ -483,7 +482,7 @@ def test_child_adopts_its_parents_tableau():
 def test_tableau_failing_adoption_is_refactorized(case):
     lp, eng, root, c, lo, hi, j, k = _child_lp()
     lo2, hi2 = _fix(lo, hi, j, lo[j])
-    tableau = root.tableau
+    start = root
     if case == "nonbasic bound":
         # the nonbasic structural moves with the bound it rests at
         if root.at_upper[k]:
@@ -491,13 +490,13 @@ def test_tableau_failing_adoption_is_refactorized(case):
         else:
             lo2[k] -= 0.5
     elif case == "other engine":
-        tableau = PreparedLp(**lp).solve(lo, hi, c, True).tableau
+        start = PreparedLp(**lp).solve(lo, hi, c, True)
     else:
         eng = PreparedLp(**lp, options=SimplexOptions(refactor_every=1))
         root = eng.solve(lo, hi, c, True)
-        young = eng.solve(lo2, hi2, c, True, start=(root.basis, root.at_upper, root.tableau))
+        young = eng.solve(lo2, hi2, c, True, start=root)
         assert root.tableau.age == 0 and young.inherited
-        tableau = replace(root.tableau, age=1)
-    child = eng.solve(lo2, hi2, c, True, start=(root.basis, root.at_upper, tableau))
+        start = replace(root, tableau=replace(root.tableau, age=1))
+    child = eng.solve(lo2, hi2, c, True, start=start)
     assert not child.inherited and child.refactors >= 1
     _assert_same(child, eng.solve(lo2, hi2, c, True))
