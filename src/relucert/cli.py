@@ -149,10 +149,19 @@ def _load_queries(path: str) -> tuple[list[VerificationQuery], bool]:
     return [_query_from_dict(it, n) for n, it in enumerate(items)], single
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is an input
+    error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise InvalidArg(f"cannot write {path}: {e}") from e
+
+
 def _write_json(path: str | None, doc: dict):
     text = json.dumps(doc, indent=2) + "\n"
     if path:
-        Path(path).write_text(text)
+        _write_text(path, text)
     else:
         sys.stdout.write(text)
 
@@ -169,7 +178,7 @@ def _parse_vec(text: str) -> np.ndarray:
 
 def cmd_gen_data(args) -> int:
     ds = gen_synthetic(args.inputs, args.outputs, args.samples, args.noise, args.seed)
-    Path(args.out).write_text(save_dataset(ds))
+    _write_text(args.out, save_dataset(ds))
     print(f"wrote {args.samples} samples ({len(ds.train_idx)} train / {len(ds.test_idx)} test) to {args.out}")
     return EXIT_OK
 
@@ -191,7 +200,7 @@ def cmd_train(args) -> int:
         if v is not None:
             kwargs[name] = v
     spec = train(ds, TrainConfig(**kwargs))
-    Path(args.out).write_text(save_network(spec))
+    _write_text(args.out, save_network(spec))
     net = fold_bn(spec)
     T = evaluate(net, ds, "test")
     for name, t in zip(spec.output_names, T):
@@ -270,11 +279,11 @@ def cmd_verify_robust(args) -> int:
             "samples_flagged_outside_balls": int(cmp_res.flagged.sum()),
         }
         if args.histogram:
-            Path(args.histogram).write_text(histogram_csv(cmp_res.hist_edges, cmp_res.hist_counts))
+            _write_text(args.histogram, histogram_csv(cmp_res.hist_edges, cmp_res.hist_counts))
     _write_json(args.out, rep)
     timing = args.timing or (args.out + ".timing.json" if args.out else None)
     if timing:
-        Path(timing).write_text(json.dumps(timing_sidecar(results), indent=2) + "\n")
+        _write_json(timing, timing_sidecar(results))
     for res in results:
         for o in res.per_output:
             r_txt = "uncertified" if o.R is None else repr(o.R)
@@ -303,9 +312,7 @@ def cmd_verify_trust(args) -> int:
     rep = entries[0] if single else {"kind": "trust_batch", "queries": entries}
     _write_json(args.out, rep)
     if args.table:
-        Path(args.table).write_text(
-            trust_table_csv(results, spec.input_norm_lo, spec.input_norm_hi)
-        )
+        _write_text(args.table, trust_table_csv(results, spec.input_norm_lo, spec.input_norm_hi))
     if args.histogram:
         pcts = [
             delta_percent(o.delta_min, r.query.z_ref, r.query.effective_scale(),
@@ -318,10 +325,10 @@ def cmd_verify_trust(args) -> int:
             counts, edges = np.histogram(np.array(pcts), bins=10)
         else:
             counts, edges = np.zeros(10, dtype=int), np.linspace(0.0, 1.0, 11)
-        Path(args.histogram).write_text(histogram_csv(edges, counts))
+        _write_text(args.histogram, histogram_csv(edges, counts))
     timing = args.timing or (args.out + ".timing.json" if args.out else None)
     if timing:
-        Path(timing).write_text(json.dumps(timing_sidecar(results), indent=2) + "\n")
+        _write_json(timing, timing_sidecar(results))
     for r in results:
         for o in r.per_output:
             d_txt = repr(o.delta_min) if o.found else "not_found"
@@ -589,9 +596,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except (ParseError, InvalidArg, InvalidValue, DimensionMismatch) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except SolverFailure as e:

@@ -12,39 +12,49 @@ every inequality row whose logical would start negative, gets a signed
 artificial column in a matrix local to phase 1, which drives the
 artificials to zero; they are then expelled from the basis and dropped,
 and phase 2 optimizes the real objective on the skeleton alone, from basic
-values recomputed from the original data. The tableau is dense and is
+values recomputed from the original data.
+
+The tableau is dense and compact, in dictionary form (Chvatal, *Linear
+Programming*, 1983, ch. 2-3): `T = B^-1 A_N` holds only the nonbasic
+columns, one per position, `nb` names the column at each position, and the
+basic columns, unit vectors, are not stored. A pivot is a Jordan exchange:
+the leaving variable takes the entering one's position. The reduced costs
+over the positions are carried through each exchange and recomputed from
+the objective at each loop's entry and after each refactorization, and the
+primal loop declares optimality only on a recomputed row. The tableau is
 refactorized from the original data every `refactor_every` pivots to shed
 accumulated error; the pivots are counted since the tableau's last
 refactorization, across every solve that inherits it. Bland's rule takes
 over entering/leaving selection after a run of degenerate pivots, which
-bounds the total pivot count.
+bounds the total pivot count; it picks the lowest column index, whatever
+position the column holds.
 
 The engine holds the rows alone and every solve brings its objective, so
 one engine serves every objective over its rows: a bound-tightening sweep's
 and all of a robustness query's subproblems. A solve may start from an
 earlier optimal solution: its basis, its nonbasic-at-upper flags and its
-final tableau. The solve adopts a copy of that tableau in place of a
-refactorization when it came from the same engine and every nonbasic
-variable rests where it rested when the basic values were last computed (a
-branched binary is basic, and a bound-tightening sweep or a robustness root
-changes only the objective). Otherwise the basis is refactorized under the
-new bounds. If the start's basic values are
-primal feasible (the next objective of a bound-tightening sweep, or a
-robustness root started from its query's shared phase-1 solve), phase 2
-runs from them directly. If the basis is dual feasible instead (a
+final tableau with the position of each nonbasic column. The solve adopts a
+copy of that tableau in place of a refactorization when it came from the
+same engine and every nonbasic variable rests where it rested when the
+basic values were last computed (a branched binary is basic, and a
+bound-tightening sweep or a robustness root changes only the objective).
+Otherwise the basis is refactorized under the new bounds. If the start's
+basic values are primal feasible (the next objective of a bound-tightening
+sweep, or a robustness root started from its query's shared phase-1 solve),
+phase 2 runs from them directly. If the basis is dual feasible instead (a
 branch-and-bound child, whose bounds differ from its parent's in one
 binary), a bounded dual simplex restores primal feasibility and one primal
 phase-2 pass cleans up. The dual simplex prices by dual steepest edge
 (Forrest & Goldfarb 1992): the leaving row maximizes its squared bound
-violation over the squared norm of its row of B^-1. The skeleton's tableau
-is B^-1 [A | I], so those exact weights are read off its logical columns
-and need no update formula. When the dual simplex finds a violated row
-with no entering column, that row's dual ray is re-derived from the
-original data and bounded over the variables' box. It decides the solve
-infeasible only if it proves an L1 row residual above `feas_tol`, the level
-phase 1 would need to see to reject the LP. Any other outcome of the warm
-path, a weaker ray, an iteration limit or a numerical breakdown, falls back
-to the cold solve.
+violation over the squared norm of its row of B^-1. On the skeleton, B^-1
+is the tableau's columns at the nonbasic logicals and a unit vector at each
+basic one, so those exact weights are read off the tableau and need no
+update formula. When the dual simplex finds a violated row with no entering
+column, that row's dual ray is re-derived from the original data and
+bounded over the variables' box. It decides the solve infeasible only if it
+proves an L1 row residual above `feas_tol`, the level phase 1 would need to
+see to reject the LP. Any other outcome of the warm path, a weaker ray, an
+iteration limit or a numerical breakdown, falls back to the cold solve.
 """
 
 from __future__ import annotations
@@ -96,12 +106,15 @@ class SimplexOptions:
 class Tableau:
     """An optimal solve's final tableau, over the basis of the solution that
     carries it, which a later solve of the same engine started from that
-    solution may adopt: `T` is B^-1 [A | I] after `age` pivots since its
-    last refactorization, and `xB` holds the basic values the closing
-    refactorization computed with the nonbasic values `x_nb`."""
+    solution may adopt: `T` is B^-1 A_N, the m x n block of B^-1 [A | I]
+    at the nonbasic columns `nb` (column `nb[k]` at position `k`), after
+    `age` pivots since its last refactorization, and `xB` holds the basic
+    values the closing refactorization computed with the nonbasic values
+    `x_nb`."""
 
     engine: PreparedLp
     T: np.ndarray
+    nb: np.ndarray
     xB: np.ndarray
     x_nb: np.ndarray
     age: int
@@ -114,7 +127,8 @@ class LpSolution:
     solve took, a warm attempt that fell back included. `refactors` counts
     the tableau refactorizations of a warm start or of every
     `refactor_every` pivots, not the closing one that computes the point.
-    An optimal solution serves as the `start` of a later solve."""
+    An optimal solution serves as the `start` of a later solve; its
+    `tableau` holds B^-1 A over the columns outside `basis`."""
 
     status: LpStatus
     x: np.ndarray | None = None          # structural variable values
@@ -188,6 +202,8 @@ class PreparedLp:
     inequality row and `[0, 0]` on an equality row, so nothing after the
     constructor needs the row senses. Bases and at-upper flags index these
     n + m columns only; artificials live inside a cold solve's phase 1.
+    A solve's tableau is B^-1 over the n columns outside the basis, an
+    m x n array however many of them are logicals.
 
     The rows stay fixed; `solve` takes the structural bounds for this call
     (branch-and-bound fixes binaries that way), the objective (bound
@@ -281,7 +297,7 @@ class PreparedLp:
             objective=val if maximize else -val,
             basis=state.basis,
             at_upper=state.at_upper,
-            tableau=Tableau(self, state.T, state.xB, x_nb, state.age),
+            tableau=Tableau(self, state.T, state.nb, state.xB, x_nb, state.age),
             **stats,
         )
 
@@ -306,17 +322,15 @@ class PreparedLp:
         A1[art, ncols + np.arange(k)] = sigma
         basis = np.arange(n, ncols)
         basis[art] = ncols + np.arange(k)
-        xB = np.abs(resid)  # resid itself on every row a logical holds
+        nb = np.concatenate((np.arange(n), n + art))  # the structurals and the logicals artificials replace
         row_sign = np.ones(m)
         row_sign[art] = sigma
-        in_basis = np.zeros(ncols + k, dtype=bool)
-        in_basis[basis] = True
         state = _State(
-            T=A1 * row_sign[:, None],  # B^-1 A1 for this basis of signed unit columns
+            T=A1[:, nb] * row_sign[:, None],  # B^-1 A1_N for this basis of signed unit columns
             basis=basis,
-            xB=xB,
+            nb=nb,
+            xB=np.abs(resid),  # resid itself on every row a logical holds
             at_upper=np.zeros(ncols + k, dtype=bool),
-            in_basis=in_basis,
             counts=counts,
         )
 
@@ -332,10 +346,12 @@ class PreparedLp:
             if art_sum > opts.feas_tol:
                 return LpStatus.INFEASIBLE, None, art_sum
             self._expel_artificials(state, full_lo, full_hi)
-            # every artificial is nonbasic at zero now; drop their columns
-            state.T = np.ascontiguousarray(state.T[:, :ncols])
+            # every artificial is nonbasic at zero now; drop their positions
+            keep = state.nb < ncols
+            state.T = np.ascontiguousarray(state.T[:, keep])
+            state.nb = state.nb[keep]
+            state.d = state.d[keep]
             state.at_upper = state.at_upper[:ncols]
-            state.in_basis = state.in_basis[:ncols]
             # phase 2 starts from basic values computed from the original
             # data, the ones a warm start adopting this tableau reads, so a
             # robustness root started from the shared phase-1 solve runs
@@ -356,7 +372,7 @@ class PreparedLp:
         were computed with the nonbasic values these bounds give, so that
         they are what a refactorization would compute."""
         opts = self.opts
-        m, ncols = self.m, self.ncols
+        m, n, ncols = self.m, self.n, self.ncols
         basis = np.array(start.basis)
         at_upper = np.array(start.at_upper, dtype=bool)
         tab = start.tableau
@@ -366,30 +382,29 @@ class PreparedLp:
             or np.any(basis < 0)
             or np.any(basis >= ncols)
             or np.unique(basis).size != m
-            or not (tab is None or (tab.T.shape == (m, ncols) and tab.xB.shape == (m,)))
+            or not (tab is None or (tab.T.shape == (m, n) and tab.nb.shape == (n,) and tab.xB.shape == (m,)))
         ):
             raise InvalidArg("start does not fit this LP")
         in_basis = np.zeros(ncols, dtype=bool)
         in_basis[basis] = True
         at_upper &= ~in_basis & np.isfinite(full_hi)
-        state = _State(T=None, basis=basis, xB=None, at_upper=at_upper, in_basis=in_basis, counts=counts)
+        state = _State(T=None, basis=basis, nb=None, xB=None, at_upper=at_upper, counts=counts)
         if (
             tab is not None
             and tab.engine is self
             and tab.age < opts.refactor_every
             and np.array_equal(tab.x_nb, _resting(state, full_lo, full_hi))
         ):
-            state.T, state.xB, state.age = tab.T.copy(), tab.xB.copy(), tab.age
+            state.T, state.nb, state.xB, state.age = tab.T.copy(), tab.nb.copy(), tab.xB.copy(), tab.age
             counts["inherited"] = 1
         else:
+            state.nb = (~in_basis).nonzero()[0]
             self._refactor(state, self.A, full_lo, full_hi)
 
-        lo_B, hi_B = full_lo[basis], full_hi[basis]
-        if np.any(state.xB < lo_B - opts.feas_tol) or np.any(state.xB > hi_B + opts.feas_tol):
-            d = c2 - c2[basis] @ state.T
-            movable = full_hi > full_lo
-            dual_infeasible = ~in_basis & movable & np.where(at_upper, d < -opts.opt_tol, d > opts.opt_tol)
-            if dual_infeasible.any():
+        movable = full_hi > full_lo
+        if np.any(state.xB < full_lo[basis] - opts.feas_tol) or np.any(state.xB > full_hi[basis] + opts.feas_tol):
+            state.d = _reduced_costs(state, c2)
+            if _entering(state, movable, opts.opt_tol, False) >= 0:  # not dual feasible
                 return None
             status, iters, residual = self._dual(state, full_lo, full_hi, c2, max_iter)
             if status is LpStatus.INFEASIBLE:
@@ -438,14 +453,15 @@ class PreparedLp:
 
     # ------------------------------------------------------------------
     def _refactor(self, state: _State, A, full_lo, full_hi, tableau: bool = True) -> np.ndarray:
-        """Recompute the basic values, and the tableau unless `tableau` is
-        False, from the original data; `A` is the skeleton, or phase 1's
-        matrix with its artificial columns. Returns the nonbasic values the
-        basic values were computed with."""
+        """Recompute the basic values, and the tableau over the state's
+        nonbasic positions unless `tableau` is False, from the original
+        data; `A` is the skeleton, or phase 1's matrix with its artificial
+        columns. Returns the nonbasic values the basic values were computed
+        with."""
         x_nb = _resting(state, full_lo, full_hi)
         rhs = self.b - A @ x_nb
         try:  # one factorization of B serves the tableau and the basic values
-            sol = np.linalg.solve(A[:, state.basis], np.column_stack((A, rhs)) if tableau else rhs)
+            sol = np.linalg.solve(A[:, state.basis], np.column_stack((A[:, state.nb], rhs)) if tableau else rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown("singular basis during refactorization") from exc
         if tableau:
@@ -458,39 +474,53 @@ class PreparedLp:
         return x_nb
 
     def _expel_artificials(self, state: _State, full_lo, full_hi) -> None:
-        """Swap each basic artificial, at zero after phase 1, for the first
+        """Swap each basic artificial, at zero after phase 1, for the lowest
         nonbasic structural or logical column with a pivot element in its
         row. The primal point is unchanged, so the entering variable keeps
-        its resting value. The tableau's logical block is B^-1, whose row
-        at an artificial is nonzero and vanishes at every basic logical, so
-        some nonbasic logical has an entry there; a row without one above
-        `pivot_tol` is a numerical breakdown."""
+        its resting value. B^-1's row at an artificial is nonzero and
+        vanishes at every basic logical, and its entries at the nonbasic
+        logicals are in the tableau, so some nonbasic logical has an entry
+        there; a row without one above `pivot_tol` is a numerical
+        breakdown."""
         ncols = self.ncols
-        for r in np.flatnonzero(state.basis >= ncols):
-            cand = np.flatnonzero((np.abs(state.T[r, :ncols]) > self.opts.pivot_tol) & ~state.in_basis[:ncols])
+        for r in (state.basis >= ncols).nonzero()[0]:
+            cand = ((np.abs(state.T[r]) > self.opts.pivot_tol) & (state.nb < ncols)).nonzero()[0]
             if cand.size == 0:
                 raise NumericalBreakdown("no pivot element to expel an artificial")
-            j = int(cand[0])
-            self._pivot(state, r, j, full_hi[j] if state.at_upper[j] else full_lo[j])
+            k = cand[state.nb[cand].argmin()]
+            j = state.nb[k]
+            self._pivot(state, r, k, full_hi[j] if state.at_upper[j] else full_lo[j])
 
-    def _pivot(self, state: _State, r: int, j: int, new_val: float) -> None:
-        T = state.T
-        piv = T[r, j]
-        leaving = state.basis[r]
-        state.in_basis[leaving] = False
-        state.in_basis[j] = True
+    def _pivot(self, state: _State, r: int, k: int, new_val: float) -> None:
+        """Exchange basic row `r` with nonbasic position `k`: the entering
+        variable takes the row at `new_val`, the leaving one the position,
+        and the tableau and the reduced costs are carried through the
+        exchange."""
+        T, d = state.T, state.d
+        j = state.nb[k]
+        state.nb[k] = state.basis[r]
         state.basis[r] = j
         state.xB[r] = new_val
         state.at_upper[j] = False
-        T[r] = T[r] / piv
-        col = T[:, j].copy()
+        col = T[:, k].copy()
+        piv = col[r]
         col[r] = 0.0
-        T -= np.outer(col, T[r])
+        T[:, k] = 0.0
+        T[r, k] = 1.0
+        row = T[r]
+        row /= piv  # the leaving variable's column becomes -col / piv, with 1 / piv in row r
+        T -= np.outer(col, row)
+        dk = d[k]
+        d[k] = 0.0
+        d -= dk * row
 
     # ------------------------------------------------------------------
     def _iterate(self, state, A, full_lo, full_hi, c_int, max_iter, kind) -> tuple[LpStatus, int]:
         """Primal simplex from a primal feasible basis over the columns of
-        `A`; `kind` names the phase its pricing passes are counted under."""
+        `A`; `kind` names the phase its pricing passes are counted under.
+        The reduced costs are carried through each pivot and recomputed at
+        entry and after each refactorization, and optimality is only
+        declared on a recomputed row."""
         opts = self.opts
         pivot_tol = opts.pivot_tol
         span = full_hi - full_lo
@@ -498,45 +528,34 @@ class PreparedLp:
         iters = 0
         degen_streak = 0
         bland = False
+        state.d = _reduced_costs(state, c_int)
+        fresh = True
         while True:
             if iters >= max_iter:
                 raise NumericalBreakdown(f"iteration limit {max_iter} exceeded")
             iters += 1
             state.counts[kind] += 1
-            d = c_int - c_int[state.basis] @ state.T
-            lower_ok = (~state.in_basis) & (~state.at_upper) & movable & (d > opts.opt_tol)
-            upper_ok = (~state.in_basis) & state.at_upper & movable & (d < -opts.opt_tol)
-            elig = lower_ok | upper_ok
-            if not elig.any():
+            k = _entering(state, movable, opts.opt_tol, bland)
+            if k < 0 and not fresh:
+                state.d = _reduced_costs(state, c_int)
+                fresh = True
+                k = _entering(state, movable, opts.opt_tol, bland)
+            if k < 0:
                 return LpStatus.OPTIMAL, iters
-            if bland:
-                j = int(np.flatnonzero(elig)[0])
-            else:
-                score = np.where(elig, np.abs(d), -np.inf)
-                j = int(np.argmax(score))
+            j = state.nb[k]
             sigma = -1.0 if state.at_upper[j] else 1.0
-            w = state.T[:, j] * sigma  # xB moves by -w * t
+            w = state.T[:, k] * sigma  # xB moves by -w * t
 
+            xB = state.xB
             lo_B = full_lo[state.basis]
             hi_B = full_hi[state.basis]
-            xB = state.xB
-            with np.errstate(divide="ignore", invalid="ignore"):
-                down_room = np.maximum(xB - lo_B, 0.0)
-                up_room = np.maximum(hi_B - xB, 0.0)
-                ratios = np.where(
-                    w > pivot_tol,
-                    down_room / np.where(w > pivot_tol, w, 1.0),
-                    np.where(w < -pivot_tol, up_room / np.where(w < -pivot_tol, -w, 1.0), np.inf),
-                )
-            r = -1
-            t_rows = np.inf
-            if np.isfinite(ratios).any():
-                t_rows = float(np.min(ratios))
-                ties = np.flatnonzero(ratios <= t_rows + 1e-12)
-                if bland:
-                    r = int(ties[np.argmin(state.basis[ties])])
-                else:
-                    r = int(ties[np.argmax(np.abs(w[ties]))])
+            room = np.where(w > 0.0, xB - lo_B, hi_B - xB)  # to the bound each basic moves toward
+            rate = np.abs(w)
+            flat = rate <= pivot_tol
+            rate[flat] = 1.0
+            room[flat] = np.inf
+            ratios = np.maximum(room, 0.0) / rate
+            t_rows = float(ratios.min(initial=np.inf))
             t_own = span[j]
 
             if t_own <= t_rows:
@@ -548,16 +567,22 @@ class PreparedLp:
                 degen_streak = 0
                 bland = False
                 continue
-            if r < 0:
+            if not np.isfinite(t_rows):
                 return LpStatus.UNBOUNDED, iters
+            ties = (ratios <= t_rows + 1e-12).nonzero()[0]
+            if bland:
+                r = ties[state.basis[ties].argmin()]
+            else:
+                r = ties[rate[ties].argmax()]
 
             t = t_rows
             leaving = state.basis[r]
             state.xB = xB - w * t
             goes_upper = w[r] < 0
             new_val = (full_lo[j] + t) if sigma > 0 else (full_hi[j] - t)
-            self._pivot(state, r, j, new_val)
+            self._pivot(state, r, k, new_val)
             state.at_upper[leaving] = bool(goes_upper)
+            fresh = False
 
             if t <= _DEGEN_TOL:
                 degen_streak += 1
@@ -569,70 +594,74 @@ class PreparedLp:
             state.age += 1
             if state.age >= opts.refactor_every:
                 self._refactor(state, A, full_lo, full_hi)
+                state.d = _reduced_costs(state, c_int)
+                fresh = True
 
     def _dual(self, state, full_lo, full_hi, c_int, max_iter) -> tuple[LpStatus, int, float]:
         """Bounded dual simplex from a dual feasible basis. Each pass takes
         a basic variable outside its bounds out to the violated bound, the
         dual steepest-edge choice: the largest `viol^2 / ||e_r B^-1||^2`,
-        with B^-1 read off the tableau's logical columns. It brings in the
-        nonbasic variable the dual ratio test picks, which keeps every
-        reduced cost on its optimal side. INFEASIBLE means the leaving row
-        had no entering candidate (the dual is unbounded); it comes with the
-        residual that row's ray proves. Returns the status, the passes made
-        and that residual."""
+        with B^-1's nonbasic logical columns read off the tableau. It brings
+        in the nonbasic variable the dual ratio test picks, which keeps
+        every reduced cost on its optimal side. INFEASIBLE means the leaving
+        row had no entering candidate (the dual is unbounded); it comes with
+        the residual that row's ray proves. Returns the status, the passes
+        made and that residual."""
         opts = self.opts
         movable = full_hi > full_lo
         iters = 0
         degen_streak = 0
         bland = False
+        state.d = _reduced_costs(state, c_int)
         while True:
             if iters >= max_iter:
                 raise NumericalBreakdown(f"dual iteration limit {max_iter} exceeded")
             iters += 1
             state.counts["dual"] += 1
-            lo_B = full_lo[state.basis]
-            hi_B = full_hi[state.basis]
-            below = lo_B - state.xB
-            viol = np.maximum(below, state.xB - hi_B)
-            rows = np.flatnonzero(viol > opts.feas_tol)
+            xB, basis, nb = state.xB, state.basis, state.nb
+            lo_B = full_lo[basis]
+            hi_B = full_hi[basis]
+            below = lo_B - xB
+            viol = np.maximum(below, xB - hi_B)
+            rows = (viol > opts.feas_tol).nonzero()[0]
             if rows.size == 0:
                 return LpStatus.OPTIMAL, iters, 0.0
             if bland:
-                r = int(rows[np.argmin(state.basis[rows])])
+                r = rows[basis[rows].argmin()]
             else:
-                # dual steepest edge: T[:, n:] is B^-1 on the skeleton, so a
-                # row's exact weight is the squared norm of its B^-1 row
-                B_inv = state.T[rows, self.n:]
-                r = int(rows[np.argmax(viol[rows] ** 2 / np.einsum("ij,ij->i", B_inv, B_inv))])
+                r = rows[(np.square(viol[rows]) / _steepest_edge_weights(state, rows, self.n)).argmax()]
             up = below[r] > 0  # the leaving variable rises to its lower bound
             alpha = state.T[r]
-            sigma = np.where(state.at_upper, -1.0, 1.0)  # direction each nonbasic can move
+            sigma = np.where(state.at_upper[nb], -1.0, 1.0)  # direction each nonbasic can move
             # how fast moving each nonbasic off its bound pushes x_Br toward the violated bound
-            push = -alpha * sigma if up else alpha * sigma
-            cand = np.flatnonzero(~state.in_basis & movable & (push > opts.pivot_tol))
+            push = alpha * sigma
+            if up:
+                push = -push
+            cand = (movable[nb] & (push > opts.pivot_tol)).nonzero()[0]
             if cand.size == 0:
                 return LpStatus.INFEASIBLE, iters, self._ray_residual(state, r, full_lo, full_hi)
-            d = c_int - c_int[state.basis] @ state.T
-            slack = np.maximum(-sigma[cand] * d[cand], 0.0)  # dual slack: room before d_j changes sign
+            slack = np.maximum(-sigma[cand] * state.d[cand], 0.0)  # dual slack: room before d_j changes sign
             rate = push[cand]
             ratio = slack / rate
-            if bland:
-                k = int(np.flatnonzero(ratio <= ratio.min() + 1e-12)[0])
+            if bland:  # the lowest column among the ties, for a fixed order
+                ties = (ratio <= ratio.min() + 1e-12).nonzero()[0]
+                i = ties[nb[cand[ties]].argmin()]
             else:
                 # Harris: the longest dual step that keeps each slack above
                 # -opt_tol, then the largest pivot element within it
-                within = np.flatnonzero(ratio <= np.min((slack + opts.opt_tol) / rate))
-                k = int(within[np.argmax(rate[within])])
-            j = int(cand[k])
+                within = (ratio <= ((slack + opts.opt_tol) / rate).min()).nonzero()[0]
+                i = within[rate[within].argmax()]
+            k = cand[i]
+            j = nb[k]
             target = lo_B[r] if up else hi_B[r]
-            dx = (state.xB[r] - target) / alpha[j]
+            dx = (xB[r] - target) / alpha[k]
             new_val = (full_hi[j] if state.at_upper[j] else full_lo[j]) + dx
-            leaving = state.basis[r]
-            state.xB = state.xB - state.T[:, j] * dx
-            self._pivot(state, r, j, new_val)
+            leaving = basis[r]
+            state.xB = xB - state.T[:, k] * dx
+            self._pivot(state, r, k, new_val)
             state.at_upper[leaving] = not up
 
-            if ratio[k] <= _DEGEN_TOL:
+            if ratio[i] <= _DEGEN_TOL:
                 degen_streak += 1
                 if degen_streak >= opts.bland_after:
                     bland = True
@@ -642,17 +671,44 @@ class PreparedLp:
             state.age += 1
             if state.age >= opts.refactor_every:
                 self._refactor(state, self.A, full_lo, full_hi)
+                state.d = _reduced_costs(state, c_int)
 
 
 @dataclass
 class _State:
-    T: np.ndarray | None
-    basis: np.ndarray
+    T: np.ndarray | None  # B^-1 A over the nonbasic columns, one position each
+    basis: np.ndarray     # the column basic in each row
+    nb: np.ndarray | None  # the column held at each tableau position
     xB: np.ndarray | None
-    at_upper: np.ndarray
-    in_basis: np.ndarray
+    at_upper: np.ndarray  # per column
     counts: dict  # pricing passes per loop kind and refactorizations, shared by a solve's attempts
+    d: np.ndarray | None = None  # reduced costs at each position, carried through pivots
     age: int = 0  # pivots since the tableau's last refactorization
+
+
+def _reduced_costs(state: _State, c: np.ndarray) -> np.ndarray:
+    """The reduced-cost row `c_N - c_B B^-1 A_N`, recomputed from `c`."""
+    return c[state.nb] - c[state.basis] @ state.T
+
+
+def _entering(state: _State, movable, opt_tol: float, bland: bool) -> int:
+    """The position whose variable enters: the largest reduced cost that
+    moving off its bound improves, or under Bland's rule the lowest column
+    index among the improving ones; -1 when none improves by `opt_tol`."""
+    nb = state.nb
+    gain = np.where(state.at_upper[nb], -state.d, state.d)
+    gain[~movable[nb]] = 0.0
+    cand = (gain > opt_tol).nonzero()[0]
+    if cand.size == 0:
+        return -1
+    return int(cand[nb[cand].argmin()] if bland else gain.argmax())
+
+
+def _steepest_edge_weights(state: _State, rows: np.ndarray, n: int) -> np.ndarray:
+    """Squared norms of B^-1's `rows` on the skeleton of `n` structurals:
+    B^-1 is the tableau's columns at the nonbasic logicals, and a unit
+    vector at each basic one."""
+    return np.square(state.T[rows]) @ (state.nb >= n) + (state.basis[rows] >= n)
 
 
 def _resting(state: _State, full_lo, full_hi) -> np.ndarray:

@@ -220,6 +220,50 @@ def test_input_error_exit_codes(workdir, capsys):
     assert not (workdir / "never.json").exists()
 
 
+_WRITES = [
+    ("gen-data", "--out"),
+    ("train", "--out"),
+    ("bounds", "--out"),
+    ("verify-robust", "--out"),
+    ("verify-robust", "--timing"),
+    ("verify-robust", "--histogram"),
+    ("verify-trust", "--out"),
+    ("verify-trust", "--timing"),
+    ("verify-trust", "--table"),
+    ("verify-trust", "--histogram"),
+]
+
+
+@pytest.mark.parametrize("verb,flag", _WRITES)
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_unwritable_output_is_an_input_error(workdir, tmp_path, capsys, verb, flag, target):
+    # every file a verb writes goes through one check: a path that cannot be
+    # written ends in an error line and exit 1, not a traceback
+    net, ds = str(workdir / "net.json"), str(workdir / "ds.csv")
+    rob = _write_queries(tmp_path, "rob.json", [
+        {"query_id": "w1", "z_ref": [0.3, 0.6], "x_ref": [0.5, 0.4], "alpha": 0.05},
+    ])
+    trust = _write_queries(tmp_path, "trust.json", [
+        {"query_id": "w2", "z_ref": [0.4, 0.5], "x_ref": [0.5, 0.4], "beta": 0.2},
+    ])
+    argv = {
+        "gen-data": ["gen-data", "--inputs", "2", "--outputs", "2", "--samples", "20"],
+        "train": ["train", "--dataset", ds, "--widths", "2", "--epochs", "1"],
+        "bounds": ["bounds", "--network", net],
+        "verify-robust": ["verify-robust", "--network", net, "--queries", rob, "--dataset", ds],
+        "verify-trust": ["verify-trust", "--network", net, "--queries", trust],
+    }[verb]
+    if flag != "--out":  # a writable report, so the flag under test is the one that fails
+        argv += ["--out", str(tmp_path / "report.json")]
+    bad = tmp_path / "dir" if target == "directory" else tmp_path / "missing" / "file"
+    if target == "directory":
+        bad.mkdir()
+    capsys.readouterr()
+    assert main(argv + [flag, str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad}"), err
+
+
 def test_tampered_report_fails_oracle_check(workdir, capsys):
     qpath = _write_queries(workdir, "tamper_q.json", [
         {"query_id": "t1", "z_ref": [0.3, 0.6], "x_ref": [0.5, 0.4], "alpha": 0.05},

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from relucert import bnb, verify
+from relucert import bnb, simplex, verify
 from relucert.bnb import solve_milp
 from relucert.bounds import InputBox, classify_neurons, lp_tighten, propagate_bounds
 from relucert.errors import InvalidArg, NumericalBreakdown
@@ -24,6 +24,9 @@ from relucert.simplex import (
     SimplexOptions,
     SolveStats,
     WarmStart,
+    _reduced_costs,
+    _State,
+    _steepest_edge_weights,
     prepare,
     relaxed_bounds,
     solve_lp,
@@ -122,36 +125,48 @@ def test_dual_leaves_the_steepest_edge_row(monkeypatch):
     _assert_same(child, eng.solve(lo, hi2, c, True))
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), m=st.integers(2, 30), maximize=st.booleans())
-def test_dual_tableau_logical_block_is_the_inverse_basis(seed, n, m, maximize):
-    # the leaving-row weights read B^-1 off the tableau's logical columns;
-    # check that block at every dual pass, after plain pivot updates and
-    # after refactorizations (every second pivot here)
-    rng = np.random.default_rng(seed)
-    c, A, senses, b, lo, hi = _random_lp(rng, n, m)
-    senses = ["<=" if s == "=" else s for s in senses]  # equality rows would leave most children infeasible
-    eng = PreparedLp(A, senses, b, SimplexOptions(refactor_every=2))
-    root = eng.solve(lo, hi, c, maximize)
+def _cut_child_bounds(rng, root, lo, hi):
+    """Bounds cut half the way to the root point's far bound on about half
+    the variables, which leaves the root's basis primal infeasible."""
     lo2, hi2 = lo.copy(), hi.copy()
-    for j in np.flatnonzero(rng.uniform(size=n) < 0.5):  # cut half the way to the root point's far bound
+    for j in np.flatnonzero(rng.uniform(size=lo.size) < 0.5):
         x = root.x[j]
         if x - lo[j] > hi[j] - x:
             hi2[j] = (lo[j] + x) / 2
         else:
             lo2[j] = (hi[j] + x) / 2
+    return lo2, hi2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), m=st.integers(2, 30), maximize=st.booleans())
+def test_dual_tableau_is_the_inverse_basis_over_the_nonbasic_columns(seed, n, m, maximize):
+    # the tableau is B^-1 A_N over the nonbasic columns, and the leaving-row
+    # weights are B^-1's squared row norms; check both at every dual pass,
+    # after plain pivot updates and after refactorizations (every second
+    # pivot here)
+    rng = np.random.default_rng(seed)
+    c, A, senses, b, lo, hi = _random_lp(rng, n, m)
+    senses = ["<=" if s == "=" else s for s in senses]  # equality rows would leave most children infeasible
+    eng = PreparedLp(A, senses, b, SimplexOptions(refactor_every=2))
+    root = eng.solve(lo, hi, c, maximize)
+    lo2, hi2 = _cut_child_bounds(rng, root, lo, hi)
     checked = []
 
     def check(state):
+        np.testing.assert_array_equal(np.sort(np.concatenate((state.basis, state.nb))), np.arange(n + m))
         inv = np.linalg.inv(eng.A[:, state.basis])
-        np.testing.assert_allclose(state.T[:, n:], inv, rtol=0, atol=1e-9 * max(1.0, np.abs(inv).max()))
+        atol = 1e-9 * max(1.0, np.abs(inv).max())
+        np.testing.assert_allclose(state.T, inv @ eng.A[:, state.nb], rtol=0, atol=atol)
+        weights = _steepest_edge_weights(state, np.arange(m), n)
+        np.testing.assert_allclose(weights, np.square(inv).sum(axis=1), rtol=1e-9, atol=atol)
         checked.append(True)
 
     pivot, dual = PreparedLp._pivot, PreparedLp._dual
 
-    def checked_pivot(self, state, r, j, new_val):
+    def checked_pivot(self, state, r, k, new_val):
         check(state)
-        pivot(self, state, r, j, new_val)
+        pivot(self, state, r, k, new_val)
 
     def checked_dual(self, state, *args):
         with pytest.MonkeyPatch.context() as mp:
@@ -165,6 +180,94 @@ def test_dual_tableau_logical_block_is_the_inverse_basis(seed, n, m, maximize):
         warm = eng.solve(lo2, hi2, c, maximize, start=root)
     assume(len(checked) >= 3)  # two pivots: one plain update, then a refactorization
     _assert_same(warm, eng.solve(lo2, hi2, c, maximize))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    m=st.integers(1, 30),
+    maximize=st.booleans(),
+    refactor_every=st.sampled_from([2, SimplexOptions().refactor_every]),
+)
+def test_carried_reduced_costs_match_a_recomputed_row(seed, n, m, maximize, refactor_every):
+    # at every pass of the primal and the dual loop the reduced costs the
+    # pivots carry equal c_N - c_B B^-1 A_N recomputed from the tableau,
+    # and every optimal verdict of the primal loop holds on that row
+    rng = np.random.default_rng(seed)
+    c, A, senses, b, lo, hi = _random_lp(rng, n, m)
+    eng = PreparedLp(A, senses, b, SimplexOptions(refactor_every=refactor_every))
+    costs = []  # the objective of each running loop, innermost last
+    passes = []
+
+    def check(state):
+        if costs:
+            fresh = _reduced_costs(state, costs[-1])
+            np.testing.assert_allclose(state.d, fresh, rtol=0, atol=1e-9 * max(1.0, np.abs(fresh).max()))
+            passes.append(True)
+
+    def looped(loop, c_at):
+        def run(self, state, *args):
+            costs.append(args[c_at])
+            try:
+                out = loop(self, state, *args)
+            finally:
+                costs.pop()
+            if out[0] is LpStatus.OPTIMAL:
+                fresh = _reduced_costs(state, args[c_at])
+                movable = (args[c_at - 1] > args[c_at - 2])[state.nb]
+                gain = np.where(state.at_upper[state.nb], -fresh, fresh)[movable]
+                assert np.all(gain <= eng.opts.opt_tol)
+            return out
+        return run
+
+    pivot, entering = PreparedLp._pivot, simplex._entering
+
+    def checked_pivot(self, state, r, k, new_val):
+        check(state)
+        pivot(self, state, r, k, new_val)
+        check(state)
+
+    def checked_entering(state, *args):
+        check(state)
+        return entering(state, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PreparedLp, "_pivot", checked_pivot)
+        mp.setattr(simplex, "_entering", checked_entering)
+        mp.setattr(PreparedLp, "_iterate", looped(PreparedLp._iterate, 3))
+        mp.setattr(PreparedLp, "_dual", looped(PreparedLp._dual, 2))
+        root = eng.solve(lo, hi, c, maximize)
+        assert root.status is LpStatus.OPTIMAL
+        lo2, hi2 = _cut_child_bounds(rng, root, lo, hi)
+        warm = eng.solve(lo2, hi2, c, maximize, start=root)
+    assert passes
+    _assert_same(warm, eng.solve(lo2, hi2, c, maximize))
+
+
+def test_bland_enters_the_lowest_column_not_the_lowest_position():
+    # max -x0 + x1 + 2 x2 s.t. x0 + x1 + x2 <= 3 from the logical basis:
+    # exchanging x0 in by hand moves the row's logical, column 3, to x0's
+    # position 0, and leaves every nonbasic variable improving
+    eng = PreparedLp([[1.0, 1.0, 1.0]], ["<="], np.array([3.0]))
+    c = np.array([-1.0, 1.0, 2.0, 0.0])  # the structurals' costs and the logical's
+    movable = np.ones(4, dtype=bool)
+    state = _State(
+        T=eng.A[:, :3].copy(),
+        basis=np.array([3]),
+        nb=np.arange(3),
+        xB=np.array([3.0]),
+        at_upper=np.zeros(4, dtype=bool),
+        counts={},
+    )
+    state.d = _reduced_costs(state, c)
+    eng._pivot(state, 0, 0, 3.0)
+    assert list(state.basis) == [0] and list(state.nb) == [3, 1, 2]
+    np.testing.assert_allclose(state.T, [[1.0, 1.0, 1.0]])
+    np.testing.assert_allclose(state.d, [1.0, 2.0, 3.0])
+    np.testing.assert_allclose(state.d, _reduced_costs(state, c))
+    assert simplex._entering(state, movable, eng.opts.opt_tol, False) == 2  # the largest reduced cost
+    assert simplex._entering(state, movable, eng.opts.opt_tol, True) == 1  # column 1, not column 3 at position 0
 
 
 def test_infeasible_child_is_decided_by_the_dual_ray():
