@@ -36,6 +36,7 @@ from .milp import (
     encode_network,
     set_robustness_objective,
     set_trust_problem,
+    set_trust_target,
     to_lp_text,
 )
 from .nnmodel import (
@@ -159,6 +160,7 @@ __all__ = [
     "save_network",
     "set_robustness_objective",
     "set_trust_problem",
+    "set_trust_target",
     "solve_lp",
     "solve_milp",
     "to_lp_text",

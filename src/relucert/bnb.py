@@ -8,12 +8,12 @@ included, takes the same step: solve the LP relaxation with the problem's
 objective on one prepared engine, register incumbent candidates, clamp its
 bound to its parent's, then record it as integral, branched, pruned or
 infeasible. The engine is the problem's own, or, when the caller passes a
-`root_start` solution, that solution's engine: a robustness query builds
-one engine for its base encoding and every subproblem searches on it. The
-root solves cold, unless it has a `root_start`, which it starts from and
-whose tableau it adopts; each child starts from its parent's optimal
-solution, its basis and tableau. The basis stays dual feasible when one
-binary's bounds change, so a few dual simplex pivots reach the child's
+`root_start` solution, that solution's engine: a query builds one engine
+for its base encoding and every subproblem searches on it. A root solves
+cold, unless there is a `root_start`, which it starts from and whose
+tableau it adopts; each child starts from its parent's optimal solution,
+its basis and tableau. The basis stays dual feasible when bounds change, as
+one binary's do in a child, so a few dual simplex pivots reach the child's
 optimum or a dual ray that proves it infeasible; the branched binary is
 basic, so the tableau and its basic values hold as they are and the child
 skips refactorizing. A warm solve that can do neither falls back to the cold
@@ -27,10 +27,12 @@ losing the subproblem; only a breakdown at a root raises.
 
 One search may cover several problems of one sense whose best value is
 wanted, such as the two signs of a trust output: a primary problem and its
-`rivals`. Each keeps its own prepared engine, but their nodes
-share one best-first heap, one incumbent and one gap test, so a node that
-cannot beat the best value found in any of them is pruned, and the
-search ends when no open node of any of them can. The result names the
+`rivals`. The rivals share the primary's rows and differ from it only in
+bounds and objective, as a trust output's two targets do, so all of them
+search on the one engine. Their nodes share one best-first heap, one
+incumbent and one gap test, so a node that cannot beat the best value
+found in any of them is pruned, and the search ends when no open node of
+any of them can. The result names the
 problem its incumbent came from; of equal values, the earlier problem's
 holds. Each node's decision is one DEBUG record on the `relucert.bnb`
 logger, naming the node's problem.
@@ -163,40 +165,45 @@ def solve_milp(
     """Branch and bound to a certified bracket, or to a node or time limit.
 
     `root_start` is an optimal LP solution over `p`'s rows and variables,
-    such as the phase-1 solve that all of a robustness query's subproblems
-    share. The search then solves `p` on that solution's engine, and the
-    root starts from its basis and adopts its tableau, so a primal feasible
-    one lets the root skip phase 1 and its refactorization; a start that
-    does not help falls back to the cold solve. A `root_start` without a
+    such as the solve of its query's base that all of the query's
+    subproblems share. The search then solves on that solution's engine,
+    and every root starts from its basis and tableau: a primal feasible
+    one lets a root skip phase 1 and its refactorization, and a dual
+    feasible one leaves a root a few dual pivots; a start that does not
+    help falls back to the cold solve. A `root_start` without a
     tableau, or whose engine's shape does not fit `p`, is `InvalidArg`.
 
-    `rivals` are problems with `p`'s sense whose best value competes with
-    `p`'s: the call answers the best over all of them. Their nodes share
-    one best-first heap, one incumbent and one gap test, so a node whose
-    bound cannot beat the best value found in any of the problems is
-    pruned. `MilpResult.source` names the problem the incumbent came from
-    (0 for `p`, k for `rivals[k - 1]`); of two candidates of equal value,
-    the one from the earlier problem holds the incumbent. Every problem's
-    root is solved before the first branch, `root_start` applies to `p`'s
-    root only, and the options' node and time limits bound the whole call.
+    `rivals` are problems over `p`'s rows (the same tuple, else
+    `InvalidArg`) and binaries, with `p`'s sense, whose best value
+    competes with `p`'s: the call answers the best over all of them. They
+    search on `p`'s engine. Their nodes share one best-first heap, one
+    incumbent and one gap test, so a node whose bound cannot beat the best
+    value found in any of the problems is pruned. `MilpResult.source`
+    names the problem the incumbent came from (0 for `p`, k for
+    `rivals[k - 1]`); of two candidates of equal value, the one from the
+    earlier problem holds the incumbent. Every problem's root is solved
+    before the first branch, and the options' node and time limits bound
+    the whole call.
     """
     opts = opts or BnbOptions()
     t0 = time.perf_counter()
     problems = (p, *rivals)
     if any(r.obj_sense != p.obj_sense for r in rivals):
         raise InvalidArg("rivals must have the primary problem's objective sense")
+    if any(r.rows is not p.rows or not np.array_equal(r.binary, p.binary) for r in rivals):
+        raise InvalidArg("rivals must share the primary problem's rows and binaries")
     maximize = p.obj_sense == "max"
     mult = 1.0 if maximize else -1.0
     if root_start is None:
-        engines = [prepare(q) for q in problems]
+        engine = prepare(p)
     else:
         tab = root_start.tableau
         if tab is None or (tab.engine.m, tab.engine.n) != (len(p.rows), p.num_vars):
             raise InvalidArg("root_start must be an optimal solution over the problem's rows")
-        engines = [tab.engine, *(prepare(q) for q in rivals)]
+        engine = tab.engine
     objectives = [q.objective_vector() for q in problems]
-    bin_idx = [np.flatnonzero(q.binary) for q in problems]
-    in_idx = [_input_idx(q) for q in problems]
+    bin_idx = np.flatnonzero(p.binary)
+    in_idx = _input_idx(p)
     stats = SolveStats()
 
     inc_score = -np.inf
@@ -229,17 +236,17 @@ def solve_milp(
         pruned or infeasible. A numerical breakdown propagates to the
         caller."""
         q = problems[src]
-        sol = engines[src].solve(lo, hi, objectives[src], maximize, start=start)
+        sol = engine.solve(lo, hi, objectives[src], maximize, start=start)
         stats.add(sol)
         if sol.status is not LpStatus.OPTIMAL:
             note(seq, src, depth, None, "infeasible")
             return
         score = mult * (sol.objective + q.obj_offset)
-        z = sol.x[in_idx[src]]
+        z = sol.x[in_idx]
         cand = _forward_candidate(q, z)
         if cand is not None:
             try_candidate(mult * cand, cand, z, src)
-        k = _select_branch_var(sol.x, bin_idx[src])
+        k = _select_branch_var(sol.x, bin_idx)
         if k is None:
             try_candidate(score, own(score), z, src)
         score = min(score, parent_score)  # a node's bound cannot beat its parent's
@@ -276,7 +283,7 @@ def solve_milp(
 
     for src, q in enumerate(problems):  # the roots are nodes 0 .. len(problems) - 1
         try:
-            node(src, *relaxed_bounds(q), src, 0, root_start if src == 0 else None, np.inf)
+            node(src, *relaxed_bounds(q), src, 0, root_start, np.inf)
         except NumericalBreakdown as e:
             raise NumericalBreakdown(f"problem {src} node {src} at depth 0: {e}") from e
     nodes = len(problems)  # also the next node's number
@@ -296,7 +303,7 @@ def solve_milp(
         if -neg_score <= inc_score + opts.abs_gap:
             continue
         depth = 1 - neg_depth  # the children's
-        j = bin_idx[src][k]
+        j = bin_idx[k]
         for v in (0.0, 1.0):
             child_lo, child_hi = lo.copy(), hi.copy()
             child_lo[j] = child_hi[j] = v

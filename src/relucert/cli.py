@@ -28,6 +28,7 @@ from .errors import (
     RelucertError,
     SolverFailure,
 )
+from .milp import default_delta_cap
 from .nnmodel import fold_bn, forward, load_network, network_hash, save_network
 from .trainer import TrainConfig, evaluate, gen_synthetic, load_dataset, save_dataset, train
 from .verify import (
@@ -369,15 +370,24 @@ def _check_robustness_entry(net, entry, max_unstable, samples) -> float:
             disc = max(disc, abs(dev - o["R"]))
         if o["status"] != "certified":
             continue  # witness check only; the bound is not claimed exact
+        plus, minus = o["dev_plus"], o["dev_minus"]  # exact, they are vp and -vm below
         if n_unstable <= max_unstable:
             vp = pattern_enumerate_opt(net, box, RobustnessSpec(i, 1, float(x_ref[i]))).value
             vm = pattern_enumerate_opt(net, box, RobustnessSpec(i, -1, float(x_ref[i]))).value
             disc = max(disc, abs(max(vp, abs(vm)) - o["R"]))
+            if plus is not None:
+                disc = max(disc, abs(vp - plus))
+            if minus is not None:
+                disc = max(disc, abs(vm + minus))
         else:
-            sb = sample_bound(net, box, RobustnessSpec(i, 1, float(x_ref[i])), samples, seed=0)
-            disc = max(disc, sb.value - o["R"])  # sampled feasible value must not exceed R
-            sb = sample_bound(net, box, RobustnessSpec(i, -1, float(x_ref[i])), samples, seed=1)
-            disc = max(disc, sb.value - o["R"])
+            sp = sample_bound(net, box, RobustnessSpec(i, 1, float(x_ref[i])), samples, seed=0).value
+            sm = sample_bound(net, box, RobustnessSpec(i, -1, float(x_ref[i])), samples, seed=1).value
+            # a sampled feasible value must exceed neither R nor its sign's optimum
+            disc = max(disc, sp - o["R"], sm - o["R"])
+            if plus is not None:
+                disc = max(disc, sp - plus)
+            if minus is not None:
+                disc = max(disc, sm + minus)
     return float(disc)
 
 
@@ -387,11 +397,13 @@ def _check_trust_entry(net, entry, max_unstable, samples) -> float:
     q = _entry_query(net, entry)
     x_ref = np.asarray(q.x_ref)
     scale = q.effective_scale()
+    # the cap the query sets; an output that states another is a discrepancy
+    cap = q.delta_cap if q.delta_cap is not None else default_delta_cap(q.z_ref, scale)
     box = InputBox.unit(net.input_dim)
     n_unstable = classify_neurons(propagate_bounds(net, box)).num_unstable
     disc = 0.0
     for i, o in enumerate(entry["per_output"]):
-        cap = o["delta_cap"]
+        disc = max(disc, abs(o["delta_cap"] - cap))
         if o["found"]:
             w = np.asarray(o["witness"])
             dev = abs(float(forward(net, w)[i]) - x_ref[i])
@@ -445,6 +457,8 @@ def _or_null(ok):
 # the per_output fields the oracle check reads, each with the values it accepts
 _OUTPUT_FIELDS = {
     "robustness": {
+        "dev_plus": _or_null(_is_number),
+        "dev_minus": _or_null(_is_number),
         "R": _or_null(_is_number),
         "witness": _or_null(_is_vector),
         "status": lambda v: isinstance(v, str),

@@ -226,31 +226,19 @@ def default_delta_cap(z_ref, scale) -> float:
     return float(np.max(np.maximum(z_ref, 1.0 - z_ref) / scale))
 
 
-def set_trust_problem(
-    p: MilpProblem,
-    i: int,
-    sign: int,
-    beta: float,
-    x_ref_i: float,
-    z_ref,
-    scale,
-    delta_cap: float,
-) -> MilpProblem:
-    """Minimize the scaled perturbation radius subject to the output deviating
-    by at least beta in the given direction. Inputs stay inside the unit box
-    regardless of the radius. `p` is left as it is: the problem shares its
-    rows and extends copies of its bounds by the radius column."""
-    if sign not in (1, -1):
-        raise InvalidArg("sign must be +1 or -1")
-    if ("output", i) not in p.var_roles:
-        raise IndexError(f"no output {i}")
+def set_trust_problem(p: MilpProblem, z_ref, scale, delta_cap: float) -> MilpProblem:
+    """A query's trust base: minimize the scaled perturbation radius over
+    `p`, with the radius column in [0, delta_cap] and two ball rows per
+    input. Inputs stay inside the unit box regardless of the radius. `p` is
+    left as it is: the base shares its rows and extends copies of its
+    bounds by the radius column. Each output's targets are then put on
+    this base's bounds by `set_trust_target`, so every trust subproblem of
+    a query has the base's rows and objective."""
     z_ref = np.asarray(z_ref, dtype=float)
     scale = np.asarray(scale, dtype=float)
     n0 = sum(1 for r in p.var_roles if r[0] == "input")
     if z_ref.shape != (n0,) or scale.shape != (n0,):
         raise DimensionMismatch("z_ref/scale length != input dimension")
-    if not beta > 0:
-        raise InvalidArg("beta must be positive")
     if np.any(scale <= 0):
         raise InvalidArg("scale must be positive elementwise")
     if not delta_cap > 0:
@@ -266,14 +254,15 @@ def set_trust_problem(
         for j in range(n0)
         for s in (1.0, -1.0)
     ]
-    target = LinearRow(idx=np.array([p.var_roles[("output", i)]]), coef=np.array([float(sign)]),
-                       sense=">=", rhs=float(beta) + float(sign) * float(x_ref_i), tag="target")
+    lo, hi, binary = np.append(p.lo, 0.0), np.append(p.hi, float(delta_cap)), np.append(p.binary, False)
+    for a in (lo, hi, binary):
+        a.setflags(write=False)
     return replace(
         p,
-        lo=np.append(p.lo, 0.0),
-        hi=np.append(p.hi, float(delta_cap)),
-        binary=np.append(p.binary, False),
-        rows=(*p.rows, *ball, target),
+        lo=lo,
+        hi=hi,
+        binary=binary,
+        rows=(*p.rows, *ball),
         obj_sense="min",
         obj_idx=np.array([d_i], dtype=np.intp),
         obj_coef=np.array([1.0]),
@@ -282,14 +271,48 @@ def set_trust_problem(
         var_names=(*p.var_names, "delta"),
         query={
             "kind": "trust",
-            "output": i,
-            "sign": sign,
-            "beta": float(beta),
-            "x_ref": float(x_ref_i),
             "z_ref": z_ref.tolist(),
             "scale": scale.tolist(),
             "delta_cap": float(delta_cap),
         },
+    )
+
+
+def set_trust_target(
+    p: MilpProblem, i: int, sign: int, beta: float, x_ref_i: float
+) -> MilpProblem:
+    """The trust subproblem of output `i` and `sign` over the trust base `p`
+    (`set_trust_problem`): the output must deviate from `x_ref_i` by at
+    least `beta` in the sign's direction, which is a bound on the output,
+    `lo = max(lo, t)` for `+` and `hi = min(hi, t)` for `-`, with
+    `t = x_ref_i + sign * beta`. A target beyond the output's interval fixes
+    the output at the target, where the network rows leave no feasible
+    point. Everything but the output's bounds and the query is `p`'s own,
+    shared, not copied; the new bounds are read-only, like the base's."""
+    if sign not in (1, -1):
+        raise InvalidArg("sign must be +1 or -1")
+    if ("output", i) not in p.var_roles:
+        raise IndexError(f"no output {i}")
+    if p.query.get("kind") != "trust":
+        raise InvalidArg("set_trust_target needs a trust base from set_trust_problem")
+    if not beta > 0:
+        raise InvalidArg("beta must be positive")
+    j = p.var_roles[("output", i)]
+    t = float(x_ref_i) + sign * float(beta)
+    lo, hi = p.lo.copy(), p.hi.copy()
+    if sign == 1:
+        lo[j] = max(lo[j], t)
+    else:
+        hi[j] = min(hi[j], t)
+    if lo[j] > hi[j]:  # beyond the interval
+        lo[j] = hi[j] = t
+    for a in (lo, hi):
+        a.setflags(write=False)
+    return replace(
+        p,
+        lo=lo,
+        hi=hi,
+        query={**p.query, "output": i, "sign": sign, "beta": float(beta), "x_ref": float(x_ref_i)},
     )
 
 

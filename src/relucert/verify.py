@@ -4,7 +4,9 @@ sweeps over operating conditions, and report assembly."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import logging
 import math
@@ -23,7 +25,13 @@ from .bounds import (
     propagate_bounds,
 )
 from .errors import DimensionMismatch, InvalidArg, InvalidValue, NumericalBreakdown, SolverFailure
-from .milp import default_delta_cap, encode_network, set_robustness_objective, set_trust_problem
+from .milp import (
+    default_delta_cap,
+    encode_network,
+    set_robustness_objective,
+    set_trust_problem,
+    set_trust_target,
+)
 from .nnmodel import FoldedNetwork, forward
 from .simplex import LpStatus, SimplexOptions, SolveStats, prepare, relaxed_bounds
 
@@ -193,17 +201,21 @@ def _prepare_base(net, box, opts, stats: SolveStats):
 
 
 def _shared_root_start(base, stats: SolveStats):
-    """The optimal solution every robustness root starts from, or None.
+    """The optimal solution every root of a query starts from, or None.
 
-    Phase 1 and the expulsion of artificials never read the objective, so a
-    cold root reaches the same basis before phase 2 in each of a query's
-    subproblems, which differ from the base encoding only in objective.
-    Solving the base under a zero objective finds that basis once, on the
-    one engine every subproblem then searches on; each root adopts its
-    tableau and runs phase 2 alone. The solve's work goes to `stats`.
-    When it is not optimal or breaks down, every root solves cold."""
+    A query's subproblems differ from its base only in objective
+    (robustness) or in one output's bounds (trust). Solving the base under
+    its own objective, on the one engine every subproblem then searches
+    on, gives each root a start. A robustness base has a zero objective:
+    phase 1 and the expulsion of artificials never read the objective, so
+    a cold root reaches this same basis before phase 2, and each root
+    adopts its tableau and runs phase 2 alone. A trust base minimizes the
+    radius: its optimal basis stays dual feasible when a target moves an
+    output bound, so each root runs a few dual pivots instead of a cold
+    two-phase solve. The solve's work goes to `stats`. When it is not
+    optimal or breaks down, every root solves cold."""
     try:
-        sol = prepare(base).solve(*relaxed_bounds(base), np.zeros(base.num_vars), True)
+        sol = prepare(base).solve(*relaxed_bounds(base), base.objective_vector(), base.obj_sense == "max")
     except NumericalBreakdown:
         return None
     stats.add(sol)
@@ -338,15 +350,16 @@ def trustworthiness(
     tighten = SolveStats()
     base, sm, certified_fixing = _prepare_base(net, box, opts, tighten)
 
+    trust_base = set_trust_problem(base, q.z_ref, scale, cap)
+    shared = SolveStats()
+    root_start = _shared_root_start(trust_base, shared)
+
     names = net.output_names
     per_output = []
     results = []
     for i in range(net.num_outputs):
-        plus, minus = (
-            set_trust_problem(base, i, sign, q.beta, float(q.x_ref[i]), q.z_ref, scale, cap)
-            for sign in (1, -1)
-        )
-        r = _search(plus, opts, rivals=(minus,))
+        plus, minus = (set_trust_target(trust_base, i, sign, q.beta, float(q.x_ref[i])) for sign in (1, -1))
+        r = _search(plus, opts, root_start=root_start, rivals=(minus,))
         results.append(r)
         if isinstance(r, Exception) or r.status is BnbStatus.LIMIT:
             out = OutputTrust(names[i], False, None, None, None, cap, "uncertified", float("inf"))
@@ -375,7 +388,7 @@ def trustworthiness(
         certified_fixing=certified_fixing,
         stability_counts=sm.counts(),
         wall_time=time.perf_counter() - t0,
-        stats=_solve_stats(results, tighten),
+        stats=_solve_stats(results, tighten, shared),
     )
     _log.debug("trustworthiness %r: %.3f s, %s", q.query_id, res.wall_time, res.stats)
     return res
@@ -602,17 +615,20 @@ def delta_percent(
 def trust_table_csv(results: list[TrustResult], norm_lo, norm_hi) -> str:
     """Per-output minimum perturbation as percent of the reference magnitude,
     one row per (query, output); "not_found" marks outputs that cannot be
-    moved by beta within the radius cap."""
-    lines = ["query_id,output_name,delta_min_percent"]
+    moved by beta within the radius cap. Ids and names holding a comma or a
+    quote are quoted."""
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(["query_id", "output_name", "delta_min_percent"])
     for res in results:
         scale = res.query.effective_scale()
         for o in res.per_output:
             if o.found:
-                pct = delta_percent(o.delta_min, res.query.z_ref, scale, norm_lo, norm_hi)
-                lines.append(f"{res.query.query_id},{o.name},{pct!r}")
+                pct = repr(delta_percent(o.delta_min, res.query.z_ref, scale, norm_lo, norm_hi))
             else:
-                lines.append(f"{res.query.query_id},{o.name},not_found")
-    return "\n".join(lines) + "\n"
+                pct = "not_found"
+            out.writerow([res.query.query_id, o.name, pct])
+    return buf.getvalue()
 
 
 def histogram_csv(edges, counts) -> str:

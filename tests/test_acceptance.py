@@ -25,6 +25,7 @@ from relucert.milp import (
     encode_network,
     set_robustness_objective,
     set_trust_problem,
+    set_trust_target,
 )
 from relucert.nnmodel import fold_bn, forward, forward_layers, save_network
 from relucert.oracle import RobustnessSpec, TrustSpec, pattern_enumerate_opt
@@ -95,9 +96,8 @@ def test_certified_values_match_enumeration_oracle():
         beta = float(rng.uniform(0.05, 0.4))
         scale = np.ones(net.input_dim)
         cap = default_delta_cap(z_ref, scale)
-        p = set_trust_problem(
-            encode_network(net, lb, sm, box), i, sign, beta, x_ref, z_ref, scale, cap
-        )
+        base = set_trust_problem(encode_network(net, lb, sm, box), z_ref, scale, cap)
+        p = set_trust_target(base, i, sign, beta, x_ref)
         r = solve_milp(p, EXACT)
         o = pattern_enumerate_opt(
             net, box, TrustSpec(i, sign, beta, x_ref, tuple(z_ref), tuple(scale), cap)

@@ -3,7 +3,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relucert.bnb import BnbOptions, BnbStatus, MilpResult, _select_branch_var, solve_milp
@@ -16,9 +16,10 @@ from relucert.milp import (
     encode_network,
     set_robustness_objective,
     set_trust_problem,
+    set_trust_target,
 )
 from relucert.nnmodel import HiddenLayer, NetworkSpec, OutputLayer, fold_bn, forward
-from relucert.simplex import LpStatus, PreparedLp, solve_lp
+from relucert.simplex import LpStatus, PreparedLp, prepare, relaxed_bounds, solve_lp
 
 from conftest import identity_bn, random_spec
 from test_milp import encode_on_box, identity_net
@@ -66,7 +67,7 @@ def test_e1_trust_certified_values(e1):
     p, _ = encode_on_box(e1, InputBox.unit(2))
     z_ref, scale = np.full(2, 0.5), np.ones(2)
     for sign, want in ((1, 0.075), (-1, 0.15)):
-        q = set_trust_problem(p, 0, sign, 0.15, 0.25, z_ref, scale, 0.5)
+        q = set_trust_target(set_trust_problem(p, z_ref, scale, 0.5), 0, sign, 0.15, 0.25)
         res = solve_milp(q)
         assert res.status is BnbStatus.CERTIFIED
         assert res.incumbent_value == pytest.approx(want, abs=1e-9)
@@ -78,7 +79,7 @@ def test_e1_trust_certified_values(e1):
 def test_trust_unattainable_is_infeasible():
     net = identity_net()
     p, _ = encode_on_box(net, InputBox.unit(1))
-    q = set_trust_problem(p, 0, 1, 2.0, 0.5, np.array([0.5]), np.ones(1), 0.5)
+    q = set_trust_target(set_trust_problem(p, np.array([0.5]), np.ones(1), 0.5), 0, 1, 2.0, 0.5)
     res = solve_milp(q)
     assert res.status is BnbStatus.INFEASIBLE
     assert not res.found
@@ -167,7 +168,7 @@ def _e1_problems(e1):
     p, _ = encode_on_box(e1, InputBox.unit(2))
     return [
         set_robustness_objective(p, 0, 1, 0.25),  # max, 3 nodes
-        set_trust_problem(p, 0, 1, 0.15, 0.25, np.full(2, 0.5), np.ones(2), 0.5),  # min, 5 nodes
+        set_trust_target(set_trust_problem(p, np.full(2, 0.5), np.ones(2), 0.5), 0, 1, 0.15, 0.25),  # min, 5 nodes
     ]
 
 
@@ -299,26 +300,35 @@ def test_result_invariants_random():
 # a primary problem searched together with its rivals
 
 
-def _trust_pair(net, i, beta, z_ref, x_ref_i):
-    """The `+` and `-` trust problems of output `i` over the unit box."""
+def _trust_base(net, z_ref):
+    """A trust base over the unit box at the default radius cap."""
     p, _ = encode_on_box(net, InputBox.unit(net.input_dim))
     z_ref, scale = np.asarray(z_ref, dtype=float), np.ones(net.input_dim)
-    cap = default_delta_cap(z_ref, scale)
-    return tuple(set_trust_problem(p, i, s, beta, x_ref_i, z_ref, scale, cap) for s in (1, -1))
+    return set_trust_problem(p, z_ref, scale, default_delta_cap(z_ref, scale))
+
+
+def _trust_pair(net, i, beta, z_ref, x_ref_i):
+    """The `+` and `-` trust problems of output `i` over the unit box, on
+    one trust base."""
+    base = _trust_base(net, z_ref)
+    return tuple(set_trust_target(base, i, s, beta, x_ref_i) for s in (1, -1))
 
 
 def _random_trust_pair(seed, beta):
+    """A random network's trust base, and the `+` and `-` problems of one
+    of its outputs on that base."""
     rng = np.random.default_rng(seed)
     net = fold_bn(random_spec(rng, n0=int(rng.integers(2, 4)), widths=(5, 5), unit_norm=True))
     z_ref = rng.uniform(0, 1, net.input_dim)
     i = int(rng.integers(net.num_outputs))
-    return _trust_pair(net, i, beta, z_ref, float(forward(net, z_ref)[i]))
+    base, x_ref_i = _trust_base(net, z_ref), float(forward(net, z_ref)[i])
+    return (base, *(set_trust_target(base, i, s, beta, x_ref_i) for s in (1, -1)))
 
 
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), beta=st.floats(0.05, 0.5))
 def test_joint_pair_matches_separate_searches(seed, beta):
-    plus, minus = _random_trust_pair(seed, beta)
+    _, plus, minus = _random_trust_pair(seed, beta)
     joint = solve_milp(plus, rivals=(minus,))
     apart = [solve_milp(plus), solve_milp(minus)]
     certified = (BnbStatus.CERTIFIED, BnbStatus.INFEASIBLE)
@@ -368,7 +378,7 @@ def test_joint_pair_tie_goes_to_the_primary():
 
 
 def test_joint_pair_node_limit_gives_honest_bracket():
-    plus, minus = _random_trust_pair(3, 0.3)
+    _, plus, minus = _random_trust_pair(3, 0.3)
     opt = min(r.incumbent_value for r in (solve_milp(plus), solve_milp(minus)) if r.found)
     full = solve_milp(plus, rivals=(minus,))
     assert full.status is BnbStatus.CERTIFIED and full.nodes > 8
@@ -406,3 +416,31 @@ def test_rival_root_breakdown_raises(e1, monkeypatch):
     _break_solve(monkeypatch, 2)
     with pytest.raises(NumericalBreakdown, match="problem 1 node 1 at depth 0"):
         solve_milp(plus, rivals=(minus,))
+
+
+def test_rivals_must_share_the_rows(e1):
+    plus, _ = _trust_pair(e1, 0, 0.15, [0.5, 0.5], 0.25)
+    _, other = _trust_pair(e1, 0, 0.15, [0.5, 0.5], 0.25)  # equal rows on another base
+    assert len(other.rows) == len(plus.rows) and other.rows is not plus.rows
+    with pytest.raises(InvalidArg, match="rows"):
+        solve_milp(plus, rivals=(other,))
+
+
+@settings(max_examples=6, deadline=None)
+@example(seed=0, beta=0.0625)  # the signs tie to 3e-16, and the warm and cold sources differ
+@given(seed=st.integers(0, 2**32 - 1), beta=st.floats(0.05, 0.5))
+def test_shared_start_keeps_every_trust_answer(seed, beta):
+    """Roots started from the trust base's optimal solve answer as cold
+    roots do; only the tree may differ."""
+    base, plus, minus = _random_trust_pair(seed, beta)
+    shared = prepare(base).solve(*relaxed_bounds(base), base.objective_vector(), False)
+    assert shared.status is LpStatus.OPTIMAL
+    warm = solve_milp(plus, root_start=shared, rivals=(minus,))
+    cold = solve_milp(plus, rivals=(minus,))
+    assert warm.status is cold.status and warm.found == cold.found
+    if cold.found:
+        assert warm.incumbent_value == pytest.approx(cold.incumbent_value, abs=1e-9)
+    if warm.source != cold.source:  # only where the signs tie up to rounding
+        apart = [solve_milp(q).incumbent_value for q in (plus, minus)]
+        assert apart[0] == pytest.approx(apart[1], abs=1e-9)
+    assert warm.stats.warm_starts == warm.nodes  # both roots too

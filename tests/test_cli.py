@@ -1,5 +1,6 @@
 """End-to-end checks of the command line pipeline."""
 
+import csv
 import json
 import os
 import subprocess
@@ -303,6 +304,81 @@ def test_oracle_check_samples_a_certified_not_found_above_the_cap(workdir, capsy
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field,shift", [("dev_plus", -0.01), ("dev_minus", 0.01)])
+def test_oracle_check_compares_each_signs_deviation(workdir, capsys, field, shift):
+    """A report that moves `dev_plus` or `dev_minus` while leaving `R` as it
+    is fails the check, on the enumeration and on the sampled path."""
+    qpath = _write_queries(workdir, "dev_q.json", [
+        {"query_id": "dv", "z_ref": [0.3, 0.6], "x_ref": [0.5, 0.4], "alpha": 0.05},
+    ])
+    out = workdir / "dev_rep.json"
+    assert main(["verify-robust", "--network", str(workdir / "net.json"),
+                 "--queries", qpath, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    entry = rep["queries"][0]["per_output"][0]
+    assert entry["status"] == "certified"
+    entry[field] += shift  # each sign's optimum, stated below what the ball attains
+    tampered = workdir / "dev_tampered.json"
+    tampered.write_text(json.dumps(rep))
+    # --max-unstable -1 forces the one-sided sampled path, which catches
+    # exactly that: a sampled value above the stated optimum
+    for extra in ([], ["--max-unstable", "-1"]):
+        assert main(["oracle-check", "--network", str(workdir / "net.json"),
+                     "--report", str(tampered), *extra]) == 3
+    capsys.readouterr()
+
+
+def test_oracle_check_takes_the_cap_from_the_query(workdir, capsys):
+    """Outputs claimed not found under a tiny stated cap fail the check:
+    the oracle runs at the query's cap, where they are reachable."""
+    net = _net(workdir)
+    z = [0.3, 0.6]
+    qpath = _write_queries(workdir, "cap_q.json", [
+        {"query_id": "c1", "z_ref": z, "x_ref": forward(net, np.array(z)).tolist(), "beta": 0.02},
+    ])
+    out = workdir / "cap_rep.json"
+    assert main(["verify-trust", "--network", str(workdir / "net.json"),
+                 "--queries", qpath, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert any(o["found"] for o in rep["queries"][0]["per_output"])
+    for o in rep["queries"][0]["per_output"]:
+        o.update(found=False, delta_min=None, witness=None, delta_cap=1e-9)
+    tampered = workdir / "cap_tampered.json"
+    tampered.write_text(json.dumps(rep))
+    for extra in ([], ["--max-unstable", "-1"]):  # enumerated, then sampled
+        assert main(["oracle-check", "--network", str(workdir / "net.json"),
+                     "--report", str(tampered), *extra]) == 3
+    # a stated cap other than the query's is a discrepancy on its own
+    rep = json.loads(out.read_text())
+    rep["queries"][0]["per_output"][0]["delta_cap"] += 0.1
+    tampered.write_text(json.dumps(rep))
+    assert main(["oracle-check", "--network", str(workdir / "net.json"),
+                 "--report", str(tampered)]) == 3
+    capsys.readouterr()
+
+
+def test_trust_table_quotes_commas(workdir, tmp_path):
+    doc = json.loads((workdir / "net.json").read_text())
+    doc["output_names"] = ["y,1", "y2"]
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(doc))
+    qpath = _write_queries(tmp_path, "q.json", [
+        {"query_id": "t,1", "z_ref": [0.4, 0.5], "x_ref": [0.5, 0.4], "beta": 0.2},
+        {"query_id": "t2", "z_ref": [0.4, 0.5], "x_ref": [0.5, 0.4], "beta": 50.0},
+    ])
+    table = tmp_path / "table.csv"
+    assert main(["verify-trust", "--network", str(net_path), "--queries", qpath,
+                 "--out", str(tmp_path / "rep.json"), "--table", str(table)]) == 0
+    text = table.read_text()
+    rows = list(csv.reader(text.splitlines()))
+    assert rows[0] == ["query_id", "output_name", "delta_min_percent"]
+    assert [r[:2] for r in rows[1:]] == [["t,1", "y,1"], ["t,1", "y2"], ["t2", "y,1"], ["t2", "y2"]]
+    assert all(len(r) == 3 for r in rows)
+    # plain fields are written as they are, and the lines end in a bare newline
+    assert text.splitlines()[-1] == "t2,y2,not_found" and "\r" not in text
+    assert text.splitlines()[1].startswith('"t,1","y,1",')
+
+
 _BAD_CONFIGS = [{"tighten": "no"}, {"solver": []}]  # read by every verb
 _BAD_SOLVER_CONFIGS = [  # read by the verify verbs only
     {"solver": {"node_limit": "x"}},
@@ -424,7 +500,7 @@ def test_start_up_leaves_scipy_unimported():
 
 
 _Q = {"z_ref": [0.5, 0.5], "x_ref": [0.4, 0.6], "alpha": 0.1, "beta": 0.2}
-_ROB_OUT = {"R": 0.1, "witness": [0.5, 0.5], "status": "certified"}
+_ROB_OUT = {"dev_plus": 0.1, "dev_minus": -0.05, "R": 0.1, "witness": [0.5, 0.5], "status": "certified"}
 _TRUST_OUT = {"found": True, "delta_min": 0.1, "witness": [0.5, 0.5], "delta_cap": 0.5, "status": "certified"}
 
 
@@ -447,6 +523,8 @@ _TRUST_OUT = {"found": True, "delta_min": 0.1, "witness": [0.5, 0.5], "delta_cap
         {"kind": "robustness", "query": _Q, "per_output": [{}, {}]},
         {"kind": "trust", "query": _Q, "per_output": [{}, {}]},
         {"kind": "robustness", "query": _Q, "per_output": [{**_ROB_OUT, "R": "0.1"}, _ROB_OUT]},
+        {"kind": "robustness", "query": _Q, "per_output": [{**_ROB_OUT, "dev_plus": "0.1"}, _ROB_OUT]},
+        {"kind": "robustness", "query": _Q, "per_output": [{**_ROB_OUT, "dev_minus": [0.1]}, _ROB_OUT]},
         {"kind": "robustness", "query": _Q, "per_output": [{**_ROB_OUT, "witness": [0.5, "a"]}, _ROB_OUT]},
         {"kind": "robustness", "query": {**_Q, "alpha": None}, "per_output": [_ROB_OUT] * 2},
         {"kind": "robustness", "query": _Q, "per_output": [_ROB_OUT]},

@@ -11,6 +11,7 @@ from relucert.milp import (
     encode_network,
     set_robustness_objective,
     set_trust_problem,
+    set_trust_target,
     to_lp_text,
 )
 from relucert.nnmodel import FoldedNetwork, HiddenLayer, NetworkSpec, OutputLayer, fold_bn
@@ -129,7 +130,7 @@ def test_e1_unit_box_trust_enumeration(e1):
     r2 = p.var_roles[("bin", 0, 1)]
     expected = {1: 0.075, -1: 0.15}
     for sign, want in expected.items():
-        q = set_trust_problem(p, 0, sign, 0.15, 0.25, z_ref, scale, cap)
+        q = set_trust_target(set_trust_problem(p, z_ref, scale, cap), 0, sign, 0.15, 0.25)
         best = np.inf
         for a in (0.0, 1.0):
             for b in (0.0, 1.0):
@@ -147,7 +148,7 @@ def test_trust_identity_example():
     p, _ = encode_on_box(net, InputBox.unit(1))
     cap = default_delta_cap([0.5], [1.0])
     for sign in (1, -1):
-        q = set_trust_problem(p, 0, sign, 0.05, 0.5, np.array([0.5]), np.ones(1), cap)
+        q = set_trust_target(set_trust_problem(p, np.array([0.5]), np.ones(1), cap), 0, sign, 0.05, 0.5)
         sol = solve_lp(q)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(0.05, abs=1e-9)
@@ -156,8 +157,28 @@ def test_trust_identity_example():
 def test_trust_unattainable_beta_infeasible():
     net = identity_net()
     p, _ = encode_on_box(net, InputBox.unit(1))
-    q = set_trust_problem(p, 0, 1, 2.0, 0.5, np.array([0.5]), np.ones(1), 0.5)
+    q = set_trust_target(set_trust_problem(p, np.array([0.5]), np.ones(1), 0.5), 0, 1, 2.0, 0.5)
     assert solve_lp(q).status is LpStatus.INFEASIBLE
+
+
+def test_trust_target_is_an_output_bound(e1):
+    p, _ = encode_on_box(e1, InputBox.unit(2))
+    base = set_trust_problem(p, np.full(2, 0.5), np.ones(2), 0.5)
+    x = p.var_roles[("output", 0)]
+    lo, hi = p.lo[x], p.hi[x]
+    plus = set_trust_target(base, 0, 1, 0.15, 0.25)
+    minus = set_trust_target(base, 0, -1, 0.15, 0.25)
+    assert (plus.lo[x], plus.hi[x]) == (pytest.approx(0.4), hi)
+    assert (minus.lo[x], minus.hi[x]) == (lo, pytest.approx(0.1))
+    assert plus.query == {**base.query, "output": 0, "sign": 1, "beta": 0.15, "x_ref": 0.25}
+    # a target beyond the output's interval fixes the output there, and the
+    # network rows leave the LP nothing feasible
+    for sign in (1, -1):
+        t = set_trust_target(base, 0, sign, 5.0, 0.25)
+        assert t.lo[x] == t.hi[x] == 0.25 + sign * 5.0
+        assert solve_lp(t).status is LpStatus.INFEASIBLE
+    with pytest.raises(InvalidArg, match="trust base"):
+        set_trust_target(p, 0, 1, 0.15, 0.25)
 
 
 def test_default_delta_cap():
@@ -169,11 +190,13 @@ def test_objective_ops_do_not_mutate_base(e1):
     p, _ = encode_on_box(e1, InputBox.unit(2))
     n_rows = len(p.rows)
     q = set_robustness_objective(p, 0, 1, 0.25)
-    t = set_trust_problem(p, 0, 1, 0.15, 0.25, np.full(2, 0.5), np.ones(2), 0.5)
+    t = set_trust_target(set_trust_problem(p, np.full(2, 0.5), np.ones(2), 0.5), 0, 1, 0.15, 0.25)
     assert p.obj_idx.size == 0 and p.query == {}
     assert len(p.rows) == n_rows
-    assert len(t.rows) == n_rows + 5  # 2 ball rows per input + target row
+    assert len(t.rows) == n_rows + 4  # 2 ball rows per input; the target is a bound
     assert t.num_vars == p.num_vars + 1
+    x = p.var_roles[("output", 0)]
+    assert t.lo[x] == pytest.approx(0.4) and t.hi[x] == p.hi[x]  # x1 >= 0.25 + 0.15
     assert q.query["kind"] == "robustness" and t.query["kind"] == "trust"
 
 
@@ -191,13 +214,24 @@ def test_subproblems_share_the_read_only_base(e1):
     with pytest.raises(TypeError):
         q.var_roles[("delta",)] = p.num_vars
     assert not hasattr(q.rows, "append") and not hasattr(q.var_names, "append")
-    # a trust subproblem extends its base without touching it
-    t = set_trust_problem(p, 0, 1, 0.15, 0.25, np.full(2, 0.5), np.ones(2), 0.5)
+    # a trust base extends its base without touching it
+    tb = set_trust_problem(p, np.full(2, 0.5), np.ones(2), 0.5)
     assert p.num_vars == num_vars and p.rows is rows and p.var_names is names
     assert dict(p.var_roles) == roles and ("delta",) not in p.var_roles
-    assert all(a is b for a, b in zip(t.rows, rows)) and len(t.rows) == len(rows) + 5
-    assert t.var_roles[("delta",)] == num_vars
-    assert np.array_equal(t.lo[:num_vars], p.lo) and np.array_equal(t.hi[:num_vars], p.hi)
+    assert all(a is b for a, b in zip(tb.rows, rows)) and len(tb.rows) == len(rows) + 4
+    assert tb.var_roles[("delta",)] == num_vars
+    assert np.array_equal(tb.lo[:num_vars], p.lo) and np.array_equal(tb.hi[:num_vars], p.hi)
+    # and a trust subproblem differs from its trust base in one output's bounds alone
+    t = set_trust_target(tb, 0, 1, 0.15, 0.25)
+    for a in ("binary", "rows", "var_roles", "var_names", "network", "obj_idx", "obj_coef"):
+        assert getattr(t, a) is getattr(tb, a)
+    x = p.var_roles[("output", 0)]
+    assert t.lo[x] == pytest.approx(0.4) and p.lo[x] < 0.4  # x1 >= 0.25 + 0.15
+    others = np.arange(tb.num_vars) != x
+    assert np.array_equal(t.lo[others], tb.lo[others]) and np.array_equal(t.hi, tb.hi)
+    for a in (tb.lo, tb.hi, t.lo, t.hi):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
 
 
 def test_validation_errors(e1):
@@ -208,15 +242,15 @@ def test_validation_errors(e1):
         set_robustness_objective(p, 0, 2, 0.0)
     z_ref, scale = np.full(2, 0.5), np.ones(2)
     with pytest.raises(InvalidArg):
-        set_trust_problem(p, 0, 1, 0.0, 0.25, z_ref, scale, 0.5)
+        set_trust_target(set_trust_problem(p, z_ref, scale, 0.5), 0, 1, 0.0, 0.25)
     with pytest.raises(InvalidArg):
-        set_trust_problem(p, 0, 1, 0.1, 0.25, z_ref, np.array([1.0, -1.0]), 0.5)
+        set_trust_target(set_trust_problem(p, z_ref, np.array([1.0, -1.0]), 0.5), 0, 1, 0.1, 0.25)
     with pytest.raises(InvalidArg):
-        set_trust_problem(p, 0, 1, 0.1, 0.25, z_ref, scale, 0.0)
+        set_trust_target(set_trust_problem(p, z_ref, scale, 0.0), 0, 1, 0.1, 0.25)
     with pytest.raises(InvalidArg):
-        set_trust_problem(p, 0, 1, 0.1, 0.25, np.array([0.5, 1.5]), scale, 0.5)
+        set_trust_target(set_trust_problem(p, np.array([0.5, 1.5]), scale, 0.5), 0, 1, 0.1, 0.25)
     with pytest.raises(DimensionMismatch):
-        set_trust_problem(p, 0, 1, 0.1, 0.25, np.array([0.5]), scale, 0.5)
+        set_trust_target(set_trust_problem(p, np.array([0.5]), scale, 0.5), 0, 1, 0.1, 0.25)
     # stability map from a different network shape
     other = FoldedNetwork(input_dim=2, layers=e1.layers[-1:])
     with pytest.raises(DimensionMismatch):
@@ -240,5 +274,5 @@ def test_lp_text_export(e1):
     assert "Subject To" in text and "Bounds" in text and "End" in text
     assert "Binary" in text
     assert "r1_1" in text and "r1_2" in text
-    t = set_trust_problem(p, 0, 1, 0.15, 0.25, np.full(2, 0.5), np.ones(2), 0.5)
+    t = set_trust_target(set_trust_problem(p, np.full(2, 0.5), np.ones(2), 0.5), 0, 1, 0.15, 0.25)
     assert to_lp_text(t).startswith("Minimize")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relucert.bnb import BnbOptions
-from relucert.bounds import LayerBounds, _prefix_engine
+from relucert.bounds import InputBox, LayerBounds, _prefix_engine, propagate_bounds
 from relucert.errors import DimensionMismatch, InvalidArg, InvalidValue
 from relucert.nnmodel import fold_bn, forward
 from relucert.simplex import LpStatus
@@ -129,12 +129,17 @@ def test_trust_e1_worked_example(e1):
 
 
 def test_trust_not_found(e1):
+    # both targets lie beyond the output's interval over the unit box, so
+    # both roots of the output's pair are infeasible and nothing branches
+    out = propagate_bounds(e1, InputBox.unit(2))
+    assert 0.25 + 5.0 > out.out_hi[0] and 0.25 - 5.0 < out.out_lo[0]
     q = VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], beta=5.0)
     res = trustworthiness(e1, q)
     assert res.delta_min is None
     for o in res.per_output:
         assert not o.found
         assert o.status == "certified"  # certified absence, not a failure
+    assert res.certified and res.stats["nodes"] == 2
 
 
 def test_monotone_in_alpha_and_beta(e1):
@@ -379,10 +384,9 @@ def test_wall_time_and_stats_cover_the_whole_call(e1, monkeypatch, caplog):
     opts = VerifyOptions(tighten=True)
     with caplog.at_level(logging.DEBUG, logger="relucert.verify"):
         results = [robustness(e1, q, opts), trustworthiness(e1, q, opts)]
-    # a robustness query also solves its base encoding once, for the roots' start
-    assert results[0].stats["lp_solves"] == results[0].stats["nodes"] + 1
-    assert results[1].stats["lp_solves"] == results[1].stats["nodes"]
     for r in results:
+        # each query also solves its base once, for the roots' start
+        assert r.stats["lp_solves"] == r.stats["nodes"] + 1
         assert r.wall_time >= 0.05  # tightening is part of the query's time
         assert r.stats["subproblems"] == 2
         assert r.stats["nodes"] >= 2
@@ -527,7 +531,7 @@ def test_tighten_stats_count_the_tightening_solves(monkeypatch):
         res = run(net, q)
         assert res.stats["tighten"]["lp_solves"] == len(made) > 0
         # B&B's own accounting is unchanged by the tightening entry
-        assert res.stats["lp_solves"] == res.stats["nodes"] + (run is robustness)
+        assert res.stats["lp_solves"] == res.stats["nodes"] + 1  # and the shared solve
     samples = rng.uniform(0, 1, (20, 3))
     for opts in (VerifyOptions(tighten=False), VerifyOptions(unsafe_empirical_fix_samples=samples)):
         for run in (robustness, trustworthiness):

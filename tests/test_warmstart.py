@@ -449,10 +449,10 @@ def test_root_start_must_fit_the_problem(e1):
             solve_milp(p, root_start=start)
 
 
-def _spy_robustness(monkeypatch, net, q):
-    """Run `robustness`, recording every solve of the LP engine, each
-    subproblem's `solve_milp` call, (start, solution) and (root_start,
-    result), and every engine `verify` and `bnb` prepare."""
+def _spy_query(monkeypatch, run, net, q):
+    """Run `run` (`robustness` or `trustworthiness`), recording every solve
+    of the LP engine, (start, solution), each `solve_milp` call,
+    (root_start, result), and every engine `verify` and `bnb` prepare."""
     solve, milp = PreparedLp.solve, verify.solve_milp
     solves, subproblems = [], []
     prepared = {"verify": 0, "bnb": 0}
@@ -471,8 +471,8 @@ def _spy_robustness(monkeypatch, net, q):
         solves.append((start, sol))
         return sol
 
-    def spy_milp(p, opts=None, root_start=None):
-        res = milp(p, opts, root_start)
+    def spy_milp(p, opts=None, root_start=None, **kwargs):
+        res = milp(p, opts, root_start, **kwargs)
         subproblems.append((root_start, res))
         return res
 
@@ -480,7 +480,7 @@ def _spy_robustness(monkeypatch, net, q):
     monkeypatch.setattr(verify, "solve_milp", spy_milp)
     spying_prepare(verify, "verify")
     spying_prepare(bnb, "bnb")
-    res = verify.robustness(net, q)
+    res = run(net, q)
     monkeypatch.undo()
     return res, solves, subproblems, prepared
 
@@ -490,7 +490,7 @@ def test_robustness_roots_skip_phase_1(monkeypatch, seed):
     rng = np.random.default_rng(seed)
     net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
     q = verify.VerificationQuery(z_ref=[0.5, 0.5, 0.5], x_ref=[0.0, 0.0], alpha=0.3)
-    res, solves, subproblems, prepared = _spy_robustness(monkeypatch, net, q)
+    res, solves, subproblems, prepared = _spy_query(monkeypatch, verify.robustness, net, q)
     root_start = subproblems[0][0]
     shared = [sol for start, sol in solves if sol is root_start]
     assert len(shared) == 1 and shared[0].warm is WarmStart.NONE
@@ -503,18 +503,47 @@ def test_robustness_roots_skip_phase_1(monkeypatch, seed):
     assert res.stats["inherited"] == res.stats["nodes"]  # every root adopts the shared tableau
 
 
-@pytest.mark.parametrize("failure", ["infeasible", "breakdown"])
-def test_failed_shared_solve_leaves_every_root_cold(monkeypatch, e1, failure):
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_trust_roots_skip_phase_1(monkeypatch, seed):
+    """A trust query prepares one engine and solves its trust base once;
+    both signs of every output search on that engine, and every root
+    starts from that solve, so no search runs phase 1."""
+    rng = np.random.default_rng(seed)
+    net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
+    z_ref = np.full(3, 0.5)
+    q = verify.VerificationQuery(z_ref=z_ref, x_ref=forward(net, z_ref), beta=0.2)
+    res, solves, subproblems, prepared = _spy_query(monkeypatch, verify.trustworthiness, net, q)
+    root_start = subproblems[0][0]
+    shared = [sol for start, sol in solves if sol is root_start]
+    assert len(shared) == 1 and shared[0].warm is WarmStart.NONE
+    assert len(subproblems) == net.num_outputs and res.stats["subproblems"] == 2 * net.num_outputs
+    assert all(start is root_start for start, _ in subproblems)
+    assert prepared == {"verify": 1, "bnb": 0}  # one engine for the whole query
+    assert all(r.stats.phase1_pivots == 0 for _, r in subproblems)
+    assert res.stats["phase1_pivots"] == shared[0].phase1_pivots > 0
+    assert res.stats["lp_solves"] == res.stats["nodes"] + 1
+    assert res.stats["warm_starts"] == res.stats["nodes"]  # every root too
+    assert res.certified
+
+
+def _failing_prepare(failure):
+    """A `prepare` whose engine's every solve fails as `failure` says."""
+
     class FailingLp:
         def solve(self, lo, hi, c, maximize, start=None):
             if failure == "breakdown":
                 raise NumericalBreakdown("forced")
             return LpSolution(status=LpStatus.INFEASIBLE, infeasibility=1.0)
 
+    return lambda p: FailingLp()
+
+
+@pytest.mark.parametrize("failure", ["infeasible", "breakdown"])
+def test_failed_shared_solve_leaves_every_root_cold(monkeypatch, e1, failure):
     q = verify.VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], alpha=0.5)
     clean = verify.robustness(e1, q)
-    monkeypatch.setattr(verify, "prepare", lambda p: FailingLp())
-    res, _, subproblems, prepared = _spy_robustness(monkeypatch, e1, q)
+    monkeypatch.setattr(verify, "prepare", _failing_prepare(failure))
+    res, _, subproblems, prepared = _spy_query(monkeypatch, verify.robustness, e1, q)
     assert all(start is None for start, _ in subproblems)
     assert prepared["bnb"] == len(subproblems)  # each cold search builds its own engine
     assert all(r.stats.warm_starts == r.nodes - 1 for _, r in subproblems)  # cold roots
@@ -524,6 +553,22 @@ def test_failed_shared_solve_leaves_every_root_cold(monkeypatch, e1, failure):
         assert a.status == b.status
         assert a.dev_plus == pytest.approx(b.dev_plus, abs=1e-9)
         assert a.dev_minus == pytest.approx(b.dev_minus, abs=1e-9)
+
+
+@pytest.mark.parametrize("failure", ["infeasible", "breakdown"])
+def test_failed_trust_shared_solve_leaves_every_root_cold(monkeypatch, e1, failure):
+    q = verify.VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], beta=0.15)
+    clean = verify.trustworthiness(e1, q)
+    monkeypatch.setattr(verify, "prepare", _failing_prepare(failure))
+    res, _, subproblems, prepared = _spy_query(monkeypatch, verify.trustworthiness, e1, q)
+    assert all(start is None for start, _ in subproblems)
+    assert prepared["bnb"] == len(subproblems)  # each output's pair builds its own engine
+    assert all(r.stats.warm_starts == r.nodes - 2 for _, r in subproblems)  # both roots cold
+    assert res.stats["lp_solves"] == res.stats["nodes"] + (failure == "infeasible")
+    assert res.certified == clean.certified  # the tree may differ from the shared start's
+    for a, b in zip(res.per_output, clean.per_output):
+        assert (a.status, a.found, a.sign) == (b.status, b.found, b.sign)
+        assert a.delta_min == pytest.approx(b.delta_min, abs=1e-9)
 
 
 @settings(max_examples=6, deadline=None)
