@@ -1,5 +1,5 @@
 """Exact MILP solver: best-first branch and bound over ReLU phase binaries,
-branching on the most fractional binary.
+branching on the binary whose rows the LP duals price highest.
 
 A node is its structural bounds `lo`/`hi`: the root's are the problem's
 bounds with binaries relaxed to [0, 1], and a child copies its parent's and
@@ -36,6 +36,18 @@ any of them can. The result names the
 problem its incumbent came from; of equal values, the earlier problem's
 holds. Each node's decision is one DEBUG record on the `relucert.bnb`
 logger, naming the node's problem.
+
+A node branches on the fractional binary `j` of the highest score
+`min(x_j, 1 - x_j) * sum_i |y_i a_ij|`, over the node LP's row duals `y`
+and the binary's coefficients `a_ij` in the rows (Bunel et al., "Branch and
+bound for piecewise linear neural network verification", JMLR 21, 2020,
+their BaBSR score). An unstable neuron's binary sits in its two upper
+big-M rows, so the score is a first-order estimate of how far fixing the
+neuron either way moves the bound. Duals within the LP's `opt_tol` of
+zero count as zero, and the search builds `|a_ij|` once, so a node's scores
+cost one matrix-vector product. Ties go to the lowest variable. When every
+score is zero, as on a dual degenerate LP or where no binary sits in a
+priced row, the most fractional binary is taken instead.
 """
 
 from __future__ import annotations
@@ -52,7 +64,7 @@ import numpy as np
 from .errors import InvalidArg, NumericalBreakdown
 from .milp import MilpProblem
 from .nnmodel import forward_layers
-from .simplex import LpSolution, LpStatus, SolveStats, prepare, relaxed_bounds
+from .simplex import LpSolution, LpStatus, SolveStats, prepare, relaxed_bounds, row_duals
 
 _log = logging.getLogger(__name__)
 _INT_TOL = 1e-6
@@ -142,16 +154,25 @@ def _forward_candidate(p: MilpProblem, z) -> float | None:
     return None if delta > q["delta_cap"] + 1e-12 else delta
 
 
-def _select_branch_var(x_lp, bin_idx) -> int | None:
-    """Position in `bin_idx` of the most fractional binary, or None when every
-    binary is integral. A branched binary has lo == hi, so the LP point sits
-    exactly on it and it is never chosen."""
+def _select_branch_var(x_lp, bin_idx, weight) -> int | None:
+    """Position in `bin_idx` of the binary to branch on, or None when every
+    binary is integral. `weight[k]` is `sum_i |y_i a_ij|` for binary
+    `j = bin_idx[k]` over the LP's row duals `y`, so a fractional binary's
+    score `min(x_j, 1 - x_j) * weight[k]` estimates, to first order, how far
+    fixing it either way moves the bound (Bunel et al., JMLR 21, 2020,
+    BaBSR). The highest score wins. When every score is zero, as on a dual
+    degenerate LP, the most fractional binary does. A branched binary has
+    lo == hi, so the LP point sits exactly on it and it is never chosen."""
     xs = x_lp[bin_idx]
-    pos = np.flatnonzero(np.minimum(xs, 1.0 - xs) > _INT_TOL)
+    frac = np.minimum(xs, 1.0 - xs)
+    pos = np.flatnonzero(frac > _INT_TOL)
     if pos.size == 0:
         return None
-    # argmin takes the first minimum and bin_idx is ascending, so ties on
-    # fractionality go to the lowest variable
+    # argmax and argmin take the first extremum and bin_idx is ascending, so
+    # ties go to the lowest variable
+    score = frac[pos] * weight[pos]
+    if score.max() > 0.0:
+        return int(pos[np.argmax(score)])
     return int(pos[np.argmin(np.abs(xs[pos] - 0.5))])
 
 
@@ -203,6 +224,7 @@ def solve_milp(
         engine = tab.engine
     objectives = [q.objective_vector() for q in problems]
     bin_idx = np.flatnonzero(p.binary)
+    bin_rows = np.abs(engine.A[:, bin_idx])  # |a_ij|, for the branching weights
     in_idx = _input_idx(p)
     stats = SolveStats()
 
@@ -246,7 +268,9 @@ def solve_milp(
         cand = _forward_candidate(q, z)
         if cand is not None:
             try_candidate(mult * cand, cand, z, src)
-        k = _select_branch_var(sol.x, bin_idx)
+        y = np.abs(row_duals(sol))
+        y[y <= engine.opts.opt_tol] = 0.0
+        k = _select_branch_var(sol.x, bin_idx, y @ bin_rows)
         if k is None:
             try_candidate(score, own(score), z, src)
         score = min(score, parent_score)  # a node's bound cannot beat its parent's

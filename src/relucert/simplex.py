@@ -50,11 +50,14 @@ violation over the squared norm of its row of B^-1. On the skeleton, B^-1
 is the tableau's columns at the nonbasic logicals and a unit vector at each
 basic one, so those exact weights are read off the tableau and need no
 update formula. When the dual simplex finds a violated row with no entering
-column, that row's dual ray is re-derived from the original data and
-bounded over the variables' box. It decides the solve infeasible only if it
-proves an L1 row residual above `feas_tol`, the level phase 1 would need to
-see to reject the LP. Any other outcome of the warm path, a weaker ray, an
-iteration limit or a numerical breakdown, falls back to the cold solve.
+column, that row's dual ray, its row of B^-1, is read off the tableau the
+same way and bounded over the variables' box with the original data, which
+keeps the proof sound for an inexact ray. It decides the solve infeasible
+only if it proves an L1 row residual above `feas_tol`, the level phase 1
+would need to see to reject the LP. Any other outcome of the warm path, a
+weaker ray, an iteration limit or a numerical breakdown, falls back to the
+cold solve. The same reading gives an optimal solve's row duals,
+`row_duals`, from its final reduced costs.
 """
 
 from __future__ import annotations
@@ -108,9 +111,10 @@ class Tableau:
     carries it, which a later solve of the same engine started from that
     solution may adopt: `T` is B^-1 A_N, the m x n block of B^-1 [A | I]
     at the nonbasic columns `nb` (column `nb[k]` at position `k`), after
-    `age` pivots since its last refactorization, and `xB` holds the basic
+    `age` pivots since its last refactorization, `xB` holds the basic
     values the closing refactorization computed with the nonbasic values
-    `x_nb`."""
+    `x_nb`, and `d` the reduced costs at each position, recomputed from
+    the objective when the solve declared optimality."""
 
     engine: PreparedLp
     T: np.ndarray
@@ -118,6 +122,7 @@ class Tableau:
     xB: np.ndarray
     x_nb: np.ndarray
     age: int
+    d: np.ndarray
 
 
 @dataclass
@@ -297,7 +302,7 @@ class PreparedLp:
             objective=val if maximize else -val,
             basis=state.basis,
             at_upper=state.at_upper,
-            tableau=Tableau(self, state.T, state.nb, state.xB, x_nb, state.age),
+            tableau=Tableau(self, state.T, state.nb, state.xB, x_nb, state.age, state.d),
             **stats,
         )
 
@@ -419,36 +424,33 @@ class PreparedLp:
         """Phase-1 residual proven by the dual ray of basic row `r`, which
         the dual simplex found with no entering column; 0.0 proves nothing.
 
-        The ray is re-derived from the original data: `y` solves
-        `B^T y = e_r`, so every solution of the rows has
-        `x_Br = y.b - sum_N a_j x_j` with `a = y A`. If the range of the
-        right side over the nonbasic columns' box misses `[lo_r, hi_r]` by
-        `g`, then `|y.(b - A x)| >= g` at every point of the box, and the L1
-        row residual that phase 1 minimizes is at least `g / ||y||_inf`.
-        A logical `s = b_i - a_i x` is capped at the most its row's activity
-        over the structural box allows; phase 1 gains nothing from a logical
-        beyond that, so the bound stays a bound on its residual.
+        The ray `y`, row `r` of B^-1, is read off the tableau: B^-1's
+        columns are the tableau's at the nonbasic logicals and a unit vector
+        at each basic one. Everything else comes from the original data, so
+        the proof holds for any `y`, however far the tableau has drifted:
+        with `a = y A`, every solution of the rows has `sum_j a_j x_j =
+        y.b` over every column. If the range of the left side over the
+        columns' box misses `y.b` by `g`, then `|y.(b - A x)| >= g` at every
+        point of the box, and the L1 row residual that phase 1 minimizes is
+        at least `g / ||y||_inf`. A logical `s = b_i - a_i x` is capped at
+        the most its row's activity over the structural box allows; phase 1
+        gains nothing from a logical beyond that, so the bound stays a bound
+        on its residual.
         """
         n = self.n
-        basis = state.basis
-        e_r = np.zeros(self.m)
-        e_r[r] = 1.0
-        try:
-            y = np.linalg.solve(self.A[:, basis].T, e_r)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdown("singular basis while checking a dual ray") from exc
+        y = _on_rows(state.T[r], state.nb, n, self.m)
+        if state.basis[r] >= n:
+            y[state.basis[r] - n] = 1.0
         a = y @ self.A
-        a[basis] = 0.0
         lo, hi = full_lo, full_hi.copy()
         A_s = self.A[:, :n]
         mid = A_s @ ((lo[:n] + hi[:n]) / 2)
         rad = np.abs(A_s) @ ((hi[:n] - lo[:n]) / 2)
         hi[n:] = np.minimum(hi[n:], np.maximum(self.b - mid + rad, 0.0))
         yb = float(y @ self.b)
-        x_lo = yb - float(np.maximum(a * lo, a * hi).sum())
-        x_hi = yb - float(np.minimum(a * lo, a * hi).sum())
-        j = basis[r]
-        g = max(lo[j] - x_hi, x_lo - hi[j])
+        s_lo = float(np.minimum(a * lo, a * hi).sum())
+        s_hi = float(np.maximum(a * lo, a * hi).sum())
+        g = max(s_lo - yb, yb - s_hi)
         return float(max(g, 0.0) / np.abs(y).max())
 
     # ------------------------------------------------------------------
@@ -711,12 +713,33 @@ def _steepest_edge_weights(state: _State, rows: np.ndarray, n: int) -> np.ndarra
     return np.square(state.T[rows]) @ (state.nb >= n) + (state.basis[rows] >= n)
 
 
+def _on_rows(v: np.ndarray, nb: np.ndarray, n: int, m: int) -> np.ndarray:
+    """A row vector from position values `v`: the value at each nonbasic
+    logical's position goes to that logical's row, and every other row, one
+    whose logical is basic, gets 0."""
+    y = np.zeros(m)
+    logical = nb >= n
+    y[nb[logical] - n] = v[logical]
+    return y
+
+
 def _resting(state: _State, full_lo, full_hi) -> np.ndarray:
     """Every column's nonbasic value at the state's at-upper flags, zero at
     the basic ones."""
     x_nb = np.where(state.at_upper, np.where(np.isfinite(full_hi), full_hi, 0.0), full_lo)
     x_nb[state.basis] = 0.0
     return x_nb
+
+
+def row_duals(sol: LpSolution) -> np.ndarray:
+    """The row duals `y = c_B B^-1` of an optimal solution, one per row of
+    its engine, for the engine's rows (a `>=` row negated) and the
+    maximized objective (a minimized one negated). The logical of row `i`
+    is the unit column `e_i` with cost 0, so its reduced cost is `-y_i`:
+    `y` is minus the reduced costs at the nonbasic logicals and 0 at the
+    basic ones, read without a factorization."""
+    tab = sol.tableau
+    return _on_rows(-tab.d, tab.nb, tab.engine.n, tab.engine.m)
 
 
 def solve_dense(

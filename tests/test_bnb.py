@@ -106,7 +106,7 @@ def test_random_instances_match_enumeration():
         done += 1
 
 
-def test_branching_takes_the_most_fractional_binary():
+def test_branching_takes_the_highest_dual_score():
     rng = np.random.default_rng(40)
     net = fold_bn(random_spec(rng, n0=3, widths=(5, 4), m=1, unit_norm=True))
     box = InputBox.unit(3)
@@ -117,19 +117,73 @@ def test_branching_takes_the_most_fractional_binary():
     assert bin_idx.tolist() == [p.var_roles[r] for r in (("bin", 0, 0), ("bin", 0, 2), ("bin", 1, 3))]
     x = np.zeros(p.num_vars)
 
-    # the deeper binary at 0.5 wins over an earlier-layer one at 0.9
+    # the score is min(x, 1 - x) * weight, and the highest wins
+    x[bin_idx] = [0.9, 0.5, 0.3]
+    assert _select_branch_var(x, bin_idx, np.array([10.0, 1.0, 1.0])) == 0
+    assert _select_branch_var(x, bin_idx, np.array([1.0, 1.0, 2.0])) == 2
+    # a positive score beats a more fractional binary whose weight is zero
+    assert _select_branch_var(x, bin_idx, np.array([1.0, 0.0, 0.0])) == 0
+    # equal scores go to the lowest index
+    x[bin_idx] = [0.25, 0.5, 0.5]
+    assert _select_branch_var(x, bin_idx, np.array([2.0, 1.0, 1.0])) == 0
+    assert _select_branch_var(x, bin_idx, np.array([1.0, 1.0, 1.0])) == 1
+    # a branched binary sits exactly at 0.0 or 1.0 and is never chosen,
+    # whatever its weight
+    x[bin_idx] = [0.0, 0.9, 1.0]
+    assert _select_branch_var(x, bin_idx, np.array([100.0, 1.0, 100.0])) == 1
+    x[bin_idx] = [0.0, 1.0, 1.0 - 1e-9]
+    assert _select_branch_var(x, bin_idx, np.ones(3)) is None
+
+    # all-zero weights fall back to the most fractional binary: the deeper
+    # binary at 0.5 wins over an earlier-layer one at 0.9
+    zero = np.zeros(3)
     x[bin_idx] = [0.9, 0.0, 0.5]
-    assert _select_branch_var(x, bin_idx) == 2
+    assert _select_branch_var(x, bin_idx, zero) == 2
     # equally fractional binaries go to the lowest index
     x[bin_idx] = [0.25, 0.75, 1.0]
-    assert _select_branch_var(x, bin_idx) == 0
+    assert _select_branch_var(x, bin_idx, zero) == 0
     x[bin_idx] = [1.0, 0.75, 0.25]
-    assert _select_branch_var(x, bin_idx) == 1
-    x[bin_idx] = [0.0, 1.0, 1.0 - 1e-9]
-    assert _select_branch_var(x, bin_idx) is None
-    # a branched binary sits exactly at 0.0 or 1.0 and is never chosen
+    assert _select_branch_var(x, bin_idx, zero) == 1
     x[bin_idx] = [0.0, 0.9, 1.0]
-    assert _select_branch_var(x, bin_idx) == 1
+    assert _select_branch_var(x, bin_idx, zero) == 1
+    # a positive weight on an integral binary leaves the others' scores zero
+    x[bin_idx] = [1.0, 0.75, 0.4]
+    assert _select_branch_var(x, bin_idx, np.array([5.0, 0.0, 0.0])) == 2
+
+
+def test_branching_weights_come_from_the_node_duals(monkeypatch):
+    from relucert import bnb
+
+    rng = np.random.default_rng(40)
+    net = fold_bn(random_spec(rng, n0=3, widths=(5, 4), m=1, unit_norm=True))
+    box = InputBox.unit(3)
+    lb = propagate_bounds(net, box)
+    q = set_robustness_objective(encode_network(net, lb, classify_neurons(lb), box), 0, 1, 0.0)
+    eng = prepare(q)
+    bin_idx = np.flatnonzero(q.binary)
+    solved, seen = [], []  # every LP solution; (solution, weights) per branching choice
+    select, solve = bnb._select_branch_var, PreparedLp.solve
+
+    def spy_solve(self, *args, **kwargs):
+        solved.append(solve(self, *args, **kwargs))
+        return solved[-1]
+
+    def spy_select(x, idx, weight):
+        seen.append((solved[-1], weight))
+        return select(x, idx, weight)
+
+    monkeypatch.setattr(PreparedLp, "solve", spy_solve)
+    monkeypatch.setattr(bnb, "_select_branch_var", spy_select)
+    assert solve_milp(q).status is BnbStatus.CERTIFIED
+    assert seen and any(w.max() > 0 for _, w in seen)
+    for sol, w in seen:
+        # y = c_B B^-1 from the basis, on the engine's rows; duals within
+        # opt_tol of zero count as zero
+        c2 = np.zeros(eng.ncols)
+        c2[: eng.n] = q.objective_vector()
+        y = np.abs(np.linalg.solve(eng.A[:, sol.basis].T, c2[sol.basis]))
+        y[y <= eng.opts.opt_tol] = 0.0
+        assert w == pytest.approx(y @ np.abs(eng.A[:, bin_idx]), abs=1e-9)
 
 
 def test_node_limit_gives_honest_bracket():

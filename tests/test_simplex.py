@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from relucert.errors import InvalidArg, NumericalBreakdown
-from relucert.simplex import LpStatus, PreparedLp, SimplexOptions, WarmStart, solve_dense
+from relucert.simplex import LpStatus, PreparedLp, SimplexOptions, WarmStart, row_duals, solve_dense
 
 
 def scipy_solve(c, maximize, A, senses, b, lo, hi):
@@ -146,6 +148,37 @@ def test_weak_duality_against_sampled_points():
             )
             if ok:
                 assert float(c @ z) <= sol.objective + 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), maximize=st.booleans())
+def test_row_duals_are_the_basis_duals(seed, maximize):
+    # a cold solve, and a warm one after one variable is fixed at a bound
+    rng = np.random.default_rng(seed)
+    c, A, senses, b, lo, hi, _ = _random_feasible_lp(rng)
+    eng = PreparedLp(A, senses, b)
+    root = eng.solve(lo, hi, c, maximize)
+    assert root.status is LpStatus.OPTIMAL
+    j = int(rng.integers(0, len(c)))
+    lo2, hi2 = lo.copy(), hi.copy()
+    lo2[j] = hi2[j] = hi[j] if rng.integers(0, 2) else lo[j]
+    sols = [root, eng.solve(lo2, hi2, c, maximize, start=root)]
+    for sol, (l, h) in zip(sols, ((lo, hi), (lo2, hi2))):
+        if sol.status is not LpStatus.OPTIMAL:
+            continue
+        c2 = np.zeros(eng.ncols)
+        c2[: eng.n] = c if maximize else -c
+        y = row_duals(sol)
+        # random bases can be ill conditioned, with duals in the thousands,
+        # so the 1e-9 is relative to the duals' scale
+        ref = np.linalg.solve(eng.A[:, sol.basis].T, c2[sol.basis])
+        assert y == pytest.approx(ref, abs=1e-9 * max(1.0, np.abs(ref).max()))
+        # dual feasible: no nonbasic column that can move improves the objective
+        d = c2 - y @ eng.A
+        movable = np.concatenate((h > l, eng.logical_hi > 0))
+        movable[sol.basis] = False
+        gain = np.where(sol.at_upper, -d, d)[movable]
+        assert np.all(gain <= eng.opts.opt_tol)
 
 
 def test_infeasible_instances_detected():

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relucert.bnb import BnbOptions
@@ -486,6 +486,7 @@ def _same_answer(a, b, value_fields):
 
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.4), beta=st.floats(0.05, 0.5))
+@example(seed=308, alpha=0.333984375, beta=0.5)
 def test_open_neuron_tightening_keeps_every_answer(seed, alpha, beta):
     from relucert import verify
 
@@ -495,10 +496,13 @@ def test_open_neuron_tightening_keeps_every_answer(seed, alpha, beta):
     x_ref = forward(net, z_ref)
     rq = VerificationQuery(z_ref=z_ref, x_ref=x_ref, alpha=alpha)
     tq = VerificationQuery(z_ref=z_ref, x_ref=x_ref, beta=beta)
-    shipped = robustness(net, rq), trustworthiness(net, tq)
+    # at the default gaps two trees may certify incumbents up to rel_gap
+    # apart; closed gaps make both the exact optimum
+    opts = VerifyOptions(bnb=BnbOptions(abs_gap=0, rel_gap=0))
+    shipped = robustness(net, rq, opts), trustworthiness(net, tq, opts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "lp_tighten", _tighten_everything)
-        reference = robustness(net, rq), trustworthiness(net, tq)
+        reference = robustness(net, rq, opts), trustworthiness(net, tq, opts)
     _same_answer(shipped[0], reference[0], ("dev_plus", "dev_minus", "R"))
     _same_answer(shipped[1], reference[1], ("delta_min",))
 
