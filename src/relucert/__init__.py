@@ -3,7 +3,8 @@
 Pipeline: train (or load) a network, fold its batch norms, propagate
 activation bounds, encode the exact mixed-integer model, and solve each
 verification question with branch and bound over a bounded-variable
-simplex. An independent enumeration oracle cross-checks results.
+simplex. Independent oracles, one big-M MILP solved by HiGHS and an
+activation-pattern enumeration, cross-check results.
 """
 
 from .bnb import BnbOptions, BnbStatus, MilpResult, solve_milp
@@ -84,7 +85,7 @@ __version__ = "0.1.0"
 # The oracle needs scipy and the solver does not, so the oracle is imported
 # on first use of one of its names rather than with the package.
 _ORACLE_NAMES = frozenset(
-    ("OracleResult", "RobustnessSpec", "SampleBound", "TrustSpec", "pattern_enumerate_opt", "sample_bound")
+    ("OracleResult", "RobustnessSpec", "TrustSpec", "milp_opt", "pattern_enumerate_opt")
 )
 
 
@@ -123,7 +124,6 @@ __all__ = [
     "RelucertError",
     "RobustnessResult",
     "RobustnessSpec",
-    "SampleBound",
     "SimplexOptions",
     "SolverFailure",
     "Stability",
@@ -148,6 +148,7 @@ __all__ = [
     "load_dataset",
     "load_network",
     "lp_tighten",
+    "milp_opt",
     "network_hash",
     "pattern_enumerate_opt",
     "propagate_bounds",
@@ -155,7 +156,6 @@ __all__ = [
     "robustness",
     "robustness_batch",
     "robustness_report",
-    "sample_bound",
     "save_dataset",
     "save_network",
     "set_robustness_objective",

@@ -2,7 +2,7 @@
 
 Subcommands cover the whole pipeline: synthesize data, train, inspect
 activation bounds, run robustness and trust sweeps, and cross-check emitted
-reports against the enumeration oracle. Reports embed provenance (network
+reports against an independent MILP oracle. Reports embed provenance (network
 and query hashes, solver tolerances); timing lives in a separate sidecar
 file so report bytes are reproducible.
 """
@@ -354,13 +354,12 @@ def _entry_query(net, entry) -> VerificationQuery:
     return q
 
 
-def _check_robustness_entry(net, entry, max_unstable, samples) -> float:
-    from .oracle import RobustnessSpec, pattern_enumerate_opt, sample_bound
+def _check_robustness_entry(net, entry) -> float:
+    from .oracle import RobustnessSpec, milp_opt
 
     q = _entry_query(net, entry)
     x_ref = np.asarray(q.x_ref)
     box = InputBox.ball(q.z_ref, q.alpha, clip=q.clip_to_domain)
-    n_unstable = classify_neurons(propagate_bounds(net, box)).num_unstable
     disc = 0.0
     for i, o in enumerate(entry["per_output"]):
         if o["R"] is None:
@@ -371,28 +370,18 @@ def _check_robustness_entry(net, entry, max_unstable, samples) -> float:
         if o["status"] != "certified":
             continue  # witness check only; the bound is not claimed exact
         plus, minus = o["dev_plus"], o["dev_minus"]  # exact, they are vp and -vm below
-        if n_unstable <= max_unstable:
-            vp = pattern_enumerate_opt(net, box, RobustnessSpec(i, 1, float(x_ref[i]))).value
-            vm = pattern_enumerate_opt(net, box, RobustnessSpec(i, -1, float(x_ref[i]))).value
-            disc = max(disc, abs(max(vp, abs(vm)) - o["R"]))
-            if plus is not None:
-                disc = max(disc, abs(vp - plus))
-            if minus is not None:
-                disc = max(disc, abs(vm + minus))
-        else:
-            sp = sample_bound(net, box, RobustnessSpec(i, 1, float(x_ref[i])), samples, seed=0).value
-            sm = sample_bound(net, box, RobustnessSpec(i, -1, float(x_ref[i])), samples, seed=1).value
-            # a sampled feasible value must exceed neither R nor its sign's optimum
-            disc = max(disc, sp - o["R"], sm - o["R"])
-            if plus is not None:
-                disc = max(disc, sp - plus)
-            if minus is not None:
-                disc = max(disc, sm + minus)
+        vp = milp_opt(net, box, RobustnessSpec(i, 1, float(x_ref[i]))).value
+        vm = milp_opt(net, box, RobustnessSpec(i, -1, float(x_ref[i]))).value
+        disc = max(disc, abs(max(vp, abs(vm)) - o["R"]))
+        if plus is not None:
+            disc = max(disc, abs(vp - plus))
+        if minus is not None:
+            disc = max(disc, abs(vm + minus))
     return float(disc)
 
 
-def _check_trust_entry(net, entry, max_unstable, samples) -> float:
-    from .oracle import TrustSpec, pattern_enumerate_opt, sample_bound
+def _check_trust_entry(net, entry) -> float:
+    from .oracle import TrustSpec, milp_opt
 
     q = _entry_query(net, entry)
     x_ref = np.asarray(q.x_ref)
@@ -400,7 +389,6 @@ def _check_trust_entry(net, entry, max_unstable, samples) -> float:
     # the cap the query sets; an output that states another is a discrepancy
     cap = q.delta_cap if q.delta_cap is not None else default_delta_cap(q.z_ref, scale)
     box = InputBox.unit(net.input_dim)
-    n_unstable = classify_neurons(propagate_bounds(net, box)).num_unstable
     disc = 0.0
     for i, o in enumerate(entry["per_output"]):
         disc = max(disc, abs(o["delta_cap"] - cap))
@@ -415,30 +403,15 @@ def _check_trust_entry(net, entry, max_unstable, samples) -> float:
                 disc = max(disc, o["delta_min"] - cap)
         if o["status"] != "certified":
             continue
-        if n_unstable <= max_unstable:
-            best = None
-            for sign in (1, -1):
-                r = pattern_enumerate_opt(
-                    net, box, TrustSpec(i, sign, q.beta, float(x_ref[i]), tuple(q.z_ref), tuple(scale), cap)
-                )
-                if r.value is not None and (best is None or r.value < best):
-                    best = r.value
-            if o["found"] and best is not None:
-                disc = max(disc, abs(best - o["delta_min"]))
-            elif o["found"] != (best is not None):
-                disc = max(disc, float("inf"))
-        else:
-            for sign, seed in ((1, 0), (-1, 1)):
-                sb = sample_bound(
-                    net, box,
-                    TrustSpec(i, sign, q.beta, float(x_ref[i]), tuple(q.z_ref), tuple(scale), cap),
-                    samples, seed=seed,
-                )
-                if sb.value is None:
-                    continue
-                # a sampled input reaches beta within the cap: a claimed min
-                # must not exceed its radius, and a claimed not-found is false
-                disc = max(disc, o["delta_min"] - sb.value if o["found"] else float("inf"))
+        values = [
+            milp_opt(net, box, TrustSpec(i, sign, q.beta, float(x_ref[i]), tuple(q.z_ref), tuple(scale), cap)).value
+            for sign in (1, -1)
+        ]
+        best = min((v for v in values if v is not None), default=None)
+        if o["found"] and best is not None:
+            disc = max(disc, abs(best - o["delta_min"]))
+        elif o["found"] != (best is not None):
+            disc = max(disc, float("inf"))
     return float(disc)
 
 
@@ -524,9 +497,9 @@ def cmd_oracle_check(args) -> int:
     disc = 0.0
     for entry in entries:
         if entry["kind"] == "robustness":
-            d = _check_robustness_entry(net, entry, args.max_unstable, args.samples)
+            d = _check_robustness_entry(net, entry)
         else:
-            d = _check_trust_entry(net, entry, args.max_unstable, args.samples)
+            d = _check_trust_entry(net, entry)
         print(f"checked {entry.get('query_id', '?')} ({entry['kind']}): discrepancy {d!r}")
         disc = max(disc, d)
     print(f"max discrepancy {disc!r}")
@@ -595,11 +568,9 @@ def _build_parser() -> _Parser:
     vt.add_argument("--histogram", help="write delta percent histogram CSV here")
     vt.set_defaults(func=cmd_verify_trust)
 
-    oc = sub.add_parser("oracle-check", help="re-solve a report with the enumeration oracle")
+    oc = sub.add_parser("oracle-check", help="re-solve a report's certified values with an independent MILP")
     oc.add_argument("--network", required=True)
     oc.add_argument("--report", required=True)
-    oc.add_argument("--samples", type=int, default=4096)
-    oc.add_argument("--max-unstable", type=int, default=16, dest="max_unstable")
     oc.set_defaults(func=cmd_oracle_check)
     return p
 

@@ -1,25 +1,39 @@
 """Independent ground-truth engines for cross-checking the exact solver.
 
-For every assignment of the unstable ReLUs the network is affine in the
-input, so the optimum restricted to that activation pattern is a small LP in
-the input variables alone. Enumerating all patterns is exponential but exact,
-and deliberately shares no code path with the MILP encoding or the simplex
-engine: constraints are built by affine composition and solved with HiGHS.
+Both build their constraints here, from the folded weights and interval
+bounds, and solve with HiGHS, so neither shares a code path with the MILP
+encoding or the simplex engine. `milp_opt` solves one big-M MILP and is
+exact at every size; `oracle-check` runs it. `pattern_enumerate_opt` solves
+one LP per activation pattern of the unstable ReLUs, on which the network
+is affine: exponential, it is the reference tests hold the others to.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.stats import qmc
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .bounds import InputBox, Stability, classify_neurons, propagate_bounds
 from .errors import InvalidArg, SolverFailure, TooManyUnstable
-from .nnmodel import FoldedNetwork, forward
+from .nnmodel import FoldedNetwork
+
+# HiGHS's 1e-6 defaults are too loose for a check at 1e-6: its feasibility
+# tolerance lets it meet a trust target row short, and its absolute gap lets
+# it stop 6e-7 above a minimum. scipy hands the keys it does not know to
+# HiGHS verbatim, with a warning.
+_HIGHS = {
+    "mip_rel_gap": 1e-10,
+    "mip_abs_gap": 1e-10,
+    "mip_feasibility_tolerance": 1e-9,
+    "primal_feasibility_tolerance": 1e-9,
+}
 
 
 @dataclass(frozen=True)
@@ -65,21 +79,12 @@ class OracleResult:
     point: np.ndarray | None
     delta: float | None
     status: str  # "optimal" | "infeasible"
-    patterns_total: int
-    patterns_feasible: int
+    patterns_total: int = 0  # enumeration only
+    patterns_feasible: int = 0
 
 
-@dataclass
-class SampleBound:
-    value: float | None
-    point: np.ndarray | None
-    delta: float | None
-    n_points: int
-
-
-def _solve_pattern_lp(c, rows_a, rows_b, lo, hi):
-    a_ub = np.array(rows_a) if rows_a else None
-    b_ub = np.array(rows_b) if rows_b else None
+def _solve_pattern_lp(c, a_ub, b_ub, lo, hi):
+    a_ub, b_ub = (a_ub, b_ub) if len(b_ub) else (None, None)
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=list(zip(lo, hi)), method="highs")
     if res.status == 0:
         return res
@@ -100,96 +105,52 @@ def pattern_enumerate_opt(
     half-space rows locating the input in the pattern's region and reduces
     the network to one affine map, solved as an LP over the inputs.
     """
-    lb = propagate_bounds(net, box)
-    sm = classify_neurons(lb)
-    unstable = [
-        (k, t)
-        for k in range(net.num_hidden)
-        for t in range(net.layers[k].width)
-        if sm.layers[k][t] == Stability.UNSTABLE
-    ]
+    sm = classify_neurons(propagate_bounds(net, box))
+    unstable = [(k, int(t)) for k, s in enumerate(sm.layers) for t in np.flatnonzero(s == Stability.UNSTABLE)]
     if len(unstable) > max_unstable:
         raise TooManyUnstable(
             f"{len(unstable)} unstable neurons exceed the enumeration cap {max_unstable}"
         )
     n0 = net.input_dim
     trust = isinstance(spec, TrustSpec)
-    if trust:
-        z_ref = np.asarray(spec.z_ref)
-        scale = np.asarray(spec.scale)
-        nv = n0 + 1
-        lo = np.append(box.lo, 0.0)
-        hi = np.append(box.hi, spec.delta_cap)
-        c = np.zeros(nv)
-        c[n0] = 1.0
-    else:
-        nv = n0
-        lo, hi = box.lo, box.hi
-        c = None  # set per pattern
-
+    lo, hi = box.lo, box.hi
+    if trust:  # variables (z, delta); the ball rows are |z - z_ref| <= delta * scale
+        lo, hi = np.append(lo, 0.0), np.append(hi, spec.delta_cap)
+        eye = np.eye(n0)
+        ball_a = np.hstack([np.vstack([eye, -eye]), -np.tile(spec.scale, 2)[:, None]])
+        ball_b = np.concatenate([spec.z_ref, np.negative(spec.z_ref)])
     best: OracleResult | None = None
     total = feasible = 0
     for bits in itertools.product((0, 1), repeat=len(unstable)):
         total += 1
         phase = dict(zip(unstable, bits))
-        G = np.eye(n0)
-        g = np.zeros(n0)
-        rows_a: list[np.ndarray] = []
-        rows_b: list[float] = []
+        G, g = np.eye(n0), np.zeros(n0)
+        rows_a, rows_b = [], []
         for k in range(net.num_hidden):
-            layer = net.layers[k]
-            P = layer.A @ G
-            p = layer.A @ g + layer.c
-            mask = np.zeros(layer.width)
-            for t in range(layer.width):
-                s = Stability(sm.layers[k][t])
-                on = (
-                    s is Stability.ACTIVE
-                    if s is not Stability.UNSTABLE
-                    else bool(phase[(k, t)])
-                )
-                mask[t] = 1.0 if on else 0.0
-                if s is Stability.UNSTABLE:
-                    row = np.zeros(nv)
-                    # active phase needs pre >= 0; dead phase needs pre <= 0
-                    row[:n0] = -P[t] if on else P[t]
-                    rows_a.append(row)
-                    rows_b.append(float(p[t]) if on else float(-p[t]))
-            G = mask[:, None] * P
-            g = mask * p
-        out = net.layers[-1]
-        F = out.A @ G
-        f = out.A @ g + out.c
-        i = spec.output
-        if trust:
-            row = np.zeros(nv)
-            row[:n0] = -spec.sign * F[i]
-            rows = rows_a + [row]
-            rhs = rows_b + [float(spec.sign * (f[i] - spec.x_ref) - spec.beta)]
-            for j in range(n0):
-                r1 = np.zeros(nv)
-                r1[j], r1[n0] = 1.0, -scale[j]
-                r2 = np.zeros(nv)
-                r2[j], r2[n0] = -1.0, -scale[j]
-                rows += [r1, r2]
-                rhs += [float(z_ref[j]), float(-z_ref[j])]
-            res = _solve_pattern_lp(c, rows, rhs, lo, hi)
-            if res is None:
-                continue
-            feasible += 1
-            val = float(res.x[n0])
-            if best is None or val < best.value:
-                best = OracleResult(val, res.x[:n0].copy(), val, "optimal", 0, 0)
+            layer, s = net.layers[k], sm.layers[k]
+            P, p = layer.A @ G, layer.A @ g + layer.c
+            on = np.array([phase.get((k, t), s[t] == Stability.ACTIVE) for t in range(layer.width)], dtype=float)
+            for t in np.flatnonzero(s == Stability.UNSTABLE):
+                sgn = -1.0 if on[t] else 1.0  # active phase needs pre >= 0; dead phase needs pre <= 0
+                rows_a.append(sgn * P[t])
+                rows_b.append(-sgn * p[t])
+            G, g = on[:, None] * P, on * p
+        out, i = net.layers[-1], spec.output
+        F = spec.sign * (out.A[i] @ G)  # sign * (x_i - x_ref) = F z + f on this pattern
+        f = spec.sign * (out.A[i] @ g + out.c[i] - spec.x_ref)
+        a_ub, b_ub = np.array(rows_a).reshape(-1, n0), np.array(rows_b)
+        if trust:  # the target row is F z + f >= beta
+            a_ub = np.vstack([np.hstack([np.vstack([a_ub, -F]), np.zeros((len(b_ub) + 1, 1))]), ball_a])
+            b_ub = np.concatenate([b_ub, [f - spec.beta], ball_b])
+            res = _solve_pattern_lp(np.eye(n0 + 1)[n0], a_ub, b_ub, lo, hi)
         else:
-            obj = np.zeros(nv)
-            obj[:n0] = -spec.sign * F[i]  # linprog minimizes
-            res = _solve_pattern_lp(obj, rows_a, rows_b, lo, hi)
-            if res is None:
-                continue
-            feasible += 1
-            val = float(-res.fun + spec.sign * (f[i] - spec.x_ref))
-            if best is None or val > best.value:
-                best = OracleResult(val, res.x[:n0].copy(), None, "optimal", 0, 0)
+            res = _solve_pattern_lp(-F, a_ub, b_ub, lo, hi)  # linprog minimizes
+        if res is None:
+            continue
+        feasible += 1
+        val = float(res.x[n0]) if trust else float(-res.fun + f)
+        if best is None or (val < best.value if trust else val > best.value):
+            best = OracleResult(val, res.x[:n0].copy(), val if trust else None, "optimal")
     if best is None:
         return OracleResult(None, None, None, "infeasible", total, feasible)
     best.patterns_total = total
@@ -197,36 +158,95 @@ def pattern_enumerate_opt(
     return best
 
 
-def sample_bound(
+@contextmanager
+def _stdout_to_stderr():
+    """Point file descriptor 1 at stderr: HiGHS writes some messages to it
+    directly, past `sys.stdout`, and would mix them into a caller's output."""
+    sys.stdout.flush()
+    saved = os.dup(1)
+    try:
+        os.dup2(2, 1)
+        yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
+def milp_opt(
     net: FoldedNetwork,
     box: InputBox,
     spec: RobustnessSpec | TrustSpec,
-    n: int,
-    seed: int,
-) -> SampleBound:
-    """One-sided bound from forward evaluation at quasi-random points plus
-    all box corners in low dimension. Every reported value is achieved by an
-    actual input, so it can only under-claim, never over-claim."""
-    if n < 1:
-        raise InvalidArg("need at least one sample")
+) -> OracleResult:
+    """Exact optimum from one big-M MILP over the box, solved by HiGHS.
+
+    Columns are the inputs, each hidden layer's post-activations h and phase
+    indicators a, then (trust) the radius, bounded by the cap. A neuron with
+    pre-activation p = A h_prev + c over [l, u] gets the rows h >= p,
+    h <= p - l (1 - a) and h <= u a, with h >= 0 as a bound; a provably
+    stable neuron has its indicator fixed, which makes h = p or h = 0.
+    """
+    lb = propagate_bounds(net, box)
+    sm = classify_neurons(lb)
     n0 = net.input_dim
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # Sobol balance warning for non-2^k n
-        pts = qmc.Sobol(d=n0, scramble=True, seed=seed).random(n)
-    pts = box.lo + pts * (box.hi - box.lo)
-    if n0 <= 12:
-        corners = np.array(list(itertools.product(*zip(box.lo, box.hi))))
-        pts = np.vstack([pts, corners])
-    X = forward(net, pts)
-    dev = spec.sign * (X[:, spec.output] - spec.x_ref)
-    if isinstance(spec, TrustSpec):
-        z_ref = np.asarray(spec.z_ref)
-        scale = np.asarray(spec.scale)
-        deltas = np.max(np.abs(pts - z_ref) / scale, axis=1)
-        ok = (dev >= spec.beta) & (deltas <= spec.delta_cap)
-        if not np.any(ok):
-            return SampleBound(None, None, None, pts.shape[0])
-        j = int(np.flatnonzero(ok)[np.argmin(deltas[ok])])
-        return SampleBound(float(deltas[j]), pts[j].copy(), float(deltas[j]), pts.shape[0])
-    j = int(np.argmax(dev))
-    return SampleBound(float(dev[j]), pts[j].copy(), None, pts.shape[0])
+    trust = isinstance(spec, TrustSpec)
+    n = n0 + 2 * sum(net.layers[k].width for k in range(net.num_hidden)) + trust
+    lo, hi, integ = [box.lo], [box.hi], [np.zeros(n0)]
+    rows, row_lo, row_hi = [], [], []
+    src, col = np.arange(n0), n0
+    for k in range(net.num_hidden):
+        layer, s = net.layers[k], sm.layers[k]
+        w = layer.width
+        h, a, t = np.arange(col, col + w), np.arange(col + w, col + 2 * w), np.arange(w)
+        col += 2 * w
+        lo += [np.zeros(w), (s == Stability.ACTIVE).astype(float)]
+        hi += [np.maximum(lb.pre_hi[k], 0.0), (s != Stability.DEAD).astype(float)]
+        integ += [np.zeros(w), np.ones(w)]
+        block = np.zeros((3 * w, n))
+        for r in (0, w, 2 * w):
+            block[r + t, h] = 1.0
+        block[:2 * w, src] = -np.vstack([layer.A, layer.A])
+        block[w + t, a] = -lb.pre_lo[k]
+        block[2 * w + t, a] = -lb.pre_hi[k]
+        rows.append(block)
+        row_lo += [layer.c, np.full(2 * w, -np.inf)]
+        row_hi += [np.full(w, np.inf), layer.c - lb.pre_lo[k], np.zeros(w)]
+        src = h
+    out, i = net.layers[-1], spec.output
+    dev = np.zeros(n)  # sign * (x_i - x_ref) = dev @ x + dev0
+    dev[src] = spec.sign * out.A[i]
+    dev0 = spec.sign * (out.c[i] - spec.x_ref)
+    if trust:
+        d = n - 1
+        lo, hi, integ = lo + [[0.0]], hi + [[spec.delta_cap]], integ + [[0.0]]
+        ball = np.zeros((2 * n0, n))
+        ball[np.arange(n0), np.arange(n0)] = 1.0
+        ball[n0 + np.arange(n0), np.arange(n0)] = -1.0
+        ball[:, d] = -np.tile(spec.scale, 2)
+        rows += [ball, dev[None]]
+        row_lo += [np.full(2 * n0, -np.inf), [spec.beta - dev0]]
+        row_hi += [np.concatenate([spec.z_ref, np.negative(spec.z_ref)]), [np.inf]]
+        c = np.zeros(n)
+        c[d] = 1.0
+    else:
+        c = -dev  # milp minimizes
+    lo, hi, integ = np.concatenate(lo), np.concatenate(hi), np.concatenate(integ)
+    cons = LinearConstraint(np.vstack(rows), np.concatenate(row_lo), np.concatenate(row_hi))
+    with warnings.catch_warnings(), _stdout_to_stderr():
+        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+        res = milp(c, integrality=integ, bounds=Bounds(lo, hi), constraints=cons, options=dict(_HIGHS))
+        if res.status == 0:
+            # HiGHS may meet a row short by its feasibility tolerance, which
+            # moves a trust radius by 1e-9; the LP over the phases it chose,
+            # solved to a vertex, reads the value exactly
+            fix = integ == 1
+            lo[fix] = hi[fix] = np.round(res.x[fix])
+            lp = milp(c, bounds=Bounds(lo, hi), constraints=cons, options=dict(_HIGHS))
+            res = lp if lp.status == 0 else res
+    if res.status == 2:
+        return OracleResult(None, None, None, "infeasible")
+    if res.status != 0:
+        raise SolverFailure(f"oracle MILP ended with status {res.status}: {res.message}")
+    if trust:
+        val = float(res.x[d])
+        return OracleResult(val, res.x[:n0].copy(), val, "optimal")
+    return OracleResult(float(-res.fun + dev0), res.x[:n0].copy(), None, "optimal")

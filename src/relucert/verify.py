@@ -338,7 +338,8 @@ def trustworthiness(
     beta away from its reference, searched over the full unit box. An
     output's `+` and `-` problems are searched as one tree, the `-` one as
     the rival of the `+` one, so the output's answer is the smaller radius
-    and its sign; on a tie it is `+`."""
+    and its sign. `+` wins only a bit-for-bit tie, so on a near-tie the
+    sign follows float rounding along the search."""
     t0 = time.perf_counter()
     opts = opts or VerifyOptions()
     if q.beta is None:

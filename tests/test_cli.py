@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -188,6 +189,9 @@ def test_input_error_exit_codes(workdir, capsys):
                  "--queries", str(workdir / "missing.json")]) == 1
     assert main(["verify-robust", "--bogus-flag"]) == 1
     assert main(["no-such-command"]) == 1
+    for gone in (["--samples", "4096"], ["--max-unstable", "16"]):  # the check has no fallback to pick
+        assert main(["oracle-check", "--network", str(workdir / "net.json"),
+                     "--report", str(workdir / "rob.json"), *gone]) == 1
     bad = workdir / "bad.json"
     bad.write_text("{not json")
     assert main(["verify-robust", "--network", str(workdir / "net.json"),
@@ -281,9 +285,9 @@ def test_tampered_report_fails_oracle_check(workdir, capsys):
     capsys.readouterr()
 
 
-def test_oracle_check_samples_a_certified_not_found_above_the_cap(workdir, capsys):
+def test_oracle_check_fails_a_certified_not_found_that_is_reachable(workdir, capsys):
     """A trust output claimed not found, though its target is reachable at
-    delta = 0, must fail the sampling check as it fails enumeration."""
+    delta = 0, fails the check."""
     z = [0.4, 0.5]
     x_ref = (forward(_net(workdir), np.array(z)) + 0.3).tolist()
     qpath = _write_queries(workdir, "reach_q.json", [
@@ -298,16 +302,15 @@ def test_oracle_check_samples_a_certified_not_found_above_the_cap(workdir, capsy
     entry["found"] = False
     tampered = workdir / "reach_tampered.json"
     tampered.write_text(json.dumps(rep))
-    for extra in ([], ["--max-unstable", "0"]):
-        assert main(["oracle-check", "--network", str(workdir / "net.json"),
-                     "--report", str(tampered), *extra]) == 3
+    assert main(["oracle-check", "--network", str(workdir / "net.json"),
+                 "--report", str(tampered)]) == 3
     capsys.readouterr()
 
 
 @pytest.mark.parametrize("field,shift", [("dev_plus", -0.01), ("dev_minus", 0.01)])
 def test_oracle_check_compares_each_signs_deviation(workdir, capsys, field, shift):
     """A report that moves `dev_plus` or `dev_minus` while leaving `R` as it
-    is fails the check, on the enumeration and on the sampled path."""
+    is fails the check."""
     qpath = _write_queries(workdir, "dev_q.json", [
         {"query_id": "dv", "z_ref": [0.3, 0.6], "x_ref": [0.5, 0.4], "alpha": 0.05},
     ])
@@ -320,11 +323,8 @@ def test_oracle_check_compares_each_signs_deviation(workdir, capsys, field, shif
     entry[field] += shift  # each sign's optimum, stated below what the ball attains
     tampered = workdir / "dev_tampered.json"
     tampered.write_text(json.dumps(rep))
-    # --max-unstable -1 forces the one-sided sampled path, which catches
-    # exactly that: a sampled value above the stated optimum
-    for extra in ([], ["--max-unstable", "-1"]):
-        assert main(["oracle-check", "--network", str(workdir / "net.json"),
-                     "--report", str(tampered), *extra]) == 3
+    assert main(["oracle-check", "--network", str(workdir / "net.json"),
+                 "--report", str(tampered)]) == 3
     capsys.readouterr()
 
 
@@ -345,9 +345,8 @@ def test_oracle_check_takes_the_cap_from_the_query(workdir, capsys):
         o.update(found=False, delta_min=None, witness=None, delta_cap=1e-9)
     tampered = workdir / "cap_tampered.json"
     tampered.write_text(json.dumps(rep))
-    for extra in ([], ["--max-unstable", "-1"]):  # enumerated, then sampled
-        assert main(["oracle-check", "--network", str(workdir / "net.json"),
-                     "--report", str(tampered), *extra]) == 3
+    assert main(["oracle-check", "--network", str(workdir / "net.json"),
+                 "--report", str(tampered)]) == 3
     # a stated cap other than the query's is a discrepancy on its own
     rep = json.loads(out.read_text())
     rep["queries"][0]["per_output"][0]["delta_cap"] += 0.1
@@ -355,6 +354,60 @@ def test_oracle_check_takes_the_cap_from_the_query(workdir, capsys):
     assert main(["oracle-check", "--network", str(workdir / "net.json"),
                  "--report", str(tampered)]) == 3
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def wide(workdir):
+    """A network with more than 16 unstable neurons on the unit box, past
+    what activation-pattern enumeration can check."""
+    net = workdir / "wide.json"
+    assert main(["train", "--dataset", str(workdir / "ds.csv"), "--out", str(net),
+                 "--widths", "16,16", "--epochs", "10", "--seed", "3"]) == 0
+    assert main(["bounds", "--network", str(net), "--out", str(workdir / "wide_bounds.json")]) == 0
+    assert json.loads((workdir / "wide_bounds.json").read_text())["stability"]["counts"]["unstable"] > 16
+    z = [0.3, 0.6]
+    x_ref = forward(fold_bn(load_network(net.read_text())), np.array(z)).tolist()
+    q = _write_queries(workdir, "wide_q.json", [{"query_id": "w1", "z_ref": z, "x_ref": x_ref, "beta": 0.02}])
+    return net, q
+
+
+def test_relabelled_node_limited_report_fails_above_the_old_cap(wide, workdir, tmp_path, capsys):
+    """A trust report cut short by the node limit, its gap_limit outputs
+    relabelled certified, fails the check on a network enumeration cannot
+    reach."""
+    net, q = wide
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {"node_limit": 5}}))
+    out = tmp_path / "limited.json"
+    assert main(["verify-trust", "--network", str(net), "--queries", q, "--out", str(out),
+                 "--config", str(cfg)]) == 0
+    rep = json.loads(out.read_text())
+    limited = [o for o in rep["queries"][0]["per_output"] if o["status"] == "gap_limit"]
+    assert limited
+    for o in limited:
+        o["status"] = "certified"
+    out.write_text(json.dumps(rep))
+    assert main(["oracle-check", "--network", str(net), "--report", str(out)]) == 3
+    capsys.readouterr()
+
+
+def test_oracle_solver_failure_exits_2(workdir, tmp_path, monkeypatch, capsys):
+    """A HiGHS status other than optimal or infeasible is a solver failure."""
+    import relucert.oracle
+
+    qpath = _write_queries(tmp_path, "q.json", [
+        {"query_id": "f1", "z_ref": [0.3, 0.6], "x_ref": [0.5, 0.4], "alpha": 0.05},
+    ])
+    out = tmp_path / "rep.json"
+    assert main(["verify-robust", "--network", str(workdir / "net.json"),
+                 "--queries", qpath, "--out", str(out)]) == 0
+
+    def stopped(*args, **kwargs):
+        return SimpleNamespace(status=1, message="Time limit reached", x=None, fun=None)
+
+    monkeypatch.setattr(relucert.oracle, "milp", stopped)
+    assert main(["oracle-check", "--network", str(workdir / "net.json"), "--report", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("solver failure: oracle MILP ended with status 1")
 
 
 def test_trust_table_quotes_commas(workdir, tmp_path):

@@ -4,7 +4,13 @@ import pytest
 from relucert.bnb import BnbOptions, BnbStatus, solve_milp
 from relucert.bounds import InputBox, classify_neurons, propagate_bounds
 from relucert.errors import InvalidArg, TooManyUnstable
-from relucert.milp import encode_network, set_robustness_objective
+from relucert.milp import (
+    default_delta_cap,
+    encode_network,
+    set_robustness_objective,
+    set_trust_problem,
+    set_trust_target,
+)
 from relucert.nnmodel import (
     HiddenLayer,
     NetworkSpec,
@@ -15,9 +21,10 @@ from relucert.nnmodel import (
 from relucert.oracle import (
     RobustnessSpec,
     TrustSpec,
+    milp_opt,
     pattern_enumerate_opt,
-    sample_bound,
 )
+from relucert.verify import VerificationQuery, VerifyOptions, robustness, trustworthiness
 
 from conftest import identity_bn, random_spec
 from test_milp import identity_net
@@ -61,6 +68,21 @@ def test_e1_trust_values(e1):
         assert np.max(np.abs(res.point - 0.5)) == pytest.approx(want, abs=1e-7)
 
 
+def test_milp_oracle_on_the_worked_instance(e1):
+    box = InputBox(lo=np.full(2, 0.4), hi=np.full(2, 0.6))
+    res = milp_opt(e1, box, RobustnessSpec(0, 1, 0.25))
+    assert res.value == pytest.approx(0.2, abs=1e-12)
+    assert np.allclose(res.point, [0.6, 0.4], atol=1e-9)
+    for sign, want in ((1, 0.075), (-1, 0.15)):
+        res = milp_opt(e1, InputBox.unit(2), TrustSpec(0, sign, 0.15, 0.25, (0.5, 0.5), (1.0, 1.0), 0.5))
+        assert res.status == "optimal" and res.delta == res.value
+        assert res.value == pytest.approx(want, abs=1e-12)
+        assert sign * (forward(e1, res.point)[0] - 0.25) >= 0.15 - 1e-12
+    # a cap below the minimum radius leaves the target out of reach
+    res = milp_opt(e1, InputBox.unit(2), TrustSpec(0, 1, 0.15, 0.25, (0.5, 0.5), (1.0, 1.0), 0.07))
+    assert res.status == "infeasible" and res.value is None and res.point is None
+
+
 def test_trust_infeasible():
     net = identity_net()
     res = pattern_enumerate_opt(
@@ -98,59 +120,77 @@ def test_too_many_unstable(e1):
         pattern_enumerate_opt(e1, InputBox.unit(2), RobustnessSpec(0, 1, 0.0), max_unstable=1)
 
 
-def test_sample_bound_corner_exact():
-    net = identity_net()
-    sb = sample_bound(net, InputBox.unit(1), RobustnessSpec(0, 1, 0.0), n=8, seed=0)
-    assert sb.value == pytest.approx(1.0, abs=1e-12)  # corner included
-    assert sb.n_points == 8 + 2
-
-
-def test_sample_bound_e1_close(e1):
-    box = InputBox(lo=np.full(2, 0.4), hi=np.full(2, 0.6))
-    sb = sample_bound(e1, box, RobustnessSpec(0, 1, 0.25), n=100_000, seed=3)
-    assert sb.value == pytest.approx(0.2, abs=1e-3)
-    assert sb.value <= 0.2 + 1e-12  # one-sided
-
-
-def test_sample_bound_trust_one_sided(e1):
-    spec = TrustSpec(0, 1, 0.15, 0.25, (0.5, 0.5), (1.0, 1.0), 0.5)
-    sb = sample_bound(e1, InputBox.unit(2), spec, n=4096, seed=1)
-    assert sb.value is not None
-    assert sb.value >= 0.075 - 1e-12  # candidate radius can only over-claim
-    dev = forward(e1, sb.point)[0] - 0.25
-    assert dev >= 0.15 - 1e-12
-
-
-def test_sample_bound_deterministic(e1):
-    box = InputBox.unit(2)
-    spec = RobustnessSpec(0, 1, 0.25)
-    a = sample_bound(e1, box, spec, n=512, seed=9)
-    b = sample_bound(e1, box, spec, n=512, seed=9)
-    assert a.value == b.value
-    assert np.array_equal(a.point, b.point)
-    with pytest.raises(InvalidArg):
-        sample_bound(e1, box, spec, n=0, seed=0)
-
-
-def test_sandwich_on_random_instances():
+def test_milp_oracle_matches_enumeration_and_bnb():
+    """Seeded differential on random nets of six hidden neurons: the MILP
+    oracle, pattern enumeration and the B&B agree within 1e-9 on
+    robustness and trust of both signs, and all three find a trust target
+    out of reach infeasible."""
     rng = np.random.default_rng(77)
-    done = 0
-    while done < 8:
-        net = fold_bn(random_spec(rng, n0=2, widths=(3, 3), m=1, unit_norm=True))
-        box = InputBox.unit(2)
+    exact = BnbOptions(rel_gap=0.0, abs_gap=0.0)
+    for _ in range(6):
+        net = fold_bn(random_spec(rng, n0=2, widths=(3, 3), m=2, unit_norm=True))
+        box = InputBox.unit(net.input_dim)
         lb = propagate_bounds(net, box)
         sm = classify_neurons(lb)
-        if sm.num_unstable > 8:
+        i = int(rng.integers(net.num_outputs))
+        base = encode_network(net, lb, sm, box)
+        x_ref = float(rng.uniform(-0.3, 0.3))
+        z_ref = rng.uniform(0.2, 0.8, net.input_dim)
+        scale = np.ones(net.input_dim)
+        cap = default_delta_cap(z_ref, scale)
+        trust_base = set_trust_problem(base, z_ref, scale, cap)
+        x_at_z = float(forward(net, z_ref)[i])
+        for sign in (1, -1):
+            spec = RobustnessSpec(i, sign, x_ref)
+            bnb = solve_milp(set_robustness_objective(base, i, sign, x_ref), exact)
+            assert bnb.status is BnbStatus.CERTIFIED
+            values = [pattern_enumerate_opt(net, box, spec).value, milp_opt(net, box, spec).value]
+            assert max(values + [bnb.incumbent_value]) - min(values + [bnb.incumbent_value]) <= 1e-9
+            for beta in (float(rng.uniform(0.01, 0.3)), 100.0):  # the second is out of reach
+                spec = TrustSpec(i, sign, beta, x_at_z, tuple(z_ref), tuple(scale), cap)
+                enum, oracle = pattern_enumerate_opt(net, box, spec), milp_opt(net, box, spec)
+                bnb = solve_milp(set_trust_target(trust_base, i, sign, beta, x_at_z), exact)
+                assert enum.status == oracle.status
+                if enum.status == "infeasible":
+                    assert bnb.status is BnbStatus.INFEASIBLE and oracle.value is None
+                    continue
+                assert bnb.status is BnbStatus.CERTIFIED
+                values = [enum.value, oracle.value, bnb.incumbent_value]
+                assert max(values) - min(values) <= 1e-9
+                # the oracle's point reaches the target at its radius
+                assert sign * (forward(net, oracle.point)[i] - x_at_z) >= beta - 1e-9
+                assert np.max(np.abs(oracle.point - z_ref)) == pytest.approx(oracle.value, abs=1e-9)
+
+
+def test_bnb_matches_milp_oracle_above_the_enumeration_cap():
+    """A few random nets with 20 to 40 unstable neurons on the unit box,
+    beyond what enumeration reaches: certified robustness and trust values
+    agree with the MILP oracle within 1e-6."""
+    rng = np.random.default_rng(3)
+    opts = VerifyOptions(bnb=BnbOptions(rel_gap=0.0, abs_gap=0.0))
+    done = 0
+    while done < 2:
+        net = fold_bn(random_spec(rng, n0=2, widths=(12, 12), m=1, unit_norm=True))
+        box = InputBox.unit(net.input_dim)
+        if not 20 <= classify_neurons(propagate_bounds(net, box)).num_unstable <= 40:
             continue
-        spec = RobustnessSpec(0, 1 if rng.integers(2) else -1, float(rng.uniform(-0.3, 0.3)))
-        exact = pattern_enumerate_opt(net, box, spec)
-        sb = sample_bound(net, box, spec, n=2048, seed=done)
-        p = encode_network(net, lb, sm, box)
-        q = set_robustness_objective(p, 0, spec.sign, spec.x_ref)
-        milp = solve_milp(q, BnbOptions(rel_gap=0.0))
-        assert milp.status is BnbStatus.CERTIFIED
-        assert sb.value <= exact.value + 1e-9
-        assert milp.incumbent_value == pytest.approx(exact.value, abs=1e-6)
+        z_ref = rng.uniform(0.2, 0.8, net.input_dim)
+        x_ref = forward(net, z_ref)
+        q = VerificationQuery(z_ref=z_ref, x_ref=x_ref, alpha=1.0, beta=0.1)  # the ball is the unit box
+        rob = robustness(net, q, opts).per_output[0]
+        trust = trustworthiness(net, q, opts).per_output[0]
+        assert rob.status == trust.status == "certified"
+        vp = milp_opt(net, box, RobustnessSpec(0, 1, float(x_ref[0]))).value
+        vm = milp_opt(net, box, RobustnessSpec(0, -1, float(x_ref[0]))).value
+        assert rob.dev_plus == pytest.approx(vp, abs=1e-6)
+        assert rob.dev_minus == pytest.approx(-vm, abs=1e-6)
+        scale = (1.0,) * net.input_dim
+        radii = [
+            milp_opt(net, box, TrustSpec(0, s, 0.1, float(x_ref[0]), tuple(z_ref), scale, trust.delta_cap)).value
+            for s in (1, -1)
+        ]
+        assert trust.found
+        assert trust.delta_min == pytest.approx(min(r for r in radii if r is not None), abs=1e-6)
         done += 1
 
 
