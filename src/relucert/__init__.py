@@ -31,7 +31,6 @@ from .errors import (
     UnsoundBounds,
 )
 from .milp import (
-    LinearRow,
     MilpProblem,
     default_delta_cap,
     encode_network,
@@ -113,7 +112,6 @@ __all__ = [
     "InvalidArg",
     "InvalidValue",
     "LayerBounds",
-    "LinearRow",
     "MilpProblem",
     "MilpResult",
     "NetworkSpec",

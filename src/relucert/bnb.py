@@ -104,14 +104,6 @@ class BnbOptions:
         if tl is not None and not (_is_real(tl) and tl > 0):
             raise InvalidArg("time_limit_seconds must be a positive number")
 
-    def as_dict(self) -> dict:
-        return {
-            "abs_gap": self.abs_gap,
-            "rel_gap": self.rel_gap,
-            "node_limit": self.node_limit,
-            "time_limit_seconds": self.time_limit_seconds,
-        }
-
 
 @dataclass
 class MilpResult:
@@ -194,7 +186,7 @@ def solve_milp(
     help falls back to the cold solve. A `root_start` without a
     tableau, or whose engine's shape does not fit `p`, is `InvalidArg`.
 
-    `rivals` are problems over `p`'s rows (the same tuple, else
+    `rivals` are problems over `p`'s rows (the same array, else
     `InvalidArg`) and binaries, with `p`'s sense, whose best value
     competes with `p`'s: the call answers the best over all of them. They
     search on `p`'s engine. Their nodes share one best-first heap, one

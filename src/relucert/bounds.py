@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidValue, NumericalBreakdown
 from .nnmodel import FoldedNetwork, forward_layers
-from .simplex import LpStatus, PreparedLp, SolveStats
+from .simplex import DenseRows, LpStatus, PreparedLp, SolveStats
 
 # keep a whisker of slack when adopting LP values so tightened bounds can
 # never clip a true activation through solver roundoff
@@ -212,15 +212,7 @@ def _prefix_engine(net, k, work_lo, work_hi, box):
     lo = np.empty(n)
     hi = np.empty(n)
     lo[:n0], hi[:n0] = box.lo, box.hi
-    rows_a, senses, rhs = [], [], []
-
-    def add_row(idx, coef, sense, b):
-        r = np.zeros(n)
-        r[idx] = coef
-        rows_a.append(r)
-        senses.append(sense)
-        rhs.append(b)
-
+    rows = DenseRows(n)
     for j in range(k):
         layer = net.layers[j]
         w = layer.width
@@ -235,7 +227,7 @@ def _prefix_engine(net, k, work_lo, work_hi, box):
             else np.arange(post_off[j - 1], post_off[j - 1] + net.layers[j - 1].width)
         )
         for t in range(w):
-            add_row(
+            rows.add(
                 np.concatenate(([pre_off[j] + t], src)),
                 np.concatenate(([1.0], -layer.A[t])),
                 "=",
@@ -243,19 +235,19 @@ def _prefix_engine(net, k, work_lo, work_hi, box):
             )
             p_i, h_i = pre_off[j] + t, post_off[j] + t
             if llo[t] >= 0.0:
-                add_row([h_i, p_i], [1.0, -1.0], "=", 0.0)
+                rows.add([h_i, p_i], [1.0, -1.0], "=", 0.0)
             elif lhi[t] <= 0.0:
                 lo[h_i] = hi[h_i] = 0.0
             else:
-                add_row([p_i, h_i], [1.0, -1.0], "<=", 0.0)  # post >= pre
+                rows.add([p_i, h_i], [1.0, -1.0], "<=", 0.0)  # post >= pre
                 # upper envelope: (hmax-hmin) post - hmax pre <= -hmax hmin
-                add_row(
+                rows.add(
                     [h_i, p_i],
                     [lhi[t] - llo[t], -lhi[t]],
                     "<=",
                     float(-lhi[t] * llo[t]),
                 )
-    eng = PreparedLp(np.array(rows_a).reshape(len(rhs), n), senses, np.array(rhs))
+    eng = PreparedLp(*rows.arrays())
     return eng, lo, hi, post_off
 
 

@@ -52,7 +52,7 @@ EXIT_INPUT = 1
 EXIT_SOLVER = 2
 EXIT_DISCREPANCY = 3
 CONFIG_ENV = "RELUCERT_CONFIG"
-ORACLE_TOL = 1e-6
+ORACLE_TOL = 1e-6  # certified values are held to it relatively, see _value_disc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -354,6 +354,13 @@ def _entry_query(net, entry) -> VerificationQuery:
     return q
 
 
+def _value_disc(value: float, optimum: float) -> float:
+    """A certified value's discrepancy from the oracle's optimum, relative to
+    max(1, |value|, |optimum|): a report certifies its values to a relative
+    gap. Witness, target and cap checks stay absolute."""
+    return abs(value - optimum) / max(1.0, abs(value), abs(optimum))
+
+
 def _check_robustness_entry(net, entry) -> float:
     from .oracle import RobustnessSpec, milp_opt
 
@@ -372,11 +379,11 @@ def _check_robustness_entry(net, entry) -> float:
         plus, minus = o["dev_plus"], o["dev_minus"]  # exact, they are vp and -vm below
         vp = milp_opt(net, box, RobustnessSpec(i, 1, float(x_ref[i]))).value
         vm = milp_opt(net, box, RobustnessSpec(i, -1, float(x_ref[i]))).value
-        disc = max(disc, abs(max(vp, abs(vm)) - o["R"]))
+        disc = max(disc, _value_disc(o["R"], max(vp, abs(vm))))
         if plus is not None:
-            disc = max(disc, abs(vp - plus))
+            disc = max(disc, _value_disc(plus, vp))
         if minus is not None:
-            disc = max(disc, abs(vm + minus))
+            disc = max(disc, _value_disc(minus, -vm))
     return float(disc)
 
 
@@ -409,7 +416,7 @@ def _check_trust_entry(net, entry) -> float:
         ]
         best = min((v for v in values if v is not None), default=None)
         if o["found"] and best is not None:
-            disc = max(disc, abs(best - o["delta_min"]))
+            disc = max(disc, _value_disc(o["delta_min"], best))
         elif o["found"] != (best is not None):
             disc = max(disc, float("inf"))
     return float(disc)

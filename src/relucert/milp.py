@@ -5,8 +5,12 @@ outputs x, one binary per unstable neuron, and optionally a perturbation
 radius for trust queries. Every variable carries finite bounds taken from
 the activation-bound analysis, which double as big-M constants.
 
-The base encoding is immutable (read-only arrays, tuple rows and names, a
-read-only role map), so the subproblems built on it share it uncopied.
+The constraints are held as the simplex engine takes them: a read-only
+dense matrix `rows`, one row per constraint over the variables, with a
+sense and a right-hand side per row. The base encoding is immutable
+(read-only arrays, tuple senses and names, a read-only role map), so the
+subproblems built on it share it uncopied, and the engine is built from
+it without a copy per row.
 """
 
 from __future__ import annotations
@@ -20,29 +24,12 @@ import numpy as np
 from .bounds import InputBox, LayerBounds, Stability, StabilityMap
 from .errors import DimensionMismatch, InvalidArg, UnsoundBounds
 from .nnmodel import FoldedNetwork
+from .simplex import DenseRows
 
 
-@dataclass(frozen=True)
-class LinearRow:
-    """Sparse constraint row: sum(coef * x[idx]) <sense> rhs."""
-
-    idx: np.ndarray
-    coef: np.ndarray
-    sense: str  # "<=", ">=", "="
-    rhs: float
-    tag: str = ""
-
-    def __post_init__(self):
-        idx = np.asarray(self.idx, dtype=np.intp)
-        coef = np.asarray(self.coef, dtype=float)
-        if idx.shape != coef.shape or idx.ndim != 1:
-            raise DimensionMismatch("row idx/coef must be matching vectors")
-        if self.sense not in ("<=", ">=", "="):
-            raise InvalidArg(f"bad row sense {self.sense!r}")
-        idx.setflags(write=False)
-        coef.setflags(write=False)
-        object.__setattr__(self, "idx", idx)
-        object.__setattr__(self, "coef", coef)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass
@@ -50,7 +37,9 @@ class MilpProblem:
     lo: np.ndarray
     hi: np.ndarray
     binary: np.ndarray
-    rows: tuple[LinearRow, ...]
+    rows: np.ndarray  # dense, one row per constraint over the variables
+    senses: tuple[str, ...]  # "<=", ">=" or "=" per row
+    rhs: np.ndarray
     obj_sense: str = "max"
     obj_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     obj_coef: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -73,9 +62,6 @@ class MilpProblem:
         c = np.zeros(self.num_vars)
         c[self.obj_idx] = self.obj_coef
         return c
-
-    def rows_tagged(self, prefix: str) -> list[LinearRow]:
-        return [r for r in self.rows if r.tag.startswith(prefix)]
 
 
 def encode_network(
@@ -138,7 +124,7 @@ def encode_network(
     for i in range(net.num_outputs):
         add_var(f"x{i + 1}", lb.out_lo[i], lb.out_hi[i], ("output", i))
 
-    rows: list[LinearRow] = []
+    rows = DenseRows(len(names))
     for k, layer in enumerate(net.layers):
         is_out = k == net.num_hidden
         src = (
@@ -146,53 +132,32 @@ def encode_network(
             if k == 0
             else [roles[("post", k - 1, t)] for t in range(net.layers[k - 1].width)]
         )
-        tag = "affine-out" if is_out else f"affine-pre:{k}"
         for t in range(layer.width):
             lhs = roles[("output", t)] if is_out else roles[("pre", k, t)]
-            rows.append(
-                LinearRow(
-                    idx=np.array([lhs] + src),
-                    coef=np.concatenate(([1.0], -layer.A[t])),
-                    sense="=",
-                    rhs=float(layer.c[t]),
-                    tag=tag,
-                )
-            )
+            rows.add([lhs] + src, np.concatenate(([1.0], -layer.A[t])), "=", layer.c[t])
     for k in range(net.num_hidden):
         for t in range(net.layers[k].width):
             s = Stability(sm.layers[k][t])
             p_i = roles[("pre", k, t)]
             h_i = roles[("post", k, t)]
             if s is Stability.ACTIVE:
-                rows.append(
-                    LinearRow(idx=np.array([h_i, p_i]), coef=np.array([1.0, -1.0]),
-                              sense="=", rhs=0.0, tag=f"relu-fix:{k}.{t}"))
+                rows.add([h_i, p_i], [1.0, -1.0], "=", 0.0)
             elif s is Stability.UNSTABLE:
                 r_i = roles[("bin", k, t)]
                 hmin = float(lb.pre_lo[k][t])
                 hmax = float(lb.pre_hi[k][t])
-                tag = f"relu:{k}.{t}"
-                # h <= hpre - hmin (1 - r)
-                rows.append(LinearRow(idx=np.array([h_i, p_i, r_i]),
-                                      coef=np.array([1.0, -1.0, -hmin]),
-                                      sense="<=", rhs=-hmin, tag=tag))
-                # h >= hpre
-                rows.append(LinearRow(idx=np.array([h_i, p_i]),
-                                      coef=np.array([1.0, -1.0]),
-                                      sense=">=", rhs=0.0, tag=tag))
-                # h <= hmax r
-                rows.append(LinearRow(idx=np.array([h_i, r_i]),
-                                      coef=np.array([1.0, -hmax]),
-                                      sense="<=", rhs=0.0, tag=tag))
+                rows.add([h_i, p_i, r_i], [1.0, -1.0, -hmin], "<=", -hmin)  # h <= hpre - hmin (1 - r)
+                rows.add([h_i, p_i], [1.0, -1.0], ">=", 0.0)  # h >= hpre
+                rows.add([h_i, r_i], [1.0, -hmax], "<=", 0.0)  # h <= hmax r
                 # h >= 0 needs no row: the post variable's lower bound is 0
-    lo, hi, binary = np.array(lo_l), np.array(hi_l), np.array(binary_l, dtype=bool)
-    for a in (lo, hi, binary):
-        a.setflags(write=False)
+    a, senses, rhs = rows.arrays()
     return MilpProblem(
-        lo=lo,
-        hi=hi,
-        binary=binary,
-        rows=tuple(rows),
+        lo=_read_only(np.array(lo_l)),
+        hi=_read_only(np.array(hi_l)),
+        binary=_read_only(np.array(binary_l, dtype=bool)),
+        rows=a,
+        senses=senses,
+        rhs=rhs,
         var_roles=MappingProxyType(roles),
         var_names=tuple(names),
         network=net,
@@ -230,8 +195,8 @@ def set_trust_problem(p: MilpProblem, z_ref, scale, delta_cap: float) -> MilpPro
     """A query's trust base: minimize the scaled perturbation radius over
     `p`, with the radius column in [0, delta_cap] and two ball rows per
     input. Inputs stay inside the unit box regardless of the radius. `p` is
-    left as it is: the base shares its rows and extends copies of its
-    bounds by the radius column. Each output's targets are then put on
+    left as it is: the base extends copies of its rows and bounds by the
+    radius column, then appends the ball rows. Each output's targets are then put on
     this base's bounds by `set_trust_target`, so every trust subproblem of
     a query has the base's rows and objective."""
     z_ref = np.asarray(z_ref, dtype=float)
@@ -248,21 +213,19 @@ def set_trust_problem(p: MilpProblem, z_ref, scale, delta_cap: float) -> MilpPro
 
     d_i = p.num_vars
     # z_j - z_ref_j <= delta scale_j   and   z_ref_j - z_j <= delta scale_j
-    ball = [
-        LinearRow(idx=np.array([p.var_roles[("input", j)], d_i]), coef=np.array([s, -float(scale[j])]),
-                  sense="<=", rhs=s * float(z_ref[j]), tag=f"ball:{j}")
-        for j in range(n0)
-        for s in (1.0, -1.0)
-    ]
-    lo, hi, binary = np.append(p.lo, 0.0), np.append(p.hi, float(delta_cap)), np.append(p.binary, False)
-    for a in (lo, hi, binary):
-        a.setflags(write=False)
+    ball = DenseRows(d_i + 1)
+    for j in range(n0):
+        for s in (1.0, -1.0):
+            ball.add([p.var_roles[("input", j)], d_i], [s, -float(scale[j])], "<=", s * float(z_ref[j]))
+    ball_rows, ball_senses, ball_rhs = ball.arrays()
     return replace(
         p,
-        lo=lo,
-        hi=hi,
-        binary=binary,
-        rows=(*p.rows, *ball),
+        lo=_read_only(np.append(p.lo, 0.0)),
+        hi=_read_only(np.append(p.hi, float(delta_cap))),
+        binary=_read_only(np.append(p.binary, False)),
+        rows=_read_only(np.vstack((np.pad(p.rows, ((0, 0), (0, 1))), ball_rows))),
+        senses=(*p.senses, *ball_senses),
+        rhs=_read_only(np.concatenate((p.rhs, ball_rhs))),
         obj_sense="min",
         obj_idx=np.array([d_i], dtype=np.intp),
         obj_coef=np.array([1.0]),
@@ -306,12 +269,10 @@ def set_trust_target(
         hi[j] = min(hi[j], t)
     if lo[j] > hi[j]:  # beyond the interval
         lo[j] = hi[j] = t
-    for a in (lo, hi):
-        a.setflags(write=False)
     return replace(
         p,
-        lo=lo,
-        hi=hi,
+        lo=_read_only(lo),
+        hi=_read_only(hi),
         query={**p.query, "output": i, "sign": sign, "beta": float(beta), "x_ref": float(x_ref_i)},
     )
 
@@ -320,25 +281,22 @@ def _lp_num(v: float) -> str:
     return repr(float(v))
 
 
+def _lp_terms(p: MilpProblem, idx, coef) -> str:
+    return " ".join(f"{'+' if c >= 0 else '-'} {_lp_num(abs(c))} {p.var_names[j]}" for j, c in zip(idx, coef))
+
+
 def to_lp_text(p: MilpProblem) -> str:
-    """Render the problem in LP text format for third-party cross-checks."""
+    """Render the problem in LP text format for third-party cross-checks;
+    each row lists its nonzero coefficients."""
     out = []
     out.append("Maximize" if p.obj_sense == "max" else "Minimize")
-    terms = " ".join(
-        f"{'+' if c >= 0 else '-'} {_lp_num(abs(c))} {p.var_names[j]}"
-        for j, c in zip(p.obj_idx, p.obj_coef)
-    )
-    out.append(f" obj: {terms or '0 ' + p.var_names[0]}")
+    out.append(f" obj: {_lp_terms(p, p.obj_idx, p.obj_coef) or '0 ' + p.var_names[0]}")
     if p.obj_offset:
         out.append(f"\\ constant offset {_lp_num(p.obj_offset)} added to objective value")
     out.append("Subject To")
-    sense_txt = {"<=": "<=", ">=": ">=", "=": "="}
-    for n, row in enumerate(p.rows):
-        terms = " ".join(
-            f"{'+' if c >= 0 else '-'} {_lp_num(abs(c))} {p.var_names[j]}"
-            for j, c in zip(row.idx, row.coef)
-        )
-        out.append(f" c{n + 1}: {terms} {sense_txt[row.sense]} {_lp_num(row.rhs)}")
+    for n, (a, sense, b) in enumerate(zip(p.rows, p.senses, p.rhs)):
+        idx = np.flatnonzero(a)
+        out.append(f" c{n + 1}: {_lp_terms(p, idx, a[idx])} {sense} {_lp_num(b)}")
     out.append("Bounds")
     for j in range(p.num_vars):
         out.append(f" {_lp_num(p.lo[j])} <= {p.var_names[j]} <= {_lp_num(p.hi[j])}")

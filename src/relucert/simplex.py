@@ -70,7 +70,7 @@ import numpy as np
 
 from .errors import InvalidArg, NumericalBreakdown
 
-if TYPE_CHECKING:  # import for annotations only; milp depends on bounds, not on us
+if TYPE_CHECKING:  # import for annotations only; milp imports DenseRows from us
     from .milp import MilpProblem
 
 
@@ -94,15 +94,6 @@ class SimplexOptions:
     pivot_tol: float = 1e-9
     bland_after: int = 50      # consecutive degenerate pivots before Bland's rule
     refactor_every: int = 100  # pivots since the tableau's last refactorization, across inheriting solves
-
-    def as_dict(self) -> dict:
-        return {
-            "feas_tol": self.feas_tol,
-            "opt_tol": self.opt_tol,
-            "pivot_tol": self.pivot_tol,
-            "bland_after": self.bland_after,
-            "refactor_every": self.refactor_every,
-        }
 
 
 @dataclass(eq=False)
@@ -193,6 +184,30 @@ class SolveStats:
         d["phase1_share"] = self.phase1_pivots / total if total else 0.0
         d["dual_per_warm"] = self.dual_pivots / self.warm_starts if self.warm_starts else 0.0
         return d
+
+
+class DenseRows:
+    """Rows `a x <sense> b` over `n` columns, each written from its nonzeros
+    straight into a dense row; `arrays` gives the read-only (A, senses, b)
+    that `PreparedLp` takes."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._a, self._senses, self._b = [], [], []
+
+    def add(self, idx, coef, sense: str, b: float) -> None:
+        a = np.zeros(self.n)
+        a[idx] = coef
+        self._a.append(a)
+        self._senses.append(sense)
+        self._b.append(float(b))
+
+    def arrays(self) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+        A = np.array(self._a).reshape(len(self._b), self.n)
+        b = np.array(self._b)
+        A.setflags(write=False)
+        b.setflags(write=False)
+        return A, tuple(self._senses), b
 
 
 _DEGEN_TOL = 1e-10
@@ -761,18 +776,14 @@ def solve_dense(
 
 def prepare(p: MilpProblem) -> PreparedLp:
     """Build the reusable solver skeleton for a problem's rows."""
-    A = np.zeros((len(p.rows), p.num_vars))
-    for i, row in enumerate(p.rows):
-        A[i, row.idx] = row.coef
-    return PreparedLp(A, [row.sense for row in p.rows], np.array([row.rhs for row in p.rows]))
+    return PreparedLp(p.rows, p.senses, p.rhs)
 
 
 def relaxed_bounds(p: MilpProblem, relax: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds with binaries relaxed to [0,1] or fixed per the relax map."""
-    lo = p.lo.copy()
-    hi = p.hi.copy()
-    for j in np.flatnonzero(p.binary):
-        lo[j], hi[j] = 0.0, 1.0
+    """Bounds with each binary's own bounds clipped into [0, 1], so a binary
+    the problem fixes stays fixed, or set per the relax map."""
+    lo = np.where(p.binary, np.clip(p.lo, 0.0, 1.0), p.lo)
+    hi = np.where(p.binary, np.clip(p.hi, 0.0, 1.0), p.hi)
     if relax:
         for j, v in relax.items():
             if not p.binary[j]:

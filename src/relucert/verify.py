@@ -12,7 +12,7 @@ import logging
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -504,8 +504,8 @@ def _provenance(network_hash: str, q: VerificationQuery | None, opts: VerifyOpti
     return {
         "network_sha256": network_hash,
         "query_sha256": query_hash(q) if q is not None else None,
-        "tolerances": SimplexOptions().as_dict(),
-        "solver": opts.bnb.as_dict(),
+        "tolerances": asdict(SimplexOptions()),
+        "solver": asdict(opts.bnb),
     }
 
 

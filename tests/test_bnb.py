@@ -10,7 +10,6 @@ from relucert.bnb import BnbOptions, BnbStatus, MilpResult, _select_branch_var, 
 from relucert.bounds import InputBox, classify_neurons, propagate_bounds
 from relucert.errors import InvalidArg, NumericalBreakdown
 from relucert.milp import (
-    LinearRow,
     MilpProblem,
     default_delta_cap,
     encode_network,
@@ -281,7 +280,9 @@ def test_generic_problem_without_network_meta(monkeypatch):
         lo=np.zeros(1),
         hi=np.ones(1),
         binary=np.array([True]),
-        rows=[LinearRow(idx=np.array([0]), coef=np.array([1.0]), sense="<=", rhs=0.5)],
+        rows=np.array([[1.0]]),
+        senses=("<=",),
+        rhs=np.array([0.5]),
         obj_sense="max",
         obj_idx=np.array([0], dtype=np.intp),
         obj_coef=np.array([1.0]),
@@ -300,6 +301,28 @@ def test_generic_problem_without_network_meta(monkeypatch):
         monkeypatch.undo()
         assert res.status is status
         assert res.best_bound == pytest.approx(0.5, abs=1e-12)
+
+
+def test_binary_fixed_by_its_bounds_stays_fixed():
+    # min r subject to y - r <= 0, r binary fixed at 1, y in [0, 1]: the
+    # relaxation must keep r's own bounds, so the optimum is 1, not 0
+    p = MilpProblem(
+        lo=np.array([1.0, 0.0]),
+        hi=np.array([1.0, 1.0]),
+        binary=np.array([True, False]),
+        rows=np.array([[-1.0, 1.0]]),
+        senses=("<=",),
+        rhs=np.array([0.0]),
+        obj_sense="min",
+        obj_idx=np.array([0], dtype=np.intp),
+        obj_coef=np.array([1.0]),
+    )
+    lo, hi = relaxed_bounds(p)
+    assert lo.tolist() == [1.0, 0.0] and hi.tolist() == [1.0, 1.0]
+    res = solve_milp(p)
+    assert res.status is BnbStatus.CERTIFIED
+    assert res.incumbent_value == pytest.approx(1.0, abs=1e-12)
+    assert res.best_bound == pytest.approx(1.0, abs=1e-12)
 
 
 def test_one_debug_record_per_node(e1, caplog):

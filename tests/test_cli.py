@@ -328,6 +328,40 @@ def test_oracle_check_compares_each_signs_deviation(workdir, capsys, field, shif
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("factor,shift,code", [
+    (1 + 5e-7, 0.0, 0), (1 - 5e-7, 0.0, 0), (1 + 3e-6, 0.0, 3), (1 - 3e-6, 0.0, 3),
+    (1.0, 1e-4, 3), (1.0, -1e-4, 3),
+])
+def test_oracle_check_holds_certified_values_to_a_relative_tolerance(
+    workdir, monkeypatch, capsys, factor, shift, code
+):
+    """Reports certify to a relative gap, so at |value| near 5 an optimum
+    5e-7 away in relative terms (2.5e-6 absolute) agrees, and one 3e-6 or
+    1e-4 (absolute) away does not."""
+    import relucert.oracle
+
+    z = [0.3, 0.6]
+    x_ref = (forward(_net(workdir), np.array(z)) + 5.0).tolist()
+    qpath = _write_queries(workdir, "rel_q.json", [
+        {"query_id": "rl", "z_ref": z, "x_ref": x_ref, "alpha": 0.05},
+    ])
+    out = workdir / "rel_rep.json"
+    assert main(["verify-robust", "--network", str(workdir / "net.json"),
+                 "--queries", qpath, "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["queries"][0]["per_output"][0]
+    assert entry["status"] == "certified" and 4.5 < entry["R"] < 5.5
+    exact = relucert.oracle.milp_opt
+
+    def scaled(net, box, spec):
+        res = exact(net, box, spec)
+        return SimpleNamespace(value=res.value * factor + shift)
+
+    monkeypatch.setattr(relucert.oracle, "milp_opt", scaled)
+    assert main(["oracle-check", "--network", str(workdir / "net.json"),
+                 "--report", str(out)]) == code
+    capsys.readouterr()
+
+
 def test_oracle_check_takes_the_cap_from_the_query(workdir, capsys):
     """Outputs claimed not found under a tiny stated cap fail the check:
     the oracle runs at the query's cap, where they are reachable."""

@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from relucert.bnb import solve_milp
 from relucert.bounds import InputBox, Stability, classify_neurons, propagate_bounds
 from relucert.errors import DimensionMismatch, InvalidArg, UnsoundBounds
 from relucert.milp import (
-    LinearRow,
+    MilpProblem,
     default_delta_cap,
     encode_network,
     set_robustness_objective,
@@ -38,23 +39,56 @@ def identity_net():
     return fold_bn(spec)
 
 
-def test_linear_row_validation():
+@pytest.mark.parametrize("senses,rhs", [(("<",), [0.5]), (("<=",), [0.5, 0.0])])
+def test_malformed_rows_are_invalid_when_solved(senses, rhs):
+    p = MilpProblem(
+        lo=np.zeros(1),
+        hi=np.ones(1),
+        binary=np.array([True]),
+        rows=np.array([[1.0]]),
+        senses=senses,
+        rhs=np.array(rhs),
+        obj_idx=np.array([0], dtype=np.intp),
+        obj_coef=np.array([1.0]),
+    )
     with pytest.raises(InvalidArg):
-        LinearRow(idx=np.array([0]), coef=np.array([1.0]), sense="<", rhs=0.0)
-    with pytest.raises(DimensionMismatch):
-        LinearRow(idx=np.array([0, 1]), coef=np.array([1.0]), sense="<=", rhs=0.0)
+        solve_lp(p)
+    with pytest.raises(InvalidArg):
+        solve_milp(p)
 
 
 def test_e1_encoding_counts(e1):
     p, _ = encode_on_box(e1, InputBox.unit(2))
     assert p.num_binaries == 2
-    assert len(p.rows_tagged("relu:")) == 6  # three rows per unstable neuron; h >= 0 is a bound
-    assert len(p.rows_tagged("affine-pre")) == 2
-    assert len(p.rows_tagged("affine-out")) == 1
     # every role present: 2 inputs, 2 pre, 2 post, 2 bins, 1 output
     kinds = [r[0] for r in p.var_roles]
     assert sorted(kinds) == ["bin", "bin", "input", "input", "output", "post", "post", "pre", "pre"]
     assert np.all(np.isfinite(p.lo)) and np.all(np.isfinite(p.hi))
+
+
+def test_e1_row_layout(e1):
+    """The affine rows, layer by layer, then three big-M rows per unstable
+    neuron; h >= 0 is a bound. E1's pre-activation intervals over the unit
+    box are [-1, 1] and [-0.25, 0.75]."""
+    p, _ = encode_on_box(e1, InputBox.unit(2))
+    layout = [
+        ({"hp1_1": 1.0, "z1": -1.0, "z2": 1.0}, "=", 0.0),
+        ({"hp1_2": 1.0, "z1": -0.5, "z2": -0.5}, "=", -0.25),
+        ({"x1": 1.0, "h1_1": -1.0, "h1_2": -1.0}, "=", 0.0),
+        ({"h1_1": 1.0, "hp1_1": -1.0, "r1_1": 1.0}, "<=", 1.0),  # h <= hpre - hmin (1 - r)
+        ({"h1_1": 1.0, "hp1_1": -1.0}, ">=", 0.0),  # h >= hpre
+        ({"h1_1": 1.0, "r1_1": -1.0}, "<=", 0.0),  # h <= hmax r
+        ({"h1_2": 1.0, "hp1_2": -1.0, "r1_2": 0.25}, "<=", 0.25),
+        ({"h1_2": 1.0, "hp1_2": -1.0}, ">=", 0.0),
+        ({"h1_2": 1.0, "r1_2": -0.75}, "<=", 0.0),
+    ]
+    rows = np.zeros((len(layout), p.num_vars))
+    for i, (coef, _, _) in enumerate(layout):
+        for name, v in coef.items():
+            rows[i, p.var_names.index(name)] = v
+    assert np.array_equal(p.rows, rows)
+    assert p.senses == tuple(sense for _, sense, _ in layout)
+    assert p.rhs.tolist() == [b for _, _, b in layout]
 
 
 def test_all_active_network_is_pure_lp():
@@ -205,7 +239,7 @@ def test_subproblems_share_the_read_only_base(e1):
     rows, roles, names, num_vars = p.rows, dict(p.var_roles), p.var_names, p.num_vars
     q = set_robustness_objective(p, 0, 1, 0.25)
     # a robustness subproblem differs from its base in objective alone
-    for a in ("lo", "hi", "binary", "rows", "var_roles", "var_names", "network"):
+    for a in ("lo", "hi", "binary", "rows", "senses", "rhs", "var_roles", "var_names", "network"):
         assert getattr(q, a) is getattr(p, a)
     # so a write through it, which would reach its siblings, raises
     for a in (q.lo, q.hi, q.binary):
@@ -213,17 +247,24 @@ def test_subproblems_share_the_read_only_base(e1):
             a[0] = 0.5
     with pytest.raises(TypeError):
         q.var_roles[("delta",)] = p.num_vars
-    assert not hasattr(q.rows, "append") and not hasattr(q.var_names, "append")
+    assert not hasattr(q.senses, "append") and not hasattr(q.var_names, "append")
     # a trust base extends its base without touching it
     tb = set_trust_problem(p, np.full(2, 0.5), np.ones(2), 0.5)
     assert p.num_vars == num_vars and p.rows is rows and p.var_names is names
     assert dict(p.var_roles) == roles and ("delta",) not in p.var_roles
-    assert all(a is b for a, b in zip(tb.rows, rows)) and len(tb.rows) == len(rows) + 4
+    assert np.array_equal(tb.rows[: len(rows)], np.pad(rows, ((0, 0), (0, 1))))  # no radius term
+    assert len(tb.rows) == len(tb.senses) == len(tb.rhs) == len(rows) + 4
+    # the rows, in the base, its robustness subproblem and its trust base alike, are read-only
+    for r in (p, q, tb):
+        with pytest.raises(ValueError):
+            r.rows[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            r.rhs[0] = 0.5
     assert tb.var_roles[("delta",)] == num_vars
     assert np.array_equal(tb.lo[:num_vars], p.lo) and np.array_equal(tb.hi[:num_vars], p.hi)
     # and a trust subproblem differs from its trust base in one output's bounds alone
     t = set_trust_target(tb, 0, 1, 0.15, 0.25)
-    for a in ("binary", "rows", "var_roles", "var_names", "network", "obj_idx", "obj_coef"):
+    for a in ("binary", "rows", "senses", "rhs", "var_roles", "var_names", "network", "obj_idx", "obj_coef"):
         assert getattr(t, a) is getattr(tb, a)
     x = p.var_roles[("output", 0)]
     assert t.lo[x] == pytest.approx(0.4) and p.lo[x] < 0.4  # x1 >= 0.25 + 0.15
