@@ -20,10 +20,11 @@ skips refactorizing. A warm solve that can do neither falls back to the cold
 two-phase solve inside the LP engine. Feasible incumbents come from
 rounding the LP input point through the actual network, which is feasible
 by construction, so the certified bracket [incumbent, bound] is always
-sound; the result keeps the incumbent's input point, the witness. A child
-whose solve breaks down numerically keeps its parent's bound as an open
-bound in that bracket, so the search ends with an honest gap instead of
-losing the subproblem; only a breakdown at a root raises.
+sound; the result keeps the incumbent's input point, the witness. A node,
+root included, whose solve breaks down numerically keeps its parent's bound
+as an open bound in that bracket (+inf for a root), so the search ends with
+an honest gap instead of losing the subproblem: `LIMIT` when nothing was
+found, else `GAP_LIMIT`.
 
 One search may cover several problems of one sense whose best value is
 wanted, such as the two signs of a trust output: a primary problem and its
@@ -197,6 +198,9 @@ def solve_milp(
     earlier problem holds the incumbent. Every problem's root is solved
     before the first branch, and the options' node and time limits bound
     the whole call.
+
+    A node whose solve breaks down, a root included, stays open at its
+    parent's bound, so the call never raises `NumericalBreakdown`.
     """
     opts = opts or BnbOptions()
     t0 = time.perf_counter()
@@ -224,7 +228,7 @@ def solve_milp(
     inc_value: float | None = None
     inc_z: np.ndarray | None = None
     inc_src: int | None = None
-    open_score = -np.inf  # best parent bound over children whose solve broke down
+    open_score = -np.inf  # best parent bound over nodes whose solve broke down
     # heap of (-bound score, -depth, node number, problem, lo, hi, branch
     # position, the node's solution as its children's start): best bound
     # first, deeper first
@@ -247,10 +251,17 @@ def solve_milp(
     def node(src, lo, hi, seq, depth, start, parent_score):
         """Solve one node of problem `src`, register its incumbent
         candidates, and decide it: integral, branch (pushed on the heap),
-        pruned or infeasible. A numerical breakdown propagates to the
-        caller."""
+        pruned or infeasible. A node whose solve breaks down is left open
+        at its parent's bound, which still holds over it."""
+        nonlocal open_score
         q = problems[src]
-        sol = engine.solve(lo, hi, objectives[src], maximize, start=start)
+        try:
+            sol = engine.solve(lo, hi, objectives[src], maximize, start=start)
+        except NumericalBreakdown as e:
+            stats.node_breakdowns += 1
+            open_score = max(open_score, parent_score)
+            note(seq, src, depth, parent_score, f"breakdown ({e}), left open at its parent's bound")
+            return
         stats.add(sol)
         if sol.status is not LpStatus.OPTIMAL:
             note(seq, src, depth, None, "infeasible")
@@ -298,10 +309,7 @@ def solve_milp(
         return max(opts.abs_gap, opts.rel_gap * abs(inc_score)) if inc_value is not None else opts.abs_gap
 
     for src, q in enumerate(problems):  # the roots are nodes 0 .. len(problems) - 1
-        try:
-            node(src, *relaxed_bounds(q), src, 0, root_start, np.inf)
-        except NumericalBreakdown as e:
-            raise NumericalBreakdown(f"problem {src} node {src} at depth 0: {e}") from e
+        node(src, *relaxed_bounds(q), src, 0, root_start, np.inf)
     nodes = len(problems)  # also the next node's number
     while heap:
         ub_score = max(-heap[0][0], inc_score, open_score)
@@ -323,13 +331,7 @@ def solve_milp(
         for v in (0.0, 1.0):
             child_lo, child_hi = lo.copy(), hi.copy()
             child_lo[j] = child_hi[j] = v
-            try:
-                node(src, child_lo, child_hi, nodes, depth, start, -neg_score)
-            except NumericalBreakdown as e:
-                # the parent's bound still holds over this child: keep it open
-                stats.node_breakdowns += 1
-                open_score = max(open_score, -neg_score)
-                note(nodes, src, depth, -neg_score, f"breakdown ({e}), left open at its parent's bound")
+            node(src, child_lo, child_hi, nodes, depth, start, -neg_score)
             nodes += 1
 
     ub_score = max(inc_score, open_score)

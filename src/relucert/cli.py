@@ -32,6 +32,7 @@ from .milp import default_delta_cap
 from .nnmodel import fold_bn, forward, load_network, network_hash, save_network
 from .trainer import TrainConfig, evaluate, gen_synthetic, load_dataset, save_dataset, train
 from .verify import (
+    BatchRobustness,
     VerificationQuery,
     VerifyOptions,
     batch_report,
@@ -239,33 +240,46 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify_robust(args) -> int:
+def _verify_inputs(args):
+    """A verify verb's network spec, folded network, network hash, queries,
+    whether the file held a single query object, and options."""
     cfg = _load_config(args.config)
     spec, net, nh = _load_net(args.network)
     queries, single = _load_queries(args.queries)
-    opts = _verify_options(args, cfg)
+    return spec, net, nh, queries, single, _verify_options(args, cfg)
+
+
+def _write_results(args, rep: dict, results, label: str, value) -> None:
+    """Write the report and its timing sidecar, then print one line per
+    query and output: `label`, the query id, the output's name, `value(o)`
+    and its status."""
+    _write_json(args.out, rep)
+    timing = args.timing or (args.out + ".timing.json" if args.out else None)
+    if timing:
+        _write_json(timing, timing_sidecar(results))
+    for r in results:
+        for o in r.per_output:
+            print(f"{label} {r.query.query_id} {o.name} {value(o)} {o.status}")
+
+
+def cmd_verify_robust(args) -> int:
+    if args.histogram and args.dataset is None:
+        raise InvalidArg("--histogram needs --dataset")
+    _, net, nh, queries, single, opts = _verify_inputs(args)
     if single:
         res = robustness(net, queries[0], opts)
         rep = robustness_report(res, nh, opts)
-        results = [res]
-        batch = None
+        batch = BatchRobustness(
+            per_query=[res], errors=[None], aggregate_R=res.R, output_names=list(net.output_names)
+        )
     else:
         batch = robustness_batch(net, queries, opts)
         rep = batch_report(batch, nh, opts)
-        results = [r for r in batch.per_query if r is not None]
-        if not results:
-            raise InvalidArg("; ".join(e for e in batch.errors if e))
+    results = [r for r in batch.per_query if r is not None]
+    if not results:
+        raise InvalidArg("; ".join(e for e in batch.errors if e))
     if args.dataset is not None:
         ds = load_dataset(_read_text(args.dataset))
-        if batch is None:
-            from .verify import BatchRobustness
-
-            batch = BatchRobustness(
-                per_query=results,
-                errors=[None],
-                aggregate_R=results[0].R,
-                output_names=[o.name for o in results[0].per_output],
-            )
         cmp_res = compare_robustness_vs_test(
             batch, net, ds.inputs[ds.test_idx], ds.targets[ds.test_idx]
         )
@@ -281,22 +295,12 @@ def cmd_verify_robust(args) -> int:
         }
         if args.histogram:
             _write_text(args.histogram, histogram_csv(cmp_res.hist_edges, cmp_res.hist_counts))
-    _write_json(args.out, rep)
-    timing = args.timing or (args.out + ".timing.json" if args.out else None)
-    if timing:
-        _write_json(timing, timing_sidecar(results))
-    for res in results:
-        for o in res.per_output:
-            r_txt = "uncertified" if o.R is None else repr(o.R)
-            print(f"R {res.query.query_id} {o.name} {r_txt} {o.status}")
+    _write_results(args, rep, results, "R", lambda o: "uncertified" if o.R is None else repr(o.R))
     return EXIT_OK
 
 
 def cmd_verify_trust(args) -> int:
-    cfg = _load_config(args.config)
-    spec, net, nh = _load_net(args.network)
-    queries, single = _load_queries(args.queries)
-    opts = _verify_options(args, cfg)
+    spec, net, nh, queries, single, opts = _verify_inputs(args)
     results = []
     entries = []
     for q in queries:
@@ -311,7 +315,6 @@ def cmd_verify_trust(args) -> int:
     if not results:
         raise InvalidArg("no query could be verified")
     rep = entries[0] if single else {"kind": "trust_batch", "queries": entries}
-    _write_json(args.out, rep)
     if args.table:
         _write_text(args.table, trust_table_csv(results, spec.input_norm_lo, spec.input_norm_hi))
     if args.histogram:
@@ -327,13 +330,7 @@ def cmd_verify_trust(args) -> int:
         else:
             counts, edges = np.zeros(10, dtype=int), np.linspace(0.0, 1.0, 11)
         _write_text(args.histogram, histogram_csv(edges, counts))
-    timing = args.timing or (args.out + ".timing.json" if args.out else None)
-    if timing:
-        _write_json(timing, timing_sidecar(results))
-    for r in results:
-        for o in r.per_output:
-            d_txt = repr(o.delta_min) if o.found else "not_found"
-            print(f"delta_min {r.query.query_id} {o.name} {d_txt} {o.status}")
+    _write_results(args, rep, results, "delta_min", lambda o: repr(o.delta_min) if o.found else "not_found")
     return EXIT_OK
 
 

@@ -1,6 +1,7 @@
-"""Verification drivers: certified robustness over perturbation balls and
-minimum-perturbation trust queries, their 2M-subproblem decomposition, batch
-sweeps over operating conditions, and report assembly."""
+"""Verification drivers: certified robustness over perturbation balls, as
+2M searches (a max and a min per output), and minimum-perturbation trust
+queries, as one joint search of both signs per output; batch sweeps over
+operating conditions, and report assembly."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bnb import BnbOptions, BnbStatus, MilpResult, solve_milp
+from .bnb import BnbOptions, BnbStatus, solve_milp
 from .bounds import (
     InputBox,
     classify_neurons,
@@ -24,7 +25,7 @@ from .bounds import (
     lp_tighten,
     propagate_bounds,
 )
-from .errors import DimensionMismatch, InvalidArg, InvalidValue, NumericalBreakdown, SolverFailure
+from .errors import DimensionMismatch, InvalidArg, InvalidValue, NumericalBreakdown
 from .milp import (
     default_delta_cap,
     encode_network,
@@ -155,7 +156,7 @@ class RobustnessResult:
     certified_fixing: bool
     stability_counts: dict
     wall_time: float  # the whole call: bounds, tightening, encoding and B&B
-    stats: dict = field(default_factory=dict)  # see _solve_stats
+    stats: dict = field(default_factory=dict)  # see _common_fields
 
     @property
     def R(self) -> np.ndarray:
@@ -183,21 +184,32 @@ class TrustResult:
     certified_fixing: bool
     stability_counts: dict
     wall_time: float  # the whole call: bounds, tightening, encoding and B&B
-    stats: dict = field(default_factory=dict)  # see _solve_stats
+    stats: dict = field(default_factory=dict)  # see _common_fields
 
 
-def _prepare_base(net, box, opts, stats: SolveStats):
-    """The query's base encoding; the tightening LPs' work goes to `stats`."""
+def _check_query(net: FoldedNetwork, q: VerificationQuery, kind: str, need: str):
+    if getattr(q, need) is None:
+        raise InvalidArg(f"{kind} needs {need}")
+    if q.z_ref.shape[0] != net.input_dim:
+        raise DimensionMismatch("z_ref length != network input dimension")
+    if q.x_ref.shape[0] != net.num_outputs:
+        raise DimensionMismatch("x_ref length != network output count")
+
+
+def _prepare_base(net, box, opts):
+    """The query's base encoding, its stability map, whether that map is
+    certified, and the tightening LPs' work."""
+    tighten = SolveStats()
     lb = propagate_bounds(net, box)
     if opts.unsafe_empirical_fix_samples is not None:
         sm = empirical_stability(net, opts.unsafe_empirical_fix_samples)
         certified_fixing = False
     else:
         if opts.tighten:
-            lb = lp_tighten(net, box, lb, stats)
+            lb = lp_tighten(net, box, lb, tighten)
         sm = classify_neurons(lb)
         certified_fixing = True
-    return encode_network(net, lb, sm, box), sm, certified_fixing
+    return encode_network(net, lb, sm, box), sm, certified_fixing, tighten
 
 
 def _shared_root_start(base, stats: SolveStats):
@@ -222,51 +234,26 @@ def _shared_root_start(base, stats: SolveStats):
     return sol if sol.status is LpStatus.OPTIMAL else None
 
 
-def _search(p, opts, **kwargs) -> MilpResult | SolverFailure:
-    """`solve_milp`'s result, or the solver failure it raised (numerical
-    breakdown included)."""
-    try:
-        return solve_milp(p, opts.bnb, **kwargs)
-    except SolverFailure as e:
-        return e
-
-
-def _solve_stats(results, tighten: SolveStats, lp: SolveStats | None = None) -> dict:
-    """B&B work summed over a query's searches that returned a result,
-    added to `lp`, the query's other LP work outside them. The bound
-    tightening's LPs stay apart under "tighten", so the top-level counts
-    keep relating to the B&B nodes."""
-    done = [r for r in results if isinstance(r, MilpResult)]
-    lp = SolveStats() if lp is None else lp
-    for r in done:
-        lp.merge(r.stats)
+def _common_fields(t0, per_output, sm, certified_fixing, searches, tighten, shared) -> dict:
+    """The result fields both kinds carry. `stats` sums the B&B work of the
+    query's `searches` and `shared`, its other LP work outside them; the
+    bound tightening's LPs stay apart under "tighten", so the top-level
+    counts keep relating to the B&B nodes."""
+    for r in searches:
+        shared.merge(r.stats)
     return {
-        "subproblems": sum(r.problems for r in done),
-        "nodes": sum(r.nodes for r in done),
-        **lp.as_dict(),
-        "tighten": tighten.as_dict(),
+        "per_output": per_output,
+        "certified": certified_fixing and all(o.status == "certified" for o in per_output),
+        "certified_fixing": certified_fixing,
+        "stability_counts": sm.counts(),
+        "wall_time": time.perf_counter() - t0,
+        "stats": {
+            "subproblems": sum(r.problems for r in searches),
+            "nodes": sum(r.nodes for r in searches),
+            **shared.as_dict(),
+            "tighten": tighten.as_dict(),
+        },
     }
-
-
-def _status_of(*results) -> tuple[str, float]:
-    gap = 0.0
-    status = "certified"
-    for r in results:
-        if isinstance(r, Exception) or r is None:
-            return "uncertified", float("inf")
-        if r.status in (BnbStatus.GAP_LIMIT, BnbStatus.LIMIT):
-            status = "gap_limit"
-            gap = max(gap, r.gap)
-        elif r.status is BnbStatus.INFEASIBLE:
-            return "uncertified", float("inf")
-    return status, gap
-
-
-def _check_dims(net: FoldedNetwork, q: VerificationQuery):
-    if q.z_ref.shape[0] != net.input_dim:
-        raise DimensionMismatch("z_ref length != network input dimension")
-    if q.x_ref.shape[0] != net.num_outputs:
-        raise DimensionMismatch("x_ref length != network output count")
 
 
 def robustness(
@@ -277,55 +264,37 @@ def robustness(
     output."""
     t0 = time.perf_counter()
     opts = opts or VerifyOptions()
-    if q.alpha is None:
-        raise InvalidArg("robustness needs alpha")
-    _check_dims(net, q)
+    _check_query(net, q, "robustness", "alpha")
     box = InputBox.ball(q.z_ref, q.alpha, clip=q.clip_to_domain)
-    tighten = SolveStats()
-    base, sm, certified_fixing = _prepare_base(net, box, opts, tighten)
+    base, sm, certified_fixing, tighten = _prepare_base(net, box, opts)
     shared = SolveStats()
     root_start = _shared_root_start(base, shared)
 
-    results = [
-        _search(set_robustness_objective(base, i, sign, float(q.x_ref[i])), opts, root_start=root_start)
+    searches = [
+        solve_milp(set_robustness_objective(base, i, sign, float(q.x_ref[i])), opts.bnb, root_start=root_start)
         for i in range(net.num_outputs)
         for sign in (1, -1)
     ]
 
-    names = net.output_names
     per_output = []
-    for i in range(net.num_outputs):
-        plus, minus = results[2 * i], results[2 * i + 1]
-        status, gap = _status_of(plus, minus)
-        dev_plus = dev_minus = R = None
-        witness = None
-        if status != "uncertified" and plus.found and minus.found:
-            dev_plus = plus.incumbent_value
-            dev_minus = -minus.incumbent_value
-            R = max(dev_plus, abs(dev_minus))
-            witness = (plus if dev_plus >= abs(dev_minus) else minus).z
-        elif status != "uncertified":
-            status = "uncertified"  # limit hit before any feasible point
-        per_output.append(
-            OutputRobustness(
-                name=names[i],
+    for name, plus, minus in zip(net.output_names, searches[::2], searches[1::2]):
+        if plus.found and minus.found:
+            dev_plus, dev_minus = plus.incumbent_value, -minus.incumbent_value
+            gaps = [r.gap for r in (plus, minus) if r.status is BnbStatus.GAP_LIMIT]
+            out = OutputRobustness(
+                name=name,
                 dev_plus=dev_plus,
                 dev_minus=dev_minus,
-                R=R,
-                witness=witness,
-                status=status,
-                gap=gap,
+                R=max(dev_plus, abs(dev_minus)),
+                witness=(plus if dev_plus >= abs(dev_minus) else minus).z,
+                status="gap_limit" if gaps else "certified",
+                gap=max([0.0, *gaps]),
             )
-        )
+        else:  # infeasible, or a limit hit before any feasible point
+            out = OutputRobustness(name, None, None, None, None, "uncertified", float("inf"))
+        per_output.append(out)
     res = RobustnessResult(
-        query=q,
-        box=box,
-        per_output=per_output,
-        certified=certified_fixing and all(o.status == "certified" for o in per_output),
-        certified_fixing=certified_fixing,
-        stability_counts=sm.counts(),
-        wall_time=time.perf_counter() - t0,
-        stats=_solve_stats(results, tighten, shared),
+        query=q, box=box, **_common_fields(t0, per_output, sm, certified_fixing, searches, tighten, shared)
     )
     _log.debug("robustness %r: %.3f s, %s", q.query_id, res.wall_time, res.stats)
     return res
@@ -342,35 +311,31 @@ def trustworthiness(
     sign follows float rounding along the search."""
     t0 = time.perf_counter()
     opts = opts or VerifyOptions()
-    if q.beta is None:
-        raise InvalidArg("trustworthiness needs beta")
-    _check_dims(net, q)
+    _check_query(net, q, "trustworthiness", "beta")
     scale = q.effective_scale()
     cap = q.delta_cap if q.delta_cap is not None else default_delta_cap(q.z_ref, scale)
     box = InputBox.unit(net.input_dim)
-    tighten = SolveStats()
-    base, sm, certified_fixing = _prepare_base(net, box, opts, tighten)
+    base, sm, certified_fixing, tighten = _prepare_base(net, box, opts)
 
     trust_base = set_trust_problem(base, q.z_ref, scale, cap)
     shared = SolveStats()
     root_start = _shared_root_start(trust_base, shared)
 
-    names = net.output_names
     per_output = []
-    results = []
-    for i in range(net.num_outputs):
+    searches = []
+    for i, name in enumerate(net.output_names):
         plus, minus = (set_trust_target(trust_base, i, sign, q.beta, float(q.x_ref[i])) for sign in (1, -1))
-        r = _search(plus, opts, root_start=root_start, rivals=(minus,))
-        results.append(r)
-        if isinstance(r, Exception) or r.status is BnbStatus.LIMIT:
-            out = OutputTrust(names[i], False, None, None, None, cap, "uncertified", float("inf"))
+        r = solve_milp(plus, opts.bnb, root_start=root_start, rivals=(minus,))
+        searches.append(r)
+        if r.status is BnbStatus.LIMIT:
+            out = OutputTrust(name, False, None, None, None, cap, "uncertified", float("inf"))
         elif not r.found:
             # INFEASIBLE, certified: no input within delta_cap moves this output by beta
-            out = OutputTrust(names[i], False, None, None, None, cap, "certified", 0.0)
+            out = OutputTrust(name, False, None, None, None, cap, "certified", 0.0)
         else:
             certified = r.status is BnbStatus.CERTIFIED
             out = OutputTrust(
-                name=names[i],
+                name=name,
                 found=True,
                 delta_min=r.incumbent_value,
                 sign=(1, -1)[r.source],
@@ -383,13 +348,8 @@ def trustworthiness(
     found_vals = [o.delta_min for o in per_output if o.found]
     res = TrustResult(
         query=q,
-        per_output=per_output,
         delta_min=min(found_vals) if found_vals else None,
-        certified=certified_fixing and all(o.status == "certified" for o in per_output),
-        certified_fixing=certified_fixing,
-        stability_counts=sm.counts(),
-        wall_time=time.perf_counter() - t0,
-        stats=_solve_stats(results, tighten, shared),
+        **_common_fields(t0, per_output, sm, certified_fixing, searches, tighten, shared),
     )
     _log.debug("trustworthiness %r: %.3f s, %s", q.query_id, res.wall_time, res.stats)
     return res
@@ -417,7 +377,7 @@ def robustness_batch(
         try:
             per_query.append(robustness(net, q, opts))
             errors.append(None)
-        except (InvalidArg, InvalidValue, DimensionMismatch, SolverFailure) as e:
+        except (InvalidArg, InvalidValue, DimensionMismatch) as e:
             per_query.append(None)
             errors.append(f"{type(e).__name__}: {e}")
     agg = np.full(net.num_outputs, -np.inf)
@@ -509,20 +469,21 @@ def _provenance(network_hash: str, q: VerificationQuery | None, opts: VerifyOpti
     }
 
 
-def robustness_report(
-    result: RobustnessResult, network_hash: str = "", opts: VerifyOptions | None = None
+def _report(
+    kind: str, result, output_fields: tuple[str, ...], first: tuple[str, object], network_hash: str, opts
 ) -> dict:
+    """One query's report: each output's `name`, then its kind's
+    `output_fields`, then its status, gap and witness; the aggregate leads
+    with the kind's `first` (key, value)."""
     opts = opts or VerifyOptions()
     return {
-        "kind": "robustness",
+        "kind": kind,
         "query_id": result.query.query_id,
         "query": result.query.to_dict(),
         "per_output": [
             {
                 "name": o.name,
-                "dev_plus": o.dev_plus,
-                "dev_minus": o.dev_minus,
-                "R": o.R,
+                **{f: getattr(o, f) for f in output_fields},
                 "status": o.status,
                 "gap": None if not np.isfinite(o.gap) else o.gap,
                 "witness": None if o.witness is None else o.witness.tolist(),
@@ -530,44 +491,27 @@ def robustness_report(
             for o in result.per_output
         ],
         "aggregate": {
-            "R_max": max((o.R for o in result.per_output if o.R is not None), default=None),
+            first[0]: first[1],
             "certified": result.certified,
             "certified_fixing": result.certified_fixing,
             "stability": result.stability_counts,
         },
         "provenance": _provenance(network_hash, result.query, opts),
     }
+
+
+def robustness_report(
+    result: RobustnessResult, network_hash: str = "", opts: VerifyOptions | None = None
+) -> dict:
+    r_max = max((o.R for o in result.per_output if o.R is not None), default=None)
+    return _report("robustness", result, ("dev_plus", "dev_minus", "R"), ("R_max", r_max), network_hash, opts)
 
 
 def trust_report(
     result: TrustResult, network_hash: str = "", opts: VerifyOptions | None = None
 ) -> dict:
-    opts = opts or VerifyOptions()
-    return {
-        "kind": "trust",
-        "query_id": result.query.query_id,
-        "query": result.query.to_dict(),
-        "per_output": [
-            {
-                "name": o.name,
-                "found": o.found,
-                "delta_min": o.delta_min,
-                "sign": o.sign,
-                "delta_cap": o.delta_cap,
-                "status": o.status,
-                "gap": None if not np.isfinite(o.gap) else o.gap,
-                "witness": None if o.witness is None else o.witness.tolist(),
-            }
-            for o in result.per_output
-        ],
-        "aggregate": {
-            "delta_min": result.delta_min,
-            "certified": result.certified,
-            "certified_fixing": result.certified_fixing,
-            "stability": result.stability_counts,
-        },
-        "provenance": _provenance(network_hash, result.query, opts),
-    }
+    fields = ("found", "delta_min", "sign", "delta_cap")
+    return _report("trust", result, fields, ("delta_min", result.delta_min), network_hash, opts)
 
 
 def batch_report(

@@ -249,11 +249,16 @@ def test_child_breakdown_leaves_an_honest_bracket(e1, monkeypatch):
                 assert res.incumbent_value == pytest.approx(opt, abs=1e-6)
 
 
-def test_root_breakdown_raises(e1, monkeypatch):
-    q = _e1_problems(e1)[0]
-    _break_solve(monkeypatch, 1)
-    with pytest.raises(NumericalBreakdown, match="node 0 at depth 0"):
-        solve_milp(q)
+def test_root_breakdown_leaves_the_bracket_open(e1, monkeypatch):
+    # a root's parent bound is +inf: nothing is found and nothing is bounded
+    for q in _e1_problems(e1):
+        _break_solve(monkeypatch, 1)
+        res = solve_milp(q)
+        monkeypatch.undo()
+        assert res.status is BnbStatus.LIMIT and not res.found
+        assert res.best_bound == (np.inf if q.obj_sense == "max" else -np.inf)
+        assert res.gap == np.inf and res.nodes == 1
+        assert res.stats.node_breakdowns == 1 and res.stats.lp_solves == 0
 
 
 def test_bound_monotone_incumbent_improving():
@@ -488,11 +493,15 @@ def test_rivals_must_share_the_sense(e1):
         solve_milp(trust, rivals=(rob,))
 
 
-def test_rival_root_breakdown_raises(e1, monkeypatch):
+def test_rival_root_breakdown_keeps_the_primary_incumbent(e1, monkeypatch):
+    # the `-` root breaks down: the `+` search still runs and its incumbent
+    # stands, but the `-` side stays open at +inf, so nothing is certified
     plus, minus = _trust_pair(e1, 0, 0.15, [0.5, 0.5], 0.25)
     _break_solve(monkeypatch, 2)
-    with pytest.raises(NumericalBreakdown, match="problem 1 node 1 at depth 0"):
-        solve_milp(plus, rivals=(minus,))
+    res = solve_milp(plus, rivals=(minus,))
+    assert res.status is BnbStatus.GAP_LIMIT and res.gap == np.inf and res.best_bound == -np.inf
+    assert res.incumbent_value == pytest.approx(0.075, abs=1e-9) and res.source == 0
+    assert res.stats.node_breakdowns == 1
 
 
 def test_rivals_must_share_the_rows(e1):

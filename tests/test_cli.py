@@ -184,6 +184,95 @@ def test_batch_with_partial_failure(workdir):
                  "--report", str(out)]) == 0
 
 
+def test_histogram_without_dataset_is_an_input_error(workdir, tmp_path, capsys):
+    # the R minus T histogram needs test errors to compare against: without
+    # --dataset the verb stops before any query runs and writes nothing
+    q = _write_queries(tmp_path, "h.json",
+                       {"query_id": "h1", "z_ref": [0.3, 0.6], "x_ref": [0.5, 0.4], "alpha": 0.05})
+    out, hist = tmp_path / "h_rep.json", tmp_path / "h.csv"
+    capsys.readouterr()
+    assert main(["verify-robust", "--network", str(workdir / "net.json"), "--queries", q,
+                 "--out", str(out), "--histogram", str(hist)]) == 1
+    assert capsys.readouterr().err == "error: --histogram needs --dataset\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json"]
+
+
+_ENTRY_KEYS = ["kind", "query_id", "query", "per_output", "aggregate", "provenance"]
+_QUERY_KEYS = ["z_ref", "x_ref", "alpha", "beta", "scale", "clip_to_domain", "delta_cap", "query_id"]
+_PROVENANCE_KEYS = ["network_sha256", "query_sha256", "tolerances", "solver"]
+_OUTPUT_KEYS = {
+    "robustness": ["name", "dev_plus", "dev_minus", "R", "status", "gap", "witness"],
+    "trust": ["name", "found", "delta_min", "sign", "delta_cap", "status", "gap", "witness"],
+}
+_AGGREGATE_KEYS = {
+    "robustness": ["R_max", "certified", "certified_fixing", "stability"],
+    "trust": ["delta_min", "certified", "certified_fixing", "stability"],
+}
+_COMPARISON_KEYS = ["T", "R", "R_minus_T", "bound_exceeds_test_error", "samples_used",
+                    "samples_flagged_outside_balls"]
+_COUNT_KEYS = ["lp_solves", "phase1_pivots", "phase2_pivots", "dual_pivots", "warm_starts",
+               "warm_fallbacks", "breakdowns", "ray_infeasible", "node_breakdowns", "refactors",
+               "inherited", "phase1_share", "dual_per_warm"]
+
+
+def _assert_entry_keys(e):
+    assert list(e)[:6] == _ENTRY_KEYS
+    assert list(e["query"]) == _QUERY_KEYS
+    assert all(list(o) == _OUTPUT_KEYS[e["kind"]] for o in e["per_output"])
+    assert list(e["aggregate"]) == _AGGREGATE_KEYS[e["kind"]]
+    assert list(e["provenance"]) == _PROVENANCE_KEYS
+
+
+def _assert_sidecar_keys(path, results):
+    side = json.loads(Path(path).read_text())
+    assert list(side) == ["per_result_seconds", "total_seconds", "per_result_stats"]
+    assert len(side["per_result_stats"]) == results
+    for st in side["per_result_stats"]:
+        assert list(st) == ["subproblems", "nodes", *_COUNT_KEYS, "tighten"]
+        assert list(st["tighten"]) == _COUNT_KEYS
+
+
+def test_verify_documents_keep_their_key_order(workdir, tmp_path, capsys):
+    # reports are compared byte for byte, so the order of every key is part
+    # of their format
+    net, ds = str(workdir / "net.json"), str(workdir / "ds.csv")
+    rob = {"query_id": "k1", "z_ref": [0.3, 0.6], "x_ref": [0.5, 0.4], "alpha": 0.05}
+    trust = {"query_id": "k2", "z_ref": [0.4, 0.5], "x_ref": [0.5, 0.4], "beta": 0.2}
+    bad = {"query_id": "k3", "z_ref": [0.4, 0.5], "x_ref": [0.5, 0.4]}  # needs alpha or beta
+    docs = {}
+    for name, verb, queries, extra in (
+        ("rob_single", "verify-robust", rob, ["--dataset", ds]),
+        ("rob_batch", "verify-robust", [rob, bad], ["--dataset", ds]),
+        ("trust_single", "verify-trust", trust, []),
+        ("trust_batch", "verify-trust", [trust, bad], []),
+    ):
+        q = _write_queries(tmp_path, f"{name}_q.json", queries)
+        out = tmp_path / f"{name}.json"
+        assert main([verb, "--network", net, "--queries", q, "--out", str(out), *extra]) == 0
+        docs[name] = json.loads(out.read_text())
+        _assert_sidecar_keys(f"{out}.timing.json", 1)
+    capsys.readouterr()
+
+    single = docs["rob_single"]
+    assert list(single) == [*_ENTRY_KEYS, "comparison"]
+    assert list(single["comparison"]) == _COMPARISON_KEYS
+    _assert_entry_keys(single)
+    batch = docs["rob_batch"]
+    assert list(batch) == ["kind", "queries", "aggregate", "provenance", "comparison"]
+    assert batch["kind"] == "robustness_batch"
+    assert list(batch["queries"][0]) == _ENTRY_KEYS and list(batch["queries"][1]) == ["error"]
+    _assert_entry_keys(batch["queries"][0])
+    assert list(batch["aggregate"]) == ["output_names", "R"]
+    assert list(batch["provenance"]) == _PROVENANCE_KEYS
+    assert list(batch["comparison"]) == _COMPARISON_KEYS
+    assert list(docs["trust_single"]) == _ENTRY_KEYS
+    _assert_entry_keys(docs["trust_single"])
+    batch = docs["trust_batch"]
+    assert list(batch) == ["kind", "queries"] and batch["kind"] == "trust_batch"
+    assert list(batch["queries"][0]) == _ENTRY_KEYS and list(batch["queries"][1]) == ["query_id", "error"]
+    _assert_entry_keys(batch["queries"][0])
+
+
 def test_input_error_exit_codes(workdir, capsys):
     assert main(["verify-robust", "--network", str(workdir / "net.json"),
                  "--queries", str(workdir / "missing.json")]) == 1

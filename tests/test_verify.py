@@ -431,6 +431,39 @@ def test_child_breakdown_leaves_the_query_at_gap_limit(e1, monkeypatch):
     assert timing_sidecar([res])["per_result_stats"][0]["node_breakdowns"] == 1
 
 
+def test_root_breakdowns_leave_every_output_uncertified(monkeypatch):
+    from relucert.errors import NumericalBreakdown
+    from relucert.simplex import PreparedLp
+
+    solve = PreparedLp.solve
+    shared = []  # the query's one cold solve, whose basis every root starts from
+    roots = []
+
+    def breaking(self, *args, start=None, **kwargs):
+        if start is None:
+            shared.append(solve(self, *args, **kwargs))
+            return shared[-1]
+        if start is shared[-1]:
+            roots.append(start)
+            raise NumericalBreakdown("forced")
+        return solve(self, *args, start=start, **kwargs)
+
+    net = fold_bn(random_spec(np.random.default_rng(4), n0=3, widths=(6, 6), m=2, unit_norm=True))
+    z_ref = np.full(3, 0.5)
+    q = VerificationQuery(z_ref=z_ref, x_ref=forward(net, z_ref), alpha=0.2)
+    monkeypatch.setattr(PreparedLp, "solve", breaking)
+    res = robustness(net, q, VerifyOptions(tighten=False))
+    assert len(shared) == 1 and len(roots) == 2 * net.num_outputs
+    # every search is kept: its root counts as a node and as a breakdown
+    assert res.stats["subproblems"] == res.stats["nodes"] == res.stats["node_breakdowns"] == len(roots)
+    assert res.stats["lp_solves"] == 1
+    assert not res.certified
+    for o in robustness_report(res)["per_output"]:
+        assert o["status"] == "uncertified" and o["gap"] is None
+        assert o["R"] is None and o["witness"] is None
+    assert timing_sidecar([res])["per_result_stats"][0]["node_breakdowns"] == len(roots)
+
+
 def test_trust_node_limit_bounds_each_outputs_pair():
     rng = np.random.default_rng(4)
     net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
