@@ -14,7 +14,6 @@ from .bounds import (
     Stability,
     StabilityMap,
     classify_neurons,
-    empirical_stability,
     lp_tighten,
     propagate_bounds,
 )
@@ -136,7 +135,6 @@ __all__ = [
     "classify_neurons",
     "compare_robustness_vs_test",
     "default_delta_cap",
-    "empirical_stability",
     "encode_network",
     "evaluate",
     "fold_bn",

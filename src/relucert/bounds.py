@@ -12,7 +12,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidValue, NumericalBreakdown
-from .nnmodel import FoldedNetwork, forward_layers
+from .nnmodel import FoldedNetwork
 from .simplex import DenseRows, LpStatus, PreparedLp, SolveStats
 
 # keep a whisker of slack when adopting LP values so tightened bounds can
@@ -175,20 +175,6 @@ def classify_neurons(lb: LayerBounds) -> StabilityMap:
         s = np.full(lo.shape, Stability.UNSTABLE, dtype=np.int8)
         s[hi <= 0.0] = Stability.DEAD
         s[lo >= 0.0] = Stability.ACTIVE  # wins ties at exactly zero
-        layers.append(s)
-    return StabilityMap(layers=tuple(layers))
-
-
-def empirical_stability(net: FoldedNetwork, samples) -> StabilityMap:
-    """Stability observed on sample inputs only. Not certified: a neuron that
-    never switched on the samples may still switch elsewhere in the box."""
-    samples = np.asarray(samples, dtype=float)
-    pre, _, _ = forward_layers(net, samples)
-    layers = []
-    for p in pre:
-        s = np.full(p.shape[1], Stability.UNSTABLE, dtype=np.int8)
-        s[p.max(axis=0) <= 0.0] = Stability.DEAD
-        s[p.min(axis=0) >= 0.0] = Stability.ACTIVE
         layers.append(s)
     return StabilityMap(layers=tuple(layers))
 

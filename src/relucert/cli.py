@@ -46,6 +46,7 @@ from .verify import (
     trust_report,
     trust_table_csv,
     trustworthiness,
+    verify_each,
 )
 
 EXIT_OK = 0
@@ -262,6 +263,15 @@ def _write_results(args, rep: dict, results, label: str, value) -> None:
             print(f"{label} {r.query.query_id} {o.name} {value(o)} {o.status}")
 
 
+def _completed(per_query, errors) -> list:
+    """The results of the queries that ran; when none ran, an input error
+    that names each query's failure."""
+    results = [r for r in per_query if r is not None]
+    if not results:
+        raise InvalidArg("; ".join(errors))
+    return results
+
+
 def cmd_verify_robust(args) -> int:
     if args.histogram and args.dataset is None:
         raise InvalidArg("--histogram needs --dataset")
@@ -275,9 +285,7 @@ def cmd_verify_robust(args) -> int:
     else:
         batch = robustness_batch(net, queries, opts)
         rep = batch_report(batch, nh, opts)
-    results = [r for r in batch.per_query if r is not None]
-    if not results:
-        raise InvalidArg("; ".join(e for e in batch.errors if e))
+    results = _completed(batch.per_query, batch.errors)
     if args.dataset is not None:
         ds = load_dataset(_read_text(args.dataset))
         cmp_res = compare_robustness_vs_test(
@@ -301,19 +309,15 @@ def cmd_verify_robust(args) -> int:
 
 def cmd_verify_trust(args) -> int:
     spec, net, nh, queries, single, opts = _verify_inputs(args)
-    results = []
-    entries = []
-    for q in queries:
-        try:
-            res = trustworthiness(net, q, opts)
-            results.append(res)
-            entries.append(trust_report(res, nh, opts))
-        except (InvalidArg, InvalidValue, DimensionMismatch) as e:
-            if single:
-                raise
-            entries.append({"query_id": q.query_id, "error": f"{type(e).__name__}: {e}"})
-    if not results:
-        raise InvalidArg("no query could be verified")
+    if single:
+        per_query, errors = [trustworthiness(net, queries[0], opts)], [None]
+    else:
+        per_query, errors = verify_each(trustworthiness, net, queries, opts)
+    results = _completed(per_query, errors)
+    entries = [
+        {"query_id": q.query_id, "error": err} if r is None else trust_report(r, nh, opts)
+        for q, r, err in zip(queries, per_query, errors)
+    ]
     rep = entries[0] if single else {"kind": "trust_batch", "queries": entries}
     if args.table:
         _write_text(args.table, trust_table_csv(results, spec.input_norm_lo, spec.input_norm_hi))

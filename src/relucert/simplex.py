@@ -779,29 +779,22 @@ def prepare(p: MilpProblem) -> PreparedLp:
     return PreparedLp(p.rows, p.senses, p.rhs)
 
 
-def relaxed_bounds(p: MilpProblem, relax: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+def relaxed_bounds(p: MilpProblem) -> tuple[np.ndarray, np.ndarray]:
     """Bounds with each binary's own bounds clipped into [0, 1], so a binary
-    the problem fixes stays fixed, or set per the relax map."""
+    the problem fixes stays fixed."""
     lo = np.where(p.binary, np.clip(p.lo, 0.0, 1.0), p.lo)
     hi = np.where(p.binary, np.clip(p.hi, 0.0, 1.0), p.hi)
-    if relax:
-        for j, v in relax.items():
-            if not p.binary[j]:
-                raise InvalidArg(f"variable {j} is not binary")
-            if isinstance(v, tuple):
-                lo[j], hi[j] = float(v[0]), float(v[1])
-            else:
-                lo[j] = hi[j] = float(v)
     return lo, hi
 
 
-def solve_lp(p: MilpProblem, relax: dict | None = None) -> LpSolution:
-    """Solve the LP relaxation of `p` with binaries relaxed or fixed.
+def solve_lp(p: MilpProblem) -> LpSolution:
+    """Solve the LP relaxation of `p`, each binary within its own bounds
+    clipped into [0, 1].
 
     The reported objective includes the problem's constant offset and is in
     the problem's own sense.
     """
-    sol = prepare(p).solve(*relaxed_bounds(p, relax), p.objective_vector(), p.obj_sense == "max")
+    sol = prepare(p).solve(*relaxed_bounds(p), p.objective_vector(), p.obj_sense == "max")
     if sol.status is LpStatus.OPTIMAL:
         sol.objective = float(sol.objective + p.obj_offset)
     return sol

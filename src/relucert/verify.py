@@ -18,13 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bnb import BnbOptions, BnbStatus, solve_milp
-from .bounds import (
-    InputBox,
-    classify_neurons,
-    empirical_stability,
-    lp_tighten,
-    propagate_bounds,
-)
+from .bounds import InputBox, classify_neurons, lp_tighten, propagate_bounds
 from .errors import DimensionMismatch, InvalidArg, InvalidValue, NumericalBreakdown
 from .milp import (
     default_delta_cap,
@@ -130,10 +124,7 @@ def query_hash(q: VerificationQuery) -> str:
 @dataclass(frozen=True)
 class VerifyOptions:
     bnb: BnbOptions = field(default_factory=BnbOptions)
-    tighten: bool = True  # LP-tighten propagated bounds (unless fixing empirically)
-    # Empirically observed stability fixing. Fixing from samples is NOT a
-    # certificate: results computed with it are marked uncertified.
-    unsafe_empirical_fix_samples: np.ndarray | None = None
+    tighten: bool = True  # LP-tighten the propagated bounds before classifying neurons
 
 
 @dataclass
@@ -153,7 +144,6 @@ class RobustnessResult:
     box: InputBox
     per_output: list[OutputRobustness]
     certified: bool
-    certified_fixing: bool
     stability_counts: dict
     wall_time: float  # the whole call: bounds, tightening, encoding and B&B
     stats: dict = field(default_factory=dict)  # see _common_fields
@@ -181,7 +171,6 @@ class TrustResult:
     per_output: list[OutputTrust]
     delta_min: float | None  # min over found outputs
     certified: bool
-    certified_fixing: bool
     stability_counts: dict
     wall_time: float  # the whole call: bounds, tightening, encoding and B&B
     stats: dict = field(default_factory=dict)  # see _common_fields
@@ -197,19 +186,14 @@ def _check_query(net: FoldedNetwork, q: VerificationQuery, kind: str, need: str)
 
 
 def _prepare_base(net, box, opts):
-    """The query's base encoding, its stability map, whether that map is
-    certified, and the tightening LPs' work."""
+    """The query's base encoding, its stability map, and the tightening LPs'
+    work."""
     tighten = SolveStats()
     lb = propagate_bounds(net, box)
-    if opts.unsafe_empirical_fix_samples is not None:
-        sm = empirical_stability(net, opts.unsafe_empirical_fix_samples)
-        certified_fixing = False
-    else:
-        if opts.tighten:
-            lb = lp_tighten(net, box, lb, tighten)
-        sm = classify_neurons(lb)
-        certified_fixing = True
-    return encode_network(net, lb, sm, box), sm, certified_fixing, tighten
+    if opts.tighten:
+        lb = lp_tighten(net, box, lb, tighten)
+    sm = classify_neurons(lb)
+    return encode_network(net, lb, sm, box), sm, tighten
 
 
 def _shared_root_start(base, stats: SolveStats):
@@ -234,7 +218,7 @@ def _shared_root_start(base, stats: SolveStats):
     return sol if sol.status is LpStatus.OPTIMAL else None
 
 
-def _common_fields(t0, per_output, sm, certified_fixing, searches, tighten, shared) -> dict:
+def _common_fields(t0, per_output, sm, searches, tighten, shared) -> dict:
     """The result fields both kinds carry. `stats` sums the B&B work of the
     query's `searches` and `shared`, its other LP work outside them; the
     bound tightening's LPs stay apart under "tighten", so the top-level
@@ -243,8 +227,7 @@ def _common_fields(t0, per_output, sm, certified_fixing, searches, tighten, shar
         shared.merge(r.stats)
     return {
         "per_output": per_output,
-        "certified": certified_fixing and all(o.status == "certified" for o in per_output),
-        "certified_fixing": certified_fixing,
+        "certified": all(o.status == "certified" for o in per_output),
         "stability_counts": sm.counts(),
         "wall_time": time.perf_counter() - t0,
         "stats": {
@@ -266,7 +249,7 @@ def robustness(
     opts = opts or VerifyOptions()
     _check_query(net, q, "robustness", "alpha")
     box = InputBox.ball(q.z_ref, q.alpha, clip=q.clip_to_domain)
-    base, sm, certified_fixing, tighten = _prepare_base(net, box, opts)
+    base, sm, tighten = _prepare_base(net, box, opts)
     shared = SolveStats()
     root_start = _shared_root_start(base, shared)
 
@@ -293,9 +276,7 @@ def robustness(
         else:  # infeasible, or a limit hit before any feasible point
             out = OutputRobustness(name, None, None, None, None, "uncertified", float("inf"))
         per_output.append(out)
-    res = RobustnessResult(
-        query=q, box=box, **_common_fields(t0, per_output, sm, certified_fixing, searches, tighten, shared)
-    )
+    res = RobustnessResult(query=q, box=box, **_common_fields(t0, per_output, sm, searches, tighten, shared))
     _log.debug("robustness %r: %.3f s, %s", q.query_id, res.wall_time, res.stats)
     return res
 
@@ -315,7 +296,7 @@ def trustworthiness(
     scale = q.effective_scale()
     cap = q.delta_cap if q.delta_cap is not None else default_delta_cap(q.z_ref, scale)
     box = InputBox.unit(net.input_dim)
-    base, sm, certified_fixing, tighten = _prepare_base(net, box, opts)
+    base, sm, tighten = _prepare_base(net, box, opts)
 
     trust_base = set_trust_problem(base, q.z_ref, scale, cap)
     shared = SolveStats()
@@ -349,10 +330,25 @@ def trustworthiness(
     res = TrustResult(
         query=q,
         delta_min=min(found_vals) if found_vals else None,
-        **_common_fields(t0, per_output, sm, certified_fixing, searches, tighten, shared),
+        **_common_fields(t0, per_output, sm, searches, tighten, shared),
     )
     _log.debug("trustworthiness %r: %.3f s, %s", q.query_id, res.wall_time, res.stats)
     return res
+
+
+def verify_each(run, net: FoldedNetwork, queries: list[VerificationQuery], opts: VerifyOptions | None):
+    """`run(net, q, opts)` for each query in turn: the results, None where a
+    query was bad input, and the errors, "<error type>: <message>" for a bad
+    query and None for one that ran."""
+    results, errors = [], []
+    for q in queries:
+        try:
+            results.append(run(net, q, opts))
+            errors.append(None)
+        except (InvalidArg, InvalidValue, DimensionMismatch) as e:
+            results.append(None)
+            errors.append(f"{type(e).__name__}: {e}")
+    return results, errors
 
 
 @dataclass
@@ -370,16 +366,7 @@ def robustness_batch(
     elementwise max of R over the queries that completed."""
     if not queries:
         raise InvalidArg("need at least one query")
-    opts = opts or VerifyOptions()
-    per_query: list[RobustnessResult | None] = []
-    errors: list[str | None] = []
-    for q in queries:
-        try:
-            per_query.append(robustness(net, q, opts))
-            errors.append(None)
-        except (InvalidArg, InvalidValue, DimensionMismatch) as e:
-            per_query.append(None)
-            errors.append(f"{type(e).__name__}: {e}")
+    per_query, errors = verify_each(robustness, net, queries, opts)
     agg = np.full(net.num_outputs, -np.inf)
     for r in per_query:
         if r is None:
@@ -493,7 +480,7 @@ def _report(
         "aggregate": {
             first[0]: first[1],
             "certified": result.certified,
-            "certified_fixing": result.certified_fixing,
+            "certified_fixing": True,  # stability is fixed only from proven bounds
             "stability": result.stability_counts,
         },
         "provenance": _provenance(network_hash, result.query, opts),

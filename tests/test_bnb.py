@@ -21,7 +21,7 @@ from relucert.nnmodel import HiddenLayer, NetworkSpec, OutputLayer, fold_bn, for
 from relucert.simplex import LpStatus, PreparedLp, prepare, relaxed_bounds, solve_lp
 
 from conftest import identity_bn, random_spec
-from test_milp import encode_on_box, identity_net
+from test_milp import encode_on_box, fixed, identity_net
 
 
 def enumerate_exact(p):
@@ -29,7 +29,7 @@ def enumerate_exact(p):
     bins = np.flatnonzero(p.binary)
     best = None
     for bits in itertools.product((0.0, 1.0), repeat=len(bins)):
-        sol = solve_lp(p, relax=dict(zip(bins, bits)))
+        sol = solve_lp(fixed(p, dict(zip(bins, bits))))
         if sol.status is not LpStatus.OPTIMAL:
             continue
         v = sol.objective

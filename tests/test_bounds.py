@@ -9,7 +9,6 @@ from relucert.bounds import (
     Stability,
     StabilityMap,
     classify_neurons,
-    empirical_stability,
     lp_tighten,
     propagate_bounds,
 )
@@ -127,16 +126,6 @@ def test_all_unstable_map():
     sm = StabilityMap.all_unstable([3, 2])
     assert sm.num_unstable == 5
     assert all(v == Stability.UNSTABLE for layer in sm.layers for v in layer)
-
-
-def test_empirical_stability_is_observation_only(e1):
-    # samples that keep the first neuron strictly positive make it look active
-    z = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.1]])
-    sm = empirical_stability(e1, z)
-    assert sm.layers[0][0] == Stability.ACTIVE
-    # certified bounds on the unit box disagree
-    certified = classify_neurons(propagate_bounds(e1, InputBox.unit(2)))
-    assert certified.layers[0][0] == Stability.UNSTABLE
 
 
 def test_lp_tighten_output_worked_example(e1):

@@ -197,6 +197,23 @@ def test_histogram_without_dataset_is_an_input_error(workdir, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json"]
 
 
+@pytest.mark.parametrize("verb,kind,need", [("verify-robust", "robustness", "alpha"),
+                                            ("verify-trust", "trustworthiness", "beta")])
+def test_a_list_of_only_bad_queries_names_each_failure(workdir, tmp_path, capsys, verb, kind, need):
+    q = _write_queries(tmp_path, "bad.json", [
+        {"query_id": "b1", "z_ref": [0.3, 0.6], "x_ref": [0.5, 0.4]},
+        {"query_id": "b2", "z_ref": [0.3, 0.6, 0.1], "x_ref": [0.5, 0.4], "alpha": 0.05, "beta": 0.2},
+    ])
+    out = tmp_path / "bad_rep.json"
+    capsys.readouterr()
+    assert main([verb, "--network", str(workdir / "net.json"), "--queries", q, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: InvalidArg: {kind} needs {need}; "
+        "DimensionMismatch: z_ref length != network input dimension\n"
+    )
+    assert not out.exists()
+
+
 _ENTRY_KEYS = ["kind", "query_id", "query", "per_output", "aggregate", "provenance"]
 _QUERY_KEYS = ["z_ref", "x_ref", "alpha", "beta", "scale", "clip_to_domain", "delta_cap", "query_id"]
 _PROVENANCE_KEYS = ["network_sha256", "query_sha256", "tolerances", "solver"]
@@ -220,6 +237,7 @@ def _assert_entry_keys(e):
     assert list(e["query"]) == _QUERY_KEYS
     assert all(list(o) == _OUTPUT_KEYS[e["kind"]] for o in e["per_output"])
     assert list(e["aggregate"]) == _AGGREGATE_KEYS[e["kind"]]
+    assert e["aggregate"]["certified_fixing"] is True  # stability comes only from proven bounds
     assert list(e["provenance"]) == _PROVENANCE_KEYS
 
 

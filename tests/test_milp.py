@@ -26,6 +26,15 @@ def encode_on_box(net, box):
     return encode_network(net, lb, classify_neurons(lb), box), lb
 
 
+def fixed(p, values):
+    """`p` with each variable `j` in `values` fixed at `values[j]` by its
+    own bounds."""
+    lo, hi = p.lo.copy(), p.hi.copy()
+    for j, v in values.items():
+        lo[j] = hi[j] = v
+    return replace(p, lo=lo, hi=hi)
+
+
 def identity_net():
     """1-1-1 network computing x = z on [0,1]."""
     spec = NetworkSpec(
@@ -120,10 +129,7 @@ def test_indicator_semantics_on_minus1_2_neuron():
     z = p.var_roles[("input", 0)]
 
     def at(z_val, r_val, sign):
-        q = set_robustness_objective(p, 0, sign, 0.0)
-        lo, hi = q.lo.copy(), q.hi.copy()
-        lo[z] = hi[z] = z_val
-        return solve_lp(replace(q, lo=lo, hi=hi), relax={r: r_val})
+        return solve_lp(fixed(set_robustness_objective(p, 0, sign, 0.0), {z: z_val, r: r_val}))
 
     # z=0.8 (pre=1.4): r=1 pins h to 1.4; r=0 is contradictory
     assert at(0.8, 1.0, 1).objective == pytest.approx(1.4, abs=1e-9)
@@ -145,7 +151,7 @@ def test_e1_small_box_pattern_enumeration(e1):
     r = q.var_roles[("bin", 0, 0)]
     vals = {}
     for rv in (0.0, 1.0):
-        sol = solve_lp(q, relax={r: rv})
+        sol = solve_lp(fixed(q, {r: rv}))
         assert sol.status is LpStatus.OPTIMAL
         vals[rv] = sol.objective
     assert vals[1.0] == pytest.approx(0.2, abs=1e-9)
@@ -168,7 +174,7 @@ def test_e1_unit_box_trust_enumeration(e1):
         best = np.inf
         for a in (0.0, 1.0):
             for b in (0.0, 1.0):
-                sol = solve_lp(q, relax={r1: a, r2: b})
+                sol = solve_lp(fixed(q, {r1: a, r2: b}))
                 if sol.status is LpStatus.OPTIMAL:
                     best = min(best, sol.objective)
         assert best == pytest.approx(want, abs=1e-9)

@@ -170,17 +170,7 @@ def test_robustness_trust_duality(e1):
     assert below.found and below.delta_min <= 0.1 + 1e-9
 
 
-def test_unsafe_empirical_fixing_is_uncertified(e1):
-    samples = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.1]])
-    q = VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], alpha=0.1)
-    res = robustness(e1, q, VerifyOptions(unsafe_empirical_fix_samples=samples))
-    assert not res.certified_fixing
-    assert not res.certified
-    certified = robustness(e1, q)
-    assert certified.certified
-
-
-def test_default_options_tighten_unless_fixing_empirically(e1, monkeypatch):
+def test_default_options_tighten_unless_turned_off(e1, monkeypatch):
     from relucert import verify
 
     calls = []
@@ -195,11 +185,8 @@ def test_default_options_tighten_unless_fixing_empirically(e1, monkeypatch):
     robustness(e1, q, VerifyOptions())
     trustworthiness(e1, q, VerifyOptions())
     assert len(calls) == 2
-    samples = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.1]])
-    empirical = VerifyOptions(unsafe_empirical_fix_samples=samples)
-    robustness(e1, q, empirical)
-    trustworthiness(e1, q, empirical)
     robustness(e1, q, VerifyOptions(tighten=False))
+    trustworthiness(e1, q, VerifyOptions(tighten=False))
     assert len(calls) == 2
 
 
@@ -569,7 +556,5 @@ def test_tighten_stats_count_the_tightening_solves(monkeypatch):
         assert res.stats["tighten"]["lp_solves"] == len(made) > 0
         # B&B's own accounting is unchanged by the tightening entry
         assert res.stats["lp_solves"] == res.stats["nodes"] + 1  # and the shared solve
-    samples = rng.uniform(0, 1, (20, 3))
-    for opts in (VerifyOptions(tighten=False), VerifyOptions(unsafe_empirical_fix_samples=samples)):
-        for run in (robustness, trustworthiness):
-            assert run(net, q, opts).stats["tighten"]["lp_solves"] == 0
+    for run in (robustness, trustworthiness):
+        assert run(net, q, VerifyOptions(tighten=False)).stats["tighten"]["lp_solves"] == 0
