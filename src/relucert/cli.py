@@ -32,14 +32,13 @@ from .milp import default_delta_cap
 from .nnmodel import fold_bn, forward, load_network, network_hash, save_network
 from .trainer import TrainConfig, evaluate, gen_synthetic, load_dataset, save_dataset, train
 from .verify import (
-    BatchRobustness,
     VerificationQuery,
     VerifyOptions,
     batch_report,
     compare_robustness_vs_test,
     delta_percent,
+    histogram,
     histogram_csv,
-    robustness,
     robustness_batch,
     robustness_report,
     timing_sidecar,
@@ -276,16 +275,9 @@ def cmd_verify_robust(args) -> int:
     if args.histogram and args.dataset is None:
         raise InvalidArg("--histogram needs --dataset")
     _, net, nh, queries, single, opts = _verify_inputs(args)
-    if single:
-        res = robustness(net, queries[0], opts)
-        rep = robustness_report(res, nh, opts)
-        batch = BatchRobustness(
-            per_query=[res], errors=[None], aggregate_R=res.R, output_names=list(net.output_names)
-        )
-    else:
-        batch = robustness_batch(net, queries, opts)
-        rep = batch_report(batch, nh, opts)
+    batch = robustness_batch(net, queries, opts)
     results = _completed(batch.per_query, batch.errors)
+    rep = robustness_report(results[0], nh, opts) if single else batch_report(batch, nh, opts)
     if args.dataset is not None:
         ds = load_dataset(_read_text(args.dataset))
         cmp_res = compare_robustness_vs_test(
@@ -309,10 +301,7 @@ def cmd_verify_robust(args) -> int:
 
 def cmd_verify_trust(args) -> int:
     spec, net, nh, queries, single, opts = _verify_inputs(args)
-    if single:
-        per_query, errors = [trustworthiness(net, queries[0], opts)], [None]
-    else:
-        per_query, errors = verify_each(trustworthiness, net, queries, opts)
+    per_query, errors = verify_each(trustworthiness, net, queries, opts)
     results = _completed(per_query, errors)
     entries = [
         {"query_id": q.query_id, "error": err} if r is None else trust_report(r, nh, opts)
@@ -329,10 +318,7 @@ def cmd_verify_trust(args) -> int:
             for o in r.per_output
             if o.found
         ]
-        if pcts:
-            counts, edges = np.histogram(np.array(pcts), bins=10)
-        else:
-            counts, edges = np.zeros(10, dtype=int), np.linspace(0.0, 1.0, 11)
+        counts, edges = histogram(pcts)
         _write_text(args.histogram, histogram_csv(edges, counts))
     _write_results(args, rep, results, "delta_min", lambda o: repr(o.delta_min) if o.found else "not_found")
     return EXIT_OK

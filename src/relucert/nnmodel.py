@@ -366,10 +366,7 @@ def forward(net: FoldedNetwork, z) -> np.ndarray:
     if Z.ndim != 2 or Z.shape[1] != net.input_dim:
         raise DimensionMismatch(f"expected {net.input_dim} inputs, got shape {z.shape}")
     _check_domain(Z)
-    h = Z
-    for layer in net.layers[:-1]:
-        h = np.maximum(h @ layer.A.T + layer.c, 0.0)
-    out = h @ net.layers[-1].A.T + net.layers[-1].c
+    out = forward_layers(net, Z)[2]
     return out[0] if single else out
 
 

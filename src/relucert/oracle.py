@@ -159,17 +159,20 @@ def pattern_enumerate_opt(
 
 
 @contextmanager
-def _stdout_to_stderr():
-    """Point file descriptor 1 at stderr: HiGHS writes some messages to it
-    directly, past `sys.stdout`, and would mix them into a caller's output."""
+def _stdout_to_devnull():
+    """Point file descriptor 1 at the null device: HiGHS writes some MIP
+    messages to it directly, past `sys.stdout`, and would mix them into a
+    caller's output."""
     sys.stdout.flush()
     saved = os.dup(1)
+    devnull = os.open(os.devnull, os.O_WRONLY)
     try:
-        os.dup2(2, 1)
+        os.dup2(devnull, 1)
         yield
     finally:
         os.dup2(saved, 1)
         os.close(saved)
+        os.close(devnull)
 
 
 def milp_opt(
@@ -231,7 +234,7 @@ def milp_opt(
         c = -dev  # milp minimizes
     lo, hi, integ = np.concatenate(lo), np.concatenate(hi), np.concatenate(integ)
     cons = LinearConstraint(np.vstack(rows), np.concatenate(row_lo), np.concatenate(row_hi))
-    with warnings.catch_warnings(), _stdout_to_stderr():
+    with warnings.catch_warnings(), _stdout_to_devnull():
         warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
         res = milp(c, integrality=integ, bounds=Bounds(lo, hi), constraints=cons, options=dict(_HIGHS))
         if res.status == 0:

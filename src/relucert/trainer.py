@@ -95,41 +95,6 @@ class TrainConfig:
             raise InvalidArg("bn_eps must be positive")
 
 
-@dataclass
-class BnRunningStats:
-    """Running mean/variance for one hidden layer."""
-
-    mu: np.ndarray
-    var: np.ndarray
-
-    def __post_init__(self):
-        self.mu = np.array(self.mu, dtype=float)
-        self.var = np.array(self.var, dtype=float)
-        if self.mu.shape != self.var.shape or self.mu.ndim != 1:
-            raise DimensionMismatch("mu and var must be vectors of equal length")
-        if np.any(self.var < 0):
-            raise InvalidValue("var must be nonnegative")
-
-
-def update_bn_stats(stats: BnRunningStats, batch: np.ndarray, eta: float) -> BnRunningStats:
-    """Momentum update of running statistics from one batch of activations.
-
-    Uses the population (biased) batch variance, mean of squares minus
-    squared mean. Returns a new object; the input is untouched.
-    """
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2 or batch.shape[1] != stats.mu.shape[0]:
-        raise DimensionMismatch("batch must be B x N with N matching the stats width")
-    if batch.shape[0] < 2:
-        raise InvalidArg("batch must hold at least 2 rows")
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidArg("eta must lie in [0, 1]")
-    m = batch.mean(axis=0)
-    v = (batch**2).mean(axis=0) - m**2
-    v = np.maximum(v, 0.0)  # guard the tiny negatives of float cancellation
-    return BnRunningStats(mu=eta * stats.mu + (1.0 - eta) * m, var=eta * stats.var + (1.0 - eta) * v)
-
-
 # ---------------------------------------------------------------------------
 # synthetic data
 
@@ -183,7 +148,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> NetworkSpec:
     n0, m = ds.num_inputs, ds.num_outputs
     widths = cfg.widths
 
-    Ws, bs, gammas, betas, stats = [], [], [], [], []
+    Ws, bs, gammas, betas, mus, variances = [], [], [], [], [], []
     prev = n0
     for w in widths:
         r = 1.0 / np.sqrt(prev)
@@ -191,7 +156,8 @@ def train(ds: Dataset, cfg: TrainConfig) -> NetworkSpec:
         bs.append(rng.uniform(-r, r, size=w))
         gammas.append(np.ones(w))
         betas.append(np.zeros(w))
-        stats.append(BnRunningStats(mu=np.zeros(w), var=np.ones(w)))
+        mus.append(np.zeros(w))
+        variances.append(np.ones(w))
         prev = w
     r = 1.0 / np.sqrt(prev)
     W_out = rng.uniform(-r, r, size=(m, prev))
@@ -202,37 +168,37 @@ def train(ds: Dataset, cfg: TrainConfig) -> NetworkSpec:
     n_train = len(ds.train_idx)
     lr = cfg.learning_rate
     eps = cfg.bn_eps
+    eta = cfg.eta
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_train)
-        start = 0
-        while start < n_train:
-            stop = min(start + cfg.batch_size, n_train)
-            if stop - start < 2:
-                break  # a singleton batch has no variance
-            idx = order[start:stop]
-            start = stop
+        # batch_size >= 2, so only a trailing singleton batch, which has no
+        # variance, is skipped
+        for start in range(0, n_train - 1, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
             Z, Y = Ztr[idx], Ytr[idx]
             B = Z.shape[0]
 
-            # forward, caching what the backward pass needs
+            # forward, caching what the backward pass needs; the running
+            # statistics follow the batch's population moments
             acts = [Z]
-            pres, posts, normed, scales = [], [], [], []
+            pres, normed, scales = [], [], []
             a = Z
             for k in range(len(widths)):
                 pre = a @ Ws[k].T + bs[k]
                 h = np.maximum(pre, 0.0)
                 mb = h.mean(axis=0)
+                # the clamp guards the tiny negatives of float cancellation
                 vb = np.maximum((h**2).mean(axis=0) - mb**2, 0.0)
+                mus[k] = eta * mus[k] + (1.0 - eta) * mb
+                variances[k] = eta * variances[k] + (1.0 - eta) * vb
                 sb = np.sqrt(vb + eps)
                 nh = (h - mb) / sb
                 a = gammas[k] * nh + betas[k]
                 pres.append(pre)
-                posts.append(h)
                 normed.append(nh)
                 scales.append(sb)
                 acts.append(a)
-                stats[k] = update_bn_stats(stats[k], h, cfg.eta)
             out = a @ W_out.T + b_out
 
             loss = float(np.mean((out - Y) ** 2))
@@ -241,12 +207,14 @@ def train(ds: Dataset, cfg: TrainConfig) -> NetworkSpec:
                     f"loss became non-finite at epoch {epoch} (lr={lr}, batch={B})"
                 )
 
-            # backward
+            # backward: each layer steps as soon as its gradients and the da
+            # it passes down are formed, both from its weights before the step
             d_out = 2.0 * (out - Y) / (B * m)
             dW_out = d_out.T @ acts[-1]
             db_out = d_out.sum(axis=0)
             da = d_out @ W_out
-            grads = []
+            W_out -= lr * dW_out
+            b_out -= lr * db_out
             for k in range(len(widths) - 1, -1, -1):
                 nh, sb = normed[k], scales[k]
                 dgamma = (da * nh).sum(axis=0)
@@ -254,15 +222,12 @@ def train(ds: Dataset, cfg: TrainConfig) -> NetworkSpec:
                 dn = da * gammas[k]
                 dh = (dn - dn.mean(axis=0) - nh * (dn * nh).mean(axis=0)) / sb
                 dpre = dh * (pres[k] > 0)
-                grads.append((dpre.T @ acts[k], dpre.sum(axis=0), dgamma, dbeta))
+                dW, db = dpre.T @ acts[k], dpre.sum(axis=0)
                 da = dpre @ Ws[k]
-            for k, (dW, db, dgamma, dbeta) in zip(range(len(widths) - 1, -1, -1), grads):
                 Ws[k] -= lr * dW
                 bs[k] -= lr * db
                 gammas[k] -= lr * dgamma
                 betas[k] -= lr * dbeta
-            W_out -= lr * dW_out
-            b_out -= lr * db_out
 
     hidden = tuple(
         HiddenLayer(
@@ -271,8 +236,8 @@ def train(ds: Dataset, cfg: TrainConfig) -> NetworkSpec:
             bn=BatchNormParams(
                 gamma=gammas[k],
                 beta=betas[k],
-                mu=stats[k].mu,
-                var=stats[k].var,
+                mu=mus[k],
+                var=variances[k],
                 eps=eps,
             ),
         )

@@ -393,7 +393,7 @@ class Comparison:
 
 
 def compare_robustness_vs_test(
-    batch: BatchRobustness, net: FoldedNetwork, inputs, targets, bins: int = 10
+    batch: BatchRobustness, net: FoldedNetwork, inputs, targets
 ) -> Comparison:
     """Certified-vs-observed comparison. Each test sample is matched to the
     query whose ball holds it most centrally; T_i is the largest deviation
@@ -430,8 +430,7 @@ def compare_robustness_vs_test(
     T = err.max(axis=0, initial=0.0)
     used = int(inside.sum())
     diff = batch.aggregate_R - T
-    finite = diff[np.isfinite(diff)]
-    counts, edges = np.histogram(finite, bins=bins) if finite.size else (np.zeros(bins, dtype=int), np.linspace(0, 1, bins + 1))
+    counts, edges = histogram(diff[np.isfinite(diff)])
     return Comparison(
         R=batch.aggregate_R.copy(),
         T=T,
@@ -561,6 +560,15 @@ def trust_table_csv(results: list[TrustResult], norm_lo, norm_hi) -> str:
                 pct = "not_found"
             out.writerow([res.query.query_id, o.name, pct])
     return buf.getvalue()
+
+
+def histogram(values) -> tuple[np.ndarray, np.ndarray]:
+    """Ten-bin counts and edges of `values`, as `np.histogram` gives them;
+    with no values, ten empty bins over [0, 1]."""
+    values = np.asarray(values, dtype=float)
+    if values.size:
+        return np.histogram(values, bins=10)
+    return np.zeros(10, dtype=int), np.linspace(0.0, 1.0, 11)
 
 
 def histogram_csv(edges, counts) -> str:

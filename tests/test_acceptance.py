@@ -29,13 +29,7 @@ from relucert.milp import (
 )
 from relucert.nnmodel import fold_bn, forward, forward_layers, save_network
 from relucert.oracle import RobustnessSpec, TrustSpec, pattern_enumerate_opt
-from relucert.trainer import (
-    BnRunningStats,
-    TrainConfig,
-    gen_synthetic,
-    train,
-    update_bn_stats,
-)
+from relucert.trainer import TrainConfig, gen_synthetic, train
 from relucert.verify import (
     VerificationQuery,
     VerifyOptions,
@@ -272,7 +266,7 @@ def test_fixing_stable_neurons_preserves_optimum():
 
 def test_normalization_folding_is_exact():
     """Folded and unfolded inference agree to 1e-9 on 1e4 (network, input)
-    pairs; the running-statistics update has its exact unit identities."""
+    pairs; momentum 0 leaves exactly the last batch's statistics."""
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(500):
@@ -288,15 +282,6 @@ def test_normalization_folding_is_exact():
         worst = max(worst, float(np.max(np.abs(forward(net, Z) - ref))))
     assert worst <= 1e-9
 
-    stats = BnRunningStats(mu=rng.normal(size=6), var=rng.uniform(0.1, 2.0, size=6))
-    batch = rng.normal(size=(33, 6))
-    held = update_bn_stats(stats, batch, 1.0)  # momentum 1: stats are a fixed point
-    assert np.array_equal(held.mu, stats.mu) and np.array_equal(held.var, stats.var)
-    taken = update_bn_stats(stats, batch, 0.0)  # momentum 0: batch replaces stats
-    m = batch.mean(axis=0)
-    v = np.maximum((batch**2).mean(axis=0) - m**2, 0.0)
-    assert np.array_equal(taken.mu, m) and np.array_equal(taken.var, v)
-
     # end to end: momentum 0 with a single whole-set batch leaves exactly that
     # batch's post-ReLU statistics (vanishing learning rate pins the weights)
     ds = gen_synthetic(3, 2, 50, 0.0, 3)
@@ -311,7 +296,7 @@ def test_normalization_folding_is_exact():
     vh = np.maximum((H**2).mean(axis=0) - mh**2, 0.0)
     assert float(np.max(np.abs(got.mu - mh))) <= 1e-12
     assert float(np.max(np.abs(got.var - vh))) <= 1e-12
-    print(f"PASS: max |folded - unfolded| = {worst:.2e} over 10000 pairs; unit identities exact")
+    print(f"PASS: max |folded - unfolded| = {worst:.2e} over 10000 pairs; momentum-0 statistics exact")
 
 
 def test_bounds_never_violated_by_mass_sampling():

@@ -14,6 +14,7 @@ import pytest
 import relucert
 from relucert.cli import main
 from relucert.nnmodel import fold_bn, forward, load_network
+from relucert.verify import OutputRobustness
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +196,48 @@ def test_histogram_without_dataset_is_an_input_error(workdir, tmp_path, capsys):
                  "--out", str(out), "--histogram", str(hist)]) == 1
     assert capsys.readouterr().err == "error: --histogram needs --dataset\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json"]
+
+
+@pytest.mark.parametrize("verb,q,err", [
+    ("verify-robust", {"z_ref": [0.3, 0.6], "x_ref": [0.5, 0.4]}, "InvalidArg: robustness needs alpha"),
+    ("verify-trust", {"z_ref": [0.3], "x_ref": [0.5, 0.4], "beta": 0.02},
+     "DimensionMismatch: z_ref length != network input dimension"),
+])
+def test_a_single_bad_query_is_named_like_a_list_entry(workdir, tmp_path, capsys, verb, q, err):
+    out = tmp_path / "rep.json"
+    capsys.readouterr()
+    assert main([verb, "--network", str(workdir / "net.json"), "--queries",
+                 _write_queries(tmp_path, "q.json", q), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
+
+
+def test_a_single_uncertified_query_compares_as_null(workdir, tmp_path, monkeypatch):
+    # an output without any bound has no R, so no R - T and no histogram entry
+    real = relucert.verify.robustness
+
+    def uncertified(net, q, opts):
+        res = real(net, q, opts)
+        res.per_output = [
+            OutputRobustness(o.name, None, None, None, None, "uncertified", float("inf"))
+            for o in res.per_output
+        ]
+        res.certified = False
+        return res
+
+    monkeypatch.setattr(relucert.verify, "robustness", uncertified)
+    q = _write_queries(tmp_path, "u.json",
+                       {"query_id": "u1", "z_ref": [0.3, 0.6], "x_ref": [0.5, 0.4], "alpha": 0.05})
+    out, hist = tmp_path / "u_rep.json", tmp_path / "u.csv"
+    assert main(["verify-robust", "--network", str(workdir / "net.json"), "--queries", q,
+                 "--out", str(out), "--dataset", str(workdir / "ds.csv"), "--histogram", str(hist)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["kind"] == "robustness" and rep["aggregate"]["R_max"] is None
+    cmp = rep["comparison"]
+    assert cmp["R"] == cmp["R_minus_T"] == [None, None]
+    assert cmp["bound_exceeds_test_error"] == [False, False]
+    rows = hist.read_text().splitlines()
+    assert rows[1] == "0.0,0.1,0" and rows[-1] == "0.9,1.0,0" and len(rows) == 11
 
 
 @pytest.mark.parametrize("verb,kind,need", [("verify-robust", "robustness", "alpha"),

@@ -24,6 +24,7 @@ from relucert.oracle import (
     milp_opt,
     pattern_enumerate_opt,
 )
+from relucert.trainer import TrainConfig, gen_synthetic, train
 from relucert.verify import VerificationQuery, VerifyOptions, robustness, trustworthiness
 
 from conftest import identity_bn, random_spec
@@ -201,3 +202,21 @@ def test_spec_validation():
         TrustSpec(0, 1, -0.1, 0.0, (0.5,), (1.0,), 0.5)
     with pytest.raises(InvalidArg):
         TrustSpec(0, 1, 0.1, 0.0, (0.5,), (-1.0,), 0.5)
+
+
+def test_milp_oracle_writes_nothing_to_stdout_or_stderr(capfd):
+    """HiGHS writes some MIP messages to file descriptor 1 past
+    `sys.stdout`; the oracle keeps them out of both of its caller's
+    streams. This trust instance draws such messages."""
+    ds = gen_synthetic(3, 2, 200, 0.01, 4)
+    net = fold_bn(train(ds, TrainConfig(widths=(8, 8), epochs=40, seed=4)))
+    z_ref = ds.inputs[ds.test_idx[0]]
+    x_ref = forward(net, z_ref)
+    scale = (1.0,) * net.input_dim
+    cap = default_delta_cap(z_ref, np.ones(net.input_dim))
+    box = InputBox.unit(net.input_dim)
+    for i in range(net.num_outputs):
+        for sign in (1, -1):
+            milp_opt(net, box, TrustSpec(i, sign, 0.1, float(x_ref[i]), tuple(z_ref), scale, cap))
+    out, err = capfd.readouterr()
+    assert out == "" and err == ""

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from relucert.errors import InvalidArg, InvalidValue, ParseError
 from relucert.nnmodel import fold_bn, forward
 from relucert.trainer import (
-    BnRunningStats,
     Dataset,
     TrainConfig,
     evaluate,
@@ -14,7 +13,6 @@ from relucert.trainer import (
     load_dataset,
     save_dataset,
     train,
-    update_bn_stats,
 )
 
 from conftest import random_spec
@@ -72,43 +70,22 @@ def test_dataset_rejects_out_of_range_inputs():
         )
 
 
-def test_update_bn_stats_mean_example():
-    s = BnRunningStats(mu=np.zeros(1), var=np.ones(1))
-    batch = np.array([[0.5], [1.5]])  # mean 1
-    out = update_bn_stats(s, batch, eta=0.9)
-    assert out.mu[0] == pytest.approx(0.1, abs=1e-15)
-
-
-def test_update_bn_stats_variance_example():
-    s = BnRunningStats(mu=np.zeros(1), var=np.zeros(1))
-    batch = np.array([[0.0], [2.0]])  # mean 1, mean of squares 2
-    out = update_bn_stats(s, batch, eta=0.9)
-    assert out.var[0] == pytest.approx(0.1, abs=1e-15)
-
-
-def test_update_bn_stats_eta_one_fixed_point():
-    s = BnRunningStats(mu=np.array([0.3]), var=np.array([0.7]))
-    out = update_bn_stats(s, np.array([[5.0], [9.0]]), eta=1.0)
-    assert out.mu[0] == 0.3 and out.var[0] == 0.7
-
-
-def test_update_bn_stats_rejects_small_batch():
-    s = BnRunningStats(mu=np.zeros(1), var=np.zeros(1))
-    with pytest.raises(InvalidArg):
-        update_bn_stats(s, np.array([[1.0]]), eta=0.5)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-def test_update_bn_stats_var_stays_nonnegative(seed, eta):
-    rng = np.random.default_rng(seed)
-    s = BnRunningStats(mu=rng.normal(size=3), var=rng.uniform(0, 2, size=3))
-    batch = rng.normal(scale=3.0, size=(int(rng.integers(2, 12)), 3))
-    out = update_bn_stats(s, batch, eta=eta)
-    assert np.all(out.var >= 0)
+def test_train_running_stats_follow_momentum_rule():
+    # one epoch of one whole-split batch: each layer's running statistics
+    # move from (0, 1) by eta toward that batch's population moments under
+    # the initial weights (a vanishing learning rate pins the weights)
+    ds = gen_synthetic(3, 2, 50, 0.01, seed=4)
+    cfg = dict(widths=(5, 4), batch_size=64, eta=0.5, seed=2)
+    init = train(ds, TrainConfig(epochs=0, **cfg))
+    got = train(ds, TrainConfig(epochs=1, learning_rate=1e-9, **cfg))
+    a = ds.inputs[ds.train_idx]
+    for layer, trained in zip(init.hidden, got.hidden):
+        h = np.maximum(a @ layer.W.T + layer.b, 0.0)
+        mean = h.mean(axis=0)
+        var = np.maximum((h**2).mean(axis=0) - mean**2, 0.0)
+        assert np.max(np.abs(trained.bn.mu - 0.5 * mean)) <= 1e-12
+        assert np.max(np.abs(trained.bn.var - (0.5 + 0.5 * var))) <= 1e-12
+        a = (h - mean) / np.sqrt(var + layer.bn.eps)  # initial gamma 1, beta 0
 
 
 def test_train_deterministic():
