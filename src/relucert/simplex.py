@@ -1,6 +1,12 @@
 """Bounded-variable simplex: a cold two-phase primal solve and a
 warm-started dual path.
 
+A solve ends OPTIMAL or INFEASIBLE, or raises `NumericalBreakdown`. Every
+structural is bounded and carries the whole objective, and phase 1's
+objective is at most zero, so no loop's LP is unbounded: an entering column
+no bound blocks is a breakdown, like a singular basis or a solve attempt
+past the pricing-pass budget `PreparedLp.max_iter`.
+
 Variables carry individual lower/upper bounds and nonbasic variables rest
 at one of them, so the ReLU encodings' many bound constraints never become
 rows. Every row is written as `a x + s = b` with one logical `s` per row
@@ -20,14 +26,16 @@ columns, one per position, `nb` names the column at each position, and the
 basic columns, unit vectors, are not stored. A pivot is a Jordan exchange:
 the leaving variable takes the entering one's position. The reduced costs
 over the positions are carried through each exchange and recomputed from
-the objective at each loop's entry and after each refactorization, and the
-primal loop declares optimality only on a recomputed row. The tableau is
+the objective at the primal loop's entry and after each refactorization,
+and the primal loop declares optimality only on a recomputed row. The
+primal and the dual loop close every pivot the same way. The tableau is
 refactorized from the original data every `refactor_every` pivots to shed
 accumulated error; the pivots are counted since the tableau's last
-refactorization, across every solve that inherits it. Bland's rule takes
-over entering/leaving selection after a run of degenerate pivots, which
-bounds the total pivot count; it picks the lowest column index, whatever
-position the column holds.
+refactorization, across every solve that inherits it. Once a loop's
+streak of degenerate pivots reaches `bland_after`, Bland's rule picks the
+entering and leaving variables until a step makes progress, which bounds
+the pivot count; it picks the lowest column index, whatever position the
+column holds.
 
 The engine holds the rows alone and every solve brings its objective, so
 one engine serves every objective over its rows: a bound-tightening sweep's
@@ -55,9 +63,10 @@ same way and bounded over the variables' box with the original data, which
 keeps the proof sound for an inexact ray. It decides the solve infeasible
 only if it proves an L1 row residual above `feas_tol`, the level phase 1
 would need to see to reject the LP. Any other outcome of the warm path, a
-weaker ray, an iteration limit or a numerical breakdown, falls back to the
-cold solve. The same reading gives an optimal solve's row duals,
-`row_duals`, from its final reduced costs.
+weaker ray, a start that is neither primal nor dual feasible or a
+numerical breakdown, falls back to the cold solve, with a budget of its
+own. The same reading gives an optimal solve's row duals, `row_duals`,
+from its final reduced costs.
 """
 
 from __future__ import annotations
@@ -77,7 +86,6 @@ if TYPE_CHECKING:  # import for annotations only; milp imports DenseRows from us
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 class WarmStart(Enum):
@@ -249,6 +257,7 @@ class PreparedLp:
         self.b = b * sign
         self.logical_hi = np.where(senses == "=", 0.0, np.inf)
         self.ncols = self.n + self.m
+        self.max_iter = 10_000 + 40 * (self.m + self.ncols)  # pricing passes per solve attempt
 
     # ------------------------------------------------------------------
     def solve(
@@ -262,7 +271,8 @@ class PreparedLp:
         """Maximize `c x` (or minimize it, `maximize` False) under
         structural bounds `lo`/`hi`. `start` is an earlier optimal solution
         on this skeleton; the solve then tries the warm path from its basis,
-        at-upper flags and tableau first and falls back to the cold one."""
+        at-upper flags and tableau first and falls back to the cold one.
+        Ends OPTIMAL or INFEASIBLE, or raises `NumericalBreakdown`."""
         m, n, ncols = self.m, self.n, self.ncols
         lo_s = np.asarray(lo, dtype=float)
         hi_s = np.asarray(hi, dtype=float)
@@ -278,20 +288,19 @@ class PreparedLp:
         c2[:n] = c if maximize else -c
         full_lo = np.concatenate((lo_s, np.zeros(m)))
         full_hi = np.concatenate((hi_s, self.logical_hi))
-        max_iter = 10_000 + 40 * (m + ncols)
         counts = {"phase1": 0, "phase2": 0, "dual": 0, "refactors": 0, "inherited": 0}
 
         warm = WarmStart.NONE
         outcome = None
         if start is not None:
             try:
-                outcome = self._solve_warm(full_lo, full_hi, c2, start, max_iter, counts)
+                outcome = self._solve_warm(full_lo, full_hi, c2, start, counts)
                 warm = WarmStart.USED if outcome is not None else WarmStart.FELL_BACK
             except NumericalBreakdown:
                 warm = WarmStart.BROKE_DOWN
         if outcome is None:
-            outcome = self._solve_cold(full_lo, full_hi, c2, max_iter, counts)
-        status, state, infeasibility = outcome
+            outcome = self._solve_cold(full_lo, full_hi, c2, counts)
+        state, infeasibility = outcome
         stats = dict(
             phase1_pivots=counts["phase1"],
             phase2_pivots=counts["phase2"],
@@ -300,8 +309,8 @@ class PreparedLp:
             refactors=counts["refactors"],
             inherited=bool(counts["inherited"]),
         )
-        if status is not LpStatus.OPTIMAL:
-            return LpSolution(status=status, infeasibility=infeasibility, **stats)
+        if state is None:
+            return LpSolution(status=LpStatus.INFEASIBLE, infeasibility=infeasibility, **stats)
 
         # clean basic values from the original data, then read the point off
         # the basis; the tableau goes with the solution as it is
@@ -321,15 +330,15 @@ class PreparedLp:
             **stats,
         )
 
-    def _solve_cold(self, full_lo, full_hi, c2, max_iter, counts):
+    def _solve_cold(self, full_lo, full_hi, c2, counts):
         """Two-phase solve from the logical basis, structurals at their lower
         bounds. Every equality row, and every inequality row whose logical
         would start negative, gets a signed artificial column in a
         phase-1-local matrix. Phase 1 drives the artificials to zero, they
         are expelled from the basis and dropped, and phase 2 runs on the
         skeleton from the basic values a warm start from that basis would
-        adopt. Returns the status, the optimal state or None, and the
-        phase-1 residual."""
+        adopt. Returns the optimal state and 0.0, or None and phase 1's
+        residual when the LP is infeasible."""
         opts = self.opts
         m, n, ncols = self.m, self.n, self.ncols
         resid = self.b - self.A[:, :n] @ full_lo[:n]
@@ -358,13 +367,10 @@ class PreparedLp:
             lo1 = np.concatenate((full_lo, np.zeros(k)))
             hi1 = np.concatenate((full_hi, np.full(k, np.inf)))
             c1 = np.concatenate((np.zeros(ncols), np.full(k, -1.0)))
-            status, iters = self._iterate(state, A1, lo1, hi1, c1, max_iter, "phase1")
-            max_iter -= iters
-            if status is LpStatus.UNBOUNDED:  # cannot happen: phase-1 objective <= 0
-                raise NumericalBreakdown("phase 1 reported unbounded")
+            self._iterate(state, A1, lo1, hi1, c1, "phase1")
             art_sum = float(np.maximum(state.xB[state.basis >= ncols], 0.0).sum())
             if art_sum > opts.feas_tol:
-                return LpStatus.INFEASIBLE, None, art_sum
+                return None, art_sum
             self._expel_artificials(state, full_lo, full_hi)
             # every artificial is nonbasic at zero now; drop their positions
             keep = state.nb < ncols
@@ -378,19 +384,18 @@ class PreparedLp:
             # this very phase 2
             self._refactor(state, self.A, full_lo, full_hi, tableau=False)
 
-        status, _ = self._iterate(state, self.A, full_lo, full_hi, c2, max_iter, "phase2")
-        if status is not LpStatus.OPTIMAL:
-            return status, None, 0.0
-        return status, state, 0.0
+        self._iterate(state, self.A, full_lo, full_hi, c2, "phase2")
+        return state, 0.0
 
-    def _solve_warm(self, full_lo, full_hi, c2, start, max_iter, counts):
+    def _solve_warm(self, full_lo, full_hi, c2, start, counts):
         """Re-solve from a start solution. Returns what `_solve_cold`
         returns when the warm path reaches an optimum or proves
-        infeasibility, or None when it can do neither. The start's tableau
-        is adopted in place of a refactorization when it came from this
-        engine, is younger than `refactor_every` pivots and its basic values
-        were computed with the nonbasic values these bounds give, so that
-        they are what a refactorization would compute."""
+        infeasibility with a dual ray, or None when it can do neither. The
+        start's tableau is adopted in place of a refactorization when it
+        came from this engine, is younger than `refactor_every` pivots and
+        its basic values were computed with the nonbasic values these
+        bounds give, so that they are what a refactorization would
+        compute."""
         opts = self.opts
         m, n, ncols = self.m, self.n, self.ncols
         basis = np.array(start.basis)
@@ -426,14 +431,11 @@ class PreparedLp:
             state.d = _reduced_costs(state, c2)
             if _entering(state, movable, opts.opt_tol, False) >= 0:  # not dual feasible
                 return None
-            status, iters, residual = self._dual(state, full_lo, full_hi, c2, max_iter)
-            if status is LpStatus.INFEASIBLE:
-                return (status, None, residual) if residual > opts.feas_tol else None
-            max_iter -= iters
-        status, _ = self._iterate(state, self.A, full_lo, full_hi, c2, max_iter, "phase2")
-        if status is not LpStatus.OPTIMAL:
-            return None
-        return status, state, 0.0
+            residual = self._dual(state, full_lo, full_hi, c2)
+            if residual is not None:
+                return (None, residual) if residual > opts.feas_tol else None
+        self._iterate(state, self.A, full_lo, full_hi, c2, "phase2")
+        return state, 0.0
 
     def _ray_residual(self, state, r, full_lo, full_hi) -> float:
         """Phase-1 residual proven by the dual ray of basic row `r`, which
@@ -532,33 +534,32 @@ class PreparedLp:
         d -= dk * row
 
     # ------------------------------------------------------------------
-    def _iterate(self, state, A, full_lo, full_hi, c_int, max_iter, kind) -> tuple[LpStatus, int]:
+    def _iterate(self, state, A, full_lo, full_hi, c_int, kind) -> None:
         """Primal simplex from a primal feasible basis over the columns of
-        `A`; `kind` names the phase its pricing passes are counted under.
-        The reduced costs are carried through each pivot and recomputed at
-        entry and after each refactorization, and optimality is only
-        declared on a recomputed row."""
+        `A` to an optimum; `kind` names the phase its pricing passes are
+        counted under. The reduced costs are carried through each pivot and
+        recomputed at entry and after each refactorization, and optimality
+        is only declared on a recomputed row. Every structural is bounded
+        and carries the whole objective, and phase 1's objective is at most
+        zero, so an entering column no bound blocks is a numerical
+        breakdown."""
         opts = self.opts
         pivot_tol = opts.pivot_tol
         span = full_hi - full_lo
         movable = span > 0
-        iters = 0
-        degen_streak = 0
-        bland = False
+        state.streak = 0
         state.d = _reduced_costs(state, c_int)
         fresh = True
         while True:
-            if iters >= max_iter:
-                raise NumericalBreakdown(f"iteration limit {max_iter} exceeded")
-            iters += 1
-            state.counts[kind] += 1
+            self._count_pass(state, kind)
+            bland = state.streak >= opts.bland_after
             k = _entering(state, movable, opts.opt_tol, bland)
             if k < 0 and not fresh:
                 state.d = _reduced_costs(state, c_int)
                 fresh = True
                 k = _entering(state, movable, opts.opt_tol, bland)
             if k < 0:
-                return LpStatus.OPTIMAL, iters
+                return
             j = state.nb[k]
             sigma = -1.0 if state.at_upper[j] else 1.0
             w = state.T[:, k] * sigma  # xB moves by -w * t
@@ -575,22 +576,16 @@ class PreparedLp:
             t_rows = float(ratios.min(initial=np.inf))
             t_own = span[j]
 
-            if t_own <= t_rows:
-                if not np.isfinite(t_own):
-                    return LpStatus.UNBOUNDED, iters
+            if t_own <= t_rows and np.isfinite(t_own):
                 # bound flip: variable jumps to its other bound, basis unchanged
                 state.xB = xB - w * t_own
                 state.at_upper[j] = not state.at_upper[j]
-                degen_streak = 0
-                bland = False
+                state.streak = 0
                 continue
             if not np.isfinite(t_rows):
-                return LpStatus.UNBOUNDED, iters
+                raise NumericalBreakdown("no bound blocks the entering column")
             ties = (ratios <= t_rows + 1e-12).nonzero()[0]
-            if bland:
-                r = ties[state.basis[ties].argmin()]
-            else:
-                r = ties[rate[ties].argmax()]
+            r = ties[state.basis[ties].argmin()] if bland else ties[rate[ties].argmax()]
 
             t = t_rows
             leaving = state.basis[r]
@@ -599,42 +594,24 @@ class PreparedLp:
             new_val = (full_lo[j] + t) if sigma > 0 else (full_hi[j] - t)
             self._pivot(state, r, k, new_val)
             state.at_upper[leaving] = bool(goes_upper)
-            fresh = False
+            fresh = self._after_pivot(state, A, full_lo, full_hi, c_int, t)
 
-            if t <= _DEGEN_TOL:
-                degen_streak += 1
-                if degen_streak >= opts.bland_after:
-                    bland = True
-            else:
-                degen_streak = 0
-                bland = False
-            state.age += 1
-            if state.age >= opts.refactor_every:
-                self._refactor(state, A, full_lo, full_hi)
-                state.d = _reduced_costs(state, c_int)
-                fresh = True
-
-    def _dual(self, state, full_lo, full_hi, c_int, max_iter) -> tuple[LpStatus, int, float]:
-        """Bounded dual simplex from a dual feasible basis. Each pass takes
-        a basic variable outside its bounds out to the violated bound, the
-        dual steepest-edge choice: the largest `viol^2 / ||e_r B^-1||^2`,
-        with B^-1's nonbasic logical columns read off the tableau. It brings
-        in the nonbasic variable the dual ratio test picks, which keeps
-        every reduced cost on its optimal side. INFEASIBLE means the leaving
-        row had no entering candidate (the dual is unbounded); it comes with
-        the residual that row's ray proves. Returns the status, the passes
-        made and that residual."""
+    def _dual(self, state, full_lo, full_hi, c_int) -> float | None:
+        """Bounded dual simplex from a dual feasible basis whose reduced
+        costs `state.d` holds. Each pass takes a basic variable outside its
+        bounds out to the violated bound, the dual steepest-edge choice: the
+        largest `viol^2 / ||e_r B^-1||^2`, with B^-1's nonbasic logical
+        columns read off the tableau. It brings in the nonbasic variable the
+        dual ratio test picks, which keeps every reduced cost on its optimal
+        side. Returns None once every basic variable is within its bounds,
+        or, when the leaving row has no entering candidate (the dual is
+        unbounded), the residual that row's ray proves."""
         opts = self.opts
         movable = full_hi > full_lo
-        iters = 0
-        degen_streak = 0
-        bland = False
-        state.d = _reduced_costs(state, c_int)
+        state.streak = 0
         while True:
-            if iters >= max_iter:
-                raise NumericalBreakdown(f"dual iteration limit {max_iter} exceeded")
-            iters += 1
-            state.counts["dual"] += 1
+            self._count_pass(state, "dual")
+            bland = state.streak >= opts.bland_after
             xB, basis, nb = state.xB, state.basis, state.nb
             lo_B = full_lo[basis]
             hi_B = full_hi[basis]
@@ -642,7 +619,7 @@ class PreparedLp:
             viol = np.maximum(below, xB - hi_B)
             rows = (viol > opts.feas_tol).nonzero()[0]
             if rows.size == 0:
-                return LpStatus.OPTIMAL, iters, 0.0
+                return None
             if bland:
                 r = rows[basis[rows].argmin()]
             else:
@@ -656,7 +633,7 @@ class PreparedLp:
                 push = -push
             cand = (movable[nb] & (push > opts.pivot_tol)).nonzero()[0]
             if cand.size == 0:
-                return LpStatus.INFEASIBLE, iters, self._ray_residual(state, r, full_lo, full_hi)
+                return self._ray_residual(state, r, full_lo, full_hi)
             slack = np.maximum(-sigma[cand] * state.d[cand], 0.0)  # dual slack: room before d_j changes sign
             rate = push[cand]
             ratio = slack / rate
@@ -677,18 +654,29 @@ class PreparedLp:
             state.xB = xB - state.T[:, k] * dx
             self._pivot(state, r, k, new_val)
             state.at_upper[leaving] = not up
+            self._after_pivot(state, self.A, full_lo, full_hi, c_int, ratio[i])
 
-            if ratio[i] <= _DEGEN_TOL:
-                degen_streak += 1
-                if degen_streak >= opts.bland_after:
-                    bland = True
-            else:
-                degen_streak = 0
-                bland = False
-            state.age += 1
-            if state.age >= opts.refactor_every:
-                self._refactor(state, self.A, full_lo, full_hi)
-                state.d = _reduced_costs(state, c_int)
+    def _count_pass(self, state: _State, kind: str) -> None:
+        """Count one pricing pass of the state's attempt under `kind`; an
+        attempt that would pass `max_iter` is a numerical breakdown."""
+        if state.passes >= self.max_iter:
+            raise NumericalBreakdown(f"iteration limit {self.max_iter} exceeded")
+        state.passes += 1
+        state.counts[kind] += 1
+
+    def _after_pivot(self, state: _State, A, full_lo, full_hi, c_int, step) -> bool:
+        """Close a pivot that moved the entering variable or the dual by
+        `step`: a degenerate step extends the streak that switches to
+        Bland's rule at `bland_after` and any other ends it, and every
+        `refactor_every` pivots the tableau is refactorized over `A` with
+        fresh reduced costs. Returns whether it was."""
+        state.streak = state.streak + 1 if step <= _DEGEN_TOL else 0
+        state.age += 1
+        if state.age < self.opts.refactor_every:
+            return False
+        self._refactor(state, A, full_lo, full_hi)
+        state.d = _reduced_costs(state, c_int)
+        return True
 
 
 @dataclass
@@ -701,6 +689,8 @@ class _State:
     counts: dict  # pricing passes per loop kind and refactorizations, shared by a solve's attempts
     d: np.ndarray | None = None  # reduced costs at each position, carried through pivots
     age: int = 0  # pivots since the tableau's last refactorization
+    passes: int = 0  # pricing passes of this solve attempt, against the engine's `max_iter`
+    streak: int = 0  # consecutive degenerate pivots in the running loop
 
 
 def _reduced_costs(state: _State, c: np.ndarray) -> np.ndarray:

@@ -142,7 +142,8 @@ def train(ds: Dataset, cfg: TrainConfig) -> NetworkSpec:
 
     Batch norm normalizes by current-batch statistics while the running
     values (used at inference) follow the momentum updates. Deterministic
-    for a fixed seed. Raises Divergence if the loss leaves the floats.
+    for a fixed seed. Raises Divergence if the loss or a parameter leaves
+    the floats.
     """
     rng = np.random.default_rng(cfg.seed)
     n0, m = ds.num_inputs, ds.num_outputs
@@ -228,6 +229,10 @@ def train(ds: Dataset, cfg: TrainConfig) -> NetworkSpec:
                 bs[k] -= lr * db
                 gammas[k] -= lr * dgamma
                 betas[k] -= lr * dbeta
+
+    # a step can overflow a parameter while every loss stayed finite
+    if not all(np.isfinite(a).all() for a in (*Ws, *bs, *gammas, *betas, *mus, *variances, W_out, b_out)):
+        raise Divergence(f"parameters became non-finite (lr={lr})")
 
     hidden = tuple(
         HiddenLayer(

@@ -28,7 +28,7 @@ from .milp import (
     set_trust_target,
 )
 from .nnmodel import FoldedNetwork, forward
-from .simplex import LpStatus, SimplexOptions, SolveStats, prepare, relaxed_bounds
+from .simplex import LpStatus, SimplexOptions, SolveStats, solve_lp
 
 _log = logging.getLogger(__name__)
 
@@ -211,7 +211,7 @@ def _shared_root_start(base, stats: SolveStats):
     two-phase solve. The solve's work goes to `stats`. When it is not
     optimal or breaks down, every root solves cold."""
     try:
-        sol = prepare(base).solve(*relaxed_bounds(base), base.objective_vector(), base.obj_sense == "max")
+        sol = solve_lp(base)
     except NumericalBreakdown:
         return None
     stats.add(sol)

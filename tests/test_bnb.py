@@ -261,6 +261,21 @@ def test_root_breakdown_leaves_the_bracket_open(e1, monkeypatch):
         assert res.stats.node_breakdowns == 1 and res.stats.lp_solves == 0
 
 
+def test_time_limit_stops_after_the_roots_with_an_honest_bracket(e1):
+    # the roots always run; the limit is checked before the first branch
+    for q in _e1_problems(e1):
+        opt = solve_milp(q).incumbent_value
+        res = solve_milp(q, BnbOptions(time_limit_seconds=1e-9))
+        assert res.status in (BnbStatus.GAP_LIMIT, BnbStatus.LIMIT)
+        assert res.nodes == res.stats.lp_solves == 1
+        if res.found:
+            lo, hi = (res.incumbent_value, res.best_bound) if q.obj_sense == "max" else (
+                res.best_bound, res.incumbent_value)
+        else:
+            lo, hi = (-np.inf, res.best_bound) if q.obj_sense == "max" else (res.best_bound, np.inf)
+        assert lo - 1e-9 <= opt <= hi + 1e-9
+
+
 def test_bound_monotone_incumbent_improving():
     rng = np.random.default_rng(41)
     net = fold_bn(random_spec(rng, n0=3, widths=(5, 4), m=1, unit_norm=True))
@@ -519,7 +534,7 @@ def test_shared_start_keeps_every_trust_answer(seed, beta):
     """Roots started from the trust base's optimal solve answer as cold
     roots do; only the tree may differ."""
     base, plus, minus = _random_trust_pair(seed, beta)
-    shared = prepare(base).solve(*relaxed_bounds(base), base.objective_vector(), False)
+    shared = solve_lp(base)
     assert shared.status is LpStatus.OPTIMAL
     warm = solve_milp(plus, root_start=shared, rivals=(minus,))
     cold = solve_milp(plus, rivals=(minus,))

@@ -13,10 +13,10 @@ from relucert.bounds import (
     propagate_bounds,
 )
 from relucert import bounds
-from relucert.errors import DimensionMismatch, InvalidValue
+from relucert.errors import DimensionMismatch, InvalidValue, NumericalBreakdown
 from relucert.milp import encode_network, set_robustness_objective
 from relucert.nnmodel import AffineLayer, FoldedNetwork, fold_bn, forward, forward_layers
-from relucert.simplex import LpStatus, PreparedLp, SolveStats, solve_lp
+from relucert.simplex import LpSolution, LpStatus, PreparedLp, SolveStats, solve_lp
 
 from conftest import random_spec
 
@@ -223,6 +223,33 @@ def test_lp_tighten_skips_the_min_of_a_neuron_proved_dead(monkeypatch):
     assert senses == [True]
     assert tl.pre_hi[1][0] <= 0.0 and tl.pre_lo[1][0] == lb.pre_lo[1][0]
     assert classify_neurons(tl).layers[1][0] == Stability.DEAD
+
+
+@pytest.mark.parametrize("failure", ["breakdown", "infeasible"])
+@pytest.mark.parametrize("side", [True, False])
+def test_lp_tighten_keeps_the_propagated_side_of_a_failed_solve(monkeypatch, failure, side):
+    # every max (side True) or min solve raises or comes back infeasible:
+    # that side keeps its propagated value, the other still tightens
+    net = fold_bn(random_spec(np.random.default_rng(11), n0=2, widths=(4, 4), m=2, unit_norm=True))
+    box = InputBox.unit(2)
+    lb = propagate_bounds(net, box)
+    solve = PreparedLp.solve
+
+    def failing_solve(self, lo, hi, c, maximize, **kwargs):
+        if maximize is not side:
+            return solve(self, lo, hi, c, maximize, **kwargs)
+        if failure == "breakdown":
+            raise NumericalBreakdown("forced")
+        return LpSolution(status=LpStatus.INFEASIBLE, infeasibility=1.0)
+
+    monkeypatch.setattr(PreparedLp, "solve", failing_solve)
+    tl = lp_tighten(net, box, lb)
+    kept, tightened = (tl.pre_hi, tl.pre_lo) if side else (tl.pre_lo, tl.pre_hi)
+    kept_lb, tightened_lb = (lb.pre_hi, lb.pre_lo) if side else (lb.pre_lo, lb.pre_hi)
+    for k in range(lb.num_hidden):
+        assert np.array_equal(kept[k], kept_lb[k])
+        assert np.all(tl.pre_lo[k] >= lb.pre_lo[k]) and np.all(tl.pre_hi[k] <= lb.pre_hi[k])
+    assert any(not np.array_equal(tightened[k], tightened_lb[k]) for k in range(lb.num_hidden))
 
 
 def test_lp_tighten_subset_and_sound():

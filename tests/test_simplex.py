@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from relucert.errors import InvalidArg, NumericalBreakdown
+from relucert import simplex
 from relucert.simplex import LpStatus, PreparedLp, SimplexOptions, WarmStart, row_duals, solve_dense
 
 
@@ -300,6 +301,51 @@ def test_ge_rows_equal_their_negated_le_rows():
     le = solve_dense(_RD_C, True, A_le, ["<=", "<=", "=", "="], b_le, lo, hi)
     assert le.objective == ge.objective
     np.testing.assert_array_equal(le.x, ge.x)
+
+
+def test_an_unblocked_entering_column_is_a_breakdown():
+    # min -x s.t. 2x >= 1, x in [0, 2]. In phase 2 the row's logical enters
+    # and x's upper bound would block it, but that row's tableau entry, 0.5,
+    # is under the pivot tolerance: no bound blocks the column, which the
+    # bounded structurals rule out, so the solve breaks down instead of
+    # reporting the LP unbounded
+    args = ([-1.0], False, [[2.0]], [">="], [1.0], [0.0], [2.0])
+    with pytest.raises(NumericalBreakdown):
+        solve_dense(*args, options=SimplexOptions(pivot_tol=0.9))
+    sol = solve_dense(*args)
+    assert sol.status is LpStatus.OPTIMAL and sol.objective == -2.0
+
+
+def test_primal_blands_rule_matches_reference(monkeypatch):
+    # every row passes through the lower corner, where the cold solve
+    # starts with no artificial, so phase 2's first pivots are degenerate
+    # and from bland_after=1 on its loop picks by Bland's rule
+    bland_passes = []
+    entering = simplex._entering
+
+    def spy_entering(state, movable, opt_tol, bland):
+        bland_passes.append(bland)
+        return entering(state, movable, opt_tol, bland)
+
+    monkeypatch.setattr(simplex, "_entering", spy_entering)
+    rng = np.random.default_rng(29)
+    bland_runs = 0
+    for trial in range(30):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 9))
+        A = rng.normal(size=(m, n))
+        lo = rng.uniform(-1.0, 0.0, size=n)
+        hi = lo + rng.uniform(0.5, 2.0, size=n)
+        senses = list(rng.choice(["<=", ">="], size=m))
+        b = A @ lo
+        c = rng.normal(size=n)
+        maximize = bool(rng.integers(0, 2))
+        bland_passes.clear()
+        sol = solve_dense(c, maximize, A, senses, b, lo, hi, options=SimplexOptions(bland_after=1))
+        ref = scipy_solve(c, maximize, A, senses, b, lo, hi)
+        assert sol.status is LpStatus.OPTIMAL and sol.phase1_pivots == 0, f"trial {trial}"
+        assert sol.objective == pytest.approx(-ref.fun if maximize else ref.fun, abs=1e-7), f"trial {trial}"
+        bland_runs += any(bland_passes)
+    assert bland_runs > 10
 
 
 def test_artificial_without_pivot_element_is_a_breakdown():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relucert.errors import InvalidArg, InvalidValue, ParseError
+from relucert.errors import Divergence, InvalidArg, InvalidValue, ParseError
 from relucert.nnmodel import fold_bn, forward
 from relucert.trainer import (
     Dataset,
@@ -137,6 +137,16 @@ def test_train_raises_divergence_on_huge_step():
     with np.errstate(all="ignore"), pytest.raises(Exception) as err:
         train(ds, cfg)
     assert err.type.__name__ == "Divergence"
+
+
+def test_train_raises_divergence_when_the_last_step_overflows_a_parameter():
+    # every loss of the three epochs is finite, but the last step leaves a
+    # parameter non-finite; one more epoch would see it in the loss. The
+    # dataset goes through its CSV text, as `relucert train` reads it
+    ds = load_dataset(save_dataset(gen_synthetic(3, 2, 54, 0.01, 1)))
+    cfg = TrainConfig(widths=(4, 3, 3), epochs=3, batch_size=1000, learning_rate=1e11, seed=7)
+    with np.errstate(all="ignore"), pytest.raises(Divergence, match="parameters"):
+        train(ds, cfg)
 
 
 def test_config_rejects_bad_values():

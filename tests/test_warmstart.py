@@ -213,7 +213,7 @@ def test_carried_reduced_costs_match_a_recomputed_row(seed, n, m, maximize, refa
                 out = loop(self, state, *args)
             finally:
                 costs.pop()
-            if out[0] is LpStatus.OPTIMAL:
+            if out is None:  # the primal loop's optimum, or the dual loop's feasible basis
                 fresh = _reduced_costs(state, args[c_at])
                 movable = (args[c_at - 1] > args[c_at - 2])[state.nb]
                 gain = np.where(state.at_upper[state.nb], -fresh, fresh)[movable]
@@ -452,7 +452,8 @@ def test_root_start_must_fit_the_problem(e1):
 def _spy_query(monkeypatch, run, net, q):
     """Run `run` (`robustness` or `trustworthiness`), recording every solve
     of the LP engine, (start, solution), each `solve_milp` call,
-    (root_start, result), and every engine `verify` and `bnb` prepare."""
+    (root_start, result), and every engine `bnb` prepares and `verify`'s
+    shared solve, `solve_lp`, prepares."""
     solve, milp = PreparedLp.solve, verify.solve_milp
     solves, subproblems = [], []
     prepared = {"verify": 0, "bnb": 0}
@@ -478,7 +479,7 @@ def _spy_query(monkeypatch, run, net, q):
 
     monkeypatch.setattr(PreparedLp, "solve", spy_solve)
     monkeypatch.setattr(verify, "solve_milp", spy_milp)
-    spying_prepare(verify, "verify")
+    spying_prepare(simplex, "verify")
     spying_prepare(bnb, "bnb")
     res = run(net, q)
     monkeypatch.undo()
@@ -542,7 +543,7 @@ def _failing_prepare(failure):
 def test_failed_shared_solve_leaves_every_root_cold(monkeypatch, e1, failure):
     q = verify.VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], alpha=0.5)
     clean = verify.robustness(e1, q)
-    monkeypatch.setattr(verify, "prepare", _failing_prepare(failure))
+    monkeypatch.setattr(simplex, "prepare", _failing_prepare(failure))
     res, _, subproblems, prepared = _spy_query(monkeypatch, verify.robustness, e1, q)
     assert all(start is None for start, _ in subproblems)
     assert prepared["bnb"] == len(subproblems)  # each cold search builds its own engine
@@ -559,7 +560,7 @@ def test_failed_shared_solve_leaves_every_root_cold(monkeypatch, e1, failure):
 def test_failed_trust_shared_solve_leaves_every_root_cold(monkeypatch, e1, failure):
     q = verify.VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], beta=0.15)
     clean = verify.trustworthiness(e1, q)
-    monkeypatch.setattr(verify, "prepare", _failing_prepare(failure))
+    monkeypatch.setattr(simplex, "prepare", _failing_prepare(failure))
     res, _, subproblems, prepared = _spy_query(monkeypatch, verify.trustworthiness, e1, q)
     assert all(start is None for start, _ in subproblems)
     assert prepared["bnb"] == len(subproblems)  # each output's pair builds its own engine
