@@ -5,7 +5,7 @@ A node is its structural bounds `lo`/`hi`: the root's are the problem's
 bounds with binaries relaxed to [0, 1], and a child copies its parent's and
 sets lo = hi = 0 or 1 on the binary it branches on. Every node, the root
 included, takes the same step: solve the LP relaxation with the problem's
-objective on one prepared engine, register incumbent candidates, clamp its
+objective on one prepared engine, register its incumbent candidate, clamp its
 bound to its parent's, then record it as integral, branched, pruned or
 infeasible. The engine is the problem's own, or, when the caller passes a
 `root_start` solution, that solution's engine: a query builds one engine
@@ -17,14 +17,16 @@ one binary's do in a child, so a few dual simplex pivots reach the child's
 optimum or a dual ray that proves it infeasible; the branched binary is
 basic, so the tableau and its basic values hold as they are and the child
 skips refactorizing. A warm solve that can do neither falls back to the cold
-two-phase solve inside the LP engine. Feasible incumbents come from
-rounding the LP input point through the actual network, which is feasible
-by construction, so the certified bracket [incumbent, bound] is always
-sound; the result keeps the incumbent's input point, the witness. A node,
-root included, whose solve breaks down numerically keeps its parent's bound
-as an open bound in that bracket (+inf for a root), so the search ends with
-an honest gap instead of losing the subproblem: `LIMIT` when nothing was
-found, else `GAP_LIMIT`.
+two-phase solve inside the LP engine. Every incumbent is the network's own
+point: a node runs its LP input point through the network and accepts it
+only if the outputs lie within the problem's output bounds to
+`_TARGET_TOL` (a trust target is an output bound) and, on a trust ball,
+the radius within its column's cap. Its value is `c` at that point plus
+`obj_offset`, never the LP's; the result keeps its input point, the
+witness. An integral node whose point fails stays open at its own LP bound,
+a node whose solve breaks down at its parent's (+inf for a root), so the
+search ends with an honest gap, never a certified LP value or a lost
+subproblem: `LIMIT` when nothing was found, else `GAP_LIMIT`.
 
 One search may cover several problems of one sense whose best value is
 wanted, such as the two signs of a trust output: a primary problem and its
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -96,8 +99,8 @@ class BnbOptions:
     time_limit_seconds: float | None = None
 
     def __post_init__(self):
-        if not all(_is_real(g) and g >= 0 for g in (self.abs_gap, self.rel_gap)):
-            raise InvalidArg("gap tolerances must be nonnegative numbers")
+        if not all(_is_real(g) and math.isfinite(g) and g >= 0 for g in (self.abs_gap, self.rel_gap)):
+            raise InvalidArg("gap tolerances must be finite nonnegative numbers")
         nl = self.node_limit
         if nl is not None and not (_is_real(nl) and isinstance(nl, numbers.Integral) and nl > 0):
             raise InvalidArg("node_limit must be a positive integer")
@@ -124,27 +127,35 @@ class MilpResult:
         return self.incumbent_value is not None
 
 
-def _input_idx(p: MilpProblem) -> np.ndarray:
-    """The input variables' columns, in input order."""
-    n0 = sum(role[0] == "input" for role in p.var_roles)
-    return np.array([p.var_roles[("input", j)] for j in range(n0)], dtype=np.intp)
+def _incumbent_rule(p: MilpProblem, in_idx, out_idx):
+    """`p`'s incumbent rule (see the module docstring) as a function of an
+    LP input point `z`: the objective value of the network's point at `z`,
+    or None. `p`'s objective may price only inputs, outputs and the radius,
+    else `InvalidArg`."""
+    c = p.c.copy()
+    c_in, c_out = c[in_idx], c[out_idx]
+    c[in_idx] = c[out_idx] = 0.0
+    if p.ball is not None:
+        z_ref, scale = p.ball
+        d = p.var_roles[("delta",)]
+        c_d, cap, c[d] = c[d], p.hi[d] + 1e-12, 0.0
+    if c.any():
+        raise InvalidArg("an objective may price only the inputs, the outputs and the radius")
+    lo, hi = p.lo[out_idx] - _TARGET_TOL, p.hi[out_idx] + _TARGET_TOL
 
+    def value(z) -> float | None:
+        out = forward_layers(p.network, z[None, :])[2][0]
+        if (out < lo).any() or (out > hi).any():
+            return None
+        v = c_in @ z + c_out @ out
+        if p.ball is not None:
+            radius = np.max(np.abs(z - z_ref) / scale)
+            if radius > cap:
+                return None
+            v += c_d * radius
+        return float(v + p.obj_offset)
 
-def _forward_candidate(p: MilpProblem, z) -> float | None:
-    """Feasible objective value obtained by running the LP's input point `z`
-    through the network. Trust candidates must actually reach the target
-    deviation; their radius is recomputed from the input point."""
-    q = p.query
-    if p.network is None or "kind" not in q:
-        return None
-    out = forward_layers(p.network, z[None, :])[2][0]
-    dev = q["sign"] * (out[q["output"]] - q["x_ref"])
-    if q["kind"] == "robustness":
-        return float(dev)
-    if dev < q["beta"] - _TARGET_TOL:
-        return None
-    delta = float(np.max(np.abs(z - np.asarray(q["z_ref"])) / np.asarray(q["scale"])))
-    return None if delta > q["delta_cap"] + 1e-12 else delta
+    return value
 
 
 def _select_branch_var(x_lp, bin_idx, weight) -> int | None:
@@ -209,6 +220,9 @@ def solve_milp(
         raise InvalidArg("rivals must have the primary problem's objective sense")
     if any(r.rows is not p.rows or not np.array_equal(r.binary, p.binary) for r in rivals):
         raise InvalidArg("rivals must share the primary problem's rows and binaries")
+    in_idx = np.array([p.var_roles[("input", j)] for j in range(p.network.input_dim)], dtype=np.intp)
+    out_idx = np.array([p.var_roles[("output", i)] for i in range(p.network.num_outputs)], dtype=np.intp)
+    rules = [_incumbent_rule(q, in_idx, out_idx) for q in problems]
     maximize = p.obj_sense == "max"
     mult = 1.0 if maximize else -1.0
     if root_start is None:
@@ -218,17 +232,17 @@ def solve_milp(
         if tab is None or (tab.engine.m, tab.engine.n) != (len(p.rows), p.num_vars):
             raise InvalidArg("root_start must be an optimal solution over the problem's rows")
         engine = tab.engine
-    objectives = [q.objective_vector() for q in problems]
     bin_idx = np.flatnonzero(p.binary)
     bin_rows = np.abs(engine.A[:, bin_idx])  # |a_ij|, for the branching weights
-    in_idx = _input_idx(p)
     stats = SolveStats()
 
     inc_score = -np.inf
     inc_value: float | None = None
     inc_z: np.ndarray | None = None
     inc_src: int | None = None
-    open_score = -np.inf  # best parent bound over nodes whose solve broke down
+    # best bound over open nodes: an integral one whose point failed, at its
+    # LP bound; one whose solve broke down, at its parent's
+    open_score = -np.inf
     # heap of (-bound score, -depth, node number, problem, lo, hi, branch
     # position, the node's solution as its children's start): best bound
     # first, deeper first
@@ -243,20 +257,15 @@ def solve_milp(
             seq, src, depth, None if bound_score is None else own(bound_score), inc_value, action,
         )
 
-    def try_candidate(score, value, z, src):
-        nonlocal inc_score, inc_value, inc_z, inc_src
-        if score > inc_score or (score == inc_score and src < inc_src):
-            inc_score, inc_value, inc_z, inc_src = score, float(value), z, src
-
     def node(src, lo, hi, seq, depth, start, parent_score):
-        """Solve one node of problem `src`, register its incumbent
-        candidates, and decide it: integral, branch (pushed on the heap),
-        pruned or infeasible. A node whose solve breaks down is left open
-        at its parent's bound, which still holds over it."""
-        nonlocal open_score
+        """Solve one node of problem `src`, register the network's point at
+        its LP input point as an incumbent candidate, and decide it:
+        integral, branch (pushed on the heap), pruned, infeasible or left
+        open (see `open_score`)."""
+        nonlocal open_score, inc_score, inc_value, inc_z, inc_src
         q = problems[src]
         try:
-            sol = engine.solve(lo, hi, objectives[src], maximize, start=start)
+            sol = engine.solve(lo, hi, q.c, maximize, start=start)
         except NumericalBreakdown as e:
             stats.node_breakdowns += 1
             open_score = max(open_score, parent_score)
@@ -268,17 +277,17 @@ def solve_milp(
             return
         score = mult * (sol.objective + q.obj_offset)
         z = sol.x[in_idx]
-        cand = _forward_candidate(q, z)
-        if cand is not None:
-            try_candidate(mult * cand, cand, z, src)
+        cand = rules[src](z)
+        if cand is not None and (mult * cand > inc_score or (mult * cand == inc_score and src < inc_src)):
+            inc_score, inc_value, inc_z, inc_src = mult * cand, cand, z, src
         y = np.abs(row_duals(sol))
         y[y <= engine.opts.opt_tol] = 0.0
         k = _select_branch_var(sol.x, bin_idx, y @ bin_rows)
-        if k is None:
-            try_candidate(score, own(score), z, src)
         score = min(score, parent_score)  # a node's bound cannot beat its parent's
         if k is None:
-            note(seq, src, depth, score, "integral")
+            if cand is None:
+                open_score = max(open_score, score)
+            note(seq, src, depth, score, "integral" if cand is not None else "integral, point failed, left open")
         elif score > inc_score + opts.abs_gap:
             heapq.heappush(heap, (-score, -depth, seq, src, lo, hi, k, sol))
             note(seq, src, depth, score, "branch")

@@ -78,6 +78,14 @@ def _read_json(path: str):
         raise ParseError(f"{path} is not valid JSON: {e}") from e
 
 
+def _known_keys(d: dict, known, what: str, error=InvalidArg) -> None:
+    """Reject, naming them, the keys of `d` outside `known`: a misspelt key
+    would otherwise leave what it meant at its default."""
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise error(f"{what} {', '.join(unknown)}")
+
+
 def _load_config(explicit: str | None) -> dict:
     path = explicit or os.environ.get(CONFIG_ENV)
     if not path:
@@ -85,12 +93,13 @@ def _load_config(explicit: str | None) -> dict:
     cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise ParseError(f"config {path} must be a JSON object")
+    _known_keys(cfg, ("tighten", "solver", "train"), f"config {path}: unknown keys")
     if not isinstance(cfg.get("tighten", False), bool):
         raise InvalidArg(f"config {path}: tighten must be true or false")
-    if not isinstance(cfg.get("solver", {}), dict):
-        raise InvalidArg(f"config {path}: solver must be a JSON object")
-    if not isinstance(cfg.get("train", {}), dict):
-        raise InvalidArg(f"config {path}: train must be a JSON object")
+    for name, options in (("solver", BnbOptions), ("train", TrainConfig)):
+        if not isinstance(cfg.get(name, {}), dict):
+            raise InvalidArg(f"config {path}: {name} must be a JSON object")
+        _known_keys(cfg.get(name, {}), [f.name for f in fields(options)], f"config {path}: unknown {name} keys")
     return cfg
 
 
@@ -123,9 +132,7 @@ def _load_net(path: str):
 def _query_from_dict(item: dict, n: int) -> VerificationQuery:
     if not isinstance(item, dict):
         raise ParseError(f"query {n}: must be a JSON object")
-    unknown = sorted(set(item) - {f.name for f in fields(VerificationQuery)})
-    if unknown:
-        raise ParseError(f"query {n}: unknown keys {', '.join(unknown)}")
+    _known_keys(item, [f.name for f in fields(VerificationQuery)], f"query {n}: unknown keys", ParseError)
     if "z_ref" not in item or "x_ref" not in item:
         raise ParseError(f"query {n}: z_ref and x_ref are required")
     return VerificationQuery(
@@ -189,9 +196,6 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     ds = load_dataset(_read_text(args.dataset))
     kwargs = dict(cfg.get("train", {}))
-    unknown = sorted(set(kwargs) - {f.name for f in fields(TrainConfig)})
-    if unknown:
-        raise InvalidArg(f"config: unknown train keys {', '.join(unknown)}")
     if args.widths is not None:
         try:
             kwargs["widths"] = tuple(int(v) for v in args.widths.split(","))

@@ -7,7 +7,10 @@ the activation-bound analysis, which double as big-M constants.
 
 The constraints are held as the simplex engine takes them: a read-only
 dense matrix `rows`, one row per constraint over the variables, with a
-sense and a right-hand side per row. The base encoding is immutable
+sense and a right-hand side per row; the objective is one read-only dense
+vector `c`, pricing only inputs, outputs and the radius. A query's target
+and cap are bounds: a trust base keeps only its `ball`, to measure a
+point's radius. The base encoding is immutable
 (read-only arrays, tuple senses and names, a read-only role map), so the
 subproblems built on it share it uncopied, and the engine is built from
 it without a copy per row.
@@ -40,14 +43,13 @@ class MilpProblem:
     rows: np.ndarray  # dense, one row per constraint over the variables
     senses: tuple[str, ...]  # "<=", ">=" or "=" per row
     rhs: np.ndarray
+    c: np.ndarray  # dense objective over the variables, read-only
+    network: FoldedNetwork  # the network whose point every incumbent is
     obj_sense: str = "max"
-    obj_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
-    obj_coef: np.ndarray = field(default_factory=lambda: np.zeros(0))
     obj_offset: float = 0.0
     var_roles: Mapping = field(default_factory=dict)
     var_names: tuple[str, ...] = ()
-    network: FoldedNetwork | None = None
-    query: dict = field(default_factory=dict)
+    ball: tuple[np.ndarray, np.ndarray] | None = None  # a trust base's (z_ref, scale), read-only
 
     @property
     def num_vars(self) -> int:
@@ -56,12 +58,6 @@ class MilpProblem:
     @property
     def num_binaries(self) -> int:
         return int(self.binary.sum())
-
-    def objective_vector(self) -> np.ndarray:
-        """The objective's coefficients, dense over the variables."""
-        c = np.zeros(self.num_vars)
-        c[self.obj_idx] = self.obj_coef
-        return c
 
 
 def encode_network(
@@ -158,9 +154,10 @@ def encode_network(
         rows=a,
         senses=senses,
         rhs=rhs,
+        c=_read_only(np.zeros(len(names))),
+        network=net,
         var_roles=MappingProxyType(roles),
         var_names=tuple(names),
-        network=net,
     )
 
 
@@ -174,14 +171,9 @@ def set_robustness_objective(
         raise InvalidArg("sign must be +1 or -1")
     if ("output", i) not in p.var_roles:
         raise IndexError(f"no output {i}")
-    return replace(
-        p,
-        obj_sense="max",
-        obj_idx=np.array([p.var_roles[("output", i)]], dtype=np.intp),
-        obj_coef=np.array([float(sign)]),
-        obj_offset=-float(sign) * float(x_ref_i),
-        query={"kind": "robustness", "output": i, "sign": sign, "x_ref": float(x_ref_i)},
-    )
+    c = np.zeros(p.num_vars)
+    c[p.var_roles[("output", i)]] = float(sign)
+    return replace(p, c=_read_only(c), obj_sense="max", obj_offset=-float(sign) * float(x_ref_i))
 
 
 def default_delta_cap(z_ref, scale) -> float:
@@ -194,7 +186,8 @@ def default_delta_cap(z_ref, scale) -> float:
 def set_trust_problem(p: MilpProblem, z_ref, scale, delta_cap: float) -> MilpProblem:
     """A query's trust base: minimize the scaled perturbation radius over
     `p`, with the radius column in [0, delta_cap] and two ball rows per
-    input. Inputs stay inside the unit box regardless of the radius. `p` is
+    input, and `ball = (z_ref, scale)`, by which a point's radius is
+    measured. Inputs stay inside the unit box regardless of the radius. `p` is
     left as it is: the base extends copies of its rows and bounds by the
     radius column, then appends the ball rows. Each output's targets are then put on
     this base's bounds by `set_trust_target`, so every trust subproblem of
@@ -213,11 +206,11 @@ def set_trust_problem(p: MilpProblem, z_ref, scale, delta_cap: float) -> MilpPro
 
     d_i = p.num_vars
     # z_j - z_ref_j <= delta scale_j   and   z_ref_j - z_j <= delta scale_j
-    ball = DenseRows(d_i + 1)
+    extra = DenseRows(d_i + 1)
     for j in range(n0):
         for s in (1.0, -1.0):
-            ball.add([p.var_roles[("input", j)], d_i], [s, -float(scale[j])], "<=", s * float(z_ref[j]))
-    ball_rows, ball_senses, ball_rhs = ball.arrays()
+            extra.add([p.var_roles[("input", j)], d_i], [s, -float(scale[j])], "<=", s * float(z_ref[j]))
+    ball_rows, ball_senses, ball_rhs = extra.arrays()
     return replace(
         p,
         lo=_read_only(np.append(p.lo, 0.0)),
@@ -226,18 +219,12 @@ def set_trust_problem(p: MilpProblem, z_ref, scale, delta_cap: float) -> MilpPro
         rows=_read_only(np.vstack((np.pad(p.rows, ((0, 0), (0, 1))), ball_rows))),
         senses=(*p.senses, *ball_senses),
         rhs=_read_only(np.concatenate((p.rhs, ball_rhs))),
+        c=_read_only(np.append(np.zeros(d_i), 1.0)),
         obj_sense="min",
-        obj_idx=np.array([d_i], dtype=np.intp),
-        obj_coef=np.array([1.0]),
         obj_offset=0.0,
         var_roles=MappingProxyType({**p.var_roles, ("delta",): d_i}),
         var_names=(*p.var_names, "delta"),
-        query={
-            "kind": "trust",
-            "z_ref": z_ref.tolist(),
-            "scale": scale.tolist(),
-            "delta_cap": float(delta_cap),
-        },
+        ball=(_read_only(z_ref.copy()), _read_only(scale.copy())),
     )
 
 
@@ -250,13 +237,13 @@ def set_trust_target(
     `lo = max(lo, t)` for `+` and `hi = min(hi, t)` for `-`, with
     `t = x_ref_i + sign * beta`. A target beyond the output's interval fixes
     the output at the target, where the network rows leave no feasible
-    point. Everything but the output's bounds and the query is `p`'s own,
-    shared, not copied; the new bounds are read-only, like the base's."""
+    point. Everything but the output's bounds is `p`'s own, shared, not
+    copied; the new bounds are read-only, like the base's."""
     if sign not in (1, -1):
         raise InvalidArg("sign must be +1 or -1")
     if ("output", i) not in p.var_roles:
         raise IndexError(f"no output {i}")
-    if p.query.get("kind") != "trust":
+    if p.ball is None:
         raise InvalidArg("set_trust_target needs a trust base from set_trust_problem")
     if not beta > 0:
         raise InvalidArg("beta must be positive")
@@ -269,12 +256,7 @@ def set_trust_target(
         hi[j] = min(hi[j], t)
     if lo[j] > hi[j]:  # beyond the interval
         lo[j] = hi[j] = t
-    return replace(
-        p,
-        lo=_read_only(lo),
-        hi=_read_only(hi),
-        query={**p.query, "output": i, "sign": sign, "beta": float(beta), "x_ref": float(x_ref_i)},
-    )
+    return replace(p, lo=_read_only(lo), hi=_read_only(hi))
 
 
 def _lp_num(v: float) -> str:
@@ -290,7 +272,8 @@ def to_lp_text(p: MilpProblem) -> str:
     each row lists its nonzero coefficients."""
     out = []
     out.append("Maximize" if p.obj_sense == "max" else "Minimize")
-    out.append(f" obj: {_lp_terms(p, p.obj_idx, p.obj_coef) or '0 ' + p.var_names[0]}")
+    idx = np.flatnonzero(p.c)
+    out.append(f" obj: {_lp_terms(p, idx, p.c[idx]) or '0 ' + p.var_names[0]}")
     if p.obj_offset:
         out.append(f"\\ constant offset {_lp_num(p.obj_offset)} added to objective value")
     out.append("Subject To")

@@ -784,7 +784,7 @@ def solve_lp(p: MilpProblem) -> LpSolution:
     The reported objective includes the problem's constant offset and is in
     the problem's own sense.
     """
-    sol = prepare(p).solve(*relaxed_bounds(p), p.objective_vector(), p.obj_sense == "max")
+    sol = prepare(p).solve(*relaxed_bounds(p), p.c, p.obj_sense == "max")
     if sol.status is LpStatus.OPTIMAL:
         sol.objective = float(sol.objective + p.obj_offset)
     return sol

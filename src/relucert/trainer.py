@@ -137,13 +137,15 @@ def gen_synthetic(n0: int, m: int, s: int, noise: float, seed: int) -> Dataset:
 # ---------------------------------------------------------------------------
 # training
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(ds: Dataset, cfg: TrainConfig) -> NetworkSpec:
     """Plain SGD on MSE with training-mode batch norm after each ReLU.
 
     Batch norm normalizes by current-batch statistics while the running
     values (used at inference) follow the momentum updates. Deterministic
     for a fixed seed. Raises Divergence if the loss or a parameter leaves
-    the floats.
+    the floats; numpy's overflow and invalid-value warnings on the way
+    there are silenced, as the finite checks report the outcome.
     """
     rng = np.random.default_rng(cfg.seed)
     n0, m = ds.num_inputs, ds.num_outputs

@@ -1,5 +1,6 @@
 import itertools
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from relucert.bnb import BnbOptions, BnbStatus, MilpResult, _select_branch_var, 
 from relucert.bounds import InputBox, classify_neurons, propagate_bounds
 from relucert.errors import InvalidArg, NumericalBreakdown
 from relucert.milp import (
-    MilpProblem,
     default_delta_cap,
     encode_network,
     set_robustness_objective,
@@ -21,7 +21,7 @@ from relucert.nnmodel import HiddenLayer, NetworkSpec, OutputLayer, fold_bn, for
 from relucert.simplex import LpStatus, PreparedLp, prepare, relaxed_bounds, solve_lp
 
 from conftest import identity_bn, random_spec
-from test_milp import encode_on_box, fixed, identity_net
+from test_milp import encode_on_box, fixed, identity_net, relu_net
 
 
 def enumerate_exact(p):
@@ -179,7 +179,7 @@ def test_branching_weights_come_from_the_node_duals(monkeypatch):
         # y = c_B B^-1 from the basis, on the engine's rows; duals within
         # opt_tol of zero count as zero
         c2 = np.zeros(eng.ncols)
-        c2[: eng.n] = q.objective_vector()
+        c2[: eng.n] = q.c
         y = np.abs(np.linalg.solve(eng.A[:, sol.basis].T, c2[sol.basis]))
         y[y <= eng.opts.opt_tol] = 0.0
         assert w == pytest.approx(y @ np.abs(eng.A[:, bin_idx]), abs=1e-9)
@@ -294,55 +294,97 @@ def test_bound_monotone_incumbent_improving():
     assert all(i2 >= i1 - 1e-9 for i1, i2 in zip(incs, incs[1:]))
 
 
-def test_generic_problem_without_network_meta(monkeypatch):
-    # max r subject to r <= 0.5 with r binary: LP is fractional, only r=0 feasible
-    p = MilpProblem(
-        lo=np.zeros(1),
-        hi=np.ones(1),
-        binary=np.array([True]),
-        rows=np.array([[1.0]]),
-        senses=("<=",),
-        rhs=np.array([0.5]),
-        obj_sense="max",
-        obj_idx=np.array([0], dtype=np.intp),
-        obj_coef=np.array([1.0]),
+def test_root_point_short_of_the_target_gives_no_incumbent(monkeypatch):
+    # x = relu(2z - 1), and the smallest radius about z = 0.5 at which
+    # x >= 0.5 is 0.25, with the neuron active (r = 1). The root LP stays at
+    # z = 0.5 with r = 0.5, where the network's x is 0, short of the target
+    q = set_trust_target(
+        set_trust_problem(encode_on_box(relu_net(2.0, -1.0), InputBox.unit(1))[0], np.array([0.5]), np.ones(1), 0.5),
+        0, 1, 0.5, 0.0,
     )
-    capped = solve_milp(p, BnbOptions(node_limit=1))
-    assert capped.status is BnbStatus.LIMIT  # no incumbent generator without meta
-    assert not capped.found
-    full = solve_milp(p)
-    assert full.status is BnbStatus.CERTIFIED
-    assert full.incumbent_value == pytest.approx(0.0, abs=1e-12)
-    # a breakdown on the r=0 child loses the only incumbent; on the r=1 child
-    # it leaves the bracket [0, 0.5] open
-    for child, status in ((2, BnbStatus.LIMIT), (3, BnbStatus.GAP_LIMIT)):
+    capped = solve_milp(q, BnbOptions(node_limit=1))
+    assert capped.status is BnbStatus.LIMIT  # the root's point is not an incumbent
+    assert not capped.found and capped.best_bound == pytest.approx(0.0, abs=1e-12)
+    full = solve_milp(q)
+    assert full.status is BnbStatus.CERTIFIED and full.nodes == 3
+    assert full.incumbent_value == pytest.approx(0.25, abs=1e-12)
+    # a breakdown on the r = 0 child (infeasible) leaves the bracket
+    # [0, 0.25] open; on the r = 1 child it loses the only incumbent
+    for child, status in ((2, BnbStatus.GAP_LIMIT), (3, BnbStatus.LIMIT)):
         _break_solve(monkeypatch, child)
-        res = solve_milp(p)
+        res = solve_milp(q)
         monkeypatch.undo()
         assert res.status is status
-        assert res.best_bound == pytest.approx(0.5, abs=1e-12)
+        assert res.best_bound == pytest.approx(0.0, abs=1e-12)
 
 
 def test_binary_fixed_by_its_bounds_stays_fixed():
-    # min r subject to y - r <= 0, r binary fixed at 1, y in [0, 1]: the
-    # relaxation must keep r's own bounds, so the optimum is 1, not 0
-    p = MilpProblem(
-        lo=np.array([1.0, 0.0]),
-        hi=np.array([1.0, 1.0]),
-        binary=np.array([True, False]),
-        rows=np.array([[-1.0, 1.0]]),
-        senses=("<=",),
-        rhs=np.array([0.0]),
-        obj_sense="min",
-        obj_idx=np.array([0], dtype=np.intp),
-        obj_coef=np.array([1.0]),
-    )
-    lo, hi = relaxed_bounds(p)
-    assert lo.tolist() == [1.0, 0.0] and hi.tolist() == [1.0, 1.0]
-    res = solve_milp(p)
+    # max x = relu(2z - 1) with the neuron's binary fixed at 0: the
+    # relaxation must keep r's own bounds, so the optimum is 0, not 1
+    p, _ = encode_on_box(relu_net(2.0, -1.0), InputBox.unit(1))
+    r = p.var_roles[("bin", 0, 0)]
+    q = fixed(set_robustness_objective(p, 0, 1, 0.0), {r: 0.0})
+    lo, hi = relaxed_bounds(q)
+    assert lo[r] == hi[r] == 0.0
+    res = solve_milp(q)
     assert res.status is BnbStatus.CERTIFIED
-    assert res.incumbent_value == pytest.approx(1.0, abs=1e-12)
-    assert res.best_bound == pytest.approx(1.0, abs=1e-12)
+    assert res.incumbent_value == pytest.approx(0.0, abs=1e-12)
+    assert res.best_bound == pytest.approx(0.0, abs=1e-12)
+
+
+def test_an_integral_node_scores_the_network_not_the_lp(e1, monkeypatch):
+    # every integral node's LP value claims 1e-6 more than the network's
+    # value at its point: the incumbent is still the network's value
+    solve = PreparedLp.solve
+
+    def optimistic(self, lo, hi, c, maximize, start=None):
+        sol = solve(self, lo, hi, c, maximize, start=start)
+        if sol.status is LpStatus.OPTIMAL:
+            xs = sol.x[bin_idx]
+            if np.all(np.minimum(xs, 1.0 - xs) <= 1e-6):
+                sol.objective += 1e-6 if maximize else -1e-6
+        return sol
+
+    monkeypatch.setattr(PreparedLp, "solve", optimistic)
+    # the deviation of x1 from 0.25, and the radius about (0.5, 0.5)
+    values = (lambda z: forward(e1, z)[0] - 0.25, lambda z: np.max(np.abs(z - 0.5)))
+    for q, value in zip(_e1_problems(e1), values):
+        bin_idx = np.flatnonzero(q.binary)
+        res = solve_milp(q)
+        assert res.found
+        assert res.incumbent_value == value(res.z)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_point_short_of_its_target_is_no_incumbent(e1, monkeypatch, sign):
+    # the network's outputs come out 1e-6 short of every target, so no
+    # point that reaches the target exactly is an incumbent: the optimum is
+    # never certified, and the bracket keeps the integral nodes' LP bound
+    from relucert import bnb
+
+    q = set_trust_target(set_trust_problem(encode_on_box(e1, InputBox.unit(2))[0], np.full(2, 0.5), np.ones(2), 0.5),
+                         0, sign, 0.15, 0.25)
+    opt = solve_milp(q).incumbent_value
+    layers = bnb.forward_layers
+
+    def short(net, Z):
+        pre, post, out = layers(net, Z)
+        return pre, post, out - sign * 1e-6
+
+    monkeypatch.setattr(bnb, "forward_layers", short)
+    res = solve_milp(q)
+    assert res.status is not BnbStatus.CERTIFIED
+    assert res.best_bound == pytest.approx(opt, abs=1e-9)  # min sense: the LP bound at the optimum
+    if res.found:
+        assert res.incumbent_value > opt + 1e-9
+
+
+def test_the_objective_prices_only_the_network_point(e1):
+    q = _e1_problems(e1)[0]
+    c = q.c.copy()
+    c[q.var_roles[("post", 0, 0)]] = 1.0
+    with pytest.raises(InvalidArg, match="price"):
+        solve_milp(replace(q, c=c))
 
 
 def test_one_debug_record_per_node(e1, caplog):
@@ -363,6 +405,8 @@ def test_options_validation():
         dict(abs_gap=-1.0),
         dict(abs_gap="1e-8"),
         dict(rel_gap=float("nan")),
+        dict(rel_gap=float("inf")),  # would certify the first incumbent
+        dict(abs_gap=float("inf")),
         dict(rel_gap=None),
         dict(node_limit="x"),
         dict(node_limit=-1),

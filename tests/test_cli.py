@@ -616,7 +616,12 @@ def test_trust_table_quotes_commas(workdir, tmp_path):
     assert text.splitlines()[1].startswith('"t,1","y,1",')
 
 
-_BAD_CONFIGS = [{"tighten": "no"}, {"solver": []}]  # read by every verb
+_BAD_CONFIGS = [  # read by every verb
+    {"tighten": "no"},
+    {"solver": []},
+    {"tigthen": False},
+    {"solver": {"node_limt": 1}},
+]
 _BAD_SOLVER_CONFIGS = [  # read by the verify verbs only
     {"solver": {"node_limit": "x"}},
     {"solver": {"node_limit": -1}},
@@ -689,6 +694,35 @@ def test_oracle_check_rejects_wrong_network(workdir, tmp_path):
                  "--report", str(workdir / "rob.json")]) == 1
 
 
+def test_config_typos_are_named(workdir, tmp_path, capsys):
+    # a misspelt key would otherwise leave the option it meant at its default
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"solver": {"node_limt": 1, "rel_gap": 1e-4}, "tigthen": False}))
+    q = _write_queries(tmp_path, "q.json", [{"z_ref": [0.5, 0.5], "x_ref": [0.4, 0.6], "alpha": 0.02}])
+    argv = ["verify-robust", "--network", str(workdir / "net.json"), "--queries", q, "--config", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: config {path}: unknown keys tigthen\n"
+    path.write_text(json.dumps({"solver": {"node_limt": 1, "rel_gap": 1e-4}}))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: config {path}: unknown solver keys node_limt\n"
+
+
+def test_an_infinite_gap_is_an_input_error(workdir, tmp_path, capsys):
+    # it would certify the first incumbent
+    q = _write_queries(tmp_path, "q.json", [{"z_ref": [0.5, 0.5], "x_ref": [0.4, 0.6], "alpha": 0.02}])
+    out = tmp_path / "rep.json"
+    assert main(["verify-robust", "--network", str(workdir / "net.json"), "--queries", q,
+                 "--out", str(out), "--gap", "inf"]) == 1
+    assert capsys.readouterr().err == "error: gap tolerances must be finite nonnegative numbers\n"
+    assert not out.exists()
+    # nor from a config, which would also write `Infinity` into the report
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"solver": {"rel_gap": Infinity}}')
+    assert main(["verify-robust", "--network", str(workdir / "net.json"), "--queries", q,
+                 "--out", str(out), "--config", str(cfg)]) == 1
+    assert not out.exists()
+
+
 def test_config_file_and_env(workdir, monkeypatch, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": {"rel_gap": 1e-4}}))
@@ -723,6 +757,19 @@ def test_module_entry_point(workdir, tmp_path):
                    "--outputs", "1", "--samples", "20", "--out", str(tmp_path / "d.csv"))
     assert proc.returncode == 0
     assert "wrote 20 samples" in proc.stdout
+
+
+def test_divergence_is_one_line_on_stderr(tmp_path):
+    # numpy's overflow warnings on the way to non-finite parameters stay
+    # quiet; the error says what happened
+    ds, net = str(tmp_path / "div.csv"), tmp_path / "div.json"
+    assert main(["gen-data", "--inputs", "3", "--outputs", "2", "--samples", "54",
+                 "--noise", "0.01", "--seed", "1", "--out", ds]) == 0
+    proc = _python("-m", "relucert.cli", "train", "--dataset", ds, "--out", str(net), "--widths", "4,3,3",
+                   "--epochs", "3", "--batch-size", "1000", "--learning-rate", "1e11", "--seed", "7")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: parameters became non-finite (lr=100000000000.0)"]
+    assert not net.exists()
 
 
 def test_start_up_leaves_scipy_unimported():

@@ -7,7 +7,6 @@ from relucert.bnb import solve_milp
 from relucert.bounds import InputBox, Stability, classify_neurons, propagate_bounds
 from relucert.errors import DimensionMismatch, InvalidArg, UnsoundBounds
 from relucert.milp import (
-    MilpProblem,
     default_delta_cap,
     encode_network,
     set_robustness_objective,
@@ -35,11 +34,11 @@ def fixed(p, values):
     return replace(p, lo=lo, hi=hi)
 
 
-def identity_net():
-    """1-1-1 network computing x = z on [0,1]."""
+def relu_net(w, b):
+    """1-1-1 network computing x = relu(w z + b) on [0,1]."""
     spec = NetworkSpec(
         input_dim=1,
-        hidden=(HiddenLayer(W=np.array([[1.0]]), b=np.zeros(1), bn=identity_bn(1)),),
+        hidden=(HiddenLayer(W=np.array([[w]]), b=np.array([b]), bn=identity_bn(1)),),
         output=OutputLayer(W=np.array([[1.0]]), b=np.zeros(1)),
         input_norm_lo=np.zeros(1),
         input_norm_hi=np.ones(1),
@@ -48,18 +47,22 @@ def identity_net():
     return fold_bn(spec)
 
 
-@pytest.mark.parametrize("senses,rhs", [(("<",), [0.5]), (("<=",), [0.5, 0.0])])
-def test_malformed_rows_are_invalid_when_solved(senses, rhs):
-    p = MilpProblem(
-        lo=np.zeros(1),
-        hi=np.ones(1),
-        binary=np.array([True]),
-        rows=np.array([[1.0]]),
-        senses=senses,
-        rhs=np.array(rhs),
-        obj_idx=np.array([0], dtype=np.intp),
-        obj_coef=np.array([1.0]),
-    )
+def identity_net():
+    """1-1-1 network computing x = z on [0,1]."""
+    return relu_net(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda p: replace(p, senses=("<", *p.senses[1:])),  # a sense that is none of the three
+        lambda p: replace(p, rhs=np.append(p.rhs, 0.0)),  # one right-hand side too many
+    ],
+    ids=["sense", "rhs"],
+)
+def test_malformed_rows_are_invalid_when_solved(malform):
+    p, _ = encode_on_box(relu_net(2.0, -1.0), InputBox.unit(1))
+    p = malform(set_robustness_objective(p, 0, 1, 0.0))
     with pytest.raises(InvalidArg):
         solve_lp(p)
     with pytest.raises(InvalidArg):
@@ -210,7 +213,9 @@ def test_trust_target_is_an_output_bound(e1):
     minus = set_trust_target(base, 0, -1, 0.15, 0.25)
     assert (plus.lo[x], plus.hi[x]) == (pytest.approx(0.4), hi)
     assert (minus.lo[x], minus.hi[x]) == (lo, pytest.approx(0.1))
-    assert plus.query == {**base.query, "output": 0, "sign": 1, "beta": 0.15, "x_ref": 0.25}
+    # the target is the subproblem's only record of itself: the ball and
+    # the objective stay the base's
+    assert plus.ball is base.ball and plus.c is base.c
     # a target beyond the output's interval fixes the output there, and the
     # network rows leave the LP nothing feasible
     for sign in (1, -1):
@@ -231,13 +236,20 @@ def test_objective_ops_do_not_mutate_base(e1):
     n_rows = len(p.rows)
     q = set_robustness_objective(p, 0, 1, 0.25)
     t = set_trust_target(set_trust_problem(p, np.full(2, 0.5), np.ones(2), 0.5), 0, 1, 0.15, 0.25)
-    assert p.obj_idx.size == 0 and p.query == {}
+    assert not p.c.any() and p.ball is None
     assert len(p.rows) == n_rows
     assert len(t.rows) == n_rows + 4  # 2 ball rows per input; the target is a bound
     assert t.num_vars == p.num_vars + 1
     x = p.var_roles[("output", 0)]
     assert t.lo[x] == pytest.approx(0.4) and t.hi[x] == p.hi[x]  # x1 >= 0.25 + 0.15
-    assert q.query["kind"] == "robustness" and t.query["kind"] == "trust"
+    # the robustness objective prices the output, the trust one the radius
+    assert np.flatnonzero(q.c).tolist() == [x] and q.c[x] == 1.0 and q.ball is None
+    d = t.var_roles[("delta",)]
+    assert np.flatnonzero(t.c).tolist() == [d] and t.c[d] == 1.0
+    assert [a.tolist() for a in t.ball] == [[0.5, 0.5], [1.0, 1.0]]
+    for a in (q.c, t.c, *t.ball):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
 
 
 def test_subproblems_share_the_read_only_base(e1):
@@ -270,7 +282,7 @@ def test_subproblems_share_the_read_only_base(e1):
     assert np.array_equal(tb.lo[:num_vars], p.lo) and np.array_equal(tb.hi[:num_vars], p.hi)
     # and a trust subproblem differs from its trust base in one output's bounds alone
     t = set_trust_target(tb, 0, 1, 0.15, 0.25)
-    for a in ("binary", "rows", "senses", "rhs", "var_roles", "var_names", "network", "obj_idx", "obj_coef"):
+    for a in ("binary", "rows", "senses", "rhs", "var_roles", "var_names", "network", "c", "ball"):
         assert getattr(t, a) is getattr(tb, a)
     x = p.var_roles[("output", 0)]
     assert t.lo[x] == pytest.approx(0.4) and p.lo[x] < 0.4  # x1 >= 0.25 + 0.15
