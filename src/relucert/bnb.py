@@ -23,10 +23,11 @@ only if the outputs lie within the problem's output bounds to
 `_TARGET_TOL` (a trust target is an output bound) and, on a trust ball,
 the radius within its column's cap. Its value is `c` at that point plus
 `obj_offset`, never the LP's; the result keeps its input point, the
-witness. An integral node whose point fails stays open at its own LP bound,
-a node whose solve breaks down at its parent's (+inf for a root), so the
-search ends with an honest gap, never a certified LP value or a lost
-subproblem: `LIMIT` when nothing was found, else `GAP_LIMIT`.
+witness. An integral node stays open at its LP bound unless its point passed
+and came within `_TARGET_TOL` of it, a node whose solve breaks down at its
+parent's (+inf for a root), so the search ends with an honest gap, never a
+certified LP value or a lost subproblem: `LIMIT` when nothing was found,
+else `GAP_LIMIT`.
 
 One search may cover several problems of one sense whose best value is
 wanted, such as the two signs of a trust output: a primary problem and its
@@ -127,27 +128,26 @@ class MilpResult:
         return self.incumbent_value is not None
 
 
-def _incumbent_rule(p: MilpProblem, in_idx, out_idx):
+def _incumbent_rule(p: MilpProblem, out_idx):
     """`p`'s incumbent rule (see the module docstring) as a function of an
     LP input point `z`: the objective value of the network's point at `z`,
-    or None. `p`'s objective may price only inputs, outputs and the radius,
+    or None. `p`'s objective may price only the outputs and the radius,
     else `InvalidArg`."""
     c = p.c.copy()
-    c_in, c_out = c[in_idx], c[out_idx]
-    c[in_idx] = c[out_idx] = 0.0
+    c_out, c[out_idx] = c[out_idx], 0.0
     if p.ball is not None:
         z_ref, scale = p.ball
         d = p.var_roles[("delta",)]
         c_d, cap, c[d] = c[d], p.hi[d] + 1e-12, 0.0
     if c.any():
-        raise InvalidArg("an objective may price only the inputs, the outputs and the radius")
+        raise InvalidArg("an objective may price only the outputs and the radius")
     lo, hi = p.lo[out_idx] - _TARGET_TOL, p.hi[out_idx] + _TARGET_TOL
 
     def value(z) -> float | None:
         out = forward_layers(p.network, z[None, :])[2][0]
         if (out < lo).any() or (out > hi).any():
             return None
-        v = c_in @ z + c_out @ out
+        v = c_out @ out
         if p.ball is not None:
             radius = np.max(np.abs(z - z_ref) / scale)
             if radius > cap:
@@ -222,7 +222,7 @@ def solve_milp(
         raise InvalidArg("rivals must share the primary problem's rows and binaries")
     in_idx = np.array([p.var_roles[("input", j)] for j in range(p.network.input_dim)], dtype=np.intp)
     out_idx = np.array([p.var_roles[("output", i)] for i in range(p.network.num_outputs)], dtype=np.intp)
-    rules = [_incumbent_rule(q, in_idx, out_idx) for q in problems]
+    rules = [_incumbent_rule(q, out_idx) for q in problems]
     maximize = p.obj_sense == "max"
     mult = 1.0 if maximize else -1.0
     if root_start is None:
@@ -240,8 +240,8 @@ def solve_milp(
     inc_value: float | None = None
     inc_z: np.ndarray | None = None
     inc_src: int | None = None
-    # best bound over open nodes: an integral one whose point failed, at its
-    # LP bound; one whose solve broke down, at its parent's
+    # best bound over nodes left open: an integral one at its LP bound, one
+    # whose solve broke down at its parent's
     open_score = -np.inf
     # heap of (-bound score, -depth, node number, problem, lo, hi, branch
     # position, the node's solution as its children's start): best bound
@@ -284,10 +284,11 @@ def solve_milp(
         y[y <= engine.opts.opt_tol] = 0.0
         k = _select_branch_var(sol.x, bin_idx, y @ bin_rows)
         score = min(score, parent_score)  # a node's bound cannot beat its parent's
-        if k is None:
-            if cand is None:
-                open_score = max(open_score, score)
-            note(seq, src, depth, score, "integral" if cand is not None else "integral, point failed, left open")
+        if k is None and (cand is None or score - mult * cand > _TARGET_TOL):  # its pattern may reach it
+            open_score = max(open_score, score)
+            note(seq, src, depth, score, "integral, left open at its LP bound")
+        elif k is None:
+            note(seq, src, depth, score, "integral")
         elif score > inc_score + opts.abs_gap:
             heapq.heappush(heap, (-score, -depth, seq, src, lo, hi, k, sol))
             note(seq, src, depth, score, "branch")

@@ -8,7 +8,7 @@ the activation-bound analysis, which double as big-M constants.
 The constraints are held as the simplex engine takes them: a read-only
 dense matrix `rows`, one row per constraint over the variables, with a
 sense and a right-hand side per row; the objective is one read-only dense
-vector `c`, pricing only inputs, outputs and the radius. A query's target
+vector `c`, pricing only outputs and the radius. A query's target
 and cap are bounds: a trust base keeps only its `ball`, to measure a
 point's radius. The base encoding is immutable
 (read-only arrays, tuple senses and names, a read-only role map), so the

@@ -334,7 +334,11 @@ def test_binary_fixed_by_its_bounds_stays_fixed():
 
 def test_an_integral_node_scores_the_network_not_the_lp(e1, monkeypatch):
     # every integral node's LP value claims 1e-6 more than the network's
-    # value at its point: the incumbent is still the network's value
+    # value at its point: the incumbent is still the network's value, and
+    # the bracket keeps the integral LP bound, so a gap of 1e-6 above the
+    # gap tolerance is never certified
+    opts = BnbOptions(rel_gap=1e-7)  # below 1e-6 at the robustness optimum 1.0
+    opts_ = [solve_milp(q, opts).incumbent_value for q in _e1_problems(e1)]
     solve = PreparedLp.solve
 
     def optimistic(self, lo, hi, c, maximize, start=None):
@@ -348,11 +352,15 @@ def test_an_integral_node_scores_the_network_not_the_lp(e1, monkeypatch):
     monkeypatch.setattr(PreparedLp, "solve", optimistic)
     # the deviation of x1 from 0.25, and the radius about (0.5, 0.5)
     values = (lambda z: forward(e1, z)[0] - 0.25, lambda z: np.max(np.abs(z - 0.5)))
-    for q, value in zip(_e1_problems(e1), values):
+    for q, value, opt in zip(_e1_problems(e1), values, opts_):
         bin_idx = np.flatnonzero(q.binary)
-        res = solve_milp(q)
+        res = solve_milp(q, opts)
         assert res.found
         assert res.incumbent_value == value(res.z)
+        mult = 1.0 if q.obj_sense == "max" else -1.0
+        assert res.best_bound == pytest.approx(opt + mult * 1e-6, abs=1e-9)
+        assert 1e-6 > max(opts.abs_gap, opts.rel_gap * abs(res.incumbent_value))
+        assert res.status is BnbStatus.GAP_LIMIT
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -381,10 +389,11 @@ def test_a_point_short_of_its_target_is_no_incumbent(e1, monkeypatch, sign):
 
 def test_the_objective_prices_only_the_network_point(e1):
     q = _e1_problems(e1)[0]
-    c = q.c.copy()
-    c[q.var_roles[("post", 0, 0)]] = 1.0
-    with pytest.raises(InvalidArg, match="price"):
-        solve_milp(replace(q, c=c))
+    for role in (("post", 0, 0), ("input", 0)):
+        c = q.c.copy()
+        c[q.var_roles[role]] = 1.0
+        with pytest.raises(InvalidArg, match="price"):
+            solve_milp(replace(q, c=c))
 
 
 def test_one_debug_record_per_node(e1, caplog):
