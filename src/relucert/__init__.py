@@ -52,7 +52,7 @@ from .nnmodel import (
     network_hash,
     save_network,
 )
-from .simplex import SimplexOptions, solve_lp
+from .simplex import solve_lp
 from .trainer import (
     Dataset,
     TrainConfig,
@@ -121,7 +121,6 @@ __all__ = [
     "RelucertError",
     "RobustnessResult",
     "RobustnessSpec",
-    "SimplexOptions",
     "SolverFailure",
     "Stability",
     "StabilityMap",

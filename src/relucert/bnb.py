@@ -8,26 +8,26 @@ included, takes the same step: solve the LP relaxation with the problem's
 objective on one prepared engine, register its incumbent candidate, clamp its
 bound to its parent's, then record it as integral, branched, pruned or
 infeasible. The engine is the problem's own, or, when the caller passes a
-`root_start` solution, that solution's engine: a query builds one engine
-for its base encoding and every subproblem searches on it. A root solves
-cold, unless there is a `root_start`, which it starts from and whose
-tableau it adopts; each child starts from its parent's optimal solution,
-its basis and tableau. The basis stays dual feasible when bounds change, as
-one binary's do in a child, so a few dual simplex pivots reach the child's
-optimum or a dual ray that proves it infeasible; the branched binary is
-basic, so the tableau and its basic values hold as they are and the child
-skips refactorizing. A warm solve that can do neither falls back to the cold
-two-phase solve inside the LP engine. Every incumbent is the network's own
-point: a node runs its LP input point through the network and accepts it
-only if the outputs lie within the problem's output bounds to
-`_TARGET_TOL` (a trust target is an output bound) and, on a trust ball,
-the radius within its column's cap. Its value is `c` at that point plus
-`obj_offset`, never the LP's; the result keeps its input point, the
-witness. An integral node stays open at its LP bound unless its point passed
-and came within `_TARGET_TOL` of it, a node whose solve breaks down at its
-parent's (+inf for a root), so the search ends with an honest gap, never a
-certified LP value or a lost subproblem: `LIMIT` when nothing was found,
-else `GAP_LIMIT`.
+`root_start` solution, that solution's engine, which must have been built
+from the problem's rows: a query builds one engine for its base encoding
+and every subproblem searches on it. A root solves cold, unless there is a
+`root_start`, which it starts from and whose tableau it adopts; each child
+starts from its parent's optimal solution and adopts its basis and
+tableau. The basis stays dual feasible when bounds change, as one binary's
+do in a child, so a few dual simplex pivots reach the child's optimum or a
+dual ray that proves it infeasible; the branched binary is basic, so the
+tableau and its basic values hold as they are. A warm solve that can do
+neither falls back to the cold two-phase solve inside the LP engine.
+Every incumbent is the network's own point: a node runs its LP input point
+through the network and accepts it only if the outputs lie within the
+problem's output bounds to `_TARGET_TOL` (a trust target is an output
+bound) and, on a trust ball, the radius within its column's cap. Its value
+is `c` at that point plus `obj_offset`, never the LP's; the result keeps
+its input point, the witness. An integral node stays open at its LP bound
+unless its point passed and came within `_TARGET_TOL` of it, a node whose
+solve breaks down at its parent's (+inf for a root), so the search ends
+with an honest gap, never a certified LP value or a lost subproblem:
+`LIMIT` when nothing was found, else `GAP_LIMIT`.
 
 One search may cover several problems of one sense whose best value is
 wanted, such as the two signs of a trust output: a primary problem and its
@@ -47,7 +47,7 @@ and the binary's coefficients `a_ij` in the rows (Bunel et al., "Branch and
 bound for piecewise linear neural network verification", JMLR 21, 2020,
 their BaBSR score). An unstable neuron's binary sits in its two upper
 big-M rows, so the score is a first-order estimate of how far fixing the
-neuron either way moves the bound. Duals within the LP's `opt_tol` of
+neuron either way moves the bound. Duals within the LP's `OPT_TOL` of
 zero count as zero, and the search builds `|a_ij|` once, so a node's scores
 cost one matrix-vector product. Ties go to the lowest variable. When every
 score is zero, as on a dual degenerate LP or where no binary sits in a
@@ -69,7 +69,7 @@ import numpy as np
 from .errors import InvalidArg, NumericalBreakdown
 from .milp import MilpProblem
 from .nnmodel import forward_layers
-from .simplex import LpSolution, LpStatus, SolveStats, prepare, relaxed_bounds, row_duals
+from .simplex import OPT_TOL, LpSolution, LpStatus, SolveStats, prepare, relaxed_bounds, row_duals
 
 _log = logging.getLogger(__name__)
 _INT_TOL = 1e-6
@@ -106,8 +106,8 @@ class BnbOptions:
         if nl is not None and not (_is_real(nl) and isinstance(nl, numbers.Integral) and nl > 0):
             raise InvalidArg("node_limit must be a positive integer")
         tl = self.time_limit_seconds
-        if tl is not None and not (_is_real(tl) and tl > 0):
-            raise InvalidArg("time_limit_seconds must be a positive number")
+        if tl is not None and not (_is_real(tl) and math.isfinite(tl) and tl > 0):
+            raise InvalidArg("time_limit_seconds must be a finite positive number")
 
 
 @dataclass
@@ -189,14 +189,14 @@ def solve_milp(
 ) -> MilpResult:
     """Branch and bound to a certified bracket, or to a node or time limit.
 
-    `root_start` is an optimal LP solution over `p`'s rows and variables,
-    such as the solve of its query's base that all of the query's
-    subproblems share. The search then solves on that solution's engine,
-    and every root starts from its basis and tableau: a primal feasible
-    one lets a root skip phase 1 and its refactorization, and a dual
-    feasible one leaves a root a few dual pivots; a start that does not
-    help falls back to the cold solve. A `root_start` without a
-    tableau, or whose engine's shape does not fit `p`, is `InvalidArg`.
+    `root_start` is an optimal LP solution of an engine built from `p`'s
+    rows (the same array), such as the solve of its query's base that all
+    of the query's subproblems share. The search then solves on that
+    engine, and every root starts from its basis and tableau: a primal
+    feasible one lets a root skip phase 1, and a dual feasible one leaves a
+    root a few dual pivots; a start that does not help falls back to the
+    cold solve. A `root_start` without a tableau, or whose engine was built
+    from other rows, even rows of the same shape, is `InvalidArg`.
 
     `rivals` are problems over `p`'s rows (the same array, else
     `InvalidArg`) and binaries, with `p`'s sense, whose best value
@@ -229,8 +229,8 @@ def solve_milp(
         engine = prepare(p)
     else:
         tab = root_start.tableau
-        if tab is None or (tab.engine.m, tab.engine.n) != (len(p.rows), p.num_vars):
-            raise InvalidArg("root_start must be an optimal solution over the problem's rows")
+        if tab is None or tab.engine.rows is not p.rows:
+            raise InvalidArg("root_start must be an optimal solution on the problem's rows")
         engine = tab.engine
     bin_idx = np.flatnonzero(p.binary)
     bin_rows = np.abs(engine.A[:, bin_idx])  # |a_ij|, for the branching weights
@@ -281,7 +281,7 @@ def solve_milp(
         if cand is not None and (mult * cand > inc_score or (mult * cand == inc_score and src < inc_src)):
             inc_score, inc_value, inc_z, inc_src = mult * cand, cand, z, src
         y = np.abs(row_duals(sol))
-        y[y <= engine.opts.opt_tol] = 0.0
+        y[y <= OPT_TOL] = 0.0
         k = _select_branch_var(sol.x, bin_idx, y @ bin_rows)
         score = min(score, parent_score)  # a node's bound cannot beat its parent's
         if k is None and (cand is None or score - mult * cand > _TARGET_TOL):  # its pattern may reach it

@@ -28,7 +28,6 @@ from .errors import (
     RelucertError,
     SolverFailure,
 )
-from .milp import default_delta_cap
 from .nnmodel import fold_bn, forward, load_network, network_hash, save_network
 from .trainer import TrainConfig, evaluate, gen_synthetic, load_dataset, save_dataset, train
 from .verify import (
@@ -385,7 +384,7 @@ def _check_trust_entry(net, entry) -> float:
     x_ref = np.asarray(q.x_ref)
     scale = q.effective_scale()
     # the cap the query sets; an output that states another is a discrepancy
-    cap = q.delta_cap if q.delta_cap is not None else default_delta_cap(q.z_ref, scale)
+    cap = q.effective_delta_cap()
     box = InputBox.unit(net.input_dim)
     disc = 0.0
     for i, o in enumerate(entry["per_output"]):

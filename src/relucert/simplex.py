@@ -29,10 +29,10 @@ over the positions are carried through each exchange and recomputed from
 the objective at the primal loop's entry and after each refactorization,
 and the primal loop declares optimality only on a recomputed row. The
 primal and the dual loop close every pivot the same way. The tableau is
-refactorized from the original data every `refactor_every` pivots to shed
+refactorized from the original data every `REFACTOR_EVERY` pivots to shed
 accumulated error; the pivots are counted since the tableau's last
 refactorization, across every solve that inherits it. Once a loop's
-streak of degenerate pivots reaches `bland_after`, Bland's rule picks the
+streak of degenerate pivots reaches `BLAND_AFTER`, Bland's rule picks the
 entering and leaving variables until a step makes progress, which bounds
 the pivot count; it picks the lowest column index, whatever position the
 column holds.
@@ -40,33 +40,39 @@ column holds.
 The engine holds the rows alone and every solve brings its objective, so
 one engine serves every objective over its rows: a bound-tightening sweep's
 and all of a robustness query's subproblems. A solve may start from an
-earlier optimal solution: its basis, its nonbasic-at-upper flags and its
-final tableau with the position of each nonbasic column. The solve adopts a
-copy of that tableau in place of a refactorization when it came from the
-same engine and every nonbasic variable rests where it rested when the
-basic values were last computed (a branched binary is basic, and a
-bound-tightening sweep or a robustness root changes only the objective).
-Otherwise the basis is refactorized under the new bounds. If the start's
-basic values are primal feasible (the next objective of a bound-tightening
-sweep, or a robustness root started from its query's shared phase-1 solve),
-phase 2 runs from them directly. If the basis is dual feasible instead (a
-branch-and-bound child, whose bounds differ from its parent's in one
-binary), a bounded dual simplex restores primal feasibility and one primal
-phase-2 pass cleans up. The dual simplex prices by dual steepest edge
-(Forrest & Goldfarb 1992): the leaving row maximizes its squared bound
-violation over the squared norm of its row of B^-1. On the skeleton, B^-1
-is the tableau's columns at the nonbasic logicals and a unit vector at each
-basic one, so those exact weights are read off the tableau and need no
-update formula. When the dual simplex finds a violated row with no entering
-column, that row's dual ray, its row of B^-1, is read off the tableau the
-same way and bounded over the variables' box with the original data, which
-keeps the proof sound for an inexact ray. It decides the solve infeasible
-only if it proves an L1 row residual above `feas_tol`, the level phase 1
-would need to see to reject the LP. Any other outcome of the warm path, a
-weaker ray, a start that is neither primal nor dual feasible or a
-numerical breakdown, falls back to the cold solve, with a budget of its
-own. The same reading gives an optimal solve's row duals, `row_duals`,
-from its final reduced costs.
+earlier optimal solution of the same engine: its basis, its
+nonbasic-at-upper flags and its final tableau with the position of each
+nonbasic column. The solve adopts a copy of that tableau; a start from
+another engine is `InvalidArg`. A bound change moves only the resting
+values of nonbasic columns, and the basic values move with each by the
+column's tableau entries times its shift, the dual simplex's bound update
+(Koberstein, *The dual simplex method, techniques for a fast and stable
+implementation*, PhD thesis, Paderborn 2005), so no start is
+refactorized; a branched binary is basic, and a bound-tightening sweep or a
+robustness root changes only the objective, so most starts move nothing.
+If the start's basic values are primal feasible (the next objective of a
+bound-tightening sweep, or a robustness root started from its query's
+shared phase-1 solve), phase 2 runs from them directly. If the basis is
+dual feasible instead (a branch-and-bound child, whose bounds differ from
+its parent's in one binary), a bounded dual simplex restores primal
+feasibility and one primal phase-2 pass cleans up. The dual simplex prices
+by dual steepest edge (Forrest & Goldfarb 1992): the leaving row maximizes
+its squared bound violation over the squared norm of its row of B^-1. On
+the skeleton, B^-1 is the tableau's columns at the nonbasic logicals and a
+unit vector at each basic one, so those exact weights are read off the
+tableau and need no update formula. When the dual simplex finds a violated
+row with no entering column, that row's dual ray, its row of B^-1, is read
+off the tableau the same way and bounded over the variables' box with the
+original data, which keeps the proof sound for an inexact ray. It decides
+the solve infeasible only if it proves an L1 row residual above
+`FEAS_TOL`, the level phase 1 would need to see to reject the LP. Any
+other outcome of the warm path, a weaker ray, a start that is neither
+primal nor dual feasible or a numerical breakdown, falls back to the cold
+solve, with a budget of its own. The same reading gives an optimal solve's
+row duals, `row_duals`, from its final reduced costs.
+
+The tolerances and the pivot rules' thresholds are the module constants
+below, one fixed policy for every solve.
 """
 
 from __future__ import annotations
@@ -95,20 +101,25 @@ class WarmStart(Enum):
     BROKE_DOWN = "broke_down"  # the warm path raised NumericalBreakdown; the cold solve decided
 
 
-@dataclass(frozen=True)
-class SimplexOptions:
-    feas_tol: float = 1e-7
-    opt_tol: float = 1e-7
-    pivot_tol: float = 1e-9
-    bland_after: int = 50      # consecutive degenerate pivots before Bland's rule
-    refactor_every: int = 100  # pivots since the tableau's last refactorization, across inheriting solves
+FEAS_TOL = 1e-7
+OPT_TOL = 1e-7
+PIVOT_TOL = 1e-9
+BLAND_AFTER = 50      # consecutive degenerate pivots before Bland's rule
+REFACTOR_EVERY = 100  # pivots since the tableau's last refactorization, across inheriting solves
+_DEGEN_TOL = 1e-10
+
+
+def tolerances() -> dict:
+    """The fixed policy every solve follows, as reports list it."""
+    return dict(feas_tol=FEAS_TOL, opt_tol=OPT_TOL, pivot_tol=PIVOT_TOL, bland_after=BLAND_AFTER,
+                refactor_every=REFACTOR_EVERY)
 
 
 @dataclass(eq=False)
 class Tableau:
     """An optimal solve's final tableau, over the basis of the solution that
     carries it, which a later solve of the same engine started from that
-    solution may adopt: `T` is B^-1 A_N, the m x n block of B^-1 [A | I]
+    solution adopts: `T` is B^-1 A_N, the m x n block of B^-1 [A | I]
     at the nonbasic columns `nb` (column `nb[k]` at position `k`), after
     `age` pivots since its last refactorization, `xB` holds the basic
     values the closing refactorization computed with the nonbasic values
@@ -129,8 +140,8 @@ class LpSolution:
     """One solve's outcome. Pivot counts are pricing passes (basis changes,
     bound flips and one final pass per loop), counted over every path the
     solve took, a warm attempt that fell back included. `refactors` counts
-    the tableau refactorizations of a warm start or of every
-    `refactor_every` pivots, not the closing one that computes the point.
+    the tableau refactorizations made every `REFACTOR_EVERY` pivots, not
+    the closing one that computes the point.
     An optimal solution serves as the `start` of a later solve; its
     `tableau` holds B^-1 A over the columns outside `basis`."""
 
@@ -145,7 +156,6 @@ class LpSolution:
     dual_pivots: int = 0
     warm: WarmStart = WarmStart.NONE
     refactors: int = 0
-    inherited: bool = False               # the warm start adopted its start's tableau
     tableau: Tableau | None = field(default=None, repr=False)  # when Optimal; over `basis`
 
     @property
@@ -167,8 +177,7 @@ class SolveStats:
     breakdowns: int = 0      # of those fallbacks, warm paths that raised NumericalBreakdown
     ray_infeasible: int = 0  # infeasible verdicts the warm path proved with a dual ray
     node_breakdowns: int = 0  # B&B nodes whose solve raised NumericalBreakdown, left open
-    refactors: int = 0       # tableau refactorizations, warm starts' and pivot-age ones
-    inherited: int = 0       # warm starts that adopted their start's tableau
+    refactors: int = 0       # tableau refactorizations every REFACTOR_EVERY pivots
 
     def add(self, sol: LpSolution) -> None:
         self.lp_solves += 1
@@ -180,7 +189,6 @@ class SolveStats:
         self.breakdowns += sol.warm is WarmStart.BROKE_DOWN
         self.ray_infeasible += sol.warm is WarmStart.USED and sol.status is LpStatus.INFEASIBLE
         self.refactors += sol.refactors
-        self.inherited += sol.inherited
 
     def merge(self, other: SolveStats) -> None:
         for k, v in asdict(other).items():
@@ -218,9 +226,6 @@ class DenseRows:
         return A, tuple(self._senses), b
 
 
-_DEGEN_TOL = 1e-10
-
-
 class PreparedLp:
     """One LP skeleton solved many times under changing bounds and objectives.
 
@@ -236,12 +241,13 @@ class PreparedLp:
     The rows stay fixed; `solve` takes the structural bounds for this call
     (branch-and-bound fixes binaries that way), the objective (bound
     tightening sweeps one, and a robustness query's subproblems each bring
-    their own) and an optional start, an earlier optimal solution of the
-    same skeleton.
+    their own) and an optional start, an earlier optimal solution of this
+    engine. `rows` is the matrix the engine was built from, as given, so a
+    caller can tell whether a start's engine solves a problem's rows.
     """
 
-    def __init__(self, A: np.ndarray, senses, b: np.ndarray, options: SimplexOptions | None = None):
-        self.opts = options or SimplexOptions()
+    def __init__(self, A: np.ndarray, senses, b: np.ndarray):
+        self.rows = A
         A = np.asarray(A, dtype=float)
         if A.ndim != 2:
             raise InvalidArg("A must be a matrix")
@@ -270,9 +276,10 @@ class PreparedLp:
     ) -> LpSolution:
         """Maximize `c x` (or minimize it, `maximize` False) under
         structural bounds `lo`/`hi`. `start` is an earlier optimal solution
-        on this skeleton; the solve then tries the warm path from its basis,
-        at-upper flags and tableau first and falls back to the cold one.
-        Ends OPTIMAL or INFEASIBLE, or raises `NumericalBreakdown`."""
+        of this engine, else `InvalidArg`; the solve then tries the warm
+        path from its basis, at-upper flags and tableau first and falls back
+        to the cold one. Ends OPTIMAL or INFEASIBLE, or raises
+        `NumericalBreakdown`."""
         m, n, ncols = self.m, self.n, self.ncols
         lo_s = np.asarray(lo, dtype=float)
         hi_s = np.asarray(hi, dtype=float)
@@ -288,7 +295,7 @@ class PreparedLp:
         c2[:n] = c if maximize else -c
         full_lo = np.concatenate((lo_s, np.zeros(m)))
         full_hi = np.concatenate((hi_s, self.logical_hi))
-        counts = {"phase1": 0, "phase2": 0, "dual": 0, "refactors": 0, "inherited": 0}
+        counts = {"phase1": 0, "phase2": 0, "dual": 0, "refactors": 0}
 
         warm = WarmStart.NONE
         outcome = None
@@ -307,7 +314,6 @@ class PreparedLp:
             dual_pivots=counts["dual"],
             warm=warm,
             refactors=counts["refactors"],
-            inherited=bool(counts["inherited"]),
         )
         if state is None:
             return LpSolution(status=LpStatus.INFEASIBLE, infeasibility=infeasibility, **stats)
@@ -339,7 +345,6 @@ class PreparedLp:
         skeleton from the basic values a warm start from that basis would
         adopt. Returns the optimal state and 0.0, or None and phase 1's
         residual when the LP is infeasible."""
-        opts = self.opts
         m, n, ncols = self.m, self.n, self.ncols
         resid = self.b - self.A[:, :n] @ full_lo[:n]
         # a logical fixed at zero marks an equality row
@@ -369,7 +374,7 @@ class PreparedLp:
             c1 = np.concatenate((np.zeros(ncols), np.full(k, -1.0)))
             self._iterate(state, A1, lo1, hi1, c1, "phase1")
             art_sum = float(np.maximum(state.xB[state.basis >= ncols], 0.0).sum())
-            if art_sum > opts.feas_tol:
+            if art_sum > FEAS_TOL:
                 return None, art_sum
             self._expel_artificials(state, full_lo, full_hi)
             # every artificial is nonbasic at zero now; drop their positions
@@ -388,52 +393,46 @@ class PreparedLp:
         return state, 0.0
 
     def _solve_warm(self, full_lo, full_hi, c2, start, counts):
-        """Re-solve from a start solution. Returns what `_solve_cold`
-        returns when the warm path reaches an optimum or proves
-        infeasibility with a dual ray, or None when it can do neither. The
-        start's tableau is adopted in place of a refactorization when it
-        came from this engine, is younger than `refactor_every` pivots and
-        its basic values were computed with the nonbasic values these
-        bounds give, so that they are what a refactorization would
-        compute."""
-        opts = self.opts
+        """Re-solve from a start solution of this engine. Returns what
+        `_solve_cold` returns when the warm path reaches an optimum or
+        proves infeasibility with a dual ray, or None when it can do
+        neither. The start's tableau is adopted as it is, and its basic
+        values move by `T[:, k] * shift` for each nonbasic position `k`
+        whose column's resting value these bounds shift."""
         m, n, ncols = self.m, self.n, self.ncols
+        tab = start.tableau
+        if tab is None or tab.engine is not self:
+            raise InvalidArg("a start must be an optimal solution of this engine")
         basis = np.array(start.basis)
         at_upper = np.array(start.at_upper, dtype=bool)
-        tab = start.tableau
         if (
             basis.shape != (m,)
             or at_upper.shape != (ncols,)
             or np.any(basis < 0)
             or np.any(basis >= ncols)
             or np.unique(basis).size != m
-            or not (tab is None or (tab.T.shape == (m, n) and tab.nb.shape == (n,) and tab.xB.shape == (m,)))
+            or tab.T.shape != (m, n)
+            or tab.nb.shape != (n,)
+            or tab.xB.shape != (m,)
         ):
             raise InvalidArg("start does not fit this LP")
         in_basis = np.zeros(ncols, dtype=bool)
         in_basis[basis] = True
         at_upper &= ~in_basis & np.isfinite(full_hi)
-        state = _State(T=None, basis=basis, nb=None, xB=None, at_upper=at_upper, counts=counts)
-        if (
-            tab is not None
-            and tab.engine is self
-            and tab.age < opts.refactor_every
-            and np.array_equal(tab.x_nb, _resting(state, full_lo, full_hi))
-        ):
-            state.T, state.nb, state.xB, state.age = tab.T.copy(), tab.nb.copy(), tab.xB.copy(), tab.age
-            counts["inherited"] = 1
-        else:
-            state.nb = (~in_basis).nonzero()[0]
-            self._refactor(state, self.A, full_lo, full_hi)
+        state = _State(T=tab.T.copy(), basis=basis, nb=tab.nb.copy(), xB=tab.xB.copy(), at_upper=at_upper,
+                       counts=counts, age=tab.age)
+        shift = (_resting(state, full_lo, full_hi) - tab.x_nb)[state.nb]
+        if shift.any():
+            state.xB -= state.T @ shift
 
         movable = full_hi > full_lo
-        if np.any(state.xB < full_lo[basis] - opts.feas_tol) or np.any(state.xB > full_hi[basis] + opts.feas_tol):
+        if np.any(state.xB < full_lo[basis] - FEAS_TOL) or np.any(state.xB > full_hi[basis] + FEAS_TOL):
             state.d = _reduced_costs(state, c2)
-            if _entering(state, movable, opts.opt_tol, False) >= 0:  # not dual feasible
+            if _entering(state, movable, False) >= 0:  # not dual feasible
                 return None
             residual = self._dual(state, full_lo, full_hi, c2)
             if residual is not None:
-                return (None, residual) if residual > opts.feas_tol else None
+                return (None, residual) if residual > FEAS_TOL else None
         self._iterate(state, self.A, full_lo, full_hi, c2, "phase2")
         return state, 0.0
 
@@ -499,11 +498,11 @@ class PreparedLp:
         its resting value. B^-1's row at an artificial is nonzero and
         vanishes at every basic logical, and its entries at the nonbasic
         logicals are in the tableau, so some nonbasic logical has an entry
-        there; a row without one above `pivot_tol` is a numerical
+        there; a row without one above `PIVOT_TOL` is a numerical
         breakdown."""
         ncols = self.ncols
         for r in (state.basis >= ncols).nonzero()[0]:
-            cand = ((np.abs(state.T[r]) > self.opts.pivot_tol) & (state.nb < ncols)).nonzero()[0]
+            cand = ((np.abs(state.T[r]) > PIVOT_TOL) & (state.nb < ncols)).nonzero()[0]
             if cand.size == 0:
                 raise NumericalBreakdown("no pivot element to expel an artificial")
             k = cand[state.nb[cand].argmin()]
@@ -543,8 +542,6 @@ class PreparedLp:
         and carries the whole objective, and phase 1's objective is at most
         zero, so an entering column no bound blocks is a numerical
         breakdown."""
-        opts = self.opts
-        pivot_tol = opts.pivot_tol
         span = full_hi - full_lo
         movable = span > 0
         state.streak = 0
@@ -552,12 +549,12 @@ class PreparedLp:
         fresh = True
         while True:
             self._count_pass(state, kind)
-            bland = state.streak >= opts.bland_after
-            k = _entering(state, movable, opts.opt_tol, bland)
+            bland = state.streak >= BLAND_AFTER
+            k = _entering(state, movable, bland)
             if k < 0 and not fresh:
                 state.d = _reduced_costs(state, c_int)
                 fresh = True
-                k = _entering(state, movable, opts.opt_tol, bland)
+                k = _entering(state, movable, bland)
             if k < 0:
                 return
             j = state.nb[k]
@@ -569,7 +566,7 @@ class PreparedLp:
             hi_B = full_hi[state.basis]
             room = np.where(w > 0.0, xB - lo_B, hi_B - xB)  # to the bound each basic moves toward
             rate = np.abs(w)
-            flat = rate <= pivot_tol
+            flat = rate <= PIVOT_TOL
             rate[flat] = 1.0
             room[flat] = np.inf
             ratios = np.maximum(room, 0.0) / rate
@@ -606,18 +603,17 @@ class PreparedLp:
         side. Returns None once every basic variable is within its bounds,
         or, when the leaving row has no entering candidate (the dual is
         unbounded), the residual that row's ray proves."""
-        opts = self.opts
         movable = full_hi > full_lo
         state.streak = 0
         while True:
             self._count_pass(state, "dual")
-            bland = state.streak >= opts.bland_after
+            bland = state.streak >= BLAND_AFTER
             xB, basis, nb = state.xB, state.basis, state.nb
             lo_B = full_lo[basis]
             hi_B = full_hi[basis]
             below = lo_B - xB
             viol = np.maximum(below, xB - hi_B)
-            rows = (viol > opts.feas_tol).nonzero()[0]
+            rows = (viol > FEAS_TOL).nonzero()[0]
             if rows.size == 0:
                 return None
             if bland:
@@ -631,7 +627,7 @@ class PreparedLp:
             push = alpha * sigma
             if up:
                 push = -push
-            cand = (movable[nb] & (push > opts.pivot_tol)).nonzero()[0]
+            cand = (movable[nb] & (push > PIVOT_TOL)).nonzero()[0]
             if cand.size == 0:
                 return self._ray_residual(state, r, full_lo, full_hi)
             slack = np.maximum(-sigma[cand] * state.d[cand], 0.0)  # dual slack: room before d_j changes sign
@@ -642,8 +638,8 @@ class PreparedLp:
                 i = ties[nb[cand[ties]].argmin()]
             else:
                 # Harris: the longest dual step that keeps each slack above
-                # -opt_tol, then the largest pivot element within it
-                within = (ratio <= ((slack + opts.opt_tol) / rate).min()).nonzero()[0]
+                # -OPT_TOL, then the largest pivot element within it
+                within = (ratio <= ((slack + OPT_TOL) / rate).min()).nonzero()[0]
                 i = within[rate[within].argmax()]
             k = cand[i]
             j = nb[k]
@@ -667,12 +663,12 @@ class PreparedLp:
     def _after_pivot(self, state: _State, A, full_lo, full_hi, c_int, step) -> bool:
         """Close a pivot that moved the entering variable or the dual by
         `step`: a degenerate step extends the streak that switches to
-        Bland's rule at `bland_after` and any other ends it, and every
-        `refactor_every` pivots the tableau is refactorized over `A` with
+        Bland's rule at `BLAND_AFTER` and any other ends it, and every
+        `REFACTOR_EVERY` pivots the tableau is refactorized over `A` with
         fresh reduced costs. Returns whether it was."""
         state.streak = state.streak + 1 if step <= _DEGEN_TOL else 0
         state.age += 1
-        if state.age < self.opts.refactor_every:
+        if state.age < REFACTOR_EVERY:
             return False
         self._refactor(state, A, full_lo, full_hi)
         state.d = _reduced_costs(state, c_int)
@@ -681,10 +677,10 @@ class PreparedLp:
 
 @dataclass
 class _State:
-    T: np.ndarray | None  # B^-1 A over the nonbasic columns, one position each
+    T: np.ndarray         # B^-1 A over the nonbasic columns, one position each
     basis: np.ndarray     # the column basic in each row
-    nb: np.ndarray | None  # the column held at each tableau position
-    xB: np.ndarray | None
+    nb: np.ndarray        # the column held at each tableau position
+    xB: np.ndarray
     at_upper: np.ndarray  # per column
     counts: dict  # pricing passes per loop kind and refactorizations, shared by a solve's attempts
     d: np.ndarray | None = None  # reduced costs at each position, carried through pivots
@@ -698,14 +694,14 @@ def _reduced_costs(state: _State, c: np.ndarray) -> np.ndarray:
     return c[state.nb] - c[state.basis] @ state.T
 
 
-def _entering(state: _State, movable, opt_tol: float, bland: bool) -> int:
+def _entering(state: _State, movable, bland: bool) -> int:
     """The position whose variable enters: the largest reduced cost that
     moving off its bound improves, or under Bland's rule the lowest column
-    index among the improving ones; -1 when none improves by `opt_tol`."""
+    index among the improving ones; -1 when none improves by `OPT_TOL`."""
     nb = state.nb
     gain = np.where(state.at_upper[nb], -state.d, state.d)
     gain[~movable[nb]] = 0.0
-    cand = (gain > opt_tol).nonzero()[0]
+    cand = (gain > OPT_TOL).nonzero()[0]
     if cand.size == 0:
         return -1
     return int(cand[nb[cand].argmin()] if bland else gain.argmax())
@@ -755,10 +751,9 @@ def solve_dense(
     b,
     lo,
     hi,
-    options: SimplexOptions | None = None,
 ) -> LpSolution:
     """One-shot solve of a dense LP with bounded variables."""
-    return PreparedLp(A, senses, b, options).solve(lo, hi, c, maximize)
+    return PreparedLp(A, senses, b).solve(lo, hi, c, maximize)
 
 
 # ---------------------------------------------------------------------------

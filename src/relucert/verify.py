@@ -28,7 +28,7 @@ from .milp import (
     set_trust_target,
 )
 from .nnmodel import FoldedNetwork, forward
-from .simplex import LpStatus, SimplexOptions, SolveStats, solve_lp
+from .simplex import LpStatus, SolveStats, solve_lp, tolerances
 
 _log = logging.getLogger(__name__)
 
@@ -102,6 +102,12 @@ class VerificationQuery:
 
     def effective_scale(self) -> np.ndarray:
         return self.scale if self.scale is not None else np.ones_like(self.z_ref)
+
+    def effective_delta_cap(self) -> float:
+        """The trust radius cap: the query's own, else the default one."""
+        if self.delta_cap is not None:
+            return self.delta_cap
+        return default_delta_cap(self.z_ref, self.effective_scale())
 
     def to_dict(self) -> dict:
         return {
@@ -294,7 +300,7 @@ def trustworthiness(
     opts = opts or VerifyOptions()
     _check_query(net, q, "trustworthiness", "beta")
     scale = q.effective_scale()
-    cap = q.delta_cap if q.delta_cap is not None else default_delta_cap(q.z_ref, scale)
+    cap = q.effective_delta_cap()
     box = InputBox.unit(net.input_dim)
     base, sm, tighten = _prepare_base(net, box, opts)
 
@@ -450,7 +456,7 @@ def _provenance(network_hash: str, q: VerificationQuery | None, opts: VerifyOpti
     return {
         "network_sha256": network_hash,
         "query_sha256": query_hash(q) if q is not None else None,
-        "tolerances": asdict(SimplexOptions()),
+        "tolerances": tolerances(),
         "solver": asdict(opts.bnb),
     }
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from relucert import simplex
 from relucert.bnb import BnbOptions, BnbStatus, MilpResult, _select_branch_var, solve_milp
 from relucert.bounds import InputBox, classify_neurons, propagate_bounds
 from relucert.errors import InvalidArg, NumericalBreakdown
@@ -181,7 +182,7 @@ def test_branching_weights_come_from_the_node_duals(monkeypatch):
         c2 = np.zeros(eng.ncols)
         c2[: eng.n] = q.c
         y = np.abs(np.linalg.solve(eng.A[:, sol.basis].T, c2[sol.basis]))
-        y[y <= eng.opts.opt_tol] = 0.0
+        y[y <= simplex.OPT_TOL] = 0.0
         assert w == pytest.approx(y @ np.abs(eng.A[:, bin_idx]), abs=1e-9)
 
 

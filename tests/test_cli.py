@@ -272,7 +272,7 @@ _COMPARISON_KEYS = ["T", "R", "R_minus_T", "bound_exceeds_test_error", "samples_
                     "samples_flagged_outside_balls"]
 _COUNT_KEYS = ["lp_solves", "phase1_pivots", "phase2_pivots", "dual_pivots", "warm_starts",
                "warm_fallbacks", "breakdowns", "ray_infeasible", "node_breakdowns", "refactors",
-               "inherited", "phase1_share", "dual_per_warm"]
+               "phase1_share", "dual_per_warm"]
 
 
 def _assert_entry_keys(e):
@@ -720,6 +720,21 @@ def test_an_infinite_gap_is_an_input_error(workdir, tmp_path, capsys):
     cfg.write_text('{"solver": {"rel_gap": Infinity}}')
     assert main(["verify-robust", "--network", str(workdir / "net.json"), "--queries", q,
                  "--out", str(out), "--config", str(cfg)]) == 1
+    assert not out.exists()
+
+
+def test_an_infinite_time_limit_is_an_input_error(workdir, tmp_path, capsys):
+    # it would write `Infinity`, which is not JSON, into the report
+    q = _write_queries(tmp_path, "q.json", [{"z_ref": [0.5, 0.5], "x_ref": [0.4, 0.6], "alpha": 0.02}])
+    out = tmp_path / "rep.json"
+    argv = ["verify-robust", "--network", str(workdir / "net.json"), "--queries", q, "--out", str(out)]
+    assert main(argv + ["--time-limit", "inf"]) == 1
+    assert capsys.readouterr().err == "error: time_limit_seconds must be a finite positive number\n"
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"solver": {"time_limit_seconds": Infinity}}')
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: time_limit_seconds must be a finite positive number\n"
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 
 from relucert.errors import InvalidArg, NumericalBreakdown
 from relucert import simplex
-from relucert.simplex import LpStatus, PreparedLp, SimplexOptions, WarmStart, row_duals, solve_dense
+from relucert.simplex import LpStatus, PreparedLp, WarmStart, row_duals, solve_dense
 
 
 def scipy_solve(c, maximize, A, senses, b, lo, hi):
@@ -179,7 +179,7 @@ def test_row_duals_are_the_basis_duals(seed, maximize):
         movable = np.concatenate((h > l, eng.logical_hi > 0))
         movable[sol.basis] = False
         gain = np.where(sol.at_upper, -d, d)[movable]
-        assert np.all(gain <= eng.opts.opt_tol)
+        assert np.all(gain <= simplex.OPT_TOL)
 
 
 def test_infeasible_instances_detected():
@@ -225,13 +225,12 @@ def test_beale_degenerate_instance_terminates():
     assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
 
 
-def test_frequent_refactorization_matches_default():
+def test_frequent_refactorization_matches_default(monkeypatch):
     rng = np.random.default_rng(33)
     c, A, senses, b, lo, hi, _ = _random_feasible_lp(rng, n=8, m=10)
     a = solve_dense(c, True, A, senses, b, lo, hi)
-    bsol = solve_dense(
-        c, True, A, senses, b, lo, hi, options=SimplexOptions(refactor_every=1)
-    )
+    monkeypatch.setattr(simplex, "REFACTOR_EVERY", 1)
+    bsol = solve_dense(c, True, A, senses, b, lo, hi)
     assert a.objective == pytest.approx(bsol.objective, abs=1e-8)
 
 
@@ -310,8 +309,9 @@ def test_an_unblocked_entering_column_is_a_breakdown():
     # bounded structurals rule out, so the solve breaks down instead of
     # reporting the LP unbounded
     args = ([-1.0], False, [[2.0]], [">="], [1.0], [0.0], [2.0])
-    with pytest.raises(NumericalBreakdown):
-        solve_dense(*args, options=SimplexOptions(pivot_tol=0.9))
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(NumericalBreakdown):
+        mp.setattr(simplex, "PIVOT_TOL", 0.9)
+        solve_dense(*args)
     sol = solve_dense(*args)
     assert sol.status is LpStatus.OPTIMAL and sol.objective == -2.0
 
@@ -319,15 +319,16 @@ def test_an_unblocked_entering_column_is_a_breakdown():
 def test_primal_blands_rule_matches_reference(monkeypatch):
     # every row passes through the lower corner, where the cold solve
     # starts with no artificial, so phase 2's first pivots are degenerate
-    # and from bland_after=1 on its loop picks by Bland's rule
+    # and from BLAND_AFTER = 1 on its loop picks by Bland's rule
     bland_passes = []
     entering = simplex._entering
 
-    def spy_entering(state, movable, opt_tol, bland):
+    def spy_entering(state, movable, bland):
         bland_passes.append(bland)
-        return entering(state, movable, opt_tol, bland)
+        return entering(state, movable, bland)
 
     monkeypatch.setattr(simplex, "_entering", spy_entering)
+    monkeypatch.setattr(simplex, "BLAND_AFTER", 1)
     rng = np.random.default_rng(29)
     bland_runs = 0
     for trial in range(30):
@@ -340,7 +341,7 @@ def test_primal_blands_rule_matches_reference(monkeypatch):
         c = rng.normal(size=n)
         maximize = bool(rng.integers(0, 2))
         bland_passes.clear()
-        sol = solve_dense(c, maximize, A, senses, b, lo, hi, options=SimplexOptions(bland_after=1))
+        sol = solve_dense(c, maximize, A, senses, b, lo, hi)
         ref = scipy_solve(c, maximize, A, senses, b, lo, hi)
         assert sol.status is LpStatus.OPTIMAL and sol.phase1_pivots == 0, f"trial {trial}"
         assert sol.objective == pytest.approx(-ref.fun if maximize else ref.fun, abs=1e-7), f"trial {trial}"
@@ -348,9 +349,9 @@ def test_primal_blands_rule_matches_reference(monkeypatch):
     assert bland_runs > 10
 
 
-def test_artificial_without_pivot_element_is_a_breakdown():
+def test_artificial_without_pivot_element_is_a_breakdown(monkeypatch):
     # phase 1 ends at once with the artificial basic at zero; no tableau
     # entry of its row passes the (absurd) pivot tolerance, so it cannot leave
+    monkeypatch.setattr(simplex, "PIVOT_TOL", 2.0)
     with pytest.raises(NumericalBreakdown):
-        solve_dense([1.0, 0.0], True, [[1.0, 1.0]], ["="], [0.0], [0.0, 0.0], [0.0, 0.0],
-                    options=SimplexOptions(pivot_tol=2.0))
+        solve_dense([1.0, 0.0], True, [[1.0, 1.0]], ["="], [0.0], [0.0, 0.0], [0.0, 0.0])

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from relucert.bnb import BnbOptions
 from relucert.bounds import InputBox, LayerBounds, _prefix_engine, propagate_bounds
 from relucert.errors import DimensionMismatch, InvalidArg, InvalidValue
+from relucert.milp import default_delta_cap
 from relucert.nnmodel import fold_bn, forward
 from relucert.simplex import LpStatus
 from relucert.verify import (
@@ -62,6 +64,10 @@ def test_query_validation():
     q = VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.0], alpha=0.1)
     assert q.alpha.shape == (2,)  # scalar broadcasts
     assert np.allclose(q.effective_scale(), 1.0)
+    # the radius cap: the query's own, else the default over its scale
+    q = VerificationQuery(z_ref=[0.3, 0.9], x_ref=[0.0], beta=0.1, scale=[1.0, 2.0])
+    assert q.effective_delta_cap() == default_delta_cap(q.z_ref, q.scale)
+    assert replace(q, delta_cap=0.25).effective_delta_cap() == 0.25
 
 
 def test_robustness_identity():
@@ -308,7 +314,9 @@ def test_reports_and_hashes(e1):
     assert rep["query_id"] == "op1"
     assert rep["provenance"]["network_sha256"] == "abc123"
     assert rep["provenance"]["query_sha256"] == query_hash(q)
-    assert rep["provenance"]["tolerances"]["feas_tol"] == 1e-7
+    assert list(rep["provenance"]["tolerances"].items()) == [
+        ("feas_tol", 1e-7), ("opt_tol", 1e-7), ("pivot_tol", 1e-9), ("bland_after", 50), ("refactor_every", 100)
+    ]
     assert rep["per_output"][0]["R"] == pytest.approx(0.2, abs=1e-9)
     json.dumps(rep)  # serializable
 

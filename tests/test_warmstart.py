@@ -21,7 +21,6 @@ from relucert.simplex import (
     LpSolution,
     LpStatus,
     PreparedLp,
-    SimplexOptions,
     SolveStats,
     WarmStart,
     _reduced_costs,
@@ -148,8 +147,10 @@ def test_dual_tableau_is_the_inverse_basis_over_the_nonbasic_columns(seed, n, m,
     rng = np.random.default_rng(seed)
     c, A, senses, b, lo, hi = _random_lp(rng, n, m)
     senses = ["<=" if s == "=" else s for s in senses]  # equality rows would leave most children infeasible
-    eng = PreparedLp(A, senses, b, SimplexOptions(refactor_every=2))
-    root = eng.solve(lo, hi, c, maximize)
+    eng = PreparedLp(A, senses, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "REFACTOR_EVERY", 2)
+        root = eng.solve(lo, hi, c, maximize)
     lo2, hi2 = _cut_child_bounds(rng, root, lo, hi)
     checked = []
 
@@ -176,6 +177,7 @@ def test_dual_tableau_is_the_inverse_basis_over_the_nonbasic_columns(seed, n, m,
         return out
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "REFACTOR_EVERY", 2)
         mp.setattr(PreparedLp, "_dual", checked_dual)
         warm = eng.solve(lo2, hi2, c, maximize, start=root)
     assume(len(checked) >= 3)  # two pivots: one plain update, then a refactorization
@@ -188,7 +190,7 @@ def test_dual_tableau_is_the_inverse_basis_over_the_nonbasic_columns(seed, n, m,
     n=st.integers(1, 12),
     m=st.integers(1, 30),
     maximize=st.booleans(),
-    refactor_every=st.sampled_from([2, SimplexOptions().refactor_every]),
+    refactor_every=st.sampled_from([2, simplex.REFACTOR_EVERY]),
 )
 def test_carried_reduced_costs_match_a_recomputed_row(seed, n, m, maximize, refactor_every):
     # at every pass of the primal and the dual loop the reduced costs the
@@ -196,7 +198,7 @@ def test_carried_reduced_costs_match_a_recomputed_row(seed, n, m, maximize, refa
     # and every optimal verdict of the primal loop holds on that row
     rng = np.random.default_rng(seed)
     c, A, senses, b, lo, hi = _random_lp(rng, n, m)
-    eng = PreparedLp(A, senses, b, SimplexOptions(refactor_every=refactor_every))
+    eng = PreparedLp(A, senses, b)
     costs = []  # the objective of each running loop, innermost last
     passes = []
 
@@ -217,7 +219,7 @@ def test_carried_reduced_costs_match_a_recomputed_row(seed, n, m, maximize, refa
                 fresh = _reduced_costs(state, args[c_at])
                 movable = (args[c_at - 1] > args[c_at - 2])[state.nb]
                 gain = np.where(state.at_upper[state.nb], -fresh, fresh)[movable]
-                assert np.all(gain <= eng.opts.opt_tol)
+                assert np.all(gain <= simplex.OPT_TOL)
             return out
         return run
 
@@ -233,6 +235,7 @@ def test_carried_reduced_costs_match_a_recomputed_row(seed, n, m, maximize, refa
         return entering(state, *args)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "REFACTOR_EVERY", refactor_every)
         mp.setattr(PreparedLp, "_pivot", checked_pivot)
         mp.setattr(simplex, "_entering", checked_entering)
         mp.setattr(PreparedLp, "_iterate", looped(PreparedLp._iterate, 3))
@@ -266,8 +269,8 @@ def test_bland_enters_the_lowest_column_not_the_lowest_position():
     np.testing.assert_allclose(state.T, [[1.0, 1.0, 1.0]])
     np.testing.assert_allclose(state.d, [1.0, 2.0, 3.0])
     np.testing.assert_allclose(state.d, _reduced_costs(state, c))
-    assert simplex._entering(state, movable, eng.opts.opt_tol, False) == 2  # the largest reduced cost
-    assert simplex._entering(state, movable, eng.opts.opt_tol, True) == 1  # column 1, not column 3 at position 0
+    assert simplex._entering(state, movable, False) == 2  # the largest reduced cost
+    assert simplex._entering(state, movable, True) == 1  # column 1, not column 3 at position 0
 
 
 def test_infeasible_child_is_decided_by_the_dual_ray():
@@ -284,7 +287,7 @@ def test_infeasible_child_is_decided_by_the_dual_ray():
 def test_weak_ray_leaves_the_verdict_to_the_cold_solve():
     # 0.01 x + y = 0.5 with x basic: the ray is y = 100, so a child that
     # misses x's bound by 1e-6 proves a row residual of only 1e-8, inside
-    # feas_tol, where phase 1 accepts the child
+    # FEAS_TOL, where phase 1 accepts the child
     eng = PreparedLp([[0.01, 1.0]], ["="], np.array([0.5]))
     c = np.array([-1.0, 0.0])
     root = eng.solve(np.zeros(2), np.array([20.0, 0.4]), c, True)
@@ -320,17 +323,18 @@ def test_ray_verdicts_agree_with_phase_1(seed, n, m, maximize):
     if warm.status is LpStatus.INFEASIBLE and warm.warm is WarmStart.USED:
         assert warm.phase1_pivots == 0
         # the ray's residual is a lower bound on the one phase 1 minimizes
-        assert eng.opts.feas_tol < warm.infeasibility <= cold.infeasibility + 1e-9
+        assert simplex.FEAS_TOL < warm.infeasibility <= cold.infeasibility + 1e-9
 
 
-def test_dual_degenerate_instance_terminates():
+def test_dual_degenerate_instance_terminates(monkeypatch):
     # zero objective: every reduced cost is zero, so every dual pivot is
     # degenerate and Bland's rule takes over after the first
+    monkeypatch.setattr(simplex, "BLAND_AFTER", 1)
     rng = np.random.default_rng(5)
     bland_runs = 0
     for _ in range(20):
         _, A, senses, b, lo, hi = _random_lp(rng, 8, 10)
-        eng = PreparedLp(A, senses, b, SimplexOptions(bland_after=1))
+        eng = PreparedLp(A, senses, b)
         c = np.zeros(8)
         root = eng.solve(lo, hi, c, True)
         lo2 = lo.copy()
@@ -397,7 +401,6 @@ def test_milp_stats_count_every_node(e1):
     assert s.as_dict()["dual_per_warm"] == s.dual_pivots / s.warm_starts
     assert SolveStats().as_dict()["dual_per_warm"] == 0.0
     assert s.warm_starts == res.nodes - 1  # every node but the root
-    assert s.inherited == res.nodes - 1  # each child adopts its parent's tableau
     assert s.breakdowns <= s.warm_fallbacks <= s.warm_starts
     # no child needs phase 1: infeasible ones are decided by their dual ray
     assert s.phase1_pivots == solve_lp(p).phase1_pivots
@@ -437,7 +440,6 @@ def test_shared_root_start_keeps_every_search(seed, alpha):
         assert warm.incumbent_value == pytest.approx(cold.incumbent_value, abs=1e-9)
         assert warm.best_bound == pytest.approx(cold.best_bound, abs=1e-9)
         assert warm.stats.warm_starts == warm.nodes  # the root too
-        assert warm.stats.inherited == warm.nodes  # the root adopts the shared tableau
 
 
 def test_root_start_must_fit_the_problem(e1):
@@ -447,6 +449,20 @@ def test_root_start_must_fit_the_problem(e1):
     for start in (_shared_solve(other), LpSolution(status=LpStatus.INFEASIBLE)):
         with pytest.raises(InvalidArg):
             solve_milp(p, root_start=start)
+
+
+def test_root_start_must_come_from_the_problems_rows(e1):
+    # another ball's base with as many rows and columns: its shared solve
+    # fits the problem's shape but solves other rows, so a search started
+    # from it would answer for the wrong ball
+    base, (p, _) = _robustness_problems(e1, [0.5, 0.5], 0.5)
+    other, _ = _robustness_problems(e1, [0.45, 0.55], 0.5)
+    assert other.rows.shape == base.rows.shape and not np.array_equal(other.rows, base.rows)
+    with pytest.raises(InvalidArg, match="rows"):
+        solve_milp(p, root_start=_shared_solve(other))
+    # an engine built from the problem's own rows array is the problem's
+    own = PreparedLp(base.rows, base.senses, base.rhs).solve(*relaxed_bounds(base), np.zeros(base.num_vars), True)
+    assert solve_milp(p, root_start=own).incumbent_value == solve_milp(p, root_start=_shared_solve(base)).incumbent_value
 
 
 def _spy_query(monkeypatch, run, net, q):
@@ -500,8 +516,7 @@ def test_robustness_roots_skip_phase_1(monkeypatch, seed):
     assert all(r.stats.phase1_pivots == 0 for _, r in subproblems)
     assert res.stats["phase1_pivots"] == shared[0].phase1_pivots > 0
     assert res.stats["lp_solves"] == res.stats["nodes"] + 1
-    assert res.stats["warm_starts"] == res.stats["nodes"]
-    assert res.stats["inherited"] == res.stats["nodes"]  # every root adopts the shared tableau
+    assert res.stats["warm_starts"] == res.stats["nodes"]  # every root too
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -572,28 +587,44 @@ def test_failed_trust_shared_solve_leaves_every_root_cold(monkeypatch, e1, failu
         assert a.delta_min == pytest.approx(b.delta_min, abs=1e-9)
 
 
+def _refactorized(start):
+    """`start` with its tableau and basic values recomputed from the
+    engine's data, at the nonbasic values its basic values hold for."""
+    tab = start.tableau
+    eng = tab.engine
+    B = eng.A[:, start.basis]
+    T = np.linalg.solve(B, eng.A[:, tab.nb])
+    xB = np.linalg.solve(B, eng.b - eng.A @ tab.x_nb)
+    return replace(start, tableau=replace(tab, T=T, xB=xB, age=0))
+
+
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.5))
 def test_inherited_tableaus_keep_every_answer(seed, alpha):
+    # each child adopts its parent's tableau as the pivots left it; a search
+    # whose every start carries a freshly refactorized one answers the same
     rng = np.random.default_rng(seed)
     net = fold_bn(random_spec(rng, unit_norm=True))
     _, problems = _robustness_problems(net, rng.uniform(0, 1, net.input_dim), alpha)
     solve = PreparedLp.solve
+    refreshed = []
 
-    def stripped(self, *args, start=None, **kwargs):
-        return solve(self, *args, start=None if start is None else replace(start, tableau=None), **kwargs)
+    def refreshing(self, *args, start=None, **kwargs):
+        if start is not None:
+            start = _refactorized(start)
+            refreshed.append(start)
+        return solve(self, *args, start=start, **kwargs)
 
     for p in problems:
         inheriting = solve_milp(p)
+        refreshed.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(PreparedLp, "solve", stripped)
+            mp.setattr(PreparedLp, "solve", refreshing)
             refactoring = solve_milp(p)
         assert inheriting.status is refactoring.status
         assert inheriting.incumbent_value == pytest.approx(refactoring.incumbent_value, abs=1e-9)
         assert inheriting.best_bound == pytest.approx(refactoring.best_bound, abs=1e-9)
-        assert inheriting.stats.inherited == inheriting.nodes - 1
-        assert refactoring.stats.inherited == 0
-        assert refactoring.stats.refactors >= refactoring.nodes - 1
+        assert len(refreshed) == refactoring.stats.warm_starts == refactoring.nodes - 1
 
 
 def _child_lp():
@@ -620,32 +651,77 @@ def test_child_adopts_its_parents_tableau():
     _, eng, root, c, lo, hi, j, _ = _child_lp()
     lo2, hi2 = _fix(lo, hi, j, lo[j])
     child = eng.solve(lo2, hi2, c, True, start=root)
-    assert child.inherited and child.refactors == 0 and child.warm is WarmStart.USED
+    assert child.refactors == 0 and child.warm is WarmStart.USED
     _assert_same(child, eng.solve(lo2, hi2, c, True))
     # the parent's tableau is copied, not updated in place
     again = eng.solve(lo2, hi2, c, True, start=root)
-    assert again.inherited and again.objective == child.objective
+    assert again.objective == child.objective
 
 
-@pytest.mark.parametrize("case", ["nonbasic bound", "other engine", "age"])
-def test_tableau_failing_adoption_is_refactorized(case):
-    lp, eng, root, c, lo, hi, j, k = _child_lp()
+@pytest.mark.parametrize("at_upper", [False, True])
+def test_moved_nonbasic_bound_is_adopted(at_upper):
+    # the nonbasic structural moves with the bound it rests at; the child
+    # adopts the tableau all the same and shifts the basic values
+    _, eng, root, c, lo, hi, j, _ = _child_lp()
+    k = next(k for k in range(eng.n) if k not in root.basis and root.at_upper[k] == at_upper)
     lo2, hi2 = _fix(lo, hi, j, lo[j])
-    start = root
-    if case == "nonbasic bound":
-        # the nonbasic structural moves with the bound it rests at
-        if root.at_upper[k]:
-            hi2[k] += 0.5
-        else:
-            lo2[k] -= 0.5
-    elif case == "other engine":
-        start = PreparedLp(**lp).solve(lo, hi, c, True)
+    if at_upper:
+        hi2[k] += 0.5
     else:
-        eng = PreparedLp(**lp, options=SimplexOptions(refactor_every=1))
-        root = eng.solve(lo, hi, c, True)
-        young = eng.solve(lo2, hi2, c, True, start=root)
-        assert root.tableau.age == 0 and young.inherited
-        start = replace(root, tableau=replace(root.tableau, age=1))
-    child = eng.solve(lo2, hi2, c, True, start=start)
-    assert not child.inherited and child.refactors >= 1
+        lo2[k] -= 0.5
+    child = eng.solve(lo2, hi2, c, True, start=root)
+    assert child.refactors == 0 and child.warm is WarmStart.USED
     _assert_same(child, eng.solve(lo2, hi2, c, True))
+
+
+def test_start_from_another_engine_is_invalid():
+    lp, eng, root, c, lo, hi, j, _ = _child_lp()
+    lo2, hi2 = _fix(lo, hi, j, lo[j])
+    other = PreparedLp(**lp).solve(lo, hi, c, True)  # equal rows, another engine
+    for start in (other, replace(root, tableau=None)):
+        with pytest.raises(InvalidArg):
+            eng.solve(lo2, hi2, c, True, start=start)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), m=st.integers(1, 20), maximize=st.booleans())
+def test_shifted_basic_values_are_the_refactorized_ones(seed, n, m, maximize):
+    # move the bounds of the nonbasic structurals only: the adopted basic
+    # values, before any pivot, are B^-1 (b - A_N x_N) at the new resting
+    # values, and the solve agrees with a cold one
+    rng = np.random.default_rng(seed)
+    c, A, senses, b, lo, hi = _random_lp(rng, n, m)
+    eng = PreparedLp(A, senses, b)
+    root = eng.solve(lo, hi, c, maximize)
+    assert root.status is LpStatus.OPTIMAL
+    lo2, hi2 = lo.copy(), hi.copy()
+    moved = [k for k in range(n) if k not in root.basis and rng.uniform() < 0.7]
+    assume(moved)
+    for k in moved:
+        lo2[k] -= rng.uniform(0, 1)
+        hi2[k] += rng.uniform(0, 1)
+    seen = []
+    dual, iterate = PreparedLp._dual, PreparedLp._iterate
+
+    def check(state, full_lo, full_hi):
+        if not seen:
+            x_nb = simplex._resting(state, full_lo, full_hi)
+            fresh = np.linalg.solve(eng.A[:, state.basis], eng.b - eng.A @ x_nb)
+            np.testing.assert_allclose(state.xB, fresh, rtol=0, atol=1e-9 * max(1.0, np.abs(fresh).max()))
+        seen.append(True)
+
+    def checked_dual(self, state, full_lo, full_hi, *args):
+        check(state, full_lo, full_hi)
+        return dual(self, state, full_lo, full_hi, *args)
+
+    def checked_iterate(self, state, A, full_lo, full_hi, *args):
+        if A is eng.A:  # not a cold phase 1's matrix
+            check(state, full_lo, full_hi)
+        return iterate(self, state, A, full_lo, full_hi, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PreparedLp, "_dual", checked_dual)
+        mp.setattr(PreparedLp, "_iterate", checked_iterate)
+        warm = eng.solve(lo2, hi2, c, maximize, start=root)
+    assert seen and warm.warm is not WarmStart.NONE
+    _assert_same(warm, eng.solve(lo2, hi2, c, maximize))
