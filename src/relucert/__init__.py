@@ -14,7 +14,6 @@ from .bounds import (
     Stability,
     StabilityMap,
     classify_neurons,
-    lp_tighten,
     propagate_bounds,
 )
 from .errors import (
@@ -33,6 +32,7 @@ from .milp import (
     MilpProblem,
     default_delta_cap,
     encode_network,
+    lp_tighten,
     set_robustness_objective,
     set_trust_problem,
     set_trust_target,

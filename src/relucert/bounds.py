@@ -1,8 +1,7 @@
-"""Activation bounds: interval propagation, stability classification, and
-optional LP tightening over the relaxed prefix network of the deeper hidden
-neurons whose phase the intervals leave open. The encoding reads bounds only
-to find the unstable neurons and to set their big-M, so every other interval
-is left as propagated (see `lp_tighten`)."""
+"""Activation bounds: input boxes, interval propagation and stability
+classification. The LP tightening of the intervals the propagation leaves
+open solves the relaxation of the MILP encoding, so it lives beside the
+encoder, in `milp.lp_tighten`."""
 
 from __future__ import annotations
 
@@ -11,13 +10,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidValue, NumericalBreakdown
+from .errors import DimensionMismatch, InvalidValue
 from .nnmodel import FoldedNetwork
-from .simplex import DenseRows, LpStatus, PreparedLp, SolveStats
-
-# keep a whisker of slack when adopting LP values so tightened bounds can
-# never clip a true activation through solver roundoff
-_TIGHTEN_SLACK = 1e-9
 
 
 class Stability(IntEnum):
@@ -178,126 +172,3 @@ def classify_neurons(lb: LayerBounds) -> StabilityMap:
         layers.append(s)
     return StabilityMap(layers=tuple(layers))
 
-
-# ---------------------------------------------------------------------------
-# LP tightening
-
-def _prefix_engine(net, k, work_lo, work_hi, box):
-    """LP over layers < k: variables z, pre_0..pre_{k-1}, post_0..post_{k-1},
-    with the triangle relaxation standing in for each unstable ReLU."""
-    n0 = net.input_dim
-    widths = [net.layers[j].width for j in range(k)]
-    pre_off, post_off = [], []
-    n = n0
-    for w in widths:
-        pre_off.append(n)
-        n += w
-    for w in widths:
-        post_off.append(n)
-        n += w
-    lo = np.empty(n)
-    hi = np.empty(n)
-    lo[:n0], hi[:n0] = box.lo, box.hi
-    rows = DenseRows(n)
-    for j in range(k):
-        layer = net.layers[j]
-        w = layer.width
-        llo, lhi = work_lo[j], work_hi[j]
-        lo[pre_off[j] : pre_off[j] + w] = llo
-        hi[pre_off[j] : pre_off[j] + w] = lhi
-        lo[post_off[j] : post_off[j] + w] = np.maximum(llo, 0.0)
-        hi[post_off[j] : post_off[j] + w] = np.maximum(lhi, 0.0)
-        src = (
-            np.arange(n0)
-            if j == 0
-            else np.arange(post_off[j - 1], post_off[j - 1] + net.layers[j - 1].width)
-        )
-        for t in range(w):
-            rows.add(
-                np.concatenate(([pre_off[j] + t], src)),
-                np.concatenate(([1.0], -layer.A[t])),
-                "=",
-                float(layer.c[t]),
-            )
-            p_i, h_i = pre_off[j] + t, post_off[j] + t
-            if llo[t] >= 0.0:
-                rows.add([h_i, p_i], [1.0, -1.0], "=", 0.0)
-            elif lhi[t] <= 0.0:
-                lo[h_i] = hi[h_i] = 0.0
-            else:
-                rows.add([p_i, h_i], [1.0, -1.0], "<=", 0.0)  # post >= pre
-                # upper envelope: (hmax-hmin) post - hmax pre <= -hmax hmin
-                rows.add(
-                    [h_i, p_i],
-                    [lhi[t] - llo[t], -lhi[t]],
-                    "<=",
-                    float(-lhi[t] * llo[t]),
-                )
-    eng = PreparedLp(*rows.arrays())
-    return eng, lo, hi, post_off
-
-
-def lp_tighten(
-    net: FoldedNetwork,
-    box: InputBox,
-    lb: LayerBounds,
-    stats: SolveStats | None = None,
-) -> LayerBounds:
-    """Tighten the deeper hidden layers' open intervals by maximizing and
-    minimizing each pre-activation over the relaxed prefix network.
-
-    Only an interval with `lo < 0 < hi` gets an LP, checked before each of
-    its two solves, so a neuron the intervals already decide gets none and a
-    neuron the max solve proves dead skips its min solve. The encoding needs
-    bounds only to tell unstable neurons apart and to set their big-M, so a
-    decided neuron's interval, the first layer's (already exact over a box)
-    and the outputs' come back as they came in: each is implied by the LP
-    relaxation of every B&B node, whose big-M rows for an unstable ReLU
-    form the same triangle as the prefix LP.
-
-    Results are clipped into the incoming intervals, so they are subsets and
-    stay sound; a failed solve keeps the incoming interval for that side.
-    The solves on one prefix share bounds and differ only in objective, so
-    each starts from the last optimal basis, which is still primal
-    feasible, and adopts its tableau. Each solve's work goes to `stats`.
-    """
-    if box.dim != net.input_dim:
-        raise DimensionMismatch("box dimension != network input dimension")
-    work_lo = [a.copy() for a in lb.pre_lo]
-    work_hi = [a.copy() for a in lb.pre_hi]
-
-    for k in range(1, len(net.layers) - 1):
-        layer = net.layers[k]
-        tgt_lo, tgt_hi = work_lo[k], work_hi[k]
-        if not np.any((tgt_lo < 0.0) & (tgt_hi > 0.0)):
-            continue
-        eng, lo, hi, post_off = _prefix_engine(net, k, work_lo, work_hi, box)
-        src = np.arange(post_off[k - 1], post_off[k - 1] + net.layers[k - 1].width)
-        start = None
-        for t in range(layer.width):
-            c = np.zeros(lo.shape[0])
-            c[src] = layer.A[t]
-            const = float(layer.c[t])
-            for maximize in (True, False):
-                if not tgt_lo[t] < 0.0 < tgt_hi[t]:
-                    break
-                try:
-                    sol = eng.solve(lo, hi, c, maximize, start=start)
-                except NumericalBreakdown:
-                    continue
-                if stats is not None:
-                    stats.add(sol)
-                if sol.status is not LpStatus.OPTIMAL:
-                    continue
-                start = sol
-                v = sol.objective + const
-                if maximize:
-                    tgt_hi[t] = min(tgt_hi[t], v + _TIGHTEN_SLACK)
-                else:
-                    tgt_lo[t] = max(tgt_lo[t], v - _TIGHTEN_SLACK)
-            if tgt_lo[t] > tgt_hi[t]:  # keep the pair ordered under roundoff
-                mid = 0.5 * (tgt_lo[t] + tgt_hi[t])
-                tgt_lo[t] = tgt_hi[t] = mid
-    return LayerBounds(
-        pre_lo=tuple(work_lo), pre_hi=tuple(work_hi), out_lo=lb.out_lo, out_hi=lb.out_hi
-    )

@@ -13,13 +13,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bnb import BnbOptions
-from .bounds import InputBox, Stability, classify_neurons, lp_tighten, propagate_bounds
+from .bounds import InputBox, Stability, classify_neurons, propagate_bounds
 from .errors import (
     DimensionMismatch,
     InvalidArg,
@@ -28,6 +28,7 @@ from .errors import (
     RelucertError,
     SolverFailure,
 )
+from .milp import lp_tighten
 from .nnmodel import fold_bn, forward, load_network, network_hash, save_network
 from .trainer import TrainConfig, evaluate, gen_synthetic, load_dataset, save_dataset, train
 from .verify import (
@@ -103,19 +104,10 @@ def _load_config(explicit: str | None) -> dict:
 
 
 def _bnb_options(args, cfg: dict) -> BnbOptions:
-    solver = cfg.get("solver", {})
-    rel_gap = args.gap if getattr(args, "gap", None) is not None else solver.get("rel_gap", 1e-6)
-    time_limit = (
-        args.time_limit
-        if getattr(args, "time_limit", None) is not None
-        else solver.get("time_limit_seconds")
-    )
-    return BnbOptions(
-        abs_gap=solver.get("abs_gap", 1e-8),
-        rel_gap=rel_gap,
-        node_limit=solver.get("node_limit"),
-        time_limit_seconds=time_limit,
-    )
+    """The config's solver options over `BnbOptions`' defaults, then the
+    command line's `--gap` and `--time-limit`."""
+    flags = {"rel_gap": getattr(args, "gap", None), "time_limit_seconds": getattr(args, "time_limit", None)}
+    return replace(BnbOptions(**cfg.get("solver", {})), **{k: v for k, v in flags.items() if v is not None})
 
 
 def _verify_options(args, cfg: dict) -> VerifyOptions:

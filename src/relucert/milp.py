@@ -1,9 +1,13 @@
-"""Mixed-integer encoding of a folded ReLU network over an input box.
+"""Mixed-integer encoding of a folded ReLU network over an input box, and
+the LP bound tightening that solves its relaxation.
 
-Variables: inputs z, per hidden layer pre-activations and post-activations,
-outputs x, one binary per unstable neuron, and optionally a perturbation
-radius for trust queries. Every variable carries finite bounds taken from
-the activation-bound analysis, which double as big-M constants.
+Variables: inputs z; per hidden layer, a pre-activation for each unstable
+neuron, a post-activation for every neuron and one binary per unstable
+neuron; outputs x; and optionally a perturbation radius for trust queries.
+Every variable carries finite bounds taken from the activation-bound
+analysis, which double as big-M constants. A stable neuron is written
+once: an active neuron's post-activation is its affine row, and a dead
+neuron's is fixed at 0 by its bounds and has no row.
 
 The constraints are held as the simplex engine takes them: a read-only
 dense matrix `rows`, one row per constraint over the variables, with a
@@ -14,6 +18,10 @@ point's radius. The base encoding is immutable
 (read-only arrays, tuple senses and names, a read-only role map), so the
 subproblems built on it share it uncopied, and the engine is built from
 it without a copy per row.
+
+`lp_tighten` bounds a hidden layer's pre-activations by the LP relaxation
+of this same encoding, taken over the network cut after that layer's
+affine map, so tightening and branch and bound read one model.
 """
 
 from __future__ import annotations
@@ -24,10 +32,14 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .bounds import InputBox, LayerBounds, Stability, StabilityMap
-from .errors import DimensionMismatch, InvalidArg, UnsoundBounds
+from .bounds import InputBox, LayerBounds, Stability, StabilityMap, classify_neurons
+from .errors import DimensionMismatch, InvalidArg, NumericalBreakdown, UnsoundBounds
 from .nnmodel import FoldedNetwork
-from .simplex import DenseRows
+from .simplex import DenseRows, LpStatus, SolveStats, prepare, relaxed_bounds
+
+# keep a whisker of slack when adopting LP values so tightened bounds can
+# never clip a true activation through solver roundoff
+_TIGHTEN_SLACK = 1e-9
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -66,10 +78,12 @@ def encode_network(
     """Constraint system whose feasible points are exactly the network's
     input/activation/output tuples over the box, given the stability fixing.
 
-    Unstable neurons get three rows tied to a binary indicator, plus the
-    post variable's lower bound of 0; the neuron's own interval supplies the
-    big-M constants. Active neurons collapse to an
-    equality, dead neurons to a zero-fixed variable.
+    An unstable neuron gets a pre-activation column `hp` with its affine
+    row, and three rows tied to a binary indicator, plus the post variable's
+    lower bound of 0; the neuron's own interval supplies the big-M
+    constants. An active neuron's affine row defines its post variable
+    directly, and a dead neuron has no row: its post variable is fixed at 0.
+    The affine rows come layer by layer, then the big-M rows.
     """
     if box.dim != net.input_dim:
         raise DimensionMismatch("box dimension != network input dimension")
@@ -99,13 +113,13 @@ def encode_network(
         roles[role] = j
         return j
 
+    unstable = [np.flatnonzero(s == Stability.UNSTABLE).tolist() for s in sm.layers]
     for j in range(n0):
         add_var(f"z{j + 1}", box.lo[j], box.hi[j], ("input", j))
     for k in range(net.num_hidden):
-        w = net.layers[k].width
-        for t in range(w):
+        for t in unstable[k]:
             add_var(f"hp{k + 1}_{t + 1}", lb.pre_lo[k][t], lb.pre_hi[k][t], ("pre", k, t))
-        for t in range(w):
+        for t in range(net.layers[k].width):
             s = Stability(sm.layers[k][t])
             if s is Stability.DEAD:
                 plo = phi = 0.0
@@ -114,38 +128,37 @@ def encode_network(
             else:
                 plo, phi = 0.0, max(lb.pre_hi[k][t], 0.0)
             add_var(f"h{k + 1}_{t + 1}", plo, phi, ("post", k, t))
-        for t in range(w):
-            if Stability(sm.layers[k][t]) is Stability.UNSTABLE:
-                add_var(f"r{k + 1}_{t + 1}", 0.0, 1.0, ("bin", k, t), is_bin=True)
+        for t in unstable[k]:
+            add_var(f"r{k + 1}_{t + 1}", 0.0, 1.0, ("bin", k, t), is_bin=True)
     for i in range(net.num_outputs):
         add_var(f"x{i + 1}", lb.out_lo[i], lb.out_hi[i], ("output", i))
 
     rows = DenseRows(len(names))
     for k, layer in enumerate(net.layers):
-        is_out = k == net.num_hidden
         src = (
             [roles[("input", j)] for j in range(n0)]
             if k == 0
             else [roles[("post", k - 1, t)] for t in range(net.layers[k - 1].width)]
         )
         for t in range(layer.width):
-            lhs = roles[("output", t)] if is_out else roles[("pre", k, t)]
+            if k == net.num_hidden:
+                lhs = roles[("output", t)]
+            elif sm.layers[k][t] == Stability.DEAD:
+                continue
+            else:  # an unstable neuron's hp, an active neuron's h
+                lhs = roles.get(("pre", k, t), roles[("post", k, t)])
             rows.add([lhs] + src, np.concatenate(([1.0], -layer.A[t])), "=", layer.c[t])
     for k in range(net.num_hidden):
-        for t in range(net.layers[k].width):
-            s = Stability(sm.layers[k][t])
+        for t in unstable[k]:
             p_i = roles[("pre", k, t)]
             h_i = roles[("post", k, t)]
-            if s is Stability.ACTIVE:
-                rows.add([h_i, p_i], [1.0, -1.0], "=", 0.0)
-            elif s is Stability.UNSTABLE:
-                r_i = roles[("bin", k, t)]
-                hmin = float(lb.pre_lo[k][t])
-                hmax = float(lb.pre_hi[k][t])
-                rows.add([h_i, p_i, r_i], [1.0, -1.0, -hmin], "<=", -hmin)  # h <= hpre - hmin (1 - r)
-                rows.add([h_i, p_i], [1.0, -1.0], ">=", 0.0)  # h >= hpre
-                rows.add([h_i, r_i], [1.0, -hmax], "<=", 0.0)  # h <= hmax r
-                # h >= 0 needs no row: the post variable's lower bound is 0
+            r_i = roles[("bin", k, t)]
+            hmin = float(lb.pre_lo[k][t])
+            hmax = float(lb.pre_hi[k][t])
+            rows.add([h_i, p_i, r_i], [1.0, -1.0, -hmin], "<=", -hmin)  # h <= hpre - hmin (1 - r)
+            rows.add([h_i, p_i], [1.0, -1.0], ">=", 0.0)  # h >= hpre
+            rows.add([h_i, r_i], [1.0, -hmax], "<=", 0.0)  # h <= hmax r
+            # h >= 0 needs no row: the post variable's lower bound is 0
     a, senses, rhs = rows.arrays()
     return MilpProblem(
         lo=_read_only(np.array(lo_l)),
@@ -158,6 +171,77 @@ def encode_network(
         network=net,
         var_roles=MappingProxyType(roles),
         var_names=tuple(names),
+    )
+
+
+def lp_tighten(
+    net: FoldedNetwork,
+    box: InputBox,
+    lb: LayerBounds,
+    stats: SolveStats | None = None,
+) -> LayerBounds:
+    """Tighten the deeper hidden layers' open intervals by maximizing and
+    minimizing each pre-activation over the LP relaxation of the encoding.
+
+    For hidden layer `k`, the network is cut after layer `k`'s affine map,
+    so its outputs are layer `k`'s pre-activations, and encoded with the
+    working bounds of the layers before `k` and layer `k`'s current
+    intervals as output bounds. With each binary relaxed to [0, 1], an
+    unstable neuron's big-M rows give exactly its triangle relaxation, the
+    same triangle every B&B node's relaxation holds.
+
+    Only an interval with `lo < 0 < hi` gets an LP, checked before each of
+    its two solves, so a neuron the intervals already decide gets none and a
+    neuron the max solve proves dead skips its min solve. The encoding needs
+    bounds only to tell unstable neurons apart and to set their big-M, so a
+    decided neuron's interval, the first layer's (already exact over a box)
+    and the outputs' come back as they came in.
+
+    Results are clipped into the incoming intervals, so they are subsets and
+    stay sound; a failed solve keeps the incoming interval for that side.
+    The solves on one cut share bounds and differ only in objective, so
+    each starts from the last optimal basis, which is still primal
+    feasible, and adopts its tableau. Each solve's work goes to `stats`.
+    """
+    if box.dim != net.input_dim:
+        raise DimensionMismatch("box dimension != network input dimension")
+    work_lo = [a.copy() for a in lb.pre_lo]
+    work_hi = [a.copy() for a in lb.pre_hi]
+
+    for k in range(1, net.num_hidden):
+        tgt_lo, tgt_hi = work_lo[k], work_hi[k]
+        if not np.any((tgt_lo < 0.0) & (tgt_hi > 0.0)):
+            continue
+        cut_lb = LayerBounds(pre_lo=tuple(work_lo[:k]), pre_hi=tuple(work_hi[:k]), out_lo=tgt_lo, out_hi=tgt_hi)
+        cut = FoldedNetwork(layers=net.layers[: k + 1], input_dim=net.input_dim)
+        p = encode_network(cut, cut_lb, classify_neurons(cut_lb), box)
+        eng = prepare(p)
+        lo, hi = relaxed_bounds(p)
+        start = None
+        for t in range(cut.num_outputs):
+            c = np.zeros(p.num_vars)
+            c[p.var_roles[("output", t)]] = 1.0
+            for maximize in (True, False):
+                if not tgt_lo[t] < 0.0 < tgt_hi[t]:
+                    break
+                try:
+                    sol = eng.solve(lo, hi, c, maximize, start=start)
+                except NumericalBreakdown:
+                    continue
+                if stats is not None:
+                    stats.add(sol)
+                if sol.status is not LpStatus.OPTIMAL:
+                    continue
+                start = sol
+                if maximize:
+                    tgt_hi[t] = min(tgt_hi[t], sol.objective + _TIGHTEN_SLACK)
+                else:
+                    tgt_lo[t] = max(tgt_lo[t], sol.objective - _TIGHTEN_SLACK)
+            if tgt_lo[t] > tgt_hi[t]:  # keep the pair ordered under roundoff
+                mid = 0.5 * (tgt_lo[t] + tgt_hi[t])
+                tgt_lo[t] = tgt_hi[t] = mid
+    return LayerBounds(
+        pre_lo=tuple(work_lo), pre_hi=tuple(work_hi), out_lo=lb.out_lo, out_hi=lb.out_hi
     )
 
 

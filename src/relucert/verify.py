@@ -18,11 +18,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bnb import BnbOptions, BnbStatus, solve_milp
-from .bounds import InputBox, classify_neurons, lp_tighten, propagate_bounds
+from .bounds import InputBox, classify_neurons, propagate_bounds
 from .errors import DimensionMismatch, InvalidArg, InvalidValue, NumericalBreakdown
 from .milp import (
     default_delta_cap,
     encode_network,
+    lp_tighten,
     set_robustness_objective,
     set_trust_problem,
     set_trust_target,

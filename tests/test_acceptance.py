@@ -16,13 +16,13 @@ from relucert.bounds import (
     InputBox,
     StabilityMap,
     classify_neurons,
-    lp_tighten,
     propagate_bounds,
 )
 from relucert.cli import main
 from relucert.milp import (
     default_delta_cap,
     encode_network,
+    lp_tighten,
     set_robustness_objective,
     set_trust_problem,
     set_trust_target,

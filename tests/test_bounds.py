@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from relucert.bounds import (
     InputBox,
@@ -9,12 +10,11 @@ from relucert.bounds import (
     Stability,
     StabilityMap,
     classify_neurons,
-    lp_tighten,
     propagate_bounds,
 )
-from relucert import bounds
+from relucert import milp
 from relucert.errors import DimensionMismatch, InvalidValue, NumericalBreakdown
-from relucert.milp import encode_network, set_robustness_objective
+from relucert.milp import encode_network, lp_tighten, set_robustness_objective
 from relucert.nnmodel import AffineLayer, FoldedNetwork, fold_bn, forward, forward_layers
 from relucert.simplex import LpSolution, LpStatus, PreparedLp, SolveStats, solve_lp
 
@@ -170,24 +170,28 @@ def test_lp_tighten_solves_only_open_neurons(monkeypatch):
         [Stability.ACTIVE, Stability.DEAD],
     ]
     built, objectives = [], []
-    engine, solve = bounds._prefix_engine, PreparedLp.solve
+    prepare, solve = milp.prepare, PreparedLp.solve
 
-    def spy_engine(net, k, *args):
-        built.append(k)
-        return engine(net, k, *args)
+    def spy_prepare(p):
+        built.append(p)
+        return prepare(p)
 
     def spy_solve(self, lo, hi, c, maximize, **kwargs):
-        objectives.append(c[c != 0.0])
+        objectives.append(c)
         return solve(self, lo, hi, c, maximize, **kwargs)
 
-    monkeypatch.setattr(bounds, "_prefix_engine", spy_engine)
+    monkeypatch.setattr(milp, "prepare", spy_prepare)
     monkeypatch.setattr(PreparedLp, "solve", spy_solve)
     stats = SolveStats()
     tl = lp_tighten(net, box, lb, stats)
-    assert built == [1]  # no engine for the layer without open neurons
+    # one engine, on the network cut after layer 2's affine map, and none
+    # for the layer without open neurons
+    assert len(built) == 1 and built[0].network.layers == net.layers[:2]
     # the open neuron's max and min, and nothing for decided neurons or outputs
+    unit = np.zeros(built[0].num_vars)
+    unit[built[0].var_roles[("output", 0)]] = 1.0
     assert len(objectives) == stats.lp_solves == 2
-    assert all(np.array_equal(c, net.layers[1].A[0]) for c in objectives)
+    assert all(np.array_equal(c, unit) for c in objectives)
     assert tl.pre_hi[1][0] == pytest.approx(0.75 + 1e-9, abs=1e-12)  # interval: 1.0
     for k in (0, 2):
         assert np.array_equal(tl.pre_lo[k], lb.pre_lo[k])
@@ -289,6 +293,78 @@ def test_lp_tighten_reduces_unstable_count_sometimes():
         before += b
         after += a
     assert after <= before
+
+
+def _triangle_extreme(net, k, t, bounds, box, maximize):
+    """Max or min of layer `k`'s pre-activation `t` over the triangle
+    relaxation of layers < k, written straight from the folded weights and
+    solved by HiGHS. Variables: inputs, then per layer its pre- and
+    post-activations, each neuron's interval `bounds[j]` bounding its
+    pre-activation."""
+    n0 = net.input_dim
+    widths = [net.layers[j].width for j in range(k)]
+    n = n0 + 2 * sum(widths)
+    lo, hi = list(box.lo), list(box.hi)
+    eq, eq_b, ub, ub_b = [], [], [], []
+    prev = list(range(n0))
+    col = n0
+    for j, w in enumerate(widths):
+        pre, post = list(range(col, col + w)), list(range(col + w, col + 2 * w))
+        col += 2 * w
+        l, u = bounds[j]
+        lo += list(l) + list(np.maximum(l, 0.0))
+        hi += list(u) + list(np.maximum(u, 0.0))
+        for i in range(w):
+            row = np.zeros(n)
+            row[pre[i]], row[prev] = 1.0, -net.layers[j].A[i]
+            eq.append(row), eq_b.append(net.layers[j].c[i])  # pre = A h_prev + c
+            row = np.zeros(n)
+            if l[i] >= 0.0:  # active: post = pre
+                row[post[i]], row[pre[i]] = 1.0, -1.0
+                eq.append(row), eq_b.append(0.0)
+            elif u[i] > 0.0:  # unstable: post >= pre, and below the chord
+                row[pre[i]], row[post[i]] = 1.0, -1.0
+                ub.append(row), ub_b.append(0.0)
+                row = np.zeros(n)
+                row[post[i]], row[pre[i]] = u[i] - l[i], -u[i]
+                ub.append(row), ub_b.append(-u[i] * l[i])
+            # dead: post is fixed at 0 by its bounds
+        prev = post
+    c = np.zeros(n)
+    c[prev] = net.layers[k].A[t]
+    res = linprog(-c if maximize else c, A_ub=np.array(ub) if ub else None, b_ub=ub_b or None,
+                  A_eq=np.array(eq), b_eq=eq_b, bounds=list(zip(lo, hi)), method="highs")
+    assert res.status == 0
+    return (-res.fun if maximize else res.fun) + net.layers[k].c[t]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lp_tighten_is_the_triangle_relaxation(seed):
+    """Each open neuron's tightened interval is its max and min over the
+    triangle relaxation of the layers before it, at the tightened bounds of
+    those layers, plus the slack; a max that proves the neuron dead leaves
+    its lower end as it came. HiGHS solves the relaxation, built here from
+    the folded weights, so a big-M row or bound of the encoding that left
+    the envelope shows."""
+    rng = np.random.default_rng(seed)
+    net = fold_bn(random_spec(rng, n0=int(rng.integers(2, 4)), widths=(5,) * int(rng.integers(2, 4)),
+                              m=2, unit_norm=True))
+    centre = rng.uniform(0.2, 0.8, net.input_dim)
+    opened = 0
+    for box in (InputBox.unit(net.input_dim), InputBox.ball(centre, 0.15)):
+        lb = propagate_bounds(net, box)
+        tl = lp_tighten(net, box, lb)
+        bounds = list(zip(tl.pre_lo, tl.pre_hi))
+        for k in range(1, net.num_hidden):
+            for t in np.flatnonzero((lb.pre_lo[k] < 0.0) & (lb.pre_hi[k] > 0.0)):
+                opened += 1
+                hi = min(lb.pre_hi[k][t], _triangle_extreme(net, k, t, bounds, box, True) + 1e-9)
+                lo = lb.pre_lo[k][t]
+                if hi > 0.0:
+                    lo = max(lo, _triangle_extreme(net, k, t, bounds, box, False) - 1e-9)
+                assert tl.pre_hi[k][t] == pytest.approx(hi, abs=1e-7)
+                assert tl.pre_lo[k][t] == pytest.approx(lo, abs=1e-7)
+    assert opened
 
 
 def test_bounds_dimension_check(e1):

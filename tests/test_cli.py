@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import relucert
-from relucert.cli import main
+from relucert.bnb import BnbOptions
+from relucert.cli import _bnb_options, main
 from relucert.nnmodel import fold_bn, forward, load_network
 from relucert.verify import OutputRobustness
 
@@ -558,16 +559,21 @@ def wide(workdir):
 def test_relabelled_node_limited_report_fails_above_the_old_cap(wide, workdir, tmp_path, capsys):
     """A trust report cut short by the node limit, its gap_limit outputs
     relabelled certified, fails the check on a network enumeration cannot
-    reach."""
+    reach. Which limit leaves an output with an incumbent but an open gap
+    depends on the LP vertices the search lands on, so the limit rises
+    until one does."""
     net, q = wide
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"solver": {"node_limit": 5}}))
     out = tmp_path / "limited.json"
-    assert main(["verify-trust", "--network", str(net), "--queries", q, "--out", str(out),
-                 "--config", str(cfg)]) == 0
-    rep = json.loads(out.read_text())
-    limited = [o for o in rep["queries"][0]["per_output"] if o["status"] == "gap_limit"]
-    assert limited
+    for node_limit in (2**e for e in range(1, 8)):
+        cfg.write_text(json.dumps({"solver": {"node_limit": node_limit}}))
+        assert main(["verify-trust", "--network", str(net), "--queries", q, "--out", str(out),
+                     "--config", str(cfg)]) == 0
+        rep = json.loads(out.read_text())
+        limited = [o for o in rep["queries"][0]["per_output"] if o["status"] == "gap_limit"]
+        if limited:
+            break
+    assert limited, "no node limit up to 128 left a gap_limit output"
     for o in limited:
         o["status"] = "certified"
     out.write_text(json.dumps(rep))
@@ -758,6 +764,20 @@ def test_config_file_and_env(workdir, monkeypatch, tmp_path):
     assert main(["verify-robust", "--network", str(workdir / "net.json"),
                  "--queries", qpath, "--out", str(out), "--gap", "1e-3"]) == 0
     assert json.loads(out.read_text())["queries"][0]["provenance"]["solver"]["rel_gap"] == 1e-3
+
+
+def test_solver_options_default_to_bnb_options():
+    # the defaults live in BnbOptions alone: no config and no flags give it
+    # as it is, and a flag overrides the config's value
+    assert _bnb_options(SimpleNamespace(gap=None, time_limit=None), {}) == BnbOptions()
+    assert _bnb_options(SimpleNamespace(), {}) == BnbOptions()  # a verb without the flags
+    cfg = {"solver": {"rel_gap": 1e-4, "node_limit": 7, "time_limit_seconds": 5.0}}
+    assert _bnb_options(SimpleNamespace(gap=1e-3, time_limit=None), cfg) == BnbOptions(
+        rel_gap=1e-3, node_limit=7, time_limit_seconds=5.0
+    )
+    assert _bnb_options(SimpleNamespace(gap=None, time_limit=2.0), cfg) == BnbOptions(
+        rel_gap=1e-4, node_limit=7, time_limit_seconds=2.0
+    )
 
 
 def _python(*args) -> subprocess.CompletedProcess:

@@ -14,7 +14,7 @@ from relucert.milp import (
     set_trust_target,
     to_lp_text,
 )
-from relucert.nnmodel import FoldedNetwork, HiddenLayer, NetworkSpec, OutputLayer, fold_bn
+from relucert.nnmodel import AffineLayer, FoldedNetwork, HiddenLayer, NetworkSpec, OutputLayer, fold_bn
 from relucert.simplex import LpStatus, solve_lp
 
 from conftest import identity_bn
@@ -101,6 +101,43 @@ def test_e1_row_layout(e1):
     assert np.array_equal(p.rows, rows)
     assert p.senses == tuple(sense for _, sense, _ in layout)
     assert p.rhs.tolist() == [b for _, _, b in layout]
+
+
+def test_a_stable_neuron_is_written_once():
+    """Over z in [0, 1]: h1_1 = relu(z + 0.5) is active, h1_2 = relu(-z - 0.5)
+    dead and h1_3 = relu(z - 0.5) unstable. Only the unstable neuron has a
+    pre-activation column; the active one's affine row defines its post
+    variable, and the dead one has no row, its post variable fixed at 0."""
+    net = FoldedNetwork(
+        layers=(
+            AffineLayer(A=np.array([[1.0], [-1.0], [1.0]]), c=np.array([0.5, -0.5, -0.5])),
+            AffineLayer(A=np.ones((1, 3)), c=np.zeros(1)),
+        ),
+        input_dim=1,
+    )
+    p, lb = encode_on_box(net, InputBox.unit(1))
+    assert list(classify_neurons(lb).layers[0]) == [Stability.ACTIVE, Stability.DEAD, Stability.UNSTABLE]
+    assert p.var_names == ("z1", "hp1_3", "h1_1", "h1_2", "h1_3", "r1_3", "x1")
+    assert [r for r in p.var_roles if r[0] == "pre"] == [("pre", 0, 2)]
+    h1_2 = p.var_roles[("post", 0, 1)]
+    assert p.lo[h1_2] == p.hi[h1_2] == 0.0
+    layout = [
+        ({"h1_1": 1.0, "z1": -1.0}, "=", 0.5),  # the active neuron: one row
+        ({"hp1_3": 1.0, "z1": -1.0}, "=", -0.5),
+        ({"x1": 1.0, "h1_1": -1.0, "h1_2": -1.0, "h1_3": -1.0}, "=", 0.0),
+        ({"h1_3": 1.0, "hp1_3": -1.0, "r1_3": 0.5}, "<=", 0.5),
+        ({"h1_3": 1.0, "hp1_3": -1.0}, ">=", 0.0),
+        ({"h1_3": 1.0, "r1_3": -0.5}, "<=", 0.0),
+    ]
+    rows = np.zeros((len(layout), p.num_vars))
+    for i, (coef, _, _) in enumerate(layout):
+        for name, v in coef.items():
+            rows[i, p.var_names.index(name)] = v
+    assert np.array_equal(p.rows, rows)
+    assert p.senses == tuple(sense for _, sense, _ in layout)
+    assert p.rhs.tolist() == [b for _, _, b in layout]
+    text = to_lp_text(p)
+    assert "hp1_3" in text and "hp1_1" not in text and "hp1_2" not in text
 
 
 def test_all_active_network_is_pure_lp():

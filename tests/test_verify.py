@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relucert.bnb import BnbOptions
-from relucert.bounds import InputBox, LayerBounds, _prefix_engine, propagate_bounds
+from relucert.bounds import InputBox, LayerBounds, classify_neurons, propagate_bounds
 from relucert.errors import DimensionMismatch, InvalidArg, InvalidValue
-from relucert.milp import default_delta_cap
-from relucert.nnmodel import fold_bn, forward
-from relucert.simplex import LpStatus
+from relucert.milp import default_delta_cap, encode_network
+from relucert.nnmodel import FoldedNetwork, fold_bn, forward
+from relucert.simplex import LpStatus, prepare, relaxed_bounds
 from relucert.verify import (
     BatchRobustness,
     VerificationQuery,
@@ -478,21 +478,25 @@ def test_trust_node_limit_bounds_each_outputs_pair():
 
 def _tighten_everything(net, box, lb, stats=None):
     """Reference tightening: both LPs for every deeper hidden neuron and every
-    output, decided or not, each solved cold."""
+    output, decided or not, each solved cold over the relaxed encoding of
+    the network cut after that layer's affine map."""
     work_lo = [a.copy() for a in lb.pre_lo] + [lb.out_lo.copy()]
     work_hi = [a.copy() for a in lb.pre_hi] + [lb.out_hi.copy()]
     for k in range(1, len(net.layers)):
-        eng, lo, hi, post_off = _prefix_engine(net, k, work_lo, work_hi, box)
-        src = slice(post_off[k - 1], post_off[k - 1] + net.layers[k - 1].width)
-        for t, (a, const) in enumerate(zip(net.layers[k].A, net.layers[k].c)):
-            c = np.zeros(lo.shape[0])
-            c[src] = a
+        cut_lb = LayerBounds(pre_lo=tuple(work_lo[:k]), pre_hi=tuple(work_hi[:k]),
+                             out_lo=work_lo[k].copy(), out_hi=work_hi[k].copy())
+        cut = FoldedNetwork(layers=net.layers[: k + 1], input_dim=net.input_dim)
+        p = encode_network(cut, cut_lb, classify_neurons(cut_lb), box)
+        eng, (lo, hi) = prepare(p), relaxed_bounds(p)
+        for t in range(cut.num_outputs):
+            c = np.zeros(p.num_vars)
+            c[p.var_roles[("output", t)]] = 1.0
             top = eng.solve(lo, hi, c, True)
             bottom = eng.solve(lo, hi, c, False)
             if top.status is LpStatus.OPTIMAL:
-                work_hi[k][t] = min(work_hi[k][t], top.objective + const + 1e-9)
+                work_hi[k][t] = min(work_hi[k][t], top.objective + 1e-9)
             if bottom.status is LpStatus.OPTIMAL:
-                work_lo[k][t] = max(work_lo[k][t], bottom.objective + const - 1e-9)
+                work_lo[k][t] = max(work_lo[k][t], bottom.objective - 1e-9)
             if work_lo[k][t] > work_hi[k][t]:
                 work_lo[k][t] = work_hi[k][t] = 0.5 * (work_lo[k][t] + work_hi[k][t])
     return LayerBounds(

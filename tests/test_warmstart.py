@@ -11,11 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from relucert import bnb, simplex, verify
+from relucert import bnb, milp, simplex, verify
 from relucert.bnb import solve_milp
-from relucert.bounds import InputBox, classify_neurons, lp_tighten, propagate_bounds
+from relucert.bounds import InputBox, classify_neurons, propagate_bounds
 from relucert.errors import InvalidArg, NumericalBreakdown
-from relucert.milp import encode_network, set_robustness_objective
+from relucert.milp import encode_network, lp_tighten, set_robustness_objective
 from relucert.nnmodel import fold_bn, forward
 from relucert.simplex import (
     LpSolution,
@@ -468,11 +468,11 @@ def test_root_start_must_come_from_the_problems_rows(e1):
 def _spy_query(monkeypatch, run, net, q):
     """Run `run` (`robustness` or `trustworthiness`), recording every solve
     of the LP engine, (start, solution), each `solve_milp` call,
-    (root_start, result), and every engine `bnb` prepares and `verify`'s
-    shared solve, `solve_lp`, prepares."""
-    solve, milp = PreparedLp.solve, verify.solve_milp
+    (root_start, result), and every engine `bnb` prepares, `verify`'s
+    shared solve, `solve_lp`, prepares and `lp_tighten` prepares."""
+    solve, search = PreparedLp.solve, verify.solve_milp
     solves, subproblems = [], []
-    prepared = {"verify": 0, "bnb": 0}
+    prepared = {"verify": 0, "bnb": 0, "tighten": 0}
 
     def spying_prepare(module, name):
         prepare = module.prepare
@@ -489,7 +489,7 @@ def _spy_query(monkeypatch, run, net, q):
         return sol
 
     def spy_milp(p, opts=None, root_start=None, **kwargs):
-        res = milp(p, opts, root_start, **kwargs)
+        res = search(p, opts, root_start, **kwargs)
         subproblems.append((root_start, res))
         return res
 
@@ -497,9 +497,17 @@ def _spy_query(monkeypatch, run, net, q):
     monkeypatch.setattr(verify, "solve_milp", spy_milp)
     spying_prepare(simplex, "verify")
     spying_prepare(bnb, "bnb")
+    spying_prepare(milp, "tighten")
     res = run(net, q)
     monkeypatch.undo()
     return res, solves, subproblems, prepared
+
+
+def _open_layers(net, box):
+    """The hidden layers past the first that interval propagation over
+    `box` leaves an open neuron in: `lp_tighten` builds one engine each."""
+    lb = propagate_bounds(net, box)
+    return sum(bool(np.any((lo < 0.0) & (hi > 0.0))) for lo, hi in zip(lb.pre_lo[1:], lb.pre_hi[1:]))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -507,12 +515,14 @@ def test_robustness_roots_skip_phase_1(monkeypatch, seed):
     rng = np.random.default_rng(seed)
     net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
     q = verify.VerificationQuery(z_ref=[0.5, 0.5, 0.5], x_ref=[0.0, 0.0], alpha=0.3)
+    box = InputBox.ball(q.z_ref, q.alpha)
     res, solves, subproblems, prepared = _spy_query(monkeypatch, verify.robustness, net, q)
     root_start = subproblems[0][0]
     shared = [sol for start, sol in solves if sol is root_start]
     assert len(shared) == 1 and shared[0].warm is WarmStart.NONE
     assert all(start is root_start for start, _ in subproblems)
-    assert prepared == {"verify": 1, "bnb": 0}  # one engine for the whole query
+    # one engine for the whole search, and one per tightened layer
+    assert prepared == {"verify": 1, "bnb": 0, "tighten": _open_layers(net, box)}
     assert all(r.stats.phase1_pivots == 0 for _, r in subproblems)
     assert res.stats["phase1_pivots"] == shared[0].phase1_pivots > 0
     assert res.stats["lp_solves"] == res.stats["nodes"] + 1
@@ -528,13 +538,15 @@ def test_trust_roots_skip_phase_1(monkeypatch, seed):
     net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
     z_ref = np.full(3, 0.5)
     q = verify.VerificationQuery(z_ref=z_ref, x_ref=forward(net, z_ref), beta=0.2)
+    box = InputBox.unit(3)
     res, solves, subproblems, prepared = _spy_query(monkeypatch, verify.trustworthiness, net, q)
     root_start = subproblems[0][0]
     shared = [sol for start, sol in solves if sol is root_start]
     assert len(shared) == 1 and shared[0].warm is WarmStart.NONE
     assert len(subproblems) == net.num_outputs and res.stats["subproblems"] == 2 * net.num_outputs
     assert all(start is root_start for start, _ in subproblems)
-    assert prepared == {"verify": 1, "bnb": 0}  # one engine for the whole query
+    # one engine for the whole search, and one per tightened layer
+    assert prepared == {"verify": 1, "bnb": 0, "tighten": _open_layers(net, box)}
     assert all(r.stats.phase1_pivots == 0 for _, r in subproblems)
     assert res.stats["phase1_pivots"] == shared[0].phase1_pivots > 0
     assert res.stats["lp_solves"] == res.stats["nodes"] + 1
