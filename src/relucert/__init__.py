@@ -26,7 +26,6 @@ from .errors import (
     RelucertError,
     SolverFailure,
     TooManyUnstable,
-    UnsoundBounds,
 )
 from .milp import (
     MilpProblem,
@@ -128,7 +127,6 @@ __all__ = [
     "TrainConfig",
     "TrustResult",
     "TrustSpec",
-    "UnsoundBounds",
     "VerificationQuery",
     "VerifyOptions",
     "classify_neurons",

@@ -1,7 +1,8 @@
 """Activation bounds: input boxes, interval propagation and stability
 classification. The LP tightening of the intervals the propagation leaves
 open solves the relaxation of the MILP encoding, so it lives beside the
-encoder, in `milp.lp_tighten`."""
+encoder, in `milp.lp_tighten`. Boxes and bounds are read-only copies,
+checked when built; the unit domain is `nnmodel.in_unit_domain`'s."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidValue
-from .nnmodel import FoldedNetwork
+from .nnmodel import FoldedNetwork, in_unit_domain, read_only_copy
 
 
 class Stability(IntEnum):
@@ -29,18 +30,15 @@ class InputBox:
     require_unit: bool = True
 
     def __post_init__(self):
-        lo = np.array(self.lo, dtype=float)
-        hi = np.array(self.hi, dtype=float)
+        lo, hi = read_only_copy(self.lo), read_only_copy(self.hi)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise DimensionMismatch("box lo/hi must be vectors of equal length")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise InvalidValue("box bounds must be finite")
         if np.any(lo > hi):
             raise InvalidValue("box needs lo <= hi elementwise")
-        if self.require_unit and (np.any(lo < -1e-12) or np.any(hi > 1.0 + 1e-12)):
+        if self.require_unit and not (in_unit_domain(lo) and in_unit_domain(hi)):
             raise InvalidValue("box must lie inside the unit box")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -67,7 +65,8 @@ class InputBox:
 
 @dataclass(frozen=True)
 class LayerBounds:
-    """Pre-activation intervals per hidden layer plus output intervals."""
+    """Pre-activation intervals per hidden layer plus output intervals. The
+    arrays are read-only copies, so bounds checked here stay valid."""
 
     pre_lo: tuple[np.ndarray, ...]
     pre_hi: tuple[np.ndarray, ...]
@@ -75,8 +74,8 @@ class LayerBounds:
     out_hi: np.ndarray
 
     def __post_init__(self):
-        pre_lo = tuple(np.asarray(a, dtype=float) for a in self.pre_lo)
-        pre_hi = tuple(np.asarray(a, dtype=float) for a in self.pre_hi)
+        pre_lo = tuple(read_only_copy(a) for a in self.pre_lo)
+        pre_hi = tuple(read_only_copy(a) for a in self.pre_hi)
         if len(pre_lo) != len(pre_hi):
             raise DimensionMismatch("pre_lo/pre_hi layer counts differ")
         for lo, hi in zip(pre_lo, pre_hi):
@@ -84,8 +83,7 @@ class LayerBounds:
                 raise DimensionMismatch("layer bound vectors differ in length")
             if np.any(lo > hi):
                 raise InvalidValue("layer bounds need hmin <= hmax")
-        out_lo = np.asarray(self.out_lo, dtype=float)
-        out_hi = np.asarray(self.out_hi, dtype=float)
+        out_lo, out_hi = read_only_copy(self.out_lo), read_only_copy(self.out_hi)
         if out_lo.shape != out_hi.shape or np.any(out_lo > out_hi):
             raise InvalidValue("output bounds need lo <= hi")
         object.__setattr__(self, "pre_lo", pre_lo)

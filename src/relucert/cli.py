@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bnb import BnbOptions
-from .bounds import InputBox, Stability, classify_neurons, propagate_bounds
+from .bounds import InputBox, Stability
 from .errors import (
     DimensionMismatch,
     InvalidArg,
@@ -28,13 +28,13 @@ from .errors import (
     RelucertError,
     SolverFailure,
 )
-from .milp import lp_tighten
-from .nnmodel import fold_bn, forward, load_network, network_hash, save_network
+from .nnmodel import fold_bn, forward_layers, load_network, network_hash, save_network
 from .trainer import TrainConfig, evaluate, gen_synthetic, load_dataset, save_dataset, train
 from .verify import (
     VerificationQuery,
     VerifyOptions,
     batch_report,
+    box_bounds,
     compare_robustness_vs_test,
     delta_percent,
     histogram,
@@ -78,12 +78,12 @@ def _read_json(path: str):
         raise ParseError(f"{path} is not valid JSON: {e}") from e
 
 
-def _known_keys(d: dict, known, what: str, error=InvalidArg) -> None:
+def _known_keys(d: dict, known, what: str) -> None:
     """Reject, naming them, the keys of `d` outside `known`: a misspelt key
     would otherwise leave what it meant at its default."""
     unknown = sorted(set(d) - set(known))
     if unknown:
-        raise error(f"{what} {', '.join(unknown)}")
+        raise InvalidArg(f"{what} {', '.join(unknown)}")
 
 
 def _load_config(explicit: str | None) -> dict:
@@ -120,24 +120,6 @@ def _load_net(path: str):
     return spec, fold_bn(spec), network_hash(spec)
 
 
-def _query_from_dict(item: dict, n: int) -> VerificationQuery:
-    if not isinstance(item, dict):
-        raise ParseError(f"query {n}: must be a JSON object")
-    _known_keys(item, [f.name for f in fields(VerificationQuery)], f"query {n}: unknown keys", ParseError)
-    if "z_ref" not in item or "x_ref" not in item:
-        raise ParseError(f"query {n}: z_ref and x_ref are required")
-    return VerificationQuery(
-        z_ref=item["z_ref"],
-        x_ref=item["x_ref"],
-        alpha=item.get("alpha"),
-        beta=item.get("beta"),
-        scale=item.get("scale"),
-        clip_to_domain=item.get("clip_to_domain", True),
-        delta_cap=item.get("delta_cap"),
-        query_id=item.get("query_id", f"q{n + 1}"),
-    )
-
-
 def _load_queries(path: str) -> tuple[list[VerificationQuery], bool]:
     doc = _read_json(path)
     single = isinstance(doc, dict)
@@ -146,7 +128,7 @@ def _load_queries(path: str) -> tuple[list[VerificationQuery], bool]:
         raise ParseError(f"{path} must hold a query object or a list of them")
     if not items:
         raise ParseError(f"{path} contains no queries")
-    return [_query_from_dict(it, n) for n, it in enumerate(items)], single
+    return [VerificationQuery.from_dict(it, n) for n, it in enumerate(items)], single
 
 
 def _write_text(path: str, text: str) -> None:
@@ -215,11 +197,8 @@ def cmd_bounds(args) -> int:
         box = InputBox(lo=_parse_vec(args.lo), hi=_parse_vec(args.hi))
     else:
         box = InputBox.unit(net.input_dim)
-    lb = propagate_bounds(net, box)
     tighten = args.tighten if args.tighten is not None else cfg.get("tighten", False)
-    if tighten:
-        lb = lp_tighten(net, box, lb)
-    sm = classify_neurons(lb)
+    lb, sm, _ = box_bounds(net, box, tighten)
     label = {int(Stability.DEAD): "dead", int(Stability.ACTIVE): "active", int(Stability.UNSTABLE): "unstable"}
     doc = {
         "network_sha256": nh,
@@ -320,20 +299,22 @@ def cmd_verify_trust(args) -> int:
 
 
 def _entry_query(net, entry) -> VerificationQuery:
-    """A report entry's query, checked against the entry's kind and the
-    network the entry is checked on."""
-    q = _query_from_dict(entry["query"], 0)
-    need = "alpha" if entry["kind"] == "robustness" else "beta"
-    if getattr(q, need) is None:
-        raise ParseError(f"a {entry['kind']} entry's query needs {need}")
-    sizes = (q.z_ref.size, q.x_ref.size, len(entry["per_output"]))
-    if sizes != (net.input_dim, net.num_outputs, net.num_outputs):
-        raise DimensionMismatch(
-            f"report entry has {sizes[0]} inputs, {sizes[1]} reference outputs and "
-            f"{sizes[2]} per_output entries; the network has {net.input_dim} inputs "
-            f"and {net.num_outputs} outputs"
-        )
+    """A report entry's query, checked as the verifier checks it against the
+    entry's kind and the network the entry is checked on."""
+    q = VerificationQuery.from_dict(entry["query"], 0)
+    q.check(net, entry["kind"])
+    n = len(entry["per_output"])
+    if n != net.num_outputs:
+        raise DimensionMismatch(f"report entry has {n} per_output entries; the network has {net.num_outputs} outputs")
     return q
+
+
+def _at_witness(net, q: VerificationQuery, box: InputBox, witness, i: int) -> tuple[float, float]:
+    """Output `i`'s deviation from its reference at a witness, evaluated as
+    the verifier evaluates its points, and how far it lies outside `box`."""
+    w = np.asarray(witness, dtype=float)
+    out = forward_layers(net, w[None, :])[2][0, i]
+    return abs(float(out) - q.x_ref[i]), float(np.max(np.maximum(box.lo - w, w - box.hi), initial=0.0))
 
 
 def _value_disc(value: float, optimum: float) -> float:
@@ -347,20 +328,19 @@ def _check_robustness_entry(net, entry) -> float:
     from .oracle import RobustnessSpec, milp_opt
 
     q = _entry_query(net, entry)
-    x_ref = np.asarray(q.x_ref)
-    box = InputBox.ball(q.z_ref, q.alpha, clip=q.clip_to_domain)
+    box = q.region("robustness")
     disc = 0.0
     for i, o in enumerate(entry["per_output"]):
         if o["R"] is None:
             continue
         if o["witness"] is not None:
-            dev = abs(float(forward(net, np.asarray(o["witness"]))[i]) - x_ref[i])
-            disc = max(disc, abs(dev - o["R"]))
+            dev, outside = _at_witness(net, q, box, o["witness"], i)
+            disc = max(disc, outside, abs(dev - o["R"]))
         if o["status"] != "certified":
             continue  # witness check only; the bound is not claimed exact
         plus, minus = o["dev_plus"], o["dev_minus"]  # exact, they are vp and -vm below
-        vp = milp_opt(net, box, RobustnessSpec(i, 1, float(x_ref[i]))).value
-        vm = milp_opt(net, box, RobustnessSpec(i, -1, float(x_ref[i]))).value
+        vp = milp_opt(net, box, RobustnessSpec(i, 1, float(q.x_ref[i]))).value
+        vm = milp_opt(net, box, RobustnessSpec(i, -1, float(q.x_ref[i]))).value
         disc = max(disc, _value_disc(o["R"], max(vp, abs(vm))))
         if plus is not None:
             disc = max(disc, _value_disc(plus, vp))
@@ -373,17 +353,17 @@ def _check_trust_entry(net, entry) -> float:
     from .oracle import TrustSpec, milp_opt
 
     q = _entry_query(net, entry)
-    x_ref = np.asarray(q.x_ref)
     scale = q.effective_scale()
     # the cap the query sets; an output that states another is a discrepancy
     cap = q.effective_delta_cap()
-    box = InputBox.unit(net.input_dim)
+    box = q.region("trust")
     disc = 0.0
     for i, o in enumerate(entry["per_output"]):
         disc = max(disc, abs(o["delta_cap"] - cap))
         if o["found"]:
-            w = np.asarray(o["witness"])
-            dev = abs(float(forward(net, w)[i]) - x_ref[i])
+            w = np.asarray(o["witness"], dtype=float)
+            dev, outside = _at_witness(net, q, box, w, i)
+            disc = max(disc, outside)
             if dev < q.beta - ORACLE_TOL:
                 disc = max(disc, q.beta - dev)
             radius = float(np.max(np.abs(w - q.z_ref) / scale))
@@ -393,7 +373,7 @@ def _check_trust_entry(net, entry) -> float:
         if o["status"] != "certified":
             continue
         values = [
-            milp_opt(net, box, TrustSpec(i, sign, q.beta, float(x_ref[i]), tuple(q.z_ref), tuple(scale), cap)).value
+            milp_opt(net, box, TrustSpec(i, sign, q.beta, float(q.x_ref[i]), tuple(q.z_ref), tuple(scale), cap)).value
             for sign in (1, -1)
         ]
         best = min((v for v in values if v is not None), default=None)

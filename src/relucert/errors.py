@@ -33,9 +33,5 @@ class NumericalBreakdown(SolverFailure):
     """The simplex tableau lost numerical integrity (singular basis, pivot stall)."""
 
 
-class UnsoundBounds(RelucertError):
-    """Supplied activation bounds are inconsistent (hmin > hmax)."""
-
-
 class TooManyUnstable(RelucertError):
     """Pattern enumeration refused: unstable neuron count above the cap."""

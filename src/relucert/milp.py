@@ -19,9 +19,9 @@ point's radius. The base encoding is immutable
 subproblems built on it share it uncopied, and the engine is built from
 it without a copy per row.
 
-`lp_tighten` bounds a hidden layer's pre-activations by the LP relaxation
-of this same encoding, taken over the network cut after that layer's
-affine map, so tightening and branch and bound read one model.
+`lp_tighten` bounds a layer's open pre-activations by the LP relaxation of
+this same encoding over the layers before it and those neurons alone, so
+tightening and branch and bound read one model.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .bounds import InputBox, LayerBounds, Stability, StabilityMap, classify_neurons
-from .errors import DimensionMismatch, InvalidArg, NumericalBreakdown, UnsoundBounds
-from .nnmodel import FoldedNetwork
+from .errors import DimensionMismatch, InvalidArg, NumericalBreakdown
+from .nnmodel import AffineLayer, FoldedNetwork, in_unit_domain
 from .simplex import DenseRows, LpStatus, SolveStats, prepare, relaxed_bounds
 
 # keep a whisker of slack when adopting LP values so tightened bounds can
@@ -92,10 +92,6 @@ def encode_network(
     for k in range(net.num_hidden):
         if lb.pre_lo[k].shape[0] != net.layers[k].width or sm.layers[k].shape[0] != net.layers[k].width:
             raise DimensionMismatch(f"layer {k} width mismatch in bounds or stability")
-        if np.any(lb.pre_lo[k] > lb.pre_hi[k]):
-            raise UnsoundBounds(f"layer {k} has hmin > hmax")
-    if np.any(lb.out_lo > lb.out_hi):
-        raise UnsoundBounds("output bounds have lo > hi")
 
     n0 = net.input_dim
     roles: dict = {}
@@ -183,19 +179,19 @@ def lp_tighten(
     """Tighten the deeper hidden layers' open intervals by maximizing and
     minimizing each pre-activation over the LP relaxation of the encoding.
 
-    For hidden layer `k`, the network is cut after layer `k`'s affine map,
-    so its outputs are layer `k`'s pre-activations, and encoded with the
-    working bounds of the layers before `k` and layer `k`'s current
-    intervals as output bounds. With each binary relaxed to [0, 1], an
-    unstable neuron's big-M rows give exactly its triangle relaxation, the
-    same triangle every B&B node's relaxation holds.
+    Only an open interval, `lo < 0 < hi`, gets an LP. For hidden layer `k`,
+    the layers before `k` are followed by an output layer of layer `k`'s
+    open neurons alone, and encoded with the working bounds of the layers
+    before `k` and the open neurons' current intervals as output bounds.
+    With each binary relaxed to [0, 1], an unstable neuron's big-M rows give
+    exactly its triangle relaxation, the same triangle every B&B node's
+    relaxation holds.
 
-    Only an interval with `lo < 0 < hi` gets an LP, checked before each of
-    its two solves, so a neuron the intervals already decide gets none and a
-    neuron the max solve proves dead skips its min solve. The encoding needs
-    bounds only to tell unstable neurons apart and to set their big-M, so a
-    decided neuron's interval, the first layer's (already exact over a box)
-    and the outputs' come back as they came in.
+    The open test is repeated before each min solve, so a neuron the max
+    solve proves dead skips its min solve. The encoding needs bounds only
+    to tell unstable neurons apart and to set their big-M, so a decided
+    neuron's interval, the first layer's (already exact over a box) and the
+    outputs' come back as they came in.
 
     Results are clipped into the incoming intervals, so they are subsets and
     stay sound; a failed solve keeps the incoming interval for that side.
@@ -210,19 +206,21 @@ def lp_tighten(
 
     for k in range(1, net.num_hidden):
         tgt_lo, tgt_hi = work_lo[k], work_hi[k]
-        if not np.any((tgt_lo < 0.0) & (tgt_hi > 0.0)):
+        open_ = np.flatnonzero((tgt_lo < 0.0) & (tgt_hi > 0.0))
+        if not open_.size:
             continue
-        cut_lb = LayerBounds(pre_lo=tuple(work_lo[:k]), pre_hi=tuple(work_hi[:k]), out_lo=tgt_lo, out_hi=tgt_hi)
-        cut = FoldedNetwork(layers=net.layers[: k + 1], input_dim=net.input_dim)
+        layer = AffineLayer(A=net.layers[k].A[open_], c=net.layers[k].c[open_])
+        cut = FoldedNetwork(layers=(*net.layers[:k], layer), input_dim=net.input_dim)
+        cut_lb = LayerBounds(tuple(work_lo[:k]), tuple(work_hi[:k]), out_lo=tgt_lo[open_], out_hi=tgt_hi[open_])
         p = encode_network(cut, cut_lb, classify_neurons(cut_lb), box)
         eng = prepare(p)
         lo, hi = relaxed_bounds(p)
         start = None
-        for t in range(cut.num_outputs):
+        for i, t in enumerate(open_):
             c = np.zeros(p.num_vars)
-            c[p.var_roles[("output", t)]] = 1.0
+            c[p.var_roles[("output", i)]] = 1.0
             for maximize in (True, False):
-                if not tgt_lo[t] < 0.0 < tgt_hi[t]:
+                if not tgt_lo[t] < 0.0 < tgt_hi[t]:  # the max may prove it dead
                     break
                 try:
                     sol = eng.solve(lo, hi, c, maximize, start=start)
@@ -240,9 +238,7 @@ def lp_tighten(
             if tgt_lo[t] > tgt_hi[t]:  # keep the pair ordered under roundoff
                 mid = 0.5 * (tgt_lo[t] + tgt_hi[t])
                 tgt_lo[t] = tgt_hi[t] = mid
-    return LayerBounds(
-        pre_lo=tuple(work_lo), pre_hi=tuple(work_hi), out_lo=lb.out_lo, out_hi=lb.out_hi
-    )
+    return LayerBounds(tuple(work_lo), tuple(work_hi), out_lo=lb.out_lo, out_hi=lb.out_hi)
 
 
 def set_robustness_objective(
@@ -285,7 +281,7 @@ def set_trust_problem(p: MilpProblem, z_ref, scale, delta_cap: float) -> MilpPro
         raise InvalidArg("scale must be positive elementwise")
     if not delta_cap > 0:
         raise InvalidArg("delta_cap must be positive")
-    if np.any(z_ref < -1e-12) or np.any(z_ref > 1.0 + 1e-12):
+    if not in_unit_domain(z_ref):
         raise InvalidArg("z_ref must lie in the unit box")
 
     d_i = p.num_vars

@@ -20,8 +20,9 @@ from .errors import DimensionMismatch, InvalidValue, ParseError
 _DOMAIN_SLACK = 1e-12
 
 
-def _ro(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def read_only_copy(a) -> np.ndarray:
+    """A float copy of `a` that cannot be written to."""
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -43,7 +44,7 @@ class BatchNormParams:
 
     def __post_init__(self):
         for name in ("gamma", "beta", "mu", "var"):
-            arr = _ro(getattr(self, name))
+            arr = read_only_copy(getattr(self, name))
             if arr.ndim != 1:
                 raise DimensionMismatch(f"bn {name} must be a vector")
             _require_finite(f"bn {name}", arr)
@@ -74,8 +75,8 @@ class HiddenLayer:
     bn: BatchNormParams
 
     def __post_init__(self):
-        W = _ro(self.W)
-        b = _ro(self.b)
+        W = read_only_copy(self.W)
+        b = read_only_copy(self.b)
         if W.ndim != 2 or b.ndim != 1:
             raise DimensionMismatch("hidden layer W must be a matrix, b a vector")
         _require_finite("hidden W", W)
@@ -98,8 +99,8 @@ class OutputLayer:
     b: np.ndarray
 
     def __post_init__(self):
-        W = _ro(self.W)
-        b = _ro(self.b)
+        W = read_only_copy(self.W)
+        b = read_only_copy(self.b)
         if W.ndim != 2 or b.ndim != 1:
             raise DimensionMismatch("output W must be a matrix, b a vector")
         _require_finite("output W", W)
@@ -127,8 +128,8 @@ class NetworkSpec:
         object.__setattr__(self, "hidden", tuple(self.hidden))
         if not self.hidden:
             raise DimensionMismatch("at least one hidden layer required")
-        lo = _ro(self.input_norm_lo)
-        hi = _ro(self.input_norm_hi)
+        lo = read_only_copy(self.input_norm_lo)
+        hi = read_only_copy(self.input_norm_hi)
         _require_finite("input_norm lo", lo)
         _require_finite("input_norm hi", hi)
         if lo.shape != (self.input_dim,) or hi.shape != (self.input_dim,):
@@ -166,8 +167,8 @@ class AffineLayer:
     c: np.ndarray
 
     def __post_init__(self):
-        A = _ro(self.A)
-        c = _ro(self.c)
+        A = read_only_copy(self.A)
+        c = read_only_copy(self.c)
         if A.ndim != 2 or c.ndim != 1 or A.shape[0] != c.shape[0]:
             raise DimensionMismatch("affine layer shapes inconsistent")
         object.__setattr__(self, "A", A)
@@ -353,9 +354,11 @@ def fold_bn(spec: NetworkSpec) -> FoldedNetwork:
     )
 
 
-def _check_domain(z: np.ndarray) -> None:
-    if z.size and (z.min() < -_DOMAIN_SLACK or z.max() > 1.0 + _DOMAIN_SLACK):
-        warnings.warn("input outside the normalized domain [0, 1]", stacklevel=3)
+def in_unit_domain(a) -> bool:
+    """Whether every entry of `a` lies in the normalized input domain [0, 1],
+    up to a roundoff slack of 1e-12."""
+    a = np.asarray(a)
+    return not (np.any(a < -_DOMAIN_SLACK) or np.any(a > 1.0 + _DOMAIN_SLACK))
 
 
 def forward(net: FoldedNetwork, z) -> np.ndarray:
@@ -365,7 +368,8 @@ def forward(net: FoldedNetwork, z) -> np.ndarray:
     Z = z[None, :] if single else z
     if Z.ndim != 2 or Z.shape[1] != net.input_dim:
         raise DimensionMismatch(f"expected {net.input_dim} inputs, got shape {z.shape}")
-    _check_domain(Z)
+    if not in_unit_domain(Z):
+        warnings.warn("input outside the normalized domain [0, 1]", stacklevel=2)
     out = forward_layers(net, Z)[2]
     return out[0] if single else out
 

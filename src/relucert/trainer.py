@@ -18,6 +18,7 @@ from .nnmodel import (
     NetworkSpec,
     OutputLayer,
     forward,
+    in_unit_domain,
 )
 
 
@@ -33,7 +34,7 @@ class Dataset:
         targets = np.array(self.targets, dtype=float)
         if inputs.ndim != 2 or targets.ndim != 2 or inputs.shape[0] != targets.shape[0]:
             raise DimensionMismatch("inputs and targets must be matrices with equal row counts")
-        if inputs.size and (inputs.min() < -1e-12 or inputs.max() > 1.0 + 1e-12):
+        if not in_unit_domain(inputs):
             raise InvalidValue("inputs must lie in [0,1]")
         tr = np.array(self.train_idx, dtype=int)
         te = np.array(self.test_idx, dtype=int)

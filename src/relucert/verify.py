@@ -1,7 +1,9 @@
 """Verification drivers: certified robustness over perturbation balls, as
 2M searches (a max and a min per output), and minimum-perturbation trust
 queries, as one joint search of both signs per output; batch sweeps over
-operating conditions, and report assembly."""
+operating conditions, and report assembly. A query reads, fits and bounds
+its own question (`VerificationQuery.from_dict`, `check`, `region`), and
+`box_bounds` is the one recipe from an input box to bounds and stability."""
 
 from __future__ import annotations
 
@@ -13,13 +15,13 @@ import logging
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .bnb import BnbOptions, BnbStatus, solve_milp
-from .bounds import InputBox, classify_neurons, propagate_bounds
-from .errors import DimensionMismatch, InvalidArg, InvalidValue, NumericalBreakdown
+from .bounds import InputBox, LayerBounds, StabilityMap, classify_neurons, propagate_bounds
+from .errors import DimensionMismatch, InvalidArg, InvalidValue, NumericalBreakdown, ParseError
 from .milp import (
     default_delta_cap,
     encode_network,
@@ -28,7 +30,7 @@ from .milp import (
     set_trust_problem,
     set_trust_target,
 )
-from .nnmodel import FoldedNetwork, forward
+from .nnmodel import FoldedNetwork, forward, in_unit_domain
 from .simplex import LpStatus, SolveStats, solve_lp, tolerances
 
 _log = logging.getLogger(__name__)
@@ -78,7 +80,7 @@ class VerificationQuery:
     def __post_init__(self):
         z_ref = _vector(self.z_ref, "z_ref")
         x_ref = _vector(self.x_ref, "x_ref")
-        if np.any(z_ref < -1e-12) or np.any(z_ref > 1.0 + 1e-12):
+        if not in_unit_domain(z_ref):
             raise InvalidValue("z_ref must lie in the unit box")
         object.__setattr__(self, "z_ref", z_ref)
         object.__setattr__(self, "x_ref", x_ref)
@@ -101,6 +103,40 @@ class VerificationQuery:
         if not isinstance(self.query_id, str):
             raise InvalidValue("query_id must be a string")
 
+    @classmethod
+    def from_dict(cls, item, n: int) -> "VerificationQuery":
+        """The query a query file's `n`-th (0-based) object describes, with
+        `to_dict`'s keys; a missing key takes the field's default, and the
+        id defaults to `q{n + 1}`."""
+        if not isinstance(item, dict):
+            raise ParseError(f"query {n}: must be a JSON object")
+        unknown = sorted(set(item) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ParseError(f"query {n}: unknown keys {', '.join(unknown)}")
+        if "z_ref" not in item or "x_ref" not in item:
+            raise ParseError(f"query {n}: z_ref and x_ref are required")
+        return cls(**{"query_id": f"q{n + 1}", **item})
+
+    def check(self, net: FoldedNetwork, kind: str) -> None:
+        """Raise unless the query asks `kind`'s question of `net`: a
+        "robustness" query needs `alpha`, a "trust" one `beta`, and both
+        need one `z_ref` entry per input and one `x_ref` entry per output."""
+        verb, need = ("robustness", "alpha") if kind == "robustness" else ("trustworthiness", "beta")
+        if getattr(self, need) is None:
+            raise InvalidArg(f"{verb} needs {need}")
+        if self.z_ref.shape[0] != net.input_dim:
+            raise DimensionMismatch("z_ref length != network input dimension")
+        if self.x_ref.shape[0] != net.num_outputs:
+            raise DimensionMismatch("x_ref length != network output count")
+
+    def region(self, kind: str) -> InputBox:
+        """The inputs `kind`'s question ranges over: for robustness the ball
+        of radii `alpha` around `z_ref`, clipped to the unit box unless
+        `clip_to_domain` is false; for trust the unit box."""
+        if kind == "robustness":
+            return InputBox.ball(self.z_ref, self.alpha, clip=self.clip_to_domain)
+        return InputBox.unit(self.z_ref.size)
+
     def effective_scale(self) -> np.ndarray:
         return self.scale if self.scale is not None else np.ones_like(self.z_ref)
 
@@ -111,16 +147,9 @@ class VerificationQuery:
         return default_delta_cap(self.z_ref, self.effective_scale())
 
     def to_dict(self) -> dict:
-        return {
-            "z_ref": self.z_ref.tolist(),
-            "x_ref": self.x_ref.tolist(),
-            "alpha": None if self.alpha is None else self.alpha.tolist(),
-            "beta": self.beta,
-            "scale": None if self.scale is None else self.scale.tolist(),
-            "clip_to_domain": self.clip_to_domain,
-            "delta_cap": self.delta_cap,
-            "query_id": self.query_id,
-        }
+        """One key per field, in field order, with arrays as lists."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in d.items()}
 
 
 def query_hash(q: VerificationQuery) -> str:
@@ -183,23 +212,21 @@ class TrustResult:
     stats: dict = field(default_factory=dict)  # see _common_fields
 
 
-def _check_query(net: FoldedNetwork, q: VerificationQuery, kind: str, need: str):
-    if getattr(q, need) is None:
-        raise InvalidArg(f"{kind} needs {need}")
-    if q.z_ref.shape[0] != net.input_dim:
-        raise DimensionMismatch("z_ref length != network input dimension")
-    if q.x_ref.shape[0] != net.num_outputs:
-        raise DimensionMismatch("x_ref length != network output count")
+def box_bounds(net: FoldedNetwork, box: InputBox, tighten: bool) -> tuple[LayerBounds, StabilityMap, SolveStats]:
+    """Activation bounds over `box`: interval propagation, then, if
+    `tighten`, LP tightening, whose LPs' work is counted in the returned
+    stats; and the neurons' stability under the bounds."""
+    stats = SolveStats()
+    lb = propagate_bounds(net, box)
+    if tighten:
+        lb = lp_tighten(net, box, lb, stats)
+    return lb, classify_neurons(lb), stats
 
 
 def _prepare_base(net, box, opts):
     """The query's base encoding, its stability map, and the tightening LPs'
     work."""
-    tighten = SolveStats()
-    lb = propagate_bounds(net, box)
-    if opts.tighten:
-        lb = lp_tighten(net, box, lb, tighten)
-    sm = classify_neurons(lb)
+    lb, sm, tighten = box_bounds(net, box, opts.tighten)
     return encode_network(net, lb, sm, box), sm, tighten
 
 
@@ -254,8 +281,8 @@ def robustness(
     output."""
     t0 = time.perf_counter()
     opts = opts or VerifyOptions()
-    _check_query(net, q, "robustness", "alpha")
-    box = InputBox.ball(q.z_ref, q.alpha, clip=q.clip_to_domain)
+    q.check(net, "robustness")
+    box = q.region("robustness")
     base, sm, tighten = _prepare_base(net, box, opts)
     shared = SolveStats()
     root_start = _shared_root_start(base, shared)
@@ -299,11 +326,10 @@ def trustworthiness(
     sign follows float rounding along the search."""
     t0 = time.perf_counter()
     opts = opts or VerifyOptions()
-    _check_query(net, q, "trustworthiness", "beta")
+    q.check(net, "trust")
     scale = q.effective_scale()
     cap = q.effective_delta_cap()
-    box = InputBox.unit(net.input_dim)
-    base, sm, tighten = _prepare_base(net, box, opts)
+    base, sm, tighten = _prepare_base(net, q.region("trust"), opts)
 
     trust_base = set_trust_problem(base, q.z_ref, scale, cap)
     shared = SolveStats()

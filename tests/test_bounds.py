@@ -184,9 +184,13 @@ def test_lp_tighten_solves_only_open_neurons(monkeypatch):
     monkeypatch.setattr(PreparedLp, "solve", spy_solve)
     stats = SolveStats()
     tl = lp_tighten(net, box, lb, stats)
-    # one engine, on the network cut after layer 2's affine map, and none
-    # for the layer without open neurons
-    assert len(built) == 1 and built[0].network.layers == net.layers[:2]
+    # one engine, on layer 1 followed by an output layer of layer 2's open
+    # neuron alone, and none for the layer without open neurons
+    assert len(built) == 1
+    cut = built[0].network
+    assert cut.layers[:-1] == net.layers[:1] and cut.num_outputs == 1
+    assert np.array_equal(cut.layers[-1].A, net.layers[1].A[[0]])
+    assert np.array_equal(cut.layers[-1].c, net.layers[1].c[[0]])
     # the open neuron's max and min, and nothing for decided neurons or outputs
     unit = np.zeros(built[0].num_vars)
     unit[built[0].var_roles[("output", 0)]] = 1.0

@@ -14,7 +14,7 @@ import pytest
 import relucert
 from relucert.bnb import BnbOptions
 from relucert.cli import _bnb_options, main
-from relucert.nnmodel import fold_bn, forward, load_network
+from relucert.nnmodel import fold_bn, forward, forward_layers, load_network
 from relucert.verify import OutputRobustness
 
 
@@ -539,6 +539,78 @@ def test_oracle_check_takes_the_cap_from_the_query(workdir, capsys):
     assert main(["oracle-check", "--network", str(workdir / "net.json"),
                  "--report", str(tampered)]) == 3
     capsys.readouterr()
+
+
+def _outputs_at(net, z):
+    """The network's outputs at a point, inside the unit box or not."""
+    return forward_layers(net, np.array([z], dtype=float))[2][0]
+
+
+@pytest.mark.parametrize("verb", ["verify-robust", "verify-trust"])
+def test_oracle_check_fails_a_witness_outside_the_querys_region(workdir, tmp_path, capsys, verb):
+    """A witness moved out of the query's region, its values restated at the
+    new point and its output no longer claimed certified, fails the check:
+    robustness ranges over the ball, trust over the unit box."""
+    net = _net(workdir)
+    if verb == "verify-robust":
+        z, moved = [0.95, 0.05], [0.2, 0.9]  # inside the unit box, outside the 0.2 ball
+        q = {"query_id": "mw", "z_ref": z, "x_ref": forward(net, np.array(z)).tolist(), "alpha": 0.2}
+    else:
+        z, moved = [0.95, 0.5], [1.2, 0.5]  # radius 0.25, outside the unit box
+        q = {"query_id": "mw", "z_ref": z, "x_ref": (_outputs_at(net, moved) - 0.3).tolist(), "beta": 0.2}
+    out = tmp_path / "rep.json"
+    assert main([verb, "--network", str(workdir / "net.json"), "--queries",
+                 _write_queries(tmp_path, "q.json", q), "--out", str(out)]) == 0
+    assert main(["oracle-check", "--network", str(workdir / "net.json"), "--report", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    o = rep["per_output"][0]
+    d = float(_outputs_at(net, moved)[0] - q["x_ref"][0])
+    if verb == "verify-robust":
+        o.update(R=abs(d), witness=moved, status="gap_limit", gap=0.1)
+        o["dev_plus" if d >= 0 else "dev_minus"] = d
+    else:
+        assert d >= 0.2
+        o.update(found=True, delta_min=0.25, sign=1, witness=moved, status="gap_limit", gap=0.1)
+    out.write_text(json.dumps(rep))
+    capsys.readouterr()
+    assert main(["oracle-check", "--network", str(workdir / "net.json"), "--report", str(out)]) == 3
+    assert capsys.readouterr().err == "FAIL: report disagrees with the oracle\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_unclipped_ball_checks_without_domain_warnings(workdir, tmp_path, capsys):
+    """A ball the query leaves unclipped reaches outside [0, 1]: the check
+    evaluates its witnesses there as the verifier does, without warning."""
+    z = [0.95, 0.05]
+    q = {"query_id": "nc", "z_ref": z, "x_ref": forward(_net(workdir), np.array(z)).tolist(),
+         "alpha": 0.2, "clip_to_domain": False}
+    out = tmp_path / "rep.json"
+    assert main(["verify-robust", "--network", str(workdir / "net.json"), "--queries",
+                 _write_queries(tmp_path, "q.json", q), "--out", str(out)]) == 0
+    witnesses = np.array([o["witness"] for o in json.loads(out.read_text())["per_output"]])
+    assert np.any((witnesses < 0.0) | (witnesses > 1.0))
+    capsys.readouterr()
+    assert main(["oracle-check", "--network", str(workdir / "net.json"), "--report", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("verb,kind,need", [("verify-robust", "robustness", "alpha"),
+                                            ("verify-trust", "trustworthiness", "beta")])
+def test_verify_and_oracle_check_name_a_missing_field_alike(workdir, tmp_path, capsys, verb, kind, need):
+    q = {"query_id": "mf", "z_ref": [0.3, 0.6], "x_ref": [0.5, 0.4], need: 0.05}
+    out = tmp_path / "rep.json"
+    assert main([verb, "--network", str(workdir / "net.json"), "--queries",
+                 _write_queries(tmp_path, "q.json", q), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    rep["query"][need] = None
+    out.write_text(json.dumps(rep))
+    capsys.readouterr()
+    assert main(["oracle-check", "--network", str(workdir / "net.json"), "--report", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {kind} needs {need}\n"
+    del q[need]
+    assert main([verb, "--network", str(workdir / "net.json"), "--queries",
+                 _write_queries(tmp_path, "q.json", q)]) == 1
+    assert capsys.readouterr().err == f"error: InvalidArg: {kind} needs {need}\n"
 
 
 @pytest.fixture(scope="module")

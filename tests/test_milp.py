@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from relucert.bnb import solve_milp
-from relucert.bounds import InputBox, Stability, classify_neurons, propagate_bounds
-from relucert.errors import DimensionMismatch, InvalidArg, UnsoundBounds
+from relucert.bounds import InputBox, LayerBounds, Stability, classify_neurons, propagate_bounds
+from relucert.errors import DimensionMismatch, InvalidArg, InvalidValue
 from relucert.milp import (
     default_delta_cap,
     encode_network,
@@ -353,13 +353,23 @@ def test_validation_errors(e1):
         encode_network(other, lb, classify_neurons(lb), InputBox.unit(2))
 
 
-def test_unsound_bounds_rejected(e1):
-    box = InputBox.unit(2)
-    lb = propagate_bounds(e1, box)
-    sm = classify_neurons(lb)
-    lb.pre_lo[0][0] = lb.pre_hi[0][0] + 1.0
-    with pytest.raises(UnsoundBounds):
-        encode_network(e1, lb, sm, box)
+def test_layer_bounds_are_read_only_copies(e1):
+    # encode_network trusts the bounds it is given, so bounds must stay as
+    # LayerBounds checked them: hmin > hmax is refused when built, and no
+    # write afterwards, through the bounds or the arrays they came from,
+    # can reach them
+    lb = propagate_bounds(e1, InputBox.unit(2))
+    for a in (*lb.pre_lo, *lb.pre_hi, lb.out_lo, lb.out_hi):
+        with pytest.raises(ValueError):
+            a[0] = 1e6
+    src = [a.copy() for a in lb.pre_lo]
+    copied = LayerBounds(pre_lo=tuple(src), pre_hi=lb.pre_hi, out_lo=lb.out_lo, out_hi=lb.out_hi)
+    src[0][0] = lb.pre_hi[0][0] + 1.0
+    assert np.array_equal(copied.pre_lo[0], lb.pre_lo[0])
+    with pytest.raises(InvalidValue):
+        LayerBounds(pre_lo=tuple(src), pre_hi=lb.pre_hi, out_lo=lb.out_lo, out_hi=lb.out_hi)
+    with pytest.raises(InvalidValue):
+        LayerBounds(pre_lo=lb.pre_lo, pre_hi=lb.pre_hi, out_lo=lb.out_hi + 1.0, out_hi=lb.out_hi)
 
 
 def test_lp_text_export(e1):
