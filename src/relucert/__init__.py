@@ -51,7 +51,6 @@ from .nnmodel import (
     network_hash,
     save_network,
 )
-from .simplex import solve_lp
 from .trainer import (
     Dataset,
     TrainConfig,
@@ -154,7 +153,6 @@ __all__ = [
     "set_robustness_objective",
     "set_trust_problem",
     "set_trust_target",
-    "solve_lp",
     "solve_milp",
     "to_lp_text",
     "train",

@@ -9,8 +9,9 @@ objective on one prepared engine, register its incumbent candidate, clamp its
 bound to its parent's, then record it as integral, branched, pruned or
 infeasible. The engine is the problem's own, or, when the caller passes a
 `root_start` solution, that solution's engine, which must have been built
-from the problem's rows: a query builds one engine for its base encoding
-and every subproblem searches on it. A root solves cold, unless there is a
+from the problem's rows: `shared_root_start` builds one engine for a
+query's base encoding and solves the base on it, and every subproblem
+searches on that engine. A root solves cold, unless there is a
 `root_start`, which it starts from and whose tableau it adopts; each child
 starts from its parent's optimal solution and adopts its basis and
 tableau. The basis stays dual feasible when bounds change, as one binary's
@@ -67,9 +68,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidArg, NumericalBreakdown
-from .milp import MilpProblem
+from .milp import MilpProblem, prepare, relaxed_bounds
 from .nnmodel import forward_layers
-from .simplex import OPT_TOL, LpSolution, LpStatus, SolveStats, prepare, relaxed_bounds, row_duals
+from .simplex import OPT_TOL, LpSolution, LpStatus, SolveStats, row_duals
 
 _log = logging.getLogger(__name__)
 _INT_TOL = 1e-6
@@ -178,6 +179,28 @@ def _select_branch_var(x_lp, bin_idx, weight) -> int | None:
     if score.max() > 0.0:
         return int(pos[np.argmax(score)])
     return int(pos[np.argmin(np.abs(xs[pos] - 0.5))])
+
+
+def shared_root_start(base: MilpProblem, stats: SolveStats) -> LpSolution | None:
+    """The optimal solution every root of a query starts from, or None.
+
+    A query's subproblems differ from its base only in objective
+    (robustness) or in one output's bounds (trust). Solving the base's
+    relaxation under its own objective, on the one engine every subproblem
+    then searches on, gives each root a start. A robustness base has a zero
+    objective: phase 1 and the expulsion of artificials never read the
+    objective, so a cold root reaches this same basis before phase 2, and
+    each root adopts its tableau and runs phase 2 alone. A trust base
+    minimizes the radius: its optimal basis stays dual feasible when a
+    target moves an output bound, so each root runs a few dual pivots
+    instead of a cold two-phase solve. The solve's work goes to `stats`.
+    When it is not optimal or breaks down, every root solves cold."""
+    try:
+        sol = prepare(base).solve(*relaxed_bounds(base), base.c, base.obj_sense == "max")
+    except NumericalBreakdown:
+        return None
+    stats.add(sol)
+    return sol if sol.status is LpStatus.OPTIMAL else None
 
 
 def solve_milp(

@@ -36,12 +36,12 @@ from .verify import (
     batch_report,
     box_bounds,
     compare_robustness_vs_test,
-    delta_percent,
     histogram,
     histogram_csv,
     robustness_batch,
     robustness_report,
     timing_sidecar,
+    trust_percents,
     trust_report,
     trust_table_csv,
     trustworthiness,
@@ -285,13 +285,7 @@ def cmd_verify_trust(args) -> int:
     if args.table:
         _write_text(args.table, trust_table_csv(results, spec.input_norm_lo, spec.input_norm_hi))
     if args.histogram:
-        pcts = [
-            delta_percent(o.delta_min, r.query.z_ref, r.query.effective_scale(),
-                          spec.input_norm_lo, spec.input_norm_hi)
-            for r in results
-            for o in r.per_output
-            if o.found
-        ]
+        pcts = [v for r in results for v in trust_percents(r, spec.input_norm_lo, spec.input_norm_hi) if v is not None]
         counts, edges = histogram(pcts)
         _write_text(args.histogram, histogram_csv(edges, counts))
     _write_results(args, rep, results, "delta_min", lambda o: repr(o.delta_min) if o.found else "not_found")
@@ -430,13 +424,20 @@ def _check_outputs(e: dict, where: str):
             raise ParseError(f"{where}: output {i} has a malformed {', '.join(bad)}")
 
 
-def _report_entries(rep, path: str) -> tuple[list[dict], str]:
-    """The per-query entries of a report and the network hash it states."""
+def _stated_network(doc: dict, where: str) -> str:
+    """The network hash a report or entry's provenance states, "" if none."""
+    prov = doc.get("provenance", {})
+    if not (isinstance(prov, dict) and isinstance(prov.get("network_sha256", ""), str)):
+        raise ParseError(f"{where}: provenance must be an object with a string network_sha256")
+    return prov.get("network_sha256", "")
+
+
+def _report_entries(rep, path: str) -> tuple[list[dict], list[str]]:
+    """The per-query entries of a report, and the network hashes it states:
+    its own provenance's and each entry's."""
     if not isinstance(rep, dict):
         raise ParseError(f"{path} must hold a report object")
-    prov = rep.get("provenance", {})
-    if not (isinstance(prov, dict) and isinstance(prov.get("network_sha256", ""), str)):
-        raise ParseError(f"{path}: provenance must be an object with a string network_sha256")
+    stated = [_stated_network(rep, path)]
     if rep.get("kind") in ("robustness_batch", "trust_batch"):
         queries = rep.get("queries")
         if not (isinstance(queries, list) and all(isinstance(e, dict) for e in queries)):
@@ -453,16 +454,16 @@ def _report_entries(rep, path: str) -> tuple[list[dict], str]:
         if e["kind"] not in ("robustness", "trust"):
             raise ParseError(f"{path}: entry {n} has unknown kind {e['kind']!r}")
         _check_outputs(e, f"{path}: entry {n}")
-    return entries, prov.get("network_sha256", "")
+        stated.append(_stated_network(e, f"{path}: entry {n}"))
+    return entries, stated
 
 
 def cmd_oracle_check(args) -> int:
     spec, net, nh = _load_net(args.network)
     entries, stated = _report_entries(_read_json(args.report), args.report)
-    if stated and stated != nh:
-        raise InvalidValue(
-            f"report was produced for network {stated[:12]}..., got {nh[:12]}..."
-        )
+    for h in stated:
+        if h and h != nh:
+            raise InvalidValue(f"report was produced for network {h[:12]}..., got {nh[:12]}...")
     disc = 0.0
     for entry in entries:
         if entry["kind"] == "robustness":

@@ -17,7 +17,9 @@ and cap are bounds: a trust base keeps only its `ball`, to measure a
 point's radius. The base encoding is immutable
 (read-only arrays, tuple senses and names, a read-only role map), so the
 subproblems built on it share it uncopied, and the engine is built from
-it without a copy per row.
+it without a copy per row. This module turns a problem into the engine's
+terms: `prepare` builds the engine from its rows, and `relaxed_bounds`
+gives the bounds of its LP relaxation, so the simplex sees matrices only.
 
 `lp_tighten` bounds a layer's open pre-activations by the LP relaxation of
 this same encoding over the layers before it and those neurons alone, so
@@ -35,7 +37,7 @@ import numpy as np
 from .bounds import InputBox, LayerBounds, Stability, StabilityMap, classify_neurons
 from .errors import DimensionMismatch, InvalidArg, NumericalBreakdown
 from .nnmodel import AffineLayer, FoldedNetwork, in_unit_domain
-from .simplex import DenseRows, LpStatus, SolveStats, prepare, relaxed_bounds
+from .simplex import LpStatus, PreparedLp, SolveStats
 
 # keep a whisker of slack when adopting LP values so tightened bounds can
 # never clip a true activation through solver roundoff
@@ -70,6 +72,40 @@ class MilpProblem:
     @property
     def num_binaries(self) -> int:
         return int(self.binary.sum())
+
+
+def prepare(p: MilpProblem) -> PreparedLp:
+    """The LP engine for a problem's rows."""
+    return PreparedLp(p.rows, p.senses, p.rhs)
+
+
+def relaxed_bounds(p: MilpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds with each binary's own bounds clipped into [0, 1], so a binary
+    the problem fixes stays fixed."""
+    lo = np.where(p.binary, np.clip(p.lo, 0.0, 1.0), p.lo)
+    hi = np.where(p.binary, np.clip(p.hi, 0.0, 1.0), p.hi)
+    return lo, hi
+
+
+class DenseRows:
+    """Rows `a x <sense> b` over `n` columns, each written from its nonzeros
+    straight into a dense row; `arrays` gives the read-only (rows, senses,
+    rhs) of a `MilpProblem`."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._a, self._senses, self._b = [], [], []
+
+    def add(self, idx, coef, sense: str, b: float) -> None:
+        a = np.zeros(self.n)
+        a[idx] = coef
+        self._a.append(a)
+        self._senses.append(sense)
+        self._b.append(float(b))
+
+    def arrays(self) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+        A = np.array(self._a).reshape(len(self._b), self.n)
+        return _read_only(A), tuple(self._senses), _read_only(np.array(self._b))
 
 
 def encode_network(

@@ -37,9 +37,11 @@ entering and leaving variables until a step makes progress, which bounds
 the pivot count; it picks the lowest column index, whatever position the
 column holds.
 
-The engine holds the rows alone and every solve brings its objective, so
-one engine serves every objective over its rows: a bound-tightening sweep's
-and all of a robustness query's subproblems. A solve may start from an
+The engine knows matrices alone: it is built from rows `A`, their senses
+and right-hand sides `b`, every solve brings its bounds and objective `c`,
+and a solution's objective is `c x` at its point. So one engine serves
+every objective over its rows: a bound-tightening sweep's and all of a
+query's subproblems. A solve may start from an
 earlier optimal solution of the same engine: its basis, its
 nonbasic-at-upper flags and its final tableau with the position of each
 nonbasic column. The solve adopts a copy of that tableau; a start from
@@ -79,14 +81,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidArg, NumericalBreakdown
-
-if TYPE_CHECKING:  # import for annotations only; milp imports DenseRows from us
-    from .milp import MilpProblem
 
 
 class LpStatus(Enum):
@@ -200,30 +198,6 @@ class SolveStats:
         d["phase1_share"] = self.phase1_pivots / total if total else 0.0
         d["dual_per_warm"] = self.dual_pivots / self.warm_starts if self.warm_starts else 0.0
         return d
-
-
-class DenseRows:
-    """Rows `a x <sense> b` over `n` columns, each written from its nonzeros
-    straight into a dense row; `arrays` gives the read-only (A, senses, b)
-    that `PreparedLp` takes."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self._a, self._senses, self._b = [], [], []
-
-    def add(self, idx, coef, sense: str, b: float) -> None:
-        a = np.zeros(self.n)
-        a[idx] = coef
-        self._a.append(a)
-        self._senses.append(sense)
-        self._b.append(float(b))
-
-    def arrays(self) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-        A = np.array(self._a).reshape(len(self._b), self.n)
-        b = np.array(self._b)
-        A.setflags(write=False)
-        b.setflags(write=False)
-        return A, tuple(self._senses), b
 
 
 class PreparedLp:
@@ -742,44 +716,3 @@ def row_duals(sol: LpSolution) -> np.ndarray:
     tab = sol.tableau
     return _on_rows(-tab.d, tab.nb, tab.engine.n, tab.engine.m)
 
-
-def solve_dense(
-    c,
-    maximize: bool,
-    A,
-    senses,
-    b,
-    lo,
-    hi,
-) -> LpSolution:
-    """One-shot solve of a dense LP with bounded variables."""
-    return PreparedLp(A, senses, b).solve(lo, hi, c, maximize)
-
-
-# ---------------------------------------------------------------------------
-# problem-level entry points
-
-def prepare(p: MilpProblem) -> PreparedLp:
-    """Build the reusable solver skeleton for a problem's rows."""
-    return PreparedLp(p.rows, p.senses, p.rhs)
-
-
-def relaxed_bounds(p: MilpProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds with each binary's own bounds clipped into [0, 1], so a binary
-    the problem fixes stays fixed."""
-    lo = np.where(p.binary, np.clip(p.lo, 0.0, 1.0), p.lo)
-    hi = np.where(p.binary, np.clip(p.hi, 0.0, 1.0), p.hi)
-    return lo, hi
-
-
-def solve_lp(p: MilpProblem) -> LpSolution:
-    """Solve the LP relaxation of `p`, each binary within its own bounds
-    clipped into [0, 1].
-
-    The reported objective includes the problem's constant offset and is in
-    the problem's own sense.
-    """
-    sol = prepare(p).solve(*relaxed_bounds(p), p.c, p.obj_sense == "max")
-    if sol.status is LpStatus.OPTIMAL:
-        sol.objective = float(sol.objective + p.obj_offset)
-    return sol

@@ -3,7 +3,10 @@
 queries, as one joint search of both signs per output; batch sweeps over
 operating conditions, and report assembly. A query reads, fits and bounds
 its own question (`VerificationQuery.from_dict`, `check`, `region`), and
-`box_bounds` is the one recipe from an input box to bounds and stability."""
+`box_bounds` is the one recipe from an input box to bounds and stability.
+A driver builds and encodes a query's base and its subproblems and reads
+the searches' results; the LP every root of the query starts from, and
+the engine they share, are the search's (`bnb.shared_root_start`)."""
 
 from __future__ import annotations
 
@@ -19,9 +22,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .bnb import BnbOptions, BnbStatus, solve_milp
+from .bnb import BnbOptions, BnbStatus, shared_root_start, solve_milp
 from .bounds import InputBox, LayerBounds, StabilityMap, classify_neurons, propagate_bounds
-from .errors import DimensionMismatch, InvalidArg, InvalidValue, NumericalBreakdown, ParseError
+from .errors import DimensionMismatch, InvalidArg, InvalidValue, ParseError
 from .milp import (
     default_delta_cap,
     encode_network,
@@ -31,7 +34,7 @@ from .milp import (
     set_trust_target,
 )
 from .nnmodel import FoldedNetwork, forward, in_unit_domain
-from .simplex import LpStatus, SolveStats, solve_lp, tolerances
+from .simplex import SolveStats, tolerances
 
 _log = logging.getLogger(__name__)
 
@@ -177,7 +180,6 @@ class OutputRobustness:
 @dataclass
 class RobustnessResult:
     query: VerificationQuery
-    box: InputBox
     per_output: list[OutputRobustness]
     certified: bool
     stability_counts: dict
@@ -230,28 +232,6 @@ def _prepare_base(net, box, opts):
     return encode_network(net, lb, sm, box), sm, tighten
 
 
-def _shared_root_start(base, stats: SolveStats):
-    """The optimal solution every root of a query starts from, or None.
-
-    A query's subproblems differ from its base only in objective
-    (robustness) or in one output's bounds (trust). Solving the base under
-    its own objective, on the one engine every subproblem then searches
-    on, gives each root a start. A robustness base has a zero objective:
-    phase 1 and the expulsion of artificials never read the objective, so
-    a cold root reaches this same basis before phase 2, and each root
-    adopts its tableau and runs phase 2 alone. A trust base minimizes the
-    radius: its optimal basis stays dual feasible when a target moves an
-    output bound, so each root runs a few dual pivots instead of a cold
-    two-phase solve. The solve's work goes to `stats`. When it is not
-    optimal or breaks down, every root solves cold."""
-    try:
-        sol = solve_lp(base)
-    except NumericalBreakdown:
-        return None
-    stats.add(sol)
-    return sol if sol.status is LpStatus.OPTIMAL else None
-
-
 def _common_fields(t0, per_output, sm, searches, tighten, shared) -> dict:
     """The result fields both kinds carry. `stats` sums the B&B work of the
     query's `searches` and `shared`, its other LP work outside them; the
@@ -282,10 +262,9 @@ def robustness(
     t0 = time.perf_counter()
     opts = opts or VerifyOptions()
     q.check(net, "robustness")
-    box = q.region("robustness")
-    base, sm, tighten = _prepare_base(net, box, opts)
+    base, sm, tighten = _prepare_base(net, q.region("robustness"), opts)
     shared = SolveStats()
-    root_start = _shared_root_start(base, shared)
+    root_start = shared_root_start(base, shared)
 
     searches = [
         solve_milp(set_robustness_objective(base, i, sign, float(q.x_ref[i])), opts.bnb, root_start=root_start)
@@ -310,7 +289,7 @@ def robustness(
         else:  # infeasible, or a limit hit before any feasible point
             out = OutputRobustness(name, None, None, None, None, "uncertified", float("inf"))
         per_output.append(out)
-    res = RobustnessResult(query=q, box=box, **_common_fields(t0, per_output, sm, searches, tighten, shared))
+    res = RobustnessResult(query=q, **_common_fields(t0, per_output, sm, searches, tighten, shared))
     _log.debug("robustness %r: %.3f s, %s", q.query_id, res.wall_time, res.stats)
     return res
 
@@ -333,7 +312,7 @@ def trustworthiness(
 
     trust_base = set_trust_problem(base, q.z_ref, scale, cap)
     shared = SolveStats()
-    root_start = _shared_root_start(trust_base, shared)
+    root_start = shared_root_start(trust_base, shared)
 
     per_output = []
     searches = []
@@ -576,22 +555,31 @@ def delta_percent(
     return float(np.max(100.0 * delta * scale * span / denom))
 
 
+def trust_percents(res: TrustResult, norm_lo, norm_hi) -> list[float | None]:
+    """Each output's `delta_percent`, None where no witness was found."""
+    q = res.query
+    return [
+        delta_percent(o.delta_min, q.z_ref, q.effective_scale(), norm_lo, norm_hi) if o.found else None
+        for o in res.per_output
+    ]
+
+
 def trust_table_csv(results: list[TrustResult], norm_lo, norm_hi) -> str:
     """Per-output minimum perturbation as percent of the reference magnitude,
-    one row per (query, output); "not_found" marks outputs that cannot be
-    moved by beta within the radius cap. Ids and names holding a comma or a
-    quote are quoted."""
+    one row per (query, output); "not_found" marks outputs proven not to
+    move by beta within the radius cap, and "uncertified" those whose
+    search hit a limit before it found a witness. Ids and names holding a
+    comma or a quote are quoted."""
     buf = io.StringIO()
     out = csv.writer(buf, lineterminator="\n")
     out.writerow(["query_id", "output_name", "delta_min_percent"])
     for res in results:
-        scale = res.query.effective_scale()
-        for o in res.per_output:
-            if o.found:
-                pct = repr(delta_percent(o.delta_min, res.query.z_ref, scale, norm_lo, norm_hi))
+        for o, pct in zip(res.per_output, trust_percents(res, norm_lo, norm_hi)):
+            if pct is not None:
+                cell = repr(pct)
             else:
-                pct = "not_found"
-            out.writerow([res.query.query_id, o.name, pct])
+                cell = "uncertified" if o.status == "uncertified" else "not_found"
+            out.writerow([res.query.query_id, o.name, cell])
     return buf.getvalue()
 
 

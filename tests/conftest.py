@@ -1,8 +1,10 @@
-"""Shared fixtures: the small worked network, random network generators."""
+"""Shared fixtures: the small worked network, random network generators,
+and a problem's LP relaxation."""
 
 import numpy as np
 import pytest
 
+from relucert.milp import prepare, relaxed_bounds
 from relucert.nnmodel import (
     AffineLayer,
     BatchNormParams,
@@ -104,6 +106,12 @@ def random_spec(
         input_norm_hi=hi,
         output_names=tuple(f"y{i + 1}" for i in range(m)),
     )
+
+
+def relaxation(p):
+    """`p`'s LP relaxation solved on its own engine. The objective is the
+    engine's, `c x` in `p`'s sense, without `p.obj_offset`."""
+    return prepare(p).solve(*relaxed_bounds(p), p.c, p.obj_sense == "max")
 
 
 @pytest.fixture

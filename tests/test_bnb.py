@@ -14,14 +14,18 @@ from relucert.errors import InvalidArg, NumericalBreakdown
 from relucert.milp import (
     default_delta_cap,
     encode_network,
+    prepare,
+    relaxed_bounds,
     set_robustness_objective,
     set_trust_problem,
     set_trust_target,
 )
-from relucert.nnmodel import HiddenLayer, NetworkSpec, OutputLayer, fold_bn, forward
-from relucert.simplex import LpStatus, PreparedLp, prepare, relaxed_bounds, solve_lp
+from relucert.nnmodel import AffineLayer, FoldedNetwork, HiddenLayer, NetworkSpec, OutputLayer, fold_bn, forward
+from relucert.oracle import RobustnessSpec, milp_opt
+from relucert.simplex import LpStatus, PreparedLp
+from relucert.verify import VerificationQuery, VerifyOptions, robustness
 
-from conftest import identity_bn, random_spec
+from conftest import identity_bn, random_spec, relaxation
 from test_milp import encode_on_box, fixed, identity_net, relu_net
 
 
@@ -30,10 +34,10 @@ def enumerate_exact(p):
     bins = np.flatnonzero(p.binary)
     best = None
     for bits in itertools.product((0.0, 1.0), repeat=len(bins)):
-        sol = solve_lp(fixed(p, dict(zip(bins, bits))))
+        sol = relaxation(fixed(p, dict(zip(bins, bits))))
         if sol.status is not LpStatus.OPTIMAL:
             continue
-        v = sol.objective
+        v = sol.objective + p.obj_offset
         if best is None or (v > best if p.obj_sense == "max" else v < best):
             best = v
     return best
@@ -364,6 +368,45 @@ def test_an_integral_node_scores_the_network_not_the_lp(e1, monkeypatch):
         assert res.status is BnbStatus.GAP_LIMIT
 
 
+def test_a_near_zero_big_m_leaves_an_integral_node_open():
+    # two active neurons both equal z, which interval bounds cannot see, so
+    # the layer-2 neuron (hmax - hp) h1 - h2 + hp, at most hp < 0 and so
+    # dead everywhere, gets the near-zero big-M bound hmax in front of an
+    # output weight w. The output is w relu(that) + eps z: the network's
+    # maximum is eps, at z = 1. The root LP takes z = 0 instead, with the
+    # neuron's binary within the integrality tolerance of 1, and claims
+    # w hmax > eps there, where the network reads 0: an integral node whose
+    # LP value is not the network's, and whose point is not the optimum.
+    hp, hmax, w, eps = -5e-7, 1e-7, 100.0, 5e-6
+    net = FoldedNetwork(
+        layers=(
+            AffineLayer(A=[[1.0], [1.0]], c=[0.0, 0.0]),
+            AffineLayer(A=[[hmax - hp, -1.0], [1.0, 0.0]], c=[hp, 0.0]),
+            AffineLayer(A=[[w, eps]], c=[0.0]),
+        ),
+        input_dim=1,
+    )
+    box = InputBox.unit(1)
+    lb = propagate_bounds(net, box)
+    assert lb.pre_hi[1][0] == pytest.approx(hmax)
+    p = set_robustness_objective(encode_network(net, lb, classify_neurons(lb), box), 0, 1, 0.0)
+    root = relaxation(p)
+    assert 0.0 < 1.0 - root.x[p.var_roles[("bin", 1, 0)]] < 1e-6
+    assert root.objective == pytest.approx(w * hmax, rel=1e-5)
+    assert forward(net, root.x[[p.var_roles[("input", 0)]]])[0] == 0.0
+    opt = milp_opt(net, box, RobustnessSpec(0, 1, 0.0)).value
+    assert opt == pytest.approx(eps, abs=1e-12)
+    # closing the root at its network value would certify 0; it stays open
+    # at its LP bound instead, an honest bracket around the optimum
+    res = solve_milp(p)
+    assert res.nodes == 1 and res.status is BnbStatus.GAP_LIMIT
+    assert res.incumbent_value <= opt <= res.best_bound
+    # and so does the query whose untightened bounds keep that big-M
+    q = VerificationQuery(z_ref=[0.5], x_ref=[0.0], alpha=0.5)
+    out = robustness(net, q, VerifyOptions(tighten=False)).per_output[0]
+    assert out.status == "gap_limit" and out.dev_plus <= opt
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_a_point_short_of_its_target_is_no_incumbent(e1, monkeypatch, sign):
     # the network's outputs come out 1e-6 short of every target, so no
@@ -588,7 +631,7 @@ def test_shared_start_keeps_every_trust_answer(seed, beta):
     """Roots started from the trust base's optimal solve answer as cold
     roots do; only the tree may differ."""
     base, plus, minus = _random_trust_pair(seed, beta)
-    shared = solve_lp(base)
+    shared = relaxation(base)
     assert shared.status is LpStatus.OPTIMAL
     warm = solve_milp(plus, root_start=shared, rivals=(minus,))
     cold = solve_milp(plus, rivals=(minus,))

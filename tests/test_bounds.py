@@ -16,9 +16,9 @@ from relucert import milp
 from relucert.errors import DimensionMismatch, InvalidValue, NumericalBreakdown
 from relucert.milp import encode_network, lp_tighten, set_robustness_objective
 from relucert.nnmodel import AffineLayer, FoldedNetwork, fold_bn, forward, forward_layers
-from relucert.simplex import LpSolution, LpStatus, PreparedLp, SolveStats, solve_lp
+from relucert.simplex import LpSolution, LpStatus, PreparedLp, SolveStats
 
-from conftest import random_spec
+from conftest import random_spec, relaxation
 
 
 def test_input_box_validation():
@@ -136,8 +136,8 @@ def test_lp_tighten_output_worked_example(e1):
     lb = propagate_bounds(e1, box)
     tl = lp_tighten(e1, box, lb)
     base = encode_network(e1, tl, classify_neurons(tl), box)
-    top = solve_lp(set_robustness_objective(base, 0, 1, 0.0))
-    bottom = solve_lp(set_robustness_objective(base, 0, -1, 0.0))
+    top = relaxation(set_robustness_objective(base, 0, 1, 0.0))
+    bottom = relaxation(set_robustness_objective(base, 0, -1, 0.0))
     assert top.status is bottom.status is LpStatus.OPTIMAL
     assert top.objective == pytest.approx(1.375, abs=1e-7)
     assert -bottom.objective == pytest.approx(0.0, abs=1e-7)

@@ -14,7 +14,7 @@ import pytest
 import relucert
 from relucert.bnb import BnbOptions
 from relucert.cli import _bnb_options, main
-from relucert.nnmodel import fold_bn, forward, forward_layers, load_network
+from relucert.nnmodel import fold_bn, forward, forward_layers, load_network, network_hash
 from relucert.verify import OutputRobustness
 
 
@@ -653,6 +653,27 @@ def test_relabelled_node_limited_report_fails_above_the_old_cap(wide, workdir, t
     capsys.readouterr()
 
 
+def test_a_node_limited_trust_table_reads_uncertified(wide, tmp_path, capsys):
+    """An output whose search stops at the node limit before it finds a
+    witness is undecided: the table says so, as stdout's status does, and
+    keeps "not_found" for a proven absence."""
+    net, q = wide
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {"node_limit": 2}}))
+    table = tmp_path / "table.csv"
+    capsys.readouterr()
+    assert main(["verify-trust", "--network", str(net), "--queries", q, "--config", str(cfg),
+                 "--out", str(tmp_path / "rep.json"), "--table", str(table)]) == 0
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    rows = list(csv.reader(table.read_text().splitlines()))[1:]
+    assert ["not_found", "uncertified"] in [p[3:] for p in printed], "a witness was found for every output"
+    assert len(rows) == len(printed)
+    for (_, qid, name, value, status), row in zip(printed, rows):
+        assert row[:2] == [qid, name]
+        if value == "not_found":
+            assert row[2] == ("uncertified" if status == "uncertified" else "not_found")
+
+
 def test_oracle_solver_failure_exits_2(workdir, tmp_path, monkeypatch, capsys):
     """A HiGHS status other than optimal or infeasible is a solver failure."""
     import relucert.oracle
@@ -762,14 +783,41 @@ def test_malformed_query_is_input_error(workdir, tmp_path, capsys, verb, q):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_oracle_check_rejects_wrong_network(workdir, tmp_path):
+def test_oracle_check_rejects_wrong_network(workdir, tmp_path, capsys):
+    """Every entry states the network it was produced for, and the check
+    holds each to the network it runs on, also where the report as a whole
+    states none (a trust batch) or another (an entry spliced in)."""
     assert main(["gen-data", "--inputs", "2", "--outputs", "2", "--samples", "40",
                  "--seed", "9", "--out", str(tmp_path / "ds2.csv")]) == 0
-    assert main(["train", "--dataset", str(tmp_path / "ds2.csv"),
-                 "--out", str(tmp_path / "net2.json"),
-                 "--widths", "4", "--epochs", "20"]) == 0
-    assert main(["oracle-check", "--network", str(tmp_path / "net2.json"),
-                 "--report", str(workdir / "rob.json")]) == 1
+    net2 = tmp_path / "net2.json"
+    assert main(["train", "--dataset", str(tmp_path / "ds2.csv"), "--out", str(net2),
+                 "--widths", "4,4", "--epochs", "20"]) == 0
+    net = workdir / "net.json"
+    hashes = {path: network_hash(load_network(path.read_text())) for path in (net, net2)}
+
+    def check(network, report, produced_for):
+        capsys.readouterr()
+        assert main(["oracle-check", "--network", str(network), "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: report was produced for network {hashes[produced_for][:12]}..., " \
+                      f"got {hashes[network][:12]}...\n"
+
+    rq = _write_queries(tmp_path, "rq.json", [{"z_ref": [0.3, 0.6], "x_ref": [0.5, 0.4], "alpha": 0.05}])
+    for network, name in ((net, "own.json"), (net2, "other.json")):
+        assert main(["verify-robust", "--network", str(network), "--queries", rq,
+                     "--out", str(tmp_path / name)]) == 0
+    check(net2, tmp_path / "own.json", net)
+    queries = [{"query_id": f"t{k}", "z_ref": [0.4, 0.5], "x_ref": [0.5, 0.4], "beta": 0.2} for k in (1, 2)]
+    trust = tmp_path / "trust.json"
+    assert main(["verify-trust", "--network", str(net), "--queries",
+                 _write_queries(tmp_path, "tq.json", queries), "--out", str(trust)]) == 0
+    assert "provenance" not in json.loads(trust.read_text())
+    check(net2, trust, net)
+    # a robustness batch of this network with one entry from net2's report
+    spliced = json.loads((tmp_path / "own.json").read_text())
+    spliced["queries"].append(json.loads((tmp_path / "other.json").read_text())["queries"][0])
+    (tmp_path / "spliced.json").write_text(json.dumps(spliced))
+    check(net, tmp_path / "spliced.json", net2)
 
 
 def test_config_typos_are_named(workdir, tmp_path, capsys):

@@ -15,9 +15,9 @@ from relucert.milp import (
     to_lp_text,
 )
 from relucert.nnmodel import AffineLayer, FoldedNetwork, HiddenLayer, NetworkSpec, OutputLayer, fold_bn
-from relucert.simplex import LpStatus, solve_lp
+from relucert.simplex import LpStatus
 
-from conftest import identity_bn
+from conftest import identity_bn, relaxation
 
 
 def encode_on_box(net, box):
@@ -64,7 +64,7 @@ def test_malformed_rows_are_invalid_when_solved(malform):
     p, _ = encode_on_box(relu_net(2.0, -1.0), InputBox.unit(1))
     p = malform(set_robustness_objective(p, 0, 1, 0.0))
     with pytest.raises(InvalidArg):
-        solve_lp(p)
+        relaxation(p)
     with pytest.raises(InvalidArg):
         solve_milp(p)
 
@@ -144,10 +144,10 @@ def test_all_active_network_is_pure_lp():
     net = identity_net()
     p, _ = encode_on_box(net, InputBox.unit(1))
     assert p.num_binaries == 0  # pre interval [0,1] classifies as active
-    sol = solve_lp(set_robustness_objective(p, 0, 1, 0.0))
+    sol = relaxation(set_robustness_objective(p, 0, 1, 0.0))
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
-    sol = solve_lp(set_robustness_objective(p, 0, -1, 0.0))
+    sol = relaxation(set_robustness_objective(p, 0, -1, 0.0))
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
@@ -169,7 +169,7 @@ def test_indicator_semantics_on_minus1_2_neuron():
     z = p.var_roles[("input", 0)]
 
     def at(z_val, r_val, sign):
-        return solve_lp(fixed(set_robustness_objective(p, 0, sign, 0.0), {z: z_val, r: r_val}))
+        return relaxation(fixed(set_robustness_objective(p, 0, sign, 0.0), {z: z_val, r: r_val}))
 
     # z=0.8 (pre=1.4): r=1 pins h to 1.4; r=0 is contradictory
     assert at(0.8, 1.0, 1).objective == pytest.approx(1.4, abs=1e-9)
@@ -191,13 +191,13 @@ def test_e1_small_box_pattern_enumeration(e1):
     r = q.var_roles[("bin", 0, 0)]
     vals = {}
     for rv in (0.0, 1.0):
-        sol = solve_lp(fixed(q, {r: rv}))
+        sol = relaxation(fixed(q, {r: rv}))
         assert sol.status is LpStatus.OPTIMAL
-        vals[rv] = sol.objective
+        vals[rv] = sol.objective + q.obj_offset
     assert vals[1.0] == pytest.approx(0.2, abs=1e-9)
     assert vals[0.0] == pytest.approx(0.1, abs=1e-9)
     # LP relaxation can only overestimate the true optimum
-    assert solve_lp(q).objective >= 0.2 - 1e-9
+    assert relaxation(q).objective + q.obj_offset >= 0.2 - 1e-9
 
 
 def test_e1_unit_box_trust_enumeration(e1):
@@ -214,11 +214,11 @@ def test_e1_unit_box_trust_enumeration(e1):
         best = np.inf
         for a in (0.0, 1.0):
             for b in (0.0, 1.0):
-                sol = solve_lp(fixed(q, {r1: a, r2: b}))
+                sol = relaxation(fixed(q, {r1: a, r2: b}))
                 if sol.status is LpStatus.OPTIMAL:
                     best = min(best, sol.objective)
         assert best == pytest.approx(want, abs=1e-9)
-        relaxed = solve_lp(q)
+        relaxed = relaxation(q)
         assert relaxed.status is LpStatus.OPTIMAL
         assert relaxed.objective <= best + 1e-9
 
@@ -229,7 +229,7 @@ def test_trust_identity_example():
     cap = default_delta_cap([0.5], [1.0])
     for sign in (1, -1):
         q = set_trust_target(set_trust_problem(p, np.array([0.5]), np.ones(1), cap), 0, sign, 0.05, 0.5)
-        sol = solve_lp(q)
+        sol = relaxation(q)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(0.05, abs=1e-9)
 
@@ -238,7 +238,7 @@ def test_trust_unattainable_beta_infeasible():
     net = identity_net()
     p, _ = encode_on_box(net, InputBox.unit(1))
     q = set_trust_target(set_trust_problem(p, np.array([0.5]), np.ones(1), 0.5), 0, 1, 2.0, 0.5)
-    assert solve_lp(q).status is LpStatus.INFEASIBLE
+    assert relaxation(q).status is LpStatus.INFEASIBLE
 
 
 def test_trust_target_is_an_output_bound(e1):
@@ -258,7 +258,7 @@ def test_trust_target_is_an_output_bound(e1):
     for sign in (1, -1):
         t = set_trust_target(base, 0, sign, 5.0, 0.25)
         assert t.lo[x] == t.hi[x] == 0.25 + sign * 5.0
-        assert solve_lp(t).status is LpStatus.INFEASIBLE
+        assert relaxation(t).status is LpStatus.INFEASIBLE
     with pytest.raises(InvalidArg, match="trust base"):
         set_trust_target(p, 0, 1, 0.15, 0.25)
 

@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 
 from relucert.errors import InvalidArg, NumericalBreakdown
 from relucert import simplex
-from relucert.simplex import LpStatus, PreparedLp, WarmStart, row_duals, solve_dense
+from relucert.simplex import LpStatus, PreparedLp, WarmStart, row_duals
 
 
 def scipy_solve(c, maximize, A, senses, b, lo, hi):
@@ -38,39 +38,33 @@ def scipy_solve(c, maximize, A, senses, b, lo, hi):
 
 
 def test_one_variable_lp():
-    sol = solve_dense([1.0], True, [[1.0]], ["<="], [0.7], [0.0], [1.0])
+    sol = PreparedLp([[1.0]], ["<="], [0.7]).solve([0.0], [1.0], [1.0], True)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.x[0] == pytest.approx(0.7, abs=1e-9)
     assert sol.objective == pytest.approx(0.7, abs=1e-9)
 
 
 def test_contradictory_rows_infeasible():
-    sol = solve_dense(
-        [1.0], True, [[1.0], [1.0]], [">=", "<="], [1.0, 0.0], [-5.0], [5.0]
-    )
+    sol = PreparedLp([[1.0], [1.0]], [">=", "<="], [1.0, 0.0]).solve([-5.0], [5.0], [1.0], True)
     assert sol.status is LpStatus.INFEASIBLE
     assert sol.infeasibility > 0.5
 
 
 def test_equality_row():
-    sol = solve_dense(
-        [1.0, 0.0], True, [[1.0, 1.0]], ["="], [1.0], [0.0, 0.0], [1.0, 1.0]
-    )
+    sol = PreparedLp([[1.0, 1.0]], ["="], [1.0]).solve([0.0, 0.0], [1.0, 1.0], [1.0, 0.0], True)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
     assert sol.x[1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_minimize_sense():
-    sol = solve_dense(
-        [2.0, 1.0], False, [[1.0, 1.0]], [">="], [1.0], [0.0, 0.0], [2.0, 2.0]
-    )
+    sol = PreparedLp([[1.0, 1.0]], [">="], [1.0]).solve([0.0, 0.0], [2.0, 2.0], [2.0, 1.0], False)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-9)  # y=1, x=0
 
 
 def test_no_rows_picks_bounds():
-    sol = solve_dense([-1.0, 3.0], True, np.zeros((0, 2)), [], [], [-3.0, -1.0], [5.0, 2.0])
+    sol = PreparedLp(np.zeros((0, 2)), [], []).solve([-3.0, -1.0], [5.0, 2.0], [-1.0, 3.0], True)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.x[0] == -3.0 and sol.x[1] == 2.0
     assert sol.objective == pytest.approx(9.0, abs=0)
@@ -78,9 +72,7 @@ def test_no_rows_picks_bounds():
 
 def test_negative_lower_bounds():
     # optimum sits at a mixed bound corner, away from the origin
-    sol = solve_dense(
-        [1.0, -1.0], True, [[1.0, 1.0]], ["<="], [0.0], [-2.0, -2.0], [2.0, 2.0]
-    )
+    sol = PreparedLp([[1.0, 1.0]], ["<="], [0.0]).solve([-2.0, -2.0], [2.0, 2.0], [1.0, -1.0], True)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(4.0, abs=1e-9)  # x=2, y=-2
 
@@ -115,7 +107,7 @@ def test_random_lps_match_reference():
     for trial in range(40):
         c, A, senses, b, lo, hi, _ = _random_feasible_lp(rng)
         maximize = bool(rng.integers(0, 2))
-        sol = solve_dense(c, maximize, A, senses, b, lo, hi)
+        sol = PreparedLp(A, senses, b).solve(lo, hi, c, maximize)
         ref = scipy_solve(c, maximize, A, senses, b, lo, hi)
         assert sol.status is LpStatus.OPTIMAL, f"trial {trial}"
         ref_val = -ref.fun if maximize else ref.fun
@@ -136,7 +128,7 @@ def test_weak_duality_against_sampled_points():
     for _ in range(12):
         c, A, senses, b, lo, hi, x0 = _random_feasible_lp(rng, m=int(rng.integers(1, 6)))
         eq_free = all(s != "=" for s in senses)
-        sol = solve_dense(c, True, A, senses, b, lo, hi)
+        sol = PreparedLp(A, senses, b).solve(lo, hi, c, True)
         assert sol.status is LpStatus.OPTIMAL
         assert float(c @ x0) <= sol.objective + 1e-6
         if not eq_free:
@@ -192,7 +184,7 @@ def test_infeasible_instances_detected():
         A = [a, a]
         senses = [">=", "<="]
         b = [float(a.sum()) + 1.0, float(a.sum()) + 2.0]
-        sol = solve_dense(rng.normal(size=n), True, A, senses, b, lo, hi)
+        sol = PreparedLp(A, senses, b).solve(lo, hi, rng.normal(size=n), True)
         assert sol.status is LpStatus.INFEASIBLE
         assert sol.infeasibility > 0
 
@@ -200,8 +192,8 @@ def test_infeasible_instances_detected():
 def test_determinism():
     rng = np.random.default_rng(21)
     c, A, senses, b, lo, hi, _ = _random_feasible_lp(rng, n=6, m=8)
-    s1 = solve_dense(c, True, A, senses, b, lo, hi)
-    s2 = solve_dense(c, True, A, senses, b, lo, hi)
+    s1 = PreparedLp(A, senses, b).solve(lo, hi, c, True)
+    s2 = PreparedLp(A, senses, b).solve(lo, hi, c, True)
     assert s1.objective == s2.objective
     assert np.array_equal(s1.x, s2.x)
     assert np.array_equal(s1.basis, s2.basis)
@@ -219,7 +211,7 @@ def test_beale_degenerate_instance_terminates():
     b = [0.0, 0.0, 1.0]
     lo = [0.0] * 4
     hi = [1e4] * 4
-    sol = solve_dense(c, False, A, senses, b, lo, hi)
+    sol = PreparedLp(A, senses, b).solve(lo, hi, c, False)
     ref = scipy_solve(c, False, A, senses, b, lo, hi)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
@@ -228,16 +220,16 @@ def test_beale_degenerate_instance_terminates():
 def test_frequent_refactorization_matches_default(monkeypatch):
     rng = np.random.default_rng(33)
     c, A, senses, b, lo, hi, _ = _random_feasible_lp(rng, n=8, m=10)
-    a = solve_dense(c, True, A, senses, b, lo, hi)
+    a = PreparedLp(A, senses, b).solve(lo, hi, c, True)
     monkeypatch.setattr(simplex, "REFACTOR_EVERY", 1)
-    bsol = solve_dense(c, True, A, senses, b, lo, hi)
+    bsol = PreparedLp(A, senses, b).solve(lo, hi, c, True)
     assert a.objective == pytest.approx(bsol.objective, abs=1e-8)
 
 
 def test_larger_instance_against_reference():
     rng = np.random.default_rng(55)
     c, A, senses, b, lo, hi, _ = _random_feasible_lp(rng, n=30, m=25)
-    sol = solve_dense(c, True, A, senses, b, lo, hi)
+    sol = PreparedLp(A, senses, b).solve(lo, hi, c, True)
     ref = scipy_solve(c, True, A, senses, b, lo, hi)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(-ref.fun, abs=5e-6)
@@ -292,12 +284,12 @@ def test_rank_deficient_lp_bases_index_only_structurals_and_logicals():
 
 def test_ge_rows_equal_their_negated_le_rows():
     lo, hi = [0.0] * 3, [2.0] * 3
-    ge = solve_dense(_RD_C, True, _RD_A, _RD_SENSES, _RD_B, lo, hi)
+    ge = PreparedLp(_RD_A, _RD_SENSES, _RD_B).solve(lo, hi, _RD_C, True)
     A_le = [list(r) for r in _RD_A]
     A_le[0] = [-v for v in A_le[0]]
     b_le = list(_RD_B)
     b_le[0] = -b_le[0]
-    le = solve_dense(_RD_C, True, A_le, ["<=", "<=", "=", "="], b_le, lo, hi)
+    le = PreparedLp(A_le, ["<=", "<=", "=", "="], b_le).solve(lo, hi, _RD_C, True)
     assert le.objective == ge.objective
     np.testing.assert_array_equal(le.x, ge.x)
 
@@ -308,11 +300,11 @@ def test_an_unblocked_entering_column_is_a_breakdown():
     # is under the pivot tolerance: no bound blocks the column, which the
     # bounded structurals rule out, so the solve breaks down instead of
     # reporting the LP unbounded
-    args = ([-1.0], False, [[2.0]], [">="], [1.0], [0.0], [2.0])
+    eng = PreparedLp([[2.0]], [">="], [1.0])
     with pytest.MonkeyPatch.context() as mp, pytest.raises(NumericalBreakdown):
         mp.setattr(simplex, "PIVOT_TOL", 0.9)
-        solve_dense(*args)
-    sol = solve_dense(*args)
+        eng.solve([0.0], [2.0], [-1.0], False)
+    sol = eng.solve([0.0], [2.0], [-1.0], False)
     assert sol.status is LpStatus.OPTIMAL and sol.objective == -2.0
 
 
@@ -341,7 +333,7 @@ def test_primal_blands_rule_matches_reference(monkeypatch):
         c = rng.normal(size=n)
         maximize = bool(rng.integers(0, 2))
         bland_passes.clear()
-        sol = solve_dense(c, maximize, A, senses, b, lo, hi)
+        sol = PreparedLp(A, senses, b).solve(lo, hi, c, maximize)
         ref = scipy_solve(c, maximize, A, senses, b, lo, hi)
         assert sol.status is LpStatus.OPTIMAL and sol.phase1_pivots == 0, f"trial {trial}"
         assert sol.objective == pytest.approx(-ref.fun if maximize else ref.fun, abs=1e-7), f"trial {trial}"
@@ -354,4 +346,4 @@ def test_artificial_without_pivot_element_is_a_breakdown(monkeypatch):
     # entry of its row passes the (absurd) pivot tolerance, so it cannot leave
     monkeypatch.setattr(simplex, "PIVOT_TOL", 2.0)
     with pytest.raises(NumericalBreakdown):
-        solve_dense([1.0, 0.0], True, [[1.0, 1.0]], ["="], [0.0], [0.0, 0.0], [0.0, 0.0])
+        PreparedLp([[1.0, 1.0]], ["="], [0.0]).solve([0.0, 0.0], [0.0, 0.0], [1.0, 0.0], True)

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from relucert.bnb import BnbOptions
 from relucert.bounds import InputBox, LayerBounds, classify_neurons, propagate_bounds
 from relucert.errors import DimensionMismatch, InvalidArg, InvalidValue
-from relucert.milp import default_delta_cap, encode_network
+from relucert.milp import default_delta_cap, encode_network, prepare, relaxed_bounds
 from relucert.nnmodel import FoldedNetwork, fold_bn, forward
-from relucert.simplex import LpStatus, prepare, relaxed_bounds
+from relucert.simplex import LpStatus
 from relucert.verify import (
     BatchRobustness,
+    OutputTrust,
+    TrustResult,
     VerificationQuery,
     VerifyOptions,
     batch_report,
@@ -25,6 +27,7 @@ from relucert.verify import (
     robustness_batch,
     robustness_report,
     timing_sidecar,
+    trust_percents,
     trust_report,
     trust_table_csv,
     trustworthiness,
@@ -360,6 +363,21 @@ def test_delta_percent_and_tables(e1):
     hist = histogram_csv(np.array([0.0, 0.5, 1.0]), np.array([3, 4]))
     assert hist.splitlines()[0] == "bin_lo,bin_hi,count"
     assert len(hist.strip().splitlines()) == 3
+
+
+def test_trust_table_tells_an_undecided_output_from_a_proven_absence():
+    # an output whose search hit a limit before any witness is not proven
+    # unreachable: the table says "uncertified", as the report's status does
+    q = VerificationQuery(z_ref=[0.5], x_ref=[0.0, 0.0, 0.0], beta=0.1, query_id="u1")
+    per_output = [
+        OutputTrust("y1", False, None, None, None, 0.5, "uncertified", float("inf")),
+        OutputTrust("y2", False, None, None, None, 0.5, "certified", 0.0),
+        OutputTrust("y3", True, 0.25, 1, np.array([0.75]), 0.5, "gap_limit", 1e-3),
+    ]
+    res = TrustResult(q, per_output, 0.25, False, {}, 0.0)
+    assert trust_percents(res, [0.0], [2.0]) == [None, None, delta_percent(0.25, [0.5], [1.0], [0.0], [2.0])]
+    rows = trust_table_csv([res], [0.0], [2.0]).splitlines()[1:]
+    assert rows == ["u1,y1,uncertified", "u1,y2,not_found", "u1,y3,50.0"]
 
 
 def test_wall_time_and_stats_cover_the_whole_call(e1, monkeypatch, caplog):

@@ -15,7 +15,7 @@ from relucert import bnb, milp, simplex, verify
 from relucert.bnb import solve_milp
 from relucert.bounds import InputBox, classify_neurons, propagate_bounds
 from relucert.errors import InvalidArg, NumericalBreakdown
-from relucert.milp import encode_network, lp_tighten, set_robustness_objective
+from relucert.milp import encode_network, lp_tighten, prepare, relaxed_bounds, set_robustness_objective
 from relucert.nnmodel import fold_bn, forward
 from relucert.simplex import (
     LpSolution,
@@ -26,12 +26,9 @@ from relucert.simplex import (
     _reduced_costs,
     _State,
     _steepest_edge_weights,
-    prepare,
-    relaxed_bounds,
-    solve_lp,
 )
 
-from conftest import random_spec
+from conftest import random_spec, relaxation
 
 
 def _random_lp(rng, n, m):
@@ -403,7 +400,7 @@ def test_milp_stats_count_every_node(e1):
     assert s.warm_starts == res.nodes - 1  # every node but the root
     assert s.breakdowns <= s.warm_fallbacks <= s.warm_starts
     # no child needs phase 1: infeasible ones are decided by their dual ray
-    assert s.phase1_pivots == solve_lp(p).phase1_pivots
+    assert s.phase1_pivots == relaxation(p).phase1_pivots
 
 
 def _robustness_problems(net, z_ref, alpha):
@@ -468,11 +465,11 @@ def test_root_start_must_come_from_the_problems_rows(e1):
 def _spy_query(monkeypatch, run, net, q):
     """Run `run` (`robustness` or `trustworthiness`), recording every solve
     of the LP engine, (start, solution), each `solve_milp` call,
-    (root_start, result), and every engine `bnb` prepares, `verify`'s
-    shared solve, `solve_lp`, prepares and `lp_tighten` prepares."""
+    (root_start, result), and every engine `bnb` prepares, for the shared
+    root start or for a search, and `lp_tighten` prepares."""
     solve, search = PreparedLp.solve, verify.solve_milp
     solves, subproblems = [], []
-    prepared = {"verify": 0, "bnb": 0, "tighten": 0}
+    prepared = {"bnb": 0, "tighten": 0}
 
     def spying_prepare(module, name):
         prepare = module.prepare
@@ -495,7 +492,6 @@ def _spy_query(monkeypatch, run, net, q):
 
     monkeypatch.setattr(PreparedLp, "solve", spy_solve)
     monkeypatch.setattr(verify, "solve_milp", spy_milp)
-    spying_prepare(simplex, "verify")
     spying_prepare(bnb, "bnb")
     spying_prepare(milp, "tighten")
     res = run(net, q)
@@ -522,7 +518,7 @@ def test_robustness_roots_skip_phase_1(monkeypatch, seed):
     assert len(shared) == 1 and shared[0].warm is WarmStart.NONE
     assert all(start is root_start for start, _ in subproblems)
     # one engine for the whole search, and one per tightened layer
-    assert prepared == {"verify": 1, "bnb": 0, "tighten": _open_layers(net, box)}
+    assert prepared == {"bnb": 1, "tighten": _open_layers(net, box)}
     assert all(r.stats.phase1_pivots == 0 for _, r in subproblems)
     assert res.stats["phase1_pivots"] == shared[0].phase1_pivots > 0
     assert res.stats["lp_solves"] == res.stats["nodes"] + 1
@@ -546,7 +542,7 @@ def test_trust_roots_skip_phase_1(monkeypatch, seed):
     assert len(subproblems) == net.num_outputs and res.stats["subproblems"] == 2 * net.num_outputs
     assert all(start is root_start for start, _ in subproblems)
     # one engine for the whole search, and one per tightened layer
-    assert prepared == {"verify": 1, "bnb": 0, "tighten": _open_layers(net, box)}
+    assert prepared == {"bnb": 1, "tighten": _open_layers(net, box)}
     assert all(r.stats.phase1_pivots == 0 for _, r in subproblems)
     assert res.stats["phase1_pivots"] == shared[0].phase1_pivots > 0
     assert res.stats["lp_solves"] == res.stats["nodes"] + 1
@@ -554,8 +550,10 @@ def test_trust_roots_skip_phase_1(monkeypatch, seed):
     assert res.certified
 
 
-def _failing_prepare(failure):
-    """A `prepare` whose engine's every solve fails as `failure` says."""
+def _failing_shared_prepare(failure):
+    """A `prepare` whose first engine, the one a query's shared root start
+    solves on, fails every solve as `failure` says; every later engine, a
+    cold search's own, is a real one."""
 
     class FailingLp:
         def solve(self, lo, hi, c, maximize, start=None):
@@ -563,17 +561,23 @@ def _failing_prepare(failure):
                 raise NumericalBreakdown("forced")
             return LpSolution(status=LpStatus.INFEASIBLE, infeasibility=1.0)
 
-    return lambda p: FailingLp()
+    built = []
+
+    def failing(p):
+        built.append(p)
+        return FailingLp() if len(built) == 1 else prepare(p)
+
+    return failing
 
 
 @pytest.mark.parametrize("failure", ["infeasible", "breakdown"])
 def test_failed_shared_solve_leaves_every_root_cold(monkeypatch, e1, failure):
     q = verify.VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], alpha=0.5)
     clean = verify.robustness(e1, q)
-    monkeypatch.setattr(simplex, "prepare", _failing_prepare(failure))
+    monkeypatch.setattr(bnb, "prepare", _failing_shared_prepare(failure))
     res, _, subproblems, prepared = _spy_query(monkeypatch, verify.robustness, e1, q)
     assert all(start is None for start, _ in subproblems)
-    assert prepared["bnb"] == len(subproblems)  # each cold search builds its own engine
+    assert prepared["bnb"] == 1 + len(subproblems)  # the shared start's, then each cold search's own
     assert all(r.stats.warm_starts == r.nodes - 1 for _, r in subproblems)  # cold roots
     assert res.stats["lp_solves"] == res.stats["nodes"] + (failure == "infeasible")
     assert res.stats["nodes"] == clean.stats["nodes"] and res.certified == clean.certified
@@ -587,10 +591,10 @@ def test_failed_shared_solve_leaves_every_root_cold(monkeypatch, e1, failure):
 def test_failed_trust_shared_solve_leaves_every_root_cold(monkeypatch, e1, failure):
     q = verify.VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], beta=0.15)
     clean = verify.trustworthiness(e1, q)
-    monkeypatch.setattr(simplex, "prepare", _failing_prepare(failure))
+    monkeypatch.setattr(bnb, "prepare", _failing_shared_prepare(failure))
     res, _, subproblems, prepared = _spy_query(monkeypatch, verify.trustworthiness, e1, q)
     assert all(start is None for start, _ in subproblems)
-    assert prepared["bnb"] == len(subproblems)  # each output's pair builds its own engine
+    assert prepared["bnb"] == 1 + len(subproblems)  # the shared start's, then each output pair's own
     assert all(r.stats.warm_starts == r.nodes - 2 for _, r in subproblems)  # both roots cold
     assert res.stats["lp_solves"] == res.stats["nodes"] + (failure == "infeasible")
     assert res.certified == clean.certified  # the tree may differ from the shared start's
