@@ -7,11 +7,18 @@ sets lo = hi = 0 or 1 on the binary it branches on. Every node, the root
 included, takes the same step: solve the LP relaxation with the problem's
 objective on one prepared engine, register its incumbent candidate, clamp its
 bound to its parent's, then record it as integral, branched, pruned or
-infeasible. The engine is the problem's own, or, when the caller passes a
-`root_start` solution, that solution's engine, which must have been built
-from the problem's rows: `shared_root_start` builds one engine for a
-query's base encoding and solves the base on it, and every subproblem
-searches on that engine. A root solves cold, unless there is a
+infeasible. A node's bound is its LP's dual-proven `bound`, never the value
+at the LP's point, so pruning, `best_bound` and the integral-node test rest
+on weak duality over the original rows. Once an incumbent exists, a node's
+LP gets the level below which the node is pruned, the incumbent plus
+`abs_gap`, as its cutoff: its dual simplex stops as soon as it proves a
+bound strictly below it, and the node is recorded as pruned without a
+point. Being strict, the cutoff never stops a node whose point could tie
+or beat the incumbent. The engine is the problem's own, or, when the
+caller passes a `root_start` solution, that solution's engine, which must
+have been built from the problem's rows: `shared_root_start` builds one
+engine for a query's base encoding and solves the base on it, and every
+subproblem searches on that engine. A root solves cold, unless there is a
 `root_start`, which it starts from and whose tableau it adopts; each child
 starts from its parent's optimal solution and adopts its basis and
 tableau. The basis stays dual feasible when bounds change, as one binary's
@@ -52,7 +59,9 @@ neuron either way moves the bound. Duals within the LP's `OPT_TOL` of
 zero count as zero, and the search builds `|a_ij|` once, so a node's scores
 cost one matrix-vector product. Ties go to the lowest variable. When every
 score is zero, as on a dual degenerate LP or where no binary sits in a
-priced row, the most fractional binary is taken instead.
+priced row, the most fractional binary is taken instead, the lowest of
+those within `_TIE_TOL` of the most fractional, so that roundoff in the
+LP point does not pick among binaries tied at one half.
 """
 
 from __future__ import annotations
@@ -75,6 +84,7 @@ from .simplex import OPT_TOL, LpSolution, LpStatus, SolveStats, row_duals
 _log = logging.getLogger(__name__)
 _INT_TOL = 1e-6
 _TARGET_TOL = 1e-9
+_TIE_TOL = 1e-9  # fractionalities this close are tied: their difference is roundoff
 
 
 class BnbStatus(Enum):
@@ -166,7 +176,8 @@ def _select_branch_var(x_lp, bin_idx, weight) -> int | None:
     score `min(x_j, 1 - x_j) * weight[k]` estimates, to first order, how far
     fixing it either way moves the bound (Bunel et al., JMLR 21, 2020,
     BaBSR). The highest score wins. When every score is zero, as on a dual
-    degenerate LP, the most fractional binary does. A branched binary has
+    degenerate LP, the most fractional binary does, the lowest of those
+    within `_TIE_TOL` of it. A branched binary has
     lo == hi, so the LP point sits exactly on it and it is never chosen."""
     xs = x_lp[bin_idx]
     frac = np.minimum(xs, 1.0 - xs)
@@ -178,7 +189,8 @@ def _select_branch_var(x_lp, bin_idx, weight) -> int | None:
     score = frac[pos] * weight[pos]
     if score.max() > 0.0:
         return int(pos[np.argmax(score)])
-    return int(pos[np.argmin(np.abs(xs[pos] - 0.5))])
+    dist = np.abs(xs[pos] - 0.5)
+    return int(pos[np.argmax(dist <= dist.min() + _TIE_TOL)])
 
 
 def shared_root_start(base: MilpProblem, stats: SolveStats) -> LpSolution | None:
@@ -287,18 +299,23 @@ def solve_milp(
         open (see `open_score`)."""
         nonlocal open_score, inc_score, inc_value, inc_z, inc_src
         q = problems[src]
+        # a bound below inc_score + abs_gap prunes the node, so its LP may stop there
+        cutoff = own(inc_score + opts.abs_gap) - q.obj_offset if inc_value is not None else None
         try:
-            sol = engine.solve(lo, hi, q.c, maximize, start=start)
+            sol = engine.solve(lo, hi, q.c, maximize, start=start, cutoff=cutoff)
         except NumericalBreakdown as e:
             stats.node_breakdowns += 1
             open_score = max(open_score, parent_score)
             note(seq, src, depth, parent_score, f"breakdown ({e}), left open at its parent's bound")
             return
         stats.add(sol)
-        if sol.status is not LpStatus.OPTIMAL:
+        if sol.status is LpStatus.INFEASIBLE:
             note(seq, src, depth, None, "infeasible")
             return
-        score = mult * (sol.objective + q.obj_offset)
+        score = min(mult * (sol.bound + q.obj_offset), parent_score)  # a node's bound cannot beat its parent's
+        if sol.status is LpStatus.CUTOFF:
+            note(seq, src, depth, score, f"pruned (cut off at bound {sol.bound + q.obj_offset!r})")
+            return
         z = sol.x[in_idx]
         cand = rules[src](z)
         if cand is not None and (mult * cand > inc_score or (mult * cand == inc_score and src < inc_src)):
@@ -306,7 +323,6 @@ def solve_milp(
         y = np.abs(row_duals(sol))
         y[y <= OPT_TOL] = 0.0
         k = _select_branch_var(sol.x, bin_idx, y @ bin_rows)
-        score = min(score, parent_score)  # a node's bound cannot beat its parent's
         if k is None and (cand is None or score - mult * cand > _TARGET_TOL):  # its pattern may reach it
             open_score = max(open_score, score)
             note(seq, src, depth, score, "integral, left open at its LP bound")

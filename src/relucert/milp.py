@@ -229,8 +229,10 @@ def lp_tighten(
     neuron's interval, the first layer's (already exact over a box) and the
     outputs' come back as they came in.
 
-    Results are clipped into the incoming intervals, so they are subsets and
-    stay sound; a failed solve keeps the incoming interval for that side.
+    Each side moves to its LP's dual-proven `bound`, not the value at its
+    point, and results are clipped into the incoming intervals, so they are
+    subsets and stay sound; a failed solve keeps the incoming interval for
+    that side.
     The solves on one cut share bounds and differ only in objective, so
     each starts from the last optimal basis, which is still primal
     feasible, and adopts its tableau. Each solve's work goes to `stats`.
@@ -268,9 +270,9 @@ def lp_tighten(
                     continue
                 start = sol
                 if maximize:
-                    tgt_hi[t] = min(tgt_hi[t], sol.objective + _TIGHTEN_SLACK)
+                    tgt_hi[t] = min(tgt_hi[t], sol.bound + _TIGHTEN_SLACK)
                 else:
-                    tgt_lo[t] = max(tgt_lo[t], sol.objective - _TIGHTEN_SLACK)
+                    tgt_lo[t] = max(tgt_lo[t], sol.bound - _TIGHTEN_SLACK)
             if tgt_lo[t] > tgt_hi[t]:  # keep the pair ordered under roundoff
                 mid = 0.5 * (tgt_lo[t] + tgt_hi[t])
                 tgt_lo[t] = tgt_hi[t] = mid

@@ -1,8 +1,8 @@
 """Bounded-variable simplex: a cold two-phase primal solve and a
 warm-started dual path.
 
-A solve ends OPTIMAL or INFEASIBLE, or raises `NumericalBreakdown`. Every
-structural is bounded and carries the whole objective, and phase 1's
+A solve ends OPTIMAL, INFEASIBLE or CUTOFF, or raises `NumericalBreakdown`.
+Every structural is bounded and carries the whole objective, and phase 1's
 objective is at most zero, so no loop's LP is unbounded: an entering column
 no bound blocks is a breakdown, like a singular basis or a solve attempt
 past the pricing-pass budget `PreparedLp.max_iter`.
@@ -73,6 +73,23 @@ primal nor dual feasible or a numerical breakdown, falls back to the cold
 solve, with a budget of its own. The same reading gives an optimal solve's
 row duals, `row_duals`, from its final reduced costs.
 
+An optimal solve's `objective` is `c x` at its point, and its `bound` is
+proven by weak duality from the original data (Neumaier & Shcherbina,
+"Safe bounds in linear and mixed-integer linear programming", Math.
+Program. 99, 2004): for any row vector `y`, every solution of the rows has
+`c x = y.b + (c - y A) x`, so `y.b` plus the greatest `(c - y A) x` over
+the columns' box bounds the LP's optimum, however inexact `y` is. `y` is
+read off the final reduced costs as `row_duals` reads it, and a logical
+that `c - y A` prices up is capped, as for a dual ray, at the most its
+row's activity allows. Since no bound depends on the basic values, none
+are recomputed for the point: it is read off the basic values the pivots
+carried, and the tableau is refactorized after an optimal solve only when
+the point's row residual `||b - A x||_inf` exceeds `FEAS_TOL`. A solve may
+take a `cutoff`, a value its caller does not need beaten. The dual
+simplex carries its running objective, and once that falls short of the
+cutoff it proves the bound at its current duals; when that bound falls
+strictly short as well, the solve ends CUTOFF with the bound and no point.
+
 The tolerances and the pivot rules' thresholds are the module constants
 below, one fixed policy for every solve.
 """
@@ -90,6 +107,7 @@ from .errors import InvalidArg, NumericalBreakdown
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
+    CUTOFF = "cutoff"  # a proven bound falls strictly short of the solve's cutoff
 
 
 class WarmStart(Enum):
@@ -120,9 +138,10 @@ class Tableau:
     solution adopts: `T` is B^-1 A_N, the m x n block of B^-1 [A | I]
     at the nonbasic columns `nb` (column `nb[k]` at position `k`), after
     `age` pivots since its last refactorization, `xB` holds the basic
-    values the closing refactorization computed with the nonbasic values
-    `x_nb`, and `d` the reduced costs at each position, recomputed from
-    the objective when the solve declared optimality."""
+    values the pivots carried with the nonbasic values `x_nb` (recomputed
+    from the original data only when their row residual exceeded
+    `FEAS_TOL`), and `d` the reduced costs at each position, recomputed
+    from the objective when the solve declared optimality."""
 
     engine: PreparedLp
     T: np.ndarray
@@ -138,14 +157,20 @@ class LpSolution:
     """One solve's outcome. Pivot counts are pricing passes (basis changes,
     bound flips and one final pass per loop), counted over every path the
     solve took, a warm attempt that fell back included. `refactors` counts
-    the tableau refactorizations made every `REFACTOR_EVERY` pivots, not
-    the closing one that computes the point.
+    the tableau refactorizations: those made every `REFACTOR_EVERY`
+    pivots, and the one an optimal point's row residual asks for.
+    `objective` is `c x` at the optimal point `x`, and `bound` a bound on
+    the LP's optimum that weak duality proves from the original data (at
+    least `c x` when maximizing, at most when minimizing, up to roundoff);
+    a CUTOFF solution carries only its `bound`, which falls strictly short
+    of the solve's cutoff.
     An optimal solution serves as the `start` of a later solve; its
     `tableau` holds B^-1 A over the columns outside `basis`."""
 
     status: LpStatus
     x: np.ndarray | None = None          # structural variable values
     objective: float | None = None
+    bound: float | None = None           # when Optimal or Cutoff
     basis: np.ndarray | None = None
     at_upper: np.ndarray | None = None   # nonbasic-at-upper flag per structural and per logical column
     infeasibility: float = 0.0           # when Infeasible: phase 1's L1 residual, or the one a dual ray proves
@@ -163,8 +188,9 @@ class LpSolution:
 
 @dataclass
 class SolveStats:
-    """LP work summed over many solves, and the B&B nodes whose solve broke
-    down."""
+    """LP work summed over many solves, the largest gap between an optimal
+    solve's proven bound and its objective, and the B&B nodes whose solve
+    broke down."""
 
     lp_solves: int = 0
     phase1_pivots: int = 0
@@ -175,7 +201,9 @@ class SolveStats:
     breakdowns: int = 0      # of those fallbacks, warm paths that raised NumericalBreakdown
     ray_infeasible: int = 0  # infeasible verdicts the warm path proved with a dual ray
     node_breakdowns: int = 0  # B&B nodes whose solve raised NumericalBreakdown, left open
-    refactors: int = 0       # tableau refactorizations every REFACTOR_EVERY pivots
+    refactors: int = 0       # tableau refactorizations (LpSolution.refactors)
+    cutoffs: int = 0         # solves that ended CUTOFF
+    max_bound_gap: float = 0.0  # the largest |bound - objective| of an optimal solve
 
     def add(self, sol: LpSolution) -> None:
         self.lp_solves += 1
@@ -187,10 +215,14 @@ class SolveStats:
         self.breakdowns += sol.warm is WarmStart.BROKE_DOWN
         self.ray_infeasible += sol.warm is WarmStart.USED and sol.status is LpStatus.INFEASIBLE
         self.refactors += sol.refactors
+        self.cutoffs += sol.status is LpStatus.CUTOFF
+        if sol.status is LpStatus.OPTIMAL:
+            self.max_bound_gap = max(self.max_bound_gap, abs(sol.bound - sol.objective))
 
     def merge(self, other: SolveStats) -> None:
         for k, v in asdict(other).items():
-            setattr(self, k, getattr(self, k) + v)
+            mine = getattr(self, k)
+            setattr(self, k, max(mine, v) if k == "max_bound_gap" else mine + v)
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -215,8 +247,8 @@ class PreparedLp:
     The rows stay fixed; `solve` takes the structural bounds for this call
     (branch-and-bound fixes binaries that way), the objective (bound
     tightening sweeps one, and a robustness query's subproblems each bring
-    their own) and an optional start, an earlier optimal solution of this
-    engine. `rows` is the matrix the engine was built from, as given, so a
+    their own), an optional start, an earlier optimal solution of this
+    engine, and an optional cutoff (a B&B node's incumbent level). `rows` is the matrix the engine was built from, as given, so a
     caller can tell whether a start's engine solves a problem's rows.
     """
 
@@ -247,13 +279,16 @@ class PreparedLp:
         c: np.ndarray,
         maximize: bool,
         start: LpSolution | None = None,
+        cutoff: float | None = None,
     ) -> LpSolution:
         """Maximize `c x` (or minimize it, `maximize` False) under
         structural bounds `lo`/`hi`. `start` is an earlier optimal solution
         of this engine, else `InvalidArg`; the solve then tries the warm
         path from its basis, at-upper flags and tableau first and falls back
-        to the cold one. Ends OPTIMAL or INFEASIBLE, or raises
-        `NumericalBreakdown`."""
+        to the cold one. `cutoff` is a value of `c x` the caller does not
+        need beaten: once the dual simplex proves a bound strictly below it
+        (above it when minimizing), the solve ends CUTOFF. Ends OPTIMAL,
+        INFEASIBLE or CUTOFF, or raises `NumericalBreakdown`."""
         m, n, ncols = self.m, self.n, self.ncols
         lo_s = np.asarray(lo, dtype=float)
         hi_s = np.asarray(hi, dtype=float)
@@ -265,23 +300,39 @@ class PreparedLp:
         if c.shape != (n,):
             raise InvalidArg("objective must cover the structural variables")
 
+        mult = 1.0 if maximize else -1.0
         c2 = np.zeros(ncols)
-        c2[:n] = c if maximize else -c
+        c2[:n] = mult * c
         full_lo = np.concatenate((lo_s, np.zeros(m)))
         full_hi = np.concatenate((hi_s, self.logical_hi))
         counts = {"phase1": 0, "phase2": 0, "dual": 0, "refactors": 0}
+        cut = -np.inf if cutoff is None else mult * float(cutoff)  # in the maximized objective
 
         warm = WarmStart.NONE
         outcome = None
         if start is not None:
             try:
-                outcome = self._solve_warm(full_lo, full_hi, c2, start, counts)
+                outcome = self._solve_warm(full_lo, full_hi, c2, start, counts, cut)
                 warm = WarmStart.USED if outcome is not None else WarmStart.FELL_BACK
             except NumericalBreakdown:
                 warm = WarmStart.BROKE_DOWN
         if outcome is None:
             outcome = self._solve_cold(full_lo, full_hi, c2, counts)
-        state, infeasibility = outcome
+        status, state, value = outcome
+
+        if status is LpStatus.OPTIMAL:
+            # the point is read off the carried basic values; only a row
+            # residual above FEAS_TOL refactorizes, and the fresh reduced
+            # costs then go with the tableau
+            x_nb = _resting(state, full_lo, full_hi)
+            x_full = x_nb.copy()
+            x_full[state.basis] = state.xB
+            if np.abs(self.b - self.A[:, :n] @ x_full[:n] - x_full[n:]).max(initial=0.0) > FEAS_TOL:
+                x_nb = self._refactor(state, self.A, full_lo, full_hi)
+                state.d = _reduced_costs(state, c2)
+                x_full = x_nb.copy()
+                x_full[state.basis] = state.xB
+            value = self._dual_bound(_on_rows(-state.d, state.nb, n, m), c2, full_lo, full_hi)
         stats = dict(
             phase1_pivots=counts["phase1"],
             phase2_pivots=counts["phase2"],
@@ -289,21 +340,17 @@ class PreparedLp:
             warm=warm,
             refactors=counts["refactors"],
         )
-        if state is None:
-            return LpSolution(status=LpStatus.INFEASIBLE, infeasibility=infeasibility, **stats)
-
-        # clean basic values from the original data, then read the point off
-        # the basis; the tableau goes with the solution as it is
-        x_nb = self._refactor(state, self.A, full_lo, full_hi, tableau=False)
-        x_full = np.where(state.at_upper, np.minimum(full_hi, np.finfo(float).max), full_lo)
-        x_full[state.basis] = state.xB
+        if status is LpStatus.INFEASIBLE:
+            return LpSolution(status=status, infeasibility=value, **stats)
+        if status is LpStatus.CUTOFF:
+            return LpSolution(status=status, bound=mult * value, **stats)
         x = x_full[:n].copy()
         np.clip(x, lo_s, hi_s, out=x)
-        val = float(c2[:n] @ x)
         return LpSolution(
-            status=LpStatus.OPTIMAL,
+            status=status,
             x=x,
-            objective=val if maximize else -val,
+            objective=float(c @ x),
+            bound=mult * value,
             basis=state.basis,
             at_upper=state.at_upper,
             tableau=Tableau(self, state.T, state.nb, state.xB, x_nb, state.age, state.d),
@@ -317,8 +364,8 @@ class PreparedLp:
         phase-1-local matrix. Phase 1 drives the artificials to zero, they
         are expelled from the basis and dropped, and phase 2 runs on the
         skeleton from the basic values a warm start from that basis would
-        adopt. Returns the optimal state and 0.0, or None and phase 1's
-        residual when the LP is infeasible."""
+        adopt. Returns `(OPTIMAL, state, 0.0)`, or `(INFEASIBLE, None,
+        phase 1's residual)`."""
         m, n, ncols = self.m, self.n, self.ncols
         resid = self.b - self.A[:, :n] @ full_lo[:n]
         # a logical fixed at zero marks an equality row
@@ -349,7 +396,7 @@ class PreparedLp:
             self._iterate(state, A1, lo1, hi1, c1, "phase1")
             art_sum = float(np.maximum(state.xB[state.basis >= ncols], 0.0).sum())
             if art_sum > FEAS_TOL:
-                return None, art_sum
+                return LpStatus.INFEASIBLE, None, art_sum
             self._expel_artificials(state, full_lo, full_hi)
             # every artificial is nonbasic at zero now; drop their positions
             keep = state.nb < ncols
@@ -364,15 +411,17 @@ class PreparedLp:
             self._refactor(state, self.A, full_lo, full_hi, tableau=False)
 
         self._iterate(state, self.A, full_lo, full_hi, c2, "phase2")
-        return state, 0.0
+        return LpStatus.OPTIMAL, state, 0.0
 
-    def _solve_warm(self, full_lo, full_hi, c2, start, counts):
+    def _solve_warm(self, full_lo, full_hi, c2, start, counts, cut):
         """Re-solve from a start solution of this engine. Returns what
         `_solve_cold` returns when the warm path reaches an optimum or
-        proves infeasibility with a dual ray, or None when it can do
-        neither. The start's tableau is adopted as it is, and its basic
-        values move by `T[:, k] * shift` for each nonbasic position `k`
-        whose column's resting value these bounds shift."""
+        proves infeasibility with a dual ray, `(CUTOFF, None, bound)` when
+        the dual simplex proves `bound` on the maximized objective strictly
+        below `cut`, or None when it can do none of these. The start's
+        tableau is adopted as it is, and its basic values move by
+        `T[:, k] * shift` for each nonbasic position `k` whose column's
+        resting value these bounds shift."""
         m, n, ncols = self.m, self.n, self.ncols
         tab = start.tableau
         if tab is None or tab.engine is not self:
@@ -404,11 +453,43 @@ class PreparedLp:
             state.d = _reduced_costs(state, c2)
             if _entering(state, movable, False) >= 0:  # not dual feasible
                 return None
-            residual = self._dual(state, full_lo, full_hi, c2)
-            if residual is not None:
-                return (None, residual) if residual > FEAS_TOL else None
+            ended = self._dual(state, full_lo, full_hi, c2, cut)
+            if ended is not None:
+                status, value = ended
+                if status is LpStatus.INFEASIBLE and value <= FEAS_TOL:
+                    return None
+                return status, None, value
         self._iterate(state, self.A, full_lo, full_hi, c2, "phase2")
-        return state, 0.0
+        return LpStatus.OPTIMAL, state, 0.0
+
+    def _box_max(self, a, full_lo, full_hi) -> float:
+        """The greatest `a x` over the columns' box, for `a` over every
+        column, where every solution of the rows lies: each column at the
+        bound `a` prices up. A logical that `a` prices up is capped at the
+        most its row's activity over the structural box allows (`s = b_i -
+        a_i x`), which keeps the value finite and a bound over every
+        solution of the rows in the box."""
+        n = self.n
+        up = a > 0.0
+        x = np.where(up, full_hi, full_lo)
+        rows = (up[n:] & np.isinf(full_hi[n:])).nonzero()[0]
+        if rows.size:
+            A_r = self.A[rows, :n]
+            least = np.minimum(A_r * full_lo[:n], A_r * full_hi[:n]).sum(axis=1)
+            x[n + rows] = np.maximum(self.b[rows] - least, 0.0)
+        return float(a @ x)
+
+    def _dual_bound(self, y, c_int, full_lo, full_hi) -> float:
+        """The bound weak duality proves on the maximized objective `c_int
+        x` over the rows and the box, for any row vector `y`: every solution
+        of the rows has `c x = y.b + (c - y A) x`, and `_box_max` bounds the
+        second term from the original data. A solve passes the duals its
+        reduced costs give, read as `row_duals` reads them."""
+        n = self.n
+        a = c_int.copy()
+        a[:n] -= y @ self.A[:, :n]
+        a[n:] -= y
+        return float(y @ self.b) + self._box_max(a, full_lo, full_hi)
 
     def _ray_residual(self, state, r, full_lo, full_hi) -> float:
         """Phase-1 residual proven by the dual ray of basic row `r`, which
@@ -420,27 +501,19 @@ class PreparedLp:
         the proof holds for any `y`, however far the tableau has drifted:
         with `a = y A`, every solution of the rows has `sum_j a_j x_j =
         y.b` over every column. If the range of the left side over the
-        columns' box misses `y.b` by `g`, then `|y.(b - A x)| >= g` at every
-        point of the box, and the L1 row residual that phase 1 minimizes is
-        at least `g / ||y||_inf`. A logical `s = b_i - a_i x` is capped at
-        the most its row's activity over the structural box allows; phase 1
-        gains nothing from a logical beyond that, so the bound stays a bound
-        on its residual.
+        columns' box (`_box_max` of `a` and of `-a`, logicals capped) misses
+        `y.b` by `g`, then `|y.(b - A x)| >= g` at every point of the box,
+        and the L1 row residual that phase 1 minimizes is at least `g /
+        ||y||_inf`. Phase 1 gains nothing from a logical beyond its cap, so
+        the bound stays a bound on its residual.
         """
         n = self.n
         y = _on_rows(state.T[r], state.nb, n, self.m)
         if state.basis[r] >= n:
             y[state.basis[r] - n] = 1.0
         a = y @ self.A
-        lo, hi = full_lo, full_hi.copy()
-        A_s = self.A[:, :n]
-        mid = A_s @ ((lo[:n] + hi[:n]) / 2)
-        rad = np.abs(A_s) @ ((hi[:n] - lo[:n]) / 2)
-        hi[n:] = np.minimum(hi[n:], np.maximum(self.b - mid + rad, 0.0))
         yb = float(y @ self.b)
-        s_lo = float(np.minimum(a * lo, a * hi).sum())
-        s_hi = float(np.maximum(a * lo, a * hi).sum())
-        g = max(s_lo - yb, yb - s_hi)
+        g = max(-self._box_max(-a, full_lo, full_hi) - yb, yb - self._box_max(a, full_lo, full_hi))
         return float(max(g, 0.0) / np.abs(y).max())
 
     # ------------------------------------------------------------------
@@ -567,18 +640,24 @@ class PreparedLp:
             state.at_upper[leaving] = bool(goes_upper)
             fresh = self._after_pivot(state, A, full_lo, full_hi, c_int, t)
 
-    def _dual(self, state, full_lo, full_hi, c_int) -> float | None:
+    def _dual(self, state, full_lo, full_hi, c_int, cut) -> tuple[LpStatus, float] | None:
         """Bounded dual simplex from a dual feasible basis whose reduced
         costs `state.d` holds. Each pass takes a basic variable outside its
         bounds out to the violated bound, the dual steepest-edge choice: the
         largest `viol^2 / ||e_r B^-1||^2`, with B^-1's nonbasic logical
         columns read off the tableau. It brings in the nonbasic variable the
         dual ratio test picks, which keeps every reduced cost on its optimal
-        side. Returns None once every basic variable is within its bounds,
-        or, when the leaving row has no entering candidate (the dual is
-        unbounded), the residual that row's ray proves."""
+        side. Returns None once every basic variable is within its bounds;
+        `(INFEASIBLE, residual)` when the leaving row has no entering
+        candidate (the dual is unbounded), with the residual that row's ray
+        proves; and `(CUTOFF, bound)` once the maximized objective's proven
+        bound falls strictly below `cut`. The running objective, the basic
+        solution's `c_int x`, moves by the entering reduced cost times its
+        step and is recomputed after a refactorization; only when it is
+        below `cut` is the bound proven."""
         movable = full_hi > full_lo
         state.streak = 0
+        obj = _objective(state, c_int, full_lo, full_hi) if cut > -np.inf else np.inf
         while True:
             self._count_pass(state, "dual")
             bland = state.streak >= BLAND_AFTER
@@ -590,6 +669,10 @@ class PreparedLp:
             rows = (viol > FEAS_TOL).nonzero()[0]
             if rows.size == 0:
                 return None
+            if obj < cut:
+                bound = self._dual_bound(_on_rows(-state.d, nb, self.n, self.m), c_int, full_lo, full_hi)
+                if bound < cut:
+                    return LpStatus.CUTOFF, bound
             if bland:
                 r = rows[basis[rows].argmin()]
             else:
@@ -603,7 +686,7 @@ class PreparedLp:
                 push = -push
             cand = (movable[nb] & (push > PIVOT_TOL)).nonzero()[0]
             if cand.size == 0:
-                return self._ray_residual(state, r, full_lo, full_hi)
+                return LpStatus.INFEASIBLE, self._ray_residual(state, r, full_lo, full_hi)
             slack = np.maximum(-sigma[cand] * state.d[cand], 0.0)  # dual slack: room before d_j changes sign
             rate = push[cand]
             ratio = slack / rate
@@ -621,10 +704,12 @@ class PreparedLp:
             dx = (xB[r] - target) / alpha[k]
             new_val = (full_hi[j] if state.at_upper[j] else full_lo[j]) + dx
             leaving = basis[r]
+            obj += state.d[k] * dx
             state.xB = xB - state.T[:, k] * dx
             self._pivot(state, r, k, new_val)
             state.at_upper[leaving] = not up
-            self._after_pivot(state, self.A, full_lo, full_hi, c_int, ratio[i])
+            if self._after_pivot(state, self.A, full_lo, full_hi, c_int, ratio[i]) and cut > -np.inf:
+                obj = _objective(state, c_int, full_lo, full_hi)
 
     def _count_pass(self, state: _State, kind: str) -> None:
         """Count one pricing pass of the state's attempt under `kind`; an
@@ -666,6 +751,11 @@ class _State:
 def _reduced_costs(state: _State, c: np.ndarray) -> np.ndarray:
     """The reduced-cost row `c_N - c_B B^-1 A_N`, recomputed from `c`."""
     return c[state.nb] - c[state.basis] @ state.T
+
+
+def _objective(state: _State, c: np.ndarray, full_lo, full_hi) -> float:
+    """`c x` at the state's basic solution."""
+    return float(c[state.basis] @ state.xB + c @ _resting(state, full_lo, full_hi))
 
 
 def _entering(state: _State, movable, bland: bool) -> int:

@@ -148,6 +148,13 @@ def test_branching_takes_the_highest_dual_score():
     assert _select_branch_var(x, bin_idx, zero) == 0
     x[bin_idx] = [1.0, 0.75, 0.25]
     assert _select_branch_var(x, bin_idx, zero) == 1
+    # so do binaries tied at one half up to roundoff, either way round
+    x[bin_idx] = [0.0, 0.5 - 2e-16, 0.5]
+    assert _select_branch_var(x, bin_idx, zero) == 1
+    x[bin_idx] = [0.0, 0.5, 0.5 + 2e-16]
+    assert _select_branch_var(x, bin_idx, zero) == 1
+    x[bin_idx] = [0.0, 0.5 - 1e-6, 0.5]
+    assert _select_branch_var(x, bin_idx, zero) == 2
     x[bin_idx] = [0.0, 0.9, 1.0]
     assert _select_branch_var(x, bin_idx, zero) == 1
     # a positive weight on an integral binary leaves the others' scores zero
@@ -338,7 +345,7 @@ def test_binary_fixed_by_its_bounds_stays_fixed():
 
 
 def test_an_integral_node_scores_the_network_not_the_lp(e1, monkeypatch):
-    # every integral node's LP value claims 1e-6 more than the network's
+    # every integral node's LP bound claims 1e-6 more than the network's
     # value at its point: the incumbent is still the network's value, and
     # the bracket keeps the integral LP bound, so a gap of 1e-6 above the
     # gap tolerance is never certified
@@ -346,12 +353,12 @@ def test_an_integral_node_scores_the_network_not_the_lp(e1, monkeypatch):
     opts_ = [solve_milp(q, opts).incumbent_value for q in _e1_problems(e1)]
     solve = PreparedLp.solve
 
-    def optimistic(self, lo, hi, c, maximize, start=None):
-        sol = solve(self, lo, hi, c, maximize, start=start)
+    def optimistic(self, lo, hi, c, maximize, start=None, cutoff=None):
+        sol = solve(self, lo, hi, c, maximize, start=start, cutoff=cutoff)
         if sol.status is LpStatus.OPTIMAL:
             xs = sol.x[bin_idx]
             if np.all(np.minimum(xs, 1.0 - xs) <= 1e-6):
-                sol.objective += 1e-6 if maximize else -1e-6
+                sol.bound += 1e-6 if maximize else -1e-6
         return sol
 
     monkeypatch.setattr(PreparedLp, "solve", optimistic)
@@ -449,6 +456,8 @@ def test_one_debug_record_per_node(e1, caplog):
         assert len(records) == res.nodes
         assert [int(m.split()[1]) for m in records] == list(range(res.nodes))
         actions = [m.rsplit(": ", 1)[1] for m in records]
+        # a node whose LP stopped at the incumbent names its proven bound
+        actions = [a.split(" (cut off at bound ")[0] for a in actions]
         assert set(actions) <= {"branch", "integral", "pruned", "infeasible"}
         assert actions[0] == "branch"  # the root takes the children's path
 
@@ -642,3 +651,37 @@ def test_shared_start_keeps_every_trust_answer(seed, beta):
         apart = [solve_milp(q).incumbent_value for q in (plus, minus)]
         assert apart[0] == pytest.approx(apart[1], abs=1e-9)
     assert warm.stats.warm_starts == warm.nodes  # both roots too
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.5), beta=st.floats(0.05, 0.5))
+def test_the_cutoff_keeps_every_answer(seed, alpha, beta):
+    # a node LP stops only once it proves a bound strictly below what the
+    # incumbent prunes, so at closed gaps a search answers as one whose LPs
+    # all run to their optimum, node for node
+    exact = BnbOptions(abs_gap=0, rel_gap=0)
+    rng = np.random.default_rng(seed)
+    net = fold_bn(random_spec(rng, n0=int(rng.integers(2, 4)), widths=(5, 5), unit_norm=True))
+    z_ref = rng.uniform(0, 1, net.input_dim)
+    p, _ = encode_on_box(net, InputBox.ball(z_ref, alpha))
+    x_ref = forward(net, z_ref)
+    searches = [
+        ((set_robustness_objective(p, i, sign, float(x_ref[i])),), ())
+        for i in range(net.num_outputs)
+        for sign in (1, -1)
+    ]
+    _, plus, minus = _random_trust_pair(seed, beta)
+    searches.append(((plus,), (minus,)))
+    solve = PreparedLp.solve
+
+    def uncut(self, *args, cutoff=None, **kwargs):
+        return solve(self, *args, **kwargs)
+
+    for (q,), rivals in searches:
+        cut = solve_milp(q, exact, rivals=rivals)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PreparedLp, "solve", uncut)
+            full = solve_milp(q, exact, rivals=rivals)
+        assert full.stats.cutoffs == 0
+        assert (cut.status, cut.incumbent_value, cut.source) == (full.status, full.incumbent_value, full.source)
+        assert cut.nodes == full.nodes

@@ -273,7 +273,7 @@ _COMPARISON_KEYS = ["T", "R", "R_minus_T", "bound_exceeds_test_error", "samples_
                     "samples_flagged_outside_balls"]
 _COUNT_KEYS = ["lp_solves", "phase1_pivots", "phase2_pivots", "dual_pivots", "warm_starts",
                "warm_fallbacks", "breakdowns", "ray_infeasible", "node_breakdowns", "refactors",
-               "phase1_share", "dual_per_warm"]
+               "cutoffs", "max_bound_gap", "phase1_share", "dual_per_warm"]
 
 
 def _assert_entry_keys(e):

@@ -347,3 +347,42 @@ def test_artificial_without_pivot_element_is_a_breakdown(monkeypatch):
     monkeypatch.setattr(simplex, "PIVOT_TOL", 2.0)
     with pytest.raises(NumericalBreakdown):
         PreparedLp([[1.0, 1.0]], ["="], [0.0]).solve([0.0, 0.0], [0.0, 0.0], [1.0, 0.0], True)
+
+
+def _feasible_points(rng, A, senses, b, lo, hi, x0, count):
+    """Feasible points of a `_random_feasible_lp` instance: random convex
+    combinations of its built-in point `x0` and of reference optima under
+    random objectives, each feasible, so every combination is."""
+    n = len(lo)
+    corners = [x0] + [scipy_solve(rng.normal(size=n), True, A, senses, b, lo, hi).x for _ in range(4)]
+    return rng.dirichlet(np.ones(len(corners)), size=count) @ np.array(corners)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), maximize=st.booleans())
+def test_the_dual_bound_holds_at_every_feasible_point(seed, maximize):
+    # <=, >= and = rows alike; the bound is proven from the duals and the
+    # original data, so it holds at every feasible point, and at the
+    # optimal duals it is the optimum
+    rng = np.random.default_rng(seed)
+    c, A, senses, b, lo, hi, x0 = _random_feasible_lp(rng)
+    eng = PreparedLp(A, senses, b)
+    sol = eng.solve(lo, hi, c, maximize)
+    assert sol.status is LpStatus.OPTIMAL
+    ref = scipy_solve(c, maximize, A, senses, b, lo, hi)
+    opt = -ref.fun if maximize else ref.fun
+    tol = 1e-9 * (1.0 + abs(opt))
+    assert sol.bound == pytest.approx(opt, abs=tol)
+    mult = 1.0 if maximize else -1.0
+    points = _feasible_points(rng, A, senses, b, lo, hi, x0, 50)
+    assert np.all(mult * (points @ c) <= mult * sol.bound + tol)
+
+    # any duals prove a bound, a negative one on an inequality row included
+    y = row_duals(sol) + rng.normal(scale=0.5, size=eng.m)
+    c2 = np.concatenate((mult * np.asarray(c), np.zeros(eng.m)))
+    full_lo = np.concatenate((lo, np.zeros(eng.m)))
+    full_hi = np.concatenate((hi, eng.logical_hi))
+    perturbed = eng._dual_bound(y, c2, full_lo, full_hi)
+    assert np.isfinite(perturbed)
+    assert perturbed >= mult * opt - tol
+    assert np.all(mult * (points @ c) <= perturbed + tol)

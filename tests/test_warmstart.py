@@ -674,6 +674,90 @@ def test_child_adopts_its_parents_tableau():
     assert again.objective == child.objective
 
 
+def test_an_optimal_solve_reads_its_point_without_a_factorization(monkeypatch):
+    # the point comes off the basic values the pivots carried; a warm child
+    # with no refactorization due solves no linear system at all
+    _, eng, root, c, lo, hi, j, _ = _child_lp()
+    lo2, hi2 = _fix(lo, hi, j, lo[j])
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
+    child = eng.solve(lo2, hi2, c, True, start=root)
+    assert child.status is LpStatus.OPTIMAL and child.dual_pivots > 0
+    assert child.refactors == 0 and calls == []
+    x_full = np.concatenate((child.x, np.zeros(eng.m)))
+    x_full[child.basis] = child.tableau.xB  # the carried values are the point's
+    assert np.array_equal(np.clip(x_full[: eng.n], lo2, hi2), child.x)
+
+
+def test_a_point_off_its_rows_is_refactorized():
+    # basic values carried 1e-6 off the rows, past FEAS_TOL: the residual
+    # guard refactorizes, and the point is the one the original data give
+    _, eng, root, c, lo, hi, j, _ = _child_lp()
+    tab = root.tableau
+    r = next(r for r, k in enumerate(root.basis) if k < eng.n and lo[k] + 1e-3 < root.x[k] < hi[k] - 1e-3)
+    xB = tab.xB.copy()
+    xB[r] += 1e-6
+    again = eng.solve(lo, hi, c, True, start=replace(root, tableau=replace(tab, xB=xB)))
+    assert again.status is LpStatus.OPTIMAL and again.iterations == 1  # one pricing pass, no pivot
+    assert again.refactors == 1 and again.tableau.age == 0
+    np.testing.assert_allclose(again.x, root.x, rtol=0, atol=1e-12)
+    assert again.bound == pytest.approx(root.bound, abs=1e-12)
+
+
+def _same_solve(a, b):
+    """Two solves that took the same path to the same point."""
+    assert a.status is b.status is LpStatus.OPTIMAL
+    assert np.array_equal(a.x, b.x) and a.objective == b.objective and a.bound == b.bound
+    assert (a.phase1_pivots, a.phase2_pivots, a.dual_pivots) == (b.phase1_pivots, b.phase2_pivots, b.dual_pivots)
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+def test_a_cutoff_stops_only_a_child_that_cannot_reach_it(maximize):
+    # children that fix a fractional basic structural at either bound: a
+    # cutoff the child's optimum beats changes nothing; one its parent's own
+    # bound falls short of ends the solve CUTOFF with a bound that falls
+    # short too and still holds over the child's cold optimum; one between
+    # the two does one or the other
+    mult = 1.0 if maximize else -1.0
+    rng = np.random.default_rng(8)
+    cut, tried = 0, 0
+    while tried < 40:
+        c, A, senses, b, lo, hi = _random_lp(rng, int(rng.integers(2, 10)), int(rng.integers(2, 12)))
+        eng = PreparedLp(A, senses, b)
+        root = eng.solve(lo, hi, c, maximize)
+        basic = [j for j in root.basis if j < eng.n and lo[j] + 1e-6 < root.x[j] < hi[j] - 1e-6]
+        if not basic:
+            continue
+        for v in (lo[basic[0]], hi[basic[0]]):
+            lo2, hi2 = _fix(lo, hi, basic[0], v)
+            cold = eng.solve(lo2, hi2, c, maximize)
+            plain = eng.solve(lo2, hi2, c, maximize, start=root)
+            if cold.status is not LpStatus.OPTIMAL or plain.warm is not WarmStart.USED:
+                continue
+            tried += 1
+            opt = cold.bound
+            _same_solve(eng.solve(lo2, hi2, c, maximize, start=root, cutoff=opt - mult * 1e-3), plain)
+
+            beyond = root.bound + mult * 1e-3
+            stopped = eng.solve(lo2, hi2, c, maximize, start=root, cutoff=beyond)
+            assert stopped.status is LpStatus.CUTOFF and stopped.x is None
+            assert mult * stopped.bound < mult * beyond
+            assert mult * stopped.bound >= mult * opt - 1e-9
+
+            between = 0.5 * (opt + root.bound)
+            if mult * (root.bound - opt) < 1e-6:
+                continue
+            sol = eng.solve(lo2, hi2, c, maximize, start=root, cutoff=between)
+            if sol.status is LpStatus.CUTOFF:
+                cut += 1
+                assert mult * opt - 1e-9 <= mult * sol.bound < mult * between
+                assert sol.dual_pivots <= plain.dual_pivots
+            else:
+                _same_solve(sol, plain)
+    assert cut > 0
+
+
 @pytest.mark.parametrize("at_upper", [False, True])
 def test_moved_nonbasic_bound_is_adopted(at_upper):
     # the nonbasic structural moves with the bound it rests at; the child
