@@ -33,8 +33,6 @@ from .milp import (
     encode_network,
     lp_tighten,
     set_robustness_objective,
-    set_trust_problem,
-    set_trust_target,
     to_lp_text,
 )
 from .nnmodel import (
@@ -151,8 +149,6 @@ __all__ = [
     "save_dataset",
     "save_network",
     "set_robustness_objective",
-    "set_trust_problem",
-    "set_trust_target",
     "solve_milp",
     "to_lp_text",
     "train",

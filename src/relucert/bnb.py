@@ -28,26 +28,25 @@ tableau and its basic values hold as they are. A warm solve that can do
 neither falls back to the cold two-phase solve inside the LP engine.
 Every incumbent is the network's own point: a node runs its LP input point
 through the network and accepts it only if the outputs lie within the
-problem's output bounds to `_TARGET_TOL` (a trust target is an output
-bound) and, on a trust ball, the radius within its column's cap. Its value
-is `c` at that point plus `obj_offset`, never the LP's; the result keeps
-its input point, the witness. An integral node stays open at its LP bound
-unless its point passed and came within `_TARGET_TOL` of it, a node whose
-solve breaks down at its parent's (+inf for a root), so the search ends
-with an honest gap, never a certified LP value or a lost subproblem:
-`LIMIT` when nothing was found, else `GAP_LIMIT`.
+problem's output bounds to `_TARGET_TOL`. Its value is `c` at that point
+plus `obj_offset`, never the LP's; the result keeps its input point, the
+witness. An integral node stays open at its LP bound unless its point
+passed and came within `_TARGET_TOL` of it, a node whose solve breaks down
+at its parent's (+inf for a root), so the search ends with an honest gap,
+never a certified LP value or a lost subproblem: `LIMIT` when nothing was
+found, else `GAP_LIMIT`.
 
-One search may cover several problems of one sense whose best value is
-wanted, such as the two signs of a trust output: a primary problem and its
+Every problem maximizes. One search may cover several problems whose best
+value is wanted, such as the two signs of an output's deviation, the
+larger of which is the output's worst case: a primary problem and its
 `rivals`. The rivals share the primary's rows and differ from it only in
-bounds and objective, as a trust output's two targets do, so all of them
-search on the one engine. Their nodes share one best-first heap, one
-incumbent and one gap test, so a node that cannot beat the best value
-found in any of them is pruned, and the search ends when no open node of
-any of them can. The result names the
-problem its incumbent came from; of equal values, the earlier problem's
-holds. Each node's decision is one DEBUG record on the `relucert.bnb`
-logger, naming the node's problem.
+bounds and objective, as the two signs do, so all of them search on the
+one engine. Their nodes share one best-first heap, one incumbent and one
+gap test, so a node that cannot beat the best value found in any of them
+is pruned, and the search ends when no open node of any of them can. The
+result names the problem its incumbent came from; of equal values, the
+earlier problem's holds. Each node's decision is one DEBUG record on the
+`relucert.bnb` logger, naming the node's problem.
 
 A node branches on the fractional binary `j` of the highest score
 `min(x_j, 1 - x_j) * sum_i |y_i a_ij|`, over the node LP's row duals `y`
@@ -102,8 +101,8 @@ def _is_real(v) -> bool:
 class BnbOptions:
     """Gap tolerances and limits of one `solve_milp` call. The node and time
     limits bound the whole call, so when it searches a problem together
-    with its rivals (a trust output's two signs) they bound the joint
-    search, not each problem."""
+    with its rivals (an output's two signs) they bound the joint search,
+    not each problem."""
 
     abs_gap: float = 1e-8
     rel_gap: float = 1e-6
@@ -142,29 +141,19 @@ class MilpResult:
 def _incumbent_rule(p: MilpProblem, out_idx):
     """`p`'s incumbent rule (see the module docstring) as a function of an
     LP input point `z`: the objective value of the network's point at `z`,
-    or None. `p`'s objective may price only the outputs and the radius,
-    else `InvalidArg`."""
+    or None. `p`'s objective may price only the outputs, else
+    `InvalidArg`."""
     c = p.c.copy()
     c_out, c[out_idx] = c[out_idx], 0.0
-    if p.ball is not None:
-        z_ref, scale = p.ball
-        d = p.var_roles[("delta",)]
-        c_d, cap, c[d] = c[d], p.hi[d] + 1e-12, 0.0
     if c.any():
-        raise InvalidArg("an objective may price only the outputs and the radius")
+        raise InvalidArg("an objective may price only the outputs")
     lo, hi = p.lo[out_idx] - _TARGET_TOL, p.hi[out_idx] + _TARGET_TOL
 
     def value(z) -> float | None:
         out = forward_layers(p.network, z[None, :])[2][0]
         if (out < lo).any() or (out > hi).any():
             return None
-        v = c_out @ out
-        if p.ball is not None:
-            radius = np.max(np.abs(z - z_ref) / scale)
-            if radius > cap:
-                return None
-            v += c_d * radius
-        return float(v + p.obj_offset)
+        return float(c_out @ out + p.obj_offset)
 
     return value
 
@@ -196,19 +185,15 @@ def _select_branch_var(x_lp, bin_idx, weight) -> int | None:
 def shared_root_start(base: MilpProblem, stats: SolveStats) -> LpSolution | None:
     """The optimal solution every root of a query starts from, or None.
 
-    A query's subproblems differ from its base only in objective
-    (robustness) or in one output's bounds (trust). Solving the base's
-    relaxation under its own objective, on the one engine every subproblem
-    then searches on, gives each root a start. A robustness base has a zero
-    objective: phase 1 and the expulsion of artificials never read the
-    objective, so a cold root reaches this same basis before phase 2, and
-    each root adopts its tableau and runs phase 2 alone. A trust base
-    minimizes the radius: its optimal basis stays dual feasible when a
-    target moves an output bound, so each root runs a few dual pivots
-    instead of a cold two-phase solve. The solve's work goes to `stats`.
-    When it is not optimal or breaks down, every root solves cold."""
+    A query's subproblems differ from its base only in objective. Solving
+    the base's relaxation under its zero objective, on the one engine every
+    subproblem then searches on, gives each root a start: phase 1 and the
+    expulsion of artificials never read the objective, so a cold root
+    reaches this same basis before phase 2, and each root adopts its
+    tableau and runs phase 2 alone. The solve's work goes to `stats`. When
+    it is not optimal or breaks down, every root solves cold."""
     try:
-        sol = prepare(base).solve(*relaxed_bounds(base), base.c, base.obj_sense == "max")
+        sol = prepare(base).solve(*relaxed_bounds(base), base.c, True)
     except NumericalBreakdown:
         return None
     stats.add(sol)
@@ -234,11 +219,11 @@ def solve_milp(
     from other rows, even rows of the same shape, is `InvalidArg`.
 
     `rivals` are problems over `p`'s rows (the same array, else
-    `InvalidArg`) and binaries, with `p`'s sense, whose best value
-    competes with `p`'s: the call answers the best over all of them. They
-    search on `p`'s engine. Their nodes share one best-first heap, one
-    incumbent and one gap test, so a node whose bound cannot beat the best
-    value found in any of the problems is pruned. `MilpResult.source`
+    `InvalidArg`) and binaries, whose best value competes with `p`'s: the
+    call answers the best over all of them. They search on `p`'s engine.
+    Their nodes share one best-first heap, one incumbent and one gap test,
+    so a node whose bound cannot beat the best value found in any of the
+    problems is pruned. `MilpResult.source`
     names the problem the incumbent came from (0 for `p`, k for
     `rivals[k - 1]`); of two candidates of equal value, the one from the
     earlier problem holds the incumbent. Every problem's root is solved
@@ -251,15 +236,11 @@ def solve_milp(
     opts = opts or BnbOptions()
     t0 = time.perf_counter()
     problems = (p, *rivals)
-    if any(r.obj_sense != p.obj_sense for r in rivals):
-        raise InvalidArg("rivals must have the primary problem's objective sense")
     if any(r.rows is not p.rows or not np.array_equal(r.binary, p.binary) for r in rivals):
         raise InvalidArg("rivals must share the primary problem's rows and binaries")
     in_idx = np.array([p.var_roles[("input", j)] for j in range(p.network.input_dim)], dtype=np.intp)
     out_idx = np.array([p.var_roles[("output", i)] for i in range(p.network.num_outputs)], dtype=np.intp)
     rules = [_incumbent_rule(q, out_idx) for q in problems]
-    maximize = p.obj_sense == "max"
-    mult = 1.0 if maximize else -1.0
     if root_start is None:
         engine = prepare(p)
     else:
@@ -271,77 +252,71 @@ def solve_milp(
     bin_rows = np.abs(engine.A[:, bin_idx])  # |a_ij|, for the branching weights
     stats = SolveStats()
 
-    inc_score = -np.inf
-    inc_value: float | None = None
+    inc = -np.inf  # the incumbent's value, once `inc_z` holds its point
     inc_z: np.ndarray | None = None
     inc_src: int | None = None
     # best bound over nodes left open: an integral one at its LP bound, one
     # whose solve broke down at its parent's
-    open_score = -np.inf
-    # heap of (-bound score, -depth, node number, problem, lo, hi, branch
+    open_bound = -np.inf
+    # heap of (-bound, -depth, node number, problem, lo, hi, branch
     # position, the node's solution as its children's start): best bound
     # first, deeper first
     heap: list[tuple] = []
 
-    def own(score: float) -> float:
-        return mult * score
+    def note(seq, src, depth, bound, action):
+        incumbent = None if inc_z is None else inc
+        _log.debug("node %d problem %d depth %d bound %r incumbent %r: %s", seq, src, depth, bound, incumbent, action)
 
-    def note(seq, src, depth, bound_score, action):
-        _log.debug(
-            "node %d problem %d depth %d bound %r incumbent %r: %s",
-            seq, src, depth, None if bound_score is None else own(bound_score), inc_value, action,
-        )
-
-    def node(src, lo, hi, seq, depth, start, parent_score):
+    def node(src, lo, hi, seq, depth, start, parent_bound):
         """Solve one node of problem `src`, register the network's point at
         its LP input point as an incumbent candidate, and decide it:
         integral, branch (pushed on the heap), pruned, infeasible or left
-        open (see `open_score`)."""
-        nonlocal open_score, inc_score, inc_value, inc_z, inc_src
+        open (see `open_bound`)."""
+        nonlocal open_bound, inc, inc_z, inc_src
         q = problems[src]
-        # a bound below inc_score + abs_gap prunes the node, so its LP may stop there
-        cutoff = own(inc_score + opts.abs_gap) - q.obj_offset if inc_value is not None else None
+        # a bound below inc + abs_gap prunes the node, so its LP may stop there
+        cutoff = inc + opts.abs_gap - q.obj_offset if inc_z is not None else None
         try:
-            sol = engine.solve(lo, hi, q.c, maximize, start=start, cutoff=cutoff)
+            sol = engine.solve(lo, hi, q.c, True, start=start, cutoff=cutoff)
         except NumericalBreakdown as e:
             stats.node_breakdowns += 1
-            open_score = max(open_score, parent_score)
-            note(seq, src, depth, parent_score, f"breakdown ({e}), left open at its parent's bound")
+            open_bound = max(open_bound, parent_bound)
+            note(seq, src, depth, parent_bound, f"breakdown ({e}), left open at its parent's bound")
             return
         stats.add(sol)
         if sol.status is LpStatus.INFEASIBLE:
             note(seq, src, depth, None, "infeasible")
             return
-        score = min(mult * (sol.bound + q.obj_offset), parent_score)  # a node's bound cannot beat its parent's
+        bound = min(sol.bound + q.obj_offset, parent_bound)  # a node's bound cannot beat its parent's
         if sol.status is LpStatus.CUTOFF:
-            note(seq, src, depth, score, f"pruned (cut off at bound {sol.bound + q.obj_offset!r})")
+            note(seq, src, depth, bound, f"pruned (cut off at bound {sol.bound + q.obj_offset!r})")
             return
         z = sol.x[in_idx]
         cand = rules[src](z)
-        if cand is not None and (mult * cand > inc_score or (mult * cand == inc_score and src < inc_src)):
-            inc_score, inc_value, inc_z, inc_src = mult * cand, cand, z, src
+        if cand is not None and (cand > inc or (cand == inc and src < inc_src)):
+            inc, inc_z, inc_src = cand, z, src
         y = np.abs(row_duals(sol))
         y[y <= OPT_TOL] = 0.0
         k = _select_branch_var(sol.x, bin_idx, y @ bin_rows)
-        if k is None and (cand is None or score - mult * cand > _TARGET_TOL):  # its pattern may reach it
-            open_score = max(open_score, score)
-            note(seq, src, depth, score, "integral, left open at its LP bound")
+        if k is None and (cand is None or bound - cand > _TARGET_TOL):  # its pattern may reach it
+            open_bound = max(open_bound, bound)
+            note(seq, src, depth, bound, "integral, left open at its LP bound")
         elif k is None:
-            note(seq, src, depth, score, "integral")
-        elif score > inc_score + opts.abs_gap:
-            heapq.heappush(heap, (-score, -depth, seq, src, lo, hi, k, sol))
-            note(seq, src, depth, score, "branch")
+            note(seq, src, depth, bound, "integral")
+        elif bound > inc + opts.abs_gap:
+            heapq.heappush(heap, (-bound, -depth, seq, src, lo, hi, k, sol))
+            note(seq, src, depth, bound, "branch")
         else:
-            note(seq, src, depth, score, "pruned")
+            note(seq, src, depth, bound, "pruned")
 
-    def result(status, bound_score, nodes):
-        gap = float(bound_score - inc_score) if inc_value is not None else np.inf
+    def result(status, best_bound, nodes):
+        found = inc_z is not None
         res = MilpResult(
             status=status,
-            incumbent_value=inc_value,
+            incumbent_value=inc if found else None,
             z=inc_z,
-            best_bound=own(bound_score),
-            gap=max(gap, 0.0),
+            best_bound=best_bound,
+            gap=max(float(best_bound - inc), 0.0) if found else np.inf,
             nodes=nodes,
             wall_time=time.perf_counter() - t0,
             stats=stats,
@@ -355,35 +330,38 @@ def solve_milp(
         return res
 
     def tol() -> float:
-        return max(opts.abs_gap, opts.rel_gap * abs(inc_score)) if inc_value is not None else opts.abs_gap
+        return max(opts.abs_gap, opts.rel_gap * abs(inc)) if inc_z is not None else opts.abs_gap
+
+    def unfinished() -> BnbStatus:
+        return BnbStatus.GAP_LIMIT if inc_z is not None else BnbStatus.LIMIT
 
     for src, q in enumerate(problems):  # the roots are nodes 0 .. len(problems) - 1
         node(src, *relaxed_bounds(q), src, 0, root_start, np.inf)
     nodes = len(problems)  # also the next node's number
     while heap:
-        ub_score = max(-heap[0][0], inc_score, open_score)
-        if inc_value is not None and ub_score - inc_score <= tol():
-            return result(BnbStatus.CERTIFIED, ub_score, nodes)
+        ub = max(-heap[0][0], inc, open_bound)
+        if inc_z is not None and ub - inc <= tol():
+            return result(BnbStatus.CERTIFIED, ub, nodes)
         if opts.node_limit is not None and nodes >= opts.node_limit:
-            return result(BnbStatus.GAP_LIMIT if inc_value is not None else BnbStatus.LIMIT, ub_score, nodes)
+            return result(unfinished(), ub, nodes)
         if (
             opts.time_limit_seconds is not None
             and time.perf_counter() - t0 > opts.time_limit_seconds
         ):
-            return result(BnbStatus.GAP_LIMIT if inc_value is not None else BnbStatus.LIMIT, ub_score, nodes)
+            return result(unfinished(), ub, nodes)
 
-        neg_score, neg_depth, _, src, lo, hi, k, start = heapq.heappop(heap)
-        if -neg_score <= inc_score + opts.abs_gap:
+        neg_bound, neg_depth, _, src, lo, hi, k, start = heapq.heappop(heap)
+        if -neg_bound <= inc + opts.abs_gap:
             continue
         depth = 1 - neg_depth  # the children's
         j = bin_idx[k]
         for v in (0.0, 1.0):
             child_lo, child_hi = lo.copy(), hi.copy()
             child_lo[j] = child_hi[j] = v
-            node(src, child_lo, child_hi, nodes, depth, start, -neg_score)
+            node(src, child_lo, child_hi, nodes, depth, start, -neg_bound)
             nodes += 1
 
-    ub_score = max(inc_score, open_score)
-    if inc_value is None:
-        return result(BnbStatus.INFEASIBLE if open_score == -np.inf else BnbStatus.LIMIT, ub_score, nodes)
-    return result(BnbStatus.CERTIFIED if ub_score - inc_score <= tol() else BnbStatus.GAP_LIMIT, ub_score, nodes)
+    ub = max(inc, open_bound)
+    if inc_z is None:
+        return result(BnbStatus.INFEASIBLE if open_bound == -np.inf else BnbStatus.LIMIT, ub, nodes)
+    return result(BnbStatus.CERTIFIED if ub - inc <= tol() else unfinished(), ub, nodes)

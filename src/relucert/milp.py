@@ -3,23 +3,21 @@ the LP bound tightening that solves its relaxation.
 
 Variables: inputs z; per hidden layer, a pre-activation for each unstable
 neuron, a post-activation for every neuron and one binary per unstable
-neuron; outputs x; and optionally a perturbation radius for trust queries.
-Every variable carries finite bounds taken from the activation-bound
-analysis, which double as big-M constants. A stable neuron is written
-once: an active neuron's post-activation is its affine row, and a dead
-neuron's is fixed at 0 by its bounds and has no row.
+neuron; and outputs x. Every variable carries finite bounds taken from the
+activation-bound analysis, which double as big-M constants. A stable
+neuron is written once: an active neuron's post-activation is its affine
+row, and a dead neuron's is fixed at 0 by its bounds and has no row.
 
 The constraints are held as the simplex engine takes them: a read-only
 dense matrix `rows`, one row per constraint over the variables, with a
 sense and a right-hand side per row; the objective is one read-only dense
-vector `c`, pricing only outputs and the radius. A query's target
-and cap are bounds: a trust base keeps only its `ball`, to measure a
-point's radius. The base encoding is immutable
-(read-only arrays, tuple senses and names, a read-only role map), so the
-subproblems built on it share it uncopied, and the engine is built from
-it without a copy per row. This module turns a problem into the engine's
-terms: `prepare` builds the engine from its rows, and `relaxed_bounds`
-gives the bounds of its LP relaxation, so the simplex sees matrices only.
+vector `c`, pricing only outputs, and every problem maximizes it. The base
+encoding is immutable (read-only arrays, tuple senses and names, a
+read-only role map), so the subproblems built on it share it uncopied, and
+the engine is built from it without a copy per row. This module turns a
+problem into the engine's terms: `prepare` builds the engine from its
+rows, and `relaxed_bounds` gives the bounds of its LP relaxation, so the
+simplex sees matrices only.
 
 `lp_tighten` bounds a layer's open pre-activations by the LP relaxation of
 this same encoding over the layers before it and those neurons alone, so
@@ -36,7 +34,7 @@ import numpy as np
 
 from .bounds import InputBox, LayerBounds, Stability, StabilityMap, classify_neurons
 from .errors import DimensionMismatch, InvalidArg, NumericalBreakdown
-from .nnmodel import AffineLayer, FoldedNetwork, in_unit_domain
+from .nnmodel import AffineLayer, FoldedNetwork
 from .simplex import LpStatus, PreparedLp, SolveStats
 
 # keep a whisker of slack when adopting LP values so tightened bounds can
@@ -59,11 +57,9 @@ class MilpProblem:
     rhs: np.ndarray
     c: np.ndarray  # dense objective over the variables, read-only
     network: FoldedNetwork  # the network whose point every incumbent is
-    obj_sense: str = "max"
     obj_offset: float = 0.0
     var_roles: Mapping = field(default_factory=dict)
     var_names: tuple[str, ...] = ()
-    ball: tuple[np.ndarray, np.ndarray] | None = None  # a trust base's (z_ref, scale), read-only
 
     @property
     def num_vars(self) -> int:
@@ -291,7 +287,7 @@ def set_robustness_objective(
         raise IndexError(f"no output {i}")
     c = np.zeros(p.num_vars)
     c[p.var_roles[("output", i)]] = float(sign)
-    return replace(p, c=_read_only(c), obj_sense="max", obj_offset=-float(sign) * float(x_ref_i))
+    return replace(p, c=_read_only(c), obj_offset=-float(sign) * float(x_ref_i))
 
 
 def default_delta_cap(z_ref, scale) -> float:
@@ -299,82 +295,6 @@ def default_delta_cap(z_ref, scale) -> float:
     z_ref = np.asarray(z_ref, dtype=float)
     scale = np.asarray(scale, dtype=float)
     return float(np.max(np.maximum(z_ref, 1.0 - z_ref) / scale))
-
-
-def set_trust_problem(p: MilpProblem, z_ref, scale, delta_cap: float) -> MilpProblem:
-    """A query's trust base: minimize the scaled perturbation radius over
-    `p`, with the radius column in [0, delta_cap] and two ball rows per
-    input, and `ball = (z_ref, scale)`, by which a point's radius is
-    measured. Inputs stay inside the unit box regardless of the radius. `p` is
-    left as it is: the base extends copies of its rows and bounds by the
-    radius column, then appends the ball rows. Each output's targets are then put on
-    this base's bounds by `set_trust_target`, so every trust subproblem of
-    a query has the base's rows and objective."""
-    z_ref = np.asarray(z_ref, dtype=float)
-    scale = np.asarray(scale, dtype=float)
-    n0 = sum(1 for r in p.var_roles if r[0] == "input")
-    if z_ref.shape != (n0,) or scale.shape != (n0,):
-        raise DimensionMismatch("z_ref/scale length != input dimension")
-    if np.any(scale <= 0):
-        raise InvalidArg("scale must be positive elementwise")
-    if not delta_cap > 0:
-        raise InvalidArg("delta_cap must be positive")
-    if not in_unit_domain(z_ref):
-        raise InvalidArg("z_ref must lie in the unit box")
-
-    d_i = p.num_vars
-    # z_j - z_ref_j <= delta scale_j   and   z_ref_j - z_j <= delta scale_j
-    extra = DenseRows(d_i + 1)
-    for j in range(n0):
-        for s in (1.0, -1.0):
-            extra.add([p.var_roles[("input", j)], d_i], [s, -float(scale[j])], "<=", s * float(z_ref[j]))
-    ball_rows, ball_senses, ball_rhs = extra.arrays()
-    return replace(
-        p,
-        lo=_read_only(np.append(p.lo, 0.0)),
-        hi=_read_only(np.append(p.hi, float(delta_cap))),
-        binary=_read_only(np.append(p.binary, False)),
-        rows=_read_only(np.vstack((np.pad(p.rows, ((0, 0), (0, 1))), ball_rows))),
-        senses=(*p.senses, *ball_senses),
-        rhs=_read_only(np.concatenate((p.rhs, ball_rhs))),
-        c=_read_only(np.append(np.zeros(d_i), 1.0)),
-        obj_sense="min",
-        obj_offset=0.0,
-        var_roles=MappingProxyType({**p.var_roles, ("delta",): d_i}),
-        var_names=(*p.var_names, "delta"),
-        ball=(_read_only(z_ref.copy()), _read_only(scale.copy())),
-    )
-
-
-def set_trust_target(
-    p: MilpProblem, i: int, sign: int, beta: float, x_ref_i: float
-) -> MilpProblem:
-    """The trust subproblem of output `i` and `sign` over the trust base `p`
-    (`set_trust_problem`): the output must deviate from `x_ref_i` by at
-    least `beta` in the sign's direction, which is a bound on the output,
-    `lo = max(lo, t)` for `+` and `hi = min(hi, t)` for `-`, with
-    `t = x_ref_i + sign * beta`. A target beyond the output's interval fixes
-    the output at the target, where the network rows leave no feasible
-    point. Everything but the output's bounds is `p`'s own, shared, not
-    copied; the new bounds are read-only, like the base's."""
-    if sign not in (1, -1):
-        raise InvalidArg("sign must be +1 or -1")
-    if ("output", i) not in p.var_roles:
-        raise IndexError(f"no output {i}")
-    if p.ball is None:
-        raise InvalidArg("set_trust_target needs a trust base from set_trust_problem")
-    if not beta > 0:
-        raise InvalidArg("beta must be positive")
-    j = p.var_roles[("output", i)]
-    t = float(x_ref_i) + sign * float(beta)
-    lo, hi = p.lo.copy(), p.hi.copy()
-    if sign == 1:
-        lo[j] = max(lo[j], t)
-    else:
-        hi[j] = min(hi[j], t)
-    if lo[j] > hi[j]:  # beyond the interval
-        lo[j] = hi[j] = t
-    return replace(p, lo=_read_only(lo), hi=_read_only(hi))
 
 
 def _lp_num(v: float) -> str:
@@ -389,7 +309,7 @@ def to_lp_text(p: MilpProblem) -> str:
     """Render the problem in LP text format for third-party cross-checks;
     each row lists its nonzero coefficients."""
     out = []
-    out.append("Maximize" if p.obj_sense == "max" else "Minimize")
+    out.append("Maximize")
     idx = np.flatnonzero(p.c)
     out.append(f" obj: {_lp_terms(p, idx, p.c[idx]) or '0 ' + p.var_names[0]}")
     if p.obj_offset:

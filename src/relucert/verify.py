@@ -1,12 +1,14 @@
 """Verification drivers: certified robustness over perturbation balls, as
 2M searches (a max and a min per output), and minimum-perturbation trust
-queries, as one joint search of both signs per output; batch sweeps over
-operating conditions, and report assembly. A query reads, fits and bounds
-its own question (`VerificationQuery.from_dict`, `check`, `region`), and
-`box_bounds` is the one recipe from an input box to bounds and stability.
-A driver builds and encodes a query's base and its subproblems and reads
-the searches' results; the LP every root of the query starts from, and
-the engine they share, are the search's (`bnb.shared_root_start`)."""
+queries, as robustness searches of each output's sign pair on shrinking
+balls (`search_radius`, whose steps `set_trust_problem` builds); batch
+sweeps over operating conditions, and report assembly. A query reads,
+fits and bounds its own question (`VerificationQuery.from_dict`, `check`,
+`region`), and `box_bounds` is the one recipe from an input box to bounds
+and stability. A driver builds and encodes a query's base and its
+subproblems and reads the searches' results; the LP every root of a base
+starts from, and the engine they share, are the search's
+(`bnb.shared_root_start`)."""
 
 from __future__ import annotations
 
@@ -18,25 +20,19 @@ import logging
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .bnb import BnbOptions, BnbStatus, shared_root_start, solve_milp
+from .bnb import BnbOptions, BnbStatus, MilpResult, shared_root_start, solve_milp
 from .bounds import InputBox, LayerBounds, StabilityMap, classify_neurons, propagate_bounds
 from .errors import DimensionMismatch, InvalidArg, InvalidValue, ParseError
-from .milp import (
-    default_delta_cap,
-    encode_network,
-    lp_tighten,
-    set_robustness_objective,
-    set_trust_problem,
-    set_trust_target,
-)
+from .milp import MilpProblem, default_delta_cap, encode_network, lp_tighten, set_robustness_objective
 from .nnmodel import FoldedNetwork, forward, in_unit_domain
 from .simplex import SolveStats, tolerances
 
 _log = logging.getLogger(__name__)
+_REACH_TOL = 1e-12  # a witness this close to a trust target reaches it: roundoff in its forward pass
 
 
 def _is_real(v) -> bool:
@@ -225,13 +221,6 @@ def box_bounds(net: FoldedNetwork, box: InputBox, tighten: bool) -> tuple[LayerB
     return lb, classify_neurons(lb), stats
 
 
-def _prepare_base(net, box, opts):
-    """The query's base encoding, its stability map, and the tightening LPs'
-    work."""
-    lb, sm, tighten = box_bounds(net, box, opts.tighten)
-    return encode_network(net, lb, sm, box), sm, tighten
-
-
 def _common_fields(t0, per_output, sm, searches, tighten, shared) -> dict:
     """The result fields both kinds carry. `stats` sums the B&B work of the
     query's `searches` and `shared`, its other LP work outside them; the
@@ -262,7 +251,9 @@ def robustness(
     t0 = time.perf_counter()
     opts = opts or VerifyOptions()
     q.check(net, "robustness")
-    base, sm, tighten = _prepare_base(net, q.region("robustness"), opts)
+    box = q.region("robustness")
+    lb, sm, tighten = box_bounds(net, box, opts.tighten)
+    base = encode_network(net, lb, sm, box)
     shared = SolveStats()
     root_start = shared_root_start(base, shared)
 
@@ -294,56 +285,166 @@ def robustness(
     return res
 
 
+def set_trust_problem(
+    net: FoldedNetwork, region: LayerBounds, z_ref, scale, d: float, i: int, x_ref_i: float
+) -> tuple[MilpProblem, MilpProblem, MilpProblem]:
+    """One step of a trust search: output `i`'s robustness pair over the
+    ball of scaled radius `d` around `z_ref`, clipped to the unit box. The
+    ball's interval bounds are clipped into `region`'s, the bounds of the
+    unit box, which hold on every ball inside it. Returns the ball's base
+    encoding, for the roots' shared start, and its `+` and `-` problems."""
+    box = InputBox.ball(z_ref, d * np.asarray(scale))
+    ball = propagate_bounds(net, box)
+    lo = [np.maximum(a, b) for a, b in zip((*ball.pre_lo, ball.out_lo), (*region.pre_lo, region.out_lo))]
+    hi = [np.minimum(a, b) for a, b in zip((*ball.pre_hi, ball.out_hi), (*region.pre_hi, region.out_hi))]
+    hi = [np.maximum(h, l) for h, l in zip(hi, lo)]  # both hold, so an empty intersection is roundoff
+    lb = LayerBounds(tuple(lo[:-1]), tuple(hi[:-1]), out_lo=lo[-1], out_hi=hi[-1])
+    base = encode_network(net, lb, classify_neurons(lb), box)
+    plus, minus = (set_robustness_objective(base, i, sign, x_ref_i) for sign in (1, -1))
+    return base, plus, minus
+
+
+@dataclass
+class RadiusSearch:
+    """One output's trust search: its bracket [lo, hi], the witness at `hi`
+    and its sign (None without one), its status and every step's search."""
+
+    lo: float
+    hi: float | None
+    witness: np.ndarray | None
+    sign: int | None
+    status: str  # "certified" | "gap_limit" | "uncertified"
+    steps: list[MilpResult]
+
+    @property
+    def gap(self) -> float:
+        if self.status == "certified":
+            return 0.0
+        return self.hi - self.lo if self.hi is not None else float("inf")
+
+
+def _left(opts: BnbOptions, steps: list[MilpResult], t0: float) -> BnbOptions | None:
+    """`opts` with what is left of its node and time limits after `steps`,
+    begun at `t0`; None once either is spent."""
+    nodes, seconds = opts.node_limit, opts.time_limit_seconds
+    if nodes is not None:
+        nodes -= sum(r.nodes for r in steps)
+        if nodes <= 0:
+            return None
+    if seconds is not None:
+        seconds -= time.perf_counter() - t0
+        if seconds <= 0:
+            return None
+    return replace(opts, node_limit=nodes, time_limit_seconds=seconds)
+
+
+def search_radius(step, z_ref, scale, dev0: float, beta: float, cap: float, opts: BnbOptions) -> RadiusSearch:
+    """The smallest scaled radius around `z_ref` at which an output's worst
+    deviation R(d) reaches `beta`, bracketed by robustness searches on
+    nested balls, over which R is nondecreasing. `step(d, opts)` searches
+    the output's `+`/`-` pair over the ball of radius d; `dev0`, the
+    output's deviation at `z_ref`, answers 0 if it reaches `beta` already.
+
+    A step whose incumbent reaches `beta` makes its witness's radius, at
+    most d, the upper end `hi`; else one whose proven bound is below `beta`
+    makes d the lower end `lo`. "Reaches" allows `_REACH_TOL`, roundoff in
+    the witness's forward pass: a looser tolerance would let a witness
+    short of `beta` put `hi` below the answer by the tolerance over R's
+    slope. The first step runs at `cap`, where a bound below `beta` proves
+    the target out of reach. Each next radius is the regula falsi root of
+    R - beta from the ends' incumbent values, with the Illinois halving of
+    an end kept twice running, clamped 1e-3 of the bracket's width inside
+    it; it is the midpoint where the clamp rounds onto an end, or where two
+    witnesses running fall short of `beta` and give no slope. The search is
+    certified once `hi - lo` is within the options' gaps or holds no float
+    to step to. The node and time limits bound the whole search, each step
+    getting what is left; a step that proves neither end, or a spent
+    limit, ends it `gap_limit`, or `uncertified` with no witness yet."""
+    t0 = time.perf_counter()
+    if abs(dev0) >= beta - _REACH_TOL:
+        return RadiusSearch(0.0, 0.0, np.array(z_ref, dtype=float), 1 if dev0 > 0 else -1, "certified", [])
+    lo, g_lo = 0.0, abs(dev0) - beta
+    hi = g_hi = witness = sign = last = None  # last: the end the previous step moved
+    steps: list[MilpResult] = []
+    d = cap
+    while (left := _left(opts, steps, t0)) is not None:
+        r = step(d, left)
+        steps.append(r)
+        if r.found and r.incumbent_value >= beta - _REACH_TOL:
+            # the witness lies in the ball, so its radius passes d by roundoff at most
+            hi, g_hi = min(float(np.max(np.abs(r.z - z_ref) / scale)), d), r.incumbent_value - beta
+            witness, sign, moved = r.z, (1, -1)[r.source], "hi"
+            decision = f"reaches beta, hi = {hi!r}"
+        elif r.best_bound < beta:
+            lo, moved, decision = d, "lo", "below beta, lo = d"
+            if r.found:
+                g_lo = r.incumbent_value - beta
+        else:
+            moved, decision = None, "proves neither end"
+        _log.debug(
+            "step %d radius %r incumbent %r bound %r: %s", len(steps), d, r.incumbent_value, r.best_bound, decision
+        )
+        if moved is None:
+            break
+        if hi is None:  # the cap's bound is below beta
+            return RadiusSearch(lo, None, None, None, "certified", steps)
+        w = hi - lo
+        if w <= max(opts.abs_gap, opts.rel_gap * hi):
+            return RadiusSearch(lo, hi, witness, sign, "certified", steps)
+        if moved == last == "hi":
+            g_lo *= 0.5
+        elif moved == last == "lo":
+            g_hi *= 0.5
+        d = min(max(lo + w * g_lo / (g_lo - max(g_hi, 0.0)), lo + 1e-3 * w), hi - 1e-3 * w)
+        if (moved == last == "hi" and g_hi <= 0) or not lo < d < hi:
+            d = lo + 0.5 * w
+            if not lo < d < hi:
+                return RadiusSearch(lo, hi, witness, sign, "certified", steps)
+        last = moved
+    return RadiusSearch(lo, hi, witness, sign, "gap_limit" if hi is not None else "uncertified", steps)
+
+
 def trustworthiness(
     net: FoldedNetwork, q: VerificationQuery, opts: VerifyOptions | None = None
 ) -> TrustResult:
     """Smallest scaled perturbation radius that moves each output at least
-    beta away from its reference, searched over the full unit box. An
-    output's `+` and `-` problems are searched as one tree, the `-` one as
-    the rival of the `+` one, so the output's answer is the smaller radius
-    and its sign. `+` wins only a bit-for-bit tie, so on a near-tie the
-    sign follows float rounding along the search."""
+    beta away from its reference, searched over the full unit box: for each
+    output, a `search_radius` whose steps search the output's robustness
+    pair (`set_trust_problem`) on shrinking balls, each from its own base's
+    shared root start. The sign is the one whose deviation reached beta at
+    the witness. `stats["radius_search"]` gives each output's step and node
+    counts and its final bracket."""
     t0 = time.perf_counter()
     opts = opts or VerifyOptions()
     q.check(net, "trust")
     scale = q.effective_scale()
     cap = q.effective_delta_cap()
-    base, sm, tighten = _prepare_base(net, q.region("trust"), opts)
-
-    trust_base = set_trust_problem(base, q.z_ref, scale, cap)
+    lb, sm, tighten = box_bounds(net, q.region("trust"), opts.tighten)
+    dev0 = forward(net, q.z_ref) - q.x_ref
     shared = SolveStats()
-    root_start = shared_root_start(trust_base, shared)
 
-    per_output = []
-    searches = []
+    per_output, searches, brackets = [], [], []
     for i, name in enumerate(net.output_names):
-        plus, minus = (set_trust_target(trust_base, i, sign, q.beta, float(q.x_ref[i])) for sign in (1, -1))
-        r = solve_milp(plus, opts.bnb, root_start=root_start, rivals=(minus,))
-        searches.append(r)
-        if r.status is BnbStatus.LIMIT:
-            out = OutputTrust(name, False, None, None, None, cap, "uncertified", float("inf"))
-        elif not r.found:
-            # INFEASIBLE, certified: no input within delta_cap moves this output by beta
-            out = OutputTrust(name, False, None, None, None, cap, "certified", 0.0)
-        else:
-            certified = r.status is BnbStatus.CERTIFIED
-            out = OutputTrust(
-                name=name,
-                found=True,
-                delta_min=r.incumbent_value,
-                sign=(1, -1)[r.source],
-                witness=r.z,
-                delta_cap=cap,
-                status="certified" if certified else "gap_limit",
-                gap=0.0 if certified else r.gap,
-            )
-        per_output.append(out)
+        x_ref_i = float(q.x_ref[i])
+
+        def step(d, bnb_opts):
+            base, plus, minus = set_trust_problem(net, lb, q.z_ref, scale, d, i, x_ref_i)
+            return solve_milp(plus, bnb_opts, root_start=shared_root_start(base, shared), rivals=(minus,))
+
+        s = search_radius(step, q.z_ref, scale, float(dev0[i]), q.beta, cap, opts.bnb)
+        searches += s.steps
+        brackets.append({"steps": len(s.steps), "nodes": sum(r.nodes for r in s.steps), "lo": s.lo, "hi": s.hi})
+        found = s.hi is not None
+        per_output.append(
+            OutputTrust(name, found, s.hi, s.sign, s.witness, cap, s.status, s.gap)
+        )
     found_vals = [o.delta_min for o in per_output if o.found]
     res = TrustResult(
         query=q,
         delta_min=min(found_vals) if found_vals else None,
         **_common_fields(t0, per_output, sm, searches, tighten, shared),
     )
+    res.stats["radius_search"] = brackets
     _log.debug("trustworthiness %r: %.3f s, %s", q.query_id, res.wall_time, res.stats)
     return res
 

@@ -110,8 +110,8 @@ def random_spec(
 
 def relaxation(p):
     """`p`'s LP relaxation solved on its own engine. The objective is the
-    engine's, `c x` in `p`'s sense, without `p.obj_offset`."""
-    return prepare(p).solve(*relaxed_bounds(p), p.c, p.obj_sense == "max")
+    engine's, the maximum of `c x`, without `p.obj_offset`."""
+    return prepare(p).solve(*relaxed_bounds(p), p.c, True)
 
 
 @pytest.fixture

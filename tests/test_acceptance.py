@@ -19,14 +19,7 @@ from relucert.bounds import (
     propagate_bounds,
 )
 from relucert.cli import main
-from relucert.milp import (
-    default_delta_cap,
-    encode_network,
-    lp_tighten,
-    set_robustness_objective,
-    set_trust_problem,
-    set_trust_target,
-)
+from relucert.milp import default_delta_cap, encode_network, lp_tighten, set_robustness_objective
 from relucert.nnmodel import fold_bn, forward, forward_layers, save_network
 from relucert.oracle import RobustnessSpec, TrustSpec, pattern_enumerate_opt
 from relucert.trainer import TrainConfig, gen_synthetic, train
@@ -84,23 +77,24 @@ def test_certified_values_match_enumeration_oracle():
         if sm.num_unstable > 8:
             continue
         i = int(rng.integers(net.num_outputs))
-        sign = int(rng.choice([-1, 1]))
         z_ref = rng.uniform(0.2, 0.8, net.input_dim)
-        x_ref = float(forward(net, z_ref)[i])
+        x_ref = forward(net, z_ref)
         beta = float(rng.uniform(0.05, 0.4))
         scale = np.ones(net.input_dim)
         cap = default_delta_cap(z_ref, scale)
-        base = set_trust_problem(encode_network(net, lb, sm, box), z_ref, scale, cap)
-        p = set_trust_target(base, i, sign, beta, x_ref)
-        r = solve_milp(p, EXACT)
-        o = pattern_enumerate_opt(
-            net, box, TrustSpec(i, sign, beta, x_ref, tuple(z_ref), tuple(scale), cap)
-        )
-        if r.status is BnbStatus.INFEASIBLE:
-            assert o.status == "infeasible"
-        else:
-            assert r.status is BnbStatus.CERTIFIED and o.status == "optimal"
-            worst = max(worst, abs(r.incumbent_value - o.value))
+        q = VerificationQuery(z_ref=z_ref, x_ref=x_ref, beta=beta)
+        # each output's answer comes from its robustness pairs on shrinking balls
+        r = trustworthiness(net, q, VerifyOptions(bnb=EXACT)).per_output[i]
+        radii = [
+            pattern_enumerate_opt(
+                net, box, TrustSpec(i, sign, beta, float(x_ref[i]), tuple(z_ref), tuple(scale), cap)
+            ).value
+            for sign in (1, -1)
+        ]
+        radii = [v for v in radii if v is not None]
+        assert r.status == "certified" and r.found == bool(radii)
+        if radii:
+            worst = max(worst, abs(r.delta_min - min(radii)))
         n_trust += 1
     assert worst <= 1e-6
     print(f"PASS: max |certified - enumerated| = {worst:.2e} over 200 instances")

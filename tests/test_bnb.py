@@ -4,22 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relucert import simplex
 from relucert.bnb import BnbOptions, BnbStatus, MilpResult, _select_branch_var, solve_milp
 from relucert.bounds import InputBox, classify_neurons, propagate_bounds
 from relucert.errors import InvalidArg, NumericalBreakdown
-from relucert.milp import (
-    default_delta_cap,
-    encode_network,
-    prepare,
-    relaxed_bounds,
-    set_robustness_objective,
-    set_trust_problem,
-    set_trust_target,
-)
+from relucert.milp import encode_network, prepare, relaxed_bounds, set_robustness_objective
 from relucert.nnmodel import AffineLayer, FoldedNetwork, HiddenLayer, NetworkSpec, OutputLayer, fold_bn, forward
 from relucert.oracle import RobustnessSpec, milp_opt
 from relucert.simplex import LpStatus, PreparedLp
@@ -38,7 +30,7 @@ def enumerate_exact(p):
         if sol.status is not LpStatus.OPTIMAL:
             continue
         v = sol.objective + p.obj_offset
-        if best is None or (v > best if p.obj_sense == "max" else v < best):
+        if best is None or v > best:
             best = v
     return best
 
@@ -67,24 +59,28 @@ def test_e1_robustness_certified_values(e1):
     assert forward(e1, plus.z)[0] - 0.25 == pytest.approx(plus.incumbent_value, abs=1e-9)
 
 
-def test_e1_trust_certified_values(e1):
-    p, _ = encode_on_box(e1, InputBox.unit(2))
-    z_ref, scale = np.full(2, 0.5), np.ones(2)
-    for sign, want in ((1, 0.075), (-1, 0.15)):
-        q = set_trust_target(set_trust_problem(p, z_ref, scale, 0.5), 0, sign, 0.15, 0.25)
-        res = solve_milp(q)
-        assert res.status is BnbStatus.CERTIFIED
-        assert res.incumbent_value == pytest.approx(want, abs=1e-9)
-        assert res.best_bound <= res.incumbent_value + 1e-9  # min sense
-        # the witness lies on the ball of the certified radius
-        assert np.max(np.abs(res.z - z_ref) / scale) == pytest.approx(res.incumbent_value, abs=1e-9)
+def test_e1_robustness_pair_certified_values(e1):
+    # over [0.4, 0.6]^2 the output spans [0.15, 0.45]: the larger deviation
+    # from 0.25 is the `+` one, 0.2, and from 0.35 the `-` one, 0.2
+    box = InputBox(lo=np.full(2, 0.4), hi=np.full(2, 0.6))
+    p, _ = encode_on_box(e1, box)
+    for x_ref, source in ((0.25, 0), (0.35, 1)):
+        plus, minus = (set_robustness_objective(p, 0, sign, x_ref) for sign in (1, -1))
+        res = solve_milp(plus, rivals=(minus,))
+        assert res.status is BnbStatus.CERTIFIED and res.source == source
+        assert res.incumbent_value == pytest.approx(0.2, abs=1e-9)
+        assert res.best_bound >= res.incumbent_value - 1e-9
+        # the witness reproduces the deviation in its problem's sign
+        sign = (1, -1)[source]
+        assert sign * (forward(e1, res.z)[0] - x_ref) == pytest.approx(res.incumbent_value, abs=1e-9)
 
 
-def test_trust_unattainable_is_infeasible():
-    net = identity_net()
-    p, _ = encode_on_box(net, InputBox.unit(1))
-    q = set_trust_target(set_trust_problem(p, np.array([0.5]), np.ones(1), 0.5), 0, 1, 2.0, 0.5)
-    res = solve_milp(q)
+def test_an_output_bound_out_of_reach_is_infeasible():
+    # the identity net's output is z in [0, 1]; fixed at 2 by its bounds,
+    # it has no feasible point
+    p, _ = encode_on_box(identity_net(), InputBox.unit(1))
+    q = set_robustness_objective(p, 0, 1, 0.5)
+    res = solve_milp(fixed(q, {q.var_roles[("output", 0)]: 2.0}))
     assert res.status is BnbStatus.INFEASIBLE
     assert not res.found
 
@@ -230,32 +226,33 @@ def _break_solve(monkeypatch, which):
 
 
 def _e1_problems(e1):
+    """(primary, rivals) searches over the unit box: the `+` deviation of
+    the output from 0.25, and both signs' from 0.65, where the output's
+    range [0, 1.25] makes the `-` rival the larger, 0.65 against 0.6."""
     p, _ = encode_on_box(e1, InputBox.unit(2))
     return [
-        set_robustness_objective(p, 0, 1, 0.25),  # max, 3 nodes
-        set_trust_target(set_trust_problem(p, np.full(2, 0.5), np.ones(2), 0.5), 0, 1, 0.15, 0.25),  # min, 5 nodes
+        (set_robustness_objective(p, 0, 1, 0.25), ()),
+        (set_robustness_objective(p, 0, 1, 0.65), (set_robustness_objective(p, 0, -1, 0.65),)),
     ]
 
 
 def test_e1_node_counts(e1):
-    assert [solve_milp(q).nodes for q in _e1_problems(e1)] == [3, 5]
+    assert [solve_milp(q, rivals=rivals).nodes for q, rivals in _e1_problems(e1)] == [3, 4]
 
 
 def test_child_breakdown_leaves_an_honest_bracket(e1, monkeypatch):
-    for q in _e1_problems(e1):
-        full = solve_milp(q)
+    for q, rivals in _e1_problems(e1):
+        full = solve_milp(q, rivals=rivals)
         opt = full.incumbent_value
-        for child in range(2, full.nodes + 1):
+        for child in range(len(rivals) + 2, full.nodes + 1):
             calls = _break_solve(monkeypatch, child)
-            res = solve_milp(q)
+            res = solve_milp(q, rivals=rivals)
             monkeypatch.undo()
             assert len(calls) >= child
             assert res.stats.node_breakdowns == 1
             assert res.stats.lp_solves == res.nodes - 1
             assert res.status in (BnbStatus.GAP_LIMIT, BnbStatus.CERTIFIED)
-            lo, hi = (res.incumbent_value, res.best_bound) if q.obj_sense == "max" else (
-                res.best_bound, res.incumbent_value)
-            assert lo - 1e-9 <= opt <= hi + 1e-9
+            assert res.incumbent_value - 1e-9 <= opt <= res.best_bound + 1e-9
             assert res.gap == pytest.approx(abs(res.best_bound - res.incumbent_value), abs=1e-12)
             if res.status is BnbStatus.CERTIFIED:
                 assert res.incumbent_value == pytest.approx(opt, abs=1e-6)
@@ -263,29 +260,25 @@ def test_child_breakdown_leaves_an_honest_bracket(e1, monkeypatch):
 
 def test_root_breakdown_leaves_the_bracket_open(e1, monkeypatch):
     # a root's parent bound is +inf: nothing is found and nothing is bounded
-    for q in _e1_problems(e1):
-        _break_solve(monkeypatch, 1)
-        res = solve_milp(q)
-        monkeypatch.undo()
-        assert res.status is BnbStatus.LIMIT and not res.found
-        assert res.best_bound == (np.inf if q.obj_sense == "max" else -np.inf)
-        assert res.gap == np.inf and res.nodes == 1
-        assert res.stats.node_breakdowns == 1 and res.stats.lp_solves == 0
+    q, _ = _e1_problems(e1)[0]
+    _break_solve(monkeypatch, 1)
+    res = solve_milp(q)
+    monkeypatch.undo()
+    assert res.status is BnbStatus.LIMIT and not res.found
+    assert res.best_bound == np.inf
+    assert res.gap == np.inf and res.nodes == 1
+    assert res.stats.node_breakdowns == 1 and res.stats.lp_solves == 0
 
 
 def test_time_limit_stops_after_the_roots_with_an_honest_bracket(e1):
     # the roots always run; the limit is checked before the first branch
-    for q in _e1_problems(e1):
-        opt = solve_milp(q).incumbent_value
-        res = solve_milp(q, BnbOptions(time_limit_seconds=1e-9))
+    for q, rivals in _e1_problems(e1):
+        opt = solve_milp(q, rivals=rivals).incumbent_value
+        res = solve_milp(q, BnbOptions(time_limit_seconds=1e-9), rivals=rivals)
         assert res.status in (BnbStatus.GAP_LIMIT, BnbStatus.LIMIT)
-        assert res.nodes == res.stats.lp_solves == 1
-        if res.found:
-            lo, hi = (res.incumbent_value, res.best_bound) if q.obj_sense == "max" else (
-                res.best_bound, res.incumbent_value)
-        else:
-            lo, hi = (-np.inf, res.best_bound) if q.obj_sense == "max" else (res.best_bound, np.inf)
-        assert lo - 1e-9 <= opt <= hi + 1e-9
+        assert res.nodes == res.stats.lp_solves == 1 + len(rivals)
+        lo = res.incumbent_value if res.found else -np.inf
+        assert lo - 1e-9 <= opt <= res.best_bound + 1e-9
 
 
 def test_bound_monotone_incumbent_improving():
@@ -306,28 +299,38 @@ def test_bound_monotone_incumbent_improving():
     assert all(i2 >= i1 - 1e-9 for i1, i2 in zip(incs, incs[1:]))
 
 
-def test_root_point_short_of_the_target_gives_no_incumbent(monkeypatch):
-    # x = relu(2z - 1), and the smallest radius about z = 0.5 at which
-    # x >= 0.5 is 0.25, with the neuron active (r = 1). The root LP stays at
-    # z = 0.5 with r = 0.5, where the network's x is 0, short of the target
-    q = set_trust_target(
-        set_trust_problem(encode_on_box(relu_net(2.0, -1.0), InputBox.unit(1))[0], np.array([0.5]), np.ones(1), 0.5),
-        0, 1, 0.5, 0.0,
-    )
+def _relu_target(sign):
+    """Maximize sign * x for x = relu(2z - 1) on [0, 1], with the output
+    bounded on the far side of 0.5: x <= 0.5 for `+`, x >= 0.5 for `-`.
+    Either way the optimum is x = 0.5, at z = 0.75 with the neuron active."""
+    p, _ = encode_on_box(relu_net(2.0, -1.0), InputBox.unit(1))
+    q = set_robustness_objective(p, 0, sign, 0.0)
+    x = q.var_roles[("output", 0)]
+    lo, hi = q.lo.copy(), q.hi.copy()
+    (hi if sign == 1 else lo)[x] = 0.5
+    return replace(q, lo=lo, hi=hi)
+
+
+def test_root_point_short_of_the_output_bound_gives_no_incumbent(monkeypatch):
+    # min x over x >= 0.5: the root LP sits at z = 0.5 with r = 0.5, where
+    # the network's x is 0, short of the output's bound
+    q = _relu_target(-1)
     capped = solve_milp(q, BnbOptions(node_limit=1))
     assert capped.status is BnbStatus.LIMIT  # the root's point is not an incumbent
-    assert not capped.found and capped.best_bound == pytest.approx(0.0, abs=1e-12)
+    assert not capped.found and capped.best_bound == pytest.approx(-0.5, abs=1e-12)
     full = solve_milp(q)
     assert full.status is BnbStatus.CERTIFIED and full.nodes == 3
-    assert full.incumbent_value == pytest.approx(0.25, abs=1e-12)
-    # a breakdown on the r = 0 child (infeasible) leaves the bracket
-    # [0, 0.25] open; on the r = 1 child it loses the only incumbent
-    for child, status in ((2, BnbStatus.GAP_LIMIT), (3, BnbStatus.LIMIT)):
+    assert full.incumbent_value == pytest.approx(-0.5, abs=1e-12)
+    assert full.z.tolist() == [pytest.approx(0.75, abs=1e-12)]
+    # a breakdown on the r = 0 child (infeasible) leaves it open at the
+    # root's bound, which the incumbent meets; on the r = 1 child it loses
+    # the only incumbent
+    for child, status in ((2, BnbStatus.CERTIFIED), (3, BnbStatus.LIMIT)):
         _break_solve(monkeypatch, child)
         res = solve_milp(q)
         monkeypatch.undo()
         assert res.status is status
-        assert res.best_bound == pytest.approx(0.0, abs=1e-12)
+        assert res.best_bound == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_binary_fixed_by_its_bounds_stays_fixed():
@@ -349,8 +352,8 @@ def test_an_integral_node_scores_the_network_not_the_lp(e1, monkeypatch):
     # value at its point: the incumbent is still the network's value, and
     # the bracket keeps the integral LP bound, so a gap of 1e-6 above the
     # gap tolerance is never certified
-    opts = BnbOptions(rel_gap=1e-7)  # below 1e-6 at the robustness optimum 1.0
-    opts_ = [solve_milp(q, opts).incumbent_value for q in _e1_problems(e1)]
+    opts = BnbOptions(rel_gap=1e-7)  # below 1e-6 at the optima, 1.0 and 0.65
+    opts_ = [solve_milp(q, opts, rivals=rivals).incumbent_value for q, rivals in _e1_problems(e1)]
     solve = PreparedLp.solve
 
     def optimistic(self, lo, hi, c, maximize, start=None, cutoff=None):
@@ -362,15 +365,15 @@ def test_an_integral_node_scores_the_network_not_the_lp(e1, monkeypatch):
         return sol
 
     monkeypatch.setattr(PreparedLp, "solve", optimistic)
-    # the deviation of x1 from 0.25, and the radius about (0.5, 0.5)
-    values = (lambda z: forward(e1, z)[0] - 0.25, lambda z: np.max(np.abs(z - 0.5)))
-    for q, value, opt in zip(_e1_problems(e1), values, opts_):
+    for (q, rivals), opt in zip(_e1_problems(e1), opts_):
         bin_idx = np.flatnonzero(q.binary)
-        res = solve_milp(q, opts)
+        res = solve_milp(q, opts, rivals=rivals)
         assert res.found
-        assert res.incumbent_value == value(res.z)
-        mult = 1.0 if q.obj_sense == "max" else -1.0
-        assert res.best_bound == pytest.approx(opt + mult * 1e-6, abs=1e-9)
+        # the deviation of x1 from the reference, in the incumbent's sign
+        found = (q, *rivals)[res.source]
+        x = found.var_roles[("output", 0)]
+        assert res.incumbent_value == found.c[x] * forward(e1, res.z)[0] + found.obj_offset
+        assert res.best_bound == pytest.approx(opt + 1e-6, abs=1e-9)
         assert 1e-6 > max(opts.abs_gap, opts.rel_gap * abs(res.incumbent_value))
         assert res.status is BnbStatus.GAP_LIMIT
 
@@ -415,31 +418,31 @@ def test_a_near_zero_big_m_leaves_an_integral_node_open():
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_a_point_short_of_its_target_is_no_incumbent(e1, monkeypatch, sign):
-    # the network's outputs come out 1e-6 short of every target, so no
-    # point that reaches the target exactly is an incumbent: the optimum is
+def test_a_point_past_its_output_bound_is_no_incumbent(monkeypatch, sign):
+    # the network's outputs come out 1e-6 past the output's bound, so no
+    # point that meets the bound exactly is an incumbent: the optimum is
     # never certified, and the bracket keeps the integral nodes' LP bound
     from relucert import bnb
 
-    q = set_trust_target(set_trust_problem(encode_on_box(e1, InputBox.unit(2))[0], np.full(2, 0.5), np.ones(2), 0.5),
-                         0, sign, 0.15, 0.25)
+    q = _relu_target(sign)
     opt = solve_milp(q).incumbent_value
+    assert opt == pytest.approx(sign * 0.5, abs=1e-12)
     layers = bnb.forward_layers
 
-    def short(net, Z):
+    def past(net, Z):
         pre, post, out = layers(net, Z)
-        return pre, post, out - sign * 1e-6
+        return pre, post, out + sign * 1e-6
 
-    monkeypatch.setattr(bnb, "forward_layers", short)
+    monkeypatch.setattr(bnb, "forward_layers", past)
     res = solve_milp(q)
     assert res.status is not BnbStatus.CERTIFIED
-    assert res.best_bound == pytest.approx(opt, abs=1e-9)  # min sense: the LP bound at the optimum
+    assert res.best_bound == pytest.approx(opt, abs=1e-9)  # the LP bound at the optimum
     if res.found:
-        assert res.incumbent_value > opt + 1e-9
+        assert res.incumbent_value < opt - 1e-9
 
 
 def test_the_objective_prices_only_the_network_point(e1):
-    q = _e1_problems(e1)[0]
+    q, _ = _e1_problems(e1)[0]
     for role in (("post", 0, 0), ("input", 0)):
         c = q.c.copy()
         c[q.var_roles[role]] = 1.0
@@ -448,10 +451,10 @@ def test_the_objective_prices_only_the_network_point(e1):
 
 
 def test_one_debug_record_per_node(e1, caplog):
-    for q in _e1_problems(e1):
+    for q, rivals in _e1_problems(e1):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="relucert.bnb"):
-            res = solve_milp(q)
+            res = solve_milp(q, rivals=rivals)
         records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("node ")]
         assert len(records) == res.nodes
         assert [int(m.split()[1]) for m in records] == list(range(res.nodes))
@@ -500,56 +503,45 @@ def test_result_invariants_random():
 
 
 # ---------------------------------------------------------------------------
-# a primary problem searched together with its rivals
+# a primary problem searched together with its rivals: an output's `+`
+# and `-` robustness problems, whose larger value is its worst deviation
 
 
-def _trust_base(net, z_ref):
-    """A trust base over the unit box at the default radius cap."""
-    p, _ = encode_on_box(net, InputBox.unit(net.input_dim))
-    z_ref, scale = np.asarray(z_ref, dtype=float), np.ones(net.input_dim)
-    return set_trust_problem(p, z_ref, scale, default_delta_cap(z_ref, scale))
+def _pair(p, i, x_ref_i):
+    """The `+` and `-` robustness problems of output `i` on base `p`."""
+    return tuple(set_robustness_objective(p, i, s, x_ref_i) for s in (1, -1))
 
 
-def _trust_pair(net, i, beta, z_ref, x_ref_i):
-    """The `+` and `-` trust problems of output `i` over the unit box, on
-    one trust base."""
-    base = _trust_base(net, z_ref)
-    return tuple(set_trust_target(base, i, s, beta, x_ref_i) for s in (1, -1))
-
-
-def _random_trust_pair(seed, beta):
-    """A random network's trust base, and the `+` and `-` problems of one
-    of its outputs on that base."""
+def _random_pair(seed, alpha):
+    """A random network's base over a ball of radius `alpha`, and the `+`
+    and `-` problems of one of its outputs on that base."""
     rng = np.random.default_rng(seed)
     net = fold_bn(random_spec(rng, n0=int(rng.integers(2, 4)), widths=(5, 5), unit_norm=True))
     z_ref = rng.uniform(0, 1, net.input_dim)
     i = int(rng.integers(net.num_outputs))
-    base, x_ref_i = _trust_base(net, z_ref), float(forward(net, z_ref)[i])
-    return (base, *(set_trust_target(base, i, s, beta, x_ref_i) for s in (1, -1)))
+    base, _ = encode_on_box(net, InputBox.ball(z_ref, alpha))
+    return (base, *_pair(base, i, float(forward(net, z_ref)[i])))
 
 
 @settings(max_examples=4, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), beta=st.floats(0.05, 0.5))
-def test_joint_pair_matches_separate_searches(seed, beta):
-    _, plus, minus = _random_trust_pair(seed, beta)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.5))
+def test_joint_pair_matches_separate_searches(seed, alpha):
+    _, plus, minus = _random_pair(seed, alpha)
     joint = solve_milp(plus, rivals=(minus,))
     apart = [solve_milp(plus), solve_milp(minus)]
-    certified = (BnbStatus.CERTIFIED, BnbStatus.INFEASIBLE)
-    assert joint.status in certified and all(r.status in certified for r in apart)
-    found = [(r.incumbent_value, k) for k, r in enumerate(apart) if r.found]
-    assert joint.found == bool(found) and joint.problems == 2
-    if found:
-        value, source = min(found)  # as `trustworthiness` picked: ties go to the `+` sign
-        assert joint.incumbent_value == pytest.approx(value, abs=1e-9)
-        assert joint.source == source
-        assert joint.best_bound <= joint.incumbent_value + 1e-9  # min sense
-    else:
-        assert joint.status is BnbStatus.INFEASIBLE and joint.source is None
+    assert joint.status is BnbStatus.CERTIFIED and all(r.status is BnbStatus.CERTIFIED for r in apart)
+    assert joint.problems == 2
+    values = [r.incumbent_value for r in apart]
+    assert joint.incumbent_value == pytest.approx(max(values), abs=1e-9)
+    if abs(values[0] - values[1]) > 1e-9:
+        assert joint.source == int(values[1] > values[0])
+    assert joint.best_bound >= joint.incumbent_value - 1e-9
 
 
 def test_joint_pair_both_infeasible_is_certified_absence():
-    net = identity_net()
-    plus, minus = _trust_pair(net, 0, 2.0, [0.5], 0.5)  # needs z >= 2.5 or z <= -1.5
+    p, _ = encode_on_box(identity_net(), InputBox.unit(1))
+    x = p.var_roles[("output", 0)]
+    plus, minus = (fixed(q, {x: 2.0}) for q in _pair(p, 0, 0.5))  # the output is z, in [0, 1]
     res = solve_milp(plus, rivals=(minus,))
     assert res.status is BnbStatus.INFEASIBLE
     assert not res.found and res.source is None
@@ -570,76 +562,70 @@ def _symmetric_net():
 
 
 def test_joint_pair_tie_goes_to_the_primary():
-    net = _symmetric_net()
-    plus, minus = _trust_pair(net, 0, 0.25, [0.5], 0.0)  # z = 0.75 or z = 0.25
-    assert solve_milp(plus).incumbent_value == solve_milp(minus).incumbent_value == 0.25
+    p, _ = encode_on_box(_symmetric_net(), InputBox.unit(1))
+    plus, minus = _pair(p, 0, 0.0)  # 0.5 at z = 1 and at z = 0
+    assert solve_milp(plus).incumbent_value == solve_milp(minus).incumbent_value == 0.5
     for first, second in ((plus, minus), (minus, plus)):
         res = solve_milp(first, rivals=(second,))
-        assert res.status is BnbStatus.CERTIFIED and res.incumbent_value == 0.25
+        assert res.status is BnbStatus.CERTIFIED and res.incumbent_value == 0.5
         assert res.source == 0
-        assert res.z.tolist() == [0.75 if first is plus else 0.25]
+        assert res.z.tolist() == [1.0 if first is plus else 0.0]
 
 
 def test_joint_pair_node_limit_gives_honest_bracket():
-    _, plus, minus = _random_trust_pair(3, 0.3)
-    opt = min(r.incumbent_value for r in (solve_milp(plus), solve_milp(minus)) if r.found)
+    _, plus, minus = _random_pair(2, 0.5)
+    opt = max(r.incumbent_value for r in (solve_milp(plus), solve_milp(minus)))
     full = solve_milp(plus, rivals=(minus,))
     assert full.status is BnbStatus.CERTIFIED and full.nodes > 8
     for nl in (1, 2, 4, 8):
         res = solve_milp(plus, BnbOptions(node_limit=nl), rivals=(minus,))
         assert res.nodes == max(nl, 2)  # both roots are always solved
         assert res.status in (BnbStatus.GAP_LIMIT, BnbStatus.LIMIT)
-        assert res.best_bound <= opt + 1e-9  # min sense: the bound is below every value
+        assert res.best_bound >= opt - 1e-9  # the bound is above every value
         if res.found:
-            assert res.incumbent_value >= opt - 1e-9
-            assert res.gap == pytest.approx(res.incumbent_value - res.best_bound, abs=1e-12)
+            assert res.incumbent_value <= opt + 1e-9
+            assert res.gap == pytest.approx(res.best_bound - res.incumbent_value, abs=1e-12)
         else:
             assert res.gap == np.inf
 
 
 def test_joint_pair_records_name_the_problem(e1, caplog):
-    plus, minus = _trust_pair(e1, 0, 0.15, [0.5, 0.5], 0.25)
+    plus, (minus,) = _e1_problems(e1)[1]
     with caplog.at_level(logging.DEBUG, logger="relucert.bnb"):
         res = solve_milp(plus, rivals=(minus,))
     records = [r.getMessage().split() for r in caplog.records if r.getMessage().startswith("node ")]
     assert [int(m[1]) for m in records] == list(range(res.nodes))
     assert [m[2:4] for m in records[:2]] == [["problem", "0"], ["problem", "1"]]  # the roots
     assert {m[3] for m in records} == {"0", "1"}
-    assert res.incumbent_value == pytest.approx(0.075, abs=1e-9) and res.source == 0
-
-
-def test_rivals_must_share_the_sense(e1):
-    rob, trust = _e1_problems(e1)
-    with pytest.raises(InvalidArg, match="sense"):
-        solve_milp(trust, rivals=(rob,))
+    assert res.incumbent_value == pytest.approx(0.65, abs=1e-9) and res.source == 1
 
 
 def test_rival_root_breakdown_keeps_the_primary_incumbent(e1, monkeypatch):
     # the `-` root breaks down: the `+` search still runs and its incumbent
     # stands, but the `-` side stays open at +inf, so nothing is certified
-    plus, minus = _trust_pair(e1, 0, 0.15, [0.5, 0.5], 0.25)
+    p, _ = encode_on_box(e1, InputBox.unit(2))
+    plus, minus = _pair(p, 0, 0.25)
     _break_solve(monkeypatch, 2)
     res = solve_milp(plus, rivals=(minus,))
-    assert res.status is BnbStatus.GAP_LIMIT and res.gap == np.inf and res.best_bound == -np.inf
-    assert res.incumbent_value == pytest.approx(0.075, abs=1e-9) and res.source == 0
+    assert res.status is BnbStatus.GAP_LIMIT and res.gap == np.inf and res.best_bound == np.inf
+    assert res.incumbent_value == pytest.approx(1.0, abs=1e-9) and res.source == 0
     assert res.stats.node_breakdowns == 1
 
 
 def test_rivals_must_share_the_rows(e1):
-    plus, _ = _trust_pair(e1, 0, 0.15, [0.5, 0.5], 0.25)
-    _, other = _trust_pair(e1, 0, 0.15, [0.5, 0.5], 0.25)  # equal rows on another base
+    plus, _ = _e1_problems(e1)[0]
+    (other,) = _e1_problems(e1)[1][1]  # equal rows on another base
     assert len(other.rows) == len(plus.rows) and other.rows is not plus.rows
     with pytest.raises(InvalidArg, match="rows"):
         solve_milp(plus, rivals=(other,))
 
 
 @settings(max_examples=6, deadline=None)
-@example(seed=0, beta=0.0625)  # the signs tie to 3e-16, and the warm and cold sources differ
-@given(seed=st.integers(0, 2**32 - 1), beta=st.floats(0.05, 0.5))
-def test_shared_start_keeps_every_trust_answer(seed, beta):
-    """Roots started from the trust base's optimal solve answer as cold
-    roots do; only the tree may differ."""
-    base, plus, minus = _random_trust_pair(seed, beta)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.5))
+def test_shared_start_keeps_every_pair_answer(seed, alpha):
+    """Roots started from the base's optimal solve answer as cold roots do;
+    only the tree may differ."""
+    base, plus, minus = _random_pair(seed, alpha)
     shared = relaxation(base)
     assert shared.status is LpStatus.OPTIMAL
     warm = solve_milp(plus, root_start=shared, rivals=(minus,))
@@ -654,8 +640,8 @@ def test_shared_start_keeps_every_trust_answer(seed, beta):
 
 
 @settings(max_examples=6, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.5), beta=st.floats(0.05, 0.5))
-def test_the_cutoff_keeps_every_answer(seed, alpha, beta):
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.5))
+def test_the_cutoff_keeps_every_answer(seed, alpha):
     # a node LP stops only once it proves a bound strictly below what the
     # incumbent prunes, so at closed gaps a search answers as one whose LPs
     # all run to their optimum, node for node
@@ -670,8 +656,7 @@ def test_the_cutoff_keeps_every_answer(seed, alpha, beta):
         for i in range(net.num_outputs)
         for sign in (1, -1)
     ]
-    _, plus, minus = _random_trust_pair(seed, beta)
-    searches.append(((plus,), (minus,)))
+    searches += [((plus,), (minus,)) for plus, minus in (_pair(p, i, float(x_ref[i])) for i in range(net.num_outputs))]
     solve = PreparedLp.solve
 
     def uncut(self, *args, cutoff=None, **kwargs):

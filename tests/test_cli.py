@@ -285,13 +285,17 @@ def _assert_entry_keys(e):
     assert list(e["provenance"]) == _PROVENANCE_KEYS
 
 
-def _assert_sidecar_keys(path, results):
+def _assert_sidecar_keys(path, results, kind):
     side = json.loads(Path(path).read_text())
     assert list(side) == ["per_result_seconds", "total_seconds", "per_result_stats"]
     assert len(side["per_result_stats"]) == results
     for st in side["per_result_stats"]:
-        assert list(st) == ["subproblems", "nodes", *_COUNT_KEYS, "tighten"]
+        # a trust result adds each output's radius search
+        trust = ["radius_search"] if kind == "trust" else []
+        assert list(st) == ["subproblems", "nodes", *_COUNT_KEYS, "tighten", *trust]
         assert list(st["tighten"]) == _COUNT_KEYS
+        for b in st.get("radius_search", []):
+            assert list(b) == ["steps", "nodes", "lo", "hi"]
 
 
 def test_verify_documents_keep_their_key_order(workdir, tmp_path, capsys):
@@ -312,7 +316,7 @@ def test_verify_documents_keep_their_key_order(workdir, tmp_path, capsys):
         out = tmp_path / f"{name}.json"
         assert main([verb, "--network", net, "--queries", q, "--out", str(out), *extra]) == 0
         docs[name] = json.loads(out.read_text())
-        _assert_sidecar_keys(f"{out}.timing.json", 1)
+        _assert_sidecar_keys(f"{out}.timing.json", 1, name.split("_")[0])
     capsys.readouterr()
 
     single = docs["rob_single"]
@@ -656,8 +660,11 @@ def test_relabelled_node_limited_report_fails_above_the_old_cap(wide, workdir, t
 def test_a_node_limited_trust_table_reads_uncertified(wide, tmp_path, capsys):
     """An output whose search stops at the node limit before it finds a
     witness is undecided: the table says so, as stdout's status does, and
-    keeps "not_found" for a proven absence."""
+    keeps "not_found" for a proven absence. At beta 0.05 the first step's
+    roots, over the whole unit box, find no witness on either output."""
     net, q = wide
+    query = json.loads(Path(q).read_text())[0]
+    q = _write_queries(tmp_path, "q05.json", [{**query, "beta": 0.05}])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": {"node_limit": 2}}))
     table = tmp_path / "table.csv"

@@ -10,8 +10,6 @@ from relucert.milp import (
     default_delta_cap,
     encode_network,
     set_robustness_objective,
-    set_trust_problem,
-    set_trust_target,
     to_lp_text,
 )
 from relucert.nnmodel import AffineLayer, FoldedNetwork, HiddenLayer, NetworkSpec, OutputLayer, fold_bn
@@ -200,69 +198,6 @@ def test_e1_small_box_pattern_enumeration(e1):
     assert relaxation(q).objective + q.obj_offset >= 0.2 - 1e-9
 
 
-def test_e1_unit_box_trust_enumeration(e1):
-    p, _ = encode_on_box(e1, InputBox.unit(2))
-    z_ref = np.array([0.5, 0.5])
-    scale = np.ones(2)
-    cap = default_delta_cap(z_ref, scale)
-    assert cap == pytest.approx(0.5)
-    r1 = p.var_roles[("bin", 0, 0)]
-    r2 = p.var_roles[("bin", 0, 1)]
-    expected = {1: 0.075, -1: 0.15}
-    for sign, want in expected.items():
-        q = set_trust_target(set_trust_problem(p, z_ref, scale, cap), 0, sign, 0.15, 0.25)
-        best = np.inf
-        for a in (0.0, 1.0):
-            for b in (0.0, 1.0):
-                sol = relaxation(fixed(q, {r1: a, r2: b}))
-                if sol.status is LpStatus.OPTIMAL:
-                    best = min(best, sol.objective)
-        assert best == pytest.approx(want, abs=1e-9)
-        relaxed = relaxation(q)
-        assert relaxed.status is LpStatus.OPTIMAL
-        assert relaxed.objective <= best + 1e-9
-
-
-def test_trust_identity_example():
-    net = identity_net()
-    p, _ = encode_on_box(net, InputBox.unit(1))
-    cap = default_delta_cap([0.5], [1.0])
-    for sign in (1, -1):
-        q = set_trust_target(set_trust_problem(p, np.array([0.5]), np.ones(1), cap), 0, sign, 0.05, 0.5)
-        sol = relaxation(q)
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.objective == pytest.approx(0.05, abs=1e-9)
-
-
-def test_trust_unattainable_beta_infeasible():
-    net = identity_net()
-    p, _ = encode_on_box(net, InputBox.unit(1))
-    q = set_trust_target(set_trust_problem(p, np.array([0.5]), np.ones(1), 0.5), 0, 1, 2.0, 0.5)
-    assert relaxation(q).status is LpStatus.INFEASIBLE
-
-
-def test_trust_target_is_an_output_bound(e1):
-    p, _ = encode_on_box(e1, InputBox.unit(2))
-    base = set_trust_problem(p, np.full(2, 0.5), np.ones(2), 0.5)
-    x = p.var_roles[("output", 0)]
-    lo, hi = p.lo[x], p.hi[x]
-    plus = set_trust_target(base, 0, 1, 0.15, 0.25)
-    minus = set_trust_target(base, 0, -1, 0.15, 0.25)
-    assert (plus.lo[x], plus.hi[x]) == (pytest.approx(0.4), hi)
-    assert (minus.lo[x], minus.hi[x]) == (lo, pytest.approx(0.1))
-    # the target is the subproblem's only record of itself: the ball and
-    # the objective stay the base's
-    assert plus.ball is base.ball and plus.c is base.c
-    # a target beyond the output's interval fixes the output there, and the
-    # network rows leave the LP nothing feasible
-    for sign in (1, -1):
-        t = set_trust_target(base, 0, sign, 5.0, 0.25)
-        assert t.lo[x] == t.hi[x] == 0.25 + sign * 5.0
-        assert relaxation(t).status is LpStatus.INFEASIBLE
-    with pytest.raises(InvalidArg, match="trust base"):
-        set_trust_target(p, 0, 1, 0.15, 0.25)
-
-
 def test_default_delta_cap():
     assert default_delta_cap([0.3, 0.9], [1.0, 2.0]) == pytest.approx(0.7)
     assert default_delta_cap([0.5], [1.0]) == pytest.approx(0.5)
@@ -272,26 +207,17 @@ def test_objective_ops_do_not_mutate_base(e1):
     p, _ = encode_on_box(e1, InputBox.unit(2))
     n_rows = len(p.rows)
     q = set_robustness_objective(p, 0, 1, 0.25)
-    t = set_trust_target(set_trust_problem(p, np.full(2, 0.5), np.ones(2), 0.5), 0, 1, 0.15, 0.25)
-    assert not p.c.any() and p.ball is None
-    assert len(p.rows) == n_rows
-    assert len(t.rows) == n_rows + 4  # 2 ball rows per input; the target is a bound
-    assert t.num_vars == p.num_vars + 1
+    assert not p.c.any()
+    assert len(p.rows) == len(q.rows) == n_rows
+    # the robustness objective prices the output
     x = p.var_roles[("output", 0)]
-    assert t.lo[x] == pytest.approx(0.4) and t.hi[x] == p.hi[x]  # x1 >= 0.25 + 0.15
-    # the robustness objective prices the output, the trust one the radius
-    assert np.flatnonzero(q.c).tolist() == [x] and q.c[x] == 1.0 and q.ball is None
-    d = t.var_roles[("delta",)]
-    assert np.flatnonzero(t.c).tolist() == [d] and t.c[d] == 1.0
-    assert [a.tolist() for a in t.ball] == [[0.5, 0.5], [1.0, 1.0]]
-    for a in (q.c, t.c, *t.ball):
-        with pytest.raises(ValueError):
-            a[0] = 0.5
+    assert np.flatnonzero(q.c).tolist() == [x] and q.c[x] == 1.0
+    with pytest.raises(ValueError):
+        q.c[0] = 0.5
 
 
 def test_subproblems_share_the_read_only_base(e1):
     p, _ = encode_on_box(e1, InputBox.unit(2))
-    rows, roles, names, num_vars = p.rows, dict(p.var_roles), p.var_names, p.num_vars
     q = set_robustness_objective(p, 0, 1, 0.25)
     # a robustness subproblem differs from its base in objective alone
     for a in ("lo", "hi", "binary", "rows", "senses", "rhs", "var_roles", "var_names", "network"):
@@ -301,33 +227,14 @@ def test_subproblems_share_the_read_only_base(e1):
         with pytest.raises(ValueError):
             a[0] = 0.5
     with pytest.raises(TypeError):
-        q.var_roles[("delta",)] = p.num_vars
+        q.var_roles[("output", 1)] = p.num_vars
     assert not hasattr(q.senses, "append") and not hasattr(q.var_names, "append")
-    # a trust base extends its base without touching it
-    tb = set_trust_problem(p, np.full(2, 0.5), np.ones(2), 0.5)
-    assert p.num_vars == num_vars and p.rows is rows and p.var_names is names
-    assert dict(p.var_roles) == roles and ("delta",) not in p.var_roles
-    assert np.array_equal(tb.rows[: len(rows)], np.pad(rows, ((0, 0), (0, 1))))  # no radius term
-    assert len(tb.rows) == len(tb.senses) == len(tb.rhs) == len(rows) + 4
-    # the rows, in the base, its robustness subproblem and its trust base alike, are read-only
-    for r in (p, q, tb):
+    # the rows, in the base and its robustness subproblem alike, are read-only
+    for r in (p, q):
         with pytest.raises(ValueError):
             r.rows[0, 0] = 0.5
         with pytest.raises(ValueError):
             r.rhs[0] = 0.5
-    assert tb.var_roles[("delta",)] == num_vars
-    assert np.array_equal(tb.lo[:num_vars], p.lo) and np.array_equal(tb.hi[:num_vars], p.hi)
-    # and a trust subproblem differs from its trust base in one output's bounds alone
-    t = set_trust_target(tb, 0, 1, 0.15, 0.25)
-    for a in ("binary", "rows", "senses", "rhs", "var_roles", "var_names", "network", "c", "ball"):
-        assert getattr(t, a) is getattr(tb, a)
-    x = p.var_roles[("output", 0)]
-    assert t.lo[x] == pytest.approx(0.4) and p.lo[x] < 0.4  # x1 >= 0.25 + 0.15
-    others = np.arange(tb.num_vars) != x
-    assert np.array_equal(t.lo[others], tb.lo[others]) and np.array_equal(t.hi, tb.hi)
-    for a in (tb.lo, tb.hi, t.lo, t.hi):
-        with pytest.raises(ValueError):
-            a[0] = 0.5
 
 
 def test_validation_errors(e1):
@@ -336,17 +243,6 @@ def test_validation_errors(e1):
         set_robustness_objective(p, 5, 1, 0.0)
     with pytest.raises(InvalidArg):
         set_robustness_objective(p, 0, 2, 0.0)
-    z_ref, scale = np.full(2, 0.5), np.ones(2)
-    with pytest.raises(InvalidArg):
-        set_trust_target(set_trust_problem(p, z_ref, scale, 0.5), 0, 1, 0.0, 0.25)
-    with pytest.raises(InvalidArg):
-        set_trust_target(set_trust_problem(p, z_ref, np.array([1.0, -1.0]), 0.5), 0, 1, 0.1, 0.25)
-    with pytest.raises(InvalidArg):
-        set_trust_target(set_trust_problem(p, z_ref, scale, 0.0), 0, 1, 0.1, 0.25)
-    with pytest.raises(InvalidArg):
-        set_trust_target(set_trust_problem(p, np.array([0.5, 1.5]), scale, 0.5), 0, 1, 0.1, 0.25)
-    with pytest.raises(DimensionMismatch):
-        set_trust_target(set_trust_problem(p, np.array([0.5]), scale, 0.5), 0, 1, 0.1, 0.25)
     # stability map from a different network shape
     other = FoldedNetwork(input_dim=2, layers=e1.layers[-1:])
     with pytest.raises(DimensionMismatch):
@@ -380,5 +276,3 @@ def test_lp_text_export(e1):
     assert "Subject To" in text and "Bounds" in text and "End" in text
     assert "Binary" in text
     assert "r1_1" in text and "r1_2" in text
-    t = set_trust_target(set_trust_problem(p, np.full(2, 0.5), np.ones(2), 0.5), 0, 1, 0.15, 0.25)
-    assert to_lp_text(t).startswith("Minimize")

@@ -4,13 +4,7 @@ import pytest
 from relucert.bnb import BnbOptions, BnbStatus, solve_milp
 from relucert.bounds import InputBox, classify_neurons, propagate_bounds
 from relucert.errors import InvalidArg, TooManyUnstable
-from relucert.milp import (
-    default_delta_cap,
-    encode_network,
-    set_robustness_objective,
-    set_trust_problem,
-    set_trust_target,
-)
+from relucert.milp import default_delta_cap, encode_network, set_robustness_objective
 from relucert.nnmodel import (
     HiddenLayer,
     NetworkSpec,
@@ -124,8 +118,9 @@ def test_too_many_unstable(e1):
 def test_milp_oracle_matches_enumeration_and_bnb():
     """Seeded differential on random nets of six hidden neurons: the MILP
     oracle, pattern enumeration and the B&B agree within 1e-9 on
-    robustness and trust of both signs, and all three find a trust target
-    out of reach infeasible."""
+    robustness of both signs, the oracles on trust of both signs, and
+    `trustworthiness` on the smaller of their two radii; all of them find
+    a trust target out of reach unreachable."""
     rng = np.random.default_rng(77)
     exact = BnbOptions(rel_gap=0.0, abs_gap=0.0)
     for _ in range(6):
@@ -139,28 +134,32 @@ def test_milp_oracle_matches_enumeration_and_bnb():
         z_ref = rng.uniform(0.2, 0.8, net.input_dim)
         scale = np.ones(net.input_dim)
         cap = default_delta_cap(z_ref, scale)
-        trust_base = set_trust_problem(base, z_ref, scale, cap)
-        x_at_z = float(forward(net, z_ref)[i])
+        x_at_z = forward(net, z_ref)
         for sign in (1, -1):
             spec = RobustnessSpec(i, sign, x_ref)
             bnb = solve_milp(set_robustness_objective(base, i, sign, x_ref), exact)
             assert bnb.status is BnbStatus.CERTIFIED
             values = [pattern_enumerate_opt(net, box, spec).value, milp_opt(net, box, spec).value]
             assert max(values + [bnb.incumbent_value]) - min(values + [bnb.incumbent_value]) <= 1e-9
-            for beta in (float(rng.uniform(0.01, 0.3)), 100.0):  # the second is out of reach
-                spec = TrustSpec(i, sign, beta, x_at_z, tuple(z_ref), tuple(scale), cap)
-                enum, oracle = pattern_enumerate_opt(net, box, spec), milp_opt(net, box, spec)
-                bnb = solve_milp(set_trust_target(trust_base, i, sign, beta, x_at_z), exact)
-                assert enum.status == oracle.status
-                if enum.status == "infeasible":
-                    assert bnb.status is BnbStatus.INFEASIBLE and oracle.value is None
-                    continue
-                assert bnb.status is BnbStatus.CERTIFIED
-                values = [enum.value, oracle.value, bnb.incumbent_value]
-                assert max(values) - min(values) <= 1e-9
-                # the oracle's point reaches the target at its radius
-                assert sign * (forward(net, oracle.point)[i] - x_at_z) >= beta - 1e-9
-                assert np.max(np.abs(oracle.point - z_ref)) == pytest.approx(oracle.value, abs=1e-9)
+        for beta in (float(rng.uniform(0.01, 0.3)), 100.0):  # the second is out of reach
+            specs = [TrustSpec(i, sign, beta, float(x_at_z[i]), tuple(z_ref), tuple(scale), cap) for sign in (1, -1)]
+            enum = [pattern_enumerate_opt(net, box, spec) for spec in specs]
+            oracle = [milp_opt(net, box, spec) for spec in specs]
+            q = VerificationQuery(z_ref=z_ref, x_ref=x_at_z, beta=beta)
+            out = trustworthiness(net, q, VerifyOptions(bnb=exact)).per_output[i]
+            assert out.status == "certified"
+            for sign, e, o in zip((1, -1), enum, oracle):
+                assert e.status == o.status
+                if o.status == "optimal":
+                    assert abs(e.value - o.value) <= 1e-9
+                    # the oracle's point reaches the target at its radius
+                    assert sign * (forward(net, o.point)[i] - x_at_z[i]) >= beta - 1e-9
+                    assert np.max(np.abs(o.point - z_ref)) == pytest.approx(o.value, abs=1e-9)
+            radii = [o.value for o in oracle if o.value is not None]
+            assert out.found == bool(radii)
+            if radii:
+                assert out.delta_min == pytest.approx(min(radii), abs=1e-9)
+                assert oracle[(1, -1).index(out.sign)].value == pytest.approx(out.delta_min, abs=1e-9)
 
 
 def test_bnb_matches_milp_oracle_above_the_enumeration_cap():
@@ -220,3 +219,22 @@ def test_milp_oracle_writes_nothing_to_stdout_or_stderr(capfd):
             milp_opt(net, box, TrustSpec(i, sign, 0.1, float(x_ref[i]), tuple(z_ref), scale, cap))
     out, err = capfd.readouterr()
     assert out == "" and err == ""
+
+
+def test_trust_desk_12_12_case_never_falls_below_the_oracle():
+    """The desk (12, 12) network at test position 15, output y2: a search
+    that took a witness short of beta by roundoff over a proven lower end
+    once answered 1.2e-9 below the oracle's radius 0.10800232. The answer
+    must not fall below it by more than 1e-9, nor above it by more than
+    the relative gap."""
+    ds = gen_synthetic(8, 4, 400, 0.01, 11)
+    net = fold_bn(train(ds, TrainConfig(widths=(12, 12), epochs=150, seed=5)))
+    z_ref = ds.inputs[ds.test_idx[15]]
+    x_ref = forward(net, z_ref)
+    q = VerificationQuery(z_ref=z_ref, x_ref=x_ref, beta=0.1)
+    out = trustworthiness(net, q).per_output[1]
+    assert out.name == "y2" and out.status == "certified" and out.sign == 1
+    spec = TrustSpec(1, 1, 0.1, float(x_ref[1]), tuple(z_ref), (1.0,) * 8, q.effective_delta_cap())
+    opt = milp_opt(net, InputBox.unit(8), spec).value
+    assert opt == pytest.approx(0.10800232, abs=1e-8)
+    assert opt - 1e-9 <= out.delta_min <= opt * (1 + BnbOptions().rel_gap)

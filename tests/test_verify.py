@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relucert.bnb import BnbOptions
+from relucert.bnb import BnbOptions, BnbStatus, MilpResult
 from relucert.bounds import InputBox, LayerBounds, classify_neurons, propagate_bounds
 from relucert.errors import DimensionMismatch, InvalidArg, InvalidValue
 from relucert.milp import default_delta_cap, encode_network, prepare, relaxed_bounds
 from relucert.nnmodel import FoldedNetwork, fold_bn, forward
 from relucert.simplex import LpStatus
 from relucert.verify import (
+    _REACH_TOL,
     BatchRobustness,
     OutputTrust,
     TrustResult,
@@ -23,6 +24,7 @@ from relucert.verify import (
     delta_percent,
     histogram_csv,
     query_hash,
+    search_radius,
     robustness,
     robustness_batch,
     robustness_report,
@@ -139,7 +141,7 @@ def test_trust_e1_worked_example(e1):
 
 def test_trust_not_found(e1):
     # both targets lie beyond the output's interval over the unit box, so
-    # both roots of the output's pair are infeasible and nothing branches
+    # the one step, at the radius cap, proves the deviation below beta
     out = propagate_bounds(e1, InputBox.unit(2))
     assert 0.25 + 5.0 > out.out_hi[0] and 0.25 - 5.0 < out.out_lo[0]
     q = VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], beta=5.0)
@@ -148,7 +150,7 @@ def test_trust_not_found(e1):
     for o in res.per_output:
         assert not o.found
         assert o.status == "certified"  # certified absence, not a failure
-    assert res.certified and res.stats["nodes"] == 2
+    assert res.certified and res.stats["radius_search"] == [{"steps": 1, "nodes": 4, "lo": 0.5, "hi": None}]
 
 
 def test_monotone_in_alpha_and_beta(e1):
@@ -397,16 +399,23 @@ def test_wall_time_and_stats_cover_the_whole_call(e1, monkeypatch, caplog):
     opts = VerifyOptions(tighten=True)
     with caplog.at_level(logging.DEBUG, logger="relucert.verify"):
         results = [robustness(e1, q, opts), trustworthiness(e1, q, opts)]
-    for r in results:
-        # each query also solves its base once, for the roots' start
-        assert r.stats["lp_solves"] == r.stats["nodes"] + 1
+    steps = results[1].stats["radius_search"][0]["steps"]
+    assert steps >= 2
+    for r, bases in zip(results, (1, steps)):
+        # each query also solves its base once, for the roots' start, and a
+        # trust query the base of each step
+        assert r.stats["lp_solves"] == r.stats["nodes"] + bases
         assert r.wall_time >= 0.05  # tightening is part of the query's time
-        assert r.stats["subproblems"] == 2
+        assert r.stats["subproblems"] == 2 * bases
         assert r.stats["nodes"] >= 2
         assert 0.0 <= r.stats["phase1_share"] <= 1.0
         assert r.stats["warm_starts"] >= 1
         assert 0.0 <= r.stats["dual_per_warm"] == r.stats["dual_pivots"] / r.stats["warm_starts"]
     assert sum("'dual_per_warm'" in rec.getMessage() for rec in caplog.records) == 2
+    # one record per step of the trust search: its radius, incumbent, bound and decision
+    records = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("step ")]
+    assert [int(m.split()[1]) for m in records] == list(range(1, steps + 1))
+    assert all(" radius " in m and " incumbent " in m and " bound " in m for m in records)
     side = timing_sidecar(results)
     assert side["per_result_stats"] == [r.stats for r in results]
     json.dumps(side)
@@ -477,21 +486,158 @@ def test_root_breakdowns_leave_every_output_uncertified(monkeypatch):
     assert timing_sidecar([res])["per_result_stats"][0]["node_breakdowns"] == len(roots)
 
 
-def test_trust_node_limit_bounds_each_outputs_pair():
+def test_trust_node_limit_bounds_each_whole_output():
     rng = np.random.default_rng(4)
     net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
     z_ref = np.full(3, 0.5)
     q = VerificationQuery(z_ref=z_ref, x_ref=forward(net, z_ref), beta=0.2)
     full = trustworthiness(net, q)
-    capped = trustworthiness(net, q, VerifyOptions(bnb=BnbOptions(node_limit=4)))
-    assert full.certified and not capped.certified
-    assert capped.stats["subproblems"] == 4
-    assert capped.stats["nodes"] == 8  # 4 for each output's pair, not for each sign
-    hit, missed = capped.per_output
-    assert hit.found and hit.status == "gap_limit"
-    # the pair's bracket [delta_min - gap, delta_min] holds the certified answer
-    assert hit.delta_min - hit.gap - 1e-9 <= full.per_output[0].delta_min <= hit.delta_min + 1e-9
-    assert not missed.found and missed.status == "uncertified" and missed.gap == float("inf")
+    assert full.certified and all(b["steps"] > 2 for b in full.stats["radius_search"])
+    for node_limit in (4, 24):
+        capped = trustworthiness(net, q, VerifyOptions(bnb=BnbOptions(node_limit=node_limit)))
+        assert not capped.certified
+        brackets = capped.stats["radius_search"]
+        assert capped.stats["nodes"] == sum(b["nodes"] for b in brackets)
+        for o, done, b in zip(capped.per_output, full.per_output, brackets):
+            # the output's steps share one limit; only a step's two roots,
+            # which always run, may pass it, by one node
+            assert node_limit <= b["nodes"] <= node_limit + 1
+            assert o.found and o.status == "gap_limit"
+            # the bracket [delta_min - gap, delta_min] holds the certified answer
+            assert (b["lo"], b["hi"]) == (pytest.approx(o.delta_min - o.gap, abs=1e-15), o.delta_min)
+            assert b["lo"] - 1e-9 <= done.delta_min <= b["hi"] + 1e-9
+        assert any(b["steps"] > 1 for b in brackets) == (node_limit == 24)
+
+
+# ---------------------------------------------------------------------------
+# the radius search on stubbed steps: the worst deviation over the 1-D ball
+# of radius d around 0.5 is R(d), reached at the ball's edge, 0.5 + d
+
+
+def _stub_step(xs, ys, calls, nodes=2):
+    """A step whose search certifies R(d), the piecewise-linear function
+    through (xs, ys), with a witness at radius d; each call's (d, options)
+    goes to `calls`."""
+
+    def step(d, opts):
+        calls.append((d, opts))
+        v = float(np.interp(d, xs, ys))
+        return MilpResult(BnbStatus.CERTIFIED, v, np.array([0.5 + d]), v, 0.0, nodes, 0.0, source=0, problems=2)
+
+    return step
+
+
+def _search(step, beta, dev0=0.0, opts=BnbOptions()):
+    return search_radius(step, np.array([0.5]), np.ones(1), dev0, beta, 1.0, opts)
+
+
+@pytest.mark.parametrize(
+    "xs, ys, beta",
+    [
+        ([0.0, 0.2, 1.0], [0.0, 0.07, 0.87], 0.1),  # a kink below the answer
+        ([0.0, 0.4, 0.45, 1.0], [0.0, 0.02, 0.5, 0.6], 0.3),  # flat, then steep
+        ([0.0, 0.05, 1.0], [0.0, 0.09, 0.11], 0.1),  # steep, then flat
+        ([0.0, 1.0], [0.0, 0.2], 0.2),  # reached only at the cap
+    ],
+)
+@pytest.mark.parametrize("gaps", [{}, {"abs_gap": 0.0, "rel_gap": 0.0}])
+def test_radius_search_closes_its_bracket_around_the_answer(xs, ys, beta, gaps):
+    opts = BnbOptions(**gaps)
+    answer = float(np.interp(beta, ys, xs))  # R is increasing, so it inverts
+    # a witness within _REACH_TOL of beta reaches it
+    reach = float(np.interp(beta - _REACH_TOL, ys, xs))
+    calls = []
+    res = _search(_stub_step(xs, ys, calls), beta, float(ys[0]), opts)
+    assert res.status == "certified" and res.gap == 0.0 and res.sign == 1
+    assert res.hi - res.lo <= max(opts.abs_gap, opts.rel_gap * res.hi, 1e-15)
+    assert res.lo - 1e-15 <= answer and reach <= res.hi + 1e-15
+    assert res.witness.tolist() == [0.5 + res.hi]
+    assert calls[0][0] == 1.0 and len(res.steps) == len(calls) <= 60
+    # every step searched strictly inside the bracket it had
+    lo, hi = 0.0, 1.0
+    for d, _ in calls[1:]:
+        assert lo < d < hi
+        lo, hi = (d, hi) if np.interp(d, xs, ys) < beta - _REACH_TOL else (lo, d)
+
+
+def test_radius_search_takes_a_witness_past_its_ball_at_the_balls_radius():
+    # a witness whose radius passes its ball's by roundoff must not stall
+    # the bracket above the radius searched
+    calls = []
+    inner = _stub_step([0.0, 1.0], [0.0, 1.0], calls)
+
+    def step(d, opts):
+        r = inner(d, opts)
+        r.z = r.z + 1e-12
+        return r
+
+    res = _search(step, 0.3)
+    assert res.status == "certified" and res.hi in {d for d, _ in calls}
+    assert res.hi - res.lo <= 1e-6 * res.hi and res.lo < 0.3 <= res.hi
+
+
+def test_radius_search_proves_an_unreachable_target_at_the_cap():
+    calls = []
+    res = _search(_stub_step([0.0, 1.0], [0.0, 0.2], calls), 0.3)
+    assert (res.status, res.lo, res.hi, res.witness, res.gap) == ("certified", 1.0, None, None, 0.0)
+    assert len(calls) == 1
+
+
+def test_radius_search_stops_at_a_step_that_proves_neither_end():
+    # past the cap's step, every search leaves its bound above beta and its
+    # incumbent below: R(d) may or may not reach beta there
+    calls = []
+    certain = _stub_step([0.0, 1.0], [0.0, 1.0], calls)
+
+    def step(d, opts):
+        if d == 1.0:
+            return certain(d, opts)
+        calls.append((d, opts))
+        return MilpResult(BnbStatus.CERTIFIED, 0.5 - 1e-3, np.array([0.5 + d]), 0.5 + 1e-3, 2e-3, 2, 0.0, source=0)
+
+    res = _search(step, 0.5)
+    assert len(calls) == 2
+    assert (res.status, res.lo, res.hi, res.gap) == ("gap_limit", 0.0, 1.0, 1.0)
+    assert res.witness.tolist() == [1.5] and res.sign == 1
+
+
+def test_radius_search_shares_one_node_limit_among_its_steps():
+    calls = []
+    res = _search(_stub_step([0.0, 1.0], [0.0, 1.0], calls, nodes=2), 0.3,
+                  opts=BnbOptions(node_limit=5, time_limit_seconds=1e3))
+    # each step gets what the ones before it left, and the roots of the
+    # last step, which always run, may pass the limit
+    assert [o.node_limit for _, o in calls] == [5, 3, 1]
+    times = [o.time_limit_seconds for _, o in calls]
+    assert 1e3 >= times[0] >= times[1] >= times[2] > 0
+    assert res.status == "gap_limit" and res.hi is not None and 0 < res.gap == res.hi - res.lo
+    assert res.lo < 0.3 <= res.hi
+
+
+def test_radius_search_without_a_witness_at_its_limit_is_uncertified():
+    def step(d, opts):
+        return MilpResult(BnbStatus.LIMIT, None, None, np.inf, np.inf, opts.node_limit, 0.0)
+
+    res = _search(step, 0.3, opts=BnbOptions(node_limit=4))
+    assert (res.status, res.lo, res.hi, res.witness, res.sign) == ("uncertified", 0.0, None, None, None)
+    assert res.gap == np.inf and len(res.steps) == 1
+
+
+def test_a_reference_output_already_beta_away_answers_zero(e1):
+    # x_ref need not be the network's output at z_ref: where the two differ
+    # by beta already, the answer is z_ref itself, with no step
+    def step(d, opts):
+        raise AssertionError("no step is needed")
+
+    res = _search(step, 0.2, dev0=-0.25)
+    assert (res.status, res.lo, res.hi, res.sign, res.steps) == ("certified", 0.0, 0.0, -1, [])
+    assert res.witness.tolist() == [0.5]
+    q = VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.5], beta=0.2)  # the network gives 0.25
+    tr = trustworthiness(e1, q)
+    o = tr.per_output[0]
+    assert (o.found, o.delta_min, o.sign, o.status, o.gap) == (True, 0.0, -1, "certified", 0.0)
+    assert o.witness.tolist() == [0.5, 0.5]
+    assert tr.stats["radius_search"] == [{"steps": 0, "nodes": 0, "lo": 0.0, "hi": 0.0}]
 
 
 def _tighten_everything(net, box, lb, stats=None):
@@ -578,7 +724,11 @@ def test_tighten_stats_count_the_tightening_solves(monkeypatch):
 
     rng = np.random.default_rng(4)
     net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
-    q = VerificationQuery(z_ref=[0.5, 0.5, 0.5], x_ref=[0.0, 0.0], alpha=0.3, beta=0.2)
+    z_ref = np.full(3, 0.5)
+    queries = {
+        robustness: VerificationQuery(z_ref=z_ref, x_ref=[0.0, 0.0], alpha=0.3),
+        trustworthiness: VerificationQuery(z_ref=z_ref, x_ref=forward(net, z_ref), beta=0.2),
+    }
     inside, made = [], []  # made: one entry per solve inside lp_tighten
     tighten, solve = verify.lp_tighten, PreparedLp.solve
 
@@ -595,11 +745,13 @@ def test_tighten_stats_count_the_tightening_solves(monkeypatch):
 
     monkeypatch.setattr(verify, "lp_tighten", counting_tighten)
     monkeypatch.setattr(PreparedLp, "solve", counting_solve)
-    for run in (robustness, trustworthiness):
+    for run, q in queries.items():
         made.clear()
         res = run(net, q)
         assert res.stats["tighten"]["lp_solves"] == len(made) > 0
-        # B&B's own accounting is unchanged by the tightening entry
-        assert res.stats["lp_solves"] == res.stats["nodes"] + 1  # and the shared solve
-    for run in (robustness, trustworthiness):
+        # B&B's own accounting is unchanged by the tightening entry: the
+        # nodes and the shared solve of each base, one per trust step
+        bases = sum(b["steps"] for b in res.stats.get("radius_search", [{"steps": 1}]))
+        assert res.stats["lp_solves"] == res.stats["nodes"] + bases
+    for run, q in queries.items():
         assert run(net, q, VerifyOptions(tighten=False)).stats["tighten"]["lp_solves"] == 0

@@ -527,33 +527,33 @@ def test_robustness_roots_skip_phase_1(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_trust_roots_skip_phase_1(monkeypatch, seed):
-    """A trust query prepares one engine and solves its trust base once;
-    both signs of every output search on that engine, and every root
-    starts from that solve, so no search runs phase 1."""
+    """Each step of a trust search prepares one engine and solves its ball's
+    base once; both signs of the output search on that engine, and both
+    roots start from that solve, so no search runs phase 1."""
     rng = np.random.default_rng(seed)
     net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
     z_ref = np.full(3, 0.5)
     q = verify.VerificationQuery(z_ref=z_ref, x_ref=forward(net, z_ref), beta=0.2)
     box = InputBox.unit(3)
     res, solves, subproblems, prepared = _spy_query(monkeypatch, verify.trustworthiness, net, q)
-    root_start = subproblems[0][0]
-    shared = [sol for start, sol in solves if sol is root_start]
-    assert len(shared) == 1 and shared[0].warm is WarmStart.NONE
-    assert len(subproblems) == net.num_outputs and res.stats["subproblems"] == 2 * net.num_outputs
-    assert all(start is root_start for start, _ in subproblems)
-    # one engine for the whole search, and one per tightened layer
-    assert prepared == {"bnb": 1, "tighten": _open_layers(net, box)}
+    steps = sum(b["steps"] for b in res.stats["radius_search"])
+    assert len(subproblems) == steps > net.num_outputs and res.stats["subproblems"] == 2 * steps
+    shared = [[sol for _, sol in solves if sol is start] for start, _ in subproblems]
+    assert all(len(s) == 1 and s[0].warm is WarmStart.NONE for s in shared)
+    assert len({id(s[0]) for s in shared}) == steps  # a start of its own for each step
+    # one engine for each step's search, and one per tightened layer of the unit box
+    assert prepared == {"bnb": steps, "tighten": _open_layers(net, box)}
     assert all(r.stats.phase1_pivots == 0 for _, r in subproblems)
-    assert res.stats["phase1_pivots"] == shared[0].phase1_pivots > 0
-    assert res.stats["lp_solves"] == res.stats["nodes"] + 1
+    assert res.stats["phase1_pivots"] == sum(s[0].phase1_pivots for s in shared) > 0
+    assert res.stats["lp_solves"] == res.stats["nodes"] + steps
     assert res.stats["warm_starts"] == res.stats["nodes"]  # every root too
     assert res.certified
 
 
 def _failing_shared_prepare(failure):
-    """A `prepare` whose first engine, the one a query's shared root start
-    solves on, fails every solve as `failure` says; every later engine, a
-    cold search's own, is a real one."""
+    """A `prepare` whose engines for a base, the zero-objective problem a
+    shared root start solves, fail every solve as `failure` says; every
+    engine for a search's own problem, a cold search's, is a real one."""
 
     class FailingLp:
         def solve(self, lo, hi, c, maximize, start=None):
@@ -561,11 +561,8 @@ def _failing_shared_prepare(failure):
                 raise NumericalBreakdown("forced")
             return LpSolution(status=LpStatus.INFEASIBLE, infeasibility=1.0)
 
-    built = []
-
     def failing(p):
-        built.append(p)
-        return FailingLp() if len(built) == 1 else prepare(p)
+        return prepare(p) if p.c.any() else FailingLp()
 
     return failing
 
@@ -593,11 +590,12 @@ def test_failed_trust_shared_solve_leaves_every_root_cold(monkeypatch, e1, failu
     clean = verify.trustworthiness(e1, q)
     monkeypatch.setattr(bnb, "prepare", _failing_shared_prepare(failure))
     res, _, subproblems, prepared = _spy_query(monkeypatch, verify.trustworthiness, e1, q)
+    steps = len(subproblems)
     assert all(start is None for start, _ in subproblems)
-    assert prepared["bnb"] == 1 + len(subproblems)  # the shared start's, then each output pair's own
+    assert prepared["bnb"] == 2 * steps  # each step's shared start's, then its cold search's own
     assert all(r.stats.warm_starts == r.nodes - 2 for _, r in subproblems)  # both roots cold
-    assert res.stats["lp_solves"] == res.stats["nodes"] + (failure == "infeasible")
-    assert res.certified == clean.certified  # the tree may differ from the shared start's
+    assert res.stats["lp_solves"] == res.stats["nodes"] + steps * (failure == "infeasible")
+    assert res.certified == clean.certified  # the trees may differ from the shared start's
     for a, b in zip(res.per_output, clean.per_output):
         assert (a.status, a.found, a.sign) == (b.status, b.found, b.sign)
         assert a.delta_min == pytest.approx(b.delta_min, abs=1e-9)
