@@ -1,12 +1,13 @@
 """Mixed-integer encoding of a folded ReLU network over an input box, and
 the LP bound tightening that solves its relaxation.
 
-Variables: inputs z; per hidden layer, a pre-activation for each unstable
-neuron, a post-activation for every neuron and one binary per unstable
-neuron; and outputs x. Every variable carries finite bounds taken from the
-activation-bound analysis, which double as big-M constants. A stable
-neuron is written once: an active neuron's post-activation is its affine
-row, and a dead neuron's is fixed at 0 by its bounds and has no row.
+Variables: inputs z; per hidden layer, a post-activation for every neuron
+and one binary per unstable neuron; and outputs x. Every variable carries
+finite bounds taken from the activation-bound analysis, which double as
+big-M constants. No variable holds a pre-activation: each row that needs
+one reads the neuron's affine map of the layer before. A stable neuron is
+written once: an active neuron's post-activation is its affine row, and a
+dead neuron's is fixed at 0 by its bounds and has no row.
 
 The constraints are held as the simplex engine takes them: a read-only
 dense matrix `rows`, one row per constraint over the variables, with a
@@ -110,12 +111,14 @@ def encode_network(
     """Constraint system whose feasible points are exactly the network's
     input/activation/output tuples over the box, given the stability fixing.
 
-    An unstable neuron gets a pre-activation column `hp` with its affine
-    row, and three rows tied to a binary indicator, plus the post variable's
-    lower bound of 0; the neuron's own interval supplies the big-M
-    constants. An active neuron's affine row defines its post variable
-    directly, and a dead neuron has no row: its post variable is fixed at 0.
-    The affine rows come layer by layer, then the big-M rows.
+    Each neuron's rows read its affine map `A h_prev + c` directly. An
+    active neuron's one row defines its post variable `h`, and a dead
+    neuron has no row: its `h` is fixed at 0. An unstable neuron `h =
+    relu(A h_prev + c)` with interval `[hmin, hmax]` and binary `r` has
+    three rows, `h - A h_prev - hmin r <= c - hmin`, `h - A h_prev >= c` and
+    `h <= hmax r`, and the lower bound 0 of `h`. With `r` in [0, 1] these
+    imply `hmin <= A h_prev + c <= hmax`, so the relaxation is the
+    neuron's triangle. The rows come neuron by neuron, layer by layer.
     """
     if box.dim != net.input_dim:
         raise DimensionMismatch("box dimension != network input dimension")
@@ -132,21 +135,16 @@ def encode_network(
     hi_l: list[float] = []
     binary_l: list[bool] = []
 
-    def add_var(name, lo, hi, role, is_bin=False) -> int:
-        j = len(names)
+    def add_var(name, lo, hi, role, is_bin=False) -> None:
+        roles[role] = len(names)
         names.append(name)
         lo_l.append(float(lo))
         hi_l.append(float(hi))
         binary_l.append(is_bin)
-        roles[role] = j
-        return j
 
-    unstable = [np.flatnonzero(s == Stability.UNSTABLE).tolist() for s in sm.layers]
     for j in range(n0):
         add_var(f"z{j + 1}", box.lo[j], box.hi[j], ("input", j))
     for k in range(net.num_hidden):
-        for t in unstable[k]:
-            add_var(f"hp{k + 1}_{t + 1}", lb.pre_lo[k][t], lb.pre_hi[k][t], ("pre", k, t))
         for t in range(net.layers[k].width):
             s = Stability(sm.layers[k][t])
             if s is Stability.DEAD:
@@ -156,7 +154,7 @@ def encode_network(
             else:
                 plo, phi = 0.0, max(lb.pre_hi[k][t], 0.0)
             add_var(f"h{k + 1}_{t + 1}", plo, phi, ("post", k, t))
-        for t in unstable[k]:
+        for t in np.flatnonzero(sm.layers[k] == Stability.UNSTABLE).tolist():
             add_var(f"r{k + 1}_{t + 1}", 0.0, 1.0, ("bin", k, t), is_bin=True)
     for i in range(net.num_outputs):
         add_var(f"x{i + 1}", lb.out_lo[i], lb.out_hi[i], ("output", i))
@@ -168,24 +166,22 @@ def encode_network(
             if k == 0
             else [roles[("post", k - 1, t)] for t in range(net.layers[k - 1].width)]
         )
+        hidden = k < net.num_hidden
         for t in range(layer.width):
-            if k == net.num_hidden:
-                lhs = roles[("output", t)]
-            elif sm.layers[k][t] == Stability.DEAD:
+            s = sm.layers[k][t] if hidden else Stability.ACTIVE
+            if s == Stability.DEAD:
                 continue
-            else:  # an unstable neuron's hp, an active neuron's h
-                lhs = roles.get(("pre", k, t), roles[("post", k, t)])
-            rows.add([lhs] + src, np.concatenate(([1.0], -layer.A[t])), "=", layer.c[t])
-    for k in range(net.num_hidden):
-        for t in unstable[k]:
-            p_i = roles[("pre", k, t)]
-            h_i = roles[("post", k, t)]
-            r_i = roles[("bin", k, t)]
+            h = roles[("post", k, t) if hidden else ("output", t)]
+            idx, coef, c = [h, *src], np.concatenate(([1.0], -layer.A[t])), layer.c[t]  # h - A h_prev
+            if s == Stability.ACTIVE:
+                rows.add(idx, coef, "=", c)
+                continue
+            r = roles[("bin", k, t)]
             hmin = float(lb.pre_lo[k][t])
             hmax = float(lb.pre_hi[k][t])
-            rows.add([h_i, p_i, r_i], [1.0, -1.0, -hmin], "<=", -hmin)  # h <= hpre - hmin (1 - r)
-            rows.add([h_i, p_i], [1.0, -1.0], ">=", 0.0)  # h >= hpre
-            rows.add([h_i, r_i], [1.0, -hmax], "<=", 0.0)  # h <= hmax r
+            rows.add([*idx, r], np.append(coef, -hmin), "<=", c - hmin)  # h <= A h_prev + c - hmin (1 - r)
+            rows.add(idx, coef, ">=", c)  # h >= A h_prev + c
+            rows.add([h, r], [1.0, -hmax], "<=", 0.0)  # h <= hmax r
             # h >= 0 needs no row: the post variable's lower bound is 0
     a, senses, rhs = rows.arrays()
     return MilpProblem(

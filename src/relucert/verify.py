@@ -1,7 +1,7 @@
 """Verification drivers: certified robustness over perturbation balls, as
 2M searches (a max and a min per output), and minimum-perturbation trust
 queries, as robustness searches of each output's sign pair on shrinking
-balls (`search_radius`, whose steps `set_trust_problem` builds); batch
+balls (`search_radius`, each step's ball encoded by `set_trust_problem`); batch
 sweeps over operating conditions, and report assembly. A query reads,
 fits and bounds its own question (`VerificationQuery.from_dict`, `check`,
 `region`), and `box_bounds` is the one recipe from an input box to bounds
@@ -285,23 +285,19 @@ def robustness(
     return res
 
 
-def set_trust_problem(
-    net: FoldedNetwork, region: LayerBounds, z_ref, scale, d: float, i: int, x_ref_i: float
-) -> tuple[MilpProblem, MilpProblem, MilpProblem]:
-    """One step of a trust search: output `i`'s robustness pair over the
-    ball of scaled radius `d` around `z_ref`, clipped to the unit box. The
-    ball's interval bounds are clipped into `region`'s, the bounds of the
-    unit box, which hold on every ball inside it. Returns the ball's base
-    encoding, for the roots' shared start, and its `+` and `-` problems."""
+def set_trust_problem(net: FoldedNetwork, region: LayerBounds, z_ref, scale, d: float) -> MilpProblem:
+    """The base encoding of one trust search step: the ball of scaled
+    radius `d` around `z_ref`, clipped to the unit box. The ball's interval
+    bounds are clipped into `region`'s, the bounds of the unit box, which
+    hold on every ball inside it. Each output's `+` and `-` problems over
+    the ball are this base's `set_robustness_objective` pair."""
     box = InputBox.ball(z_ref, d * np.asarray(scale))
     ball = propagate_bounds(net, box)
     lo = [np.maximum(a, b) for a, b in zip((*ball.pre_lo, ball.out_lo), (*region.pre_lo, region.out_lo))]
     hi = [np.minimum(a, b) for a, b in zip((*ball.pre_hi, ball.out_hi), (*region.pre_hi, region.out_hi))]
     hi = [np.maximum(h, l) for h, l in zip(hi, lo)]  # both hold, so an empty intersection is roundoff
     lb = LayerBounds(tuple(lo[:-1]), tuple(hi[:-1]), out_lo=lo[-1], out_hi=hi[-1])
-    base = encode_network(net, lb, classify_neurons(lb), box)
-    plus, minus = (set_robustness_objective(base, i, sign, x_ref_i) for sign in (1, -1))
-    return base, plus, minus
+    return encode_network(net, lb, classify_neurons(lb), box)
 
 
 @dataclass
@@ -410,8 +406,9 @@ def trustworthiness(
     """Smallest scaled perturbation radius that moves each output at least
     beta away from its reference, searched over the full unit box: for each
     output, a `search_radius` whose steps search the output's robustness
-    pair (`set_trust_problem`) on shrinking balls, each from its own base's
-    shared root start. The sign is the one whose deviation reached beta at
+    pair on shrinking balls, each from its ball's base (`set_trust_problem`)
+    and that base's shared root start; the cap's ball, every output's first
+    step, is built once. The sign is the one whose deviation reached beta at
     the witness. `stats["radius_search"]` gives each output's step and node
     counts and its final bracket."""
     t0 = time.perf_counter()
@@ -423,21 +420,27 @@ def trustworthiness(
     dev0 = forward(net, q.z_ref) - q.x_ref
     shared = SolveStats()
 
+    def ball(d):
+        base = set_trust_problem(net, lb, q.z_ref, scale, d)
+        return base, shared_root_start(base, shared)
+
+    cap_ball = None  # every output's first step searches the cap's ball: built once
     per_output, searches, brackets = [], [], []
     for i, name in enumerate(net.output_names):
         x_ref_i = float(q.x_ref[i])
 
         def step(d, bnb_opts):
-            base, plus, minus = set_trust_problem(net, lb, q.z_ref, scale, d, i, x_ref_i)
-            return solve_milp(plus, bnb_opts, root_start=shared_root_start(base, shared), rivals=(minus,))
+            nonlocal cap_ball
+            if d == cap and cap_ball is None:
+                cap_ball = ball(cap)
+            base, root_start = cap_ball if d == cap else ball(d)
+            plus, minus = (set_robustness_objective(base, i, sign, x_ref_i) for sign in (1, -1))
+            return solve_milp(plus, bnb_opts, root_start=root_start, rivals=(minus,))
 
         s = search_radius(step, q.z_ref, scale, float(dev0[i]), q.beta, cap, opts.bnb)
         searches += s.steps
         brackets.append({"steps": len(s.steps), "nodes": sum(r.nodes for r in s.steps), "lo": s.lo, "hi": s.hi})
-        found = s.hi is not None
-        per_output.append(
-            OutputTrust(name, found, s.hi, s.sign, s.witness, cap, s.status, s.gap)
-        )
+        per_output.append(OutputTrust(name, s.hi is not None, s.hi, s.sign, s.witness, cap, s.status, s.gap))
     found_vals = [o.delta_min for o in per_output if o.found]
     res = TrustResult(
         query=q,

@@ -67,75 +67,91 @@ def test_malformed_rows_are_invalid_when_solved(malform):
         solve_milp(p)
 
 
+def assert_layout(p, layout):
+    """`p`'s rows, senses and right-hand sides are exactly `layout`'s, one
+    ({name: coefficient}, sense, rhs) per row in order."""
+    rows = np.zeros((len(layout), p.num_vars))
+    for i, (coef, _, _) in enumerate(layout):
+        for name, v in coef.items():
+            rows[i, p.var_names.index(name)] = v
+    assert np.array_equal(p.rows, rows)
+    assert p.senses == tuple(sense for _, sense, _ in layout)
+    assert p.rhs.tolist() == [b for _, _, b in layout]
+
+
 def test_e1_encoding_counts(e1):
+    """An unstable neuron costs two columns, its post variable and its
+    binary, and three rows; no column holds a pre-activation."""
     p, _ = encode_on_box(e1, InputBox.unit(2))
     assert p.num_binaries == 2
-    # every role present: 2 inputs, 2 pre, 2 post, 2 bins, 1 output
+    # every role present: 2 inputs, 2 post, 2 bins, 1 output
     kinds = [r[0] for r in p.var_roles]
-    assert sorted(kinds) == ["bin", "bin", "input", "input", "output", "post", "post", "pre", "pre"]
+    assert sorted(kinds) == ["bin", "bin", "input", "input", "output", "post", "post"]
+    assert p.num_vars == 7 and p.rows.shape == (2 * 3 + 1, 7)
     assert np.all(np.isfinite(p.lo)) and np.all(np.isfinite(p.hi))
 
 
 def test_e1_row_layout(e1):
-    """The affine rows, layer by layer, then three big-M rows per unstable
-    neuron; h >= 0 is a bound. E1's pre-activation intervals over the unit
-    box are [-1, 1] and [-0.25, 0.75]."""
+    """Neuron by neuron, layer by layer: three big-M rows per unstable
+    neuron, each reading its affine map of the inputs, then the output's
+    affine row; h >= 0 is a bound. E1's pre-activation intervals over the
+    unit box are [-1, 1] and [-0.25, 0.75]."""
     p, _ = encode_on_box(e1, InputBox.unit(2))
-    layout = [
-        ({"hp1_1": 1.0, "z1": -1.0, "z2": 1.0}, "=", 0.0),
-        ({"hp1_2": 1.0, "z1": -0.5, "z2": -0.5}, "=", -0.25),
-        ({"x1": 1.0, "h1_1": -1.0, "h1_2": -1.0}, "=", 0.0),
-        ({"h1_1": 1.0, "hp1_1": -1.0, "r1_1": 1.0}, "<=", 1.0),  # h <= hpre - hmin (1 - r)
-        ({"h1_1": 1.0, "hp1_1": -1.0}, ">=", 0.0),  # h >= hpre
-        ({"h1_1": 1.0, "r1_1": -1.0}, "<=", 0.0),  # h <= hmax r
-        ({"h1_2": 1.0, "hp1_2": -1.0, "r1_2": 0.25}, "<=", 0.25),
-        ({"h1_2": 1.0, "hp1_2": -1.0}, ">=", 0.0),
-        ({"h1_2": 1.0, "r1_2": -0.75}, "<=", 0.0),
-    ]
-    rows = np.zeros((len(layout), p.num_vars))
-    for i, (coef, _, _) in enumerate(layout):
-        for name, v in coef.items():
-            rows[i, p.var_names.index(name)] = v
-    assert np.array_equal(p.rows, rows)
-    assert p.senses == tuple(sense for _, sense, _ in layout)
-    assert p.rhs.tolist() == [b for _, _, b in layout]
+    assert p.var_names == ("z1", "z2", "h1_1", "h1_2", "r1_1", "r1_2", "x1")
+    assert_layout(
+        p,
+        [
+            ({"h1_1": 1.0, "z1": -1.0, "z2": 1.0, "r1_1": 1.0}, "<=", 1.0),  # h - A z - hmin r <= c - hmin
+            ({"h1_1": 1.0, "z1": -1.0, "z2": 1.0}, ">=", 0.0),  # h - A z >= c
+            ({"h1_1": 1.0, "r1_1": -1.0}, "<=", 0.0),  # h <= hmax r
+            ({"h1_2": 1.0, "z1": -0.5, "z2": -0.5, "r1_2": 0.25}, "<=", 0.0),
+            ({"h1_2": 1.0, "z1": -0.5, "z2": -0.5}, ">=", -0.25),
+            ({"h1_2": 1.0, "r1_2": -0.75}, "<=", 0.0),
+            ({"x1": 1.0, "h1_1": -1.0, "h1_2": -1.0}, "=", 0.0),
+        ],
+    )
 
 
 def test_a_stable_neuron_is_written_once():
-    """Over z in [0, 1]: h1_1 = relu(z + 0.5) is active, h1_2 = relu(-z - 0.5)
-    dead and h1_3 = relu(z - 0.5) unstable. Only the unstable neuron has a
-    pre-activation column; the active one's affine row defines its post
-    variable, and the dead one has no row, its post variable fixed at 0."""
+    """Over z in [0, 1]: h1_1 = relu(z + 0.5) is active on [0.5, 1.5], h1_2 =
+    relu(-z - 0.5) dead and h1_3 = relu(z - 0.5) unstable on [-0.5, 0.5].
+    The active neuron's affine row defines its post variable, and the dead
+    one has no row, its post variable fixed at 0. h2_1 = relu(h1_1 + 2 h1_2
+    - 2 h1_3 - 1) is unstable on [-1.5, 0.5]: its two dense big-M rows read
+    all three neurons of the layer before, with the right-hand side
+    c - hmin = 0.5. No column holds a pre-activation."""
     net = FoldedNetwork(
         layers=(
             AffineLayer(A=np.array([[1.0], [-1.0], [1.0]]), c=np.array([0.5, -0.5, -0.5])),
-            AffineLayer(A=np.ones((1, 3)), c=np.zeros(1)),
+            AffineLayer(A=np.array([[1.0, 2.0, -2.0]]), c=np.array([-1.0])),
+            AffineLayer(A=np.ones((1, 1)), c=np.zeros(1)),
         ),
         input_dim=1,
     )
     p, lb = encode_on_box(net, InputBox.unit(1))
-    assert list(classify_neurons(lb).layers[0]) == [Stability.ACTIVE, Stability.DEAD, Stability.UNSTABLE]
-    assert p.var_names == ("z1", "hp1_3", "h1_1", "h1_2", "h1_3", "r1_3", "x1")
-    assert [r for r in p.var_roles if r[0] == "pre"] == [("pre", 0, 2)]
+    stability = classify_neurons(lb).layers
+    assert list(stability[0]) == [Stability.ACTIVE, Stability.DEAD, Stability.UNSTABLE]
+    assert list(stability[1]) == [Stability.UNSTABLE]
+    assert (lb.pre_lo[1][0], lb.pre_hi[1][0]) == (-1.5, 0.5)
+    assert p.var_names == ("z1", "h1_1", "h1_2", "h1_3", "r1_3", "h2_1", "r2_1", "x1")
+    assert {r[0] for r in p.var_roles} == {"input", "post", "bin", "output"}
     h1_2 = p.var_roles[("post", 0, 1)]
     assert p.lo[h1_2] == p.hi[h1_2] == 0.0
-    layout = [
-        ({"h1_1": 1.0, "z1": -1.0}, "=", 0.5),  # the active neuron: one row
-        ({"hp1_3": 1.0, "z1": -1.0}, "=", -0.5),
-        ({"x1": 1.0, "h1_1": -1.0, "h1_2": -1.0, "h1_3": -1.0}, "=", 0.0),
-        ({"h1_3": 1.0, "hp1_3": -1.0, "r1_3": 0.5}, "<=", 0.5),
-        ({"h1_3": 1.0, "hp1_3": -1.0}, ">=", 0.0),
-        ({"h1_3": 1.0, "r1_3": -0.5}, "<=", 0.0),
-    ]
-    rows = np.zeros((len(layout), p.num_vars))
-    for i, (coef, _, _) in enumerate(layout):
-        for name, v in coef.items():
-            rows[i, p.var_names.index(name)] = v
-    assert np.array_equal(p.rows, rows)
-    assert p.senses == tuple(sense for _, sense, _ in layout)
-    assert p.rhs.tolist() == [b for _, _, b in layout]
+    assert_layout(
+        p,
+        [
+            ({"h1_1": 1.0, "z1": -1.0}, "=", 0.5),  # the active neuron: one row
+            ({"h1_3": 1.0, "z1": -1.0, "r1_3": 0.5}, "<=", 0.0),
+            ({"h1_3": 1.0, "z1": -1.0}, ">=", -0.5),
+            ({"h1_3": 1.0, "r1_3": -0.5}, "<=", 0.0),
+            ({"h2_1": 1.0, "h1_1": -1.0, "h1_2": -2.0, "h1_3": 2.0, "r2_1": 1.5}, "<=", 0.5),
+            ({"h2_1": 1.0, "h1_1": -1.0, "h1_2": -2.0, "h1_3": 2.0}, ">=", -1.0),
+            ({"h2_1": 1.0, "r2_1": -0.5}, "<=", 0.0),
+            ({"x1": 1.0, "h2_1": -1.0}, "=", 0.0),
+        ],
+    )
     text = to_lp_text(p)
-    assert "hp1_3" in text and "hp1_1" not in text and "hp1_2" not in text
+    assert "hp" not in text and "h2_1" in text
 
 
 def test_all_active_network_is_pure_lp():

@@ -750,8 +750,10 @@ def test_tighten_stats_count_the_tightening_solves(monkeypatch):
         res = run(net, q)
         assert res.stats["tighten"]["lp_solves"] == len(made) > 0
         # B&B's own accounting is unchanged by the tightening entry: the
-        # nodes and the shared solve of each base, one per trust step
-        bases = sum(b["steps"] for b in res.stats.get("radius_search", [{"steps": 1}]))
+        # nodes and the shared solve of each base, one per trust step, less
+        # the cap's ball that every output's first step shares
+        counts = [b["steps"] for b in res.stats.get("radius_search", [{"steps": 1}])]
+        bases = sum(counts) - sum(n > 0 for n in counts) + 1
         assert res.stats["lp_solves"] == res.stats["nodes"] + bases
     for run, q in queries.items():
         assert run(net, q, VerifyOptions(tighten=False)).stats["tighten"]["lp_solves"] == 0

@@ -527,25 +527,34 @@ def test_robustness_roots_skip_phase_1(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_trust_roots_skip_phase_1(monkeypatch, seed):
-    """Each step of a trust search prepares one engine and solves its ball's
-    base once; both signs of the output search on that engine, and both
-    roots start from that solve, so no search runs phase 1."""
+    """Each ball a trust search steps to gets one engine and one solve of
+    its base; both signs of the output search on that engine, and both
+    roots start from that solve, so no search runs phase 1. Every output's
+    first step searches the cap's ball, whose engine and solve the query
+    builds once."""
     rng = np.random.default_rng(seed)
     net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
     z_ref = np.full(3, 0.5)
     q = verify.VerificationQuery(z_ref=z_ref, x_ref=forward(net, z_ref), beta=0.2)
     box = InputBox.unit(3)
     res, solves, subproblems, prepared = _spy_query(monkeypatch, verify.trustworthiness, net, q)
-    steps = sum(b["steps"] for b in res.stats["radius_search"])
-    assert len(subproblems) == steps > net.num_outputs and res.stats["subproblems"] == 2 * steps
-    shared = [[sol for _, sol in solves if sol is start] for start, _ in subproblems]
+    counts = [b["steps"] for b in res.stats["radius_search"]]
+    steps = sum(counts)
+    assert len(subproblems) == steps and res.stats["subproblems"] == 2 * steps
+    assert all(n >= 2 for n in counts)
+    firsts = np.cumsum([0, *counts[:-1]])  # each output's first step, at the cap
+    starts = [start for start, _ in subproblems]
+    assert all(starts[j] is starts[0] for j in firsts)
+    balls = steps - len(firsts) + 1
+    distinct = {id(start): start for start in starts}.values()
+    assert len(distinct) == balls  # one start for each ball
+    shared = [[sol for _, sol in solves if sol is start] for start in distinct]
     assert all(len(s) == 1 and s[0].warm is WarmStart.NONE for s in shared)
-    assert len({id(s[0]) for s in shared}) == steps  # a start of its own for each step
-    # one engine for each step's search, and one per tightened layer of the unit box
-    assert prepared == {"bnb": steps, "tighten": _open_layers(net, box)}
+    # one engine for each ball's searches, and one per tightened layer of the unit box
+    assert prepared == {"bnb": balls, "tighten": _open_layers(net, box)}
     assert all(r.stats.phase1_pivots == 0 for _, r in subproblems)
-    assert res.stats["phase1_pivots"] == sum(s[0].phase1_pivots for s in shared) > 0
-    assert res.stats["lp_solves"] == res.stats["nodes"] + steps
+    assert res.stats["phase1_pivots"] == sum(start.phase1_pivots for start in distinct) > 0
+    assert res.stats["lp_solves"] == res.stats["nodes"] + balls
     assert res.stats["warm_starts"] == res.stats["nodes"]  # every root too
     assert res.certified
 
