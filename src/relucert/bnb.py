@@ -17,8 +17,12 @@ point. Being strict, the cutoff never stops a node whose point could tie
 or beat the incumbent. The engine is the problem's own, or, when the
 caller passes a `root_start` solution, that solution's engine, which must
 have been built from the problem's rows: `shared_root_start` builds one
-engine for a query's base encoding and solves the base on it, and every
-subproblem searches on that engine. A root solves cold, unless there is a
+engine for a query's base encoding and solves the base on it from the
+basis of the network's own point (`milp.network_vertex`), with no phase 1,
+and every subproblem searches on that engine. A search may take a
+`target`, which makes it a decision: it ends once an incumbent reaches
+the target or, once every root is solved, once the best bound falls below
+it. A root solves cold, unless there is a
 `root_start`, which it starts from and whose tableau it adopts; each child
 starts from its parent's optimal solution and adopts its basis and
 tableau. The basis stays dual feasible when bounds change, as one binary's
@@ -76,7 +80,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidArg, NumericalBreakdown
-from .milp import MilpProblem, prepare, relaxed_bounds
+from .milp import MilpProblem, network_vertex, prepare, relaxed_bounds
 from .nnmodel import forward_layers
 from .simplex import OPT_TOL, LpSolution, LpStatus, SolveStats, row_duals
 
@@ -187,13 +191,15 @@ def shared_root_start(base: MilpProblem, stats: SolveStats) -> LpSolution | None
 
     A query's subproblems differ from its base only in objective. Solving
     the base's relaxation under its zero objective, on the one engine every
-    subproblem then searches on, gives each root a start: phase 1 and the
-    expulsion of artificials never read the objective, so a cold root
-    reaches this same basis before phase 2, and each root adopts its
-    tableau and runs phase 2 alone. The solve's work goes to `stats`. When
-    it is not optimal or breaks down, every root solves cold."""
+    subproblem then searches on, gives each root a primal feasible start
+    whose tableau it adopts, so it runs phase 2 alone. That solve starts
+    from the basis of the network's own point at the box's lower corner
+    (`network_vertex`), one factorization in place of phase 1, and falls
+    back to the cold solve if that basis is not primal feasible. The
+    solve's work goes to `stats`. When it is not optimal or breaks down,
+    every root solves cold."""
     try:
-        sol = prepare(base).solve(*relaxed_bounds(base), base.c, True)
+        sol = prepare(base).solve(*relaxed_bounds(base), base.c, True, start=network_vertex(base))
     except NumericalBreakdown:
         return None
     stats.add(sol)
@@ -206,6 +212,7 @@ def solve_milp(
     root_start: LpSolution | None = None,
     *,
     rivals: tuple[MilpProblem, ...] = (),
+    target: float | None = None,
 ) -> MilpResult:
     """Branch and bound to a certified bracket, or to a node or time limit.
 
@@ -229,6 +236,15 @@ def solve_milp(
     earlier problem holds the incumbent. Every problem's root is solved
     before the first branch, and the options' node and time limits bound
     the whole call.
+
+    A `target` makes the search a decision, whether the best value reaches
+    it: the search ends once an incumbent reaches `target`, tested after
+    every node, roots included, or, once every root is solved, once the
+    best bound falls below it. Pruning, the cutoff and the node order do
+    not change, so a targeted search is a prefix of the untargeted one. A
+    search its target ends keeps the status its gap gives, `CERTIFIED` only
+    if the gap closed; one that ends before every root is solved has
+    `best_bound` +inf.
 
     A node whose solve breaks down, a root included, stays open at its
     parent's bound, so the call never raises `NumericalBreakdown`.
@@ -309,7 +325,7 @@ def solve_milp(
         else:
             note(seq, src, depth, bound, "pruned")
 
-    def result(status, best_bound, nodes):
+    def result(status, best_bound, nodes, why=""):
         found = inc_z is not None
         res = MilpResult(
             status=status,
@@ -324,8 +340,8 @@ def solve_milp(
             problems=len(problems),
         )
         _log.debug(
-            "solve_milp %s over %d problems: %d nodes in %.3f s, %s",
-            status.value, len(problems), nodes, res.wall_time, stats,
+            "solve_milp %s over %d problems: %d nodes in %.3f s%s, %s",
+            status.value, len(problems), nodes, res.wall_time, why, stats,
         )
         return res
 
@@ -335,13 +351,31 @@ def solve_milp(
     def unfinished() -> BnbStatus:
         return BnbStatus.GAP_LIMIT if inc_z is not None else BnbStatus.LIMIT
 
+    def best(pending=-np.inf) -> float:
+        """The best bound: over the open nodes, the incumbent and
+        `pending`, the bound of nodes not solved yet."""
+        return max(-heap[0][0] if heap else -np.inf, inc, open_bound, pending)
+
+    def reached(pending, nodes):
+        """The result of a search whose incumbent reaches its target, with
+        the status its gap gives; None while it does not."""
+        if target is None or inc_z is None or inc < target:
+            return None
+        ub = best(pending)
+        status = BnbStatus.CERTIFIED if ub - inc <= tol() else BnbStatus.GAP_LIMIT
+        return result(status, ub, nodes, ", its incumbent at its target")
+
     for src, q in enumerate(problems):  # the roots are nodes 0 .. len(problems) - 1
         node(src, *relaxed_bounds(q), src, 0, root_start, np.inf)
+        if done := reached(np.inf if src + 1 < len(problems) else -np.inf, src + 1):
+            return done
     nodes = len(problems)  # also the next node's number
     while heap:
-        ub = max(-heap[0][0], inc, open_bound)
+        ub = best()
         if inc_z is not None and ub - inc <= tol():
             return result(BnbStatus.CERTIFIED, ub, nodes)
+        if target is not None and ub < target:
+            return result(unfinished(), ub, nodes, ", its bound below its target")
         if opts.node_limit is not None and nodes >= opts.node_limit:
             return result(unfinished(), ub, nodes)
         if (
@@ -360,8 +394,10 @@ def solve_milp(
             child_lo[j] = child_hi[j] = v
             node(src, child_lo, child_hi, nodes, depth, start, -neg_bound)
             nodes += 1
+            if done := reached(-neg_bound if v == 0.0 else -np.inf, nodes):
+                return done
 
-    ub = max(inc, open_bound)
+    ub = best()
     if inc_z is None:
         return result(BnbStatus.INFEASIBLE if open_bound == -np.inf else BnbStatus.LIMIT, ub, nodes)
     return result(BnbStatus.CERTIFIED if ub - inc <= tol() else unfinished(), ub, nodes)

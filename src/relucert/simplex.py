@@ -45,7 +45,11 @@ query's subproblems. A solve may start from an
 earlier optimal solution of the same engine: its basis, its
 nonbasic-at-upper flags and its final tableau with the position of each
 nonbasic column. The solve adopts a copy of that tableau; a start from
-another engine is `InvalidArg`. A bound change moves only the resting
+another engine is `InvalidArg`. A start may also be a `Basis` alone, its
+basic columns and at-upper flags: the solve factorizes it once and runs
+phase 2 if its basic values are primal feasible to `FEAS_TOL`, and
+otherwise falls back to the cold solve; a basis that does not name `m`
+distinct columns is `InvalidArg`. A bound change moves only the resting
 values of nonbasic columns, and the basic values move with each by the
 column's tableau entries times its shift, the dual simplex's bound update
 (Koberstein, *The dual simplex method, techniques for a fast and stable
@@ -54,7 +58,7 @@ refactorized; a branched binary is basic, and a bound-tightening sweep or a
 robustness root changes only the objective, so most starts move nothing.
 If the start's basic values are primal feasible (the next objective of a
 bound-tightening sweep, or a robustness root started from its query's
-shared phase-1 solve), phase 2 runs from them directly. If the basis is
+shared solve), phase 2 runs from them directly. If the basis is
 dual feasible instead (a branch-and-bound child, whose bounds differ from
 its parent's in one binary), a bounded dual simplex restores primal
 feasibility and one primal phase-2 pass cleans up. The dual simplex prices
@@ -96,7 +100,7 @@ below, one fixed policy for every solve.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -186,6 +190,17 @@ class LpSolution:
         return self.phase1_pivots + self.phase2_pivots + self.dual_pivots
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A start given by its basis alone: the column basic in each row, and
+    the nonbasic-at-upper flag of each structural and logical column. A
+    solve from it factorizes the basis once, where a start from an
+    `LpSolution` adopts that solution's tableau."""
+
+    basis: np.ndarray
+    at_upper: np.ndarray
+
+
 @dataclass
 class SolveStats:
     """LP work summed over many solves, the largest gap between an optimal
@@ -220,12 +235,13 @@ class SolveStats:
             self.max_bound_gap = max(self.max_bound_gap, abs(sol.bound - sol.objective))
 
     def merge(self, other: SolveStats) -> None:
-        for k, v in asdict(other).items():
-            mine = getattr(self, k)
+        for f in fields(self):
+            k = f.name
+            mine, v = getattr(self, k), getattr(other, k)
             setattr(self, k, max(mine, v) if k == "max_bound_gap" else mine + v)
 
     def as_dict(self) -> dict:
-        d = asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         total = self.phase1_pivots + self.phase2_pivots + self.dual_pivots
         d["phase1_share"] = self.phase1_pivots / total if total else 0.0
         d["dual_per_warm"] = self.dual_pivots / self.warm_starts if self.warm_starts else 0.0
@@ -248,7 +264,7 @@ class PreparedLp:
     (branch-and-bound fixes binaries that way), the objective (bound
     tightening sweeps one, and a robustness query's subproblems each bring
     their own), an optional start, an earlier optimal solution of this
-    engine, and an optional cutoff (a B&B node's incumbent level). `rows` is the matrix the engine was built from, as given, so a
+    engine or a `Basis` of its columns, and an optional cutoff (a B&B node's incumbent level). `rows` is the matrix the engine was built from, as given, so a
     caller can tell whether a start's engine solves a problem's rows.
     """
 
@@ -278,14 +294,15 @@ class PreparedLp:
         hi: np.ndarray,
         c: np.ndarray,
         maximize: bool,
-        start: LpSolution | None = None,
+        start: LpSolution | Basis | None = None,
         cutoff: float | None = None,
     ) -> LpSolution:
         """Maximize `c x` (or minimize it, `maximize` False) under
         structural bounds `lo`/`hi`. `start` is an earlier optimal solution
-        of this engine, else `InvalidArg`; the solve then tries the warm
-        path from its basis, at-upper flags and tableau first and falls back
-        to the cold one. `cutoff` is a value of `c x` the caller does not
+        of this engine or a `Basis` of its columns, else `InvalidArg`; the
+        solve then tries the warm path from its basis, at-upper flags and
+        tableau, or from the basis alone, first and falls back to the cold
+        one. `cutoff` is a value of `c x` the caller does not
         need beaten: once the dual simplex proves a bound strictly below it
         (above it when minimizing), the solve ends CUTOFF. Ends OPTIMAL,
         INFEASIBLE or CUTOFF, or raises `NumericalBreakdown`."""
@@ -312,7 +329,8 @@ class PreparedLp:
         outcome = None
         if start is not None:
             try:
-                outcome = self._solve_warm(full_lo, full_hi, c2, start, counts, cut)
+                solve_from = self._solve_basis if isinstance(start, Basis) else self._solve_warm
+                outcome = solve_from(full_lo, full_hi, c2, start, counts, cut)
                 warm = WarmStart.USED if outcome is not None else WarmStart.FELL_BACK
             except NumericalBreakdown:
                 warm = WarmStart.BROKE_DOWN
@@ -422,26 +440,13 @@ class PreparedLp:
         tableau is adopted as it is, and its basic values move by
         `T[:, k] * shift` for each nonbasic position `k` whose column's
         resting value these bounds shift."""
-        m, n, ncols = self.m, self.n, self.ncols
+        m, n = self.m, self.n
         tab = start.tableau
         if tab is None or tab.engine is not self:
             raise InvalidArg("a start must be an optimal solution of this engine")
-        basis = np.array(start.basis)
-        at_upper = np.array(start.at_upper, dtype=bool)
-        if (
-            basis.shape != (m,)
-            or at_upper.shape != (ncols,)
-            or np.any(basis < 0)
-            or np.any(basis >= ncols)
-            or np.unique(basis).size != m
-            or tab.T.shape != (m, n)
-            or tab.nb.shape != (n,)
-            or tab.xB.shape != (m,)
-        ):
+        if tab.T.shape != (m, n) or tab.nb.shape != (n,) or tab.xB.shape != (m,):
             raise InvalidArg("start does not fit this LP")
-        in_basis = np.zeros(ncols, dtype=bool)
-        in_basis[basis] = True
-        at_upper &= ~in_basis & np.isfinite(full_hi)
+        basis, at_upper, _ = self._adopt(start, full_hi)
         state = _State(T=tab.T.copy(), basis=basis, nb=tab.nb.copy(), xB=tab.xB.copy(), at_upper=at_upper,
                        counts=counts, age=tab.age)
         shift = (_resting(state, full_lo, full_hi) - tab.x_nb)[state.nb]
@@ -461,6 +466,43 @@ class PreparedLp:
                 return status, None, value
         self._iterate(state, self.A, full_lo, full_hi, c2, "phase2")
         return LpStatus.OPTIMAL, state, 0.0
+
+    def _solve_basis(self, full_lo, full_hi, c2, start, counts, cut):
+        """Solve from a `Basis` alone: one refactorization gives its tableau
+        and basic values, and phase 2 runs from them if they are primal
+        feasible to `FEAS_TOL`. Returns what `_solve_cold` returns for an
+        optimum, or None when the basis is not primal feasible. A primal
+        pass never meets the cutoff, so `cut` goes unused."""
+        basis, at_upper, in_basis = self._adopt(start, full_hi)
+        state = _State(T=None, basis=basis, nb=np.flatnonzero(~in_basis), xB=None, at_upper=at_upper,
+                       counts=counts)
+        self._refactor(state, self.A, full_lo, full_hi)
+        if np.any(state.xB < full_lo[basis] - FEAS_TOL) or np.any(state.xB > full_hi[basis] + FEAS_TOL):
+            return None
+        self._iterate(state, self.A, full_lo, full_hi, c2, "phase2")
+        return LpStatus.OPTIMAL, state, 0.0
+
+    def _adopt(self, start, full_hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of a start's basis and at-upper flags, with the flags
+        cleared at the basic columns and at those without a finite upper
+        bound, and the basic-column mask; `InvalidArg` unless the basis
+        names `m` distinct columns of this LP and the flags cover them."""
+        m, ncols = self.m, self.ncols
+        basis = np.array(start.basis)
+        at_upper = np.array(start.at_upper, dtype=bool)
+        if (
+            basis.shape != (m,)
+            or basis.dtype.kind not in "iu"
+            or at_upper.shape != (ncols,)
+            or np.any(basis < 0)
+            or np.any(basis >= ncols)
+            or np.unique(basis).size != m
+        ):
+            raise InvalidArg("start does not fit this LP")
+        in_basis = np.zeros(ncols, dtype=bool)
+        in_basis[basis] = True
+        at_upper &= ~in_basis & np.isfinite(full_hi)
+        return basis, at_upper, in_basis
 
     def _box_max(self, a, full_lo, full_hi) -> float:
         """The greatest `a x` over the columns' box, for `a` over every

@@ -1,7 +1,9 @@
 """Verification drivers: certified robustness over perturbation balls, as
 2M searches (a max and a min per output), and minimum-perturbation trust
 queries, as robustness searches of each output's sign pair on shrinking
-balls (`search_radius`, each step's ball encoded by `set_trust_problem`); batch
+balls (`search_radius`, each step's ball encoded by `set_trust_problem`),
+each step a decision whether the ball's worst deviation reaches beta, so
+its search stops once that is decided (`solve_milp`'s `target`); batch
 sweeps over operating conditions, and report assembly. A query reads,
 fits and bounds its own question (`VerificationQuery.from_dict`, `check`,
 `region`), and `box_bounds` is the one recipe from an input box to bounds
@@ -407,7 +409,8 @@ def trustworthiness(
     beta away from its reference, searched over the full unit box: for each
     output, a `search_radius` whose steps search the output's robustness
     pair on shrinking balls, each from its ball's base (`set_trust_problem`)
-    and that base's shared root start; the cap's ball, every output's first
+    and that base's shared root start, and each ending once it decides
+    whether its ball reaches beta; the cap's ball, every output's first
     step, is built once. The sign is the one whose deviation reached beta at
     the witness. `stats["radius_search"]` gives each output's step and node
     counts and its final bracket."""
@@ -435,7 +438,7 @@ def trustworthiness(
                 cap_ball = ball(cap)
             base, root_start = cap_ball if d == cap else ball(d)
             plus, minus = (set_robustness_objective(base, i, sign, x_ref_i) for sign in (1, -1))
-            return solve_milp(plus, bnb_opts, root_start=root_start, rivals=(minus,))
+            return solve_milp(plus, bnb_opts, root_start=root_start, rivals=(minus,), target=q.beta - _REACH_TOL)
 
         s = search_radius(step, q.z_ref, scale, float(dev0[i]), q.beta, cap, opts.bnb)
         searches += s.steps

@@ -639,6 +639,50 @@ def test_shared_start_keeps_every_pair_answer(seed, alpha):
     assert warm.stats.warm_starts == warm.nodes  # both roots too
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.05, 0.5),
+    above=st.booleans(),
+    margin=st.floats(1e-6, 0.5),
+)
+def test_a_target_decides_whether_the_optimum_reaches_it(seed, alpha, above, margin):
+    # a target `margin` outside the certified bracket: above it the search
+    # ends with its bound below the target, below it with an incumbent that
+    # reaches it, and never later than the search without a target
+    _, plus, minus = _random_pair(seed, alpha)
+    full = solve_milp(plus, rivals=(minus,))
+    assert full.found
+    target = full.best_bound + margin if above else full.incumbent_value - margin
+    res = solve_milp(plus, rivals=(minus,), target=target)
+    if above:
+        assert res.best_bound < target and (not res.found or res.incumbent_value < target)
+    else:
+        assert res.found and res.incumbent_value >= target
+    assert res.nodes <= full.nodes
+    if res.status is BnbStatus.CERTIFIED:
+        assert res.gap <= max(1e-8, 1e-6 * abs(res.incumbent_value))
+
+
+def test_a_target_ends_the_search_as_soon_as_it_is_decided(e1, caplog):
+    p, _ = encode_on_box(e1, InputBox.unit(2))
+    plus, minus = _pair(p, 0, 0.25)  # the `+` root bounds 1.125 and finds 1.0; the `-` root 0.25
+    with caplog.at_level(logging.DEBUG, logger="relucert.bnb"):
+        # reached at the `+` root: the `-` root is never solved, so the
+        # bound stays open and the gap is not closed
+        reached = solve_milp(plus, rivals=(minus,), target=0.5)
+        ends = [caplog.records[-1].getMessage()]
+        # out of reach once both roots are solved, before any branch
+        missed = solve_milp(plus, rivals=(minus,), target=5.0)
+        ends.append(caplog.records[-1].getMessage())
+    assert (reached.nodes, reached.status, reached.source) == (1, BnbStatus.GAP_LIMIT, 0)
+    assert reached.incumbent_value == pytest.approx(1.0, abs=1e-9) and reached.best_bound == reached.gap == np.inf
+    assert (missed.nodes, missed.status, missed.best_bound) == (2, BnbStatus.GAP_LIMIT, pytest.approx(1.125))
+    assert "its incumbent at its target" in ends[0] and "its bound below its target" in ends[1]
+    # without a target the search branches to close its gap
+    assert solve_milp(plus, rivals=(minus,)).nodes > 2
+
+
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.5))
 def test_the_cutoff_keeps_every_answer(seed, alpha):

@@ -141,7 +141,8 @@ def test_trust_e1_worked_example(e1):
 
 def test_trust_not_found(e1):
     # both targets lie beyond the output's interval over the unit box, so
-    # the one step, at the radius cap, proves the deviation below beta
+    # the one step, at the radius cap, proves the deviation below beta at
+    # its two roots, whose bounds are below it
     out = propagate_bounds(e1, InputBox.unit(2))
     assert 0.25 + 5.0 > out.out_hi[0] and 0.25 - 5.0 < out.out_lo[0]
     q = VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], beta=5.0)
@@ -150,7 +151,7 @@ def test_trust_not_found(e1):
     for o in res.per_output:
         assert not o.found
         assert o.status == "certified"  # certified absence, not a failure
-    assert res.certified and res.stats["radius_search"] == [{"steps": 1, "nodes": 4, "lo": 0.5, "hi": None}]
+    assert res.certified and res.stats["radius_search"] == [{"steps": 1, "nodes": 2, "lo": 0.5, "hi": None}]
 
 
 def test_monotone_in_alpha_and_beta(e1):
@@ -428,17 +429,17 @@ def test_child_breakdown_leaves_the_query_at_gap_limit(e1, monkeypatch):
     from relucert.simplex import PreparedLp
 
     solve = PreparedLp.solve
-    shared = []  # the query's one cold solve, whose basis every root starts from
+    shared = []  # the query's one zero-objective solve, whose basis every root starts from
     broken = []
 
-    def breaking(self, *args, start=None, **kwargs):
-        if start is None:
-            shared.append(solve(self, *args, **kwargs))
+    def breaking(self, lo, hi, c, *args, start=None, **kwargs):
+        if not np.any(c):
+            shared.append(solve(self, lo, hi, c, *args, start=start, **kwargs))
             return shared[-1]
         if start is not shared[-1] and not broken:  # the first warm-started child
             broken.append(start)
             raise NumericalBreakdown("forced")
-        return solve(self, *args, start=start, **kwargs)
+        return solve(self, lo, hi, c, *args, start=start, **kwargs)
 
     q = VerificationQuery(z_ref=[0.5, 0.5], x_ref=[0.25], alpha=0.5)
     opts = VerifyOptions(tighten=False)
@@ -458,17 +459,17 @@ def test_root_breakdowns_leave_every_output_uncertified(monkeypatch):
     from relucert.simplex import PreparedLp
 
     solve = PreparedLp.solve
-    shared = []  # the query's one cold solve, whose basis every root starts from
+    shared = []  # the query's one zero-objective solve, whose basis every root starts from
     roots = []
 
-    def breaking(self, *args, start=None, **kwargs):
-        if start is None:
-            shared.append(solve(self, *args, **kwargs))
+    def breaking(self, lo, hi, c, *args, start=None, **kwargs):
+        if not np.any(c):
+            shared.append(solve(self, lo, hi, c, *args, start=start, **kwargs))
             return shared[-1]
         if start is shared[-1]:
             roots.append(start)
             raise NumericalBreakdown("forced")
-        return solve(self, *args, start=start, **kwargs)
+        return solve(self, lo, hi, c, *args, start=start, **kwargs)
 
     net = fold_bn(random_spec(np.random.default_rng(4), n0=3, widths=(6, 6), m=2, unit_norm=True))
     z_ref = np.full(3, 0.5)
@@ -486,27 +487,42 @@ def test_root_breakdowns_leave_every_output_uncertified(monkeypatch):
     assert timing_sidecar([res])["per_result_stats"][0]["node_breakdowns"] == len(roots)
 
 
-def test_trust_node_limit_bounds_each_whole_output():
-    rng = np.random.default_rng(4)
-    net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
+def _trust_query(seed: int, beta: float):
+    net = fold_bn(random_spec(np.random.default_rng(seed), n0=3, widths=(6, 6), m=2, unit_norm=True))
     z_ref = np.full(3, 0.5)
-    q = VerificationQuery(z_ref=z_ref, x_ref=forward(net, z_ref), beta=0.2)
+    return net, VerificationQuery(z_ref=z_ref, x_ref=forward(net, z_ref), beta=beta)
+
+
+@pytest.mark.parametrize(
+    "seed, beta, node_limit, spans",
+    [
+        (11, 1.7, 4, False),  # out of reach: the cap's step takes 8 and 16 nodes to prove it
+        (4, 0.2, 6, True),  # reached: each output's steps take one or two nodes
+    ],
+    ids=["inside-the-first-step", "across-steps"],
+)
+def test_trust_node_limit_bounds_each_whole_output(seed, beta, node_limit, spans):
+    net, q = _trust_query(seed, beta)
     full = trustworthiness(net, q)
-    assert full.certified and all(b["steps"] > 2 for b in full.stats["radius_search"])
-    for node_limit in (4, 24):
-        capped = trustworthiness(net, q, VerifyOptions(bnb=BnbOptions(node_limit=node_limit)))
-        assert not capped.certified
-        brackets = capped.stats["radius_search"]
-        assert capped.stats["nodes"] == sum(b["nodes"] for b in brackets)
-        for o, done, b in zip(capped.per_output, full.per_output, brackets):
-            # the output's steps share one limit; only a step's two roots,
-            # which always run, may pass it, by one node
-            assert node_limit <= b["nodes"] <= node_limit + 1
-            assert o.found and o.status == "gap_limit"
-            # the bracket [delta_min - gap, delta_min] holds the certified answer
-            assert (b["lo"], b["hi"]) == (pytest.approx(o.delta_min - o.gap, abs=1e-15), o.delta_min)
-            assert b["lo"] - 1e-9 <= done.delta_min <= b["hi"] + 1e-9
-        assert any(b["steps"] > 1 for b in brackets) == (node_limit == 24)
+    assert full.certified
+    for b in full.stats["radius_search"]:
+        assert b["steps"] > 2 if spans else (b["steps"], b["nodes"] > node_limit) == (1, True)
+    capped = trustworthiness(net, q, VerifyOptions(bnb=BnbOptions(node_limit=node_limit)))
+    assert not capped.certified
+    brackets = capped.stats["radius_search"]
+    assert capped.stats["nodes"] == sum(b["nodes"] for b in brackets)
+    for o, done, b in zip(capped.per_output, full.per_output, brackets):
+        # the output's steps share one limit; only a step's roots, which run
+        # unless the first reaches beta, may pass it, by one node
+        assert node_limit <= b["nodes"] <= node_limit + 1
+        assert (b["steps"] > 1) == spans
+        if not spans:  # the limit stops the first step before it decides
+            assert not o.found and o.status == "uncertified" and (b["lo"], b["hi"]) == (0.0, None)
+            continue
+        assert o.found and o.status == "gap_limit"
+        # the bracket [delta_min - gap, delta_min] holds the certified answer
+        assert (b["lo"], b["hi"]) == (pytest.approx(o.delta_min - o.gap, abs=1e-15), o.delta_min)
+        assert b["lo"] - 1e-9 <= done.delta_min <= b["hi"] + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,18 @@ from relucert import bnb, milp, simplex, verify
 from relucert.bnb import solve_milp
 from relucert.bounds import InputBox, classify_neurons, propagate_bounds
 from relucert.errors import InvalidArg, NumericalBreakdown
-from relucert.milp import encode_network, lp_tighten, prepare, relaxed_bounds, set_robustness_objective
-from relucert.nnmodel import fold_bn, forward
+from relucert.milp import (
+    encode_network,
+    lp_tighten,
+    network_vertex,
+    prepare,
+    relaxed_bounds,
+    set_robustness_objective,
+)
+from relucert.nnmodel import fold_bn, forward, forward_layers
 from relucert.simplex import (
+    FEAS_TOL,
+    Basis,
     LpSolution,
     LpStatus,
     PreparedLp,
@@ -462,6 +471,106 @@ def test_root_start_must_come_from_the_problems_rows(e1):
     assert solve_milp(p, root_start=own).incumbent_value == solve_milp(p, root_start=_shared_solve(base)).incumbent_value
 
 
+def _basic_point(eng, start, lo, hi):
+    """Every column's value at a basis start: the nonbasic ones at their
+    flagged bounds, where those are finite, the basic ones `B^-1 (b - A_N
+    x_N)`, and the bounds they are held to."""
+    full_lo = np.concatenate((lo, np.zeros(eng.m)))
+    full_hi = np.concatenate((hi, eng.logical_hi))
+    x = np.where(start.at_upper & np.isfinite(full_hi), full_hi, full_lo)
+    x[start.basis] = 0.0
+    x[start.basis] = np.linalg.solve(eng.A[:, start.basis], eng.b - eng.A @ x)
+    return x, full_lo, full_hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.5), tighten=st.booleans())
+def test_network_vertex_is_the_networks_point_at_the_lower_corner(seed, alpha, tighten):
+    rng = np.random.default_rng(seed)
+    net = fold_bn(random_spec(rng, unit_norm=True))
+    box = InputBox.ball(rng.uniform(0, 1, net.input_dim), alpha)
+    lb = propagate_bounds(net, box)
+    if tighten:
+        lb = lp_tighten(net, box, lb)
+    base = encode_network(net, lb, classify_neurons(lb), box)
+    eng = prepare(base)
+    lo, hi = relaxed_bounds(base)
+    vertex = network_vertex(base)
+    x, full_lo, full_hi = _basic_point(eng, vertex, lo, hi)
+    assert np.all(x >= full_lo - FEAS_TOL) and np.all(x <= full_hi + FEAS_TOL)
+    roles = base.var_roles
+    _, post, out = forward_layers(net, box.lo[None, :])
+    assert x[[roles[("input", j)] for j in range(net.input_dim)]].tolist() == box.lo.tolist()
+    for k, h in enumerate(post):
+        np.testing.assert_allclose(x[[roles[("post", k, t)] for t in range(h.shape[1])]], h[0], atol=1e-9)
+    np.testing.assert_allclose(x[[roles[("output", i)] for i in range(net.num_outputs)]], out[0], atol=1e-9)
+    # the base's zero-objective solve from it takes one pricing pass, no phase 1
+    sol = eng.solve(lo, hi, base.c, True, start=vertex)
+    assert sol.status is LpStatus.OPTIMAL and sol.warm is WarmStart.USED
+    assert (sol.phase1_pivots, sol.phase2_pivots, sol.refactors) == (0, 1, 1)
+    np.testing.assert_allclose(sol.x, np.clip(x[: base.num_vars], lo, hi), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 0.5))
+def test_searches_from_the_network_vertex_answer_as_cold_ones(seed, alpha):
+    rng = np.random.default_rng(seed)
+    net = fold_bn(random_spec(rng, unit_norm=True))
+    base, problems = _robustness_problems(net, rng.uniform(0, 1, net.input_dim), alpha)
+    stats = SolveStats()
+    shared = bnb.shared_root_start(base, stats)
+    assert shared.warm is WarmStart.USED and stats.phase1_pivots == 0
+    for p in problems:
+        warm = solve_milp(p, root_start=shared)
+        cold = solve_milp(p)
+        assert warm.status is cold.status
+        assert warm.incumbent_value == pytest.approx(cold.incumbent_value, abs=1e-9)
+        assert warm.best_bound == pytest.approx(cold.best_bound, abs=1e-9)
+        assert warm.stats.phase1_pivots == 0
+
+
+def test_a_basis_start_must_fit_the_lp():
+    rng = np.random.default_rng(0)
+    c, A, senses, b, lo, hi = _random_lp(rng, 4, 3)
+    eng = PreparedLp(A, senses, b)
+    flags = np.zeros(7, dtype=bool)
+    for basis, at_upper in (
+        ([4, 5], flags),  # too few columns
+        ([4, 5, 6], flags[:6]),  # a flag short
+        ([4, 4, 5], flags),  # a column twice
+        ([4, 5, 7], flags),  # past the last column
+        ([-1, 4, 5], flags),
+        ([4.0, 5.0, 6.0], flags),  # not column indices
+    ):
+        with pytest.raises(InvalidArg):
+            eng.solve(lo, hi, c, True, start=Basis(np.array(basis), at_upper))
+    sol = eng.solve(lo, hi, c, True, start=Basis(np.arange(4, 7), flags))  # the logical basis fits
+    _assert_same(sol, eng.solve(lo, hi, c, True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), m=st.integers(1, 16), maximize=st.booleans())
+def test_a_basis_start_answers_as_the_cold_solve(seed, n, m, maximize):
+    # a random basis: singular ones break down and infeasible ones fall
+    # back, and either way the cold solve answers; a primal feasible one
+    # runs phase 2 alone
+    rng = np.random.default_rng(seed)
+    c, A, senses, b, lo, hi = _random_lp(rng, n, m)
+    eng = PreparedLp(A, senses, b)
+    start = Basis(rng.permutation(n + m)[:m], rng.uniform(size=n + m) < 0.5)
+    sol = eng.solve(lo, hi, c, maximize, start=start)
+    _assert_same(sol, eng.solve(lo, hi, c, maximize))
+    try:
+        x, full_lo, full_hi = _basic_point(eng, start, lo, hi)
+        feasible = bool(np.all(x >= full_lo - FEAS_TOL) & np.all(x <= full_hi + FEAS_TOL))
+    except np.linalg.LinAlgError:
+        assert sol.warm is WarmStart.BROKE_DOWN
+        return
+    assert sol.warm is (WarmStart.USED if feasible else WarmStart.FELL_BACK)
+    if feasible:
+        assert sol.phase1_pivots == 0
+
+
 def _spy_query(monkeypatch, run, net, q):
     """Run `run` (`robustness` or `trustworthiness`), recording every solve
     of the LP engine, (start, solution), each `solve_milp` call,
@@ -506,32 +615,42 @@ def _open_layers(net, box):
     return sum(bool(np.any((lo < 0.0) & (hi > 0.0))) for lo, hi in zip(lb.pre_lo[1:], lb.pre_hi[1:]))
 
 
+def _no_phase_1(res, solves):
+    """Whether no solve of a query ran phase 1: none of its searches, its
+    shared solves or its tightening."""
+    return (
+        res.stats["phase1_pivots"] == res.stats["tighten"]["phase1_pivots"] == 0
+        and all(sol.phase1_pivots == 0 for _, sol in solves)
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_robustness_roots_skip_phase_1(monkeypatch, seed):
+    """The query's one shared solve starts from the network's vertex, and
+    every root from that solve, so no solve of the query runs phase 1."""
     rng = np.random.default_rng(seed)
     net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
     q = verify.VerificationQuery(z_ref=[0.5, 0.5, 0.5], x_ref=[0.0, 0.0], alpha=0.3)
     box = InputBox.ball(q.z_ref, q.alpha)
     res, solves, subproblems, prepared = _spy_query(monkeypatch, verify.robustness, net, q)
     root_start = subproblems[0][0]
-    shared = [sol for start, sol in solves if sol is root_start]
-    assert len(shared) == 1 and shared[0].warm is WarmStart.NONE
+    shared = [(start, sol) for start, sol in solves if sol is root_start]
+    assert len(shared) == 1 and isinstance(shared[0][0], Basis) and shared[0][1].warm is WarmStart.USED
     assert all(start is root_start for start, _ in subproblems)
     # one engine for the whole search, and one per tightened layer
     assert prepared == {"bnb": 1, "tighten": _open_layers(net, box)}
-    assert all(r.stats.phase1_pivots == 0 for _, r in subproblems)
-    assert res.stats["phase1_pivots"] == shared[0].phase1_pivots > 0
+    assert _no_phase_1(res, solves)
     assert res.stats["lp_solves"] == res.stats["nodes"] + 1
-    assert res.stats["warm_starts"] == res.stats["nodes"]  # every root too
+    assert res.stats["warm_starts"] == res.stats["nodes"] + 1  # every root and the shared solve too
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_trust_roots_skip_phase_1(monkeypatch, seed):
     """Each ball a trust search steps to gets one engine and one solve of
-    its base; both signs of the output search on that engine, and both
-    roots start from that solve, so no search runs phase 1. Every output's
-    first step searches the cap's ball, whose engine and solve the query
-    builds once."""
+    its base, from the network's vertex; both signs of the output search on
+    that engine, and the roots start from that solve, so no solve of the
+    query runs phase 1. Every output's first step searches the cap's ball,
+    whose engine and solve the query builds once."""
     rng = np.random.default_rng(seed)
     net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
     z_ref = np.full(3, 0.5)
@@ -548,14 +667,13 @@ def test_trust_roots_skip_phase_1(monkeypatch, seed):
     balls = steps - len(firsts) + 1
     distinct = {id(start): start for start in starts}.values()
     assert len(distinct) == balls  # one start for each ball
-    shared = [[sol for _, sol in solves if sol is start] for start in distinct]
-    assert all(len(s) == 1 and s[0].warm is WarmStart.NONE for s in shared)
+    shared = [[(vertex, sol) for vertex, sol in solves if sol is start] for start in distinct]
+    assert all(len(s) == 1 and isinstance(s[0][0], Basis) and s[0][1].warm is WarmStart.USED for s in shared)
     # one engine for each ball's searches, and one per tightened layer of the unit box
     assert prepared == {"bnb": balls, "tighten": _open_layers(net, box)}
-    assert all(r.stats.phase1_pivots == 0 for _, r in subproblems)
-    assert res.stats["phase1_pivots"] == sum(start.phase1_pivots for start in distinct) > 0
+    assert _no_phase_1(res, solves)
     assert res.stats["lp_solves"] == res.stats["nodes"] + balls
-    assert res.stats["warm_starts"] == res.stats["nodes"]  # every root too
+    assert res.stats["warm_starts"] == res.stats["nodes"] + balls  # every root and shared solve too
     assert res.certified
 
 
@@ -602,7 +720,8 @@ def test_failed_trust_shared_solve_leaves_every_root_cold(monkeypatch, e1, failu
     steps = len(subproblems)
     assert all(start is None for start, _ in subproblems)
     assert prepared["bnb"] == 2 * steps  # each step's shared start's, then its cold search's own
-    assert all(r.stats.warm_starts == r.nodes - 2 for _, r in subproblems)  # both roots cold
+    # cold roots: both, unless the first reaches beta and ends the step
+    assert all(r.stats.warm_starts == r.nodes - min(r.nodes, 2) for _, r in subproblems)
     assert res.stats["lp_solves"] == res.stats["nodes"] + steps * (failure == "infeasible")
     assert res.certified == clean.certified  # the trees may differ from the shared start's
     for a, b in zip(res.per_output, clean.per_output):
