@@ -18,11 +18,11 @@ or beat the incumbent. The engine is the problem's own, or, when the
 caller passes a `root_start` solution, that solution's engine, which must
 have been built from the problem's rows: `shared_root_start` builds one
 engine for a query's base encoding and solves the base on it from the
-basis of the network's own point (`milp.network_vertex`), with no phase 1,
-and every subproblem searches on that engine. A search may take a
-`target`, which makes it a decision: it ends once an incumbent reaches
-the target or, once every root is solved, once the best bound falls below
-it. A root solves cold, unless there is a
+basis of the network's own point that the encoding carries
+(`MilpProblem.vertex`), with no phase 1, and every subproblem searches on
+that engine. A search may take a `target`, which makes it a decision: it
+ends once an incumbent reaches the target or, once every root is solved,
+once the best bound falls below it. A root solves cold, unless there is a
 `root_start`, which it starts from and whose tableau it adopts; each child
 starts from its parent's optimal solution and adopts its basis and
 tableau. The basis stays dual feasible when bounds change, as one binary's
@@ -80,7 +80,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidArg, NumericalBreakdown
-from .milp import MilpProblem, network_vertex, prepare, relaxed_bounds
+from .milp import MilpProblem, prepare, relaxed_bounds
 from .nnmodel import forward_layers
 from .simplex import OPT_TOL, LpSolution, LpStatus, SolveStats, row_duals
 
@@ -97,8 +97,14 @@ class BnbStatus(Enum):
     LIMIT = "limit"
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def finite_real(v) -> bool:
+    """Whether `v` is a finite real number and not a bool; a numpy scalar
+    counts, and an integer of any size is finite."""
+    return (
+        isinstance(v, numbers.Real)
+        and not isinstance(v, bool)
+        and (isinstance(v, numbers.Integral) or math.isfinite(v))
+    )
 
 
 @dataclass(frozen=True)
@@ -114,13 +120,13 @@ class BnbOptions:
     time_limit_seconds: float | None = None
 
     def __post_init__(self):
-        if not all(_is_real(g) and math.isfinite(g) and g >= 0 for g in (self.abs_gap, self.rel_gap)):
+        if not all(finite_real(g) and g >= 0 for g in (self.abs_gap, self.rel_gap)):
             raise InvalidArg("gap tolerances must be finite nonnegative numbers")
         nl = self.node_limit
-        if nl is not None and not (_is_real(nl) and isinstance(nl, numbers.Integral) and nl > 0):
+        if nl is not None and not (finite_real(nl) and isinstance(nl, numbers.Integral) and nl > 0):
             raise InvalidArg("node_limit must be a positive integer")
         tl = self.time_limit_seconds
-        if tl is not None and not (_is_real(tl) and math.isfinite(tl) and tl > 0):
+        if tl is not None and not (finite_real(tl) and tl > 0):
             raise InvalidArg("time_limit_seconds must be a finite positive number")
 
 
@@ -193,13 +199,12 @@ def shared_root_start(base: MilpProblem, stats: SolveStats) -> LpSolution | None
     the base's relaxation under its zero objective, on the one engine every
     subproblem then searches on, gives each root a primal feasible start
     whose tableau it adopts, so it runs phase 2 alone. That solve starts
-    from the basis of the network's own point at the box's lower corner
-    (`network_vertex`), one factorization in place of phase 1, and falls
-    back to the cold solve if that basis is not primal feasible. The
-    solve's work goes to `stats`. When it is not optimal or breaks down,
-    every root solves cold."""
+    from `base.vertex`, the basis of the network's own point at the box's
+    lower corner, one factorization in place of phase 1, on the same warm
+    path as every other start. The solve's work goes to `stats`. When it
+    is not optimal or breaks down, every root solves cold."""
     try:
-        sol = prepare(base).solve(*relaxed_bounds(base), base.c, True, start=network_vertex(base))
+        sol = prepare(base).solve(*relaxed_bounds(base), base.c, True, start=base.vertex)
     except NumericalBreakdown:
         return None
     stats.add(sol)

@@ -20,10 +20,10 @@ problem into the engine's terms: `prepare` builds the engine from its
 rows, and `relaxed_bounds` gives the bounds of its LP relaxation, so the
 simplex sees matrices only.
 
-`encode_network` records each neuron's rows by role (`row_roles`), and
-`network_vertex` reads them to give the basis of the relaxation's vertex
-at the network's own point at the box's lower corner: a primal feasible
-start that needs one factorization, where the cold solve needs phase 1.
+As `encode_network` writes each neuron's rows it also writes the
+neuron's part of `vertex`, the basis of the relaxation's vertex at the
+network's own point at the box's lower corner: a primal feasible start
+that needs one factorization, where the cold solve needs phase 1.
 
 `lp_tighten` bounds a layer's open pre-activations by the LP relaxation of
 this same encoding over the layers before it and those neurons alone, so
@@ -63,10 +63,10 @@ class MilpProblem:
     rhs: np.ndarray
     c: np.ndarray  # dense objective over the variables, read-only
     network: FoldedNetwork  # the network whose point every incumbent is
+    vertex: Basis  # the relaxation's vertex at the network's point at the box's lower corner
     obj_offset: float = 0.0
     var_roles: Mapping = field(default_factory=dict)
     var_names: tuple[str, ...] = ()
-    row_roles: Mapping = field(default_factory=dict)  # a neuron's variable role -> its first row
 
     @property
     def num_vars(self) -> int:
@@ -127,10 +127,19 @@ def encode_network(
     three rows, `h - A h_prev - hmin r <= c - hmin`, `h - A h_prev >= c` and
     `h <= hmax r`, and the lower bound 0 of `h`. With `r` in [0, 1] these
     imply `hmin <= A h_prev + c <= hmax`, so the relaxation is the
-    neuron's triangle. The rows come neuron by neuron, layer by layer, and
-    `row_roles` maps each neuron's variable role, an active or unstable
-    neuron's `("post", k, t)` or an output's `("output", i)`, to its first
-    row.
+    neuron's triangle. The rows come neuron by neuron, layer by layer.
+
+    `vertex` is the basis of the relaxation's vertex at the network's own
+    point at the box's lower corner, written with each neuron's rows. Every
+    input is nonbasic at its lower bound, and an active neuron's `h` and
+    every output are basic in their affine rows. An unstable neuron on at
+    the corner has `r` nonbasic at 1 and the logical of its `h - A h_prev
+    >= c` row nonbasic at 0, with `h` and its other two logicals basic; one
+    off at the corner has `h` and `r` nonbasic at 0 and its three logicals
+    basic. A dead neuron's `h` is nonbasic, fixed at 0. So the basis matrix
+    is block lower triangular, a nonsingular 1x1 or 3x3 block per neuron,
+    and since the bounds hold at every network point of the box, the
+    vertex is feasible up to roundoff.
     """
     if box.dim != net.input_dim:
         raise DimensionMismatch("box dimension != network input dimension")
@@ -171,8 +180,11 @@ def encode_network(
     for i in range(net.num_outputs):
         add_var(f"x{i + 1}", lb.out_lo[i], lb.out_hi[i], ("output", i))
 
-    rows = DenseRows(len(names))
-    row_roles: dict = {}
+    n = len(names)
+    rows = DenseRows(n)
+    pre = forward_layers(net, box.lo[None, :])[0]
+    basic: list[int] = []  # the vertex's basic columns, row by row
+    on: list[int] = []  # the binaries of the unstable neurons on at the corner
     for k, layer in enumerate(net.layers):
         src = (
             [roles[("input", j)] for j in range(n0)]
@@ -186,10 +198,11 @@ def encode_network(
                 continue
             role = ("post", k, t) if hidden else ("output", t)
             h = roles[role]
-            row_roles[role] = len(rows)
+            logical = n + len(rows)  # the column of the neuron's first row's logical
             idx, coef, c = [h, *src], np.concatenate(([1.0], -layer.A[t])), layer.c[t]  # h - A h_prev
             if s == Stability.ACTIVE:
                 rows.add(idx, coef, "=", c)
+                basic.append(h)
                 continue
             r = roles[("bin", k, t)]
             hmin = float(lb.pre_lo[k][t])
@@ -198,7 +211,14 @@ def encode_network(
             rows.add(idx, coef, ">=", c)  # h >= A h_prev + c
             rows.add([h, r], [1.0, -hmax], "<=", 0.0)  # h <= hmax r
             # h >= 0 needs no row: the post variable's lower bound is 0
+            if pre[k][0, t] > 0.0:
+                basic += [h, logical, logical + 2]
+                on.append(r)
+            else:
+                basic += [logical, logical + 1, logical + 2]
     a, senses, rhs = rows.arrays()
+    at_upper = np.zeros(n + len(rhs), dtype=bool)
+    at_upper[on] = True
     return MilpProblem(
         lo=_read_only(np.array(lo_l)),
         hi=_read_only(np.array(hi_l)),
@@ -210,37 +230,8 @@ def encode_network(
         network=net,
         var_roles=MappingProxyType(roles),
         var_names=tuple(names),
-        row_roles=MappingProxyType(row_roles),
+        vertex=Basis(_read_only(np.array(basic, dtype=np.intp)), _read_only(at_upper)),
     )
-
-
-def network_vertex(p: MilpProblem) -> Basis:
-    """The basis of the vertex of `p`'s LP relaxation at the network's own
-    point at the lower corner of its input box. Every input is nonbasic at
-    its lower bound, and an active neuron's `h` and every output are basic
-    in their affine rows. An unstable neuron on at the corner has `r`
-    nonbasic at 1 and the logical of its `h - A h_prev >= c` row nonbasic
-    at 0, with `h` and its other two logicals basic; one off at the corner
-    has `h` and `r` nonbasic at 0 and its three logicals basic. A dead
-    neuron's `h` is nonbasic, fixed at 0. So the basis matrix is block
-    lower triangular, a nonsingular 1x1 or 3x3 block per neuron, and since
-    `p`'s bounds hold at every network point of the box, the vertex is
-    feasible up to roundoff."""
-    n, roles = p.num_vars, p.var_roles
-    z = p.lo[[roles[("input", j)] for j in range(p.network.input_dim)]]
-    pre = forward_layers(p.network, z[None, :])[0]
-    at_upper = np.zeros(n + len(p.rows), dtype=bool)
-    basic = []
-    for role, row in p.row_roles.items():
-        r = roles.get(("bin", *role[1:]))
-        if r is None:  # an active neuron's or an output's affine row
-            basic.append(roles[role])
-        elif pre[role[1]][0, role[2]] > 0.0:
-            basic += [roles[role], n + row, n + row + 2]
-            at_upper[r] = True
-        else:
-            basic += [n + row, n + row + 1, n + row + 2]
-    return Basis(np.array(basic, dtype=np.intp), at_upper)
 
 
 def lp_tighten(
@@ -271,9 +262,9 @@ def lp_tighten(
     subsets and stay sound; a failed solve keeps the incoming interval for
     that side.
     The solves on one cut share bounds and differ only in objective: the
-    first starts from the cut's `network_vertex`, and each next one from
-    the last optimal basis, which is still primal feasible, adopting its
-    tableau. Each solve's work goes to `stats`.
+    first starts from the cut's `vertex`, and each next one from the last
+    optimal basis, which is still primal feasible, adopting its tableau.
+    Each solve's work goes to `stats`.
     """
     if box.dim != net.input_dim:
         raise DimensionMismatch("box dimension != network input dimension")
@@ -291,7 +282,7 @@ def lp_tighten(
         p = encode_network(cut, cut_lb, classify_neurons(cut_lb), box)
         eng = prepare(p)
         lo, hi = relaxed_bounds(p)
-        start = network_vertex(p)
+        start = p.vertex
         for i, t in enumerate(open_):
             c = np.zeros(p.num_vars)
             c[p.var_roles[("output", i)]] = 1.0

@@ -41,41 +41,44 @@ The engine knows matrices alone: it is built from rows `A`, their senses
 and right-hand sides `b`, every solve brings its bounds and objective `c`,
 and a solution's objective is `c x` at its point. So one engine serves
 every objective over its rows: a bound-tightening sweep's and all of a
-query's subproblems. A solve may start from an
-earlier optimal solution of the same engine: its basis, its
-nonbasic-at-upper flags and its final tableau with the position of each
-nonbasic column. The solve adopts a copy of that tableau; a start from
-another engine is `InvalidArg`. A start may also be a `Basis` alone, its
-basic columns and at-upper flags: the solve factorizes it once and runs
-phase 2 if its basic values are primal feasible to `FEAS_TOL`, and
-otherwise falls back to the cold solve; a basis that does not name `m`
-distinct columns is `InvalidArg`. A bound change moves only the resting
-values of nonbasic columns, and the basic values move with each by the
-column's tableau entries times its shift, the dual simplex's bound update
-(Koberstein, *The dual simplex method, techniques for a fast and stable
-implementation*, PhD thesis, Paderborn 2005), so no start is
+query's subproblems. A solve may start from a basis, which the engine
+either already holds or factorizes once, and every start then takes one
+warm path (a dual simplex restarts from any basis whose factorization it
+holds: Koberstein, *The dual simplex method, techniques for a fast and
+stable implementation*, PhD thesis, Paderborn 2005). A start is one of two
+things. An earlier optimal solution of the same engine carries its basis,
+its nonbasic-at-upper flags and its final tableau with the position of each
+nonbasic column; the solve adopts copies of them, unchecked, since the
+engine made them, and a start from another engine is `InvalidArg`. A
+`Basis`, basic columns and at-upper flags, is the one start made outside
+the engine: the solve checks it, `InvalidArg` unless it names `m` distinct
+columns and its flags cover every column, and factorizes it once. A bound
+change moves only the resting values of nonbasic columns, and the basic
+values of an adopted tableau move with each by the column's tableau entries
+times its shift, the dual simplex's bound update, so no adopted start is
 refactorized; a branched binary is basic, and a bound-tightening sweep or a
-robustness root changes only the objective, so most starts move nothing.
-If the start's basic values are primal feasible (the next objective of a
-bound-tightening sweep, or a robustness root started from its query's
-shared solve), phase 2 runs from them directly. If the basis is
-dual feasible instead (a branch-and-bound child, whose bounds differ from
-its parent's in one binary), a bounded dual simplex restores primal
-feasibility and one primal phase-2 pass cleans up. The dual simplex prices
-by dual steepest edge (Forrest & Goldfarb 1992): the leaving row maximizes
-its squared bound violation over the squared norm of its row of B^-1. On
-the skeleton, B^-1 is the tableau's columns at the nonbasic logicals and a
-unit vector at each basic one, so those exact weights are read off the
-tableau and need no update formula. When the dual simplex finds a violated
-row with no entering column, that row's dual ray, its row of B^-1, is read
-off the tableau the same way and bounded over the variables' box with the
-original data, which keeps the proof sound for an inexact ray. It decides
-the solve infeasible only if it proves an L1 row residual above
-`FEAS_TOL`, the level phase 1 would need to see to reject the LP. Any
-other outcome of the warm path, a weaker ray, a start that is neither
-primal nor dual feasible or a numerical breakdown, falls back to the cold
-solve, with a budget of its own. The same reading gives an optimal solve's
-row duals, `row_duals`, from its final reduced costs.
+robustness root changes only the objective, so most starts move nothing. If
+the start's basic values are primal feasible (the next objective of a
+bound-tightening sweep, a robustness root started from its query's shared
+solve, or the network's vertex that shared solve starts from), phase 2 runs
+from them directly. If the basis is dual feasible instead (a
+branch-and-bound child, whose bounds differ from its parent's in one
+binary), a bounded dual simplex restores primal feasibility and one primal
+phase-2 pass cleans up. The dual simplex prices by dual steepest edge
+(Forrest & Goldfarb 1992): the leaving row maximizes its squared bound
+violation over the squared norm of its row of B^-1. On the skeleton, B^-1
+is the tableau's columns at the nonbasic logicals and a unit vector at each
+basic one, so those exact weights are read off the tableau and need no
+update formula. When the dual simplex finds a violated row with no entering
+column, that row's dual ray, its row of B^-1, is read off the tableau the
+same way and bounded over the variables' box with the original data, which
+keeps the proof sound for an inexact ray. It decides the solve infeasible
+only if it proves an L1 row residual above `FEAS_TOL`, the level phase 1
+would need to see to reject the LP. Any other outcome of the warm path, a
+weaker ray, a start that is neither primal nor dual feasible or a numerical
+breakdown, falls back to the cold solve, with a budget of its own. The same
+reading gives an optimal solve's row duals, `row_duals`, from its final
+reduced costs.
 
 An optimal solve's `objective` is `c x` at its point, and its `bound` is
 proven by weak duality from the original data (Neumaier & Shcherbina,
@@ -161,8 +164,9 @@ class LpSolution:
     """One solve's outcome. Pivot counts are pricing passes (basis changes,
     bound flips and one final pass per loop), counted over every path the
     solve took, a warm attempt that fell back included. `refactors` counts
-    the tableau refactorizations: those made every `REFACTOR_EVERY`
-    pivots, and the one an optimal point's row residual asks for.
+    the tableau refactorizations: a `Basis` start's one factorization,
+    those made every `REFACTOR_EVERY` pivots, and the one an optimal
+    point's row residual asks for.
     `objective` is `c x` at the optimal point `x`, and `bound` a bound on
     the LP's optimum that weak duality proves from the original data (at
     least `c x` when maximizing, at most when minimizing, up to roundoff);
@@ -193,9 +197,10 @@ class LpSolution:
 @dataclass(frozen=True)
 class Basis:
     """A start given by its basis alone: the column basic in each row, and
-    the nonbasic-at-upper flag of each structural and logical column. A
-    solve from it factorizes the basis once, where a start from an
-    `LpSolution` adopts that solution's tableau."""
+    the nonbasic-at-upper flag of each structural and logical column. It
+    is the one start made outside the engine: a solve from it checks it and
+    factorizes it once, where a start from an `LpSolution` adopts that
+    solution's tableau, and then both take the same warm path."""
 
     basis: np.ndarray
     at_upper: np.ndarray
@@ -216,7 +221,7 @@ class SolveStats:
     breakdowns: int = 0      # of those fallbacks, warm paths that raised NumericalBreakdown
     ray_infeasible: int = 0  # infeasible verdicts the warm path proved with a dual ray
     node_breakdowns: int = 0  # B&B nodes whose solve raised NumericalBreakdown, left open
-    refactors: int = 0       # tableau refactorizations (LpSolution.refactors)
+    refactors: int = 0       # tableau refactorizations, a `Basis` start's included (LpSolution.refactors)
     cutoffs: int = 0         # solves that ended CUTOFF
     max_bound_gap: float = 0.0  # the largest |bound - objective| of an optimal solve
 
@@ -300,11 +305,11 @@ class PreparedLp:
         """Maximize `c x` (or minimize it, `maximize` False) under
         structural bounds `lo`/`hi`. `start` is an earlier optimal solution
         of this engine or a `Basis` of its columns, else `InvalidArg`; the
-        solve then tries the warm path from its basis, at-upper flags and
-        tableau, or from the basis alone, first and falls back to the cold
-        one. `cutoff` is a value of `c x` the caller does not
-        need beaten: once the dual simplex proves a bound strictly below it
-        (above it when minimizing), the solve ends CUTOFF. Ends OPTIMAL,
+        solve then tries the warm path from the solution's tableau, or from
+        the basis factorized once, first and falls back to the cold one.
+        `cutoff` is a value of `c x` the caller does not need beaten: once
+        the dual simplex proves a bound strictly below it (above it when
+        minimizing), the solve ends CUTOFF. Ends OPTIMAL,
         INFEASIBLE or CUTOFF, or raises `NumericalBreakdown`."""
         m, n, ncols = self.m, self.n, self.ncols
         lo_s = np.asarray(lo, dtype=float)
@@ -329,8 +334,7 @@ class PreparedLp:
         outcome = None
         if start is not None:
             try:
-                solve_from = self._solve_basis if isinstance(start, Basis) else self._solve_warm
-                outcome = solve_from(full_lo, full_hi, c2, start, counts, cut)
+                outcome = self._solve_warm(full_lo, full_hi, c2, start, counts, cut)
                 warm = WarmStart.USED if outcome is not None else WarmStart.FELL_BACK
             except NumericalBreakdown:
                 warm = WarmStart.BROKE_DOWN
@@ -422,37 +426,41 @@ class PreparedLp:
             state.nb = state.nb[keep]
             state.d = state.d[keep]
             state.at_upper = state.at_upper[:ncols]
-            # phase 2 starts from basic values computed from the original
-            # data, the ones a warm start adopting this tableau reads, so a
-            # robustness root started from the shared phase-1 solve runs
-            # this very phase 2
+            # the carried basic values solve phase 1's rows only up to its
+            # pivots' roundoff and the artificials, each expelled at a value
+            # up to FEAS_TOL; phase 2 starts from basic values recomputed
+            # from the original data, which solve the skeleton's own rows
             self._refactor(state, self.A, full_lo, full_hi, tableau=False)
 
         self._iterate(state, self.A, full_lo, full_hi, c2, "phase2")
         return LpStatus.OPTIMAL, state, 0.0
 
     def _solve_warm(self, full_lo, full_hi, c2, start, counts, cut):
-        """Re-solve from a start solution of this engine. Returns what
-        `_solve_cold` returns when the warm path reaches an optimum or
-        proves infeasibility with a dual ray, `(CUTOFF, None, bound)` when
-        the dual simplex proves `bound` on the maximized objective strictly
-        below `cut`, or None when it can do none of these. The start's
-        tableau is adopted as it is, and its basic values move by
-        `T[:, k] * shift` for each nonbasic position `k` whose column's
-        resting value these bounds shift."""
-        m, n = self.m, self.n
-        tab = start.tableau
-        if tab is None or tab.engine is not self:
-            raise InvalidArg("a start must be an optimal solution of this engine")
-        if tab.T.shape != (m, n) or tab.nb.shape != (n,) or tab.xB.shape != (m,):
-            raise InvalidArg("start does not fit this LP")
-        basis, at_upper, _ = self._adopt(start, full_hi)
-        state = _State(T=tab.T.copy(), basis=basis, nb=tab.nb.copy(), xB=tab.xB.copy(), at_upper=at_upper,
-                       counts=counts, age=tab.age)
-        shift = (_resting(state, full_lo, full_hi) - tab.x_nb)[state.nb]
-        if shift.any():
-            state.xB -= state.T @ shift
+        """Re-solve from a start: a `Basis`, checked and factorized once,
+        or an optimal solution of this engine, whose tableau is adopted as
+        it is and whose basic values move by `T[:, k] * shift` for each
+        nonbasic position `k` whose column's resting value these bounds
+        shift. Returns what `_solve_cold` returns when the warm path
+        reaches an optimum or proves infeasibility with a dual ray,
+        `(CUTOFF, None, bound)` when the dual simplex proves `bound` on the
+        maximized objective strictly below `cut`, or None when it can do
+        none of these."""
+        if isinstance(start, Basis):
+            basis, at_upper, nb = self._checked(start, full_hi)
+            state = _State(T=None, basis=basis, nb=nb, xB=None, at_upper=at_upper, counts=counts)
+            self._refactor(state, self.A, full_lo, full_hi)
+        else:
+            tab = start.tableau
+            if tab is None or tab.engine is not self:
+                raise InvalidArg("a start must be an optimal solution of this engine")
+            # a solution of this engine flags no basic column, nor one without a finite upper bound
+            state = _State(T=tab.T.copy(), basis=start.basis.copy(), nb=tab.nb.copy(), xB=tab.xB.copy(),
+                           at_upper=start.at_upper.copy(), counts=counts, age=tab.age)
+            shift = (_resting(state, full_lo, full_hi) - tab.x_nb)[state.nb]
+            if shift.any():
+                state.xB -= state.T @ shift
 
+        basis = state.basis
         movable = full_hi > full_lo
         if np.any(state.xB < full_lo[basis] - FEAS_TOL) or np.any(state.xB > full_hi[basis] + FEAS_TOL):
             state.d = _reduced_costs(state, c2)
@@ -467,25 +475,10 @@ class PreparedLp:
         self._iterate(state, self.A, full_lo, full_hi, c2, "phase2")
         return LpStatus.OPTIMAL, state, 0.0
 
-    def _solve_basis(self, full_lo, full_hi, c2, start, counts, cut):
-        """Solve from a `Basis` alone: one refactorization gives its tableau
-        and basic values, and phase 2 runs from them if they are primal
-        feasible to `FEAS_TOL`. Returns what `_solve_cold` returns for an
-        optimum, or None when the basis is not primal feasible. A primal
-        pass never meets the cutoff, so `cut` goes unused."""
-        basis, at_upper, in_basis = self._adopt(start, full_hi)
-        state = _State(T=None, basis=basis, nb=np.flatnonzero(~in_basis), xB=None, at_upper=at_upper,
-                       counts=counts)
-        self._refactor(state, self.A, full_lo, full_hi)
-        if np.any(state.xB < full_lo[basis] - FEAS_TOL) or np.any(state.xB > full_hi[basis] + FEAS_TOL):
-            return None
-        self._iterate(state, self.A, full_lo, full_hi, c2, "phase2")
-        return LpStatus.OPTIMAL, state, 0.0
-
-    def _adopt(self, start, full_hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of a start's basis and at-upper flags, with the flags
+    def _checked(self, start: Basis, full_hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of a `Basis`'s columns and at-upper flags, with the flags
         cleared at the basic columns and at those without a finite upper
-        bound, and the basic-column mask; `InvalidArg` unless the basis
+        bound, and the nonbasic columns; `InvalidArg` unless the basis
         names `m` distinct columns of this LP and the flags cover them."""
         m, ncols = self.m, self.ncols
         basis = np.array(start.basis)
@@ -502,7 +495,7 @@ class PreparedLp:
         in_basis = np.zeros(ncols, dtype=bool)
         in_basis[basis] = True
         at_upper &= ~in_basis & np.isfinite(full_hi)
-        return basis, at_upper, in_basis
+        return basis, at_upper, np.flatnonzero(~in_basis)
 
     def _box_max(self, a, full_lo, full_hi) -> float:
         """The greatest `a x` over the columns' box, for `a` over every

@@ -19,14 +19,12 @@ import hashlib
 import io
 import json
 import logging
-import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .bnb import BnbOptions, BnbStatus, MilpResult, shared_root_start, solve_milp
+from .bnb import BnbOptions, BnbStatus, MilpResult, finite_real, shared_root_start, solve_milp
 from .bounds import InputBox, LayerBounds, StabilityMap, classify_neurons, propagate_bounds
 from .errors import DimensionMismatch, InvalidArg, InvalidValue, ParseError
 from .milp import MilpProblem, default_delta_cap, encode_network, lp_tighten, set_robustness_objective
@@ -35,10 +33,6 @@ from .simplex import SolveStats, tolerances
 
 _log = logging.getLogger(__name__)
 _REACH_TOL = 1e-12  # a witness this close to a trust target reaches it: roundoff in its forward pass
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _vector(v, name: str) -> np.ndarray:
@@ -90,14 +84,14 @@ class VerificationQuery:
             if np.any(alpha < 0):
                 raise InvalidValue("alpha must be nonnegative")
             object.__setattr__(self, "alpha", alpha)
-        if self.beta is not None and not (_is_real(self.beta) and self.beta > 0):
+        if self.beta is not None and not (finite_real(self.beta) and self.beta > 0):
             raise InvalidValue("beta must be a positive number")
         if self.scale is not None:
             scale = _per_input(self.scale, "scale", z_ref.size)
             if np.any(scale <= 0):
                 raise InvalidValue("scale must be positive")
             object.__setattr__(self, "scale", scale)
-        if self.delta_cap is not None and not (_is_real(self.delta_cap) and self.delta_cap > 0):
+        if self.delta_cap is not None and not (finite_real(self.delta_cap) and self.delta_cap > 0):
             raise InvalidValue("delta_cap must be a positive number")
         if not isinstance(self.clip_to_domain, bool):
             raise InvalidValue("clip_to_domain must be true or false")

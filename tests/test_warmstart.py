@@ -18,7 +18,6 @@ from relucert.errors import InvalidArg, NumericalBreakdown
 from relucert.milp import (
     encode_network,
     lp_tighten,
-    network_vertex,
     prepare,
     relaxed_bounds,
     set_robustness_objective,
@@ -26,6 +25,7 @@ from relucert.milp import (
 from relucert.nnmodel import fold_bn, forward, forward_layers
 from relucert.simplex import (
     FEAS_TOL,
+    OPT_TOL,
     Basis,
     LpSolution,
     LpStatus,
@@ -495,7 +495,7 @@ def test_network_vertex_is_the_networks_point_at_the_lower_corner(seed, alpha, t
     base = encode_network(net, lb, classify_neurons(lb), box)
     eng = prepare(base)
     lo, hi = relaxed_bounds(base)
-    vertex = network_vertex(base)
+    vertex = base.vertex
     x, full_lo, full_hi = _basic_point(eng, vertex, lo, hi)
     assert np.all(x >= full_lo - FEAS_TOL) and np.all(x <= full_hi + FEAS_TOL)
     roles = base.var_roles
@@ -548,12 +548,25 @@ def test_a_basis_start_must_fit_the_lp():
     _assert_same(sol, eng.solve(lo, hi, c, True))
 
 
+def _dual_feasible(eng, start, c, maximize, full_lo, full_hi) -> bool:
+    """Whether no nonbasic column of a basis start, moved off its flagged
+    bound, improves the maximized objective by `OPT_TOL`: its reduced costs
+    `c - c_B B^-1 A`, zero at the basic columns, with the flags a solve
+    keeps (none at a basic column or one without a finite upper bound)."""
+    cost = np.concatenate((c if maximize else -c, np.zeros(eng.m)))
+    d = cost - np.linalg.solve(eng.A[:, start.basis].T, cost[start.basis]) @ eng.A
+    gain = np.where(start.at_upper & np.isfinite(full_hi), -d, d)
+    gain[start.basis] = 0.0
+    gain[full_hi <= full_lo] = 0.0  # a fixed column cannot move
+    return bool(gain.max() <= OPT_TOL)
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), m=st.integers(1, 16), maximize=st.booleans())
 def test_a_basis_start_answers_as_the_cold_solve(seed, n, m, maximize):
-    # a random basis: singular ones break down and infeasible ones fall
-    # back, and either way the cold solve answers; a primal feasible one
-    # runs phase 2 alone
+    # a random basis: a singular one breaks down, a primal feasible one runs
+    # phase 2 alone, a dual feasible one runs the dual simplex, and one that
+    # is neither falls back; every way, the cold solve's answer comes back
     rng = np.random.default_rng(seed)
     c, A, senses, b, lo, hi = _random_lp(rng, n, m)
     eng = PreparedLp(A, senses, b)
@@ -562,13 +575,16 @@ def test_a_basis_start_answers_as_the_cold_solve(seed, n, m, maximize):
     _assert_same(sol, eng.solve(lo, hi, c, maximize))
     try:
         x, full_lo, full_hi = _basic_point(eng, start, lo, hi)
-        feasible = bool(np.all(x >= full_lo - FEAS_TOL) & np.all(x <= full_hi + FEAS_TOL))
     except np.linalg.LinAlgError:
         assert sol.warm is WarmStart.BROKE_DOWN
         return
-    assert sol.warm is (WarmStart.USED if feasible else WarmStart.FELL_BACK)
-    if feasible:
+    primal = bool(np.all(x >= full_lo - FEAS_TOL) & np.all(x <= full_hi + FEAS_TOL))
+    dual = not primal and _dual_feasible(eng, start, c, maximize, full_lo, full_hi)
+    assert sol.warm is (WarmStart.USED if primal or dual else WarmStart.FELL_BACK)
+    if primal or dual:
         assert sol.phase1_pivots == 0
+    if dual:
+        assert sol.dual_pivots > 0
 
 
 def _spy_query(monkeypatch, run, net, q):
@@ -674,6 +690,83 @@ def test_trust_roots_skip_phase_1(monkeypatch, seed):
     assert _no_phase_1(res, solves)
     assert res.stats["lp_solves"] == res.stats["nodes"] + balls
     assert res.stats["warm_starts"] == res.stats["nodes"] + balls  # every root and shared solve too
+    assert res.certified
+
+
+def _staged_checks(monkeypatch, run, net, q):
+    """Run `run` on `q`, labelling every `Basis` check and every LP solve
+    with the query stage that made it: "tighten" (`lp_tighten`), "shared"
+    (`shared_root_start`) or "search" (`solve_milp`). Returns the result,
+    the checks' labels, (label, start, solution) per solve and the number
+    of engines `lp_tighten` built, one per cut."""
+    stage, checks, solves, cuts = [None], [], [], [0]
+
+    def staged(owner, name, label):
+        fn = getattr(owner, name)
+
+        def run_staged(*args, **kwargs):
+            stage.append(label)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage.pop()
+
+        monkeypatch.setattr(owner, name, run_staged)
+
+    staged(verify, "lp_tighten", "tighten")
+    staged(verify, "shared_root_start", "shared")
+    staged(verify, "solve_milp", "search")
+    check, solve, prepare_cut = PreparedLp._checked, PreparedLp.solve, milp.prepare
+
+    def spy_check(self, *args):
+        checks.append(stage[-1])
+        return check(self, *args)
+
+    def spy_solve(self, *args, start=None, **kwargs):
+        sol = solve(self, *args, start=start, **kwargs)
+        solves.append((stage[-1], start, sol))
+        return sol
+
+    def spy_prepare(p):
+        cuts[0] += 1
+        return prepare_cut(p)
+
+    monkeypatch.setattr(PreparedLp, "_checked", spy_check)
+    monkeypatch.setattr(PreparedLp, "solve", spy_solve)
+    monkeypatch.setattr(milp, "prepare", spy_prepare)
+    res = run(net, q)
+    monkeypatch.undo()
+    return res, checks, solves, cuts[0]
+
+
+@pytest.mark.parametrize("kind", ["robustness", "trust"])
+def test_a_basis_is_checked_once_per_encoding_and_never_per_node(monkeypatch, kind):
+    """A `Basis` is checked and factorized once for each solved base, in
+    its shared root solve, and once for each tightening cut, for the cut's
+    first LP; every other start is a solution the engine adopts unchecked.
+    No B&B node starts from a `Basis`, and a node's solve refactorizes only
+    once its inherited tableau reaches `REFACTOR_EVERY` pivots."""
+    rng = np.random.default_rng(0)
+    net = fold_bn(random_spec(rng, n0=3, widths=(6, 6), m=2, unit_norm=True))
+    z_ref = np.full(3, 0.5)
+    if kind == "robustness":
+        run, q = verify.robustness, verify.VerificationQuery(z_ref=z_ref, x_ref=forward(net, z_ref), alpha=0.3)
+    else:
+        run, q = verify.trustworthiness, verify.VerificationQuery(z_ref=z_ref, x_ref=forward(net, z_ref), beta=0.2)
+    res, checks, solves, cuts = _staged_checks(monkeypatch, run, net, q)
+    shared = [(start, sol) for stage, start, sol in solves if stage == "shared"]
+    assert shared and cuts  # the query solves a base and tightens a cut
+    assert all(isinstance(start, Basis) and sol.refactors == 1 for start, sol in shared)
+    assert checks.count("shared") == len(shared)
+    assert checks.count("tighten") == cuts
+    assert len(checks) == len(shared) + cuts  # none in a search
+    search = [(start, sol) for stage, start, sol in solves if stage == "search"]
+    roots = {id(sol) for _, sol in shared}
+    assert any(start is not None and id(start) not in roots for start, _ in search)  # a child
+    assert not any(isinstance(start, Basis) for start, _ in search)
+    for start, sol in search:
+        if start is not None and sol.refactors:
+            assert start.tableau.age + sol.iterations >= simplex.REFACTOR_EVERY
     assert res.certified
 
 
